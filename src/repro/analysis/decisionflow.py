@@ -299,7 +299,11 @@ class DecisionFlowModel:
             self.decisions[qual] = info
 
     def _parse_targets(self, info: DecisionClassInfo) -> None:
-        """Literal target kinds from the nearest ``targets()`` body."""
+        """Literal target kinds from the nearest ``targets()`` body.
+
+        Accepts a tuple literal of ``(kind, key)`` pairs and, for batch
+        decisions, ``tuple((kind, key) for ...)`` with a literal kind.
+        """
         node = self._find_method(info.qualname, "targets")
         if node is None:
             return
@@ -310,20 +314,30 @@ class DecisionFlowModel:
                 continue
             value = sub.value
             if isinstance(value, ast.Tuple):
-                for elt in value.elts:
-                    if (
-                        isinstance(elt, ast.Tuple)
-                        and elt.elts
-                        and isinstance(elt.elts[0], ast.Constant)
-                        and isinstance(elt.elts[0].value, str)
-                    ):
-                        kinds.append(elt.elts[0].value)
-                    else:
-                        info.opaque_targets = True
-            elif not (
-                isinstance(value, ast.Constant) and value.value is None
+                elts = value.elts
+            elif (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "tuple"
+                and len(value.args) == 1
+                and not value.keywords
+                and isinstance(value.args[0], (ast.GeneratorExp, ast.ListComp))
             ):
-                info.opaque_targets = True
+                elts = [value.args[0].elt]
+            else:
+                if not (isinstance(value, ast.Constant) and value.value is None):
+                    info.opaque_targets = True
+                continue
+            for elt in elts:
+                if (
+                    isinstance(elt, ast.Tuple)
+                    and elt.elts
+                    and isinstance(elt.elts[0], ast.Constant)
+                    and isinstance(elt.elts[0].value, str)
+                ):
+                    kinds.append(elt.elts[0].value)
+                else:
+                    info.opaque_targets = True
         info.target_kinds = tuple(sorted(set(kinds)))
 
     def _find_method(self, qual_cls: str, name: str) -> Optional[ast.AST]:

@@ -23,6 +23,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.linter import Finding, format_findings, lint_paths
+from repro.errors import UnknownNameError
 from repro.experiments.cache import CACHE_ENABLE_ENV, ResultCache
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.parallel import BACKEND_ENV, JOBS_ENV
@@ -510,10 +511,22 @@ def _cache_main(action: str) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    An unknown policy or workload name is a usage error: one line on
+    stderr naming the closest known name, and exit code 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except UnknownNameError as exc:
+        print(f"error: {exc.summary}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command."""
     if args.command == "list":
         print("experiments:")
         for name in EXPERIMENTS:

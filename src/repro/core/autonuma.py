@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.core.metrics import PageSampleTable
-from repro.sim.decisions import ChargeCompute, Decision, MigratePage, Note, Outcome
+from repro.sim.decisions import ChargeCompute, Decision, MigratePages, Note, Outcome
 from repro.sim.policy import PlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,24 +104,44 @@ class AutoNumaPolicy(PlacementPolicy):
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
-        dominant = table.dominant_nodes()
         budget = self.config.max_migration_bytes_per_interval
+        if budget <= 0:
+            yield Note("migration budget exhausted")
+            return
         order = np.argsort(-table.totals)
-        for idx in order:
-            if budget <= 0:
-                yield Note("migration budget exhausted")
-                break
-            page_id = int(table.ids[idx])
-            if not sim.asp.backing_is_live(page_id):
-                self._streaks.pop(page_id, None)
+        ids = table.ids[order]
+        nodes = table.dominant_nodes()[order]
+        page_ids = ids.tolist()
+        # Each page's streak after this interval's fault (None: the page
+        # is gone).  Ids are distinct, so no page sees another's update.
+        streaks = []
+        for page_id, node, live in zip(
+            page_ids, nodes.tolist(), sim.asp.backings_live(ids).tolist()
+        ):
+            if not live:
+                streaks.append(None)
                 continue
-            node = int(dominant[idx])
             last, streak = self._streaks.get(page_id, (-1, 0))
-            streak = streak + 1 if node == last else 1
-            self._streaks[page_id] = (node, streak)
-            if streak < self.config.migrate_streak:
-                continue
-            outcome = yield MigratePage(page_id, node)
-            if not outcome.applied:
-                continue
-            budget -= outcome.bytes_moved
+            streaks.append((node, streak + 1 if node == last else 1))
+        batch = np.array(
+            [
+                i
+                for i, entry in enumerate(streaks)
+                if entry is not None and entry[1] >= self.config.migrate_streak
+            ],
+            dtype=np.int64,
+        )
+        # Hottest first, until the budget is spent: the streak table
+        # advances only for the pages the walk reached.
+        walked = len(page_ids)
+        if batch.size:
+            outcome = yield MigratePages(ids[batch], nodes[batch], budget)
+            if budget - outcome.bytes_moved <= 0:
+                walked = int(batch[outcome.reached - 1]) + 1
+        for page_id, entry in zip(page_ids[:walked], streaks[:walked]):
+            if entry is None:
+                self._streaks.pop(page_id, None)
+            else:
+                self._streaks[page_id] = entry
+        if walked < len(page_ids):
+            yield Note("migration budget exhausted")

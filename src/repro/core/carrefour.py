@@ -34,7 +34,7 @@ from repro.core.metrics import PageSampleTable
 from repro.sim.decisions import (
     ChargeCompute,
     Decision,
-    MigratePage,
+    MigratePages,
     Note,
     Outcome,
     ReplicatePage,
@@ -108,7 +108,14 @@ class CarrefourEngine:
         address_space: AddressSpace,
         n_nodes: int,
     ) -> Generator[Decision, Outcome, None]:
-        """Yield the migrate/interleave decision for every sampled page."""
+        """Yield the interval's migrate/interleave batch, then replicas.
+
+        Every sampled page still live gets an entry, hottest first:
+        pages sampled from one node go to that node, shared pages not
+        yet interleaved go to a random node.  The executor walks the
+        batch until the budget is spent; state is then updated for the
+        pages the walk reached, as if each had been decided in turn.
+        """
         cfg = self.config
         yield ChargeCompute(table.n_samples * cfg.compute_s_per_sample)
         if table.ids.size == 0:
@@ -118,46 +125,66 @@ class CarrefourEngine:
         # Hottest pages first: under a finite budget, moving them pays most.
         order = np.argsort(-totals)
         order = order[eligible[order]]
-        single = table.single_node_mask()
-        dominant = table.dominant_nodes()
-        read_only = table.read_only_mask()
+        budget = cfg.max_migration_bytes_per_interval
+        if order.size == 0:
+            return
+        if budget <= 0:
+            yield Note("migration budget exhausted")
+            return
+        ids = table.ids[order]
+        # Pages sampled before a split/collapse changed the backing are
+        # no longer live and are left alone.
+        live = address_space.backings_live(ids)
+        single = table.single_node_mask()[order]
+        shared = live & ~single
+        single &= live
+        interleaved = self._interleaved
+        fresh = shared & np.array(
+            [page_id not in interleaved for page_id in ids.tolist()], dtype=bool
+        )
+        # Shared pages already interleaved stay where they are (no
+        # ping-pong); every fresh one draws a random node, in walk order.
+        # One integers(size=k) call consumes the stream exactly as k
+        # scalar draws do.
+        targets = table.dominant_nodes()[order]
+        n_fresh = int(np.count_nonzero(fresh))
+        rng_state = self._rng.bit_generator.state
+        if n_fresh:
+            targets[fresh] = self._rng.integers(0, n_nodes, size=n_fresh)
         replication_ok = cfg.replication_enabled and self._memory_headroom(
             address_space
         )
-        replication_candidates: list = []
-        budget = cfg.max_migration_bytes_per_interval
-        for idx in order:
-            if budget <= 0:
-                yield Note("migration budget exhausted")
-                break
-            page_id = int(table.ids[idx])
-            if not address_space.backing_is_live(page_id):
-                # Sampled before a split/collapse changed the backing.
-                continue
-            if single[idx]:
-                target = int(dominant[idx])
-                self._interleaved.discard(page_id)
-            else:
-                # Shared page.  Read-mostly pages with enough evidence
-                # are *candidates* for replication, but balance comes
-                # first: they are interleaved now (one cheap migration)
-                # and upgraded to per-node replicas with whatever budget
-                # remains after this pass — otherwise a single interval
-                # of expensive copies would leave the hot node standing.
-                if (
-                    replication_ok
-                    and read_only[idx]
-                    and totals[idx] >= cfg.replication_min_samples
-                ):
-                    replication_candidates.append(page_id)
-                if page_id in self._interleaved:
-                    continue
-                target = int(self._rng.integers(0, n_nodes))
-                self._interleaved.add(page_id)
-            outcome = yield MigratePage(page_id, target)
-            if not outcome.applied:
-                continue
+        # The walk covers the sampled pages up to the entry that spent
+        # the budget; pages past it are not decided this interval.
+        walked = ids.size
+        batch = np.flatnonzero(single | fresh)
+        if batch.size:
+            outcome = yield MigratePages(ids[batch], targets[batch], budget)
             budget -= outcome.bytes_moved
+            if budget <= 0:
+                walked = int(batch[outcome.reached - 1]) + 1
+        drawn = int(np.count_nonzero(fresh[:walked]))
+        if drawn < n_fresh:
+            self._rng.bit_generator.state = rng_state
+            if drawn:
+                self._rng.integers(0, n_nodes, size=drawn)
+        interleaved.difference_update(ids[:walked][single[:walked]].tolist())
+        interleaved.update(ids[:walked][fresh[:walked]].tolist())
+        if walked < ids.size:
+            yield Note("migration budget exhausted")
+        # Read-mostly shared pages with enough evidence are replication
+        # candidates, but balance comes first: they are interleaved in
+        # the batch (one cheap migration) and upgraded to per-node
+        # replicas with whatever budget remains — otherwise a single
+        # interval of expensive copies would leave the hot node standing.
+        replication_candidates: list = []
+        if replication_ok:
+            upgrade = (
+                shared
+                & table.read_only_mask()[order]
+                & (totals[order] >= cfg.replication_min_samples)
+            )
+            replication_candidates = ids[:walked][upgrade[:walked]].tolist()
 
         # Second pass: spend leftover budget upgrading read-mostly
         # shared pages to replicas (hottest first, as ordered above).

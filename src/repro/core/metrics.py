@@ -71,12 +71,20 @@ class PageSampleTable:
         else:
             keys = np.asarray(samples.granule, dtype=np.int64)
         ids, inverse = np.unique(keys, return_inverse=True)
-        node_counts = np.zeros((ids.size, n_nodes))
-        np.add.at(
-            node_counts, (inverse, samples.accessing_node.astype(np.int64)), 1.0
+        inverse = inverse.astype(np.int64).reshape(-1)
+        node_counts = (
+            np.bincount(
+                inverse * n_nodes + samples.accessing_node.astype(np.int64),
+                minlength=ids.size * n_nodes,
+            )
+            .reshape(ids.size, n_nodes)
+            .astype(np.float64)
         )
-        write_counts = np.zeros(ids.size)
-        np.add.at(write_counts, inverse, samples.is_write.astype(np.float64))
+        write_counts = np.bincount(
+            inverse,
+            weights=samples.is_write.astype(np.float64),
+            minlength=ids.size,
+        )
         # Distinct accessing threads per page, via a packed
         # (page, thread) pair key.  The multiplier must exceed every
         # thread id or pairs from different pages would collide and
@@ -86,11 +94,12 @@ class PageSampleTable:
         if threads.size and int(threads.min()) < 0:
             raise ConfigurationError("thread ids must be non-negative")
         multiplier = max(65536, int(threads.max()) + 1 if threads.size else 0)
-        pair = inverse.astype(np.int64) * multiplier + threads
-        unique_pairs = np.unique(pair)
-        thread_counts = np.bincount(
-            (unique_pairs // multiplier).astype(np.int64), minlength=ids.size
-        )
+        pair = np.sort(inverse * multiplier + threads)
+        # Sort-and-diff dedup: plain np.unique hashes, which is far
+        # slower on arrays this size.
+        first = np.ones(pair.size, dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=first[1:])
+        thread_counts = np.bincount(pair[first] // multiplier, minlength=ids.size)
         return cls(
             ids=ids,
             node_counts=node_counts,

@@ -46,7 +46,7 @@ from repro.sim.decisions import (
     ToggleThpAlloc,
     ToggleThpPromotion,
 )
-from repro.vm.layout import PageSize
+from repro.vm.address_space import BACKING_ID_2M_OFFSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
@@ -134,13 +134,7 @@ class ReactiveComponent:
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
-        large = np.array(
-            [
-                sim.asp.backing_id_kind(int(pid)) is not PageSize.SIZE_4K
-                for pid in table.ids
-            ],
-            dtype=bool,
-        )
+        large = table.ids >= BACKING_ID_2M_OFFSET
 
         if self._cooldown > 0:
             self._cooldown -= 1

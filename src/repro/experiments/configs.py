@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import difflib
 import re
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -78,10 +77,8 @@ def _make_single(name: str, seed: int) -> PlacementPolicy:
     try:
         factory = POLICIES[name]
     except KeyError:
-        close = difflib.get_close_matches(name, POLICIES, n=1)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        raise UnknownPolicyError(
-            f"unknown policy {name!r}{hint}; available: {sorted(POLICIES)}"
+        raise UnknownPolicyError.lookup_failed(
+            "policy", name, sorted(POLICIES)
         ) from None
     return factory(seed)
 

@@ -12,7 +12,10 @@ state it claims (a backing page, a THP toggle, the page tables).  When
 several deciders run as a stack, the executor resolves conflicts
 deterministically: the first decider to act on a target wins, later
 deciders' decisions on the same target are skipped with
-``Outcome(applied=False, reason="conflict")``.
+``Outcome(applied=False, reason="conflict")``.  A batch
+(:class:`MigratePages`) claims one target per entry, so it passes over
+only the entries an earlier decider owns and claims only the pages it
+moved.
 
 Decisions also know how to serialise themselves (:meth:`payload`) for
 the JSONL decision trace (:mod:`repro.sim.trace`).
@@ -37,7 +40,7 @@ against the executor:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -63,6 +66,13 @@ class Outcome:
     count: int = 0
     #: Why the decision was not applied ("" when applied).
     reason: str = ""
+    #: Batch decisions only: bytes each entry moved (0 past ``reached``).
+    entry_bytes: Optional[np.ndarray] = field(
+        default=None, compare=False, repr=False
+    )
+    #: Batch decisions only: entries the walk reached before the budget
+    #: ran out (every entry when it did not).
+    reached: int = 0
 
 
 #: Valid values for :attr:`Decision.domain`.
@@ -115,9 +125,20 @@ class Note(Decision):
         return {"kind": "Note", "text": self.text}
 
 
-@dataclass(frozen=True)
-class MigratePage(Decision):
-    """Migrate one backing page (any size) to ``target_node``."""
+@dataclass(frozen=True, eq=False)
+class MigratePages(Decision):
+    """Migrate a batch of backing pages (any sizes), in order, on a budget.
+
+    Carrefour moves each interval's pages as one budgeted batch, and so
+    does this decision: the executor walks the batch once through
+    :meth:`~repro.vm.address_space.AddressSpace.migrate_backings`, moving
+    ``page_ids[i]`` to ``target_nodes[i]`` under the per-page rules of
+    ``migrate_backing``, and stops after the migration that spends
+    ``budget_bytes``.  The :class:`Outcome` carries the total bytes, the
+    pages moved (``count``), the bytes per entry (``entry_bytes``) and
+    how many entries the walk reached (``reached``).  Ids must be
+    distinct and live.  ``eq=False`` as for :class:`InterleaveRegion`.
+    """
 
     domain: ClassVar[str] = "page"
     counters: ClassVar[Tuple[str, ...]] = (
@@ -126,17 +147,25 @@ class MigratePage(Decision):
         "migrated_2m",
     )
 
-    page_id: int
-    target_node: NodeId
+    page_ids: np.ndarray
+    target_nodes: NodeArray
+    budget_bytes: int
+    #: Entries to pass over without moving.  The executor sets it to the
+    #: pages an earlier member of a policy stack claimed this interval.
+    skip: Optional[np.ndarray] = None
 
     def targets(self) -> Tuple[Target, ...]:
-        return (("page", self.page_id),)
+        ids = np.asarray(self.page_ids).tolist()
+        return tuple(("page", page_id) for page_id in ids)
 
     def payload(self) -> dict:
+        ids = np.asarray(self.page_ids)
         return {
-            "kind": "MigratePage",
-            "page_id": self.page_id,
-            "target_node": self.target_node,
+            "kind": "MigratePages",
+            "n_pages": int(ids.size),
+            "page_lo": int(ids.min()) if ids.size else None,
+            "page_hi": int(ids.max()) if ids.size else None,
+            "budget_bytes": self.budget_bytes,
         }
 
 

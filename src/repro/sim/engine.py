@@ -19,7 +19,7 @@ multiplexing path as the colocation scenarios in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -51,7 +51,7 @@ from repro.sim.decisions import (
     Decision,
     InterleaveRegion,
     MergeSummary,
-    MigratePage,
+    MigratePages,
     Note,
     Outcome,
     ReclaimPages,
@@ -861,9 +861,11 @@ class ActionExecutor:
     With a multi-decider stack, conflicting decisions are resolved
     deterministically: the first decider whose decision on a target
     (page / THP toggle / page tables) is *applied* owns that target for
-    the interval, and later deciders' decisions on it are skipped.  A
-    single decider never consults claims, so its behaviour is untouched
-    by composition support.
+    the interval, and later deciders' decisions on it are skipped (a
+    :class:`~repro.sim.decisions.MigratePages` batch claims, and is
+    denied, page by page).  A single decider never consults claims, or
+    even builds a decision's targets, so its behaviour is untouched by
+    composition support.
     """
 
     def __init__(self, sim: "Simulation") -> None:
@@ -931,26 +933,53 @@ class ActionExecutor:
         source: str,
     ) -> Outcome:
         self.decisions_seen += 1
-        targets = decision.targets()
-        if claimed is not None and any(
-            claimed.get(tgt, index) != index for tgt in targets
-        ):
-            outcome = Outcome(applied=False, reason="conflict")
-            self.decisions_skipped += 1
-        else:
+        if claimed is None:
             outcome = self._execute(decision, summary)
-            if outcome.applied:
-                self.decisions_applied += 1
-                if claimed is not None:
-                    for tgt in targets:
-                        claimed.setdefault(tgt, index)
-            else:
-                self.decisions_skipped += 1
+        else:
+            outcome = self._execute_claimed(decision, summary, claimed, index)
+        if outcome.applied:
+            self.decisions_applied += 1
+        else:
+            self.decisions_skipped += 1
         tracer = getattr(self.sim, "tracer", None)
         if tracer is not None:
             tracer.record(
                 self.sim.sim_time_s, self.sim.epoch, source, decision, outcome
             )
+        return outcome
+
+    def _execute_claimed(
+        self,
+        decision: Decision,
+        summary: PolicyActionSummary,
+        claimed: Dict[Tuple[str, Any], int],
+        index: int,
+    ) -> Outcome:
+        """Execute one decision of stack member ``index``.
+
+        The first member to act on a target owns it for the interval.
+        A decision touching a target another member owns is skipped; a
+        batch instead passes over just those entries, and claims only
+        the pages it actually moved.
+        """
+        targets = decision.targets()
+        foreign = [claimed.get(tgt, index) != index for tgt in targets]
+        if isinstance(decision, MigratePages):
+            if any(foreign):
+                decision = replace(decision, skip=np.array(foreign))
+            outcome = self._execute(decision, summary)
+            for tgt, moved in zip(targets, outcome.entry_bytes.tolist()):
+                if moved:
+                    claimed.setdefault(tgt, index)
+            if foreign and all(foreign):
+                outcome = replace(outcome, reason="conflict")
+            return outcome
+        if any(foreign):
+            return Outcome(applied=False, reason="conflict")
+        outcome = self._execute(decision, summary)
+        if outcome.applied:
+            for tgt in targets:
+                claimed.setdefault(tgt, index)
         return outcome
 
     # ------------------------------------------------------------------
@@ -975,20 +1004,28 @@ class ActionExecutor:
         summary.add_note(decision.text)
         return Outcome(applied=True)
 
-    def _apply_migrate_page(
-        self, decision: MigratePage, summary: PolicyActionSummary
+    def _apply_migrate_pages(
+        self, decision: MigratePages, summary: PolicyActionSummary
     ) -> Outcome:
-        moved = self.sim.asp.migrate_backing(
-            decision.page_id, decision.target_node
+        entry_bytes, reached = self.sim.asp.migrate_backings(
+            decision.page_ids,
+            decision.target_nodes,
+            decision.budget_bytes,
+            skip=decision.skip,
         )
-        if moved == 0:
-            return Outcome(applied=False, reason="not moved")
-        summary.bytes_migrated += moved
-        if moved == PAGE_4K:
-            summary.migrated_4k += 1
-        elif moved == PAGE_2M:
-            summary.migrated_2m += 1
-        return Outcome(applied=True, bytes_moved=moved, count=1)
+        moved = int(np.count_nonzero(entry_bytes))
+        total = int(entry_bytes.sum())
+        summary.bytes_migrated += total
+        summary.migrated_4k += int(np.count_nonzero(entry_bytes == PAGE_4K))
+        summary.migrated_2m += int(np.count_nonzero(entry_bytes == PAGE_2M))
+        return Outcome(
+            applied=moved > 0,
+            bytes_moved=total,
+            count=moved,
+            reason="" if moved else "not moved",
+            entry_bytes=entry_bytes,
+            reached=reached,
+        )
 
     def _apply_interleave_region(
         self, decision: InterleaveRegion, summary: PolicyActionSummary
@@ -1117,7 +1154,7 @@ class ActionExecutor:
     ] = {
         ChargeCompute: _apply_charge_compute,
         Note: _apply_note,
-        MigratePage: _apply_migrate_page,
+        MigratePages: _apply_migrate_pages,
         InterleaveRegion: _apply_interleave_region,
         Split2M: _apply_split_2m,
         Split1G: _apply_split_1g,

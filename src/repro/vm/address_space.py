@@ -334,6 +334,23 @@ class AddressSpace:
         gchunk = backing_id - BACKING_ID_1G_OFFSET
         return 0 <= gchunk < self.n_chunks_1g and bool(self.giga[gchunk])
 
+    def backings_live(self, backing_ids: np.ndarray) -> np.ndarray:
+        """:meth:`backing_is_live` for every id of an array at once."""
+        ids = np.asarray(backing_ids, dtype=np.int64)
+        live = np.zeros(ids.shape, dtype=bool)
+        giga = ids >= BACKING_ID_1G_OFFSET
+        huge = (ids >= BACKING_ID_2M_OFFSET) & ~giga
+        small = ~(giga | huge)
+        inside = small & (ids >= 0) & (ids < self.n_granules)
+        live[inside] = self.node4k[ids[inside]] >= 0
+        for mask, index, backed in (
+            (huge, ids - BACKING_ID_2M_OFFSET, self.huge),
+            (giga, ids - BACKING_ID_1G_OFFSET, self.giga),
+        ):
+            inside = mask & (index < backed.size)
+            live[inside] = backed[index[inside]]
+        return live
+
     def node_of_backing(self, backing_id: int) -> NodeId:
         """Home node of a backing page (-1 if unmapped)."""
         kind = self.backing_id_kind(backing_id)
@@ -697,6 +714,129 @@ class AddressSpace:
         self._block1g[gchunk] = block
         self._bump_version()
         return int(PageSize.SIZE_1G)
+
+    #: 4KB entries :meth:`migrate_backings` scans ahead in one array step.
+    _SCAN_4K = 1024
+
+    def migrate_backings(
+        self,
+        backing_ids: np.ndarray,
+        dst_nodes: NodeArray,
+        budget_bytes: Bytes,
+        skip: Optional[np.ndarray] = None,
+    ) -> Tuple[BytesArray, int]:
+        """Migrate a batch of backing pages in order, within a byte budget.
+
+        Walks the batch once with :meth:`migrate_backing`'s per-page
+        rules: an entry moves nothing when its page is replicated,
+        already on the destination, or the destination cannot hold it.
+        Before each entry the walk stops if the bytes moved so far have
+        spent ``budget_bytes``, so the migration that spends the budget
+        is the last one.  Entries flagged in ``skip`` are passed over.
+        Returns the bytes each entry moved and how many entries the walk
+        reached.
+
+        Runs of 4KB pages are applied with array operations: every
+        node's small-frame pool follows a prefix sum, and only an entry
+        at which a pool carves or returns a block (or the destination is
+        full) goes through :meth:`migrate_backing`, as every 2MB and 1GB
+        entry does.  The allocators thus take exactly the steps of the
+        per-page sequence, in the same order.
+
+        Raises :class:`MappingError`, before changing anything, when an
+        id repeats, an entry not skipped is not live, or a destination
+        is out of range.
+        """
+        ids = np.asarray(backing_ids, dtype=np.int64)
+        dst = np.asarray(dst_nodes, dtype=np.int64)
+        n = ids.size
+        if ids.ndim != 1 or dst.shape != ids.shape:
+            raise MappingError("backing_ids and dst_nodes must align")
+        skip = np.zeros(n, dtype=bool) if skip is None else np.asarray(skip, dtype=bool)
+        if skip.shape != ids.shape:
+            raise MappingError("skip must align with backing_ids")
+        moved = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return moved, 0
+        if np.any((dst < 0) | (dst >= self.n_nodes)):
+            raise MappingError("destination node out of range")
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise MappingError("a batch names the same backing page twice")
+        if not np.all(self.backings_live(ids) | skip):
+            raise MappingError("a batch names a backing id that is not live")
+        large = np.flatnonzero(ids >= BACKING_ID_2M_OFFSET)
+        remaining = int(budget_bytes)
+        i = 0
+        while i < n and remaining > 0:
+            if ids[i] >= BACKING_ID_2M_OFFSET:
+                if not skip[i]:
+                    moved[i] = self.migrate_backing(int(ids[i]), int(dst[i]))
+                    remaining -= int(moved[i])
+                i += 1
+                continue
+            nxt = np.searchsorted(large, i)
+            stop = int(large[nxt]) if nxt < large.size else n
+            i, remaining = self._migrate_4k_run(
+                ids, dst, skip, moved, i, stop, remaining
+            )
+        return moved, i
+
+    def _migrate_4k_run(
+        self,
+        ids: np.ndarray,
+        dst: np.ndarray,
+        skip: np.ndarray,
+        moved: np.ndarray,
+        start: int,
+        stop: int,
+        remaining: Bytes,
+    ) -> Tuple[int, Bytes]:
+        """:meth:`migrate_backings` over the 4KB entries ``start:stop``.
+
+        Fills ``moved`` and returns the next entry to visit and the
+        budget left.
+        """
+        granules = ids[start:stop]
+        targets = dst[start:stop]
+        src = self.node4k[granules].astype(np.int64)
+        going = (src != targets) & ~self.replicated_4k[granules] & ~skip[start:stop]
+        # Each moving entry frees a frame on its source node (+1) and
+        # allocates one on its destination (-1).
+        nodes = np.arange(self.n_nodes)[:, None]
+        steps = ((src == nodes) & going).astype(np.int8) - ((targets == nodes) & going)
+        spent = np.cumsum(going) * PAGE_4K
+        pos, end = 0, stop - start
+        while pos < end and remaining > 0:
+            window = slice(pos, min(end, pos + self._SCAN_4K))
+            # Quiet entries move one frame without any pool acting.
+            quiet = self.phys.quiet_small_prefix(steps[:, window])
+            # The quiet entry whose move spends the budget is the last.
+            before = int(spent[pos - 1]) if pos else 0
+            cut = int(np.searchsorted(spent[window], before + remaining))
+            done = pos + min(quiet, cut + 1)
+            quiet_bytes = (int(spent[done - 1]) if done else 0) - before
+            if quiet_bytes:
+                sel = going[pos:done]
+                self.node4k[granules[pos:done][sel]] = (
+                    targets[pos:done][sel].astype(np.int8)
+                )
+                self.phys.settle_small(steps[:, pos:done].sum(axis=1))
+                moved[start + pos:start + done][sel] = PAGE_4K
+                remaining -= quiet_bytes
+                self._bump_version()
+            event = done == pos + quiet < window.stop
+            pos = done
+            if event and remaining > 0:
+                # A pool carves or returns a block here, or the
+                # destination is full: the scalar path takes the step.
+                entry = start + pos
+                moved[entry] = self.migrate_backing(
+                    int(ids[entry]), int(dst[entry])
+                )
+                remaining -= int(moved[entry])
+                pos += 1
+        return start + pos, remaining
 
     def migrate_granules(self, granules: Pages4KArray, dst_nodes: NodeArray) -> Bytes:
         """Bulk-migrate 4KB-mapped granules; returns bytes moved.

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import Bytes, NodeId, Pages4K
 from repro.vm.layout import ORDER_1G, ORDER_2M, PAGE_4K
@@ -262,6 +264,18 @@ class NodeMemory:
             self.buddy.free(start, ORDER_2M)
             self._pool_free -= 1 << ORDER_2M
 
+    def settle_small(self, net: Pages4K) -> None:
+        """Apply a quiet run's frees minus allocations in one step.
+
+        See :meth:`PhysicalMemory.quiet_small_prefix`: over a quiet run
+        of single-frame allocs and frees only the pool counter moves.
+        """
+        if self._pool_free + net < 0:
+            raise AllocationError(
+                f"node {self.node_id}: small-frame pool would go negative"
+            )
+        self._pool_free += net
+
     # ------------------------------------------------------------------
     # Huge (2MB) and giga (1GB) pages — identity-tracked buddy blocks
     # ------------------------------------------------------------------
@@ -401,6 +415,34 @@ class PhysicalMemory:
     def total_free_bytes(self) -> Bytes:
         """Bytes free across all nodes."""
         return sum(node.free_bytes for node in self.nodes)
+
+    def quiet_small_prefix(self, steps: np.ndarray) -> int:
+        """How many single-frame steps run before some node's pool acts.
+
+        ``steps[n, j]`` is node ``n``'s part in step ``j``: ``-1`` for
+        ``alloc_small(1)``, ``+1`` for ``free_small(1)``, ``0`` for
+        nothing.  Returns the length of the longest prefix in which no
+        allocation finds its pool empty (a carve, or a failure on a full
+        node) and no free fills a pool to a whole block while it holds
+        one (a return).  Over that prefix only the pool counters move,
+        so :meth:`settle_small` can apply it at once.
+        """
+        stats = [node.pool_stats() for node in self.nodes]
+        pool = np.array([s.free_frames_in_pool for s in stats])[:, None]
+        holds = np.array([s.reserved_blocks > 0 for s in stats])[:, None]
+        before = pool + np.cumsum(steps, axis=1) - steps
+        event = ((steps < 0) & (before < 1)) | (
+            holds & (steps > 0) & (before >= (1 << ORDER_2M) - 1)
+        )
+        hits = np.flatnonzero(event.any(axis=0))
+        return int(hits[0]) if hits.size else int(steps.shape[1])
+
+    def settle_small(self, net: np.ndarray) -> None:
+        """Apply each node's net frames (frees minus allocations) of a
+        quiet prefix found by :meth:`quiet_small_prefix`."""
+        for node, frames in zip(self.nodes, net.tolist()):
+            if frames:
+                node.settle_small(frames)
 
     def node_with_most_free(self, exclude: Optional[NodeId] = None) -> NodeId:
         """Node id with the most free memory (fallback allocation target)."""

@@ -85,6 +85,6 @@ def get_workload(name: str) -> Workload:
         try:
             return _BY_NAME[name.lower()]
         except KeyError:
-            raise UnknownWorkloadError(
-                f"unknown workload {name!r}; available: {available_workloads()}"
+            raise UnknownWorkloadError.lookup_failed(
+                "workload", name, available_workloads()
             ) from None

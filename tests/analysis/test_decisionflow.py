@@ -522,6 +522,73 @@ def test_r113_suppression_and_negative():
     assert "MigratePage declares" not in messages
 
 
+R113_BATCH_SRC = """\
+class Decision:
+    domain = "none"
+
+
+class MigratePages(Decision):
+    domain = "page"
+
+    def targets(self):
+        return tuple(("page", page_id) for page_id in self.page_ids)
+
+
+class ToggleMany(Decision):
+    domain = "thp"
+
+    def targets(self):
+        return tuple(("page", name) for name in self.names)
+
+
+class Mystery(Decision):
+    domain = "pt"
+
+    def targets(self):
+        return tuple((kind, key) for kind, key in self.pairs)
+
+
+class ActionExecutor:
+    def _apply_migrate_pages(self, decision, summary):
+        return None
+
+    def _apply_toggle_many(self, decision, summary):
+        return None
+
+    def _apply_mystery(self, decision, summary):
+        return None
+
+    HANDLERS = {
+        MigratePages: _apply_migrate_pages,
+        ToggleMany: _apply_toggle_many,
+        Mystery: _apply_mystery,
+    }
+    CONFLICT_DOMAINS = ("page", "thp", "pt")
+"""
+
+
+def r113_batch_findings():
+    return deep_lint_sources({"src/sim/batch.py": R113_BATCH_SRC})
+
+
+def test_r113_reads_comprehension_targets():
+    # The batch form is parsed, not skipped as opaque: a comprehension
+    # claiming the declared domain is clean...
+    messages = "\n".join(
+        f.message for f in by_rule(r113_batch_findings(), "R113")
+    )
+    assert "MigratePages" not in messages
+    # ...and one claiming another domain's keys is flagged.
+    assert "ToggleMany declares domain 'thp' but targets() claims page" in messages
+
+
+def test_r113_comprehension_without_literal_kind_stays_opaque():
+    messages = "\n".join(
+        f.message for f in by_rule(r113_batch_findings(), "R113")
+    )
+    assert "Mystery" not in messages
+
+
 # ----------------------------------------------------------------------
 # The shipped tree: the kernel proves sound
 # ----------------------------------------------------------------------
@@ -539,6 +606,11 @@ def test_shipped_kernel_model_is_complete():
     executor = model.executors[0]
     assert set(executor.handlers) == set(model.decisions)
     assert executor.conflict_domains == ("page", "thp", "pt")
+    # The batch decision's comprehension targets() is checked, not
+    # skipped as opaque.
+    batch = model.decisions["sim.decisions.MigratePages"]
+    assert batch.target_kinds == ("page",)
+    assert not batch.opaque_targets
     # The conserved-field map is parsed from analysis/invariants.py.
     assert "bytes_migrated" in model.action_fields
 

@@ -66,7 +66,7 @@ class TestReplicationDecision:
         )
         kinds = trace.counts()
         assert kinds.get("ReplicatePageTables", 0) == 1
-        assert kinds.get("MigratePage", 0) > 0
+        assert kinds.get("MigratePages", 0) > 0
         assert total(result, "bytes_replicated") > 0
         assert total(result, "bytes_migrated") > 0
 

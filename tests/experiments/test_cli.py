@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments.cache import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.experiments.experiments import EXPERIMENTS
@@ -95,3 +99,55 @@ class TestMain:
         assert main(["cache", "stats"]) == 0
         assert "entries:    0" in capsys.readouterr().out
         clear_cache()
+
+
+class TestBadInput:
+    """Unknown names are usage errors: one line on stderr, exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["run", "CG.D", "--policy", "carrefour-lpp", "--quick"],
+                "unknown policy 'carrefour-lpp' (did you mean 'carrefour-lp'?)",
+            ),
+            (["run", "CG.E", "--quick"], "unknown workload 'CG.E' (did you mean 'CG.D'?)"),
+            (["profile", "CG.D", "--policy", "zzz", "--quick"], "unknown policy 'zzz'"),
+            (
+                ["trace", "Kmeans", "--policy", "thp+carrefour-2n", "--quick"],
+                "unknown policy 'carrefour-2n' (did you mean 'carrefour-2m'?)",
+            ),
+            (
+                ["scenario", "--policies", "carrefour-lpp", "--quick"],
+                "unknown policy 'carrefour-lpp' (did you mean 'carrefour-lp'?)",
+            ),
+            (
+                ["scenario", "--workloads", "SSCA.21", "--quick"],
+                "unknown workload 'SSCA.21' (did you mean 'SSCA.20'?)",
+            ),
+        ],
+    )
+    def test_unknown_name(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_python_dash_m_repro(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        listed = run("list")
+        assert listed.returncode == 0, listed.stderr
+        assert "figure1" in listed.stdout
+        bad = run("run", "CG.D", "--policy", "carrefour-lpp")
+        assert bad.returncode == 2
+        assert bad.stderr == (
+            "error: unknown policy 'carrefour-lpp' (did you mean 'carrefour-lp'?)\n"
+        )

@@ -11,7 +11,7 @@ from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
     MergeSummary,
-    MigratePage,
+    MigratePages,
     Note,
     Outcome,
     ReclaimPages,
@@ -40,6 +40,14 @@ def make_host(n_chunks=4, n_nodes=2, huge=True):
         thp=ThpState(),
         page_tables=PageTableState(),
         machine=SimpleNamespace(n_nodes=n_nodes),
+    )
+
+
+def migrate(*pairs, budget=1 << 40):
+    """One MigratePages batch of ``(page_id, target_node)`` pairs."""
+    ids, nodes = zip(*pairs)
+    return MigratePages(
+        np.array(ids, dtype=np.int64), np.array(nodes, dtype=np.int64), budget
     )
 
 
@@ -87,7 +95,7 @@ class TestExecutorApply:
     def test_migrate_page_applied(self):
         host = make_host()
         summary, _ = apply_decisions(
-            host, gen_of(MigratePage(BACKING_ID_2M_OFFSET, 1))
+            host, gen_of(migrate((BACKING_ID_2M_OFFSET, 1)))
         )
         assert summary.migrated_2m == 1
         assert summary.bytes_migrated == PAGE_2M
@@ -99,7 +107,7 @@ class TestExecutorApply:
         summary = PolicyActionSummary()
         # Already on node 0: nothing moves, decision is a skip.
         executor.drive(
-            gen_of(MigratePage(BACKING_ID_2M_OFFSET, 0)), summary
+            gen_of(migrate((BACKING_ID_2M_OFFSET, 0))), summary
         )
         assert executor.decisions_skipped == 1
         assert summary.bytes_migrated == 0
@@ -138,8 +146,8 @@ class TestExecutorApply:
         decider = FakeDecider(
             "fb",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # moves
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # already there
+                migrate((BACKING_ID_2M_OFFSET, 1)),  # moves
+                migrate((BACKING_ID_2M_OFFSET, 1)),  # already there
             ],
         )
         executor = ActionExecutor(host)
@@ -158,8 +166,8 @@ class TestExecutorApply:
         executor.drive(
             gen_of(
                 ChargeCompute(0.1),
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # no-op: skip
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                migrate((BACKING_ID_2M_OFFSET, 1)),  # no-op: skip
             ),
             summary,
         )
@@ -212,7 +220,7 @@ class TestReclaimPages:
     def test_page_id_claims_conflict_domain(self):
         host = self.make_4k_host()
         a = FakeDecider("a", [ReclaimPages(np.arange(4), page_id=0)])
-        b = FakeDecider("b", [MigratePage(0, 1)])
+        b = FakeDecider("b", [migrate((0, 1))])
         run_stack(host, a, b)
         assert a.outcomes[0].applied
         assert b.outcomes[0].reason == "conflict"
@@ -230,8 +238,8 @@ class TestReclaimPages:
 class TestConflictResolution:
     def test_first_decider_wins_page(self):
         host = make_host()
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET, 0)])
+        a = FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 1))])
+        b = FakeDecider("b", [migrate((BACKING_ID_2M_OFFSET, 0))])
         run_stack(host, a, b)
         # b's migration back to node 0 was skipped as a conflict.
         assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
@@ -242,8 +250,8 @@ class TestConflictResolution:
         a = FakeDecider(
             "a",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 0),
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                migrate((BACKING_ID_2M_OFFSET, 0)),
             ],
         )
         b = FakeDecider("b", [ChargeCompute(0.0)])
@@ -255,8 +263,8 @@ class TestConflictResolution:
         host = make_host()
         # a's migrate is a no-op (page already local) so it must not
         # claim the page against b.
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 0)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
+        a = FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 0))])
+        b = FakeDecider("b", [migrate((BACKING_ID_2M_OFFSET, 1))])
         run_stack(host, a, b)
         assert not a.outcomes[0].applied
         assert b.outcomes[0].applied
@@ -272,8 +280,8 @@ class TestConflictResolution:
 
     def test_distinct_pages_no_conflict(self):
         host = make_host()
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET + 1, 1)])
+        a = FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 1))])
+        b = FakeDecider("b", [migrate((BACKING_ID_2M_OFFSET + 1, 1))])
         run_stack(host, a, b)
         assert a.outcomes[0].applied and b.outcomes[0].applied
 
@@ -282,8 +290,8 @@ class TestConflictResolution:
         a = FakeDecider(
             "a",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 0),
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                migrate((BACKING_ID_2M_OFFSET, 0)),
             ],
         )
         executor = ActionExecutor(host)
@@ -291,6 +299,85 @@ class TestConflictResolution:
             a, IbsSamples.empty(), CounterBank(host.machine.n_nodes, 4)
         )
         assert executor.decisions_skipped == 0
+
+
+class TestBatchClaims:
+    """A batch claims and yields page by page inside a stack."""
+
+    def test_batch_skips_only_the_claimed_entries(self):
+        host = make_host()
+        a = FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 1))])
+        b = FakeDecider(
+            "b",
+            [migrate((BACKING_ID_2M_OFFSET, 0), (BACKING_ID_2M_OFFSET + 1, 1))],
+        )
+        run_stack(host, a, b)
+        (outcome,) = b.outcomes
+        assert outcome.applied
+        assert outcome.entry_bytes.tolist() == [0, PAGE_2M]
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+
+    def test_batch_claims_only_the_pages_it_moved(self):
+        host = make_host()
+        # Chunk 0 is already on node 0, so a's batch moves only chunk 1.
+        a = FakeDecider(
+            "a",
+            [migrate((BACKING_ID_2M_OFFSET, 0), (BACKING_ID_2M_OFFSET + 1, 1))],
+        )
+        b = FakeDecider(
+            "b",
+            [
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                migrate((BACKING_ID_2M_OFFSET + 1, 0)),
+                Split2M(BACKING_ID_2M_OFFSET + 1),
+            ],
+        )
+        run_stack(host, a, b)
+        assert b.outcomes[0].applied
+        assert b.outcomes[1].reason == "conflict"
+        assert b.outcomes[2].reason == "conflict"
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+
+    def test_targets_built_only_inside_a_stack(self, monkeypatch):
+        built = []
+        targets = MigratePages.targets
+
+        def spy(self):
+            built.append(self)
+            return targets(self)
+
+        monkeypatch.setattr(MigratePages, "targets", spy)
+        host = make_host()
+        apply_decisions(host, gen_of(migrate((BACKING_ID_2M_OFFSET, 1))))
+        assert built == []
+        run_stack(
+            host,
+            FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 0))]),
+            FakeDecider("b", []),
+        )
+        assert len(built) == 1
+
+    def test_budget_cut_reported_in_the_outcome(self):
+        host = make_host()
+        decider = FakeDecider(
+            "d",
+            [
+                migrate(
+                    *((BACKING_ID_2M_OFFSET + chunk, 1) for chunk in range(4)),
+                    budget=PAGE_2M + 1,
+                )
+            ],
+        )
+        summary = PolicyActionSummary()
+        ActionExecutor(host).drive(
+            decider.decide(host, IbsSamples.empty(), None), summary
+        )
+        (outcome,) = decider.outcomes
+        assert outcome.reached == 2 and outcome.count == 2
+        assert outcome.bytes_moved == 2 * PAGE_2M == summary.bytes_migrated
+        assert summary.migrated_2m == 2
 
 
 class TestNotesCap:
@@ -422,10 +509,10 @@ class TestDecisionMetadata:
     def test_mutating_domains_match_targets(self):
         # A decision claiming page/pt targets must declare that domain,
         # or the executor's conflict arbitration would miss it.
-        from repro.sim.decisions import MigratePage, ReplicatePageTables
+        from repro.sim.decisions import ReplicatePageTables
 
-        assert MigratePage.domain == "page"
-        assert MigratePage(0, 1).targets()[0][0] == "page"
+        assert MigratePages.domain == "page"
+        assert migrate((0, 1), (5, 0)).targets() == (("page", 0), ("page", 5))
         assert ReplicatePageTables.domain == "pt"
 
     def test_handler_table_covers_every_decision(self):
@@ -436,9 +523,9 @@ class TestDecisionMetadata:
             assert hasattr(ActionExecutor, method.__name__)
 
     def test_metadata_does_not_change_frozen_semantics(self):
-        decision = MigratePage(3, 1)
+        decision = migrate((3, 1))
         with pytest.raises(Exception):
-            decision.page_id = 4  # still a frozen dataclass
+            decision.budget_bytes = 4  # still a frozen dataclass
         # ClassVar metadata stays off the instance fields.
         assert "domain" not in vars(decision)
         assert "counters" not in vars(decision)

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import run_benchmark
-from repro.sim.decisions import MigratePage, Outcome
+from repro.sim.decisions import MigratePages, Outcome
 from repro.sim.trace import (
     TRACE_ENV,
     TRACE_FILE_ENV,
@@ -41,19 +42,24 @@ class TestTraceEnabled:
         assert not trace_enabled(Cfg())
 
 
+def batch(*page_ids):
+    ids = np.array(page_ids, dtype=np.int64)
+    return MigratePages(ids, np.zeros_like(ids), 1 << 30)
+
+
 class TestDecisionTrace:
     def _tally(self):
         trace = DecisionTrace({"policy": "x"})
         trace.record(
-            1.0, 0, "a", MigratePage(5, 1), Outcome(True, bytes_moved=4096)
+            1.0, 0, "a", batch(5, 9, 7), Outcome(True, bytes_moved=8192, count=2)
         )
         trace.record(
-            2.0, 1, "b", MigratePage(6, 0), Outcome(False, reason="conflict")
+            2.0, 1, "b", batch(6), Outcome(False, reason="conflict")
         )
         return trace
 
     def test_counts_by_kind(self):
-        assert self._tally().counts() == {"MigratePage": 2}
+        assert self._tally().counts() == {"MigratePages": 2}
 
     def test_render_mentions_applied_and_skipped(self):
         text = self._tally().render()
@@ -68,8 +74,15 @@ class TestDecisionTrace:
         header = json.loads(lines[0])
         assert header == {"trace": {"policy": "x"}}
         rec = json.loads(lines[1])
-        assert rec["decision"]["kind"] == "MigratePage"
-        assert rec["applied"] is True and rec["bytes"] == 4096
+        assert rec["decision"] == {
+            "kind": "MigratePages",
+            "n_pages": 3,
+            "page_lo": 5,
+            "page_hi": 9,
+            "budget_bytes": 1 << 30,
+        }
+        assert rec["applied"] is True and rec["bytes"] == 8192
+        assert rec["count"] == 2
         assert json.loads(lines[2])["reason"] == "conflict"
 
     def test_flush_env_appends(self, tmp_path, monkeypatch):
