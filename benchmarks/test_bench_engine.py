@@ -31,8 +31,9 @@ import os
 import pathlib
 import time
 
+from repro.options import STREAM_CACHE_ENV
 from repro.sim.profile import PHASES, run_profiled
-from repro.workloads.streambank import STREAM_CACHE_ENV, clear_stream_banks
+from repro.workloads.streambank import clear_stream_banks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -46,9 +47,7 @@ PR2_BASELINE_WALL_S = 11.973
 #: stream-bank fetch (``stream_bank``) as a share of the *store-warm*
 #: pass.  Warm is the gated pass because its attribution is stable: a
 #: cold pass spends most of its stream_bank lap inside golden-pinned
-#: per-thread generator draws, which no aggregation work can shrink
-#: and whose share varies with core count (the prefill worker can only
-#: overlap generation when a spare core exists).
+#: per-thread generator draws, which no aggregation work can shrink.
 WARM_TRACKER_BANK_PCT_BUDGET = 45.0
 
 #: Cold-pass backstop for the same sum: catches a regression in the

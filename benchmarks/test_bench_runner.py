@@ -22,7 +22,6 @@ import time
 
 import pytest
 
-from repro.analysis.invariants import CHECK_ENV
 from repro.experiments.parallel import (
     GridRunner,
     RunSpec,
@@ -30,7 +29,8 @@ from repro.experiments.parallel import (
     resolve_jobs,
 )
 from repro.experiments.runner import clear_cache, execute_run
-from repro.workloads.streambank import STREAM_CACHE_ENV, clear_stream_banks
+from repro.options import CHECK_ENV, STREAM_CACHE_ENV
+from repro.workloads.streambank import clear_stream_banks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_runner.json"
@@ -45,9 +45,7 @@ BENCH_GRID = [
 ]
 
 
-def _timed_run(
-    settings, jobs: int, cache_dir: pathlib.Path, backend: str = None
-) -> float:
+def _timed_run(settings, jobs: int, cache_dir: pathlib.Path) -> float:
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
     clear_cache()
     # Each timed pass starts with cold stream banks AND its own block
@@ -55,7 +53,7 @@ def _timed_run(
     # the parallel pass's fills from disk and inflate the speedup.
     os.environ[STREAM_CACHE_ENV] = str(cache_dir / "stream-store")
     clear_stream_banks()
-    grid = GridRunner(settings, backend=backend)
+    grid = GridRunner(settings)
     for spec in BENCH_GRID:
         grid.add_spec(spec)
     start = time.perf_counter()
@@ -116,22 +114,17 @@ def _timed_invariant_overhead(settings, repeats: int = 3) -> dict:
 def test_bench_runner(settings, repro_jobs, tmp_path):
     old_cache_dir = os.environ.get("REPRO_CACHE_DIR")
     old_stream_cache = os.environ.get(STREAM_CACHE_ENV)
-    # The backend comes from the same auto-selection the runner uses,
-    # and the reason is recorded in the payload: a one-core box with no
-    # explicit REPRO_JOBS_BACKEND resolves to the serial loop (this
-    # grid previously recorded speedup_parallel 0.68 from a thread pool
-    # time-slicing a single core), in which case the parallel pass is
-    # honestly skipped rather than timed as a pessimization.  With an
-    # explicit thread backend, jobs floor at 2 so even a one-core box
-    # measures real in-process overlap (shared stream banks +
-    # GIL-released numpy sections).
+    # The backend follows the core count, and the reason is recorded
+    # in the payload: a one-core box resolves to the serial loop, in
+    # which case the parallel pass is honestly skipped rather than
+    # timed as a pessimization.
     backend, backend_reason = backend_choice()
     jobs_requested = max(2, repro_jobs)
     jobs = resolve_jobs(jobs_requested, backend)
     try:
         serial_s = _timed_run(settings, 1, tmp_path / "serial")
         parallel_s = (
-            _timed_run(settings, jobs, tmp_path / "parallel", backend)
+            _timed_run(settings, jobs, tmp_path / "parallel")
             if jobs > 1
             else None
         )
@@ -140,7 +133,7 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
         clear_cache()
         os.environ["REPRO_CACHE_DIR"] = str(tmp_path / ("parallel" if jobs > 1 else "serial"))
         start = time.perf_counter()
-        grid = GridRunner(settings, backend=backend)
+        grid = GridRunner(settings)
         for spec in BENCH_GRID:
             grid.add_spec(spec)
         warm = grid.run(jobs=jobs)

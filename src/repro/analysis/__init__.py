@@ -15,7 +15,6 @@ be a deterministic, physically consistent function of its configuration:
 """
 
 from repro.analysis.invariants import (
-    CHECK_ENV,
     InvariantChecker,
     InvariantViolation,
     invariants_enabled,
@@ -30,7 +29,6 @@ from repro.analysis.rules import ALL_RULES, default_rules
 
 __all__ = [
     "ALL_RULES",
-    "CHECK_ENV",
     "Finding",
     "InvariantChecker",
     "InvariantViolation",

@@ -207,12 +207,9 @@ class Project:
         #: module -> {module-level function/class name -> qualname}
         self.module_symbols: Dict[str, Dict[str, str]] = {}
         #: Registry declarations found in the tree (module-level
-        #: ``_RESULT_NEUTRAL`` / ``_SIM_ENTRY_POINTS`` /
-        #: ``_THREAD_ENTRY_POINTS`` / ``_CONCURRENCY_SAFE`` tuples).
+        #: ``_RESULT_NEUTRAL`` / ``_SIM_ENTRY_POINTS`` tuples).
         self.result_neutral: Set[str] = set()
         self.entry_points: Set[str] = set()
-        self.thread_entry_points: Set[str] = set()
-        self.concurrency_safe: Set[str] = set()
         self._qual_cache: Dict[str, str] = {}
         self._external_cache: Dict[str, bool] = {}
         self._analyzed = False
@@ -312,8 +309,6 @@ class Project:
     _REGISTRIES = {
         "_RESULT_NEUTRAL": "result_neutral",
         "_SIM_ENTRY_POINTS": "entry_points",
-        "_THREAD_ENTRY_POINTS": "thread_entry_points",
-        "_CONCURRENCY_SAFE": "concurrency_safe",
     }
 
     def _maybe_registry(self, module: str, name: str, value: ast.AST) -> None:

@@ -1,4 +1,4 @@
-"""Whole-program lint rules R101-R113 (``repro lint --deep``).
+"""Whole-program lint rules R101-R104 and R109-R113 (``repro lint --deep``).
 
 These rules need more than one file at a time: they run over a
 :class:`repro.analysis.callgraph.Project` (symbol table + call graph +
@@ -31,13 +31,6 @@ transitive write effects) and the units pass
   sanctioned for R104 too — the comment marks the site deliberate, and
   the two rules would otherwise demand duplicate annotations.
 
-* **R105-R108** — the concurrency-safety pass
-  (:mod:`repro.analysis.concurrency`): unguarded writes to
-  thread-shared state, inconsistent locking, locked-state escapes, and
-  lock-order / blocking-call discipline, computed from thread entry
-  points (``_THREAD_ENTRY_POINTS``) with an Eraser-style lockset
-  fixpoint over the call graph.
-
 * **R109-R113** — the decision-kernel pass
   (:mod:`repro.analysis.decisionflow`): handler exhaustiveness over the
   executor's ``HANDLERS`` table, interprocedural decider purity,
@@ -54,8 +47,6 @@ segment of the qualified name (``"sim.profile"`` covers
 
     _RESULT_NEUTRAL = ("sim.profile",)
     _SIM_ENTRY_POINTS = ("Simulation.run",)
-    _THREAD_ENTRY_POINTS = ("Dispatcher.worker",)
-    _CONCURRENCY_SAFE = ("runner.run_benchmark",)
 """
 
 from __future__ import annotations
@@ -280,91 +271,6 @@ def _short_qual(qualname: str) -> str:
     return ".".join(qualname.split(".")[-2:])
 
 
-class _ConcurrencyRule(DeepRule):
-    """Shared driver for R105-R108: one cached model, one event driver.
-
-    Subclasses name the checker in :mod:`repro.analysis.concurrency`;
-    findings carry the inferred entry-point ``chain`` and the effective
-    ``lockset`` at the site (both rendered by ``--explain``).
-    """
-
-    checker = staticmethod(lambda model: iter(()))
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        from repro.analysis.concurrency import (
-            _locked_names,
-            concurrency_model,
-        )
-
-        model = concurrency_model(project)
-        for event, message, chain in type(self).checker(model):
-            info = project.functions.get(event.func)
-            ctx = project.contexts.get(info.module) if info else None
-            if ctx is None:
-                continue
-            yield Finding(
-                rule=self.rule_id,
-                path=ctx.path,
-                line=event.node_line,
-                col=event.node_col + 1,
-                message=message,
-                chain=tuple(_short_qual(q) for q in chain),
-                lockset=_locked_names(model.effective_locks(event)),
-            )
-
-
-class UnguardedSharedWrite(_ConcurrencyRule):
-    """R105: writes to thread-shared state with an empty lockset."""
-
-    rule_id = "R105"
-    title = "unguarded shared write"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.concurrency import check_unguarded_writes
-
-        return check_unguarded_writes(model)
-
-
-class InconsistentLocking(_ConcurrencyRule):
-    """R106: one shared object guarded by different locks."""
-
-    rule_id = "R106"
-    title = "inconsistent locking"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.concurrency import check_lock_consistency
-
-        return check_lock_consistency(model)
-
-
-class LockedStateEscape(_ConcurrencyRule):
-    """R107: shared mutable state escaping its lock via return."""
-
-    rule_id = "R107"
-    title = "locked-state escape"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.concurrency import check_escapes
-
-        return check_escapes(model)
-
-
-class LockDiscipline(_ConcurrencyRule):
-    """R108: lock-order inversions and blocking calls under a lock."""
-
-    rule_id = "R108"
-    title = "lock-order / blocking-call discipline"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.concurrency import check_lock_discipline
-
-        return check_lock_discipline(model)
-
-
 class _DecisionFlowRule(DeepRule):
     """Shared driver for R109-R113: one cached decision-kernel model."""
 
@@ -466,32 +372,6 @@ RULE_RATIONALE: Dict[str, str] = {
         "break run-to-run determinism; derive generators from rng_for\n"
         "and simulated time from the engine."
     ),
-    "R105": (
-        "Code reachable from a thread-backend entry point writes\n"
-        "process-shared mutable state (module/class-level containers,\n"
-        "published instances) without holding any lock: a data race.\n"
-        "Hold the owning lock around the write, or sanction the object\n"
-        "or function via _CONCURRENCY_SAFE if it is immutable after\n"
-        "publish."
-    ),
-    "R106": (
-        "A shared object is written under different locks at different\n"
-        "sites, so no single lock serialises its writers (the Eraser\n"
-        "lockset discipline: the intersection of guarding locksets must\n"
-        "stay non-empty). Pick one lock per object."
-    ),
-    "R107": (
-        "A reference into locked shared state is returned to callers\n"
-        "who no longer hold the lock; later mutation corrupts the\n"
-        "caller's view. Return a copy or a read-only view, or sanction\n"
-        "the documented identity-preserving contract."
-    ),
-    "R108": (
-        "Lock-order inversions deadlock under contention, and blocking\n"
-        "calls (I/O, subprocess, sleep) made while holding a lock stall\n"
-        "every other shard on the critical section. Keep a single\n"
-        "global acquisition order and move I/O outside locks."
-    ),
     "R109": (
         "Every concrete Decision subclass needs an entry in the\n"
         "executor's HANDLERS table (and every _apply_* handler must be\n"
@@ -531,16 +411,11 @@ RULE_RATIONALE: Dict[str, str] = {
 
 
 def explain_rule(rule_id: str, project: Optional[Project] = None) -> Optional[str]:
-    """Rationale + (for R105-R108) the inferred concurrency model."""
+    """Rationale + (for R109-R113) the inferred decision-kernel model."""
     rationale = RULE_RATIONALE.get(rule_id)
     if rationale is None:
         return None
     lines = [f"{rule_id}: {rationale}"]
-    if project is not None and rule_id in ("R105", "R106", "R107", "R108"):
-        from repro.analysis.concurrency import concurrency_model
-
-        lines.append("")
-        lines.append(concurrency_model(project).describe())
     if project is not None and rule_id in (
         "R109",
         "R110",
@@ -561,10 +436,6 @@ ALL_DEEP_RULES: Tuple[type, ...] = (
     UnitMismatch,
     MissingConversion,
     ReachableNondeterminism,
-    UnguardedSharedWrite,
-    InconsistentLocking,
-    LockedStateEscape,
-    LockDiscipline,
     HandlerExhaustiveness,
     DeciderPurity,
     GeneratorProtocol,

@@ -18,26 +18,19 @@ work; ``BENCH_runner.json`` tracks the measured overhead.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.options import RuntimeOptions
 from repro.vm.layout import GRANULES_PER_2M, PAGE_4K, PageSize, SHIFT_1G, SHIFT_2M
-
-#: Environment variable enabling (``1``) or force-disabling (``0``) the
-#: checker regardless of :attr:`SimConfig.check_invariants`.
-CHECK_ENV = "REPRO_CHECK"
 
 #: Static-analysis registry (rule R101): the checker observes, it never
 #: repairs — a checker that mutated state would invalidate the very
 #: runs it certifies.  The deep linter also protects this module by
 #: default, so deleting this declaration does not disable the check.
 _RESULT_NEUTRAL = ("analysis.invariants",)
-
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
 
 #: Cumulative counter totals that must never decrease across epochs.
 _MONOTONIC_COUNTERS = (
@@ -107,12 +100,10 @@ def invariants_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_CHECK`` wins in both directions when set; otherwise the
     (optional) config's ``check_invariants`` flag decides.
     """
-    env = os.environ.get(CHECK_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "check_invariants", False))
+    check = RuntimeOptions.from_env().check
+    if check is None:
+        return bool(getattr(config, "check_invariants", False))
+    return check
 
 
 # ----------------------------------------------------------------------

@@ -55,11 +55,10 @@ _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_,\s]+)\])?")
 class Finding:
     """One linter hit: a rule violation at a source location.
 
-    The concurrency rules (R105-R108) additionally carry the inferred
-    entry-point call ``chain`` and the effective ``lockset`` at the
-    site; both stay empty for every other rule and are only serialised
-    when present, so the original JSON schema is unchanged for the
-    rules that predate them.
+    Whole-program rules may additionally carry the inferred call
+    ``chain`` that reaches the site (R110 does); it stays empty for
+    every other rule and is only serialised when present, so the
+    original JSON schema is unchanged for the rules without one.
     """
 
     rule: str
@@ -68,7 +67,6 @@ class Finding:
     col: int
     message: str
     chain: Tuple[str, ...] = ()
-    lockset: Tuple[str, ...] = ()
 
     def sort_key(self) -> Tuple[str, int, str, int, str]:
         """Canonical output order: path, line, rule id, col, message.
@@ -95,8 +93,6 @@ class Finding:
         }
         if self.chain:
             payload["chain"] = list(self.chain)
-        if self.lockset:
-            payload["lockset"] = list(self.lockset)
         return payload
 
 
@@ -152,7 +148,6 @@ class FileContext:
         node: ast.AST,
         message: str,
         chain: Tuple[str, ...] = (),
-        lockset: Tuple[str, ...] = (),
     ) -> Finding:
         """Build a :class:`Finding` anchored at an AST node."""
         return Finding(
@@ -162,7 +157,6 @@ class FileContext:
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
             chain=chain,
-            lockset=lockset,
         )
 
 

@@ -7,10 +7,9 @@ emitted log is one ``run`` of one ``tool``:
 * ``tool.driver.rules`` carries every known rule id with its title, so
   viewers can group findings by rule without a side-channel.
 * Each finding becomes one ``result`` with ``ruleId``, a text
-  ``message`` and one ``physicalLocation``; the call ``chain`` and
-  ``lockset`` of the whole-program rules ride along as result
-  ``properties`` (SARIF's designated extension point), keeping the
-  core schema untouched.
+  ``message`` and one ``physicalLocation``; the call ``chain`` of the
+  whole-program rules rides along as a result property (SARIF's
+  designated extension point), keeping the core schema untouched.
 
 The ``--format json`` payload is a separate, stable contract (see
 ``Finding.to_dict``); SARIF is additive and may grow properties over
@@ -89,13 +88,8 @@ def to_sarif(findings: Sequence[Finding]) -> Dict[str, object]:
                 }
             ],
         }
-        properties: Dict[str, object] = {}
         if finding.chain:
-            properties["chain"] = list(finding.chain)
-        if finding.lockset:
-            properties["lockset"] = list(finding.lockset)
-        if properties:
-            result["properties"] = properties
+            result["properties"] = {"chain": list(finding.chain)}
         results.append(result)
     return {
         "$schema": SARIF_SCHEMA,

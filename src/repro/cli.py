@@ -23,11 +23,11 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.linter import Finding, format_findings, lint_paths
-from repro.errors import UnknownNameError
-from repro.experiments.cache import CACHE_ENABLE_ENV, ResultCache
+from repro.errors import ConfigurationError, UnknownNameError
+from repro.experiments.cache import ResultCache
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import BACKEND_ENV, JOBS_ENV
 from repro.experiments.runner import RunSettings, run_benchmark
+from repro.options import CACHE_ENABLE_ENV, JOBS_ENV
 from repro.sim.config import SimConfig
 from repro.workloads.registry import available_workloads
 
@@ -52,8 +52,6 @@ def _apply_execution_flags(args: argparse.Namespace) -> None:
     """
     if getattr(args, "jobs", None) is not None:
         os.environ[JOBS_ENV] = str(args.jobs)
-    if getattr(args, "jobs_backend", None) is not None:
-        os.environ[BACKEND_ENV] = args.jobs_backend
     if getattr(args, "fresh", False):
         os.environ[CACHE_ENABLE_ENV] = "0"
 
@@ -69,17 +67,6 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for independent runs"
         " (default: REPRO_JOBS or cpu_count-1; 1 = serial)",
-    )
-    cmd.add_argument(
-        "--jobs-backend",
-        choices=["serial", "thread", "process", "auto"],
-        default=None,
-        metavar="BACKEND",
-        help="parallel executor: 'process' (pool of workers), 'thread'"
-        " (in-process shards that share stream banks), 'serial'"
-        " (plain loop), or 'auto' (default: REPRO_JOBS_BACKEND or"
-        " auto; auto picks process on multi-core boxes and serial on"
-        " single-core ones)",
     )
     cmd.add_argument(
         "--fresh",
@@ -108,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = sub.add_parser(
         "lint",
-        help="run the determinism linter (R001-R005; --deep adds R101-R113)",
+        help="run the determinism linter (R001-R005; --deep adds"
+        " R101-R104 and R109-R113)",
     )
     lint_cmd.add_argument(
         "paths",
@@ -127,19 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program rules R101-R113 (call-graph"
-        " effect inference, units-of-measure checking, the"
-        " concurrency-safety pass and the decision-flow contract"
-        " analyzer)",
+        help="also run the whole-program rules R101-R104 and R109-R113"
+        " (call-graph effect inference, units-of-measure checking and"
+        " the decision-flow contract analyzer)",
     )
     lint_cmd.add_argument(
         "--explain",
         default=None,
         metavar="RULE",
-        help="print a deep rule's rationale plus its inferred model:"
-        " thread entry points and locksets for R105-R108, the decision"
-        " kernel (decisions, handlers, policy roots) for R109-R113"
-        " (implies --deep)",
+        help="print a deep rule's rationale plus, for R109-R113, its"
+        " inferred model: the decision kernel (decisions, handlers,"
+        " policy roots) (implies --deep)",
     )
     lint_cmd.add_argument(
         "--baseline",
@@ -341,8 +327,6 @@ def _lint_main(args: argparse.Namespace) -> int:
                 print(finding.format_text())
                 if finding.chain:
                     print(f"  entry chain: {' -> '.join(finding.chain)}")
-                if finding.lockset:
-                    print(f"  lockset: {', '.join(finding.lockset)}")
     if args.baseline_update:
         write_baseline(pathlib.Path(args.baseline), findings)
         print(
@@ -513,8 +497,10 @@ def _cache_main(action: str) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    An unknown policy or workload name is a usage error: one line on
-    stderr naming the closest known name, and exit code 2.
+    Bad input is a usage error: one line on stderr and exit code 2.
+    That covers an unknown policy or workload name (the line names the
+    closest known name), a malformed ``REPRO_*`` variable and any other
+    inconsistent configuration, such as ``--scale 2``.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -522,6 +508,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dispatch(args)
     except UnknownNameError as exc:
         print(f"error: {exc.summary}", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

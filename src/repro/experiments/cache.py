@@ -13,9 +13,9 @@ Writes are atomic (tmp file + :func:`os.replace`) so a crashed or
 concurrent run can never leave a torn entry; unreadable entries are
 treated as misses and deleted, never raised.
 
-Set ``REPRO_CACHE=0`` (or ``off``/``false``/``no``) to disable the
-persistent layer entirely; the in-process memo in
-:mod:`repro.experiments.runner` is unaffected.
+Set ``REPRO_CACHE=0`` (or ``off``/``false``/``no``, see
+:mod:`repro.options`) to disable the persistent layer entirely; the
+in-process memo in :mod:`repro.experiments.runner` is unaffected.
 """
 
 from __future__ import annotations
@@ -35,15 +35,9 @@ logger = logging.getLogger(__name__)
 
 import numpy as np
 
+from repro.options import RuntimeOptions
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
-
-#: Environment variable overriding the cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment variable disabling the persistent cache ("0"/"off"/...).
-CACHE_ENABLE_ENV = "REPRO_CACHE"
-
-_DISABLE_VALUES = {"0", "off", "false", "no"}
 
 
 def version_stamp() -> str:
@@ -59,13 +53,13 @@ def version_stamp() -> str:
 
 def cache_enabled() -> bool:
     """Whether the persistent layer is enabled (``REPRO_CACHE`` env)."""
-    return os.environ.get(CACHE_ENABLE_ENV, "1").strip().lower() not in _DISABLE_VALUES
+    return RuntimeOptions.from_env().cache
 
 
 def cache_root() -> pathlib.Path:
     """The cache directory (``REPRO_CACHE_DIR`` or ``~/.cache/repro``)."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
+    override = RuntimeOptions.from_env().cache_dir
+    if override is not None:
         return pathlib.Path(override).expanduser()
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = pathlib.Path(xdg).expanduser() if xdg else pathlib.Path.home() / ".cache"

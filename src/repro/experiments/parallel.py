@@ -6,31 +6,22 @@ parallel.  :class:`GridRunner` collects the full grid for an
 experiment batch, deduplicates it (figures share their Linux/THP
 baselines), answers what it can from the two cache layers, and fans
 the misses out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+Every run is single-threaded; the pool is the only parallelism.
 
-Three backends exist (``REPRO_JOBS_BACKEND`` or the ``backend``
-argument): ``process`` fans misses out over a
-``ProcessPoolExecutor``; ``thread`` shards them over an in-process
-``ThreadPoolExecutor`` — the engine's hot sections (stream-bank
-fetches, vectorized translation, binning) are numpy calls that release
-the GIL, and threaded workers share the process-wide stream banks, so
-a grid's policy pairs overlap even where a process pool cannot be
-built; ``serial`` runs the misses in a plain in-process loop.  The
-default (``auto``) picks ``process`` on multi-core boxes and
-``serial`` on single-core ones — benchmarking showed the thread
-backend is a net *slowdown* at ``cpu_count == 1`` (executor and lock
-churn with no cores to overlap on; BENCH_runner.json once recorded
-``speedup_parallel: 0.68``), so single-core parallelism now requires
-an explicit ``--jobs-backend thread``.  :func:`backend_choice` returns
-the resolved backend together with a human-readable reason, which the
-benchmarks record as ``backend_reason``.
+The resolved worker count picks the executor: more than one worker
+fans out over the pool, one worker runs the misses in a plain
+in-process loop.  :func:`backend_choice` names the choice the core
+count implies — ``process`` on multi-core boxes, ``serial`` on
+single-core ones, where a pool has nothing to overlap — together with
+a human-readable reason, which the benchmarks record as
+``backend_reason``.
 
 Worker count resolution, in priority order: explicit ``jobs``
 argument, the ``REPRO_JOBS`` environment variable, then
-``os.cpu_count() - 1`` (at least 1; at least 2 for the thread
-backend; always 1 for serial).  ``jobs=1`` — and any platform where a
-process pool cannot be built (no ``fork``, sandboxed semaphores) —
-degrades to an in-process serial loop with identical results, since
-every run is deterministic.
+``os.cpu_count() - 1``, clamped to ``[1, os.cpu_count()]``.
+``jobs=1`` — and any platform where a process pool cannot be built
+(no ``fork``, sandboxed semaphores) — degrades to the serial loop with
+identical results, since every run is deterministic.
 """
 
 from __future__ import annotations
@@ -40,18 +31,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as _runner
-from repro.experiments.cache import ResultCache, cache_enabled
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import RunSettings
+from repro.options import RuntimeOptions
 from repro.sim.results import SimulationResult
 
-#: Environment variable selecting the default worker count.
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the executor backend
-#: (``thread`` | ``process`` | ``auto``).
-BACKEND_ENV = "REPRO_JOBS_BACKEND"
-
-_BACKENDS = ("serial", "thread", "process", "auto")
+_BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -69,78 +54,36 @@ class RunSpec:
         return f"{self.workload}@{self.machine}/{self.policy}{suffix}"
 
 
-def backend_choice(backend: Optional[str] = None) -> Tuple[str, str]:
-    """Resolved executor backend plus the reason it was chosen.
+def backend_choice() -> Tuple[str, str]:
+    """The executor the core count implies, plus the reason.
 
-    Resolution order: explicit arg > ``REPRO_JOBS_BACKEND`` > auto.
-    ``auto`` resolves to ``process`` on multi-core machines and to
-    ``serial`` on single-core ones: with one core neither pool backend
-    can overlap anything, and the thread backend's executor/lock churn
-    makes it an outright slowdown there — anyone who wants single-core
-    sharding (e.g. to exercise the locking) must ask for ``thread``
-    explicitly.  The reason string is what the benchmarks record as
-    ``backend_reason``.
+    ``process`` on multi-core machines; ``serial`` on single-core ones,
+    where a pool cannot overlap anything.  The reason string is what
+    the benchmarks record as ``backend_reason``.
     """
-    if backend is not None:
-        source = "explicit"
-    else:
-        env = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if env:
-            backend, source = env, f"env {BACKEND_ENV}"
-        else:
-            backend, source = "auto", "default"
-    backend = backend.lower()
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown jobs backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if backend != "auto":
-        return backend, f"{source}: {backend}"
     cpus = os.cpu_count() or 1
     if cpus > 1:
-        return "process", f"{source}: auto, cpu_count={cpus} -> process"
-    return (
-        "serial",
-        f"{source}: auto, cpu_count=1 -> serial "
-        "(pool backends pessimize on one core)",
-    )
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Executor backend name alone (see :func:`backend_choice`)."""
-    return backend_choice(backend)[0]
+        return "process", f"cpu_count={cpus} -> process"
+    return "serial", "cpu_count=1 -> serial (a pool has nothing to overlap)"
 
 
 def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> int:
-    """Worker count: explicit arg > ``REPRO_JOBS`` > cpu_count - 1.
+    """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` > cpu_count - 1.
 
-    The serial backend always resolves to 1 — that is its meaning, and
-    it is what ``auto`` picks on single-core boxes (see
-    :func:`backend_choice`).  The process backend is clamped to
-    ``os.cpu_count()``: its workers
-    are CPU-bound, so oversubscribing cores only adds scheduler churn
-    (and benchmark numbers taken that way report meaningless
-    "parallel" speedups).  The thread backend instead floors at 2 —
-    its workers overlap in the GIL-released numpy sections and share
-    stream banks, so two-way sharding is productive even on a
-    single-core box (where the process clamp would silently degrade to
-    a serial loop).
+    Clamped to ``[1, os.cpu_count()]``: workers are CPU-bound, so
+    oversubscribing cores only adds scheduler churn (and benchmark
+    numbers taken that way report meaningless "parallel" speedups).
+    ``backend="serial"`` always resolves to 1.
     """
-    resolved_backend = resolve_backend(backend)
-    if resolved_backend == "serial":
+    if backend is not None and backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown jobs backend {backend!r}; expected one of {_BACKENDS}"
+        )
+    if backend == "serial":
         return 1
     if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = None
+        jobs = RuntimeOptions.from_env().jobs
     cpus = os.cpu_count() or 1
-    if resolved_backend == "thread":
-        if jobs is None:
-            jobs = max(2, cpus - 1)
-        return max(1, min(int(jobs), max(2, cpus)))
     if jobs is None:
         jobs = cpus - 1
     return max(1, min(int(jobs), cpus))
@@ -176,11 +119,9 @@ class GridRunner:
         self,
         settings: Optional[RunSettings] = None,
         jobs: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.settings = settings or RunSettings()
         self.jobs = jobs
-        self.backend = backend
         self._specs: List[RunSpec] = []
         self._seen: set = set()
 
@@ -228,20 +169,19 @@ class GridRunner:
     # Execution
     # ------------------------------------------------------------------
     def _partition(
-        self,
+        self, persistent: bool
     ) -> Tuple[Dict[RunSpec, SimulationResult], List[RunSpec]]:
         """Split the grid into (cache hits, misses to execute)."""
         hits: Dict[RunSpec, SimulationResult] = {}
         misses: List[RunSpec] = []
         settings = self.settings
-        store = ResultCache.default() if cache_enabled() else None
+        store = ResultCache.default() if persistent else None
         for spec in self._specs:
             machine = _runner.canonical_machine(spec.machine)
             key = settings.cache_key(
                 spec.workload, machine, spec.policy, spec.backing_1g
             )
-            with _runner._MEMO_LOCK:
-                memoised = _runner._CACHE.get(key)
+            memoised = _runner._CACHE.get(key)
             if memoised is not None:
                 hits[spec] = memoised
                 continue
@@ -273,32 +213,6 @@ class GridRunner:
             results[spec] = result
         return results
 
-    def _run_threads(
-        self, misses: List[RunSpec], jobs: int
-    ) -> Dict[RunSpec, SimulationResult]:
-        """In-process sharded execution over a thread pool.
-
-        Runs are deterministic and share no mutable state beyond the
-        process-wide memo layers (stream banks, the runner memo), all
-        of which are lock- or GIL-safe; the numpy-heavy engine phases
-        release the GIL, so shards genuinely overlap.  Sharing the
-        process also means two policy runs of the same workload reuse
-        one stream bank instead of generating streams twice.
-        """
-        import concurrent.futures
-
-        results: Dict[RunSpec, SimulationResult] = {}
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(jobs, len(misses))
-        ) as pool:
-            futures = [
-                pool.submit(_pool_execute, spec, self.settings) for spec in misses
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                spec, result = future.result()
-                results[spec] = result
-        return results
-
     def _run_pool(
         self, misses: List[RunSpec], jobs: int
     ) -> Dict[RunSpec, SimulationResult]:
@@ -327,7 +241,6 @@ class GridRunner:
         self,
         jobs: Optional[int] = None,
         use_cache: bool = True,
-        backend: Optional[str] = None,
     ) -> Dict[RunSpec, SimulationResult]:
         """Execute the grid; returns ``{spec: result}`` in grid order.
 
@@ -335,19 +248,15 @@ class GridRunner:
         installed into both cache layers so later ``run_benchmark``
         calls (the experiment drivers' inner loops) are pure hits.
         """
+        options = RuntimeOptions.from_env()
         if use_cache:
-            hits, misses = self._partition()
+            hits, misses = self._partition(options.cache)
         else:
             hits, misses = {}, list(self._specs)
-        backend_name = resolve_backend(
-            backend if backend is not None else self.backend
-        )
-        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs, backend_name)
+        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         if misses:
             if n_jobs <= 1 or len(misses) <= 1:
                 fresh = self._run_serial(misses)
-            elif backend_name == "thread":
-                fresh = self._run_threads(misses, n_jobs)
             else:
                 try:
                     fresh = self._run_pool(misses, n_jobs)
@@ -363,6 +272,7 @@ class GridRunner:
                         self.settings,
                         spec.backing_1g,
                         result,
+                        persist=options.cache,
                     )
                 hits[spec] = result
         return {spec: hits[spec] for spec in self._specs}
@@ -372,7 +282,6 @@ def prefetch(
     specs: Iterable[RunSpec],
     settings: Optional[RunSettings] = None,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[RunSpec, SimulationResult]:
     """Warm both cache layers for a batch of runs, in parallel.
 
@@ -381,11 +290,9 @@ def prefetch(
     it is a no-op and the driver's own ``run_benchmark`` calls do the
     work exactly as before.
     """
-    grid = GridRunner(settings, jobs=jobs, backend=backend)
+    grid = GridRunner(settings, jobs=jobs)
     for spec in specs:
         grid.add_spec(spec)
-    if not grid.specs:
-        return {}
-    if resolve_jobs(jobs if jobs is not None else grid.jobs, backend) <= 1:
+    if not grid.specs or resolve_jobs(jobs) <= 1:
         return {}
     return grid.run()

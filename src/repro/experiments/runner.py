@@ -15,18 +15,17 @@ Batch drivers fan independent runs out over worker processes via
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.experiments.cache import (
     ResultCache,
-    cache_enabled,
     normalized_config,
     run_fingerprint,
 )
 from repro.hardware.machines import machine_by_name
 from repro.hardware.topology import NumaTopology
+from repro.options import RuntimeOptions
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResult
@@ -79,24 +78,10 @@ class RunSettings:
 
 _CACHE: Dict[Tuple, SimulationResult] = {}
 
-#: Serialises every ``_CACHE`` access: the thread backend's shards and
-#: any future ``repro serve`` worker share this memo, and an unguarded
-#: dict write from two shards is a data race (R105).  The memo stores
-#: finished, effectively-immutable results, so the critical sections
-#: are pure dict operations — never simulation work or disk I/O.
-_MEMO_LOCK = threading.Lock()
-
-#: The memo deliberately hands back the *same* ``SimulationResult``
-#: object for repeated identical runs (tests assert ``a is b``);
-#: results are frozen once stored, so the reference escaping the memo
-#: lock is safe (R107).
-_CONCURRENCY_SAFE = ("runner.run_benchmark",)
-
 
 def clear_cache() -> None:
     """Drop all in-process memoised run results."""
-    with _MEMO_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 def canonical_machine(machine: Union[str, NumaTopology]) -> str:
@@ -139,13 +124,12 @@ def store_result(
     settings: RunSettings,
     backing_1g: bool,
     result: SimulationResult,
-    persist: bool = True,
+    persist: bool,
 ) -> None:
-    """Install a finished run into the memo (and optionally on disk)."""
-    key = settings.cache_key(workload, machine, policy, backing_1g)
-    with _MEMO_LOCK:
-        _CACHE[key] = result
-    if persist and cache_enabled():
+    """Install a finished run into the memo (and, with ``persist``, on
+    disk)."""
+    _CACHE[settings.cache_key(workload, machine, policy, backing_1g)] = result
+    if persist:
         ResultCache.default().put(
             settings.fingerprint(workload, machine, policy, backing_1g), result
         )
@@ -167,17 +151,17 @@ def run_benchmark(
     persistent on-disk cache; ``use_cache=False`` bypasses and
     populates neither.
     """
+    options = RuntimeOptions.from_env()
     settings = settings or RunSettings()
     topo = machine_by_name(machine) if isinstance(machine, str) else machine
     if not use_cache:
         return execute_run(workload, topo, policy, settings, backing_1g)
     key = settings.cache_key(workload, topo.name, policy, backing_1g)
-    with _MEMO_LOCK:
-        cached = _CACHE.get(key)
+    cached = _CACHE.get(key)
     if cached is not None:
         return cached
     result = None
-    if cache_enabled():
+    if options.cache:
         result = ResultCache.default().get(
             settings.fingerprint(workload, topo.name, policy, backing_1g)
         )
@@ -186,7 +170,7 @@ def run_benchmark(
         result = execute_run(workload, topo, policy, settings, backing_1g)
     store_result(
         workload, topo.name, policy, settings, backing_1g, result,
-        persist=not hit,
+        persist=options.cache and not hit,
     )
     return result
 

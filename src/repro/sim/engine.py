@@ -35,7 +35,6 @@ from typing import (
 
 import numpy as np
 
-from repro._util import rng_for
 from repro.units import Bytes, NodeId, Pages4K
 from repro.analysis.invariants import InvariantChecker, invariants_enabled
 from repro.errors import SimulationError
@@ -79,7 +78,7 @@ from repro.vm.layout import (
 )
 from repro.vm.thp import ThpState, khugepaged_scan
 from repro.workloads.base import Workload, WorkloadInstance
-from repro.workloads.streambank import get_stream_bank, stream_bank_enabled
+from repro.workloads.streambank import get_stream_bank
 
 #: Static-analysis registry (rule R104): roots of the simulation call
 #: graph.  Every random/clock sink reachable from here must be either
@@ -193,15 +192,9 @@ class Tenant:
             InvariantChecker(self) if invariants_enabled(self.config) else None
         )
         # Streams are policy-independent, so runs sharing (workload,
-        # machine, seed, stream length) share one memoized bank; the
-        # inline path below stays as the REPRO_STREAM_BANK=0 fallback
-        # and is bit-identical by construction.
-        self._stream_bank = (
-            get_stream_bank(
-                self.instance, self.config.seed, self.config.stream_length
-            )
-            if stream_bank_enabled()
-            else None
+        # machine, seed, stream length) share one memoized bank.
+        self._stream_bank = get_stream_bank(
+            self.instance, self.config.seed, self.config.stream_length
         )
         self.profiler = PhaseTimer() if profile_enabled(self.config) else None
         self.page_tables = PageTableState(
@@ -325,39 +318,16 @@ class Tenant:
         length = cfg.stream_length
         bank = self._stream_bank
 
-        # Pass 1a — per-thread stream generation.  Streams are drawn
-        # before any translation (generation never reads the address
-        # space), preserving each thread's RNG draw order while letting
-        # the whole epoch translate in one call below.  With a stream
-        # bank the draws happen (at most once per shared bank) inside
-        # the bank; the IBS generators are restored from the captured
+        # Pass 1a — per-thread streams.  Streams are drawn before any
+        # translation (generation never reads the address space), so
+        # the whole epoch translates in one call below.  The draws
+        # happen (at most once per shared bank) inside the bank; the
+        # IBS generators are restored from the captured
         # post-generation states so their later draws are unchanged.
-        if bank is not None:
-            streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
-            rngs = bank.ibs_rngs(epoch) if self.ibs.rate > 0 else []
-            if prof is not None:
-                prof.lap("stream_bank")
-        else:
-            rngs = [
-                rng_for(
-                    cfg.seed, self.instance.seed, self.instance.name,
-                    "stream", t, epoch,
-                )
-                for t in range(n_threads)
-            ]
-            streams = np.zeros((n_threads, length), dtype=np.int64)
-            stream_writes = np.zeros((n_threads, length), dtype=bool)
-            stream_sizes = np.zeros(n_threads, dtype=np.int64)
-            for t in range(n_threads):
-                granules, writes = self.instance.epoch_stream_with_writes(
-                    t, epoch, rngs[t], length
-                )
-                n = granules.size
-                if n == 0:
-                    continue
-                stream_sizes[t] = n
-                streams[t, :n] = granules
-                stream_writes[t, :n] = writes
+        streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
+        rngs = bank.ibs_rngs(epoch) if self.ibs.rate > 0 else []
+        if prof is not None:
+            prof.lap("stream_bank")
         # The bank's arrays are shared and read-only; the engine only
         # ever writes into its own per-epoch translation scratch.
         stream_homes = np.zeros((n_threads, length), dtype=np.int64)
@@ -443,20 +413,14 @@ class Tenant:
             # Weight by the thread's actual stream size (matching the
             # traffic scaling above), not the nominal stream_length:
             # short streams represent the same DRAM access budget
-            # spread over fewer touches.
-            if bank is not None:
-                # Fused path: the bank pre-merged every thread's unique
-                # columns into one COO with the per-thread scale baked
-                # in (identical to this epoch's ``scale`` — the bank
-                # fingerprint pins ``dram_accesses``), so the whole
-                # epoch lands in two vectorized calls.
-                ids, _, _, scaled = bank.epoch_tracker(epoch)
-                self.tracker.add_epoch(ids, scaled)
-                self.tracker.merge_epoch_sharing(bank.sharing_packed(epoch))
-            else:
-                for t in active_idx:
-                    n = int(stream_sizes[t])
-                    self.tracker.update(int(t), streams[t, :n], float(scale[t]))
+            # spread over fewer touches.  The bank pre-merged every
+            # thread's unique columns into one COO with the per-thread
+            # scale baked in (identical to this epoch's ``scale`` — the
+            # bank fingerprint pins ``dram_accesses``), so the whole
+            # epoch lands in two vectorized calls.
+            ids, _, _, scaled = bank.epoch_tracker(epoch)
+            self.tracker.add_epoch(ids, scaled)
+            self.tracker.merge_epoch_sharing(bank.sharing_packed(epoch))
         if prof is not None:
             prof.lap("tracker")
 

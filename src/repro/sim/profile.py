@@ -9,11 +9,10 @@ attributed as:
 
 * ``premap``      — allocation-phase faulting (step 1),
 * ``stream_bank`` — stream-bank fetches (generation on a bank miss,
-  array handoff on a hit; only nonzero when banking is enabled),
-* ``streams``     — inline stream generation (bank disabled),
-  translation, demand faulting and traffic binning (fault-epoch TLB
-  work is also billed here: the sequential fallback interleaves the
-  two),
+  array handoff on a hit),
+* ``streams``     — translation, demand faulting and traffic binning
+  (fault-epoch TLB work is also billed here: the sequential fallback
+  interleaves the two),
 * ``tlb``         — backing classification + TLB model (no-fault epochs),
 * ``tracker``     — ground-truth access-tracker aggregation (the
   profiling metrics PAMUP/NHP/PSP, not simulation state),
@@ -39,9 +38,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-#: Environment variable enabling (``1``) or force-disabling (``0``) the
-#: profiler regardless of :attr:`SimConfig.profile`.
-PROFILE_ENV = "REPRO_PROFILE"
+from repro.options import RuntimeOptions
 
 #: Static-analysis registry (rule R101): everything in this module is
 #: observation-only and must have no transitive write effect on
@@ -63,9 +60,6 @@ PHASES = (
     "other",
 )
 
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
-
 
 def profile_enabled(config: Optional[object] = None) -> bool:
     """Whether per-phase profiling is on for a run.
@@ -73,14 +67,10 @@ def profile_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_PROFILE`` wins in both directions when set; otherwise the
     (optional) config's ``profile`` flag decides.
     """
-    import os
-
-    env = os.environ.get(PROFILE_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "profile", False))
+    profile = RuntimeOptions.from_env().profile
+    if profile is None:
+        return bool(getattr(config, "profile", False))
+    return profile
 
 
 class PhaseTimer:

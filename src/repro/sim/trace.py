@@ -21,20 +21,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-#: Environment variable enabling (``1``) or force-disabling (``0``) the
-#: trace regardless of :attr:`SimConfig.trace`.
-TRACE_ENV = "REPRO_TRACE"
-
-#: When set, :meth:`DecisionTrace.flush_env` appends the records here
-#: as JSON lines at the end of each traced run.
-TRACE_FILE_ENV = "REPRO_TRACE_FILE"
+from repro.options import RuntimeOptions
 
 #: Static-analysis registry (rule R101): tracing is observation-only
 #: and must have no transitive write effect on simulation state.
 _RESULT_NEUTRAL = ("sim.trace",)
-
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
 
 
 def trace_enabled(config: Optional[object] = None) -> bool:
@@ -43,14 +34,10 @@ def trace_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_TRACE`` wins in both directions when set; otherwise the
     (optional) config's ``trace`` flag decides.
     """
-    import os
-
-    env = os.environ.get(TRACE_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "trace", False))
+    trace = RuntimeOptions.from_env().trace
+    if trace is None:
+        return bool(getattr(config, "trace", False))
+    return trace
 
 
 class DecisionTrace:
@@ -114,12 +101,9 @@ class DecisionTrace:
 
     def flush_env(self) -> None:
         """Append the records to ``REPRO_TRACE_FILE`` when it is set."""
-        import os
-
-        path = os.environ.get(TRACE_FILE_ENV, "").strip()
-        if not path:
-            return
-        self.write_jsonl(path, append=True)
+        path = RuntimeOptions.from_env().trace_file
+        if path is not None:
+            self.write_jsonl(path, append=True)
 
 
 def run_traced(

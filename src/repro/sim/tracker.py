@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import Pages4K, Pages4KArray, ThreadId
+from repro.units import Pages4K
 from repro.vm.address_space import AddressSpace
 from repro.vm.layout import GRANULES_PER_2M, SHIFT_1G, SHIFT_2M
 
@@ -57,36 +57,6 @@ class AccessTracker:
         self._first_1g = np.full(n_gchunks, -1, dtype=np.int16)
         self._shared_1g = np.zeros(n_gchunks, dtype=bool)
 
-    def update(
-        self, thread: ThreadId, granules: Pages4KArray, weight_per_access: float
-    ) -> None:
-        """Record one thread-epoch access stream."""
-        g = np.asarray(granules, dtype=np.int64)
-        if g.size == 0:
-            return
-        unique, counts = np.unique(g, return_counts=True)
-        self.weight[unique] += counts * weight_per_access
-        self._mark(self._first_4k, self._shared_4k, unique, thread)
-        self._mark(self._first_2m, self._shared_2m, np.unique(unique >> SHIFT_2M), thread)
-        self._mark(self._first_1g, self._shared_1g, np.unique(unique >> SHIFT_1G), thread)
-
-    def add_weights(
-        self, unique: np.ndarray, counts: np.ndarray, weight_per_access: float
-    ) -> None:
-        """Accumulate access weight from pre-aggregated stream columns.
-
-        ``unique``/``counts`` are the ``np.unique(granules,
-        return_counts=True)`` of one thread-epoch stream.  The
-        stream-bank path uses this (plus :meth:`merge_epoch_sharing`)
-        so the per-stream aggregation is computed once per shared bank
-        rather than once per run; bit-identical to :meth:`update` on
-        the same stream because the per-thread accumulation order is
-        preserved.
-        """
-        if unique.size == 0:
-            return
-        self.weight[unique] += counts * weight_per_access
-
     def add_epoch(self, ids: np.ndarray, scaled_counts: np.ndarray) -> None:
         """Accumulate one whole epoch's access weight in a single call.
 
@@ -98,8 +68,7 @@ class AccessTracker:
         applies additions in element order — ascending thread order,
         with distinct ids inside each thread's segment — so the
         floating-point accumulation sequence per granule is exactly
-        that of the per-thread :meth:`update`/:meth:`add_weights`
-        loop, bit for bit.
+        that of adding one thread's stream at a time, bit for bit.
         """
         if ids.size == 0:
             return
@@ -115,11 +84,11 @@ class AccessTracker:
         per level, the sorted distinct ids touched by any thread this
         epoch, the lowest thread id touching each, and whether two or
         more distinct threads touched it.  Produces exactly the
-        ``first``/``shared`` state that calling :meth:`update` per
-        thread in ascending thread order would: a previously untouched
-        id records the epoch's first toucher (and is shared iff
-        several threads hit it this epoch); a known id becomes shared
-        when the epoch brings any different thread.
+        ``first``/``shared`` state that marking one thread's stream at
+        a time, in ascending thread order, would: a previously
+        untouched id records the epoch's first toucher (and is shared
+        iff several threads hit it this epoch); a known id becomes
+        shared when the epoch brings any different thread.
         """
         ids, epoch_first, multi, level_offsets = packed
         for level, (first, shared) in enumerate(
@@ -140,13 +109,6 @@ class AccessTracker:
             fresh = current < 0
             first[l_ids[fresh]] = l_first[fresh]
             shared[l_ids[l_multi | (~fresh & (current != l_first))]] = True
-
-    @staticmethod
-    def _mark(first: np.ndarray, shared: np.ndarray, ids: np.ndarray, thread: int) -> None:
-        current = first[ids]
-        fresh = current < 0
-        first[ids[fresh]] = thread
-        shared[ids[(~fresh) & (current != thread)]] = True
 
     # ------------------------------------------------------------------
     # Metrics against a backing state

@@ -29,7 +29,6 @@ from repro.workloads.streambank import (
     StreamBank,
     clear_stream_banks,
     get_stream_bank,
-    stream_bank_enabled,
 )
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
 
@@ -52,5 +51,4 @@ __all__ = [
     "StreamBank",
     "clear_stream_banks",
     "get_stream_bank",
-    "stream_bank_enabled",
 ]

@@ -12,7 +12,9 @@ directly, and memoizes banks process-wide keyed by a fingerprint of
 everything generation depends on: workload identity and scalars, the
 simulation seed, and the stream length.
 
-Three fidelity rules keep banked runs bit-identical to inline runs:
+Three fidelity rules keep every bank row bit-identical to drawing each
+thread's stream on its own (the per-thread oracle the tests compare
+against):
 
 * streams are drawn with the engine's own per-thread generators
   (``rng_for(sim_seed, instance.seed, instance.name, "stream", t,
@@ -23,8 +25,7 @@ Three fidelity rules keep banked runs bit-identical to inline runs:
   ``bit_generator.state`` post-generation and replays it through
   :func:`repro._util.rng_from_state` on demand;
 * the engine treats bank arrays as read-only (it keeps its own
-  ``stream_homes`` scratch), so one bank serves any number of
-  concurrent runs.
+  ``stream_homes`` scratch), so one bank serves every run sharing it.
 
 Fused epoch aggregation: alongside the streams, every epoch row stores
 the access tracker's whole-epoch inputs, pre-merged at fill time —
@@ -40,25 +41,15 @@ the access tracker's whole-epoch inputs, pre-merged at fill time —
   offsets, consumed whole by
   :meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`.
 
-Pipelined fill: rows materialize lazily and concurrently.  Each row is
-filled exactly once by whichever thread claims it (a per-row
-``filling`` flag under the bank lock; generation itself runs outside
-the lock), so cold thread-backend shards fill different epochs of a
-shared bank in parallel, and a per-bank background prefill worker
-(:meth:`StreamBank._prefill_worker`, registered as a lint-deep thread
-entry point) keeps up to one :data:`EPOCH_WINDOW` of rows ahead of the
-consuming simulation — generation overlaps the engine's GIL-released
-``tracker``/``tlb`` numpy phases instead of preceding them.
+Lazy fill: a row materializes inside the call that first needs it, so
+a short run never generates past what it consumes.
 
-Environment knobs:
-
-* ``REPRO_STREAM_BANK=0`` disables banking (the engine falls back to
-  inline per-thread generation; results are bit-identical either way);
-* ``REPRO_STREAM_CACHE=<dir>`` persists completed epoch blocks to disk
-  (``.npy`` columns loaded back memmapped, fused aggregation columns
-  alongside), so banks survive across processes of a grid sweep;
-* ``REPRO_STREAM_PREFETCH=0`` disables the background prefill worker
-  (rows still fill lazily, on demand, in the consuming thread).
+``REPRO_STREAM_CACHE=<dir>`` (see :mod:`repro.options`) persists each
+epoch block to disk as its last row fills (``.npy`` columns loaded
+back memmapped, fused aggregation columns alongside), so banks survive
+across the processes of a grid sweep.  Pool workers share the store,
+so every file lands through a temp-file rename and an ``.ok`` marker
+is written last.
 """
 
 from __future__ import annotations
@@ -66,7 +57,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -74,86 +64,28 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro._util import SeedHasher, rng_from_state, stable_seed
+from repro.options import RuntimeOptions
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
-
-#: Set to ``0``/``false`` to disable stream banking entirely.
-STREAM_BANK_ENV = "REPRO_STREAM_BANK"
-#: Directory for the optional on-disk block store (unset = memory only).
-STREAM_CACHE_ENV = "REPRO_STREAM_CACHE"
-#: Set to ``0``/``false`` to disable the background prefill worker.
-STREAM_PREFETCH_ENV = "REPRO_STREAM_PREFETCH"
 
 #: Epochs per storage block.  Blocks are filled lazily epoch by epoch,
 #: so a short run never generates past what it consumes; the window
 #: only bounds allocation and disk-store granularity.
 EPOCH_WINDOW = 16
 
-#: How far ahead of the consuming simulation the prefill worker keeps
-#: the bank: one full window, i.e. double-buffering at block
-#: granularity (block k+1 fills while block k simulates).
-_PREFILL_LOOKAHEAD = EPOCH_WINDOW
-
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
-
 _MAX_BANKS = 12
 _MAX_BLOCKS_PER_BANK = 4
 
-_LOCK = threading.Lock()
 _BANKS: "OrderedDict[str, StreamBank]" = OrderedDict()
 #: Banks for instances without a stable fingerprint (e.g. trace
 #: replays): keyed by identity, garbage-collected with the instance.
 _INSTANCE_BANKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: Lint-deep (R105-R108) thread entry points: the background prefill
-#: worker runs concurrently with every consumer of the bank, so the
-#: static race analysis must walk it.
-_THREAD_ENTRY_POINTS = ("StreamBank._prefill_worker",)
-
-
-def stream_bank_enabled() -> bool:
-    """Whether the engine should route stream generation through banks."""
-    value = os.environ.get(STREAM_BANK_ENV, "").strip().lower()
-    return value not in _FALSE_VALUES
-
-
-def stream_cache_dir() -> Optional[str]:
-    """The on-disk block-store directory, or ``None`` when disabled."""
-    path = os.environ.get(STREAM_CACHE_ENV, "").strip()
-    return path or None
-
-
-def stream_prefetch_enabled() -> bool:
-    """Whether banks run the background prefill worker.
-
-    Unset means *auto*: on when a spare core exists to run the worker,
-    off on single-core hosts where a background fill thread only adds
-    scheduler contention to the consuming simulation (mirrors the
-    parallel runner's auto backend fallback).  An explicit value wins
-    in both directions.
-    """
-    value = os.environ.get(STREAM_PREFETCH_ENV, "").strip().lower()
-    if not value:
-        return (os.cpu_count() or 1) > 1
-    return value not in _FALSE_VALUES
-
 
 def clear_stream_banks() -> None:
     """Drop every memoized bank (benchmarks and tests use this to
     measure or exercise cold generation)."""
-    with _LOCK:
-        _BANKS.clear()
-        _INSTANCE_BANKS.clear()
-
-
-def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
-    """Distinct values of an already-sorted array (``np.unique`` minus
-    the redundant sort)."""
-    if values.size <= 1:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    _BANKS.clear()
+    _INSTANCE_BANKS.clear()
 
 
 _SCALAR_TYPES = (bool, int, float, str, bytes, type(None))
@@ -216,47 +148,45 @@ def get_stream_bank(instance: object, sim_seed: int, length: int) -> "StreamBank
     itself.
     """
     fingerprint = bank_fingerprint(instance, sim_seed, length)
-    with _LOCK:
-        if fingerprint is None:
-            per_instance = _INSTANCE_BANKS.get(instance)
-            if per_instance is None:
-                per_instance = {}
-                _INSTANCE_BANKS[instance] = per_instance
-            bank = per_instance.get((sim_seed, length))
-            if bank is None:
-                bank = StreamBank(instance, sim_seed, length)
-                per_instance[(sim_seed, length)] = bank
-            return bank
-        bank = _BANKS.get(fingerprint)
-        if bank is not None and (
-            bank_fingerprint(bank.instance, sim_seed, length) != fingerprint
-        ):
-            # The stored instance's regions were re-bound (e.g. via
-            # ``with_1g_backing``) after the bank memoized them; its
-            # future fills would no longer match the key.  Rebuild.
-            bank = None
+    if fingerprint is None:
+        per_instance = _INSTANCE_BANKS.get(instance)
+        if per_instance is None:
+            per_instance = {}
+            _INSTANCE_BANKS[instance] = per_instance
+        bank = per_instance.get((sim_seed, length))
         if bank is None:
-            bank = StreamBank(
-                instance,
-                sim_seed,
-                length,
-                fingerprint=fingerprint,
-                cache_dir=stream_cache_dir(),
-            )
-            _BANKS[fingerprint] = bank
-            while len(_BANKS) > _MAX_BANKS:
-                _BANKS.popitem(last=False)
-        else:
-            _BANKS.move_to_end(fingerprint)
+            bank = StreamBank(instance, sim_seed, length)
+            per_instance[(sim_seed, length)] = bank
         return bank
+    bank = _BANKS.get(fingerprint)
+    if bank is not None and (
+        bank_fingerprint(bank.instance, sim_seed, length) != fingerprint
+    ):
+        # The stored instance's regions were re-bound (e.g. via
+        # ``with_1g_backing``) after the bank memoized them; its
+        # future fills would no longer match the key.  Rebuild.
+        bank = None
+    if bank is None:
+        bank = StreamBank(
+            instance,
+            sim_seed,
+            length,
+            fingerprint=fingerprint,
+            cache_dir=RuntimeOptions.from_env().stream_cache,
+        )
+        _BANKS[fingerprint] = bank
+        while len(_BANKS) > _MAX_BANKS:
+            _BANKS.popitem(last=False)
+    else:
+        _BANKS.move_to_end(fingerprint)
+    return bank
 
 
 class _Block:
     """Storage for one ``EPOCH_WINDOW``-sized range of epochs."""
 
     __slots__ = ("epoch0", "n_epochs", "streams", "writes", "sizes",
-                 "rng_states", "tracker", "sharing", "filled", "filling",
-                 "persisted")
+                 "rng_states", "tracker", "sharing", "filled", "persisted")
 
     def __init__(self, epoch0: int, n_epochs: int, n_threads: int,
                  length: int) -> None:
@@ -273,9 +203,6 @@ class _Block:
         #: level_offsets)`` over the three page levels.
         self.sharing: List[Optional[tuple]] = [None] * n_epochs
         self.filled = np.zeros(n_epochs, dtype=bool)
-        #: Row claimed by a filler (generation runs outside the bank
-        #: lock; the flag makes each row single-writer).
-        self.filling = np.zeros(n_epochs, dtype=bool)
         self.persisted = False
 
     @classmethod
@@ -299,7 +226,6 @@ class _Block:
         block.tracker = list(tracker)
         block.sharing = list(sharing)
         block.filled = np.ones(block.n_epochs, dtype=bool)
-        block.filling = np.zeros(block.n_epochs, dtype=bool)
         block.persisted = True
         return block
 
@@ -335,21 +261,7 @@ class StreamBank:
             if cache_dir is not None and fingerprint is not None
             else None
         )
-        self._lock = threading.Lock()
-        #: Fillers signal row completion here; waiters re-check under
-        #: ``self._lock`` (the condition wraps that same lock).
-        self._cond = threading.Condition(self._lock)
         self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
-        #: Completed blocks awaiting persistence.  Rows complete while
-        #: holding ``self._lock`` and must not do disk I/O there
-        #: (R108), so the block is queued and the public entry points
-        #: drain the queue after releasing the lock.
-        self._pending_persist: List[_Block] = []
-        #: Background prefill: highest epoch requested so far, scan
-        #: cursor, and whether a worker thread is currently alive.
-        self._prefill_target = -1
-        self._prefill_pos = 0
-        self._prefill_alive = False
 
     # ------------------------------------------------------------------
     # Engine-facing API
@@ -364,21 +276,17 @@ class StreamBank:
         arrays are shared — callers must treat them as read-only.
         """
         block, i = self._ensure_row(epoch)
-        self._drain_persist()
-        self._request_prefill(epoch)
         return (block.streams[i], block.writes[i], block.sizes[i])
 
     def ibs_rngs(self, epoch: int) -> List[np.random.Generator]:
         """Fresh per-thread generators positioned after stream draws.
 
         Each call rebuilds the generators from the captured states, so
-        every run's IBS sampler consumes its own copies — exactly the
-        values the inline path would have drawn.
+        every run's IBS sampler consumes its own copies and draws
+        exactly what each thread's generator yields after its stream.
         """
         block, i = self._ensure_row(epoch)
-        states = block.rng_states[i]
-        self._drain_persist()
-        return [rng_from_state(state) for state in states]
+        return [rng_from_state(state) for state in block.rng_states[i]]
 
     def epoch_tracker(self, epoch: int) -> tuple:
         """Fused tracker columns ``(ids, thread_offsets, counts,
@@ -392,15 +300,13 @@ class StreamBank:
         for idle threads) already multiplied in.  Feeding ``(ids,
         scaled_counts)`` to
         :meth:`~repro.sim.tracker.AccessTracker.add_epoch` is
-        bit-identical to the per-thread ``update``/``add_weights``
-        loop: ``np.add.at`` applies additions in element order, which
+        bit-identical to adding each thread's ``counts * scale`` in
+        turn: ``np.add.at`` applies additions in element order, which
         is exactly ascending thread order, and each thread's segment
         holds distinct ids.
         """
         block, i = self._ensure_row(epoch)
-        columns = block.tracker[i]
-        self._drain_persist()
-        return columns
+        return block.tracker[i]
 
     def sharing_packed(self, epoch: int) -> tuple:
         """Packed epoch sharing summary ``(ids, first, multi,
@@ -416,72 +322,21 @@ class StreamBank:
         once, at fill time.
         """
         block, i = self._ensure_row(epoch)
-        packed = block.sharing[i]
-        self._drain_persist()
-        return packed
-
-    def tracker_columns(self, epoch: int, thread: int) -> tuple:
-        """``(unique, counts, unique_2m, unique_1g)`` of one stream.
-
-        Compatibility view over :meth:`epoch_tracker`: slices one
-        thread's segment out of the fused columns and re-derives the
-        shifted levels (sorted input, so a neighbour-diff dedupe equals
-        ``np.unique`` without re-sorting).
-        """
-        ids, offsets, counts, _ = self.epoch_tracker(epoch)
-        lo, hi = int(offsets[thread]), int(offsets[thread + 1])
-        unique = ids[lo:hi]
-        return (
-            unique,
-            counts[lo:hi],
-            _dedupe_sorted(unique >> SHIFT_2M),
-            _dedupe_sorted(unique >> SHIFT_1G),
-        )
-
-    def sharing_columns(self, epoch: int) -> tuple:
-        """Per-level epoch sharing summary: three ``(ids, first, multi)``.
-
-        Compatibility view over :meth:`sharing_packed` (the packed
-        levels, sliced apart).
-        """
-        ids, first, multi, offsets = self.sharing_packed(epoch)
-        return tuple(
-            (
-                ids[offsets[level]:offsets[level + 1]],
-                first[offsets[level]:offsets[level + 1]],
-                multi[offsets[level]:offsets[level + 1]],
-            )
-            for level in range(3)
-        )
+        return block.sharing[i]
 
     # ------------------------------------------------------------------
-    # Row materialization (pipelined fill)
+    # Row materialization (lazy fill)
     # ------------------------------------------------------------------
     def _ensure_row(self, epoch: int) -> Tuple[_Block, int]:
-        """The (block, row-index) holding ``epoch``, filled.
-
-        Rows fill outside the bank lock under a per-row ``filling``
-        claim, so concurrent shards of a cold grid cell materialize
-        *different* epochs of one shared bank in parallel; a thread
-        needing a row that another thread is generating waits on the
-        bank condition instead of duplicating the work.
-        """
-        while True:
-            with self._lock:
-                block = self._block_at(epoch)
-                i = epoch - block.epoch0
-                if block.filled[i]:
-                    return block, i
-                if block.filling[i]:
-                    self._cond.wait()
-                    continue
-                block.filling[i] = True
+        """The (block, row-index) holding ``epoch``, filled."""
+        block = self._block_at(epoch)
+        i = epoch - block.epoch0
+        if not block.filled[i]:
             self._fill_row(block, i)
-            return block, i
+        return block, i
 
     def _block_at(self, epoch: int) -> _Block:
-        """Locate/create/load the block holding ``epoch``.  Caller
-        holds ``self._lock``."""
+        """Locate/create/load the block holding ``epoch``."""
         epoch0 = (epoch // EPOCH_WINDOW) * EPOCH_WINDOW
         block = self._blocks.get(epoch0)
         if block is None:
@@ -497,37 +352,25 @@ class StreamBank:
         return block
 
     def _fill_row(self, block: _Block, i: int) -> None:
-        """Generate one claimed epoch row outside the lock, then
-        publish it.
+        """Generate one epoch row — streams, RNG states, fused tracker
+        and sharing columns — and persist the block once its last row
+        is in.
 
-        The claiming protocol makes this row single-writer, so the
-        generation writes into ``block`` need no lock; the row only
-        becomes visible (``filled``) under the lock, after every
-        column — streams, RNG states, fused tracker and sharing — is
-        complete.  A failed fill releases the claim so another thread
-        can retry (generation is deterministic).
+        ``filled`` is set only after every column is complete, so a
+        failed fill leaves the row to be regenerated (generation is
+        deterministic).
         """
-        published = False
-        try:
-            states = self._generate_row(block, i)
-            tracker = self._aggregate_tracker(block, i)
-            sharing = self._aggregate_sharing(tracker[0], tracker[1])
-            published = True
-        finally:
-            with self._lock:
-                block.filling[i] = False
-                if published:
-                    block.rng_states[i] = states
-                    block.tracker[i] = tracker
-                    block.sharing[i] = sharing
-                    block.filled[i] = True
-                    if (
-                        self._dir is not None
-                        and not block.persisted
-                        and bool(block.filled.all())
-                    ):
-                        self._pending_persist.append(block)
-                self._cond.notify_all()
+        block.rng_states[i] = self._generate_row(block, i)
+        tracker = self._aggregate_tracker(block, i)
+        block.tracker[i] = tracker
+        block.sharing[i] = self._aggregate_sharing(tracker[0], tracker[1])
+        block.filled[i] = True
+        if (
+            self._dir is not None
+            and not block.persisted
+            and bool(block.filled.all())
+        ):
+            self._persist(block)
 
     def _generate_row(self, block: _Block, i: int) -> List[dict]:
         """Draw every thread's stream for one epoch row; returns the
@@ -687,83 +530,6 @@ class StreamBank:
         )
 
     # ------------------------------------------------------------------
-    # Background prefill
-    # ------------------------------------------------------------------
-    def _request_prefill(self, epoch: int) -> None:
-        """Advance the prefill horizon past ``epoch`` and (re)start the
-        worker if it has gone idle."""
-        if self.total_epochs <= 1 or not stream_prefetch_enabled():
-            return
-        target = min(epoch + _PREFILL_LOOKAHEAD, self.total_epochs - 1)
-        start = False
-        with self._lock:
-            if target > self._prefill_target:
-                self._prefill_target = target
-            if not self._prefill_alive and self._next_unfilled() is not None:
-                self._prefill_alive = True
-                start = True
-        if start:
-            worker = threading.Thread(
-                target=self._prefill_worker,
-                name=f"streambank-prefill-{self.fingerprint or hex(id(self))}",
-                daemon=True,
-            )
-            worker.start()
-
-    def _next_unfilled(self) -> Optional[int]:
-        """First epoch <= the prefill target needing a fill (neither
-        filled nor claimed).  Caller holds ``self._lock``."""
-        pos = int(self._prefill_pos)
-        while pos <= self._prefill_target and pos < self.total_epochs:
-            epoch0 = (pos // EPOCH_WINDOW) * EPOCH_WINDOW
-            block = self._blocks.get(epoch0)
-            if block is None:
-                return pos
-            i = pos - epoch0
-            if block.filled[i]:
-                pos += 1
-                self._prefill_pos = pos
-                continue
-            if block.filling[i]:
-                # Another thread is generating it; look past without
-                # committing the cursor (the claim may fail).
-                pos += 1
-                continue
-            return pos
-        return None
-
-    def _prefill_worker(self) -> None:
-        """Background fill loop: materialize rows up to the requested
-        horizon, then exit (consumers restart the worker as the horizon
-        advances)."""
-        while True:
-            with self._lock:
-                epoch = self._next_unfilled()
-                if epoch is None:
-                    self._prefill_alive = False
-                    return
-            self._ensure_row(epoch)
-            self._drain_persist()
-
-    def _drain_persist(self) -> None:
-        """Persist queued blocks *outside* the lock.
-
-        Rows complete blocks while holding ``self._lock``; doing the
-        disk writes there would stall every concurrent shard on the
-        bank's critical section (R108), so completed blocks are queued
-        and written here after the caller releases the lock.  Draining
-        is race-free: each block enters the queue exactly once (when
-        its last row fills), and ``_persist`` writes via atomic
-        temp-file renames.
-        """
-        while True:
-            with self._lock:
-                if not self._pending_persist:
-                    return
-                block = self._pending_persist.pop()
-            self._persist(block)
-
-    # ------------------------------------------------------------------
     # Optional on-disk store (REPRO_STREAM_CACHE)
     # ------------------------------------------------------------------
     def _paths(self, epoch0: int) -> Dict[str, str]:
@@ -853,17 +619,13 @@ class StreamBank:
         paths = self._paths(epoch0)
         if not os.path.exists(paths["ok"]):
             return None
-        # Sanctioned I/O under self._lock: the load-on-miss must stay
-        # inside the critical section so a block is checked, loaded and
-        # installed atomically (a miss is rare — once per block per
-        # process — and every competing shard needs the block anyway).
         try:
-            streams = np.load(paths["streams"], mmap_mode="r")  # lint: ignore[R108]
-            writes = np.load(paths["writes"], mmap_mode="r")  # lint: ignore[R108]
-            sizes = np.load(paths["sizes"])  # lint: ignore[R108]
-            with open(paths["rng"], "r", encoding="ascii") as fh:  # lint: ignore[R108]
-                rng_states = json.load(fh)  # lint: ignore[R108]
-            with np.load(paths["agg"]) as stored:  # lint: ignore[R108]
+            streams = np.load(paths["streams"], mmap_mode="r")
+            writes = np.load(paths["writes"], mmap_mode="r")
+            sizes = np.load(paths["sizes"])
+            with open(paths["rng"], "r", encoding="ascii") as fh:
+                rng_states = json.load(fh)
+            with np.load(paths["agg"]) as stored:
                 agg = {key: stored[key] for key in stored.files}
         except (OSError, ValueError, KeyError):
             return None

@@ -167,6 +167,55 @@ def test_sarif_carries_chain_as_properties():
     assert result["properties"]["chain"] == ["Policy.decide", "helper"]
 
 
+def test_json_carries_chain_when_present():
+    from repro.analysis.linter import Finding
+
+    finding = Finding(
+        "R110", "sim/x.py", 3, 1, "decider mutates sim",
+        chain=("Policy.decide", "helper"),
+    )
+    assert finding.to_dict()["chain"] == ["Policy.decide", "helper"]
+
+
+# ----------------------------------------------------------------------
+# --explain
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("rule", ["R999", "R105"])
+def test_explain_unknown_rule_is_a_usage_error(sim_tree, capsys, rule):
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    assert main(["lint", str(sim_tree), "--deep", "--explain", rule]) == 2
+    assert f"error: unknown deep rule {rule!r}" in capsys.readouterr().err
+
+
+DECISION_KERNEL_RULES = ("R109", "R110", "R111", "R112", "R113")
+
+
+@pytest.mark.parametrize(
+    "rule", ("R101", "R102", "R103", "R104") + DECISION_KERNEL_RULES
+)
+def test_explain_on_clean_tree_exits_zero(sim_tree, capsys, rule):
+    """``--explain`` implies ``--deep``; the decision-kernel rules also
+    print the model their checks infer."""
+    from repro.analysis.deep import RULE_RATIONALE
+
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    assert main(["lint", str(sim_tree), "--explain", rule]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{rule}: {RULE_RATIONALE[rule]}\n")
+    assert ("decision-kernel model:" in out) == (rule in DECISION_KERNEL_RULES)
+
+
+def test_explain_prints_rationale_and_findings(sim_tree, capsys):
+    (sim_tree / "bad.py").write_text(DEEP_BAD_SRC)
+    assert main(["lint", str(sim_tree), "--explain", "R103"]) == 1
+    out = capsys.readouterr().out
+    explanation, _, _ = out.partition("finding(s)")
+    assert explanation.startswith("R103: ")
+    # The explained rule's findings follow its rationale, before the
+    # usual report lists every finding again.
+    assert explanation.count("R103 missing conversion in footprint()") == 2
+
+
 # ----------------------------------------------------------------------
 # Canonical ordering
 # ----------------------------------------------------------------------

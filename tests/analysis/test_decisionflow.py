@@ -644,7 +644,7 @@ def test_shipped_tree_decision_rules_clean_within_budget():
         f for f in findings if f.rule in ("R109", "R110", "R111", "R112", "R113")
     ]
     assert decision_rules == [], format_findings(decision_rules)
-    # ISSUE acceptance bound: R101-R113 over src/ in < 3 s.
+    # Acceptance bound: every deep rule over src/ in < 3 s.
     assert elapsed < 3.0, f"deep analysis took {elapsed:.2f}s"
 
 

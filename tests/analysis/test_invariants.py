@@ -14,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.analysis.invariants import (
-    CHECK_ENV,
     InvariantViolation,
     check_address_space,
     check_epoch_counters,
@@ -24,6 +23,7 @@ from repro.analysis.invariants import (
 )
 from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_by_name
+from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.workloads.registry import get_workload

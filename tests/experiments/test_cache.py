@@ -10,8 +10,6 @@ import pytest
 import repro
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import (
-    CACHE_DIR_ENV,
-    CACHE_ENABLE_ENV,
     ResultCache,
     cache_enabled,
     cache_root,
@@ -23,6 +21,7 @@ from repro.experiments.runner import (
     clear_cache,
     run_benchmark,
 )
+from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.sim.config import SimConfig
 
 

@@ -9,10 +9,16 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.experiments.cache import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.experiments.experiments import EXPERIMENTS
-from repro.experiments.parallel import JOBS_ENV
 from repro.experiments.runner import RunSettings, run_benchmark
+from repro.options import (
+    CACHE_DIR_ENV,
+    CACHE_ENABLE_ENV,
+    CHECK_ENV,
+    JOBS_ENV,
+    PROFILE_ENV,
+    TRACE_ENV,
+)
 
 
 class TestParser:
@@ -102,7 +108,7 @@ class TestMain:
 
 
 class TestBadInput:
-    """Unknown names are usage errors: one line on stderr, exit code 2."""
+    """Bad input is a usage error: one line on stderr, exit code 2."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -131,6 +137,74 @@ class TestBadInput:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            (
+                JOBS_ENV,
+                "two",
+                "REPRO_JOBS='two' is not an integer; use a count such as 4",
+            ),
+            (
+                CHECK_ENV,
+                "maybe",
+                "REPRO_CHECK='maybe' is not on/off; use one of"
+                " 1, true, on, yes, 0, false, off, no",
+            ),
+            (
+                CACHE_ENABLE_ENV,
+                "nope",
+                "REPRO_CACHE='nope' is not on/off; use one of"
+                " 1, true, on, yes, 0, false, off, no",
+            ),
+            (
+                PROFILE_ENV,
+                "2",
+                "REPRO_PROFILE='2' is not on/off; use one of"
+                " 1, true, on, yes, 0, false, off, no",
+            ),
+            (
+                TRACE_ENV,
+                "enabled",
+                "REPRO_TRACE='enabled' is not on/off; use one of"
+                " 1, true, on, yes, 0, false, off, no",
+            ),
+        ],
+    )
+    def test_bad_runtime_option(self, capsys, monkeypatch, name, value, message):
+        monkeypatch.setenv(name, value)
+        argv = ["run", "Kmeans", "--quick", "--scale", "0.25"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, name, value",
+        [
+            (["figure1", "--quick"], JOBS_ENV, "two"),
+            (["figure3", "--quick"], CACHE_ENABLE_ENV, "nope"),
+            (["scenario", "--quick"], CHECK_ENV, "maybe"),
+        ],
+    )
+    def test_bad_runtime_option_stops_a_grid(
+        self, capsys, monkeypatch, argv, name, value
+    ):
+        """Grid drivers and scenarios read the options where they
+        start, so a bad variable fails before any run."""
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name}={value!r} is not ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_inconsistent_configuration(self, capsys):
+        assert main(["run", "Kmeans", "--scale", "2", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: scale must be in (0, 1]\n"
         assert captured.out == ""
 
     def test_python_dash_m_repro(self):

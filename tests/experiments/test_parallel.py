@@ -6,16 +6,13 @@ import os
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
-from repro.experiments.cache import CACHE_DIR_ENV
 from repro.experiments.parallel import (
-    BACKEND_ENV,
-    JOBS_ENV,
     GridRunner,
     RunSpec,
     prefetch,
     backend_choice,
-    resolve_backend,
     resolve_jobs,
 )
 from repro.experiments.runner import (
@@ -24,6 +21,7 @@ from repro.experiments.runner import (
     execute_run,
     run_benchmark,
 )
+from repro.options import CACHE_DIR_ENV, JOBS_ENV
 
 GRID = [
     RunSpec("Kmeans", "A", "linux-4k"),
@@ -67,9 +65,10 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "5")
         assert resolve_jobs() == 5
 
-    def test_garbage_env_falls_back(self, monkeypatch):
+    def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "lots")
-        assert resolve_jobs() >= 1
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS='lots'"):
+            resolve_jobs()
 
     def test_minimum_one(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
@@ -86,75 +85,35 @@ class TestResolveJobs:
 
     def test_cpu_count_unknown(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        # Unknown cpu count counts as one core: auto resolves to the
-        # serial backend (pool backends pessimize there), so any jobs
-        # request collapses to 1; the process backend still clamps to
-        # one, and thread must be requested explicitly to shard.
+        # An unknown cpu count counts as one core: any jobs request
+        # collapses to the serial loop.
         assert resolve_jobs(4) == 1
         assert resolve_jobs(4, backend="process") == 1
-        assert resolve_jobs(4, backend="thread") == 2
 
 
-class TestResolveBackend:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend("thread") == "thread"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
-        monkeypatch.setenv(BACKEND_ENV, "PROCESS")
-        assert resolve_backend() == "process"
-
-    def test_auto_follows_core_count(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+class TestBackendChoice:
+    def test_follows_core_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_backend() == "process"
-        # One core: no pool backend can overlap anything, and the
-        # thread backend measured as a slowdown there — auto falls
-        # back to a plain serial loop unless thread is explicit.
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_backend() == "serial"
-        assert resolve_backend("thread") == "thread"
-
-    def test_backend_choice_reports_reason(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        backend, reason = backend_choice()
+        assert backend == "process"
+        assert "cpu_count=8" in reason
+        # One core: a pool has nothing to overlap.
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         backend, reason = backend_choice()
         assert backend == "serial"
         assert "cpu_count=1" in reason and "serial" in reason
-        backend, reason = backend_choice("thread")
-        assert backend == "thread"
-        assert reason.startswith("explicit")
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        backend, reason = backend_choice()
-        assert backend == "process"
-        assert BACKEND_ENV in reason
 
     def test_serial_backend_resolves_one_job(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv(JOBS_ENV, "8")
         assert resolve_jobs(backend="serial") == 1
         assert resolve_jobs(16, backend="serial") == 1
+        assert resolve_jobs(backend="process") == 8
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            resolve_backend("fibers")
-
-    def test_thread_backend_floors_at_two(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_jobs(None, backend="thread") == 2
-        assert resolve_jobs(8, backend="thread") == 2
-        assert resolve_jobs(1, backend="thread") == 1
-
-    def test_thread_backend_clamps_to_cpus(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert resolve_jobs(16, backend="thread") == 4
-        assert resolve_jobs(None, backend="thread") == 3
+            resolve_jobs(2, backend="thread")
 
 
 class TestGridAssembly:
@@ -222,23 +181,6 @@ class TestGridExecution:
                 backing_1g=spec.backing_1g,
             )
             assert _signature(cached) == _signature(serial[spec]), spec
-
-    def test_thread_backend_matches_serial(self, fresh_env):
-        """In-process sharded execution is bit-identical to serial."""
-        settings = RunSettings.quick()
-        serial = {
-            spec: execute_run(
-                spec.workload, spec.machine, spec.policy, settings, spec.backing_1g
-            )
-            for spec in GRID
-        }
-        clear_cache()
-        grid = GridRunner(settings, backend="thread")
-        for spec in GRID:
-            grid.add_spec(spec)
-        threaded = grid.run(jobs=2)
-        for spec in GRID:
-            assert _signature(threaded[spec]) == _signature(serial[spec]), spec
 
     def test_results_installed_in_memo(self, fresh_env):
         settings = RunSettings.quick()

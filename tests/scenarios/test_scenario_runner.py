@@ -22,9 +22,11 @@ from repro.experiments.scenario_runner import (
     run_scenario,
     tenant_seed,
 )
+from repro.options import STREAM_CACHE_ENV
 from repro.scenarios import ScenarioConfig
 from repro.sim.config import SimConfig
 from repro.vm.layout import PageSize
+from repro.workloads.streambank import EPOCH_WINDOW, clear_stream_banks
 
 #: The pinned colocation scenario (see module docstring).  Quick-scale
 #: footprints on machine A; tenant 1 arrives at host epoch 4, both run
@@ -170,13 +172,23 @@ class TestDeterminism:
         second = execute_scenario(self.SCENARIO, cfg)
         assert _signature(first) == _signature(second)
 
-    def test_identical_across_stream_bank_backends(self, monkeypatch):
+    def test_identical_with_stream_disk_store(self, monkeypatch, tmp_path):
+        """Banks written to and read back from ``REPRO_STREAM_CACHE``
+        drive the same scenario as banks kept in memory."""
+        # Tenants long enough to complete, and so persist, a block.
+        scenario = dataclasses.replace(self.SCENARIO, tenant_epochs=EPOCH_WINDOW)
         cfg = SimConfig.quick(seed=0)
-        monkeypatch.setenv("REPRO_STREAM_BANK", "0")
-        scalar = execute_scenario(self.SCENARIO, cfg)
-        monkeypatch.setenv("REPRO_STREAM_BANK", "1")
-        banked = execute_scenario(self.SCENARIO, cfg)
-        assert _signature(scalar) == _signature(banked)
+        clear_stream_banks()
+        in_memory = execute_scenario(scenario, cfg)
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        clear_stream_banks()
+        written = execute_scenario(scenario, cfg)
+        assert sorted(tmp_path.rglob("b0.ok"))
+        clear_stream_banks()
+        loaded = execute_scenario(scenario, cfg)
+        clear_stream_banks()
+        assert _signature(written) == _signature(in_memory)
+        assert _signature(loaded) == _signature(in_memory)
 
     def test_different_scenario_seeds_differ(self):
         cfg = SimConfig.quick(seed=0)

@@ -16,10 +16,10 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments.cache import normalized_config
 from repro.experiments.runner import execute_run
+from repro.options import PROFILE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.profile import (
     PHASES,
-    PROFILE_ENV,
     PhaseTimer,
     profile_enabled,
     run_profiled,

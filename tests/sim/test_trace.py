@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import run_benchmark
+from repro.options import TRACE_ENV, TRACE_FILE_ENV
 from repro.sim.decisions import MigratePages, Outcome
 from repro.sim.trace import (
-    TRACE_ENV,
-    TRACE_FILE_ENV,
     DecisionTrace,
     run_traced,
     trace_enabled,

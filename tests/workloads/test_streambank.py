@@ -1,25 +1,22 @@
 """Tests for the epoch-batched stream banks.
 
-The contract under test is *bit-identity*: a banked run must be
-indistinguishable from the inline per-thread generation it replaced —
-same granule streams, same write masks, same post-generation RNG
-states (the IBS sampler continues those generators), and the same
-access-tracker state from the pre-aggregated columns.
+The contract under test is *bit-identity*: a bank must be
+indistinguishable from per-thread generation (the oracles in
+``tests/per_thread_streams.py``) — same granule streams, same write
+masks, same post-generation RNG states (the IBS sampler continues
+those generators), and the same access-tracker state from the
+pre-aggregated columns.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro._util import rng_for
-from repro.experiments.runner import RunSettings, clear_cache, execute_run
+from repro.options import STREAM_CACHE_ENV
 from repro.sim.tracker import AccessTracker
-from repro.vm.layout import SHIFT_1G, SHIFT_2M
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import (
     HotRegion,
@@ -28,21 +25,18 @@ from repro.workloads.regions import (
     StreamRegion,
 )
 from repro.workloads.streambank import (
-    STREAM_BANK_ENV,
-    STREAM_CACHE_ENV,
-    STREAM_PREFETCH_ENV,
+    EPOCH_WINDOW,
+    _MAX_BLOCKS_PER_BANK,
     StreamBank,
     bank_fingerprint,
     clear_stream_banks,
     get_stream_bank,
-    stream_bank_enabled,
-    stream_prefetch_enabled,
 )
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
+from tests.per_thread_streams import SIM_SEED, sequential_rows, update
 
 MIB = 1 << 20
 LENGTH = 192
-SIM_SEED = 0
 
 #: One factory per builtin region type (plus a mixed composite).  The
 #: factories build fresh region objects each call because binding to an
@@ -75,16 +69,6 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
     )
 
 
-def sequential_rows(instance, epoch, length=LENGTH, sim_seed=SIM_SEED):
-    """The inline path's (granules, writes, rng state) for every thread."""
-    rows = []
-    for t in range(instance.n_threads):
-        rng = rng_for(sim_seed, instance.seed, instance.name, "stream", t, epoch)
-        granules, writes = instance.epoch_stream_with_writes(t, epoch, rng, length)
-        rows.append((granules, writes, rng.bit_generator.state))
-    return rows
-
-
 def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
     streams, writes, sizes = bank.epoch_arrays(epoch)
     ibs = bank.ibs_rngs(epoch)
@@ -102,11 +86,7 @@ def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_banks(monkeypatch):
-    # Prefetch off by default so fills (and block persistence) happen
-    # synchronously in the consuming thread; the pipelined-fill tests
-    # below opt back in explicitly.
-    monkeypatch.setenv(STREAM_PREFETCH_ENV, "0")
+def _fresh_banks():
     clear_stream_banks()
     yield
     clear_stream_banks()
@@ -161,8 +141,9 @@ class TestBatchedEquivalence:
         _, writes, sizes = bank.epoch_arrays(1)
         assert (sizes == 0).all()
         assert not writes.any()
-        for ids, first, multi in bank.sharing_columns(1):
-            assert ids.size == first.size == multi.size == 0
+        ids, first, multi, level_offsets = bank.sharing_packed(1)
+        assert ids.size == first.size == multi.size == 0
+        assert (level_offsets == 0).all()
         tracker = AccessTracker(64)
         tracker.merge_epoch_sharing(bank.sharing_packed(1))
         assert not tracker._shared_4k.any()
@@ -171,46 +152,18 @@ class TestBatchedEquivalence:
 
 class TestTrackerColumns:
     def test_columns_match_numpy_unique(self, tiny_topo):
+        """Each thread's segment of the fused columns is its
+        ``np.unique(stream, return_counts=True)``."""
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         streams, _, sizes = bank.epoch_arrays(0)
+        ids, offsets, counts, _ = bank.epoch_tracker(0)
         for t in range(inst.n_threads):
-            unique, counts, u2, u1 = bank.tracker_columns(0, t)
+            lo, hi = int(offsets[t]), int(offsets[t + 1])
             ref_u, ref_c = np.unique(streams[t, : int(sizes[t])],
                                      return_counts=True)
-            np.testing.assert_array_equal(unique, ref_u)
-            np.testing.assert_array_equal(counts, ref_c)
-            np.testing.assert_array_equal(u2, np.unique(ref_u >> SHIFT_2M))
-            np.testing.assert_array_equal(u1, np.unique(ref_u >> SHIFT_1G))
-
-    def test_merge_matches_sequential_update(self, tiny_topo):
-        """Bank columns reproduce the tracker state of per-thread update().
-
-        Sequential reference: ``update(t, ...)`` per thread in ascending
-        order, epoch by epoch — exactly the inline engine loop.
-        """
-        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
-        bank = StreamBank(inst, SIM_SEED, LENGTH)
-        seq = AccessTracker(inst.n_granules)
-        banked = AccessTracker(inst.n_granules)
-        for epoch in range(inst.total_epochs):
-            streams, _, sizes = bank.epoch_arrays(epoch)
-            for t in range(inst.n_threads):
-                weight = 0.5 + 0.25 * t  # distinct per-thread weights
-                seq.update(t, streams[t, : int(sizes[t])], weight)
-                unique, counts, _, _ = bank.tracker_columns(epoch, t)
-                banked.add_weights(unique, counts, weight)
-            banked.merge_epoch_sharing(bank.sharing_packed(epoch))
-        np.testing.assert_array_equal(banked.weight, seq.weight)
-        for level in ("4k", "2m", "1g"):
-            np.testing.assert_array_equal(
-                getattr(banked, f"_first_{level}"),
-                getattr(seq, f"_first_{level}"),
-            )
-            np.testing.assert_array_equal(
-                getattr(banked, f"_shared_{level}"),
-                getattr(seq, f"_shared_{level}"),
-            )
+            np.testing.assert_array_equal(ids[lo:hi], ref_u)
+            np.testing.assert_array_equal(counts[lo:hi], ref_c)
 
 
 class TestBankMemoization:
@@ -291,60 +244,29 @@ class TestDiskStore:
         for epoch in range(inst2.total_epochs):
             assert_bank_matches_sequential(bank2, inst2, epoch)
 
-
-class TestPersistDeferral:
-    """Completed blocks are written outside the bank lock (R108 fix)."""
-
-    def test_persist_runs_with_the_lock_released(self, tiny_topo, tmp_path,
-                                                 monkeypatch):
+    @pytest.mark.parametrize(
+        "accessor",
+        ["epoch_arrays", "ibs_rngs", "epoch_tracker", "sharing_packed"],
+    )
+    def test_every_accessor_persists_a_completed_block(
+        self, accessor, tiny_topo, tmp_path, monkeypatch
+    ):
+        """Whichever accessor fills a block's last row writes the block;
+        none of its rows is on disk before that."""
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
         inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
                              total_epochs=2)
         bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-        orig = bank._persist
-        lock_states = []
-
-        def spy(block):
-            lock_states.append(bank._lock.locked())
-            orig(block)
-
-        monkeypatch.setattr(bank, "_persist", spy)
-        for epoch in range(inst.total_epochs):
-            bank.epoch_arrays(epoch)
-        # Persistence happened, and never inside the critical section.
-        assert lock_states and not any(lock_states)
-        assert os.path.exists(
-            os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
-        )
-
-    def test_every_accessor_drains_the_queue(self, tiny_topo, tmp_path,
-                                             monkeypatch):
-        """epoch_arrays, ibs_rngs and tracker_columns all leave no block
-        stranded in the pending queue."""
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
-        accessors = {
-            "epoch_arrays": lambda bank, epoch: bank.epoch_arrays(epoch),
-            "ibs_rngs": lambda bank, epoch: bank.ibs_rngs(epoch),
-            "tracker_columns": lambda bank, epoch: bank.tracker_columns(
-                epoch, 0
-            ),
-        }
-        for name, accessor in accessors.items():
-            clear_stream_banks()
-            inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                                 total_epochs=2)
-            bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-            for epoch in range(inst.total_epochs):
-                accessor(bank, epoch)
-                assert bank._pending_persist == [], name
-            assert os.path.exists(
-                os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
-            ), name
+        marker = os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
+        getattr(bank, accessor)(0)
+        assert not os.path.exists(marker)
+        getattr(bank, accessor)(1)
+        assert os.path.exists(marker)
 
 
 def assert_fused_matches_update(bank, instance, epochs):
-    """Property: add_epoch over the fused COO == the sequential
-    per-thread update() loop, bit for bit, including sharing state.
+    """Property: add_epoch over the fused COO == the per-thread
+    ``update`` oracle loop, bit for bit, including sharing state.
 
     The reference recomputes the engine's per-thread scale
     (``dram_accesses / stream_size``) exactly as ``_run_epoch`` does.
@@ -359,7 +281,7 @@ def assert_fused_matches_update(bank, instance, epochs):
         scale[active] = dram / sizes[active]
         for t in range(bank.n_threads):
             n = int(sizes[t])
-            seq.update(t, streams[t, :n], float(scale[t]))
+            update(seq, t, streams[t, :n], float(scale[t]))
         ids, offsets, counts, scaled = bank.epoch_tracker(epoch)
         assert offsets.shape == (bank.n_threads + 1,)
         assert int(offsets[-1]) == ids.size == counts.size == scaled.size
@@ -378,7 +300,7 @@ def assert_fused_matches_update(bank, instance, epochs):
 class TestFusedEpochAggregation:
     """Property-style equivalence: the fused per-epoch COO path
     (``epoch_tracker`` + ``add_epoch`` + ``sharing_packed``) must
-    reproduce the sequential per-thread ``update`` loop exactly."""
+    reproduce the per-thread ``update`` oracle loop exactly."""
 
     @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
     def test_every_region_kind(self, kind, tiny_topo):
@@ -478,164 +400,88 @@ class TestFusedEpochAggregation:
             np.testing.assert_array_equal(a, b)
 
 
-class TestPipelinedFill:
-    """Lazy, claimed, background-overlapped fills must be invisible:
-    every row bit-identical to the serial upfront fill."""
+ACCESSORS = ("epoch_arrays", "ibs_rngs", "epoch_tracker", "sharing_packed")
 
-    def _reference_rows(self, kind, tiny_topo, total_epochs):
-        inst = make_instance(REGION_FACTORIES[kind](), tiny_topo,
-                             total_epochs=total_epochs)
+#: Epoch orders a consumer may walk a two-block bank in.
+FILL_ORDERS = {
+    "forward": lambda n: list(range(n)),
+    "reverse": lambda n: list(reversed(range(n))),
+    # Alternate ends, so consecutive fills land in different blocks.
+    "interleaved": lambda n: [
+        e for pair in zip(range(n // 2), reversed(range(n // 2, n)))
+        for e in pair
+    ],
+}
+
+
+def bank_row(bank, epoch):
+    """Every column of one epoch, copied out of the bank."""
+    streams, writes, sizes = bank.epoch_arrays(epoch)
+    return (
+        streams.copy(),
+        writes.copy(),
+        sizes.copy(),
+        bank.epoch_tracker(epoch),
+        bank.sharing_packed(epoch),
+        [r.bit_generator.state for r in bank.ibs_rngs(epoch)],
+    )
+
+
+def assert_rows_equal(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(a, b)
+    for columns in (3, 4):
+        for a, b in zip(got[columns], want[columns]):
+            np.testing.assert_array_equal(a, b)
+    assert got[5] == want[5]
+
+
+class TestLazyFill:
+    def test_only_consumed_rows_fill(self, tiny_topo):
+        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
+                             total_epochs=6)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        rows = []
-        for epoch in range(total_epochs):
-            streams, writes, sizes = bank.epoch_arrays(epoch)
-            rows.append(
-                (
-                    streams.copy(),
-                    writes.copy(),
-                    sizes.copy(),
-                    bank.epoch_tracker(epoch),
-                    bank.sharing_packed(epoch),
-                    [r.bit_generator.state for r in bank.ibs_rngs(epoch)],
-                )
-            )
-        return rows
+        bank.epoch_arrays(0)
+        block = bank._blocks[0]
+        assert bool(block.filled[0])
+        assert not block.filled[1:].any()
 
     @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
-    @pytest.mark.parametrize("consumers", [1, 2])
-    def test_prefill_bit_identical(self, kind, consumers, tiny_topo,
-                                   monkeypatch):
-        """Background prefill (serial and two-shard consumption) vs
-        the upfront fill, for every builtin region kind."""
-        total = 6
-        reference = self._reference_rows(kind, tiny_topo, total)
+    @pytest.mark.parametrize("order", sorted(FILL_ORDERS))
+    def test_any_order_bit_identical(self, order, kind, tiny_topo):
+        """A row fills inside whichever accessor first needs it; the
+        epoch order and the filling accessor are invisible: every row
+        equals the front-to-back fill, across the block boundary."""
+        total = EPOCH_WINDOW + 4
+        reference_inst = make_instance(REGION_FACTORIES[kind](), tiny_topo,
+                                       total_epochs=total)
+        reference_bank = StreamBank(reference_inst, SIM_SEED, LENGTH)
+        reference = [bank_row(reference_bank, e) for e in range(total)]
 
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
         inst = make_instance(REGION_FACTORIES[kind](), tiny_topo,
                              total_epochs=total)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        errors = []
-
-        def consume(order):
-            try:
-                for epoch in order:
-                    bank.epoch_arrays(epoch)
-                    bank.epoch_tracker(epoch)
-                    bank.sharing_packed(epoch)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        if consumers == 1:
-            consume(range(total))
-        else:
-            # Two shards walking the bank from opposite ends exercises
-            # the per-row claim protocol from both directions while
-            # the prefill worker races them.
-            workers = [
-                threading.Thread(target=consume, args=(range(total),)),
-                threading.Thread(
-                    target=consume, args=(list(reversed(range(total))),)
-                ),
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers), "shard deadlock"
-        assert not errors
-        for epoch, (streams, writes, sizes, tracker, sharing,
-                    states) in enumerate(reference):
-            got_s, got_w, got_z = bank.epoch_arrays(epoch)
-            np.testing.assert_array_equal(got_s, streams)
-            np.testing.assert_array_equal(got_w, writes)
-            np.testing.assert_array_equal(got_z, sizes)
-            for a, b in zip(bank.epoch_tracker(epoch), tracker):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(bank.sharing_packed(epoch), sharing):
-                np.testing.assert_array_equal(a, b)
-            got_states = [
-                r.bit_generator.state for r in bank.ibs_rngs(epoch)
-            ]
-            assert got_states == states
-
-    def test_worker_fills_ahead_of_consumption(self, tiny_topo, monkeypatch):
-        """Touching epoch 0 alone eventually materializes the whole
-        lookahead window in the background."""
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=6)
-        bank = StreamBank(inst, SIM_SEED, LENGTH)
-        bank.epoch_arrays(0)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            with bank._lock:
-                block = bank._blocks.get(0)
-                done = block is not None and bool(block.filled.all())
-            if done:
-                break
-            time.sleep(0.005)
-        assert done, "prefill worker never completed the block"
-        for epoch in range(6):
+        for step, epoch in enumerate(FILL_ORDERS[order](total)):
+            getattr(bank, ACCESSORS[step % len(ACCESSORS)])(epoch)
+        assert sorted(bank._blocks) == [0, EPOCH_WINDOW]
+        assert all(block.filled.all() for block in bank._blocks.values())
+        for epoch in range(total):
+            assert_rows_equal(bank_row(bank, epoch), reference[epoch])
+        for epoch in (0, EPOCH_WINDOW - 1, EPOCH_WINDOW, total - 1):
             assert_bank_matches_sequential(bank, inst, epoch)
 
-    def test_prefetch_disabled_stays_lazy(self, tiny_topo):
-        """With REPRO_STREAM_PREFETCH=0 (fixture default) only the
-        consumed row fills."""
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=6)
+    def test_evicted_block_refills_identically(self, tiny_topo):
+        """Past ``_MAX_BLOCKS_PER_BANK`` blocks the oldest is dropped;
+        revisiting one of its epochs regenerates the same row."""
+        total = EPOCH_WINDOW * (_MAX_BLOCKS_PER_BANK + 1)
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=total)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        bank.epoch_arrays(0)
-        with bank._lock:
-            block = bank._blocks[0]
-            assert bool(block.filled[0])
-            assert not block.filled[1:].any()
-
-    def test_prefetch_auto_follows_core_count(self, monkeypatch):
-        """Unset env means auto: a worker needs a spare core to help;
-        on one core it only contends with the consuming simulation."""
-        monkeypatch.delenv(STREAM_PREFETCH_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert not stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert not stream_prefetch_enabled()
-        # Explicit values win in both directions.
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
-        assert stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "0")
-        assert not stream_prefetch_enabled()
-
-
-class TestEngineEquivalence:
-    def test_bank_toggle_is_bit_identical(self, monkeypatch):
-        """A banked engine run equals the inline run, metric for metric."""
-        settings = RunSettings.quick()
-
-        monkeypatch.setenv(STREAM_BANK_ENV, "0")
-        assert not stream_bank_enabled()
-        clear_cache()
-        inline = execute_run("Kmeans", "A", "thp", settings, False)
-
-        monkeypatch.delenv(STREAM_BANK_ENV)
-        assert stream_bank_enabled()
-        clear_stream_banks()
-        clear_cache()
-        banked = execute_run("Kmeans", "A", "thp", settings, False)
-
-        assert banked.runtime_s == inline.runtime_s
-        assert banked.epoch_times_s == inline.epoch_times_s
-        assert banked.hot_stats == inline.hot_stats
-        for counter in (
-            "tlb_misses",
-            "page_faults_4k",
-            "page_faults_2m",
-            "time_dram_s",
-            "time_walk_s",
-            "time_ibs_s",
-        ):
-            assert banked.bank.total(counter) == inline.bank.total(counter)
-        assert float(
-            sum(e.traffic.sum() for e in banked.bank.epochs)
-        ) == float(sum(e.traffic.sum() for e in inline.bank.epochs))
+        first = bank_row(bank, 1)
+        for epoch0 in range(EPOCH_WINDOW, total, EPOCH_WINDOW):
+            bank.epoch_arrays(epoch0)
+        assert 0 not in bank._blocks
+        assert len(bank._blocks) == _MAX_BLOCKS_PER_BANK
+        assert_rows_equal(bank_row(bank, 1), first)
+        assert not bank._blocks[0].filled[0]
+        assert_bank_matches_sequential(bank, inst, 1)
