@@ -48,10 +48,17 @@ def _apply_execution_flags(args: argparse.Namespace) -> None:
     """Propagate --jobs/--fresh to the runner layer via environment.
 
     The environment is the natural carrier: it reaches the in-process
-    parallel dispatcher and every pool worker alike.
+    parallel dispatcher and every pool worker alike.  ``--jobs`` below
+    1 is a usage error, like the same value in ``REPRO_JOBS``.
     """
-    if getattr(args, "jobs", None) is not None:
-        os.environ[JOBS_ENV] = str(args.jobs)
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None:
+        if jobs < 1:
+            raise ConfigurationError(
+                f"--jobs {jobs} is not a count of at least 1;"
+                " use 1 for serial runs"
+            )
+        os.environ[JOBS_ENV] = str(jobs)
     if getattr(args, "fresh", False):
         os.environ[CACHE_ENABLE_ENV] = "0"
 

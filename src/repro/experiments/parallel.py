@@ -8,6 +8,13 @@ baselines), answers what it can from the two cache layers, and fans
 the misses out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 Every run is single-threaded; the pool is the only parallelism.
 
+Pool tasks are bank-affine: the runs that share a stream bank — the
+same (workload, machine, backing) under the grid's settings, whatever
+the policy — go to one worker as one task, so each bank is generated
+in exactly one process (:func:`_bank_tasks`).  Only when there are
+fewer banks than workers are the largest groups split, so that no
+worker idles.
+
 The resolved worker count picks the executor: more than one worker
 fans out over the pool, one worker runs the misses in a plain
 in-process loop.  :func:`backend_choice` names the choice the core
@@ -89,14 +96,49 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
     return max(1, min(int(jobs), cpus))
 
 
-def _pool_execute(
-    spec: RunSpec, settings: RunSettings
-) -> Tuple[RunSpec, SimulationResult]:
-    """Worker-side entry point: run one spec, uncached."""
-    result = _runner.execute_run(
-        spec.workload, spec.machine, spec.policy, settings, spec.backing_1g
-    )
-    return spec, result
+def _execute_specs(
+    specs: List[RunSpec], settings: RunSettings
+) -> List[Tuple[RunSpec, SimulationResult]]:
+    """Run specs in order, uncached; the pool workers' entry point."""
+    return [
+        (
+            spec,
+            _runner.execute_run(
+                spec.workload, spec.machine, spec.policy, settings,
+                spec.backing_1g,
+            ),
+        )
+        for spec in specs
+    ]
+
+
+def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
+    """Split a grid's misses into bank-affine pool tasks.
+
+    One task per stream-bank group: the specs sharing (workload,
+    canonical machine, backing_1g), in grid order.  Streams do not
+    depend on the policy, so a task generates its bank once and every
+    later run in it reads the rows back.  While there are fewer tasks
+    than ``workers``, the largest task (the first, on ties) is halved,
+    so every worker gets work as long as there are runs to go round.
+    """
+    groups: Dict[Tuple[str, str, bool], List[RunSpec]] = {}
+    for spec in misses:
+        key = (
+            spec.workload,
+            _runner.canonical_machine(spec.machine),
+            spec.backing_1g,
+        )
+        groups.setdefault(key, []).append(spec)
+    tasks = list(groups.values())
+    while len(tasks) < workers:
+        largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
+        task = tasks[largest]
+        if len(task) < 2:
+            break
+        half = (len(task) + 1) // 2
+        tasks[largest:largest + 1] = [task[:half], task[half:]]
+    return tasks
 
 
 class GridRunner:
@@ -207,11 +249,7 @@ class GridRunner:
         return hits, misses
 
     def _run_serial(self, misses: List[RunSpec]) -> Dict[RunSpec, SimulationResult]:
-        results = {}
-        for spec in misses:
-            _, result = _pool_execute(spec, self.settings)
-            results[spec] = result
-        return results
+        return dict(_execute_specs(misses, self.settings))
 
     def _run_pool(
         self, misses: List[RunSpec], jobs: int
@@ -225,16 +263,17 @@ class GridRunner:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
+        tasks = _bank_tasks(misses, jobs)
         results: Dict[RunSpec, SimulationResult] = {}
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(misses)), mp_context=ctx
+            max_workers=min(jobs, len(tasks)), mp_context=ctx
         ) as pool:
             futures = [
-                pool.submit(_pool_execute, spec, self.settings) for spec in misses
+                pool.submit(_execute_specs, task, self.settings)
+                for task in tasks
             ]
             for future in concurrent.futures.as_completed(futures):
-                spec, result = future.result()
-                results[spec] = result
+                results.update(future.result())
         return results
 
     def run(

@@ -18,12 +18,41 @@ L2 misses caused by page-table walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 _MAX_BISECTION_STEPS = 80
+
+
+def _solve_occupancy(occupied: Callable[[float], float], capacity: int) -> float:
+    """Bisect for the ``t`` at which ``occupied(t)`` reaches ``capacity``.
+
+    ``occupied`` must be non-decreasing in ``t``.  The bracket doubles
+    from ``[0, capacity]`` until it holds the root, then halves for at
+    most :data:`_MAX_BISECTION_STEPS` steps.  Once the midpoint equals
+    an end of the bracket the two ends are adjacent floats: every
+    further step leaves the result at that midpoint, so returning it
+    early is bit-identical to running all the steps.
+    """
+    lo, hi = 0.0, float(capacity)
+    # Grow hi until the occupancy at hi exceeds the capacity.
+    while occupied(hi) < capacity:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e18:  # pragma: no cover - numeric guard
+            return hi
+    for _ in range(_MAX_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if occupied(mid) < capacity:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def che_characteristic_time(popularity: np.ndarray, capacity: int) -> float:
@@ -60,20 +89,7 @@ def che_characteristic_time(popularity: np.ndarray, capacity: int) -> float:
     def occupied(t: float) -> float:
         return float(np.sum(-np.expm1(-p * t)))
 
-    lo, hi = 0.0, float(capacity)
-    # Grow hi until the occupancy at hi exceeds the capacity.
-    while occupied(hi) < capacity:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover - numeric guard
-            return hi
-    for _ in range(_MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if occupied(mid) < capacity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _solve_occupancy(occupied, capacity)
 
 
 def lru_hit_rate(popularity: np.ndarray, capacity: int) -> float:
@@ -122,19 +138,7 @@ def che_characteristic_time_grouped(
     def occupied(t: float) -> float:
         return float(np.sum(counts * -np.expm1(-per_item * t)))
 
-    lo, hi = 0.0, float(capacity)
-    while occupied(hi) < capacity:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover - numeric guard
-            return hi
-    for _ in range(_MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if occupied(mid) < capacity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _solve_occupancy(occupied, capacity)
 
 
 def lru_hit_rate_grouped(

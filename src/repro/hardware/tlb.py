@@ -84,12 +84,50 @@ class TlbEpochResult:
     miss_rate: float
 
 
+#: Most grouped results one :class:`TlbModel` remembers.  A quick run
+#: classifies its threads into a handful of distinct inputs, so the
+#: bound only matters for a model fed arbitrary inputs; past it the
+#: oldest entry goes first.
+MEMO_LIMIT = 4096
+
+
+def _memo_key(
+    groups_by_size: Mapping[PageSize, Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    represented_accesses: float,
+) -> tuple:
+    """The exact value of one :meth:`TlbModel.epoch_result_grouped` input.
+
+    Per size class, the bytes of the float64 page counts, weights and
+    run lengths; plus the bytes of ``represented_accesses``.  Equal keys
+    are bitwise-equal inputs, so they get bitwise-equal results.
+    """
+    parts = [np.float64(represented_accesses).tobytes()]
+    for size in sorted(groups_by_size):
+        counts, weights, run_lengths = groups_by_size[size]
+        parts.append((
+            int(size),
+            np.asarray(counts, dtype=np.float64).tobytes(),
+            np.asarray(weights, dtype=np.float64).tobytes(),
+            np.asarray(run_lengths, dtype=np.float64).tobytes(),
+        ))
+    return tuple(parts)
+
+
 class TlbModel:
-    """Computes per-epoch TLB misses and walk costs for one machine."""
+    """Computes per-epoch TLB misses and walk costs for one machine.
+
+    Grouped results are memoized on their exact inputs (see
+    :meth:`epoch_result_grouped`); each tenant owns one model, so the
+    memo lives exactly as long as the run.
+    """
 
     def __init__(self, spec: TlbSpec, cache_model: CacheModel) -> None:
         self.spec = spec
         self.cache_model = cache_model
+        self._memo: Dict[tuple, TlbEpochResult] = {}
+        #: Grouped model evaluations made, and calls the memo answered.
+        self.evaluations = 0
+        self.memo_hits = 0
 
     def epoch_result(
         self,
@@ -167,9 +205,32 @@ class TlbModel:
         one TLB miss per page visit rather than one per access — which
         is why dense HPC kernels have negligible TLB cost while sparse
         graph traversals (run length ~1) are TLB-bound.
+
+        Results are memoized on the exact input value (:func:`_memo_key`),
+        never on where the input came from: a thread whose classified
+        groups come out bitwise-equal to an earlier epoch's, or to
+        another thread's, reuses that evaluation.
         """
         if represented_accesses < 0:
             raise ConfigurationError("represented_accesses must be non-negative")
+        key = _memo_key(groups_by_size, represented_accesses)
+        result = self._memo.get(key)
+        if result is not None:
+            self.memo_hits += 1
+            return result
+        result = self._evaluate_grouped(groups_by_size, represented_accesses)
+        self.evaluations += 1
+        if len(self._memo) >= MEMO_LIMIT:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = result
+        return result
+
+    def _evaluate_grouped(
+        self,
+        groups_by_size: Mapping[PageSize, Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        represented_accesses: float,
+    ) -> TlbEpochResult:
+        """One uncached evaluation of :meth:`epoch_result_grouped`."""
         total_weight = 0.0
         for _size, (counts, weights, _) in sorted(groups_by_size.items()):
             total_weight += float(np.sum(np.asarray(weights, dtype=np.float64)))

@@ -18,7 +18,7 @@ variable                meaning                                    unset
 
 On/off variables accept one vocabulary, case-insensitive: ``1``,
 ``true``, ``on``, ``yes`` and ``0``, ``false``, ``off``, ``no``.
-``REPRO_JOBS`` must be an integer.  Anything else raises
+``REPRO_JOBS`` must be an integer of at least 1.  Anything else raises
 :class:`~repro.errors.ConfigurationError` naming the variable and the
 accepted values; the CLI prints it as one ``error:`` line and exits 2.
 
@@ -67,16 +67,22 @@ def _switch(environ: Mapping[str, str], name: str) -> Optional[bool]:
     )
 
 
-def _integer(environ: Mapping[str, str], name: str) -> Optional[int]:
+def _count(environ: Mapping[str, str], name: str) -> Optional[int]:
     value = _text(environ, name)
     if value is None:
         return None
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise ConfigurationError(
             f"{name}={value!r} is not an integer; use a count such as 4"
         ) from None
+    if count < 1:
+        raise ConfigurationError(
+            f"{name}={value!r} is not a count of at least 1;"
+            " use 1 for serial runs"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class RuntimeOptions:
         ``os.environ``)."""
         env = os.environ if environ is None else environ
         return cls(
-            jobs=_integer(env, JOBS_ENV),
+            jobs=_count(env, JOBS_ENV),
             cache=_switch(env, CACHE_ENABLE_ENV) is not False,
             cache_dir=_text(env, CACHE_DIR_ENV),
             stream_cache=_text(env, STREAM_CACHE_ENV),

@@ -213,16 +213,17 @@ class Tenant:
             if trace_enabled(self.config)
             else None
         )
-        # Version-keyed caches over the backing state: backing fractions
-        # by (lo, hi) range, per-thread TLB epoch results by group-list
-        # identity, and TLB epoch results by group-list *value* (threads
-        # with symmetric working sets — most of them — share one model
-        # evaluation).  All valid while ``asp.version`` is unchanged;
-        # only consulted in no-fault epochs (see ``_pass1_tlb``).
+        # Version-keyed caches over the backing state, valid while
+        # ``asp.version`` is unchanged and only consulted in no-fault
+        # epochs (see ``_pass1_tlb``): backing fractions by (lo, hi)
+        # range, and each thread's TLB epoch result by group-list
+        # identity.  The TLB model's own memo is keyed on the classified
+        # numbers instead, so it survives version bumps: after one, a
+        # thread whose backing did not change re-classifies to the same
+        # input and costs no model evaluation.
         self._backing_version = -1
         self._fraction_cache: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         self._tlb_memo: Dict[int, Tuple[list, TlbEpochResult]] = {}
-        self._tlb_value_memo: Dict[tuple, TlbEpochResult] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle (driven by the host)
@@ -587,7 +588,9 @@ class Tenant:
         address-space version, so they re-key on the next quiet epoch,
         and the per-epoch ``fraction_cache`` below keeps the original
         sharing semantics (entries computed before a later thread's
-        fault are deliberately reused after it).
+        fault are deliberately reused after it).  The TLB model's memo
+        is keyed on the classified numbers, so it serves this path too
+        without changing what any thread is classified as.
         """
         cost = self.instance.cost
         freq = self.machine.cpu_freq_hz
@@ -648,7 +651,11 @@ class Tenant:
         frozen for the whole pass: classification order no longer
         matters, so backing fractions and whole per-thread TLB results
         are memoized across epochs, keyed on the address-space version
-        and each thread's (value-compared) group list.
+        and each thread's group-list identity.  A version bump drops
+        both and re-classifies every thread, but the model evaluates
+        only classified inputs it has not seen: its memo is keyed on
+        their exact values, so threads with symmetric working sets,
+        and threads whose ranges the bump did not touch, are hits.
         """
         cost = self.instance.cost
         freq = self.machine.cpu_freq_hz
@@ -656,7 +663,6 @@ class Tenant:
         if version != self._backing_version:
             self._fraction_cache.clear()
             self._tlb_memo.clear()
-            self._tlb_value_memo.clear()
             self._backing_version = version
         for t in range(self.n_threads):
             if stream_sizes[t] == 0:
@@ -669,14 +675,10 @@ class Tenant:
             if memo is not None and memo[0] is groups:
                 tlb_result = memo[1]
             else:
-                key = tuple(groups)
-                tlb_result = self._tlb_value_memo.get(key)
-                if tlb_result is None:
-                    tlb_result = self.tlb_model.epoch_result_grouped(
-                        self._classify_tlb_groups(groups, self._fraction_cache),
-                        cost.mem_accesses,
-                    )
-                    self._tlb_value_memo[key] = tlb_result
+                tlb_result = self.tlb_model.epoch_result_grouped(
+                    self._classify_tlb_groups(groups, self._fraction_cache),
+                    cost.mem_accesses,
+                )
                 self._tlb_memo[t] = (groups, tlb_result)
             walk_time[t] = tlb_result.walk_cycles / freq
             penalty = self._remote_walk_penalty_s(t, tlb_result.misses)

@@ -87,6 +87,10 @@ class PhaseTimer:
     def __init__(self) -> None:
         self.phase_s: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         self.n_epochs = 0
+        #: Run-level event counts reported next to the phase times
+        #: (:func:`run_profiled` records the TLB model's evaluations
+        #: and memo hits here).
+        self.counts: Dict[str, int] = {}
         self._epoch_t0: Optional[float] = None
         self._mark: Optional[float] = None
 
@@ -135,6 +139,7 @@ class PhaseTimer:
                 phase: round(100.0 * seconds / total, 1) if total else 0.0
                 for phase, seconds in self.phase_s.items()
             },
+            "counts": dict(self.counts),
         }
 
     def render(self) -> str:
@@ -149,6 +154,8 @@ class PhaseTimer:
             lines.append(f"{phase:<12} {seconds:>10.3f} {share:>6.1f}%")
         lines.append(f"{'total':<12} {total:>10.3f} {100.0 if total else 0.0:>6.1f}%")
         lines.append(f"({self.n_epochs} epochs)")
+        for name, count in self.counts.items():
+            lines.append(f"{name:<18} {count:>10}")
         return "\n".join(lines)
 
 
@@ -161,12 +168,13 @@ def run_profiled(
 ) -> Tuple[object, PhaseTimer]:
     """Run one benchmark uncached with profiling on.
 
-    Returns ``(SimulationResult, PhaseTimer)``.  The run bypasses both
-    cache layers (timings must reflect real simulation work) and the
-    result is bit-identical to what the cached path would produce for
-    the same settings.  Imports are deferred so this module stays
-    importable from the engine without a ``sim`` -> ``experiments``
-    cycle.
+    Returns ``(SimulationResult, PhaseTimer)``; the timer's ``counts``
+    hold the run's TLB model evaluations and memo hits.  The run
+    bypasses both cache layers (timings must reflect real simulation
+    work) and the result is bit-identical to what the cached path would
+    produce for the same settings.  Imports are deferred so this module
+    stays importable from the engine without a ``sim`` ->
+    ``experiments`` cycle.
     """
     import dataclasses
 
@@ -189,4 +197,7 @@ def run_profiled(
     if sim.profiler is None:  # REPRO_PROFILE=0 in the environment
         sim.profiler = PhaseTimer()
     result = sim.run()
-    return result, sim.profiler
+    timer = sim.profiler
+    timer.counts["tlb_evaluations"] = sim.tlb_model.evaluations
+    timer.counts["tlb_memo_hits"] = sim.tlb_model.memo_hits
+    return result, timer

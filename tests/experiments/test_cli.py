@@ -201,6 +201,30 @@ class TestBadInput:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["figure1", "run"])
+    def test_jobs_below_one(self, capsys, monkeypatch, command, jobs):
+        monkeypatch.setenv(JOBS_ENV, "1")  # registers restore-on-teardown
+        argv = [command] + (["Kmeans"] if command == "run" else [])
+        assert main(argv + ["--quick", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --jobs {jobs} is not a count of at least 1;"
+            " use 1 for serial runs\n"
+        )
+        assert captured.out == ""
+        assert os.environ[JOBS_ENV] == "1"
+
+    def test_repro_jobs_zero(self, capsys, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "0")
+        assert main(["figure1", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: REPRO_JOBS='0' is not a count of at least 1;"
+            " use 1 for serial runs\n"
+        )
+        assert captured.out == ""
+
     def test_inconsistent_configuration(self, capsys):
         assert main(["run", "Kmeans", "--scale", "2", "--quick"]) == 2
         captured = capsys.readouterr()

@@ -11,6 +11,7 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.parallel import (
     GridRunner,
     RunSpec,
+    _bank_tasks,
     prefetch,
     backend_choice,
     resolve_jobs,
@@ -22,6 +23,7 @@ from repro.experiments.runner import (
     run_benchmark,
 )
 from repro.options import CACHE_DIR_ENV, JOBS_ENV
+from repro.workloads import streambank
 
 GRID = [
     RunSpec("Kmeans", "A", "linux-4k"),
@@ -240,3 +242,84 @@ class TestPrefetch:
 
     def test_empty_grid(self, fresh_env):
         assert prefetch([], RunSettings.quick()) == {}
+
+
+#: Two workloads x two policies: two stream banks, four runs.
+AFFINE_GRID = [
+    RunSpec(workload, "A", policy)
+    for workload in ("Kmeans", "SSCA.20")
+    for policy in ("linux-4k", "thp")
+]
+
+
+class TestBankAffinity:
+    """Runs sharing a stream bank go to one pool worker.
+
+    Exact counts, so a slow runner cannot make these flake.
+    """
+
+    def test_forked_grid_generates_each_row_once(
+        self, fresh_env, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "rows.log"
+        generate_row = streambank.StreamBank._generate_row
+
+        def logged(self, block, i):
+            with open(log, "a") as fh:
+                fh.write(f"{self.fingerprint} {block.epoch0 + i} {os.getpid()}\n")
+            return generate_row(self, block, i)
+
+        monkeypatch.setattr(streambank.StreamBank, "_generate_row", logged)
+        # Forked workers inherit this process's banks; start from none.
+        streambank.clear_stream_banks()
+        settings = RunSettings.quick()
+        grid = GridRunner(settings)
+        for spec in AFFINE_GRID:
+            grid.add_spec(spec)
+        pooled = grid.run(jobs=2)
+
+        rows = [line.split() for line in log.read_text().splitlines()]
+        generated = [(bank, int(epoch)) for bank, epoch, _ in rows]
+        assert len(generated) == len(set(generated))
+        banks = {bank for bank, _ in generated}
+        assert len(banks) == 2
+        for bank in banks:
+            epochs = sorted(epoch for b, epoch in generated if b == bank)
+            assert epochs == list(range(len(epochs)))
+            assert len({pid for b, _, pid in rows if b == bank}) == 1
+        assert str(os.getpid()) not in {pid for *_, pid in rows}
+
+        # And the pooled results are the serial grid's, bit for bit.
+        clear_cache()
+        serial = GridRunner(settings)
+        for spec in AFFINE_GRID:
+            serial.add_spec(spec)
+        for spec, result in serial.run(jobs=1, use_cache=False).items():
+            assert _signature(pooled[spec]) == _signature(result), spec
+
+    def test_one_task_per_bank(self):
+        specs = AFFINE_GRID + [
+            RunSpec("Kmeans", "machine-A", "carrefour-2m"),
+            RunSpec("Kmeans", "A", "thp", backing_1g=True),
+        ]
+        tasks = _bank_tasks(specs, 2)
+        assert tasks == [
+            [AFFINE_GRID[0], AFFINE_GRID[1], specs[4]],
+            [AFFINE_GRID[2], AFFINE_GRID[3]],
+            [specs[5]],
+        ]
+
+    def test_fewer_banks_than_workers_still_fills_every_worker(self):
+        specs = [
+            RunSpec("Kmeans", "A", policy)
+            for policy in ("linux-4k", "thp", "carrefour-2m", "carrefour-lp",
+                           "autonuma")
+        ] + [RunSpec("WC", "A", "thp")]
+        for workers in (2, 3, 4, 6):
+            tasks = _bank_tasks(specs, workers)
+            assert len(tasks) == workers
+            assert all(tasks)
+            assert [spec for task in tasks for spec in task] == specs
+        # Never more tasks than runs.
+        assert len(_bank_tasks(specs, 16)) == len(specs)

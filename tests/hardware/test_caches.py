@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hardware import caches
 from repro.hardware.caches import (
     CacheModel,
     che_characteristic_time,
@@ -13,6 +14,7 @@ from repro.hardware.caches import (
     lru_hit_rate,
     lru_hit_rate_grouped,
 )
+from tests.full_bisection import solve_occupancy_full
 
 
 class TestCharacteristicTime:
@@ -135,6 +137,55 @@ class TestGroupedForms:
             np.array([hot, cold], dtype=float), np.array([0.7, 0.3]), cap
         )
         assert np.all(rates >= 0.0) and np.all(rates <= 1.0)
+
+
+class TestBisectionEarlyExit:
+    """The solver's early exit against the 80-step oracle."""
+
+    @staticmethod
+    def _counting(solve, calls):
+        def wrapped(occupied, capacity):
+            def measure(t):
+                calls.append(1)
+                return occupied(t)
+
+            return solve(measure, capacity)
+
+        return wrapped
+
+    def test_random_solves_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(20140619)
+        problems = []
+        for _ in range(150):
+            k = int(rng.integers(1, 7))
+            cap = int(rng.choice([16, 128, 512, 1024]))
+            # Overcommitted, so every problem bisects.
+            counts = np.floor(10.0 ** rng.uniform(0.0, 6.0, k)) + cap
+            weights = rng.random(k) + 1e-12
+            problems.append(
+                lambda c=counts, w=weights, cap=cap:
+                che_characteristic_time_grouped(c, w, cap)
+            )
+        for _ in range(50):
+            cap = int(rng.integers(1, 256))
+            pop = rng.random(int(rng.integers(cap + 1, 3000))) ** 3
+            problems.append(
+                lambda p=pop, cap=cap: che_characteristic_time(p, cap)
+            )
+        early_calls, full_calls = [], []
+        monkeypatch.setattr(
+            caches, "_solve_occupancy",
+            self._counting(caches._solve_occupancy, early_calls),
+        )
+        early = [solve() for solve in problems]
+        monkeypatch.setattr(
+            caches, "_solve_occupancy",
+            self._counting(solve_occupancy_full, full_calls),
+        )
+        full = [solve() for solve in problems]
+        assert np.array(early).tobytes() == np.array(full).tobytes()
+        assert np.all(np.isfinite(early))
+        assert len(early_calls) < len(full_calls)
 
 
 class TestCacheModel:

@@ -145,6 +145,15 @@ class TestRunProfiled:
         assert timer.total_s == pytest.approx(sum(timer.phase_s.values()))
         assert all(seconds >= 0.0 for seconds in timer.phase_s.values())
 
+    def test_counts_tlb_evaluations_and_memo_hits(self, quick_settings, monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        _, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
+        counts = timer.summary()["counts"]
+        # Symmetric threads share one classified input: the first
+        # evaluates it, the others are memo hits.
+        assert counts["tlb_evaluations"] >= 1
+        assert counts["tlb_memo_hits"] > counts["tlb_evaluations"]
+
     def test_forced_on_despite_env_off(self, quick_settings, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV, "0")
         result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
@@ -175,3 +184,8 @@ class TestProfileCli:
             sum(profile["phases_s"].values()), abs=1e-4
         )
         assert payload["simulated_runtime_s"] > 0
+        counts = profile["counts"]
+        assert set(counts) == {"tlb_evaluations", "tlb_memo_hits"}
+        assert counts["tlb_evaluations"] >= 1
+        for name, count in counts.items():
+            assert f"{name:<18} {count:>10}" in captured

@@ -71,6 +71,17 @@ def test_jobs_must_be_an_integer():
         RuntimeOptions.from_env({JOBS_ENV: "two"})
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_rejected(value):
+    with pytest.raises(ConfigurationError) as err:
+        RuntimeOptions.from_env({JOBS_ENV: value})
+    assert str(err.value) == (
+        f"REPRO_JOBS={value!r} is not a count of at least 1;"
+        " use 1 for serial runs"
+    )
+    assert RuntimeOptions.from_env({JOBS_ENV: "1"}).jobs == 1
+
+
 def test_paths():
     options = RuntimeOptions.from_env(
         {
