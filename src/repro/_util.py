@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -59,8 +59,10 @@ class SeedHasher:
         return np.random.default_rng(self.seed(*suffix))
 
 
-def rng_from_state(state: dict) -> np.random.Generator:
-    """Rebuild a generator from a captured ``bit_generator.state`` dict.
+def rng_from_state(
+    state: dict, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
+    """Replay a captured ``bit_generator.state`` dict.
 
     The stream-bank machinery memoizes access streams together with the
     post-generation RNG state of each thread-epoch generator, so later
@@ -70,10 +72,17 @@ def rng_from_state(state: dict) -> np.random.Generator:
     a replay mechanism, never a fresh randomness source, which is why
     it sits next to ``rng_for`` as the only other sanctioned
     ``np.random`` construction site (lint rule R002/R104).
+
+    Given ``rng``, the state is loaded into that generator, which is
+    returned: a consumer replaying one state after another reuses one
+    generator instead of building one per state.  Otherwise a new
+    generator is built from a fixed seed, so no OS entropy is drawn
+    for a state that overwrites it at once.
     """
-    bit_generator = np.random.PCG64()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return rng
 
 
 def as_int_array(values: Iterable[int]) -> np.ndarray:

@@ -429,6 +429,23 @@ def _trace_main(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_trace(text: str) -> tuple:
+    """``--trace`` as ``(epoch, workload, policy)`` triples.
+
+    A malformed entry raises :class:`ConfigurationError` naming it.
+    """
+    trace = []
+    for entry in text.split(","):
+        fields = [field.strip() for field in entry.split(":")]
+        if len(fields) != 3 or not fields[0].isdecimal() or not all(fields):
+            raise ConfigurationError(
+                f"--trace entry {entry!r} is not EPOCH:WORKLOAD:POLICY"
+                " (e.g. 0:SSCA.20:carrefour-lp)"
+            )
+        trace.append((int(fields[0]), fields[1], fields[2]))
+    return tuple(trace)
+
+
 def _scenario_main(args: argparse.Namespace) -> int:
     """Run one colocation scenario and print its tenant timeline."""
     from repro.experiments.scenario_runner import run_scenario
@@ -438,12 +455,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
     trace = ()
     arrival = args.arrival
     if args.trace:
-        trace = tuple(
-            (int(epoch), workload, policy)
-            for epoch, workload, policy in (
-                entry.split(":") for entry in args.trace.split(",")
-            )
-        )
+        trace = _parse_trace(args.trace)
         arrival = "fixed-trace"
     scenario = ScenarioConfig(
         arrival=arrival,

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro._util import rng_from_state
 from repro.errors import ConfigurationError
 from repro.units import (
     NodeArray,
@@ -217,6 +218,9 @@ class IbsEngine:
         self.cost_cycles_per_sample = cost_cycles_per_sample
         self._stores: List[_SampleStore] = [_SampleStore() for _ in range(n_nodes)]
         self._collected_since_drain = 0
+        #: The one generator :meth:`record_epoch_batch` loads each
+        #: thread's captured state into, built on first use.
+        self._replay: Optional[np.random.Generator] = None
 
     def record_epoch(
         self,
@@ -268,7 +272,7 @@ class IbsEngine:
         writes: np.ndarray,
         stream_sizes: np.ndarray,
         represented_accesses: float,
-        rngs: Sequence[np.random.Generator],
+        rng_states: Sequence[dict],
     ) -> np.ndarray:
         """Sample many thread-epoch streams in one call.
 
@@ -277,10 +281,10 @@ class IbsEngine:
         ``stream_sizes[t]`` entries of thread ``t``'s stream;
         ``accessing_nodes[t]`` is the thread's node.  Threads are
         processed in the order given by ``threads`` and each thread's
-        Poisson/index draws come from its own ``rngs[t]``, so the
-        per-thread RNG stream order is identical to calling
-        :meth:`record_epoch` thread by thread.  Returns per-thread
-        sample counts indexed like ``stream_sizes``.
+        Poisson/index draws come from a generator in the captured
+        ``bit_generator`` state ``rng_states[t]``, so every draw is the
+        one :meth:`record_epoch` makes with that thread's generator.
+        Returns per-thread sample counts indexed like ``stream_sizes``.
         """
         counts = np.zeros(len(stream_sizes), dtype=np.int64)
         if self.rate == 0 or represented_accesses <= 0:
@@ -294,7 +298,7 @@ class IbsEngine:
             node = int(accessing_nodes[t])
             if not 0 <= node < self.n_nodes:
                 raise ConfigurationError("accessing_node out of range")
-            rng = rngs[t]
+            rng = self._replay = rng_from_state(rng_states[t], self._replay)
             n_samples = int(rng.poisson(expected))
             if n_samples == 0:
                 continue

@@ -323,10 +323,10 @@ class Tenant:
         # translation (generation never reads the address space), so
         # the whole epoch translates in one call below.  The draws
         # happen (at most once per shared bank) inside the bank; the
-        # IBS generators are restored from the captured
-        # post-generation states so their later draws are unchanged.
+        # IBS sampler replays the captured post-generation generator
+        # states so its draws are unchanged.
         streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
-        rngs = bank.ibs_rngs(epoch) if self.ibs.rate > 0 else []
+        rng_states = bank.ibs_states(epoch) if self.ibs.rate > 0 else []
         if prof is not None:
             prof.lap("stream_bank")
         # The bank's arrays are shared and read-only; the engine only
@@ -433,7 +433,7 @@ class Tenant:
             stream_writes,
             stream_sizes,
             cost.dram_accesses,
-            rngs,
+            rng_states,
         )
         ibs_time = n_samples * self.ibs.cost_cycles_per_sample / freq
         if prof is not None:

@@ -19,10 +19,11 @@ it holds at least a full block of free frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
+from repro._util import ceil_div
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import Bytes, NodeId, Pages4K
 from repro.vm.layout import ORDER_1G, ORDER_2M, PAGE_4K
@@ -107,49 +108,84 @@ class BuddyAllocator:
         order (or larger, to split) is free — i.e. under fragmentation
         or exhaustion.
         """
-        self._check_order(order)
-        source = order
-        while source <= self.max_order and not self._free[source]:
-            source += 1
-        if source > self.max_order:
+        starts = self.alloc_many(order, 1)
+        if not starts:
             raise AllocationError(
                 f"no free block of order >= {order} "
                 f"({self._free_frames} frames free)"
             )
-        start = self._free[source].pop()
-        # Split down to the requested order, freeing the upper buddies.
-        while source > order:
-            source -= 1
-            buddy = start + (1 << source)
-            self._free[source].add(buddy)
-        self._allocated[start] = order
-        self._free_frames -= 1 << order
-        return start
+        return starts[0]
+
+    def alloc_many(self, order: int, count: int) -> List[int]:
+        """Allocate up to ``count`` blocks of one order, in sequence.
+
+        Stops early when no block of the order (or larger, to split) is
+        free, and returns the start frames allocated.  Every step
+        performs the free-list and allocated-map operations of one
+        :meth:`alloc` call, in the same order, so the allocator ends in
+        exactly the state the same sequence of calls leaves.
+        """
+        self._check_order(order)
+        free = self._free
+        allocated = self._allocated
+        top = self.max_order
+        starts: List[int] = []
+        for _ in range(count):
+            source = order
+            while source <= top and not free[source]:
+                source += 1
+            if source > top:
+                break
+            start = free[source].pop()
+            # Split down to the requested order, freeing the upper buddies.
+            while source > order:
+                source -= 1
+                free[source].add(start + (1 << source))
+            allocated[start] = order
+            starts.append(start)
+        self._free_frames -= len(starts) << order
+        return starts
 
     def free(self, start: int, order: int) -> None:
         """Free a previously allocated block, merging with free buddies."""
+        self.free_many((start,), order)
+
+    def free_many(self, starts: Iterable[int], order: int) -> None:
+        """Free allocated blocks of one order, in sequence.
+
+        Each block merges with its free buddies exactly as one
+        :meth:`free` call would, so the allocator ends in the state the
+        same sequence of calls leaves.  A block that is not allocated
+        with this order raises :class:`AllocationError` after the
+        blocks before it are freed.
+        """
         self._check_order(order)
-        recorded = self._allocated.pop(start, None)
-        if recorded is None:
-            raise AllocationError(f"block at frame {start} is not allocated")
-        if recorded != order:
-            self._allocated[start] = recorded
-            raise AllocationError(
-                f"block at frame {start} was allocated with order {recorded}, "
-                f"not {order}"
-            )
-        self._free_frames += 1 << order
-        while order < self.max_order:
-            buddy = start ^ (1 << order)
-            if buddy not in self._free[order]:
-                break
-            # Merging past the end of an irregular (non-power-of-two)
-            # memory size is impossible because such buddies were never
-            # seeded as free; the membership test above covers it.
-            self._free[order].remove(buddy)
-            start = min(start, buddy)
-            order += 1
-        self._free[order].add(start)
+        free = self._free
+        allocated = self._allocated
+        top = self.max_order
+        for start in starts:
+            recorded = allocated.pop(start, None)
+            if recorded is None:
+                raise AllocationError(f"block at frame {start} is not allocated")
+            if recorded != order:
+                allocated[start] = recorded
+                raise AllocationError(
+                    f"block at frame {start} was allocated with order "
+                    f"{recorded}, not {order}"
+                )
+            self._free_frames += 1 << order
+            merged = order
+            while merged < top:
+                buddy = start ^ (1 << merged)
+                if buddy not in free[merged]:
+                    break
+                # Merging past the end of an irregular (non-power-of-two)
+                # memory size is impossible because such buddies were
+                # never seeded as free; the membership test covers it.
+                free[merged].remove(buddy)
+                start = min(start, buddy)
+                merged += 1
+            free[merged].add(start)
 
     def check_accounting(self) -> None:
         """Cheap counter consistency check (safe to run every epoch).
@@ -311,12 +347,22 @@ class NodeMemory:
 
         Used by tests and examples to exercise THP's fallback path:
         after pinning enough scattered small blocks, no order-9 block
-        remains and huge allocations fail.
+        remains and huge allocations fail.  Raises
+        :class:`AllocationError` when fewer blocks are free, after
+        pinning those that are.
         """
-        for _ in range(n_blocks):
-            start = self.buddy.alloc(order)
-            self._fragmentation_pins.append((start << 6) | order)
-            self.test_pinned_bytes += (1 << order) * PAGE_4K
+        starts = self.buddy.alloc_many(order, n_blocks)
+        self._pin_blocks(starts, order)
+        self.test_pinned_bytes += len(starts) * (1 << order) * PAGE_4K
+        if len(starts) < n_blocks:
+            raise AllocationError(
+                f"node {self.node_id}: only {len(starts)} of {n_blocks} "
+                f"order-{order} blocks free to pin"
+            )
+
+    def _pin_blocks(self, starts: List[int], order: int) -> None:
+        """Record allocated blocks as fragmentation pins."""
+        self._fragmentation_pins.extend((start << 6) | order for start in starts)
 
     def pin_fragmented(self, target_bytes: Bytes) -> Bytes:
         """Pin ~``target_bytes`` so the *free* remainder is fragmented.
@@ -331,38 +377,42 @@ class NodeMemory:
         are accounted as :attr:`test_pinned_bytes` like
         :meth:`inject_fragmentation` and released the same way.
         Returns the bytes actually pinned.
+
+        Each phase is one bulk allocator step
+        (:meth:`BuddyAllocator.alloc_many`/:meth:`~BuddyAllocator.free_many`),
+        which leaves the allocator exactly as one call per half-block
+        would: the same free lists in the same iteration order and the
+        same allocated map in the same insertion order.
         """
         if target_bytes < 0:
             raise ConfigurationError("target_bytes must be non-negative")
         half_order = ORDER_2M - 1
         half_bytes = (1 << half_order) * PAGE_4K
+        upper = 1 << half_order
         # Phase 1: hold half-blocks worth twice the target, breaking a
         # proportional share of the node's 2MB blocks.
-        held: List[int] = []
-        while (
-            len(held) * half_bytes < 2 * target_bytes
-            and self.buddy.can_alloc(half_order)
-        ):
-            held.append(self.buddy.alloc(half_order))
+        held = self.buddy.alloc_many(
+            half_order, ceil_div(2 * target_bytes, half_bytes)
+        )
         # Phase 2: release the upper half of every fully-held pair.
         held_set = set(held)
-        pinned: Bytes = 0
+        released: List[int] = []
+        kept: List[int] = []
         for start in held:
-            upper = bool(start & (1 << half_order))
-            if upper and (start ^ (1 << half_order)) in held_set:
-                self.buddy.free(start, half_order)
+            if start & upper and start ^ upper in held_set:
+                released.append(start)
             else:
-                self._fragmentation_pins.append((start << 6) | half_order)
-                pinned += half_bytes
+                kept.append(start)
+        self.buddy.free_many(released, half_order)
+        self._pin_blocks(kept, half_order)
+        pinned: Bytes = len(kept) * half_bytes
         # Phase 3: top up from the now-scattered free halves (re-pinning
         # them cannot restore contiguity — their buddies stay pinned).
-        while (
-            pinned + half_bytes <= target_bytes
-            and self.buddy.can_alloc(half_order)
-        ):
-            start = self.buddy.alloc(half_order)
-            self._fragmentation_pins.append((start << 6) | half_order)
-            pinned += half_bytes
+        top_up = self.buddy.alloc_many(
+            half_order, max(0, (target_bytes - pinned) // half_bytes)
+        )
+        self._pin_blocks(top_up, half_order)
+        pinned += len(top_up) * half_bytes
         # Half-block pins so far; inject_fragmentation accounts its own.
         self.test_pinned_bytes += pinned
         # Phase 4: sub-1MB remainder as individual 4KB frames.  Phase 2

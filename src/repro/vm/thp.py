@@ -61,6 +61,10 @@ def khugepaged_scan(
     Scans ``state.scan_batch`` chunks starting at the saved cursor and
     collapses every fully 4KB-mapped chunk (to the plurality node of
     its constituent pages).  Returns the number of collapses performed.
+
+    A collapse needs a free 2MB block on its target node, so when no
+    node has one (memory under pressure) the pass only advances the
+    cursor: every collapse attempt would fail without changing anything.
     """
     if not state.promotion_enabled:
         return 0
@@ -70,6 +74,9 @@ def khugepaged_scan(
     start = state._scan_cursor % n_chunks
     indices = (start + np.arange(min(state.scan_batch, n_chunks))) % n_chunks
     state._scan_cursor = int((start + len(indices)) % n_chunks)
+    phys = address_space.phys
+    if not any(phys[n].can_alloc_huge() for n in range(address_space.n_nodes)):
+        return 0
     collapsed = 0
     from repro.vm.layout import GRANULES_PER_2M
 

@@ -22,8 +22,8 @@ against):
   draws in exactly the order of ``epoch_stream_with_writes``;
 * the IBS sampler continues each thread's generator *after* stream
   generation, so the bank captures every generator's
-  ``bit_generator.state`` post-generation and replays it through
-  :func:`repro._util.rng_from_state` on demand;
+  ``bit_generator.state`` post-generation for the sampler to replay
+  through :func:`repro._util.rng_from_state`;
 * the engine treats bank arrays as read-only (it keeps its own
   ``stream_homes`` scratch), so one bank serves every run sharing it.
 
@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro._util import SeedHasher, rng_from_state, stable_seed
+from repro._util import SeedHasher, stable_seed
 from repro.options import RuntimeOptions
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
 
@@ -278,15 +278,16 @@ class StreamBank:
         block, i = self._ensure_row(epoch)
         return (block.streams[i], block.writes[i], block.sizes[i])
 
-    def ibs_rngs(self, epoch: int) -> List[np.random.Generator]:
-        """Fresh per-thread generators positioned after stream draws.
+    def ibs_states(self, epoch: int) -> List[dict]:
+        """Per-thread generator states captured after the stream draws.
 
-        Each call rebuilds the generators from the captured states, so
-        every run's IBS sampler consumes its own copies and draws
-        exactly what each thread's generator yields after its stream.
+        The IBS sampler replays each through
+        :func:`repro._util.rng_from_state`, so it draws exactly what the
+        thread's generator yields after its stream.  The dicts are
+        shared — callers must treat them as read-only.
         """
         block, i = self._ensure_row(epoch)
-        return [rng_from_state(state) for state in block.rng_states[i]]
+        return block.rng_states[i]
 
     def epoch_tracker(self, epoch: int) -> tuple:
         """Fused tracker columns ``(ids, thread_offsets, counts,

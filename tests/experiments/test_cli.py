@@ -225,6 +225,26 @@ class TestBadInput:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "trace, entry",
+        [
+            ("bad", "bad"),
+            ("0:CG.D", "0:CG.D"),
+            ("x:CG.D:thp", "x:CG.D:thp"),
+            ("0:CG.D:thp:extra", "0:CG.D:thp:extra"),
+            ("0:SSCA.20:thp,4:Kmeans:", "4:Kmeans:"),
+            ("-1:CG.D:thp", "-1:CG.D:thp"),
+        ],
+    )
+    def test_malformed_scenario_trace(self, capsys, trace, entry):
+        assert main(["scenario", f"--trace={trace}", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --trace entry {entry!r} is not EPOCH:WORKLOAD:POLICY"
+            " (e.g. 0:SSCA.20:carrefour-lp)\n"
+        )
+        assert captured.out == ""
+
     def test_inconsistent_configuration(self, capsys):
         assert main(["run", "Kmeans", "--scale", "2", "--quick"]) == 2
         captured = capsys.readouterr()

@@ -154,61 +154,80 @@ class TestRecordEpochBatch:
         nodes = rng.integers(0, n_nodes, size=n_threads)
         return sizes, streams, homes, writes, nodes
 
-    def test_matches_sequential_record_epoch(self):
-        n_threads, length = 6, 300
-        sizes, streams, homes, writes, nodes = self._epoch_matrices(
-            n_threads, length, seed=7
-        )
-        represented = 5e5
+    @staticmethod
+    def _states(seeds):
+        """Captured states of generators that already drew a stream."""
+        states = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 1 << 20, size=seed % 5)
+            states.append(rng.bit_generator.state)
+        return states
 
+    def test_matches_sequential_record_epoch(self):
+        """Epoch after epoch, the one replay generator draws what each
+        thread's own generator draws."""
+        n_threads, length = 6, 300
+        represented = 5e5
         seq = IbsEngine(n_nodes=2, rate=1e-3)
-        rngs = [np.random.default_rng(1000 + t) for t in range(n_threads)]
-        seq_counts = np.zeros(n_threads, dtype=np.int64)
-        for t in np.flatnonzero(sizes > 0):
-            n = int(sizes[t])
-            seq_counts[t] = seq.record_epoch(
-                int(t),
-                int(nodes[t]),
-                streams[t, :n],
-                homes[t, :n],
+        batch = IbsEngine(n_nodes=2, rate=1e-3)
+        for epoch in range(3):
+            sizes, streams, homes, writes, nodes = self._epoch_matrices(
+                n_threads, length, seed=7 + epoch
+            )
+            seeds = [1000 * epoch + t for t in range(n_threads)]
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            for rng, seed in zip(rngs, seeds):
+                rng.integers(0, 1 << 20, size=seed % 5)
+            seq_counts = np.zeros(n_threads, dtype=np.int64)
+            for t in np.flatnonzero(sizes > 0):
+                n = int(sizes[t])
+                seq_counts[t] = seq.record_epoch(
+                    int(t),
+                    int(nodes[t]),
+                    streams[t, :n],
+                    homes[t, :n],
+                    represented,
+                    rngs[t],
+                    writes=writes[t, :n],
+                )
+
+            states = self._states(seeds)
+            replayed = [dict(state) for state in states]
+            batch_counts = batch.record_epoch_batch(
+                np.flatnonzero(sizes > 0),
+                nodes,
+                streams,
+                homes,
+                writes,
+                sizes,
                 represented,
-                rngs[t],
-                writes=writes[t, :n],
+                states,
             )
 
-        batch = IbsEngine(n_nodes=2, rate=1e-3)
-        rngs = [np.random.default_rng(1000 + t) for t in range(n_threads)]
-        batch_counts = batch.record_epoch_batch(
-            np.flatnonzero(sizes > 0),
-            nodes,
-            streams,
-            homes,
-            writes,
-            sizes,
-            represented,
-            rngs,
-        )
-
-        assert np.array_equal(seq_counts, batch_counts)
-        assert seq.pending_samples == batch.pending_samples
+            assert seq_counts.sum() > 0
+            assert np.array_equal(seq_counts, batch_counts)
+            assert seq.pending_samples == batch.pending_samples
+            # Replaying reads the captured states without changing them.
+            assert states == replayed
         assert _sample_tuples(seq.drain()) == _sample_tuples(batch.drain())
 
     def test_zero_rate_draws_nothing(self):
         sizes, streams, homes, writes, nodes = self._epoch_matrices(3, 50, seed=1)
         engine = IbsEngine(n_nodes=2, rate=0.0)
-        rngs = [np.random.default_rng(t) for t in range(3)]
+        states = self._states(range(3))
         counts = engine.record_epoch_batch(
-            np.flatnonzero(sizes > 0), nodes, streams, homes, writes, sizes, 1e6, rngs
+            np.flatnonzero(sizes > 0), nodes, streams, homes, writes, sizes, 1e6,
+            states,
         )
         assert counts.sum() == 0
-        # The RNGs must be untouched (rate gating happens before draws).
-        assert rngs[1].integers(0, 100) == np.random.default_rng(1).integers(0, 100)
+        assert engine.pending_samples == 0
+        assert states == self._states(range(3))
 
     def test_invalid_node_rejected(self):
         sizes, streams, homes, writes, nodes = self._epoch_matrices(3, 50, seed=2)
         nodes[:] = 9
         engine = IbsEngine(n_nodes=2, rate=0.5)
-        rngs = [np.random.default_rng(t) for t in range(3)]
         with pytest.raises(ConfigurationError):
             engine.record_epoch_batch(
                 np.flatnonzero(sizes > 0),
@@ -218,7 +237,7 @@ class TestRecordEpochBatch:
                 writes,
                 sizes,
                 1e6,
-                rngs,
+                self._states(range(3)),
             )
 
     def test_store_growth_across_epochs(self):

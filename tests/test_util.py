@@ -11,6 +11,7 @@ from repro._util import (
     human_bytes,
     pct,
     rng_for,
+    rng_from_state,
     stable_seed,
 )
 
@@ -40,6 +41,26 @@ class TestRngFor:
         a = rng_for("w", 0).random(5)
         b = rng_for("w", 1).random(5)
         assert not np.array_equal(a, b)
+
+
+class TestRngFromState:
+    @staticmethod
+    def _captured():
+        rng = rng_for("w", 0)
+        rng.integers(0, 100, size=7)
+        return rng.bit_generator.state, rng.random(5)
+
+    def test_resumes_the_captured_generator(self):
+        state, after = self._captured()
+        assert np.array_equal(rng_from_state(state).random(5), after)
+
+    def test_reused_generator_replays_each_state(self):
+        state, after = self._captured()
+        rng = rng_from_state(rng_for("other").bit_generator.state)
+        rng.random(3)  # a partly consumed generator, as after a thread
+        assert rng_from_state(state, rng) is rng
+        assert np.array_equal(rng.random(5), after)
+        assert rng_from_state(state, rng).bit_generator.state == state
 
 
 class TestSeedHasher:

@@ -71,7 +71,7 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
 
 def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
     streams, writes, sizes = bank.epoch_arrays(epoch)
-    ibs = bank.ibs_rngs(epoch)
+    ibs = bank.ibs_states(epoch)
     for t, (ref_g, ref_w, ref_state) in enumerate(
         sequential_rows(instance, epoch, length)
     ):
@@ -82,7 +82,7 @@ def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
         # Rows past the stream size stay zeroed (epoch_stream_into
         # relies on pre-zeroed write rows).
         assert not writes[t, n:].any()
-        assert ibs[t].bit_generator.state == ref_state
+        assert ibs[t] == ref_state
 
 
 @pytest.fixture(autouse=True)
@@ -246,7 +246,7 @@ class TestDiskStore:
 
     @pytest.mark.parametrize(
         "accessor",
-        ["epoch_arrays", "ibs_rngs", "epoch_tracker", "sharing_packed"],
+        ["epoch_arrays", "ibs_states", "epoch_tracker", "sharing_packed"],
     )
     def test_every_accessor_persists_a_completed_block(
         self, accessor, tiny_topo, tmp_path, monkeypatch
@@ -400,7 +400,7 @@ class TestFusedEpochAggregation:
             np.testing.assert_array_equal(a, b)
 
 
-ACCESSORS = ("epoch_arrays", "ibs_rngs", "epoch_tracker", "sharing_packed")
+ACCESSORS = ("epoch_arrays", "ibs_states", "epoch_tracker", "sharing_packed")
 
 #: Epoch orders a consumer may walk a two-block bank in.
 FILL_ORDERS = {
@@ -423,7 +423,7 @@ def bank_row(bank, epoch):
         sizes.copy(),
         bank.epoch_tracker(epoch),
         bank.sharing_packed(epoch),
-        [r.bit_generator.state for r in bank.ibs_rngs(epoch)],
+        list(bank.ibs_states(epoch)),
     )
 
 
