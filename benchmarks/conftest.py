@@ -8,7 +8,7 @@ numbers quoted in ``EXPERIMENTS.md``.
 
 Independent runs inside each figure/table fan out over worker
 processes: set ``REPRO_JOBS`` to choose the worker count (default
-``cpu_count - 1``; ``REPRO_JOBS=1`` forces the serial path).  Results
+``cpu_count``; ``REPRO_JOBS=1`` forces the serial path).  Results
 persist in the on-disk cache (``REPRO_CACHE_DIR``, default
 ``~/.cache/repro``), so a re-run after an interrupted sweep only pays
 for the missing combinations; set ``REPRO_CACHE=0`` for a cold run.

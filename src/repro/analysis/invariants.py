@@ -18,7 +18,7 @@ work; ``BENCH_runner.json`` tracks the measured overhead.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -119,7 +119,8 @@ def check_address_space(asp) -> None:
     * ``mapped_count_2m`` matches the 4KB map exactly (so a 2MB split
       produced exactly 512 children and a collapse consumed them),
     * every live huge/giga page has a home node,
-    * replication flags and the replica byte counter are in sync.
+    * replication flags, the replicated-page count and the replica
+      byte counter are in sync.
     """
     mapped4 = np.flatnonzero(asp.node4k >= 0)
     huge_chunks = np.flatnonzero(asp.huge)
@@ -172,6 +173,42 @@ def check_address_space(asp) -> None:
             f"replica byte counter out of sync: expected "
             f"{expected_replicas}, recorded {asp.replica_bytes}"
         )
+    flagged = int(np.count_nonzero(asp.replicated_4k)) + int(
+        np.count_nonzero(asp.replicated_2m)
+    )
+    if flagged != asp.replicated_pages:
+        raise InvariantViolation(
+            f"replicated page count out of sync: {flagged} flagged, "
+            f"recorded {asp.replicated_pages} (translation skips the "
+            "replication gathers while the count is zero)"
+        )
+
+
+def layout_arrays(asp) -> tuple:
+    """Copies of the arrays :attr:`AddressSpace.layout_version` covers."""
+    return (asp.mapped_count_2m.copy(), asp.huge.copy(), asp.giga.copy())
+
+
+def check_layout_version(asp, version: int, arrays: tuple) -> None:
+    """The page-size layout changed only with a ``layout_version`` bump.
+
+    ``arrays`` are :func:`layout_arrays` taken when the space's
+    ``layout_version`` was ``version``.  Caches keyed on the layout
+    version (TLB classifications, sample tables) would serve stale
+    values after a change the counter missed.
+    """
+    if asp.layout_version != version:
+        return
+    for name, before, now in zip(
+        ("mapped_count_2m", "huge", "giga"),
+        arrays,
+        (asp.mapped_count_2m, asp.huge, asp.giga),
+    ):
+        if not np.array_equal(before, now):
+            raise InvariantViolation(
+                f"{name} changed without a layout_version bump "
+                f"(still {version})"
+            )
 
 
 def check_physical_memory(phys) -> None:
@@ -317,6 +354,8 @@ class InvariantChecker:
         self._prev_sim_time = 0.0
         self._prev_mapped_bytes = 0
         self._epochs_checked = 0
+        #: ``(layout_version, layout_arrays)`` as of the last epoch.
+        self._layout: Optional[Tuple[int, tuple]] = None
 
     def _violation(self, exc: InvariantViolation) -> InvariantViolation:
         """Re-raise a stateless check's violation with run context."""
@@ -334,6 +373,9 @@ class InvariantChecker:
         sim = self.sim
         try:
             check_address_space(sim.asp)
+            if self._layout is not None:
+                check_layout_version(sim.asp, *self._layout)
+            self._layout = (sim.asp.layout_version, layout_arrays(sim.asp))
             if getattr(sim, "owns_phys", True):
                 # Shared-allocator tenants see other tenants' frames in
                 # the node accounting; the host checker runs the

@@ -44,6 +44,23 @@ def _settings_from_args(args: argparse.Namespace) -> RunSettings:
     return settings
 
 
+def _check_output_path(path: Optional[str], flag: str) -> None:
+    """Reject, before simulating, an output path that is a directory or
+    lies in a missing one.
+
+    Either would otherwise surface as a traceback after the whole run.
+    """
+    if path is None:
+        return
+    target = pathlib.Path(path)
+    if target.is_dir():
+        raise ConfigurationError(f"{flag} {path} is a directory, not a file")
+    if not target.parent.is_dir():
+        raise ConfigurationError(
+            f"{flag} {path}: directory {target.parent} does not exist"
+        )
+
+
 def _apply_execution_flags(args: argparse.Namespace) -> None:
     """Propagate --jobs/--fresh to the runner layer via environment.
 
@@ -73,7 +90,7 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="worker processes for independent runs"
-        " (default: REPRO_JOBS or cpu_count-1; 1 = serial)",
+        " (default: REPRO_JOBS or cpu_count; 1 = serial)",
     )
     cmd.add_argument(
         "--fresh",
@@ -366,6 +383,7 @@ def _profile_main(args: argparse.Namespace) -> int:
 
     from repro.sim.profile import run_profiled
 
+    _check_output_path(args.json_path, "--json")
     settings = _settings_from_args(args)
     result, timer = run_profiled(
         args.workload,
@@ -412,6 +430,7 @@ def _trace_main(args: argparse.Namespace) -> int:
     """Run one benchmark with decision tracing and report the tally."""
     from repro.sim.trace import run_traced
 
+    _check_output_path(args.jsonl_path, "--jsonl")
     settings = _settings_from_args(args)
     result, trace = run_traced(
         args.workload,

@@ -55,9 +55,45 @@ class PageSampleTable:
         ``granularity='backing'`` groups by the page sizes currently in
         use; ``granularity='4k'`` groups by 4KB granule regardless of
         backing (the "what if we split everything" view).
+
+        Each table is built once per batch: it is memoized in
+        ``samples.tables``, keyed on the granularity and node count and,
+        for ``backing`` tables, on the address space and its
+        :attr:`~repro.vm.address_space.AddressSpace.layout_version` (the
+        only state :meth:`~repro.vm.address_space.AddressSpace.backing_info`
+        reads).  Callers share the table, so its arrays are made
+        read-only.
         """
-        if granularity not in ("backing", "4k"):
+        if granularity == "backing":
+            key: tuple = (
+                granularity, n_nodes, address_space, address_space.layout_version
+            )
+        elif granularity == "4k":
+            key = (granularity, n_nodes)
+        else:
             raise ConfigurationError(f"unknown granularity {granularity!r}")
+        table = samples.tables.get(key)
+        if table is None:
+            table = cls._group(samples, address_space, n_nodes, granularity)
+            for column in (
+                table.ids,
+                table.node_counts,
+                table.thread_counts,
+                table.write_counts,
+            ):
+                column.flags.writeable = False
+            samples.tables[key] = table
+        return table
+
+    @classmethod
+    def _group(
+        cls,
+        samples: IbsSamples,
+        address_space: AddressSpace,
+        n_nodes: int,
+        granularity: str,
+    ) -> "PageSampleTable":
+        """Build one table (:meth:`from_samples` without the memo)."""
         if len(samples) == 0:
             return cls(
                 ids=np.empty(0, dtype=np.int64),

@@ -25,7 +25,7 @@ a human-readable reason, which the benchmarks record as
 
 Worker count resolution, in priority order: explicit ``jobs``
 argument, the ``REPRO_JOBS`` environment variable, then
-``os.cpu_count() - 1``, clamped to ``[1, os.cpu_count()]``.
+``os.cpu_count()``, clamped to ``[1, os.cpu_count()]``.
 ``jobs=1`` — and any platform where a process pool cannot be built
 (no ``fork``, sandboxed semaphores) — degrades to the serial loop with
 identical results, since every run is deterministic.
@@ -75,12 +75,14 @@ def backend_choice() -> Tuple[str, str]:
 
 
 def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> int:
-    """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` > cpu_count - 1.
+    """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` > cpu_count.
 
     Clamped to ``[1, os.cpu_count()]``: workers are CPU-bound, so
     oversubscribing cores only adds scheduler churn (and benchmark
     numbers taken that way report meaningless "parallel" speedups).
-    ``backend="serial"`` always resolves to 1.
+    The default uses every core: the parent process mostly waits on
+    futures, so it needs no core of its own, and a one-core box stays
+    serial.  ``backend="serial"`` always resolves to 1.
     """
     if backend is not None and backend not in _BACKENDS:
         raise ValueError(
@@ -92,7 +94,7 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
         jobs = RuntimeOptions.from_env().jobs
     cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = cpus - 1
+        jobs = cpus
     return max(1, min(int(jobs), cpus))
 
 

@@ -20,8 +20,8 @@ nodes on one lock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class IbsSamples:
     #: Whether the sampled access was a store (used by the replication
     #: logic: only never-written pages are safe to replicate).
     is_write: np.ndarray = None
+    #: Page tables already grouped from this batch, shared read-only
+    #: (see :meth:`repro.core.metrics.PageSampleTable.from_samples`).
+    tables: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.granule)

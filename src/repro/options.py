@@ -6,7 +6,7 @@ computes:
 ======================  =========================================  ==============================
 variable                meaning                                    unset
 ======================  =========================================  ==============================
-``REPRO_JOBS``          worker processes for a run grid            ``cpu_count - 1``
+``REPRO_JOBS``          worker processes for a run grid            ``cpu_count``
 ``REPRO_CACHE``         persistent result cache on/off             on
 ``REPRO_CACHE_DIR``     persistent result cache directory          ``~/.cache/repro``
 ``REPRO_STREAM_CACHE``  stream-bank block store directory          memory only

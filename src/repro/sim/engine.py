@@ -65,7 +65,6 @@ from repro.sim.policy import PlacementPolicy, PolicyActionSummary
 from repro.sim.profile import PhaseTimer, profile_enabled
 from repro.sim.results import SimulationResult
 from repro.sim.trace import DecisionTrace, trace_enabled
-from repro.sim.tracker import AccessTracker
 from repro.vm.address_space import AddressSpace, split_backing_page
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import (
@@ -116,8 +115,11 @@ class Tenant:
     """One workload + policy context over (possibly shared) memory.
 
     All per-workload simulation state lives here: the address space,
-    THP/TLB/IBS state, the access tracker, the policy and its executor,
-    the stream-bank binding, and the per-tenant epoch/time clocks.
+    THP/TLB/IBS state, the policy and its executor, the stream-bank
+    binding, and the per-tenant epoch/time clocks.  What is
+    policy-independent lives on the stream bank instead and is shared
+    by every run of the bank: the access streams, the access-tracker
+    fold and the TLB working-set geometry.
     Standalone (``phys=None``) a tenant owns a private
     :class:`PhysicalMemory`; under a :class:`repro.sim.host.Host`
     several tenants share the host's allocator and interconnect, and
@@ -165,11 +167,9 @@ class Tenant:
             cost_cycles_per_sample=self.config.ibs_cost_cycles,
         )
         self.bank = CounterBank(machine.n_nodes, machine.n_cores)
-        self.tracker = (
-            AccessTracker(self.instance.n_granules)
-            if self.config.track_access_stats
-            else None
-        )
+        #: Epochs whose access-tracker row this tenant has reached; its
+        #: ``hot_stats`` read the bank's fold of exactly that prefix.
+        self._tracked_epochs = 0
         self.n_threads = self.instance.n_threads
         self.thread_nodes = machine.core_to_node[: self.n_threads].astype(np.int64)
         self.sim_time_s = 0.0
@@ -196,6 +196,10 @@ class Tenant:
         self._stream_bank = get_stream_bank(
             self.instance, self.config.seed, self.config.stream_length
         )
+        # So is the TLB working-set geometry: the bank fingerprint pins
+        # every input ``tlb_groups`` reads, so the bank's instance (and
+        # its group-list memo) serves every run of the bank.
+        self._geometry = self._stream_bank.instance
         self.profiler = PhaseTimer() if profile_enabled(self.config) else None
         self.page_tables = PageTableState(
             home_node=int(self.thread_nodes[0]) if self.n_threads else 0
@@ -213,17 +217,22 @@ class Tenant:
             if trace_enabled(self.config)
             else None
         )
-        # Version-keyed caches over the backing state, valid while
-        # ``asp.version`` is unchanged and only consulted in no-fault
-        # epochs (see ``_pass1_tlb``): backing fractions by (lo, hi)
-        # range, and each thread's TLB epoch result by group-list
-        # identity.  The TLB model's own memo is keyed on the classified
-        # numbers instead, so it survives version bumps: after one, a
-        # thread whose backing did not change re-classifies to the same
-        # input and costs no model evaluation.
+        # Layout-keyed caches over the backing state, valid while
+        # ``asp.layout_version`` is unchanged and only consulted in
+        # no-fault epochs (see ``_pass1_tlb``): backing fractions by
+        # (lo, hi) range, and each thread's TLB epoch result by
+        # group-list identity.  The TLB model's own memo is keyed on the
+        # classified numbers instead, so it survives layout bumps: after
+        # one, a thread whose backing did not change re-classifies to
+        # the same input and costs no model evaluation.
         self._backing_version = -1
         self._fraction_cache: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         self._tlb_memo: Dict[int, Tuple[list, TlbEpochResult]] = {}
+        #: Work counts :func:`repro.sim.profile.run_profiled` reports:
+        #: per-thread TLB classifications, and sample tables built from
+        #: the policy's interval batches.
+        self.tlb_classifications = 0
+        self.table_builds = 0
 
     # ------------------------------------------------------------------
     # Lifecycle (driven by the host)
@@ -270,7 +279,11 @@ class Tenant:
             epoch_times_s=[e.duration_s for e in self.bank.epochs],
             bank=self.bank,
             hot_stats=(
-                self.tracker.hot_page_stats(self.asp) if self.tracker else None
+                self._stream_bank.tracker(self._tracked_epochs).hot_page_stats(
+                    self.asp
+                )
+                if self.config.track_access_stats
+                else None
             ),
             action_log=self.action_log,
             final_page_counts=self.asp.page_counts(),
@@ -367,18 +380,22 @@ class Tenant:
             if prof is not None:
                 prof.lap("streams")
         else:
-            rep = self.asp.replication_mask(flat_granules)
-            if np.any(rep):
-                # Reads of replicated pages are serviced locally.
-                local = np.repeat(self.thread_nodes, stream_sizes)
-                flat_homes = np.where(rep, local, flat_homes)
+            # With no page replicated every replication flag is clear,
+            # so both replication gathers are skipped.
+            replicas = self.asp.replicated_pages > 0
+            if replicas:
+                rep = self.asp.replication_mask(flat_granules)
+                if np.any(rep):
+                    # Reads of replicated pages are serviced locally.
+                    local = np.repeat(self.thread_nodes, stream_sizes)
+                    flat_homes = np.where(rep, local, flat_homes)
             if full:
                 stream_homes[:] = flat_homes.reshape(n_threads, length)
                 writes_flat = stream_writes.reshape(-1)
             else:
                 stream_homes[valid] = flat_homes
                 writes_flat = stream_writes[valid]
-            if np.any(writes_flat):
+            if replicas and np.any(writes_flat):
                 written = flat_granules[writes_flat]
                 rep_mask = self.asp.replication_mask(written)
                 if np.any(rep_mask):
@@ -410,18 +427,12 @@ class Tenant:
         active_idx = np.flatnonzero(active)
         if prof is not None:
             prof.lap("streams")
-        if self.tracker is not None:
-            # Weight by the thread's actual stream size (matching the
-            # traffic scaling above), not the nominal stream_length:
-            # short streams represent the same DRAM access budget
-            # spread over fewer touches.  The bank pre-merged every
-            # thread's unique columns into one COO with the per-thread
-            # scale baked in (identical to this epoch's ``scale`` — the
-            # bank fingerprint pins ``dram_accesses``), so the whole
-            # epoch lands in two vectorized calls.
-            ids, _, _, scaled = bank.epoch_tracker(epoch)
-            self.tracker.add_epoch(ids, scaled)
-            self.tracker.merge_epoch_sharing(bank.sharing_packed(epoch))
+        if cfg.track_access_stats:
+            # The tracker is built only from policy-independent bank
+            # columns, so the bank folds it once for all its runs: the
+            # first run to reach an epoch folds that epoch's row.
+            bank.fold_tracker(epoch)
+            self._tracked_epochs = epoch + 1
         if prof is not None:
             prof.lap("tracker")
 
@@ -527,6 +538,7 @@ class Tenant:
             samples = self.ibs.drain()
             window = self.bank.window(self._last_policy_epoch)
             summary = self.executor.run_interval(self.policy, samples, window)
+            self.table_builds += len(samples.tables)
             self._last_policy_epoch = epoch + 1
             migration_model = self.models.migration
             action_cost = (
@@ -583,9 +595,9 @@ class Tenant:
 
         Demand faulting mutates the address space and TLB classification
         must see the backing state as of its thread's turn, so thread
-        ordering is part of the deterministic contract.  The version-
+        ordering is part of the deterministic contract.  The layout-
         keyed caches stay out of this path entirely: faulting bumps the
-        address-space version, so they re-key on the next quiet epoch,
+        layout version, so they re-key on the next quiet epoch,
         and the per-epoch ``fraction_cache`` below keeps the original
         sharing semantics (entries computed before a later thread's
         fault are deliberately reused after it).  The TLB model's memo
@@ -617,7 +629,7 @@ class Tenant:
                 homes = self.asp.home_nodes_for(granules, int(self.thread_nodes[t]))
             stream_homes[t, :n] = homes
             # Writes to replicated pages collapse the replicas.
-            if writes.size and np.any(writes):
+            if self.asp.replicated_pages and np.any(writes):
                 written = granules[writes]
                 rep_mask = self.asp.replication_mask(written)
                 if np.any(rep_mask):
@@ -625,7 +637,7 @@ class Tenant:
                     written_replicated.update(int(i) for i in np.unique(ids))
             tlb_result = self.tlb_model.epoch_result_grouped(
                 self._classify_tlb_groups(
-                    self.instance.tlb_groups(t, epoch), fraction_cache
+                    self._geometry.tlb_groups(t, epoch), fraction_cache
                 ),
                 cost.mem_accesses,
             )
@@ -650,16 +662,19 @@ class Tenant:
         Only called in no-fault epochs, where the backing state is
         frozen for the whole pass: classification order no longer
         matters, so backing fractions and whole per-thread TLB results
-        are memoized across epochs, keyed on the address-space version
-        and each thread's group-list identity.  A version bump drops
-        both and re-classifies every thread, but the model evaluates
-        only classified inputs it has not seen: its memo is keyed on
-        their exact values, so threads with symmetric working sets,
-        and threads whose ranges the bump did not touch, are hits.
+        are memoized across epochs, keyed on the address space's
+        ``layout_version`` and each thread's group-list identity.
+        Classification reads only the page-size layout, so migrations,
+        interleaves and replicas (which move ``version`` but not
+        ``layout_version``) cost no re-classification.  A layout bump
+        drops both and re-classifies every thread, but the model
+        evaluates only classified inputs it has not seen: its memo is
+        keyed on their exact values, so threads with symmetric working
+        sets, and threads whose ranges the bump did not touch, are hits.
         """
         cost = self.instance.cost
         freq = self.machine.cpu_freq_hz
-        version = self.asp.version
+        version = self.asp.layout_version
         if version != self._backing_version:
             self._fraction_cache.clear()
             self._tlb_memo.clear()
@@ -667,7 +682,7 @@ class Tenant:
         for t in range(self.n_threads):
             if stream_sizes[t] == 0:
                 continue
-            groups = self.instance.tlb_groups(t, epoch)
+            groups = self._geometry.tlb_groups(t, epoch)
             memo = self._tlb_memo.get(t)
             # The instance returns the same list object while a
             # thread's groups are unchanged, so identity is the cheap
@@ -752,6 +767,7 @@ class Tenant:
         groups,
         cache: Dict[Tuple[int, int], Tuple[float, float, float]],
     ) -> Dict[PageSize, Tuple[np.ndarray, np.ndarray]]:
+        self.tlb_classifications += 1
         per_class: Dict[PageSize, Tuple[List[float], List[float], List[float]]] = {
             PageSize.SIZE_4K: ([], [], []),
             PageSize.SIZE_2M: ([], [], []),

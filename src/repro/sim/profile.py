@@ -89,7 +89,8 @@ class PhaseTimer:
         self.n_epochs = 0
         #: Run-level event counts reported next to the phase times
         #: (:func:`run_profiled` records the TLB model's evaluations
-        #: and memo hits here).
+        #: and memo hits, the tenant's TLB classifications and its
+        #: sample-table builds here).
         self.counts: Dict[str, int] = {}
         self._epoch_t0: Optional[float] = None
         self._mark: Optional[float] = None
@@ -169,7 +170,8 @@ def run_profiled(
     """Run one benchmark uncached with profiling on.
 
     Returns ``(SimulationResult, PhaseTimer)``; the timer's ``counts``
-    hold the run's TLB model evaluations and memo hits.  The run
+    hold the run's TLB model evaluations and memo hits, its per-thread
+    TLB classifications and the sample tables its policy built.  The run
     bypasses both cache layers (timings must reflect real simulation
     work) and the result is bit-identical to what the cached path would
     produce for the same settings.  Imports are deferred so this module
@@ -200,4 +202,6 @@ def run_profiled(
     timer = sim.profiler
     timer.counts["tlb_evaluations"] = sim.tlb_model.evaluations
     timer.counts["tlb_memo_hits"] = sim.tlb_model.memo_hits
+    timer.counts["tlb_classifications"] = sim.tlb_classifications
+    timer.counts["table_builds"] = sim.table_builds
     return result, timer

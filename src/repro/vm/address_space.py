@@ -99,6 +99,11 @@ class AddressSpace:
         self.replicated_2m = np.zeros(self.n_chunks_2m, dtype=bool)
         self._replica_blocks: Dict[int, Dict[int, int]] = {}
         self.replica_bytes: Bytes = 0
+        # Pages (4KB and 2MB) currently replicated.  While it is zero
+        # every replication flag is clear, so translation can skip the
+        # replication gathers.  ``replica_bytes`` cannot tell: on a
+        # one-node machine a replicated 4KB page copies 0 bytes.
+        self.replicated_pages = 0
         # Count of 4KB-mapped granules per 2MB chunk (promotion check).
         self.mapped_count_2m = np.zeros(self.n_chunks_2m, dtype=np.int32)
         # 1GB chunks.
@@ -112,11 +117,15 @@ class AddressSpace:
         self.reclaimed_bytes: Bytes = 0
         # Monotonic mutation counter: bumped by every operation that can
         # change translation or backing composition (map, fault, split,
-        # collapse, migrate, replicate).  Consumers (the engine's
-        # backing-fraction/TLB caches, the resolved home map below) key
-        # their caches on it so quiescent epochs skip rescanning the
-        # ``huge``/``giga`` bitmaps.
+        # collapse, migrate, replicate).  The resolved home map below
+        # keys on it.
         self._version = 0
+        # Monotonic page-size layout counter: bumped only by operations
+        # that change ``mapped_count_2m``, ``huge`` or ``giga`` (map,
+        # fault, premap, split, collapse, 1GB map, reclaim, release).
+        # The engine's backing-fraction/TLB caches and the sample-table
+        # memo key on it, so migrations and replicas re-classify nothing.
+        self._layout_version = 0
         # Resolved per-granule home map, built lazily once the space is
         # observed quiescent (two translations at the same version), so
         # churn phases never pay the O(n_granules) build.
@@ -130,12 +139,29 @@ class AddressSpace:
 
         Any operation that can change what :meth:`home_nodes`,
         :meth:`backing_info` or a backing-composition scan would return
-        increments it; pure reads never do.
+        increments it; pure reads never do.  Consumers that read only
+        the page-size layout key on :attr:`layout_version` instead.
         """
         return self._version
 
+    @property
+    def layout_version(self) -> int:
+        """Monotonic counter of page-size layout mutations.
+
+        Moves exactly when ``mapped_count_2m``, ``huge`` or ``giga`` may
+        have changed; every such move also moves :attr:`version`.
+        Migrations and replication move :attr:`version` only, so what
+        :meth:`backing_info` or a backing-fraction scan returns is
+        unchanged while this counter is.
+        """
+        return self._layout_version
+
     def _bump_version(self) -> None:
         self._version += 1
+
+    def _bump_layout(self) -> None:
+        self._version += 1
+        self._layout_version += 1
 
     # ------------------------------------------------------------------
     # Translation (vectorised)
@@ -231,8 +257,9 @@ class AddressSpace:
         replicated pages* are serviced from the local replica.
         """
         nodes = self.home_nodes(granules)
-        g = np.asarray(granules, dtype=np.int64)
-        replicated = self.replication_mask(g)
+        if not self.replicated_pages:
+            return nodes
+        replicated = self.replication_mask(granules)
         if np.any(replicated):
             nodes = nodes.copy()
             nodes[replicated] = local_node
@@ -268,6 +295,7 @@ class AddressSpace:
             for n in targets:
                 self.phys[n].alloc_small(1)
             self.replicated_4k[granule] = True
+            self.replicated_pages += 1
             bytes_copied = PAGE_4K * len(targets)
             self.replica_bytes += bytes_copied
             self._bump_version()
@@ -281,6 +309,7 @@ class AddressSpace:
             return 0
         blocks = {n: self.phys[n].alloc_huge() for n in targets}
         self.replicated_2m[chunk] = True
+        self.replicated_pages += 1
         self._replica_blocks[backing_id] = blocks
         bytes_copied = int(PageSize.SIZE_2M) * len(targets)
         self.replica_bytes += bytes_copied
@@ -301,6 +330,7 @@ class AddressSpace:
                     self.phys[n].free_small(1)
                     freed += PAGE_4K
             self.replicated_4k[granule] = False
+            self.replicated_pages -= 1
             self.replica_bytes -= freed
             self._bump_version()
             return freed
@@ -314,6 +344,7 @@ class AddressSpace:
                 self.phys[node].free_huge(block)
                 freed += int(PageSize.SIZE_2M)
             self.replicated_2m[chunk] = False
+            self.replicated_pages -= 1
             self.replica_bytes -= freed
             self._bump_version()
             return freed
@@ -423,14 +454,14 @@ class AddressSpace:
         self.huge[chunk] = True
         self.node2m[chunk] = node
         self._block2m[chunk] = block
-        self._bump_version()
+        self._bump_layout()
 
     def _map_small(self, granules: np.ndarray, node: int) -> None:
         self.phys[node].alloc_small(int(granules.size))
         self.node4k[granules] = node
         chunk_ids, counts = np.unique(granules >> SHIFT_2M, return_counts=True)
         self.mapped_count_2m[chunk_ids] += counts.astype(np.int32)
-        self._bump_version()
+        self._bump_layout()
 
     def premap_range(
         self, start_granule: Pages4K, n_granules: Pages4K, node: NodeId, thp_alloc: bool
@@ -505,7 +536,7 @@ class AddressSpace:
         g = np.arange(start_granule, end, dtype=np.int64)
         chunk_ids, chunk_counts = np.unique(g >> SHIFT_2M, return_counts=True)
         self.mapped_count_2m[chunk_ids] += chunk_counts.astype(np.int32)
-        self._bump_version()
+        self._bump_layout()
 
     def premap_pattern_2m(self, chunk_start: int, nodes: NodeArray) -> np.ndarray:
         """Bulk-back fully unmapped 2MB chunks as huge pages.
@@ -577,7 +608,7 @@ class AddressSpace:
             self._block1g[gchunk] = block
             stats.faults_1g += 1
         if stats.faults_1g:
-            self._bump_version()
+            self._bump_layout()
         return stats
 
     # ------------------------------------------------------------------
@@ -603,7 +634,7 @@ class AddressSpace:
         span = slice(chunk << SHIFT_2M, (chunk + 1) << SHIFT_2M)
         self.node4k[span] = node
         self.mapped_count_2m[chunk] = GRANULES_PER_2M
-        self._bump_version()
+        self._bump_layout()
 
     def split_gchunk(self, gchunk: int) -> None:
         """Demote a 1GB page into 4KB pages on the same node."""
@@ -621,7 +652,7 @@ class AddressSpace:
         chunk_lo = (gchunk << SHIFT_1G) >> SHIFT_2M
         chunk_hi = ((gchunk + 1) << SHIFT_1G) >> SHIFT_2M
         self.mapped_count_2m[chunk_lo:chunk_hi] = GRANULES_PER_2M
-        self._bump_version()
+        self._bump_layout()
 
     def collapse_chunk(self, chunk: int, node: Optional[NodeId] = None) -> bool:
         """Promote 512 mapped 4KB pages into one 2MB page (khugepaged).
@@ -654,7 +685,7 @@ class AddressSpace:
         self._block2m[chunk] = block
         self.node4k[span] = -1
         self.mapped_count_2m[chunk] = 0
-        self._bump_version()
+        self._bump_layout()
         return True
 
     def migrate_backing(self, backing_id: int, dst_node: NodeId) -> Bytes:
@@ -898,7 +929,7 @@ class AddressSpace:
         self.mapped_count_2m[chunk_ids] -= chunk_counts.astype(np.int32)
         freed = int(g.size) * PAGE_4K
         self.reclaimed_bytes += freed
-        self._bump_version()
+        self._bump_layout()
         return freed
 
     def release_all(self) -> Bytes:
@@ -938,7 +969,7 @@ class AddressSpace:
         self.node1g[:] = -1
         self._block1g[:] = -1
         self.reclaimed_bytes += released
-        self._bump_version()
+        self._bump_layout()
         return released
 
     # ------------------------------------------------------------------
@@ -1037,6 +1068,10 @@ class AddressSpace:
         )
         if expected_replicas != self.replica_bytes:
             raise AssertionError("replica byte counter out of sync")
+        if self.replicated_pages != int(
+            np.count_nonzero(self.replicated_4k)
+        ) + int(np.count_nonzero(self.replicated_2m)):
+            raise AssertionError("replicated page count out of sync")
 
 
 def split_backing_page(

@@ -203,8 +203,11 @@ class WorkloadInstance:
         # TLB group lists memoized per (thread, per-region epoch keys):
         # most regions' geometry never changes across epochs, so one
         # list object serves every epoch (and downstream memos can
-        # compare it by identity).
+        # compare it by identity).  Each region's part is memoized under
+        # its own key, so a growth step re-evaluates only the region
+        # that grew.
         self._tlb_groups_cache: dict = {}
+        self._region_groups_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Engine-facing API
@@ -329,15 +332,23 @@ class WorkloadInstance:
         :meth:`Region.tlb_epoch_key` — and shared with callers, who
         must treat them as immutable.  Repeated calls with an unchanged
         key return the *same* list object, so the engine's per-thread
-        TLB memo can compare group lists by identity.
+        TLB memo can compare group lists by identity.  Each region
+        evaluates its part once per ``(thread, region key)``.
         """
-        key = (thread, tuple(r.tlb_epoch_key(epoch) for r in self.regions))
-        groups = self._tlb_groups_cache.get(key)
+        keys = tuple(r.tlb_epoch_key(epoch) for r in self.regions)
+        groups = self._tlb_groups_cache.get((thread, keys))
         if groups is None:
             groups = []
-            for region, share in zip(self.regions, self._norm_shares):
-                groups.extend(region.tlb_groups(thread, epoch, share))
-            self._tlb_groups_cache[key] = groups
+            for index, (region, share, region_key) in enumerate(
+                zip(self.regions, self._norm_shares, keys)
+            ):
+                part_key = (index, thread, region_key)
+                part = self._region_groups_cache.get(part_key)
+                if part is None:
+                    part = region.tlb_groups(thread, epoch, share)
+                    self._region_groups_cache[part_key] = part
+                groups.extend(part)
+            self._tlb_groups_cache[(thread, keys)] = groups
         return groups
 
     def stream_rng(self, thread: int, epoch: int) -> np.random.Generator:

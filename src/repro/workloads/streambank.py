@@ -41,6 +41,12 @@ the access tracker's whole-epoch inputs, pre-merged at fill time —
   offsets, consumed whole by
   :meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`.
 
+The bank also folds those columns into one
+:class:`~repro.sim.tracker.AccessTracker` for all of its runs
+(:meth:`StreamBank.fold_tracker`): the first run to reach an epoch
+folds that epoch's row, and each run reads the fold of exactly the
+epochs it ran (:meth:`StreamBank.tracker`).
+
 Lazy fill: a row materializes inside the call that first needs it, so
 a short run never generates past what it consumes.
 
@@ -65,6 +71,7 @@ import numpy as np
 
 from repro._util import SeedHasher, stable_seed
 from repro.options import RuntimeOptions
+from repro.sim.tracker import AccessTracker
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
 
 #: Epochs per storage block.  Blocks are filled lazily epoch by epoch,
@@ -262,6 +269,9 @@ class StreamBank:
             else None
         )
         self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
+        #: Access tracker folded over epochs ``[0, _folded)``.
+        self._fold: Optional[AccessTracker] = None
+        self._folded = 0
 
     # ------------------------------------------------------------------
     # Engine-facing API
@@ -324,6 +334,45 @@ class StreamBank:
         """
         block, i = self._ensure_row(epoch)
         return block.sharing[i]
+
+    def fold_tracker(self, epoch: int) -> None:
+        """Fold the tracker rows up to ``epoch`` into the bank's tracker.
+
+        Rows already folded (by any run sharing the bank) are not
+        folded again, so each epoch is folded once per bank.
+        """
+        if self._fold is None:
+            self._fold = AccessTracker(int(self.instance.n_granules))
+        if epoch >= self._folded:
+            self._fold_rows(self._fold, self._folded, epoch + 1)
+            self._folded = epoch + 1
+
+    def tracker(self, n_epochs: int) -> AccessTracker:
+        """The access tracker folded over epochs ``[0, n_epochs)``.
+
+        A run that reached as many epochs as the bank has folded reads
+        the bank's own tracker (shared: treat it as read-only).  A run
+        that stopped earlier, such as a truncated or OOM-killed scenario
+        tenant, gets its prefix folded afresh by the same function.
+        """
+        if self._fold is not None and n_epochs == self._folded:
+            return self._fold
+        tracker = AccessTracker(int(self.instance.n_granules))
+        self._fold_rows(tracker, 0, n_epochs)
+        return tracker
+
+    def _fold_rows(self, tracker: AccessTracker, start: int, stop: int) -> None:
+        """Fold epochs ``[start, stop)`` into ``tracker``, in order.
+
+        Per epoch, two vectorized calls: the fused weight columns (the
+        per-thread scale is baked in, identical to the engine's traffic
+        scaling, as the fingerprint pins ``dram_accesses``) and the
+        packed sharing summary.
+        """
+        for epoch in range(start, stop):
+            ids, _, _, scaled = self.epoch_tracker(epoch)
+            tracker.add_epoch(ids, scaled)
+            tracker.merge_epoch_sharing(self.sharing_packed(epoch))
 
     # ------------------------------------------------------------------
     # Row materialization (lazy fill)

@@ -3,7 +3,8 @@
 The contract under test: with checking on, a healthy run is bit-
 identical to an unchecked run and completes without violations; with
 state corrupted in any of the ways the checker guards (conservation,
-split bookkeeping, replica accounting, counter sanity), it raises a
+split bookkeeping, replica accounting, layout-version bumps, counter
+sanity), it raises a
 structured :class:`InvariantViolation` naming the run context.
 """
 
@@ -11,21 +12,27 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.invariants import (
     InvariantViolation,
     check_address_space,
     check_epoch_counters,
+    check_layout_version,
     check_page_conservation,
     check_physical_memory,
     invariants_enabled,
+    layout_arrays,
 )
 from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_by_name
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.vm.address_space import BACKING_ID_2M_OFFSET, AddressSpace
+from repro.vm.frame_allocator import PhysicalMemory
+from repro.vm.layout import GRANULES_PER_2M
 from repro.workloads.registry import get_workload
 
 WORKLOAD = "CG.D"
@@ -130,6 +137,47 @@ def test_detects_replica_byte_drift(checked_sim):
     finally:
         asp.replica_bytes -= 4096
     check_address_space(asp)
+
+
+def test_detects_replicated_page_count_drift(checked_sim):
+    asp = checked_sim.asp
+    asp.replicated_pages += 1
+    try:
+        with pytest.raises(InvariantViolation, match="replicated page count"):
+            check_address_space(asp)
+    finally:
+        asp.replicated_pages -= 1
+    check_address_space(asp)
+
+
+def _missed_layout_bump(monkeypatch):
+    """Make layout-changing operations forget their layout bump."""
+    monkeypatch.setattr(
+        AddressSpace, "_bump_layout", AddressSpace._bump_version
+    )
+
+
+def test_detects_layout_change_without_layout_bump(monkeypatch):
+    asp = AddressSpace(4 * GRANULES_PER_2M, PhysicalMemory([1 << 30] * 2))
+    asp.premap_pattern_2m(0, np.array([0, 1], dtype=np.int8))
+    version, arrays = asp.layout_version, layout_arrays(asp)
+    asp.migrate_backing(BACKING_ID_2M_OFFSET, 1)  # layout untouched
+    check_layout_version(asp, version, arrays)
+    _missed_layout_bump(monkeypatch)
+    asp.split_chunk(1)
+    with pytest.raises(InvariantViolation, match="changed without a layout_version bump"):
+        check_layout_version(asp, version, arrays)
+    monkeypatch.undo()
+    asp.collapse_chunk(1)  # a real bump: nothing to report
+    check_layout_version(asp, version, arrays)
+
+
+def test_checked_run_catches_a_missed_layout_bump(monkeypatch):
+    monkeypatch.delenv(CHECK_ENV, raising=False)
+    _missed_layout_bump(monkeypatch)
+    sim = _make_sim(check_invariants=True)
+    with pytest.raises(InvariantViolation, match="without a layout_version"):
+        sim.run()
 
 
 def test_detects_leaked_frames(checked_sim):

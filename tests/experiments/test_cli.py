@@ -245,6 +245,36 @@ class TestBadInput:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("profile", "--json"), ("trace", "--jsonl")],
+    )
+    def test_output_path_in_missing_directory(
+        self, capsys, tmp_path, command, flag
+    ):
+        path = tmp_path / "missing" / "out.json"
+        argv = [command, "Kmeans", "--quick", "--scale", "0.25", flag, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} {path}: directory {path.parent} does not exist\n"
+        )
+        # Checked before simulating: the run printed nothing.
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("profile", "--json"), ("trace", "--jsonl")],
+    )
+    def test_output_path_is_a_directory(self, capsys, tmp_path, command, flag):
+        argv = [command, "Kmeans", "--quick", "--scale", "0.25", flag, str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} {tmp_path} is a directory, not a file\n"
+        )
+        assert captured.out == ""
+
     def test_inconsistent_configuration(self, capsys):
         assert main(["run", "Kmeans", "--scale", "2", "--quick"]) == 2
         captured = capsys.readouterr()

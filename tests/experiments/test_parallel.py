@@ -67,6 +67,14 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "5")
         assert resolve_jobs() == 5
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_default_uses_every_core(self, monkeypatch, cpus):
+        # The parent process mostly waits on futures, so the default
+        # takes every core; a one-core box stays serial.
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert resolve_jobs() == cpus
+
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "lots")
         with pytest.raises(ConfigurationError, match="REPRO_JOBS='lots'"):

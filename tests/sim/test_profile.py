@@ -154,6 +154,17 @@ class TestRunProfiled:
         assert counts["tlb_evaluations"] >= 1
         assert counts["tlb_memo_hits"] > counts["tlb_evaluations"]
 
+    def test_counts_classifications_and_table_builds(
+        self, quick_settings, monkeypatch
+    ):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        _, timer = run_profiled("Kmeans", "A", "carrefour-lp", quick_settings)
+        counts = timer.summary()["counts"]
+        assert counts["tlb_classifications"] >= counts["tlb_evaluations"]
+        # Each Carrefour-LP interval groups its batch at least by
+        # backing page and by 4KB granule.
+        assert counts["table_builds"] >= 2
+
     def test_forced_on_despite_env_off(self, quick_settings, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV, "0")
         result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
@@ -185,7 +196,18 @@ class TestProfileCli:
         )
         assert payload["simulated_runtime_s"] > 0
         counts = profile["counts"]
-        assert set(counts) == {"tlb_evaluations", "tlb_memo_hits"}
+        assert set(counts) == {
+            "tlb_evaluations",
+            "tlb_memo_hits",
+            "tlb_classifications",
+            "table_builds",
+        }
         assert counts["tlb_evaluations"] >= 1
+        # Every model lookup follows one classification; thp has no
+        # policy loop, so it groups no samples.
+        assert counts["tlb_classifications"] == (
+            counts["tlb_evaluations"] + counts["tlb_memo_hits"]
+        )
+        assert counts["table_builds"] == 0
         for name, count in counts.items():
             assert f"{name:<18} {count:>10}" in captured

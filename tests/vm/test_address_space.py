@@ -327,16 +327,23 @@ class TestIntrospection:
 class TestProperties:
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 1)),
+            st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(0, 1)),
             min_size=1,
             max_size=30,
         )
     )
     @settings(max_examples=40, deadline=None)
     def test_random_op_sequences_keep_invariants(self, ops):
-        """Random premap/split/collapse/migrate sequences stay consistent."""
+        """Random premap/split/collapse/migrate/replicate/reclaim
+        sequences stay consistent, and ``layout_version`` moves exactly
+        when ``mapped_count_2m``, ``huge`` or ``giga`` change."""
         asp = make_asp(n_chunks=8, n_nodes=2)
         for op, chunk, node in ops:
+            layout = (
+                asp.mapped_count_2m.copy(), asp.huge.copy(), asp.giga.copy()
+            )
+            layout_version, version = asp.layout_version, asp.version
+            g = chunk * GRANULES_PER_2M
             if op == 0:  # premap huge if fully unmapped
                 if not asp.huge[chunk] and asp.mapped_count_2m[chunk] == 0:
                     asp.premap_pattern_2m(chunk, np.array([node], dtype=np.int8))
@@ -345,11 +352,24 @@ class TestProperties:
                     asp.split_chunk(chunk)
             elif op == 2:  # collapse (may refuse)
                 asp.collapse_chunk(chunk)
-            else:  # migrate whichever backing exists at chunk start
-                g = chunk * GRANULES_PER_2M
+            elif op == 5:  # reclaim the chunk's first granules
+                asp.reclaim_granules(np.arange(g, g + 8))
+            else:  # migrate or replicate the backing at chunk start
                 ids, _ = asp.backing_info(np.array([g]))
                 if asp.backing_is_live(int(ids[0])):
-                    asp.migrate_backing(int(ids[0]), node)
+                    if op == 3:
+                        asp.migrate_backing(int(ids[0]), node)
+                    else:
+                        asp.replicate_backing(int(ids[0]))
+            changed = not all(
+                np.array_equal(before, now)
+                for before, now in zip(
+                    layout, (asp.mapped_count_2m, asp.huge, asp.giga)
+                )
+            )
+            assert (asp.layout_version != layout_version) == changed
+            if changed:
+                assert asp.version > version
         asp.check_invariants()
-        # Physical accounting matches the mapping.
-        assert asp.phys.total_used_bytes == asp.mapped_bytes()
+        # Physical accounting matches the mapping plus the replica copies.
+        assert asp.phys.total_used_bytes == asp.mapped_bytes() + asp.replica_bytes
