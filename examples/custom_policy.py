@@ -19,7 +19,8 @@ from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_b
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.policy import PlacementPolicy, PolicyActionSummary
+from repro.sim.decisions import MigratePages
+from repro.sim.policy import PlacementPolicy
 from repro.core.metrics import PageSampleTable
 from repro.workloads.base import WorkloadInstance
 from repro.workloads.common import reference_cost
@@ -45,24 +46,16 @@ class InterleaveAllPolicy(PlacementPolicy):
         sim.thp.enable_alloc()
         sim.thp.enable_promotion()
 
-    def on_interval(self, sim, samples, window) -> PolicyActionSummary:
-        summary = PolicyActionSummary()
+    def decide(self, sim, samples, window):
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
-        for page_id in table.ids:
-            page_id = int(page_id)
-            if not sim.asp.backing_is_live(page_id):
-                continue
-            target = self._cursor % sim.machine.n_nodes
-            self._cursor += 1
-            moved = sim.asp.migrate_backing(page_id, target)
-            summary.bytes_migrated += moved
-            if moved == 4096:
-                summary.migrated_4k += 1
-            elif moved:
-                summary.migrated_2m += 1
-        return summary
+        ids = table.ids[sim.asp.backings_live(table.ids)]
+        targets = (self._cursor + np.arange(ids.size)) % sim.machine.n_nodes
+        self._cursor += int(ids.size)
+        # One batch, no budget cap: the executor moves every page,
+        # accounts the bytes and sends back an Outcome.
+        yield MigratePages(ids, targets, budget_bytes=sim.asp.mapped_bytes())
 
 
 def build_workload(machine):

@@ -1,9 +1,10 @@
-"""Whole-program lint rules R101-R104 and R109-R113 (``repro lint --deep``).
+"""Whole-program lint rules for ``repro lint --deep``.
 
-These rules need more than one file at a time: they run over a
-:class:`repro.analysis.callgraph.Project` (symbol table + call graph +
-transitive write effects) and the units pass
-(:mod:`repro.analysis.units`):
+The rules R101, R104, R110, R112 and R113 need more than one file at a
+time: they run over a :class:`repro.analysis.callgraph.Project` (symbol
+table + call graph + transitive write effects).  Each one has caught a
+mutant that no test, runtime check or ``validate`` claim catches (see
+EXPERIMENTS.md, "Earning the deep lint rules"):
 
 * **R101** — *result-neutral purity*.  Measurement components —
   ``sim/profile.py``, ``analysis/invariants.py``, and anything listed
@@ -15,30 +16,23 @@ transitive write effects) and the units pass
   bookkeeping.  The two default-protected modules are checked even when
   a tree's registry forgets them, so deleting a registry entry cannot
   silently disable the check.
-* **R102** — *unit mismatch*: arithmetic, comparisons, call arguments,
-  returns or assignments mixing unrelated dimensions (node ids vs
-  thread ids, samples vs bytes, ...).
-* **R103** — *missing conversion*: the same mix but within the
-  page/byte family (bytes vs 4KB granules vs 2MB/1GB chunks), where the
-  fix is a ×512 / ×``PAGE_4K``-style conversion factor; the factor is
-  named in the message.
 * **R104** — *whole-program randomness/clock reachability*: upgrade of
-  the per-file R002.  Starting from the sim entry points
-  (``Simulation.run`` plus any module-level ``_SIM_ENTRY_POINTS``
-  registry), walk the call graph and flag every reachable call site of
-  a wall-clock or random-number sink, reporting the call chain.  Sink
-  lines carrying a ``# lint: ignore[R002]`` suppression are treated as
-  sanctioned for R104 too — the comment marks the site deliberate, and
-  the two rules would otherwise demand duplicate annotations.
-
-* **R109-R113** — the decision-kernel pass
-  (:mod:`repro.analysis.decisionflow`): handler exhaustiveness over the
-  executor's ``HANDLERS`` table, interprocedural decider purity,
-  generator-protocol misuse, accounting completeness against the
-  ``counters`` metadata, and conflict-domain declarations against the
-  ``domain`` metadata.  These rules are structure-driven (they key on a
-  ``Decision`` class hierarchy and a ``HANDLERS`` dispatch table) and
-  stay silent on trees without one.
+  the per-file R002, which bans wall-clock reads only under the sim
+  directories.  Starting from the sim entry points (``Simulation.run``
+  plus any module-level ``_SIM_ENTRY_POINTS`` registry), walk the call
+  graph and flag every reachable call site of a wall-clock or
+  random-number sink, reporting the call chain — a clock read in
+  ``experiments/scenario_runner.py`` changes results as surely as one
+  in the engine.  Sink lines carrying a ``# lint: ignore[R002]``
+  suppression are treated as sanctioned for R104 too — the comment
+  marks the site deliberate, and the two rules would otherwise demand
+  duplicate annotations.
+* **R110 / R112 / R113** — the decision-kernel pass
+  (:mod:`repro.analysis.decisionflow`): interprocedural decider purity,
+  accounting completeness against the ``counters`` metadata, and
+  conflict-domain declarations against the ``domain`` metadata.  They
+  are structure-driven (they key on a ``Decision`` class hierarchy and
+  a ``HANDLERS`` dispatch table) and stay silent on trees without one.
 
 Registries are plain module-level tuples of dotted name fragments; a
 fragment matches a function when it appears as a contiguous dotted
@@ -55,11 +49,12 @@ import ast
 import pathlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.callgraph import (
-    GLOBAL_ROOT,
-    Effect,
-    FunctionInfo,
-    Project,
+from repro.analysis.callgraph import Effect, FunctionInfo, Project
+from repro.analysis.decisionflow import (
+    check_accounting,
+    check_conflict_domains,
+    check_purity,
+    decision_flow_model,
 )
 from repro.analysis.linter import FileContext, Finding
 from repro.analysis.rules import (
@@ -68,7 +63,6 @@ from repro.analysis.rules import (
     _WALL_CLOCK_TIME_FUNCS,
     _attr_chain,
 )
-from repro.analysis.units import UnitChecker, UnitEvent
 
 #: Modules protected by R101 even without a registry entry.
 DEFAULT_RESULT_NEUTRAL: Tuple[str, ...] = ("sim.profile", "analysis.invariants")
@@ -142,66 +136,6 @@ class ResultNeutralPurity(DeepRule):
         return bad
 
 
-class _UnitRule(DeepRule):
-    """Shared driver for the two unit rules (classified per event)."""
-
-    #: Which family of events this subclass reports.
-    conversion_events: bool = False
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        checker = _unit_checker(project)
-        for info, event in checker.check():
-            if event.is_conversion != self.conversion_events:
-                continue
-            ctx = project.contexts.get(info.module)
-            if ctx is None:
-                continue
-            yield ctx.finding(
-                self.rule_id, event.node, self._message(info, event)
-            )
-
-    def _message(self, info: FunctionInfo, event: UnitEvent) -> str:
-        raise NotImplementedError
-
-
-def _unit_checker(project: Project) -> UnitChecker:
-    """One UnitChecker per analyzed project (R102 and R103 share it)."""
-    cached = getattr(project, "_unit_checker", None)
-    if cached is None:
-        project.analyze()
-        cached = UnitChecker(project)
-        project._unit_checker = cached
-    return cached
-
-
-class UnitMismatch(_UnitRule):
-    """R102: mixing unrelated dimensions (node vs tid, samples vs bytes)."""
-
-    rule_id = "R102"
-    title = "unit mismatch"
-    conversion_events = False
-
-    def _message(self, info: FunctionInfo, event: UnitEvent) -> str:
-        return (
-            f"unit mismatch in {info.name}(): {event.detail} "
-            f"({event.left} vs {event.right})"
-        )
-
-
-class MissingConversion(_UnitRule):
-    """R103: page/byte-family mix missing a ×512/×PAGE_4K conversion."""
-
-    rule_id = "R103"
-    title = "missing page-size conversion"
-    conversion_events = True
-
-    def _message(self, info: FunctionInfo, event: UnitEvent) -> str:
-        return (
-            f"missing conversion in {info.name}(): {event.detail} "
-            f"({event.left} vs {event.right}){event.suggestion()}"
-        )
-
-
 class ReachableNondeterminism(DeepRule):
     """R104: random/clock sinks reachable from sim entry points."""
 
@@ -272,28 +206,12 @@ def _short_qual(qualname: str) -> str:
 
 
 class _DecisionFlowRule(DeepRule):
-    """Shared driver for R109-R113: one cached decision-kernel model."""
+    """Shared driver for R110, R112 and R113: one cached kernel model."""
 
     checker = staticmethod(lambda model: [])
 
     def check(self, project: Project) -> Iterator[Finding]:
-        from repro.analysis.decisionflow import decision_flow_model
-
-        model = decision_flow_model(project)
-        yield from type(self).checker(model)
-
-
-class HandlerExhaustiveness(_DecisionFlowRule):
-    """R109: every Decision subclass has a handler, and vice versa."""
-
-    rule_id = "R109"
-    title = "decision handler exhaustiveness"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.decisionflow import check_exhaustiveness
-
-        return check_exhaustiveness(model)
+        yield from type(self).checker(decision_flow_model(project))
 
 
 class DeciderPurity(_DecisionFlowRule):
@@ -301,25 +219,7 @@ class DeciderPurity(_DecisionFlowRule):
 
     rule_id = "R110"
     title = "interprocedural decider purity"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.decisionflow import check_purity
-
-        return check_purity(model)
-
-
-class GeneratorProtocol(_DecisionFlowRule):
-    """R111: decider generators speak the yield/send protocol correctly."""
-
-    rule_id = "R111"
-    title = "generator-protocol misuse"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.decisionflow import check_generator_protocol
-
-        return check_generator_protocol(model)
+    checker = staticmethod(check_purity)
 
 
 class AccountingCompleteness(_DecisionFlowRule):
@@ -327,12 +227,7 @@ class AccountingCompleteness(_DecisionFlowRule):
 
     rule_id = "R112"
     title = "accounting completeness"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.decisionflow import check_accounting
-
-        return check_accounting(model)
+    checker = staticmethod(check_accounting)
 
 
 class ConflictDomains(_DecisionFlowRule):
@@ -340,12 +235,7 @@ class ConflictDomains(_DecisionFlowRule):
 
     rule_id = "R113"
     title = "conflict-domain declarations"
-
-    @staticmethod
-    def checker(model):
-        from repro.analysis.decisionflow import check_conflict_domains
-
-        return check_conflict_domains(model)
+    checker = staticmethod(check_conflict_domains)
 
 
 #: Rationale text for ``repro lint --deep --explain RULE``.
@@ -356,28 +246,10 @@ RULE_RATIONALE: Dict[str, str] = {
         "simulation state from a timer callback changes the result the\n"
         "instant someone enables profiling."
     ),
-    "R102": (
-        "Arithmetic mixing unrelated dimensions (node ids vs thread ids,\n"
-        "samples vs bytes) is meaningless even when the integers happen\n"
-        "to line up; the units pass tracks dimensions through the call\n"
-        "graph and flags the mix site."
-    ),
-    "R103": (
-        "Page/byte-family mixes (bytes vs 4KB granules vs 2MB chunks)\n"
-        "need an explicit x512 / xPAGE_4K conversion; the finding names\n"
-        "the factor that makes the expression dimensionally sound."
-    ),
     "R104": (
         "Random or wall-clock sinks reachable from a sim entry point\n"
         "break run-to-run determinism; derive generators from rng_for\n"
         "and simulated time from the engine."
-    ),
-    "R109": (
-        "Every concrete Decision subclass needs an entry in the\n"
-        "executor's HANDLERS table (and every _apply_* handler must be\n"
-        "reachable through it): a decision without a handler is a\n"
-        "runtime SimulationError waiting for the first policy that\n"
-        "yields it."
     ),
     "R110": (
         "Policies are pure deciders: nothing reachable from decide()\n"
@@ -385,13 +257,6 @@ RULE_RATIONALE: Dict[str, str] = {
         "sim argument. The callgraph write-effect fixpoint proves this\n"
         "through any depth of calls; mutations belong in Decision\n"
         "handlers, where conflict claims and accounting see them."
-    ),
-    "R111": (
-        "Decider generators speak a strict protocol: yield Decision\n"
-        "objects only, never return a value run_interval would drop,\n"
-        "and bind the Outcome before accounting budgets — a discarded\n"
-        "Outcome means the budget counts work that may never have\n"
-        "happened."
     ),
     "R112": (
         "Each Decision declares the PolicyActionSummary counters its\n"
@@ -411,20 +276,12 @@ RULE_RATIONALE: Dict[str, str] = {
 
 
 def explain_rule(rule_id: str, project: Optional[Project] = None) -> Optional[str]:
-    """Rationale + (for R109-R113) the inferred decision-kernel model."""
+    """Rationale + (for R110, R112, R113) the inferred kernel model."""
     rationale = RULE_RATIONALE.get(rule_id)
     if rationale is None:
         return None
     lines = [f"{rule_id}: {rationale}"]
-    if project is not None and rule_id in (
-        "R109",
-        "R110",
-        "R111",
-        "R112",
-        "R113",
-    ):
-        from repro.analysis.decisionflow import decision_flow_model
-
+    if project is not None and rule_id in ("R110", "R112", "R113"):
         lines.append("")
         lines.append(decision_flow_model(project).describe())
     return "\n".join(lines)
@@ -433,12 +290,8 @@ def explain_rule(rule_id: str, project: Optional[Project] = None) -> Optional[st
 #: Every deep rule, in id order.
 ALL_DEEP_RULES: Tuple[type, ...] = (
     ResultNeutralPurity,
-    UnitMismatch,
-    MissingConversion,
     ReachableNondeterminism,
-    HandlerExhaustiveness,
     DeciderPurity,
-    GeneratorProtocol,
     AccountingCompleteness,
     ConflictDomains,
 )

@@ -256,11 +256,10 @@ def lint_paths(
 
 
 def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
-    """Render findings as ``text``, ``json`` or ``sarif``.
+    """Render findings as ``text`` or ``json``.
 
     The ``json`` payload shape is a stable contract (CI and editor
-    integrations parse it); ``sarif`` emits a SARIF 2.1.0 log for
-    GitHub code scanning (:mod:`repro.analysis.sarif`).
+    integrations parse it).
     """
     if fmt == "json":
         payload = {
@@ -268,10 +267,6 @@ def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
             "count": len(findings),
         }
         return json.dumps(payload, indent=2)
-    if fmt == "sarif":
-        from repro.analysis.sarif import format_sarif
-
-        return format_sarif(findings)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f.format_text() for f in findings]

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd = sub.add_parser(
         "lint",
         help="run the determinism linter (R001-R005; --deep adds"
-        " R101-R104 and R109-R113)",
+        " R101, R104, R110, R112 and R113)",
     )
     lint_cmd.add_argument(
         "paths",
@@ -131,25 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.add_argument(
         "--format",
         dest="lint_format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="output format (json for CI consumption, sarif for"
-        " GitHub code scanning)",
+        help="output format (json for CI consumption)",
     )
     lint_cmd.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program rules R101-R104 and R109-R113"
-        " (call-graph effect inference, units-of-measure checking and"
-        " the decision-flow contract analyzer)",
+        help="also run the whole-program rules R101 (result-neutral"
+        " purity), R104 (randomness or wall-clock reachable from a sim"
+        " entry point), R110 (decider purity), R112 (accounting"
+        " completeness) and R113 (conflict domains) over the call graph",
     )
     lint_cmd.add_argument(
         "--explain",
         default=None,
         metavar="RULE",
-        help="print a deep rule's rationale plus, for R109-R113, its"
-        " inferred model: the decision kernel (decisions, handlers,"
-        " policy roots) (implies --deep)",
+        help="print a deep rule's rationale plus, for R110, R112 and"
+        " R113, its inferred model: the decision kernel (decisions,"
+        " handlers, policy roots) (implies --deep)",
     )
     lint_cmd.add_argument(
         "--baseline",

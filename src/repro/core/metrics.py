@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsSamples
-from repro.units import Samples, SamplesArray
 from repro.vm.address_space import AddressSpace
 
 
@@ -36,11 +35,11 @@ class PageSampleTable:
     """
 
     ids: np.ndarray
-    node_counts: SamplesArray
+    node_counts: np.ndarray
     thread_counts: np.ndarray
-    n_samples: Samples
+    n_samples: int
     #: Sampled stores per page (replication eligibility).
-    write_counts: SamplesArray = None
+    write_counts: np.ndarray = None
 
     @classmethod
     def from_samples(
@@ -145,7 +144,7 @@ class PageSampleTable:
         )
 
     @property
-    def totals(self) -> SamplesArray:
+    def totals(self) -> np.ndarray:
         """Total samples per page."""
         return self.node_counts.sum(axis=1)
 

@@ -27,14 +27,6 @@ import numpy as np
 
 from repro._util import rng_from_state
 from repro.errors import ConfigurationError
-from repro.units import (
-    NodeArray,
-    NodeId,
-    Pages4KArray,
-    Samples,
-    ThreadArray,
-    ThreadId,
-)
 
 
 @dataclass
@@ -58,10 +50,10 @@ class IbsSamples:
         API fidelity with real IBS records).
     """
 
-    granule: Pages4KArray
-    accessing_node: NodeArray
-    home_node: NodeArray
-    thread: ThreadArray
+    granule: np.ndarray
+    accessing_node: np.ndarray
+    home_node: np.ndarray
+    thread: np.ndarray
     from_dram: np.ndarray
     #: Whether the sampled access was a store (used by the replication
     #: logic: only never-written pages are safe to replicate).
@@ -229,14 +221,14 @@ class IbsEngine:
 
     def record_epoch(
         self,
-        thread: ThreadId,
-        accessing_node: NodeId,
-        granules: Pages4KArray,
-        home_nodes: NodeArray,
+        thread: int,
+        accessing_node: int,
+        granules: np.ndarray,
+        home_nodes: np.ndarray,
         represented_accesses: float,
         rng: np.random.Generator,
         writes: "np.ndarray" = None,
-    ) -> Samples:
+    ) -> int:
         """Sample one thread-epoch stream; returns the number of samples.
 
         ``granules``/``home_nodes`` form the sampled DRAM stream; the
@@ -270,10 +262,10 @@ class IbsEngine:
 
     def record_epoch_batch(
         self,
-        threads: ThreadArray,
-        accessing_nodes: NodeArray,
-        streams: Pages4KArray,
-        home_nodes: NodeArray,
+        threads: np.ndarray,
+        accessing_nodes: np.ndarray,
+        streams: np.ndarray,
+        home_nodes: np.ndarray,
         writes: np.ndarray,
         stream_sizes: np.ndarray,
         represented_accesses: float,
@@ -321,7 +313,7 @@ class IbsEngine:
         return counts
 
     @property
-    def pending_samples(self) -> Samples:
+    def pending_samples(self) -> int:
         """Samples collected since the last drain."""
         return self._collected_since_drain
 
@@ -337,7 +329,7 @@ class IbsEngine:
             return batches[0]
         return IbsSamples.concatenate(batches)
 
-    def overhead_seconds(self, n_samples: Samples, cpu_freq_hz: float) -> float:
+    def overhead_seconds(self, n_samples: int, cpu_freq_hz: float) -> float:
         """CPU time consumed collecting ``n_samples`` samples."""
         if n_samples < 0:
             raise ConfigurationError("n_samples must be non-negative")

@@ -22,8 +22,8 @@ the JSONL decision trace (:mod:`repro.sim.trace`).
 
 Every concrete decision class additionally carries two pieces of
 *class metadata* that the decision-flow analyzer
-(:mod:`repro.analysis.decisionflow`, rules R109-R113) checks statically
-against the executor:
+(:mod:`repro.analysis.decisionflow`, rules R112 and R113) checks
+statically against the executor:
 
 * :attr:`Decision.domain` — the conflict domain its :meth:`targets`
   keys live in (``"page"``, ``"thp"``, ``"pt"``, or ``"none"`` for
@@ -41,14 +41,9 @@ against the executor:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple, TYPE_CHECKING
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
-
-from repro.units import NodeArray, NodeId, Pages4KArray
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.policy import PolicyActionSummary
 
 #: Conflict-target key: ("page", backing_id), ("thp", toggle-name) or
 #: ("pt", "replication").
@@ -148,7 +143,7 @@ class MigratePages(Decision):
     )
 
     page_ids: np.ndarray
-    target_nodes: NodeArray
+    target_nodes: np.ndarray
     budget_bytes: int
     #: Entries to pass over without moving.  The executor sets it to the
     #: pages an earlier member of a policy stack claimed this interval.
@@ -181,8 +176,8 @@ class InterleaveRegion(Decision):
     domain: ClassVar[str] = "page"
     counters: ClassVar[Tuple[str, ...]] = ("bytes_migrated", "migrated_4k")
 
-    granules: Pages4KArray
-    target_nodes: NodeArray
+    granules: np.ndarray
+    target_nodes: np.ndarray
     #: Backing page the granules came from (conflict key), when known.
     page_id: Optional[int] = None
 
@@ -255,7 +250,7 @@ class Collapse2M(Decision):
 
     chunk: int
     #: Explicit target node; plurality node of the constituents if None.
-    node: Optional[NodeId] = None
+    node: Optional[int] = None
 
     def targets(self) -> Tuple[Target, ...]:
         from repro.vm.address_space import BACKING_ID_2M_OFFSET
@@ -329,7 +324,7 @@ class ReclaimPages(Decision):
         "pages_reclaimed",
     )
 
-    granules: Pages4KArray
+    granules: np.ndarray
     #: Backing page the granules came from (conflict key), when known.
     page_id: Optional[int] = None
 
@@ -383,50 +378,3 @@ class ReplicatePageTables(Decision):
 
     def payload(self) -> dict:
         return {"kind": "ReplicatePageTables"}
-
-
-@dataclass(frozen=True, eq=False)
-class MergeSummary(Decision):
-    """Legacy bridge: fold a pre-built action summary into the interval.
-
-    Yielded by the base :meth:`PlacementPolicy.decide` for policies that
-    still implement ``on_interval`` directly (external subclasses); the
-    in-tree policies all emit fine-grained decisions instead.
-    """
-
-    domain: ClassVar[str] = "none"
-    counters: ClassVar[Tuple[str, ...]] = (
-        "migrated_4k",
-        "migrated_2m",
-        "bytes_migrated",
-        "splits_2m",
-        "splits_1g",
-        "collapses_2m",
-        "replicated_pages",
-        "bytes_replicated",
-        "pages_reclaimed",
-        "bytes_reclaimed",
-        "compute_s",
-        "notes",
-        "notes_dropped",
-    )
-
-    summary: "PolicyActionSummary"
-
-    def payload(self) -> dict:
-        s = self.summary
-        return {
-            "kind": "MergeSummary",
-            "migrated_4k": s.migrated_4k,
-            "migrated_2m": s.migrated_2m,
-            "bytes_migrated": s.bytes_migrated,
-            "splits_2m": s.splits_2m,
-            "splits_1g": s.splits_1g,
-            "collapses_2m": s.collapses_2m,
-            "replicated_pages": s.replicated_pages,
-            "bytes_replicated": s.bytes_replicated,
-            "pages_reclaimed": s.pages_reclaimed,
-            "bytes_reclaimed": s.bytes_reclaimed,
-            "compute_s": s.compute_s,
-            "n_notes": len(s.notes),
-        }

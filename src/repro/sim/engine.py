@@ -35,7 +35,6 @@ from typing import (
 
 import numpy as np
 
-from repro.units import Bytes, NodeId, Pages4K
 from repro.analysis.invariants import InvariantChecker, invariants_enabled
 from repro.errors import SimulationError
 from repro.hardware.counters import CounterBank, EpochCounters
@@ -49,7 +48,6 @@ from repro.sim.decisions import (
     Collapse2M,
     Decision,
     InterleaveRegion,
-    MergeSummary,
     MigratePages,
     Note,
     Outcome,
@@ -100,13 +98,13 @@ class PageTableState:
     """
 
     #: Node holding the (master) page tables.
-    home_node: NodeId = 0
+    home_node: int = 0
     #: Model remote page-table walks at all (policy opt-in).
     numa_enabled: bool = False
     #: Replicas exist on every node; walks are always local.
     replicated: bool = False
     #: Bytes charged for the replicas when replication happened.
-    replica_bytes: Bytes = 0
+    replica_bytes: int = 0
     #: Radix-walk depth: levels touched per full TLB-miss walk.
     walk_levels: int = 4
 
@@ -263,7 +261,7 @@ class Tenant:
         self._epochs_run += 1
         return not self.done
 
-    def release(self) -> Bytes:
+    def release(self) -> int:
         """Free every page back to the allocator (tenant exit/kill)."""
         return self.asp.release_all()
 
@@ -732,7 +730,7 @@ class Tenant:
     # TLB group classification against current backing state
     # ------------------------------------------------------------------
     def _backing_fractions(
-        self, lo: Pages4K, hi: Pages4K
+        self, lo: int, hi: int
     ) -> Tuple[float, float, float]:
         """Fractions of [lo, hi) backed by 4KB / 2MB / 1GB pages."""
         asp = self.asp
@@ -968,11 +966,10 @@ class ActionExecutor:
     # Decision dispatch
     # ------------------------------------------------------------------
     # One ``_apply_*`` method per concrete decision class, wired through
-    # the HANDLERS table below.  The decision-flow analyzer (R109/R112)
-    # reads this structure: a Decision subclass missing from HANDLERS —
-    # or an ``_apply_*`` method missing from it — is a lint error, and
-    # each handler's write effects must match the counters the decision
-    # class declares.
+    # the HANDLERS table below.  The decision-flow analyzer (R112/R113)
+    # reads this structure: each handler's write effects must match the
+    # counters its decision class declares, and CONFLICT_DOMAINS must
+    # cover the domains the decision classes declare.
 
     def _apply_charge_compute(
         self, decision: ChargeCompute, summary: PolicyActionSummary
@@ -1121,16 +1118,10 @@ class ActionExecutor:
             reason="" if freed else "nothing reclaimed",
         )
 
-    def _apply_merge_summary(
-        self, decision: MergeSummary, summary: PolicyActionSummary
-    ) -> Outcome:
-        summary.merge(decision.summary)
-        return Outcome(applied=True)
-
     #: Exact-type dispatch table (the decision hierarchy is flat, so
     #: exact-type lookup and the old isinstance chain are equivalent).
-    #: R109 checks this table is exhaustive over the Decision subclasses
-    #: and free of dead handlers.
+    #: ``tests/sim/test_decisions.py`` checks it covers every Decision
+    #: subclass.
     HANDLERS: ClassVar[
         Dict[Type[Decision], Callable[..., Outcome]]
     ] = {
@@ -1147,7 +1138,6 @@ class ActionExecutor:
         ReplicatePage: _apply_replicate_page,
         ReplicatePageTables: _apply_replicate_page_tables,
         ReclaimPages: _apply_reclaim_pages,
-        MergeSummary: _apply_merge_summary,
     }
 
     #: Conflict domains the first-member-wins claim logic arbitrates.

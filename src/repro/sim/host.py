@@ -26,7 +26,6 @@ from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.hardware.topology import NumaTopology
 from repro.sim.config import SimConfig
 from repro.sim.engine import Tenant
-from repro.units import Bytes
 from repro.vm.frame_allocator import PhysicalMemory
 
 
@@ -88,7 +87,7 @@ class Host:
         self.status[tenant.tenant_id] = "running"
         tenant.start()
 
-    def release(self, tenant: Tenant) -> Bytes:
+    def release(self, tenant: Tenant) -> int:
         """Return a departed tenant's pages to the shared allocator.
 
         Call after harvesting the tenant's result: releasing tears down
@@ -101,7 +100,7 @@ class Host:
         self.status[tenant.tenant_id] = "released"
         return freed
 
-    def evict(self, tenant: Tenant) -> Bytes:
+    def evict(self, tenant: Tenant) -> int:
         """Forcibly remove a still-running tenant and free its pages.
 
         For scenario truncation (the host clock ran out): harvest the
@@ -174,7 +173,7 @@ class Host:
     # ------------------------------------------------------------------
     # Memory pressure
     # ------------------------------------------------------------------
-    def apply_pressure(self, fraction: float) -> Bytes:
+    def apply_pressure(self, fraction: float) -> int:
         """Pin ``fraction`` of every node's free memory, fragmenting it.
 
         Models a long-running host's occupancy without simulating the
@@ -189,7 +188,7 @@ class Host:
             raise ConfigurationError(
                 f"pressure fraction {fraction} outside [0, 1)"
             )
-        pinned: Bytes = 0
+        pinned: int = 0
         for node in self.phys.nodes:
             pinned += node.pin_fragmented(int(node.free_bytes * fraction))
         return pinned

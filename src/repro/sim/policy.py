@@ -22,7 +22,7 @@ from typing import ClassVar, Generator, List, Optional, Sequence, TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
-from repro.sim.decisions import Decision, MergeSummary, Outcome
+from repro.sim.decisions import Decision, Outcome
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
@@ -104,16 +104,6 @@ class PlacementPolicy:
     def setup(self, sim: "Simulation") -> None:
         """Configure initial THP state and any policy-private state."""
 
-    def on_interval(
-        self, sim: "Simulation", samples: IbsSamples, window: CounterBank
-    ) -> PolicyActionSummary:
-        """Legacy daemon hook; superseded by :meth:`decide`.
-
-        Kept for external subclasses: the default :meth:`decide` bridges
-        whatever this returns into the executor via ``MergeSummary``.
-        """
-        return PolicyActionSummary()
-
     def decide(
         self, sim: "Simulation", samples: IbsSamples, window: CounterBank
     ) -> Generator[Decision, Outcome, None]:
@@ -121,9 +111,9 @@ class PlacementPolicy:
 
         The executor ``send()``s an :class:`~repro.sim.decisions.Outcome`
         back for every yielded decision, so deciders can rate-limit on
-        work actually performed.
+        work actually performed.  The base policy decides nothing.
         """
-        yield MergeSummary(self.on_interval(sim, samples, window))
+        yield from ()
 
     def deciders(self) -> Sequence["PlacementPolicy"]:
         """The decider sequence the executor runs each interval."""

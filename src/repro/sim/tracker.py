@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import Pages4K
 from repro.vm.address_space import AddressSpace
 from repro.vm.layout import GRANULES_PER_2M, SHIFT_1G, SHIFT_2M
 
@@ -43,7 +42,7 @@ class HotPageStats:
 class AccessTracker:
     """Accumulates per-granule access weight and sharing information."""
 
-    def __init__(self, n_granules: Pages4K) -> None:
+    def __init__(self, n_granules: int) -> None:
         if n_granules <= 0:
             raise ConfigurationError("n_granules must be positive")
         self.n_granules = n_granules

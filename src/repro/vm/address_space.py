@@ -24,14 +24,6 @@ import numpy as np
 
 from repro.errors import AllocationError, MappingError
 from repro.vm.frame_allocator import PhysicalMemory
-from repro.units import (
-    Bytes,
-    BytesArray,
-    NodeArray,
-    NodeId,
-    Pages4K,
-    Pages4KArray,
-)
 from repro.vm.layout import (
     CHUNKS_2M_PER_1G,
     GRANULES_PER_1G,
@@ -71,12 +63,12 @@ class AddressSpace:
     """One process's virtual address space over simulated physical memory."""
 
     def __init__(
-        self, n_granules: Pages4K, phys: PhysicalMemory, label: str = "anon"
+        self, n_granules: int, phys: PhysicalMemory, label: str = "anon"
     ) -> None:
         if n_granules <= 0:
             raise MappingError("address space must cover at least one granule")
         self.label = label
-        self.n_granules: Pages4K = int(n_granules)
+        self.n_granules: int = int(n_granules)
         self.n_chunks_2m = -(-self.n_granules // GRANULES_PER_2M)
         self.n_chunks_1g = -(-self.n_granules // GRANULES_PER_1G)
         self.phys = phys
@@ -98,7 +90,7 @@ class AddressSpace:
         self.replicated_4k = np.zeros(self.n_granules, dtype=bool)
         self.replicated_2m = np.zeros(self.n_chunks_2m, dtype=bool)
         self._replica_blocks: Dict[int, Dict[int, int]] = {}
-        self.replica_bytes: Bytes = 0
+        self.replica_bytes: int = 0
         # Pages (4KB and 2MB) currently replicated.  While it is zero
         # every replication flag is clear, so translation can skip the
         # replication gathers.  ``replica_bytes`` cannot tell: on a
@@ -114,7 +106,7 @@ class AddressSpace:
         # footprint alone is no longer monotonic once memory pressure
         # can evict pages; ``mapped_bytes() + reclaimed_bytes`` is, and
         # the invariant checker tracks exactly that sum.
-        self.reclaimed_bytes: Bytes = 0
+        self.reclaimed_bytes: int = 0
         # Monotonic mutation counter: bumped by every operation that can
         # change translation or backing composition (map, fault, split,
         # collapse, migrate, replicate).  The resolved home map below
@@ -193,7 +185,7 @@ class AddressSpace:
         self._home_map_version = v
         return home_map
 
-    def home_nodes(self, granules: Pages4KArray) -> NodeArray:
+    def home_nodes(self, granules: np.ndarray) -> np.ndarray:
         """Home node per accessed granule; -1 where unmapped."""
         g = np.asarray(granules, dtype=np.int64)
         home_map = self._resolved_home_map()
@@ -250,7 +242,7 @@ class AddressSpace:
         start = chunk << SHIFT_1G
         return np.arange(start, min(start + GRANULES_PER_1G, self.n_granules))
 
-    def home_nodes_for(self, granules: Pages4KArray, local_node: NodeId) -> NodeArray:
+    def home_nodes_for(self, granules: np.ndarray, local_node: int) -> np.ndarray:
         """Home node per access for a thread on ``local_node``.
 
         Identical to :meth:`home_nodes` except that *reads of
@@ -271,7 +263,7 @@ class AddressSpace:
         c2 = g >> SHIFT_2M
         return self.replicated_4k[g] | (self.huge[c2] & self.replicated_2m[c2])
 
-    def replicate_backing(self, backing_id: int) -> Bytes:
+    def replicate_backing(self, backing_id: int) -> int:
         """Replicate a page onto every other node; returns bytes copied.
 
         Returns 0 (no change) when the page is already replicated, is a
@@ -316,7 +308,7 @@ class AddressSpace:
         self._bump_version()
         return bytes_copied
 
-    def unreplicate_backing(self, backing_id: int) -> Bytes:
+    def unreplicate_backing(self, backing_id: int) -> int:
         """Collapse a page's replicas (e.g. on write); returns bytes freed."""
         kind = self.backing_id_kind(backing_id)
         if kind is PageSize.SIZE_4K:
@@ -382,7 +374,7 @@ class AddressSpace:
             live[inside] = backed[index[inside]]
         return live
 
-    def node_of_backing(self, backing_id: int) -> NodeId:
+    def node_of_backing(self, backing_id: int) -> int:
         """Home node of a backing page (-1 if unmapped)."""
         kind = self.backing_id_kind(backing_id)
         if kind is PageSize.SIZE_4K:
@@ -394,7 +386,7 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # Faulting and explicit mapping
     # ------------------------------------------------------------------
-    def _alloc_node_for(self, preferred: NodeId, huge: bool) -> NodeId:
+    def _alloc_node_for(self, preferred: int, huge: bool) -> int:
         """Pick the node to allocate on, falling back when full."""
         node_mem = self.phys[preferred]
         if huge:
@@ -405,7 +397,7 @@ class AddressSpace:
         return self.phys.node_with_most_free()
 
     def fault_in(
-        self, granules: Pages4KArray, node: NodeId, thp_alloc: bool
+        self, granules: np.ndarray, node: int, thp_alloc: bool
     ) -> FaultStats:
         """Demand-fault any unmapped granules in an access stream.
 
@@ -464,7 +456,7 @@ class AddressSpace:
         self._bump_layout()
 
     def premap_range(
-        self, start_granule: Pages4K, n_granules: Pages4K, node: NodeId, thp_alloc: bool
+        self, start_granule: int, n_granules: int, node: int, thp_alloc: bool
     ) -> FaultStats:
         """Map an entire range on one node (bulk first-touch).
 
@@ -508,7 +500,7 @@ class AddressSpace:
             g = span_end
         return stats
 
-    def premap_pattern_4k(self, start_granule: Pages4K, nodes: NodeArray) -> None:
+    def premap_pattern_4k(self, start_granule: int, nodes: np.ndarray) -> None:
         """Bulk-map a fully unmapped range as 4KB pages with given homes.
 
         ``nodes[i]`` is the home node of granule ``start_granule + i``.
@@ -538,7 +530,7 @@ class AddressSpace:
         self.mapped_count_2m[chunk_ids] += chunk_counts.astype(np.int32)
         self._bump_layout()
 
-    def premap_pattern_2m(self, chunk_start: int, nodes: NodeArray) -> np.ndarray:
+    def premap_pattern_2m(self, chunk_start: int, nodes: np.ndarray) -> np.ndarray:
         """Bulk-back fully unmapped 2MB chunks as huge pages.
 
         ``nodes[i]`` is the home node of chunk ``chunk_start + i``.
@@ -579,7 +571,7 @@ class AddressSpace:
         return backed
 
     def map_range_1g(
-        self, start_granule: Pages4K, n_granules: Pages4K, node: NodeId
+        self, start_granule: int, n_granules: int, node: int
     ) -> FaultStats:
         """Back a range with 1GB pages (hugetlbfs-style pre-allocation).
 
@@ -654,7 +646,7 @@ class AddressSpace:
         self.mapped_count_2m[chunk_lo:chunk_hi] = GRANULES_PER_2M
         self._bump_layout()
 
-    def collapse_chunk(self, chunk: int, node: Optional[NodeId] = None) -> bool:
+    def collapse_chunk(self, chunk: int, node: Optional[int] = None) -> bool:
         """Promote 512 mapped 4KB pages into one 2MB page (khugepaged).
 
         ``node`` defaults to the plurality node of the constituent
@@ -688,7 +680,7 @@ class AddressSpace:
         self._bump_layout()
         return True
 
-    def migrate_backing(self, backing_id: int, dst_node: NodeId) -> Bytes:
+    def migrate_backing(self, backing_id: int, dst_node: int) -> int:
         """Migrate one backing page to ``dst_node``; returns bytes moved.
 
         Returns 0 when the page is already on the destination or the
@@ -752,10 +744,10 @@ class AddressSpace:
     def migrate_backings(
         self,
         backing_ids: np.ndarray,
-        dst_nodes: NodeArray,
-        budget_bytes: Bytes,
+        dst_nodes: np.ndarray,
+        budget_bytes: int,
         skip: Optional[np.ndarray] = None,
-    ) -> Tuple[BytesArray, int]:
+    ) -> Tuple[np.ndarray, int]:
         """Migrate a batch of backing pages in order, within a byte budget.
 
         Walks the batch once with :meth:`migrate_backing`'s per-page
@@ -821,8 +813,8 @@ class AddressSpace:
         moved: np.ndarray,
         start: int,
         stop: int,
-        remaining: Bytes,
-    ) -> Tuple[int, Bytes]:
+        remaining: int,
+    ) -> Tuple[int, int]:
         """:meth:`migrate_backings` over the 4KB entries ``start:stop``.
 
         Fills ``moved`` and returns the next entry to visit and the
@@ -869,7 +861,7 @@ class AddressSpace:
                 pos += 1
         return start + pos, remaining
 
-    def migrate_granules(self, granules: Pages4KArray, dst_nodes: NodeArray) -> Bytes:
+    def migrate_granules(self, granules: np.ndarray, dst_nodes: np.ndarray) -> int:
         """Bulk-migrate 4KB-mapped granules; returns bytes moved.
 
         Granules must currently be 4KB-mapped.  Used after splitting a
@@ -900,7 +892,7 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # Reclaim and teardown
     # ------------------------------------------------------------------
-    def reclaim_granules(self, granules: Pages4KArray) -> Bytes:
+    def reclaim_granules(self, granules: np.ndarray) -> int:
         """Unmap 4KB-mapped granules and return their frames; bytes freed.
 
         Models memory-pressure reclaim (the tenant-scoped
@@ -932,7 +924,7 @@ class AddressSpace:
         self._bump_layout()
         return freed
 
-    def release_all(self) -> Bytes:
+    def release_all(self) -> int:
         """Tear down every mapping and return all frames (process exit).
 
         Collapses every replica, frees every 4KB/2MB/1GB backing, and
@@ -991,7 +983,7 @@ class AddressSpace:
         """
         self.collapse_blocked[:] = False
 
-    def page_table_bytes(self) -> Bytes:
+    def page_table_bytes(self) -> int:
         """Estimated size of the process's live page tables.
 
         One 4KB PTE page per 2MB chunk holding 4KB entries, plus one
@@ -1007,7 +999,7 @@ class AddressSpace:
         )
         return (int(pte_chunks.size) + int(pmd_regions.size)) * PAGE_4K
 
-    def mapped_bytes(self) -> Bytes:
+    def mapped_bytes(self) -> int:
         """Total mapped bytes at any granularity."""
         small = int(np.count_nonzero(self.node4k >= 0)) * PAGE_4K
         huge = int(np.count_nonzero(self.huge)) * int(PageSize.SIZE_2M)
@@ -1022,7 +1014,7 @@ class AddressSpace:
             PageSize.SIZE_1G: int(np.count_nonzero(self.giga)),
         }
 
-    def bytes_per_node(self) -> BytesArray:
+    def bytes_per_node(self) -> np.ndarray:
         """Mapped bytes per home node."""
         out = np.zeros(self.n_nodes, dtype=np.int64)
         mapped4k = self.node4k[self.node4k >= 0].astype(np.int64)

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro._util import ceil_div
 from repro.errors import AllocationError, ConfigurationError
-from repro.units import Bytes, NodeId, Pages4K
 from repro.vm.layout import ORDER_1G, ORDER_2M, PAGE_4K
 
 
@@ -66,12 +65,12 @@ class BuddyAllocator:
     # Queries
     # ------------------------------------------------------------------
     @property
-    def free_frames(self) -> Pages4K:
+    def free_frames(self) -> int:
         """Number of free 4KB frames."""
         return self._free_frames
 
     @property
-    def allocated_frames(self) -> Pages4K:
+    def allocated_frames(self) -> int:
         """Number of allocated 4KB frames."""
         return self.total_frames - self._free_frames
 
@@ -229,7 +228,7 @@ class NodeMemory:
     """One NUMA node's DRAM: buddy allocator plus a small-frame pool."""
 
     def __init__(
-        self, node_id: NodeId, dram_bytes: Bytes, max_order: int = ORDER_1G
+        self, node_id: int, dram_bytes: int, max_order: int = ORDER_1G
     ) -> None:
         if dram_bytes < PAGE_4K:
             raise ConfigurationError("a node needs at least one frame of DRAM")
@@ -243,18 +242,18 @@ class NodeMemory:
         #: Bytes held by explicit :meth:`inject_fragmentation` pins —
         #: allocator usage not backed by any mapping, which the runtime
         #: page-conservation invariant must account for separately.
-        self.test_pinned_bytes: Bytes = 0
+        self.test_pinned_bytes: int = 0
 
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
     @property
-    def used_bytes(self) -> Bytes:
+    def used_bytes(self) -> int:
         """Bytes allocated to pages (pool-held free frames do not count)."""
         return (self.buddy.allocated_frames - self._pool_free) * PAGE_4K
 
     @property
-    def free_bytes(self) -> Bytes:
+    def free_bytes(self) -> int:
         """Bytes available for new allocations (buddy free + pool free)."""
         return (self.buddy.free_frames + self._pool_free) * PAGE_4K
 
@@ -265,7 +264,7 @@ class NodeMemory:
     # ------------------------------------------------------------------
     # Small (4KB) frames — pooled, count-based
     # ------------------------------------------------------------------
-    def alloc_small(self, n: Pages4K) -> None:
+    def alloc_small(self, n: int) -> None:
         """Allocate ``n`` 4KB frames (identity untracked)."""
         if n < 0:
             raise ConfigurationError("frame count must be non-negative")
@@ -289,7 +288,7 @@ class NodeMemory:
             self._pool_free += 1 << order
         self._pool_free -= n
 
-    def free_small(self, n: Pages4K) -> None:
+    def free_small(self, n: int) -> None:
         """Free ``n`` 4KB frames back to the pool."""
         if n < 0:
             raise ConfigurationError("frame count must be non-negative")
@@ -300,7 +299,7 @@ class NodeMemory:
             self.buddy.free(start, ORDER_2M)
             self._pool_free -= 1 << ORDER_2M
 
-    def settle_small(self, net: Pages4K) -> None:
+    def settle_small(self, net: int) -> None:
         """Apply a quiet run's frees minus allocations in one step.
 
         See :meth:`PhysicalMemory.quiet_small_prefix`: over a quiet run
@@ -364,7 +363,7 @@ class NodeMemory:
         """Record allocated blocks as fragmentation pins."""
         self._fragmentation_pins.extend((start << 6) | order for start in starts)
 
-    def pin_fragmented(self, target_bytes: Bytes) -> Bytes:
+    def pin_fragmented(self, target_bytes: int) -> int:
         """Pin ~``target_bytes`` so the *free* remainder is fragmented.
 
         Sequential buddy allocations return adjacent blocks, so naive
@@ -405,7 +404,7 @@ class NodeMemory:
                 kept.append(start)
         self.buddy.free_many(released, half_order)
         self._pin_blocks(kept, half_order)
-        pinned: Bytes = len(kept) * half_bytes
+        pinned: int = len(kept) * half_bytes
         # Phase 3: top up from the now-scattered free halves (re-pinning
         # them cannot restore contiguity — their buddies stay pinned).
         top_up = self.buddy.alloc_many(
@@ -457,12 +456,12 @@ class PhysicalMemory:
         return len(self.nodes)
 
     @property
-    def total_used_bytes(self) -> Bytes:
+    def total_used_bytes(self) -> int:
         """Bytes in use across all nodes."""
         return sum(node.used_bytes for node in self.nodes)
 
     @property
-    def total_free_bytes(self) -> Bytes:
+    def total_free_bytes(self) -> int:
         """Bytes free across all nodes."""
         return sum(node.free_bytes for node in self.nodes)
 
@@ -494,7 +493,7 @@ class PhysicalMemory:
             if frames:
                 node.settle_small(frames)
 
-    def node_with_most_free(self, exclude: Optional[NodeId] = None) -> NodeId:
+    def node_with_most_free(self, exclude: Optional[int] = None) -> int:
         """Node id with the most free memory (fallback allocation target)."""
         best, best_free = -1, -1
         for node in self.nodes:

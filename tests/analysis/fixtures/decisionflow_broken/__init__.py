@@ -1,7 +1,9 @@
-"""Deliberately broken decision kernel for the R109-R113 CI step.
+"""Deliberately broken measurement hook, simulation loop and decision
+kernel for the deep-lint CI step.
 
 CI runs ``repro lint --deep`` over this package and asserts the run
-*fails* with the expected rule ids — proving the decision-flow rules
-actually gate a broken kernel rather than silently passing.  Each
-module documents which rules it violates.  Never "fix" these files.
+*fails* naming every deep rule (R101, R104, R110, R112 and R113) —
+proving the rules actually gate broken code rather than silently
+passing.  Each module documents which rule it violates.  Never "fix"
+these files.
 """

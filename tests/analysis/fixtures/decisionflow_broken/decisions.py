@@ -1,7 +1,7 @@
 """Decision classes with deliberate contract violations.
 
-* ``OrphanDecision`` — no executor handler (R109).
-* ``ConfusedDecision`` — declares domain ``thp`` but claims ``page``
+* ``SplitPage`` declares ``splits_2m``, which its handler forgets (R112).
+* ``ConfusedDecision`` declares domain ``thp`` but claims ``page``
   targets (R113).
 """
 
@@ -31,13 +31,11 @@ class MigratePage(Decision):
 
 
 @dataclass(frozen=True)
-class OrphanDecision(Decision):
-    """R109: yielded by a policy but no ``_apply_*`` handler exists."""
-
+class SplitPage(Decision):
     page_id: int
 
     domain: ClassVar[str] = "page"
-    counters: ClassVar[Tuple[str, ...]] = ("bytes_migrated",)
+    counters: ClassVar[Tuple[str, ...]] = ("splits_2m",)
 
     def targets(self):
         return (("page", self.page_id),)

@@ -1,8 +1,8 @@
-"""Executor whose HANDLERS table does not cover every decision (R109)."""
+"""Executor whose split handler does work it never accounts (R112)."""
 
 from typing import Callable, ClassVar, Dict, Tuple, Type
 
-from .decisions import Decision, MigratePage
+from .decisions import ConfusedDecision, Decision, MigratePage, SplitPage
 
 
 class Outcome:
@@ -18,9 +18,18 @@ class BrokenExecutor:
         summary.bytes_migrated += 4096
         return Outcome(True)
 
+    def _apply_split_page(self, decision, summary):
+        # R112: SplitPage.counters declares splits_2m, never touched.
+        self.sim.asp.split(decision.page_id)
+        return Outcome(True)
+
+    def _apply_confused(self, decision, summary):
+        return Outcome(True)
+
     HANDLERS: ClassVar[Dict[Type[Decision], Callable]] = {
         MigratePage: _apply_migrate_page,
-        # OrphanDecision and ConfusedDecision are missing: R109.
+        SplitPage: _apply_split_page,
+        ConfusedDecision: _apply_confused,
     }
 
     CONFLICT_DOMAINS: ClassVar[Tuple[str, ...]] = ("page",)

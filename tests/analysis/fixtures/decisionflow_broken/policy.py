@@ -5,7 +5,7 @@ yielding a decision, through a one-call helper so only the
 interprocedural write-effect analysis can see it.
 """
 
-from .decisions import Decision, MigratePage, OrphanDecision
+from .decisions import MigratePage, SplitPage
 
 
 class PlacementPolicy:
@@ -20,7 +20,7 @@ class ImpurePolicy(PlacementPolicy):
 
     def decide(self, sim, samples, window):
         self._bump(sim)  # R110: writes sim.stats.moves
-        yield OrphanDecision(0)
+        yield SplitPage(0)
 
     def _bump(self, sim):
         sim.stats.moves = sim.stats.moves + 1

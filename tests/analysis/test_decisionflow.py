@@ -1,4 +1,4 @@
-"""Fixture tests for the decision-kernel rules R109-R113.
+"""Fixture tests for the decision-kernel rules R110, R112 and R113.
 
 Each rule gets at least two seeded violations, one suppressed case and
 one negative case, per the linter's fixture-test convention.  The final
@@ -23,101 +23,6 @@ PACKAGE = pathlib.Path(repro.__file__).parent
 
 def by_rule(findings, rule):
     return [f for f in findings if f.rule == rule]
-
-
-# ----------------------------------------------------------------------
-# R109: handler exhaustiveness
-# ----------------------------------------------------------------------
-R109_SRC = """\
-class Decision:
-    domain = "none"
-
-
-class MigratePage(Decision):
-    domain = "page"
-    counters = ("bytes_migrated",)
-
-    def targets(self):
-        return (("page", self.page_id),)
-
-
-class MigrateThread(Decision):
-    domain = "page"
-
-    def targets(self):
-        return (("page", self.tid),)
-
-
-class Collapse2M(Decision):
-    domain = "page"
-    counters = ("collapses_2m",)
-
-    def targets(self):
-        return (("page", self.chunk),)
-
-
-class Phantom(Decision):  # lint: ignore[R109]
-    domain = "page"
-
-    def targets(self):
-        return (("page", self.x),)
-
-
-class Frame:
-    pass
-
-
-class ActionExecutor:
-    def _apply_migrate_page(self, decision, summary):
-        summary.bytes_migrated += 8
-        return None
-
-    def _apply_stale(self, decision, summary):
-        return None
-
-    def _apply_orphan(self, decision, summary):
-        return None
-
-    HANDLERS = {MigratePage: _apply_migrate_page, Frame: _apply_stale}
-    CONFLICT_DOMAINS = ("page",)
-"""
-
-
-def r109_findings():
-    return deep_lint_sources({"src/sim/kernel.py": R109_SRC})
-
-
-def test_r109_flags_decisions_without_handlers():
-    r109 = by_rule(r109_findings(), "R109")
-    messages = "\n".join(f.message for f in r109)
-    assert "MigrateThread has no executor handler" in messages
-    assert "Collapse2M has no executor handler" in messages
-
-
-def test_r109_flags_foreign_keys_and_dead_handlers():
-    r109 = by_rule(r109_findings(), "R109")
-    messages = "\n".join(f.message for f in r109)
-    # Frame is in HANDLERS but is not a Decision subclass.
-    assert "'Frame' is not a Decision subclass" in messages
-    # _apply_orphan exists but nothing dispatches to it.
-    assert "dead handler" in messages
-    assert "_apply_orphan" in messages
-    # _apply_stale is referenced (by the Frame entry, itself flagged):
-    # one finding per defect, no double-reporting.
-    assert "_apply_stale" not in messages
-
-
-def test_r109_suppression_and_negative():
-    r109 = by_rule(r109_findings(), "R109")
-    messages = "\n".join(f.message for f in r109)
-    assert "Phantom" not in messages  # class line carries the ignore
-    assert "MigratePage has no executor handler" not in messages
-
-
-def test_r109_silent_without_an_executor():
-    source = R109_SRC.split("class Frame:")[0]
-    findings = deep_lint_sources({"src/sim/kernel.py": source})
-    assert by_rule(findings, "R109") == []
 
 
 # ----------------------------------------------------------------------
@@ -192,94 +97,6 @@ def test_r110_sanctions_private_memo_paths():
 def test_r110_suppression_comment_respected():
     messages = "\n".join(f.message for f in r110_findings())
     assert "HushedPolicy" not in messages
-
-
-# ----------------------------------------------------------------------
-# R111: generator-protocol misuse
-# ----------------------------------------------------------------------
-R111_SRC = """\
-class Decision:
-    domain = "none"
-
-
-class MigratePage(Decision):
-    domain = "page"
-
-    def targets(self):
-        return (("page", self.page_id),)
-
-
-class Stats:
-    pass
-
-
-class PlacementPolicy:
-    def decide(self, sim, samples, window):
-        yield MigratePage(0)
-
-
-class ChattyPolicy(PlacementPolicy):
-    def decide(self, sim, samples, window):
-        yield {"kind": "migrate"}
-        yield Stats()
-        return 7
-
-
-class BudgetPolicy(PlacementPolicy):
-    def decide(self, sim, samples, window):
-        budget = 4096
-        for page in sim.hot_pages:
-            if budget <= 0:
-                break
-            yield MigratePage(page)
-            budget -= 4096
-
-
-class PatientPolicy(PlacementPolicy):
-    def decide(self, sim, samples, window):
-        budget = 4096
-        for page in sim.hot_pages:
-            if budget <= 0:
-                break
-            outcome = yield MigratePage(page)
-            budget -= outcome.bytes_moved
-
-
-class HushedPolicy(PlacementPolicy):
-    def decide(self, sim, samples, window):
-        yield 3  # lint: ignore[R111]
-"""
-
-
-def r111_findings():
-    return deep_lint_sources({"src/core/gen.py": R111_SRC})
-
-
-def test_r111_flags_non_decision_yields():
-    r111 = by_rule(r111_findings(), "R111")
-    messages = "\n".join(f.message for f in r111)
-    assert "yields a container literal" in messages
-    assert "yields a gen.Stats instance" in messages
-
-
-def test_r111_flags_dropped_return_value():
-    r111 = by_rule(r111_findings(), "R111")
-    messages = "\n".join(f.message for f in r111)
-    assert "run_interval silently drops" in messages
-
-
-def test_r111_flags_discarded_outcome_in_budget_loop():
-    r111 = by_rule(r111_findings(), "R111")
-    budget = [f for f in r111 if "BudgetPolicy" in f.message]
-    assert len(budget) == 1, format_findings(r111)
-    assert "discards the Outcome" in budget[0].message
-    assert "'budget'" in budget[0].message
-
-
-def test_r111_accepts_bound_outcomes_and_suppression():
-    messages = "\n".join(f.message for f in r111_findings())
-    assert "PatientPolicy" not in messages  # outcome is bound
-    assert "HushedPolicy" not in messages  # suppressed constant yield
 
 
 # ----------------------------------------------------------------------
@@ -600,8 +417,8 @@ def shipped_model():
 
 def test_shipped_kernel_model_is_complete():
     model = shipped_model()
-    # All 14 concrete decision classes, one executor, full coverage.
-    assert len(model.decisions) == 14
+    # All 13 concrete decision classes, one executor, full coverage.
+    assert len(model.decisions) == 13
     assert len(model.executors) == 1
     executor = model.executors[0]
     assert set(executor.handlers) == set(model.decisions)
@@ -640,28 +457,24 @@ def test_shipped_tree_decision_rules_clean_within_budget():
     t0 = time.perf_counter()
     findings = deep_lint_paths([PACKAGE])
     elapsed = time.perf_counter() - t0
-    decision_rules = [
-        f for f in findings if f.rule in ("R109", "R110", "R111", "R112", "R113")
-    ]
+    decision_rules = [f for f in findings if f.rule in ("R110", "R112", "R113")]
     assert decision_rules == [], format_findings(decision_rules)
     # Acceptance bound: every deep rule over src/ in < 3 s.
     assert elapsed < 3.0, f"deep analysis took {elapsed:.2f}s"
 
 
 def test_broken_fixture_package_fails_deep_lint():
-    """The CI proof fixture really trips the rules it claims to trip.
+    """The CI proof fixture really trips every deep rule.
 
     CI deep-lints ``fixtures/decisionflow_broken`` and requires a
-    non-zero exit with R109 in the output; this test keeps the fixture
+    non-zero exit naming each deep rule; this test keeps the fixture
     honest so that step can never silently pass.
     """
-    from repro.analysis.deep import deep_lint_paths
+    from repro.analysis.deep import ALL_DEEP_RULES, deep_lint_paths
 
     fixture = pathlib.Path(__file__).parent / "fixtures" / "decisionflow_broken"
     findings = deep_lint_paths([fixture])
     rules = sorted({f.rule for f in findings})
-    assert "R109" in rules, format_findings(findings)
-    assert "R110" in rules, format_findings(findings)
-    assert "R113" in rules, format_findings(findings)
-    orphans = [f for f in findings if f.rule == "R109"]
-    assert any("OrphanDecision" in f.message for f in orphans)
+    assert rules == [r.rule_id for r in ALL_DEEP_RULES], format_findings(findings)
+    confused = [f for f in findings if f.rule == "R113"]
+    assert any("ConfusedDecision" in f.message for f in confused)

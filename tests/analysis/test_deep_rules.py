@@ -1,15 +1,22 @@
-"""Fixture tests for the whole-program rules R101-R104.
+"""Fixture tests for the whole-program rules R101 and R104, and the pinned
+mutants of every kept deep rule.
 
-Each rule gets at least two seeded violations plus a suppressed or
-negative case, per the linter's fixture-test convention.  The final
-test deep-lints the shipped package itself: the tree must stay clean
-and the whole analysis must finish well inside the 10s budget.
+R101 and R104 get seeded violations plus suppressed and negative cases,
+per the linter's fixture-test convention (R110 and R112 have theirs in
+``test_decisionflow.py``).  The shipped package must deep-lint clean
+well inside the time budget.  Each kept rule earned its place in a
+mutation study by flagging a mutant that no test, runtime check or
+``validate`` claim catches; ``TestPinnedMutants`` applies each such
+mutant to the shipped source and asserts that its rule still fires.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import time
+
+import pytest
 
 import repro
 from repro.analysis.deep import deep_lint_paths, deep_lint_sources
@@ -97,92 +104,6 @@ def test_r101_default_protection_survives_registry_deletion():
     r101 = by_rule(findings, "R101")
     assert len(r101) == 1
     assert "sim.profile" in r101[0].message
-
-
-# ----------------------------------------------------------------------
-# R102: unit mismatch (unrelated dimensions)
-# ----------------------------------------------------------------------
-R102_SRC = """\
-def pick(home: NodeId, owner: ThreadId):
-    return home + owner
-
-
-def tally(n_samples, total_bytes):
-    return n_samples > total_bytes
-
-
-def hushed(n_samples, total_bytes):
-    return n_samples + total_bytes  # lint: ignore[R102]
-
-
-def clean(n_samples, more_samples):
-    return n_samples + more_samples
-"""
-
-
-def test_r102_fires_on_dimension_mixes():
-    findings = deep_lint_sources({"src/policy/score.py": R102_SRC})
-    r102 = by_rule(findings, "R102")
-    assert len(r102) == 2, format_findings(findings)
-    messages = "\n".join(f.message for f in r102)
-    assert "node vs tid" in messages
-    assert "samples vs bytes" in messages
-
-
-def test_r102_suppression_and_negative():
-    findings = deep_lint_sources({"src/policy/score.py": R102_SRC})
-    for finding in findings:
-        assert "hushed" not in finding.message
-        assert "clean" not in finding.message
-
-
-# ----------------------------------------------------------------------
-# R103: missing page-size conversion
-# ----------------------------------------------------------------------
-R103_SRC = """\
-def footprint(n_granules, nbytes):
-    return n_granules + nbytes
-
-
-def compare(n_chunks_2m, n_granules):
-    return n_chunks_2m < n_granules
-
-
-def converted(n_granules, nbytes):
-    return n_granules * PAGE_4K + nbytes
-
-
-def hushed(n_granules, nbytes):
-    return n_granules + nbytes  # lint: ignore[R103]
-"""
-
-
-def test_r103_fires_and_names_the_factor():
-    findings = deep_lint_sources({"src/vm/sizes.py": R103_SRC})
-    r103 = by_rule(findings, "R103")
-    assert len(r103) == 2, format_findings(findings)
-    messages = "\n".join(f.message for f in r103)
-    assert "convert with PAGE_4K" in messages
-    assert "GRANULES_PER_2M (512)" in messages
-
-
-def test_r103_conversion_and_suppression_are_silent():
-    findings = deep_lint_sources({"src/vm/sizes.py": R103_SRC})
-    for finding in findings:
-        assert "converted" not in finding.message
-        assert "hushed" not in finding.message
-
-
-def test_r102_and_r103_partition_by_family():
-    findings = deep_lint_sources(
-        {"src/policy/score.py": R102_SRC, "src/vm/sizes.py": R103_SRC}
-    )
-    assert {f.rule for f in findings} == {"R102", "R103"}
-    # Page/byte-family mixes are R103, everything else R102 — never both.
-    for finding in by_rule(findings, "R102"):
-        assert finding.path == "src/policy/score.py"
-    for finding in by_rule(findings, "R103"):
-        assert finding.path == "src/vm/sizes.py"
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +219,12 @@ def test_shipped_tree_deep_lints_clean_within_budget():
 
 def test_deep_rule_ids_are_stable():
     # Baselines and suppression comments name rules by id, so the rules
-    # that remain after R105-R108 left keep theirs, each with a
-    # rationale for --explain.
+    # that remain after R102, R103, R105-R109 and R111 left keep
+    # theirs, each with a rationale for --explain.
     from repro.analysis.deep import ALL_DEEP_RULES, RULE_RATIONALE
 
     ids = [rule.rule_id for rule in ALL_DEEP_RULES]
-    assert ids == [
-        "R101", "R102", "R103", "R104",
-        "R109", "R110", "R111", "R112", "R113",
-    ]
+    assert ids == ["R101", "R104", "R110", "R112", "R113"]
     assert sorted(RULE_RATIONALE) == ids
 
 
@@ -329,3 +247,153 @@ def test_shipped_profiler_and_invariants_are_verified_neutral():
     assert any("PhaseTimer.lap" in q for q in covered)
     assert any("InvariantChecker.after_epoch" in q for q in covered)
     assert list(ResultNeutralPurity().check(project)) == []
+
+
+# ----------------------------------------------------------------------
+# Pinned mutants: catches no test, runtime check or validate claim makes
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def shipped_sources():
+    """The shipped package as an in-memory ``{path: source}`` tree."""
+    return {
+        f"src/repro/{path.relative_to(PACKAGE).as_posix()}": path.read_text(
+            encoding="utf-8"
+        )
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+
+
+def mutated_tree(relpath, edits):
+    """The shipped tree with exact-string edits applied to one file."""
+    sources = dict(shipped_sources())
+    key = f"src/repro/{relpath}"
+    for old, new in edits:
+        assert sources[key].count(old) == 1, f"mutant site moved in {key}"
+        sources[key] = sources[key].replace(old, new)
+    return sources
+
+
+#: id -> (rule, file, edits, text the rule's finding must contain)
+PINNED_MUTANTS = {
+    "R101-checker-clears-collapse-blocks": (
+        "R101",
+        "analysis/invariants.py",
+        [(
+            "        self._check_action_conservation()\n"
+            "        self._epochs_checked += 1",
+            "        self._check_action_conservation()\n"
+            "        sim.asp.clear_collapse_blocks()\n"
+            "        self._epochs_checked += 1",
+        )],
+        "InvariantChecker.after_epoch",
+    ),
+    "R104-scenario-wall-clock-deadline": (
+        "R104",
+        "experiments/scenario_runner.py",
+        [
+            ("import dataclasses\n", "import dataclasses\nimport time\n"),
+            (
+                "    next_id = 0\n\n"
+                "    while host.epoch < scenario.max_host_epochs and (",
+                "    next_id = 0\n"
+                "    deadline = time.monotonic() + 2.0\n\n"
+                "    while host.epoch < scenario.max_host_epochs"
+                " and time.monotonic() < deadline and (",
+            ),
+        ],
+        "time.monotonic() reachable from sim entry point via "
+        "scenario_runner.run_scenario",
+    ),
+    "R110-conservative-writes-alloc-flag": (
+        "R110",
+        "core/conservative.py",
+        [(
+            "            yield ToggleThpAlloc(True)\n"
+            "            decision.enabled_alloc = True\n"
+            "        return decision",
+            "            sim.thp.alloc_enabled = True\n"
+            "            decision.enabled_alloc = True\n"
+            "        return decision",
+        )],
+        "may mutate sim.thp.alloc_enabled",
+    ),
+    "R110-reactive-writes-thp-flags": (
+        "R110",
+        "core/reactive.py",
+        [(
+            "            yield ToggleThpAlloc(False)\n"
+            "            yield ToggleThpPromotion(False)\n",
+            "            sim.thp.alloc_enabled = False\n"
+            "            sim.thp.promotion_enabled = False\n",
+        )],
+        "may mutate sim.thp.promotion_enabled",
+    ),
+    "R110-conservative-clears-blocks-directly": (
+        "R110",
+        "core/conservative.py",
+        [("            yield ClearCollapseBlocks()\n",
+          "            sim.asp.clear_collapse_blocks()\n")],
+        "may mutate sim.asp.collapse_blocked",
+    ),
+    "R112-interleave-drops-bytes-migrated": (
+        "R112",
+        "sim/engine.py",
+        [(
+            "        summary.bytes_migrated += moved\n"
+            "        summary.migrated_4k += moved // PAGE_4K\n",
+            "        summary.migrated_4k += moved // PAGE_4K\n",
+        )],
+        "InterleaveRegion.counters declares 'bytes_migrated'",
+    ),
+    "R112-collapse-drops-collapses-2m": (
+        "R112",
+        "sim/engine.py",
+        [("        if ok:\n            summary.collapses_2m += 1\n", "")],
+        "Collapse2M.counters declares 'collapses_2m'",
+    ),
+    "R113-interleave-claims-nothing": (
+        "R113",
+        "sim/decisions.py",
+        [(
+            "        if self.page_id is None:\n"
+            "            return ()\n"
+            "        return ((\"page\", self.page_id),)\n\n"
+            "    def payload(self) -> dict:\n"
+            "        g = np.asarray(self.granules)\n"
+            "        return {\n"
+            "            \"kind\": \"InterleaveRegion\",",
+            "        return ()\n\n"
+            "    def payload(self) -> dict:\n"
+            "        g = np.asarray(self.granules)\n"
+            "        return {\n"
+            "            \"kind\": \"InterleaveRegion\",",
+        )],
+        "InterleaveRegion declares domain 'page' but targets() claims nothing",
+    ),
+    "R113-replicate-claims-pt-key": (
+        "R113",
+        "sim/decisions.py",
+        [(
+            "        return ((\"page\", self.page_id),)\n\n"
+            "    def payload(self) -> dict:\n"
+            "        return {\"kind\": \"ReplicatePage\"",
+            "        return ((\"pt\", self.page_id),)\n\n"
+            "    def payload(self) -> dict:\n"
+            "        return {\"kind\": \"ReplicatePage\"",
+        )],
+        "ReplicatePage declares domain 'page' but targets() claims pt keys",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PINNED_MUTANTS))
+def test_kept_rule_fires_on_its_unique_mutant(mutant):
+    from repro.analysis.deep import ALL_DEEP_RULES
+
+    rule, relpath, edits, named = PINNED_MUTANTS[mutant]
+    rules = [r() for r in ALL_DEEP_RULES if r.rule_id == rule]
+    findings = deep_lint_sources(mutated_tree(relpath, edits), rules)
+    assert any(named in f.message for f in findings), (
+        f"{rule} missed its pinned mutant {mutant}:\n"
+        + format_findings(findings)
+    )

@@ -10,7 +10,7 @@ from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
-    MergeSummary,
+    InterleaveRegion,
     MigratePages,
     Note,
     Outcome,
@@ -18,6 +18,7 @@ from repro.sim.decisions import (
     ReplicatePageTables,
     Split2M,
     ToggleThpAlloc,
+    ToggleThpPromotion,
 )
 from repro.sim.engine import ActionExecutor, PageTableState, apply_decisions
 from repro.sim.policy import PlacementPolicy, PolicyActionSummary, PolicyStack
@@ -119,6 +120,17 @@ class TestExecutorApply:
         )
         assert summary.splits_2m == 1
         assert not host.asp.huge[0]
+
+    def test_interleave_counts(self):
+        host = make_host(huge=False)
+        host.asp.fault_in(np.arange(16), node=0, thp_alloc=False)
+        summary, _ = apply_decisions(
+            host,
+            gen_of(InterleaveRegion(np.arange(16), np.ones(16, dtype=np.int64))),
+        )
+        assert summary.migrated_4k == 16
+        assert summary.bytes_migrated == 16 * PAGE_4K
+        assert np.all(host.asp.home_nodes(np.arange(16)) == 1)
 
     def test_thp_toggle(self):
         host = make_host()
@@ -278,10 +290,21 @@ class TestConflictResolution:
         assert not host.thp.alloc_enabled
         assert b.outcomes[0].reason == "conflict"
 
-    def test_distinct_pages_no_conflict(self):
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                migrate((BACKING_ID_2M_OFFSET + 1, 1)),
+            ),
+            (ToggleThpPromotion(False), ToggleThpAlloc(False)),
+        ],
+        ids=["pages", "thp-toggles"],
+    )
+    def test_distinct_targets_no_conflict(self, first, second):
         host = make_host()
-        a = FakeDecider("a", [migrate((BACKING_ID_2M_OFFSET, 1))])
-        b = FakeDecider("b", [migrate((BACKING_ID_2M_OFFSET + 1, 1))])
+        a = FakeDecider("a", [first])
+        b = FakeDecider("b", [second])
         run_stack(host, a, b)
         assert a.outcomes[0].applied and b.outcomes[0].applied
 
@@ -412,32 +435,6 @@ class TestNotesCap:
         assert summary.notes_dropped == 3
 
 
-class TestLegacyBridge:
-    def test_on_interval_subclass_still_works(self):
-        class Legacy(PlacementPolicy):
-            name = "legacy"
-
-            def on_interval(self, sim, samples, window):
-                summary = PolicyActionSummary()
-                summary.compute_s = 0.125
-                summary.add_note("legacy ran")
-                return summary
-
-        host = make_host()
-        summary, _ = apply_decisions(
-            host, Legacy().decide(host, IbsSamples.empty(), None)
-        )
-        assert summary.compute_s == 0.125
-        assert summary.notes == ["legacy ran"]
-
-    def test_merge_summary_decision(self):
-        host = make_host()
-        inner = PolicyActionSummary()
-        inner.migrated_2m = 7
-        summary, _ = apply_decisions(host, gen_of(MergeSummary(inner)))
-        assert summary.migrated_2m == 7
-
-
 class TestPolicyStack:
     def test_empty_stack_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -479,7 +476,7 @@ class TestPolicyStack:
 
 
 class TestDecisionMetadata:
-    """The class-level contracts the R109-R113 lint rules verify."""
+    """The class-level contracts the R112/R113 lint rules verify."""
 
     def all_decision_classes(self):
         import repro.sim.decisions as mod

@@ -9,6 +9,9 @@ mismatch, not a tolerance failure.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.runner import RunSettings, run_benchmark
@@ -416,3 +419,36 @@ def test_policy_matrix_fingerprints_pinned(policy, quick_settings):
         MATRIX_WORKLOAD, f"machine-{MATRIX_MACHINE}", policy, False
     )
     assert fp == POLICY_MATRIX[policy]["fingerprint"]
+
+
+# --- Goldens move only with a version bump -----------------------------
+#
+# ``repro.__version__`` stamps every persistent cache key, so a model
+# change that re-pins the goldens above but keeps the version would
+# serve stale results from ``~/.cache/repro``.  One digest per version:
+# re-pinning GOLDENS or POLICY_MATRIX means bumping ``__version__`` and
+# adding its digest here.
+GOLDEN_DIGESTS = {
+    "1.1.0": "6eb1ed135b90c96235f3f37cbbcf96725ee4f049a61364ba1e2066ad030c4e5b",
+}
+
+
+def golden_digest() -> str:
+    payload = {
+        "goldens": {repr(key): value for key, value in GOLDENS.items()},
+        "policy_matrix": POLICY_MATRIX,
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_goldens_move_only_with_a_version_bump():
+    from repro import __version__
+
+    digest = golden_digest()
+    assert GOLDEN_DIGESTS.get(__version__) == digest, (
+        f"GOLDENS/POLICY_MATRIX digest {digest} is not pinned for version "
+        f"{__version__}: a model change that moves the goldens must bump "
+        "repro.__version__ (the persistent cache stamp) and pin this "
+        "digest for the new version in GOLDEN_DIGESTS"
+    )

@@ -170,10 +170,15 @@ class TestRunProfiled:
         result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
         assert timer.n_epochs == len(result.epoch_times_s)
 
-    def test_matches_unprofiled_execute_run(self, quick_settings, monkeypatch):
+    # carrefour-2m samples IBS, so its run also prices the sampling
+    # overhead a profiled run must not alter.
+    @pytest.mark.parametrize("policy", ["linux-4k", "carrefour-2m"])
+    def test_matches_unprofiled_execute_run(
+        self, quick_settings, monkeypatch, policy
+    ):
         monkeypatch.delenv(PROFILE_ENV, raising=False)
-        plain = execute_run("Kmeans", "B", "linux-4k", quick_settings)
-        profiled, _ = run_profiled("Kmeans", "B", "linux-4k", quick_settings)
+        plain = execute_run("Kmeans", "B", policy, quick_settings)
+        profiled, _ = run_profiled("Kmeans", "B", policy, quick_settings)
         assert _signature(plain) == _signature(profiled)
 
 
