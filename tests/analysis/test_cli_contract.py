@@ -125,6 +125,14 @@ def test_json_schema_on_clean_tree(sim_tree, capsys):
     assert json.loads(capsys.readouterr().out) == {"findings": [], "count": 0}
 
 
+def test_sarif_format_is_a_usage_error(sim_tree, capsys):
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(sim_tree), "--format", "sarif"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sarif'" in capsys.readouterr().err
+
+
 def test_json_carries_chain_when_present():
     from repro.analysis.linter import Finding
 
@@ -138,7 +146,12 @@ def test_json_carries_chain_when_present():
 # ----------------------------------------------------------------------
 # --explain
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("rule", ["R999", "R105", "R111"])
+#: Deep rules that have been deleted (EXPERIMENTS.md, "Earning the deep
+#: lint rules").
+DELETED_DEEP_RULES = ("R102", "R103", "R109", "R111")
+
+
+@pytest.mark.parametrize("rule", ("R999", "R105") + DELETED_DEEP_RULES)
 def test_explain_unknown_rule_is_a_usage_error(sim_tree, capsys, rule):
     (sim_tree / "ok.py").write_text(CLEAN_SRC)
     assert main(["lint", str(sim_tree), "--deep", "--explain", rule]) == 2

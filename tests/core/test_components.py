@@ -141,6 +141,24 @@ class TestReactive:
         homes = sim.asp.home_nodes(span)
         assert len(np.unique(homes)) == quad_topo.n_nodes
 
+    def test_interleave_start_node_spans_every_node(self, quad_topo):
+        # Two local samples on one 2MB page make it hot.  The round-robin
+        # starts at a node drawn over the machine's four nodes, so the
+        # page's first 4KB page lands on every node across seeds, even
+        # though there are fewer samples than nodes.
+        starts = set()
+        for seed in range(24):
+            sim = make_sim(quad_topo)
+            base = sim.instance.regions[0].lo
+            home = int(sim.asp.home_nodes(np.array([base]))[0])
+            comp = ReactiveComponent(seed=seed)
+            _, decision = apply_decisions(
+                sim, comp.decide(sim, samples_for(sim, [base, base + 1], [home] * 2))
+            )
+            assert decision.hot_pages_split == 1
+            starts.add(int(sim.asp.home_nodes(np.array([base]))[0]))
+        assert starts == set(range(quad_topo.n_nodes))
+
     def test_migration_keeps_locality_no_split(self, tiny_topo):
         sim = make_sim(tiny_topo)
         region = sim.instance.regions[0]

@@ -1,47 +1,85 @@
 """Unit tests for the decision kernel: executor, conflicts, composition."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
+    ClearCollapseBlocks,
+    Collapse2M,
+    Decision,
     InterleaveRegion,
     MigratePages,
     Note,
     Outcome,
     ReclaimPages,
+    ReplicatePage,
     ReplicatePageTables,
+    Split1G,
     Split2M,
     ToggleThpAlloc,
     ToggleThpPromotion,
 )
 from repro.sim.engine import ActionExecutor, PageTableState, apply_decisions
 from repro.sim.policy import PlacementPolicy, PolicyActionSummary, PolicyStack
-from repro.vm.address_space import AddressSpace, BACKING_ID_2M_OFFSET
+from repro.sim.trace import DecisionTrace
+from repro.vm.address_space import (
+    AddressSpace,
+    BACKING_ID_1G_OFFSET,
+    BACKING_ID_2M_OFFSET,
+)
 from repro.vm.frame_allocator import PhysicalMemory
-from repro.vm.layout import GRANULES_PER_2M, PAGE_2M, PAGE_4K
+from repro.vm.layout import GRANULES_PER_1G, GRANULES_PER_2M, PAGE_2M, PAGE_4K
 from repro.vm.thp import ThpState
 
 GIB = 1 << 30
 
 
-def make_host(n_chunks=4, n_nodes=2, huge=True):
+def host_of(asp, n_nodes):
     """A minimal simulation stand-in the executor can mutate."""
-    phys = PhysicalMemory([GIB] * n_nodes)
-    asp = AddressSpace(n_chunks * GRANULES_PER_2M, phys)
-    if huge:
-        asp.premap_pattern_2m(0, np.zeros(n_chunks, dtype=np.int8))
     return SimpleNamespace(
         asp=asp,
         thp=ThpState(),
         page_tables=PageTableState(),
         machine=SimpleNamespace(n_nodes=n_nodes),
     )
+
+
+def make_host(n_chunks=4, n_nodes=2, huge=True):
+    phys = PhysicalMemory([GIB] * n_nodes)
+    asp = AddressSpace(n_chunks * GRANULES_PER_2M, phys)
+    if huge:
+        asp.premap_pattern_2m(0, np.zeros(n_chunks, dtype=np.int8))
+    return host_of(asp, n_nodes)
+
+
+#: First chunk, and its first granule, of the 4KB-mapped half of
+#: :func:`mixed_host`.
+FIRST_4K_CHUNK = 2
+FIRST_4K = FIRST_4K_CHUNK * GRANULES_PER_2M
+
+
+def mixed_host(n_nodes=2):
+    """Chunks 0-1 backed by 2MB pages, chunks 2-3 by 4KB pages, on node 0."""
+    host = make_host(n_nodes=n_nodes, huge=False)
+    host.asp.premap_pattern_2m(0, np.zeros(2, dtype=np.int8))
+    host.asp.fault_in(
+        np.arange(FIRST_4K, 4 * GRANULES_PER_2M), node=0, thp_alloc=False
+    )
+    return host
+
+
+def giga_host():
+    """One 1GB page on node 0 of a two-node machine."""
+    asp = AddressSpace(GRANULES_PER_1G, PhysicalMemory([2 * GIB] * 2))
+    asp.map_range_1g(0, GRANULES_PER_1G, node=0)
+    return host_of(asp, 2)
 
 
 def migrate(*pairs, budget=1 << 40):
@@ -190,6 +228,206 @@ class TestExecutorApply:
         )
 
 
+#: One applicable decision of every class, with the host it applies to.
+ONE_OF_EACH = [
+    (mixed_host, ChargeCompute(0.5)),
+    (mixed_host, Note("n")),
+    (mixed_host, migrate((BACKING_ID_2M_OFFSET, 1))),
+    (
+        mixed_host,
+        InterleaveRegion(
+            np.arange(FIRST_4K, FIRST_4K + 8), np.ones(8, dtype=np.int64)
+        ),
+    ),
+    (mixed_host, Split2M(BACKING_ID_2M_OFFSET)),
+    (giga_host, Split1G(BACKING_ID_1G_OFFSET)),
+    (mixed_host, Collapse2M(FIRST_4K_CHUNK)),
+    (mixed_host, ToggleThpAlloc(False)),
+    (mixed_host, ToggleThpPromotion(False)),
+    (mixed_host, ClearCollapseBlocks()),
+    (mixed_host, ReplicatePage(BACKING_ID_2M_OFFSET)),
+    (mixed_host, ReplicatePageTables()),
+    (mixed_host, ReclaimPages(np.arange(FIRST_4K, FIRST_4K + 8))),
+]
+
+
+def decision_classes():
+    """Every concrete decision class :mod:`repro.sim.decisions` defines."""
+    import repro.sim.decisions as mod
+
+    return {
+        obj
+        for obj in vars(mod).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Decision)
+        and obj is not Decision
+    }
+
+
+def numeric_fields(summary):
+    """A summary's counters, without the list of notes."""
+    return {k: v for k, v in vars(summary).items() if k != "notes"}
+
+
+class TestEveryDecision:
+    """Each decision class dispatches, reports back, and is traced."""
+
+    def test_catalog_covers_every_decision_class(self):
+        assert {type(d) for _, d in ONE_OF_EACH} == decision_classes()
+
+    @pytest.mark.parametrize(
+        "make, decision",
+        ONE_OF_EACH,
+        ids=[type(d).__name__ for _, d in ONE_OF_EACH],
+    )
+    def test_applies_traces_and_touches_only_its_counters(self, make, decision):
+        host = make()
+        host.tracer = DecisionTrace()
+        host.sim_time_s, host.epoch = 0.0, 0
+        decider = FakeDecider("d", [decision])
+        summary = PolicyActionSummary()
+        ActionExecutor(host).drive(
+            decider.decide(host, IbsSamples.empty(), None), summary, source="d"
+        )
+        (outcome,) = decider.outcomes
+        assert outcome.applied, outcome.reason
+        (record,) = host.tracer.records
+        assert record["decision"]["kind"] == type(decision).__name__
+        assert record["source"] == "d"
+        assert (record["applied"], record["bytes"], record["count"]) == (
+            True,
+            outcome.bytes_moved,
+            outcome.count,
+        )
+        assert json.loads(json.dumps(record)) == record
+        before = numeric_fields(PolicyActionSummary())
+        changed = {k for k, v in numeric_fields(summary).items() if v != before[k]}
+        if summary.notes:
+            changed.add("notes")
+        assert changed <= set(type(decision).counters)
+        host.asp.check_invariants()
+
+
+class TestByteAccounting:
+    """Byte counters hold bytes, page counters pages, and both agree
+    with the outcome and with the frames the allocator hands out."""
+
+    @pytest.mark.parametrize(
+        "make, decision, counters, moved, count, used_delta",
+        [
+            (
+                mixed_host,
+                migrate((FIRST_4K, 1)),
+                {"bytes_migrated": PAGE_4K, "migrated_4k": 1},
+                PAGE_4K,
+                1,
+                0,
+            ),
+            (
+                mixed_host,
+                migrate((FIRST_4K, 1), (BACKING_ID_2M_OFFSET, 1)),
+                {
+                    "bytes_migrated": PAGE_4K + PAGE_2M,
+                    "migrated_4k": 1,
+                    "migrated_2m": 1,
+                },
+                PAGE_4K + PAGE_2M,
+                2,
+                0,
+            ),
+            (
+                # Every other granule is already on its target node.
+                mixed_host,
+                InterleaveRegion(
+                    np.arange(FIRST_4K, FIRST_4K + 16), np.tile([0, 1], 8)
+                ),
+                {"bytes_migrated": 8 * PAGE_4K, "migrated_4k": 8},
+                8 * PAGE_4K,
+                8,
+                0,
+            ),
+            (
+                # The first eight granules are 2MB-backed: not reclaimable.
+                mixed_host,
+                ReclaimPages(np.arange(FIRST_4K - 8, FIRST_4K + 8)),
+                {"bytes_reclaimed": 8 * PAGE_4K, "pages_reclaimed": 8},
+                8 * PAGE_4K,
+                8,
+                -8 * PAGE_4K,
+            ),
+            (
+                lambda: mixed_host(n_nodes=4),
+                ReplicatePage(FIRST_4K),
+                {"bytes_replicated": 3 * PAGE_4K, "replicated_pages": 1},
+                3 * PAGE_4K,
+                1,
+                3 * PAGE_4K,
+            ),
+            (
+                lambda: mixed_host(n_nodes=4),
+                ReplicatePage(BACKING_ID_2M_OFFSET),
+                {"bytes_replicated": 3 * PAGE_2M, "replicated_pages": 1},
+                3 * PAGE_2M,
+                1,
+                3 * PAGE_2M,
+            ),
+            (
+                mixed_host,
+                Split2M(BACKING_ID_2M_OFFSET),
+                {"splits_2m": 1},
+                0,
+                1,
+                0,
+            ),
+            (
+                # A 1GB split counts once, and 512 2MB-equivalents of work.
+                giga_host,
+                Split1G(BACKING_ID_1G_OFFSET),
+                {"splits_1g": 1},
+                0,
+                512,
+                0,
+            ),
+        ],
+        ids=[
+            "migrate-4k",
+            "migrate-mixed-batch",
+            "interleave-half-in-place",
+            "reclaim-only-4k-mapped",
+            "replicate-4k-on-4-nodes",
+            "replicate-2m-on-4-nodes",
+            "split-2m",
+            "split-1g",
+        ],
+    )
+    def test_counters_outcome_and_frames_agree(
+        self, make, decision, counters, moved, count, used_delta
+    ):
+        host = make()
+        used = host.asp.phys.total_used_bytes
+        decider = FakeDecider("d", [decision])
+        summary = PolicyActionSummary()
+        ActionExecutor(host).drive(
+            decider.decide(host, IbsSamples.empty(), None), summary
+        )
+        (outcome,) = decider.outcomes
+        assert numeric_fields(summary) == {
+            **numeric_fields(PolicyActionSummary()),
+            **counters,
+        }
+        assert (outcome.bytes_moved, outcome.count) == (moved, count)
+        assert host.asp.phys.total_used_bytes - used == used_delta
+        host.asp.check_invariants()
+
+    def test_page_table_replicas_cost_one_copy_per_other_node(self):
+        host = mixed_host(n_nodes=4)
+        table_bytes = host.asp.page_table_bytes()
+        summary, _ = apply_decisions(host, gen_of(ReplicatePageTables()))
+        assert summary.bytes_replicated == 3 * table_bytes
+        assert summary.replicated_pages == 3 * table_bytes // PAGE_4K
+        assert host.page_tables.replica_bytes == summary.bytes_replicated
+
+
 class TestReclaimPages:
     def make_4k_host(self, n_granules=64):
         """A host whose first granules are plain 4KB mappings."""
@@ -298,8 +536,17 @@ class TestConflictResolution:
                 migrate((BACKING_ID_2M_OFFSET + 1, 1)),
             ),
             (ToggleThpPromotion(False), ToggleThpAlloc(False)),
+            (ClearCollapseBlocks(), ToggleThpPromotion(False)),
+            (ReplicatePageTables(), migrate((BACKING_ID_2M_OFFSET, 1))),
+            (Split2M(BACKING_ID_2M_OFFSET), Split2M(BACKING_ID_2M_OFFSET + 1)),
         ],
-        ids=["pages", "thp-toggles"],
+        ids=[
+            "pages",
+            "thp-toggles",
+            "collapse-blocks-vs-promotion",
+            "page-tables-vs-page",
+            "splits-of-two-pages",
+        ],
     )
     def test_distinct_targets_no_conflict(self, first, second):
         host = make_host()
@@ -307,6 +554,66 @@ class TestConflictResolution:
         b = FakeDecider("b", [second])
         run_stack(host, a, b)
         assert a.outcomes[0].applied and b.outcomes[0].applied
+
+    @pytest.mark.parametrize(
+        "first, second, first_stands",
+        [
+            (
+                Collapse2M(FIRST_4K_CHUNK),
+                migrate((BACKING_ID_2M_OFFSET + FIRST_4K_CHUNK, 1)),
+                lambda host: host.asp.node_of_backing(
+                    BACKING_ID_2M_OFFSET + FIRST_4K_CHUNK
+                )
+                == 0,
+            ),
+            (
+                migrate((BACKING_ID_2M_OFFSET, 1)),
+                Split2M(BACKING_ID_2M_OFFSET),
+                lambda host: host.asp.huge[0]
+                and host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1,
+            ),
+            (
+                # Unblocked, so only the claim keeps b from re-collapsing.
+                Split2M(BACKING_ID_2M_OFFSET, block_collapse=False),
+                Collapse2M(0),
+                lambda host: not host.asp.huge[0],
+            ),
+            (
+                migrate((FIRST_4K, 1)),
+                ReclaimPages(np.array([FIRST_4K]), page_id=FIRST_4K),
+                lambda host: host.asp.home_nodes(np.array([FIRST_4K]))[0] == 1,
+            ),
+            (
+                ToggleThpPromotion(False),
+                ToggleThpPromotion(True),
+                lambda host: not host.thp.promotion_enabled,
+            ),
+            (
+                ReplicatePageTables(),
+                ReplicatePageTables(),
+                lambda host: host.page_tables.replicated,
+            ),
+        ],
+        ids=[
+            "collapse-then-migrate",
+            "migrate-then-split",
+            "split-then-collapse",
+            "migrate-then-reclaim",
+            "promotion-toggles",
+            "page-tables",
+        ],
+    )
+    def test_later_member_skipped_on_a_claimed_target(
+        self, first, second, first_stands
+    ):
+        host = mixed_host()
+        a = FakeDecider("a", [first])
+        b = FakeDecider("b", [second])
+        run_stack(host, a, b)
+        assert a.outcomes[0].applied
+        assert b.outcomes[0].reason == "conflict"
+        assert first_stands(host)
+        host.asp.check_invariants()
 
     def test_single_decider_never_conflicts_with_itself(self):
         host = make_host()
@@ -478,22 +785,10 @@ class TestPolicyStack:
 class TestDecisionMetadata:
     """The class-level contracts the R112/R113 lint rules verify."""
 
-    def all_decision_classes(self):
-        import repro.sim.decisions as mod
-        from repro.sim.decisions import Decision
-
-        return [
-            obj
-            for obj in vars(mod).values()
-            if isinstance(obj, type)
-            and issubclass(obj, Decision)
-            and obj is not Decision
-        ]
-
     def test_every_decision_declares_domain_and_counters(self):
         from repro.sim.decisions import CONFLICT_DOMAIN_NAMES
 
-        for cls in self.all_decision_classes():
+        for cls in decision_classes():
             assert cls.domain in CONFLICT_DOMAIN_NAMES, cls.__name__
             assert isinstance(cls.counters, tuple), cls.__name__
             summary_fields = set(vars(PolicyActionSummary()).keys())
@@ -514,7 +809,7 @@ class TestDecisionMetadata:
 
     def test_handler_table_covers_every_decision(self):
         handled = set(ActionExecutor.HANDLERS)
-        assert handled == set(self.all_decision_classes())
+        assert handled == decision_classes()
         for method in ActionExecutor.HANDLERS.values():
             assert method.__name__.startswith("_apply_")
             assert hasattr(ActionExecutor, method.__name__)
@@ -530,9 +825,6 @@ class TestDecisionMetadata:
     def test_unknown_decision_type_is_an_error(self):
         from dataclasses import dataclass
 
-        from repro.errors import SimulationError
-        from repro.sim.decisions import Decision
-
         @dataclass(frozen=True)
         class Rogue(Decision):
             pass
@@ -541,3 +833,12 @@ class TestDecisionMetadata:
         executor = ActionExecutor(host)
         with pytest.raises(SimulationError, match="unknown decision type"):
             executor.drive(gen_of(Rogue()), PolicyActionSummary())
+
+    @pytest.mark.parametrize(
+        "yielded",
+        [None, (ChargeCompute(0.1),), ChargeCompute, "ChargeCompute(0.1)"],
+        ids=["none", "tuple", "class", "string"],
+    )
+    def test_non_decision_yield_is_an_error(self, yielded):
+        with pytest.raises(SimulationError, match="unknown decision type"):
+            apply_decisions(make_host(), gen_of(yielded))
