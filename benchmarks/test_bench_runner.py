@@ -53,11 +53,8 @@ def _timed_run(settings, jobs: int, cache_dir: pathlib.Path) -> float:
     # the parallel pass's fills from disk and inflate the speedup.
     os.environ[STREAM_CACHE_ENV] = str(cache_dir / "stream-store")
     clear_stream_banks()
-    grid = GridRunner(settings)
-    for spec in BENCH_GRID:
-        grid.add_spec(spec)
     start = time.perf_counter()
-    results = grid.run(jobs=jobs)
+    results = GridRunner(settings, jobs=jobs).run(BENCH_GRID)
     elapsed = time.perf_counter() - start
     assert len(results) == len(BENCH_GRID)
     return elapsed
@@ -89,7 +86,7 @@ def _timed_invariant_overhead(settings, repeats: int = 3) -> dict:
                 )
                 run_settings = dataclasses.replace(settings, config=cfg)
                 start = time.perf_counter()
-                execute_run("CG.D", "B", "carrefour-lp", run_settings)
+                execute_run(RunSpec("CG.D", "B", "carrefour-lp"), run_settings)
                 raw[label].append(time.perf_counter() - start)
     finally:
         if old_env is not None:
@@ -133,10 +130,7 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
         clear_cache()
         os.environ["REPRO_CACHE_DIR"] = str(tmp_path / ("parallel" if jobs > 1 else "serial"))
         start = time.perf_counter()
-        grid = GridRunner(settings)
-        for spec in BENCH_GRID:
-            grid.add_spec(spec)
-        warm = grid.run(jobs=jobs)
+        warm = GridRunner(settings, jobs=jobs).run(BENCH_GRID)
         warm_s = time.perf_counter() - start
     finally:
         if old_cache_dir is None:

@@ -9,14 +9,8 @@ study).
 
 from repro.experiments.cache import ResultCache, cache_enabled, run_fingerprint
 from repro.experiments.configs import POLICIES, make_policy
-from repro.experiments.parallel import (
-    GridRunner,
-    RunSpec,
-    backend_choice,
-    prefetch,
-    resolve_jobs,
-)
-from repro.experiments.runner import RunSettings, improvement, run_benchmark
+from repro.experiments.parallel import GridRunner, backend_choice, resolve_jobs
+from repro.experiments.runner import RunSettings, RunSpec, run_benchmark
 from repro.experiments.reporting import Report
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
 
@@ -25,13 +19,11 @@ __all__ = [
     "make_policy",
     "RunSettings",
     "run_benchmark",
-    "improvement",
     "Report",
     "EXPERIMENTS",
     "run_experiment",
     "GridRunner",
     "RunSpec",
-    "prefetch",
     "backend_choice",
     "resolve_jobs",
     "ResultCache",

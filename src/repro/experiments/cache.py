@@ -1,11 +1,12 @@
 """Persistent on-disk cache for simulation results.
 
-Simulations are deterministic functions of (workload, machine, policy,
-backing, seed, complete :class:`~repro.sim.config.SimConfig`), so their
-results can be reused across processes and sessions.  Entries are
-pickled :class:`~repro.sim.results.SimulationResult` objects stored
-under ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``), keyed by
-a SHA-256 fingerprint of the *full* run identity plus a package version
+Simulations are deterministic functions of (workload, machine, policy
+and its parameters, backing, seed, complete
+:class:`~repro.sim.config.SimConfig`), so their results can be reused
+across processes and sessions.  Entries are pickled
+:class:`~repro.sim.results.SimulationResult` objects stored under
+``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``), keyed by a
+SHA-256 fingerprint of the *full* run identity plus a package version
 stamp — bumping :data:`repro.__version__` invalidates every entry, so
 model changes can never resurrect stale numbers.
 
@@ -29,7 +30,7 @@ import pathlib
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -103,13 +104,16 @@ def run_fingerprint(
     config: SimConfig,
     seed: int,
     stamp: Optional[str] = None,
+    params: Tuple[Tuple[str, Any], ...] = (),
 ) -> str:
     """SHA-256 hex key for one run, covering the *complete* config.
 
     Every :class:`SimConfig` field participates — including
     ``max_epochs``, ``khugepaged_batch``, ``ibs_cost_cycles`` and
     ``track_access_stats``, which the old tuple key omitted — plus the
-    nested hardware cost models and a package version stamp.
+    nested hardware cost models and a package version stamp.  Policy
+    ``params`` join the identity only when there are any, so a run
+    without them keeps the key it always had.
     """
     identity = {
         "stamp": stamp if stamp is not None else version_stamp(),
@@ -120,6 +124,8 @@ def run_fingerprint(
         "seed": int(seed),
         "config": _canonical(config),
     }
+    if params:
+        identity["params"] = _canonical(params)
     text = repr(_canonical(identity))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -146,24 +152,6 @@ def scenario_fingerprint(
     }
     text = repr(_canonical(identity))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def normalized_config(config: SimConfig) -> SimConfig:
-    """The config with every ``_CACHE_KEY_EXCLUDE`` field at its default.
-
-    Used for in-process memo keys: two configs that differ only in
-    result-neutral fields (e.g. ``check_invariants``) must share one
-    memo entry, exactly as they share one on-disk fingerprint.
-    """
-    excluded = getattr(type(config), "_CACHE_KEY_EXCLUDE", frozenset())
-    overrides = {
-        f.name: f.default
-        for f in dataclasses.fields(config)
-        if f.name in excluded and f.default is not dataclasses.MISSING
-    }
-    if not overrides:
-        return config
-    return dataclasses.replace(config, **overrides)
 
 
 @dataclass(frozen=True)

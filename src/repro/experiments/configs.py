@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, UnknownPolicyError
 from repro.core.autonuma import AutoNumaPolicy
@@ -54,12 +54,14 @@ from repro.sim.policy import LinuxPolicy, PlacementPolicy, PolicyStack
 #:     reclaims batches of its coldest pages back to the (shared)
 #:     allocator, re-enabling THP once free memory recovers — the
 #:     kswapd-style behaviour colocation scenarios exercise.
-POLICIES: Dict[str, Callable[[int], PlacementPolicy]] = {
+POLICIES: Dict[str, Callable[..., PlacementPolicy]] = {
     "linux-4k": lambda seed: LinuxPolicy(thp=False),
     "thp": lambda seed: LinuxPolicy(thp=True),
     "carrefour-4k": lambda seed: CarrefourPolicy(thp=False, seed=seed),
-    "carrefour-2m": lambda seed: CarrefourPolicy(thp=True, seed=seed),
-    "carrefour-lp": lambda seed: CarrefourLpPolicy(seed=seed),
+    "carrefour-2m": lambda seed, **params: CarrefourPolicy(
+        thp=True, seed=seed, **params
+    ),
+    "carrefour-lp": lambda seed, **params: CarrefourLpPolicy(seed=seed, **params),
     "reactive-only": lambda seed: CarrefourLpPolicy(conservative=False, seed=seed),
     "conservative-only": lambda seed: CarrefourLpPolicy(reactive=False, seed=seed),
     "carrefour-lp-lwp": lambda seed: CarrefourLpPolicy(seed=seed, lwp=True),
@@ -73,18 +75,25 @@ POLICIES: Dict[str, Callable[[int], PlacementPolicy]] = {
 }
 
 
-def _make_single(name: str, seed: int) -> PlacementPolicy:
+def _make_single(
+    name: str, seed: int, params: Tuple[Tuple[str, Any], ...] = ()
+) -> PlacementPolicy:
     try:
         factory = POLICIES[name]
     except KeyError:
         raise UnknownPolicyError.lookup_failed(
             "policy", name, sorted(POLICIES)
         ) from None
-    return factory(seed)
+    return factory(seed, **dict(params))
 
 
-def make_policy(name: str, seed: int = 0) -> PlacementPolicy:
+def make_policy(
+    name: str, seed: int = 0, params: Tuple[Tuple[str, Any], ...] = ()
+) -> PlacementPolicy:
     """Instantiate a policy configuration by name.
+
+    ``params`` are ``(keyword, value)`` overrides for the registry
+    factory; only ``carrefour-lp`` and ``carrefour-2m`` take any.
 
     ``"a+b"`` composes registry entries into a :class:`PolicyStack`
     running both deciders each interval (e.g.
@@ -92,7 +101,9 @@ def make_policy(name: str, seed: int = 0) -> PlacementPolicy:
     are resolved first-member-wins by the executor.
     """
     if "+" not in name:
-        return _make_single(name, seed)
+        return _make_single(name, seed, params)
+    if params:
+        raise ConfigurationError(f"policy stack {name!r} takes no params")
     parts = [part.strip() for part in name.split("+")]
     if any(not part for part in parts):
         raise ConfigurationError(f"empty member in policy stack {name!r}")

@@ -1,10 +1,12 @@
 """One driver per paper artifact (Figures 1-5, Tables 1-3, §4.2, §4.4).
 
-Every driver takes :class:`repro.experiments.runner.RunSettings` and
-returns a :class:`repro.experiments.reporting.Report` whose rows mirror
-the paper's layout.  Absolute numbers are not expected to match the
-authors' hardware; the shape — who wins, roughly by how much, which
-metric moves in which direction — is the reproduction target (see
+Every driver takes :class:`repro.experiments.runner.RunSettings`,
+declares its run grid once as a list of :class:`RunSpec`, hands it to
+one :meth:`GridRunner.run` call and renders a
+:class:`repro.experiments.reporting.Report` from the results, with rows
+that mirror the paper's layout.  Absolute numbers are not expected to
+match the authors' hardware; the shape — who wins, roughly by how much,
+which metric moves in which direction — is the reproduction target (see
 ``EXPERIMENTS.md``).
 """
 
@@ -13,9 +15,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import RunSpec, prefetch
+from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, improvement, run_benchmark
+from repro.experiments.runner import RunSettings, RunSpec
 from repro.workloads.registry import AFFECTED_SET, FIGURE1_ORDER, UNAFFECTED_SET
 
 MACHINES = ("A", "B")
@@ -42,14 +44,17 @@ def _grid(
 
 def figure1(settings: Optional[RunSettings] = None) -> Report:
     """Figure 1: THP performance improvement over Linux, both machines."""
-    settings = settings or RunSettings()
-    prefetch(_grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"]), settings)
+    runs = GridRunner(settings).run(
+        _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
+    )
     rows = []
     data: Dict[str, Dict[str, float]] = {m: {} for m in MACHINES}
     for wl in FIGURE1_ORDER:
         row = [wl]
         for machine in MACHINES:
-            imp = improvement(wl, machine, "thp", "linux-4k", settings)
+            imp = runs[RunSpec(wl, machine, "thp")].improvement_over(
+                runs[RunSpec(wl, machine, "linux-4k")]
+            )
             data[machine][wl] = imp
             row.append(_fmt(imp))
         rows.append(row)
@@ -77,20 +82,16 @@ _TABLE1_CASES = [
 
 def table1(settings: Optional[RunSettings] = None) -> Report:
     """Table 1: detailed Linux-vs-THP profile of five applications."""
-    settings = settings or RunSettings()
-    prefetch(
-        [
-            RunSpec(wl, machine, policy)
-            for wl, machine in _TABLE1_CASES
-            for policy in ("linux-4k", "thp")
-        ],
-        settings,
+    runs = GridRunner(settings).run(
+        RunSpec(wl, machine, policy)
+        for wl, machine in _TABLE1_CASES
+        for policy in ("linux-4k", "thp")
     )
     rows = []
     data = {}
     for wl, machine in _TABLE1_CASES:
-        linux = run_benchmark(wl, machine, "linux-4k", settings).metrics()
-        thp = run_benchmark(wl, machine, "thp", settings).metrics()
+        linux = runs[RunSpec(wl, machine, "linux-4k")].metrics()
+        thp = runs[RunSpec(wl, machine, "thp")].metrics()
         imp = thp.improvement_over(linux)
         rows.append(
             [
@@ -141,16 +142,18 @@ def _policy_figure(
     settings: Optional[RunSettings],
     notes: List[str],
 ) -> Report:
-    settings = settings or RunSettings()
-    prefetch(_grid(workloads, MACHINES, list(policies) + [baseline]), settings)
+    runs = GridRunner(settings).run(
+        _grid(workloads, MACHINES, list(policies) + [baseline])
+    )
     rows = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {m: {} for m in MACHINES}
     for wl in workloads:
         row = [wl]
         for machine in MACHINES:
+            base = runs[RunSpec(wl, machine, baseline)]
             per_policy = {}
             for policy in policies:
-                imp = improvement(wl, machine, policy, baseline, settings)
+                imp = runs[RunSpec(wl, machine, policy)].improvement_over(base)
                 per_policy[policy] = imp
                 row.append(_fmt(imp))
             data[machine][wl] = per_policy
@@ -223,14 +226,15 @@ _TABLE2_POLICIES = ["linux-4k", "thp", "carrefour-2m"]
 
 def table2(settings: Optional[RunSettings] = None) -> Report:
     """Table 2: PAMUP / NHP / PSP / imbalance / LAR on machine A."""
-    settings = settings or RunSettings()
-    prefetch(_grid(_TABLE2_WORKLOADS, ["A"], _TABLE2_POLICIES), settings)
+    runs = GridRunner(settings).run(
+        _grid(_TABLE2_WORKLOADS, ["A"], _TABLE2_POLICIES)
+    )
     rows = []
     data = {}
     for wl in _TABLE2_WORKLOADS:
         per_policy = {}
         for policy in _TABLE2_POLICIES:
-            m = run_benchmark(wl, "A", policy, settings).metrics()
+            m = runs[RunSpec(wl, "A", policy)].metrics()
             per_policy[policy] = m
             rows.append(
                 [
@@ -264,14 +268,10 @@ _TABLE3_POLICIES = ["linux-4k", "thp", "carrefour-2m", "carrefour-lp"]
 
 def table3(settings: Optional[RunSettings] = None) -> Report:
     """Table 3: LAR and imbalance across the four policies."""
-    settings = settings or RunSettings()
-    prefetch(
-        [
-            RunSpec(wl, machine, policy)
-            for wl, machine in _TABLE3_CASES
-            for policy in _TABLE3_POLICIES
-        ],
-        settings,
+    runs = GridRunner(settings).run(
+        RunSpec(wl, machine, policy)
+        for wl, machine in _TABLE3_CASES
+        for policy in _TABLE3_POLICIES
     )
     rows = []
     data = {}
@@ -280,7 +280,7 @@ def table3(settings: Optional[RunSettings] = None) -> Report:
         imb_row = [""]
         per_policy = {}
         for policy in _TABLE3_POLICIES:
-            result = run_benchmark(wl, machine, policy, settings)
+            result = runs[RunSpec(wl, machine, policy)]
             # Steady-state profile: the paper's runs are long relative
             # to the daemon's convergence, so their whole-run numbers
             # are effectively steady-state.
@@ -328,24 +328,22 @@ def figure5(settings: Optional[RunSettings] = None) -> Report:
 
 def overhead(settings: Optional[RunSettings] = None) -> Report:
     """Section 4.2: Carrefour-LP overhead vs reactive / Carrefour-2M / Linux."""
-    settings = settings or RunSettings()
-    prefetch(
+    runs = GridRunner(settings).run(
         _grid(
             FIGURE1_ORDER,
             MACHINES,
             ["carrefour-lp", "reactive-only", "carrefour-2m", "linux-4k"],
-        ),
-        settings,
+        )
     )
     rows = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {m: {} for m in MACHINES}
     for wl in FIGURE1_ORDER:
         row = [wl]
         for machine in MACHINES:
-            lp = run_benchmark(wl, machine, "carrefour-lp", settings)
+            lp = runs[RunSpec(wl, machine, "carrefour-lp")]
             entries = {}
             for other in ("reactive-only", "carrefour-2m", "linux-4k"):
-                base = run_benchmark(wl, machine, other, settings)
+                base = runs[RunSpec(wl, machine, other)]
                 # Overhead: how much *slower* LP is than the alternative
                 # (positive = LP costs time; negative = LP is faster).
                 entries[other] = (
@@ -378,27 +376,23 @@ _VERYLARGE_WORKLOADS = ["SSCA.20", "streamcluster"]
 
 def verylarge(settings: Optional[RunSettings] = None) -> Report:
     """Section 4.4: 1GB pages on SSCA and streamcluster (machine B)."""
-    settings = settings or RunSettings()
-    prefetch(
-        [
-            spec
-            for wl in _VERYLARGE_WORKLOADS
-            for spec in (
-                RunSpec(wl, "B", "linux-4k"),
-                RunSpec(wl, "B", "thp"),
-                RunSpec(wl, "B", "linux-4k", backing_1g=True),
-                RunSpec(wl, "B", "carrefour-lp", backing_1g=True),
-            )
-        ],
-        settings,
+    runs = GridRunner(settings).run(
+        spec
+        for wl in _VERYLARGE_WORKLOADS
+        for spec in (
+            RunSpec(wl, "B", "linux-4k"),
+            RunSpec(wl, "B", "thp"),
+            RunSpec(wl, "B", "linux-4k", backing_1g=True),
+            RunSpec(wl, "B", "carrefour-lp", backing_1g=True),
+        )
     )
     rows = []
     data = {}
     for wl in _VERYLARGE_WORKLOADS:
-        base = run_benchmark(wl, "B", "linux-4k", settings)
-        thp = run_benchmark(wl, "B", "thp", settings)
-        huge1g = run_benchmark(wl, "B", "linux-4k", settings, backing_1g=True)
-        lp1g = run_benchmark(wl, "B", "carrefour-lp", settings, backing_1g=True)
+        base = runs[RunSpec(wl, "B", "linux-4k")]
+        thp = runs[RunSpec(wl, "B", "thp")]
+        huge1g = runs[RunSpec(wl, "B", "linux-4k", backing_1g=True)]
+        lp1g = runs[RunSpec(wl, "B", "carrefour-lp", backing_1g=True)]
         stats1g = huge1g.hot_stats
         entries = {
             "thp": thp.improvement_over(base),

@@ -18,17 +18,50 @@ Two studies the paper motivates but could not run:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.carrefour import CarrefourConfig, CarrefourPolicy
-from repro.core.carrefour_lp import CarrefourLpPolicy
+from repro.core.carrefour import CarrefourConfig
 from repro.core.reactive import ReactiveConfig
+from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, run_benchmark
-from repro.hardware.machines import machine_by_name
-from repro.sim.engine import Simulation
-from repro.workloads.registry import get_workload
+from repro.experiments.runner import RunSettings, RunSpec
+
+
+def _improvement_table(
+    experiment_id: str,
+    title: str,
+    cases: Sequence[Tuple[str, str]],
+    policies: List[str],
+    settings: Optional[RunSettings],
+    notes: List[str],
+) -> Report:
+    """Improvement of each policy over linux-4k, one row per case."""
+    runs = GridRunner(settings).run(
+        RunSpec(workload, machine, policy)
+        for workload, machine in cases
+        for policy in ["linux-4k"] + policies
+    )
+    rows = []
+    data: Dict[str, Dict[str, float]] = {}
+    for workload, machine in cases:
+        base = runs[RunSpec(workload, machine, "linux-4k")]
+        entries = {}
+        row = [f"{workload} ({machine})"]
+        for policy in policies:
+            result = runs[RunSpec(workload, machine, policy)]
+            entries[policy] = result.improvement_over(base)
+            row.append(f"{entries[policy]:+.1f}")
+        data[f"{workload}@{machine}"] = entries
+        rows.append(row)
+    return Report(
+        experiment_id=experiment_id,
+        title=title,
+        headers=["benchmark"] + policies,
+        rows=rows,
+        data=data,
+        notes=notes,
+    )
+
 
 _LWP_CASES = [("SSCA.20", "A"), ("pca", "B")]
 _LWP_POLICIES = ["thp", "carrefour-2m", "carrefour-lp", "carrefour-lp-lwp"]
@@ -36,26 +69,13 @@ _LWP_POLICIES = ["thp", "carrefour-2m", "carrefour-lp", "carrefour-lp-lwp"]
 
 def lwp(settings: Optional[RunSettings] = None) -> Report:
     """LWP-grade sampling vs plain IBS for Carrefour-LP."""
-    settings = settings or RunSettings()
-    rows = []
-    data: Dict[str, Dict[str, float]] = {}
-    for workload, machine in _LWP_CASES:
-        base = run_benchmark(workload, machine, "linux-4k", settings)
-        entries = {}
-        row = [f"{workload} ({machine})"]
-        for policy in _LWP_POLICIES:
-            result = run_benchmark(workload, machine, policy, settings)
-            entries[policy] = result.improvement_over(base)
-            row.append(f"{entries[policy]:+.1f}")
-        data[f"{workload}@{machine}"] = entries
-        rows.append(row)
-    return Report(
-        experiment_id="lwp",
-        title="Carrefour-LP with LWP-style sampling (improvement over Linux, %)",
-        headers=["benchmark"] + _LWP_POLICIES,
-        rows=rows,
-        data=data,
-        notes=[
+    return _improvement_table(
+        "lwp",
+        "Carrefour-LP with LWP-style sampling (improvement over Linux, %)",
+        _LWP_CASES,
+        _LWP_POLICIES,
+        settings,
+        [
             "Paper Section 4.1: sparse IBS samples make the reactive split"
             " estimate optimistic (SSCA: predicted 59%, actual 25%); denser,"
             " cheaper LWP samples were the proposed fix."
@@ -84,26 +104,13 @@ def autonuma(settings: Optional[RunSettings] = None) -> Report:
     fixes balance-only problems (pca) but sacrifices every partitioned
     workload's locality.
     """
-    settings = settings or RunSettings()
-    rows = []
-    data: Dict[str, Dict[str, float]] = {}
-    for workload, machine in _AUTONUMA_CASES:
-        base = run_benchmark(workload, machine, "linux-4k", settings)
-        entries = {}
-        row = [f"{workload} ({machine})"]
-        for policy in _AUTONUMA_POLICIES:
-            result = run_benchmark(workload, machine, policy, settings)
-            entries[policy] = result.improvement_over(base)
-            row.append(f"{entries[policy]:+.1f}")
-        data[f"{workload}@{machine}"] = entries
-        rows.append(row)
-    return Report(
-        experiment_id="autonuma",
-        title="Linux NUMA balancing vs Carrefour (improvement over Linux, %)",
-        headers=["benchmark"] + _AUTONUMA_POLICIES,
-        rows=rows,
-        data=data,
-        notes=[
+    return _improvement_table(
+        "autonuma",
+        "Linux NUMA balancing vs Carrefour (improvement over Linux, %)",
+        _AUTONUMA_CASES,
+        _AUTONUMA_POLICIES,
+        settings,
+        [
             "AutoNUMA cannot split large pages: CG's hot pages and UA's"
             " falsely shared pages stay broken; only migrate-to-accessor"
             " cases (master-initialised data) benefit."
@@ -111,34 +118,34 @@ def autonuma(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def _run_custom(workload: str, machine: str, policy, settings: RunSettings):
-    topo = machine_by_name(machine)
-    instance = get_workload(workload).instantiate(
-        topo, settings.config.scale, settings.seed
+_HOT_THRESHOLDS = (3.0, 6.0, 12.0, 100.0)
+
+
+def _hot_threshold_spec(threshold: float) -> RunSpec:
+    # Disable the shared-page split path (gain threshold set out of
+    # reach) so the sweep isolates Algorithm 1's line 19: split and
+    # interleave pages hotter than the threshold.
+    reactive_config = ReactiveConfig(
+        hot_page_pct=threshold,
+        split_gain_threshold_pct=1000.0,
+        carrefour_gain_threshold_pct=1000.0,
     )
-    return Simulation(topo, instance, policy, settings.config).run()
+    return RunSpec(
+        "CG.D", "B", "carrefour-lp",
+        params=(("reactive_config", reactive_config),),
+    )
 
 
 def ablation_hot_threshold(settings: Optional[RunSettings] = None) -> Report:
     """Sweep the reactive component's hot-page threshold on CG.D."""
-    settings = settings or RunSettings()
-    base = run_benchmark("CG.D", "B", "linux-4k", settings)
+    baseline = RunSpec("CG.D", "B", "linux-4k")
+    sweep = {t: _hot_threshold_spec(t) for t in _HOT_THRESHOLDS}
+    runs = GridRunner(settings).run([baseline, *sweep.values()])
+    base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for threshold in (3.0, 6.0, 12.0, 100.0):
-        # Disable the shared-page split path (gain threshold set out of
-        # reach) so the sweep isolates Algorithm 1's line 19: split and
-        # interleave pages hotter than the threshold.
-        policy = CarrefourLpPolicy(
-            reactive_config=ReactiveConfig(
-                hot_page_pct=threshold,
-                split_gain_threshold_pct=1000.0,
-                carrefour_gain_threshold_pct=1000.0,
-            ),
-            seed=settings.seed,
-            name=f"lp-hot-{threshold:g}",
-        )
-        result = _run_custom("CG.D", "B", policy, settings)
+    for threshold, spec in sweep.items():
+        result = runs[spec]
         m = result.metrics()
         entry = {
             "improvement": result.improvement_over(base),
@@ -169,22 +176,26 @@ def ablation_hot_threshold(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
+_BUDGETS_MB = (32, 128, 512, 4096)
+
+
+def _budget_spec(budget_mb: int) -> RunSpec:
+    config = CarrefourConfig(
+        max_migration_bytes_per_interval=budget_mb * 1024 * 1024
+    )
+    return RunSpec("pca", "B", "carrefour-2m", params=(("config", config),))
+
+
 def ablation_migration_budget(settings: Optional[RunSettings] = None) -> Report:
     """Sweep Carrefour-2M's per-interval migration budget on pca."""
-    settings = settings or RunSettings()
-    base = run_benchmark("pca", "B", "linux-4k", settings)
+    baseline = RunSpec("pca", "B", "linux-4k")
+    sweep = {mb: _budget_spec(mb) for mb in _BUDGETS_MB}
+    runs = GridRunner(settings).run([baseline, *sweep.values()])
+    base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for budget_mb in (32, 128, 512, 4096):
-        policy = CarrefourPolicy(
-            thp=True,
-            config=CarrefourConfig(
-                max_migration_bytes_per_interval=budget_mb * 1024 * 1024
-            ),
-            seed=settings.seed,
-            name=f"carrefour-2m-{budget_mb}mb",
-        )
-        result = _run_custom("pca", "B", policy, settings)
+    for budget_mb, spec in sweep.items():
+        result = runs[spec]
         m = result.metrics()
         entry = {
             "improvement": result.improvement_over(base),

@@ -1,12 +1,24 @@
-"""Parallel fan-out of independent simulation runs.
+"""The one executor: every artifact's run grid goes through :class:`GridRunner`.
 
-Simulations are deterministic and share no state, so a batch of
-(workload, machine, policy, backing) combinations is embarrassingly
-parallel.  :class:`GridRunner` collects the full grid for an
-experiment batch, deduplicates it (figures share their Linux/THP
-baselines), answers what it can from the two cache layers, and fans
-the misses out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-Every run is single-threaded; the pool is the only parallelism.
+An artifact declares its grid as a list of
+:class:`~repro.experiments.runner.RunSpec` and hands it to one
+:meth:`GridRunner.run` call, which returns ``{spec: result}``;
+:func:`repro.experiments.runner.run_benchmark` is the same call with a
+one-spec grid.  ``run`` deduplicates the grid, looks each run up by its
+fingerprint in the in-process memo and then on disk, simulates the
+misses, and files their results under the same fingerprint in both
+layers.  Simulations are deterministic and share no state, so the
+misses are embarrassingly parallel.
+
+The resolved worker count picks how the misses execute: one worker
+runs them in a plain in-process loop, more fan out over a
+:class:`concurrent.futures.ProcessPoolExecutor`.  Both call
+``runner.execute_run`` per spec, and every run is single-threaded; the
+pool is the only parallelism.  :func:`backend_choice` names the choice
+the core count implies — ``process`` on multi-core boxes, ``serial`` on
+single-core ones, where a pool has nothing to overlap — together with
+a human-readable reason, which the benchmarks record as
+``backend_reason``.
 
 Pool tasks are bank-affine: the runs that share a stream bank — the
 same (workload, machine, backing) under the grid's settings, whatever
@@ -15,50 +27,26 @@ in exactly one process (:func:`_bank_tasks`).  Only when there are
 fewer banks than workers are the largest groups split, so that no
 worker idles.
 
-The resolved worker count picks the executor: more than one worker
-fans out over the pool, one worker runs the misses in a plain
-in-process loop.  :func:`backend_choice` names the choice the core
-count implies — ``process`` on multi-core boxes, ``serial`` on
-single-core ones, where a pool has nothing to overlap — together with
-a human-readable reason, which the benchmarks record as
-``backend_reason``.
-
 Worker count resolution, in priority order: explicit ``jobs``
 argument, the ``REPRO_JOBS`` environment variable, then
 ``os.cpu_count()``, clamped to ``[1, os.cpu_count()]``.
 ``jobs=1`` — and any platform where a process pool cannot be built
-(no ``fork``, sandboxed semaphores) — degrades to the serial loop with
+(no ``fork``, sandboxed semaphores) — runs the serial loop with
 identical results, since every run is deterministic.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as _runner
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import RunSettings
+from repro.experiments.runner import RunSettings, RunSpec
 from repro.options import RuntimeOptions
 from repro.sim.results import SimulationResult
 
 _BACKENDS = ("serial", "process")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One deduplicable unit of work: a single simulation run."""
-
-    workload: str
-    machine: str = "A"
-    policy: str = "thp"
-    backing_1g: bool = False
-
-    def describe(self) -> str:
-        """Short label for logs and progress lines."""
-        suffix = "+1g" if self.backing_1g else ""
-        return f"{self.workload}@{self.machine}/{self.policy}{suffix}"
 
 
 def backend_choice() -> Tuple[str, str]:
@@ -101,17 +89,8 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
 def _execute_specs(
     specs: List[RunSpec], settings: RunSettings
 ) -> List[Tuple[RunSpec, SimulationResult]]:
-    """Run specs in order, uncached; the pool workers' entry point."""
-    return [
-        (
-            spec,
-            _runner.execute_run(
-                spec.workload, spec.machine, spec.policy, settings,
-                spec.backing_1g,
-            ),
-        )
-        for spec in specs
-    ]
+    """Run specs in order, uncached: the serial loop, or one pool task."""
+    return [(spec, _runner.execute_run(spec, settings)) for spec in specs]
 
 
 def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
@@ -144,19 +123,16 @@ def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
 
 
 class GridRunner:
-    """Collects a run grid, then executes it cache-aware and in parallel.
+    """The one executor: runs a grid through both cache layers and the pool.
 
     Usage::
 
-        grid = GridRunner(settings)
-        grid.add("CG.D", "B", "thp")
-        grid.add_grid(["CG.D", "UA.B"], ["A", "B"], ["linux-4k", "thp"])
-        results = grid.run(jobs=4)   # {RunSpec: SimulationResult}
+        grid = [RunSpec("CG.D", "B", "thp"), RunSpec("CG.D", "B", "linux-4k")]
+        results = GridRunner(settings).run(grid)   # {RunSpec: SimulationResult}
 
-    ``run`` leaves every result installed in the runner's in-process
-    memo (and the persistent store), so subsequent
-    :func:`repro.experiments.runner.run_benchmark` calls for the same
-    settings are hits.
+    Every artifact hands its whole grid to one :meth:`run` call and
+    renders its report from the returned dict, so a read the grid did
+    not declare is a ``KeyError``.
     """
 
     def __init__(
@@ -166,96 +142,10 @@ class GridRunner:
     ) -> None:
         self.settings = settings or RunSettings()
         self.jobs = jobs
-        self._specs: List[RunSpec] = []
-        self._seen: set = set()
-
-    # ------------------------------------------------------------------
-    # Grid assembly
-    # ------------------------------------------------------------------
-    def add(
-        self,
-        workload: str,
-        machine: str = "A",
-        policy: str = "thp",
-        backing_1g: bool = False,
-    ) -> "GridRunner":
-        """Queue one run; duplicates are dropped (shared baselines)."""
-        spec = RunSpec(workload, machine, policy, backing_1g)
-        if spec not in self._seen:
-            self._seen.add(spec)
-            self._specs.append(spec)
-        return self
-
-    def add_spec(self, spec: RunSpec) -> "GridRunner":
-        """Queue one pre-built :class:`RunSpec`."""
-        return self.add(spec.workload, spec.machine, spec.policy, spec.backing_1g)
-
-    def add_grid(
-        self,
-        workloads: Sequence[str],
-        machines: Sequence[str],
-        policies: Sequence[str],
-        backing_1g: bool = False,
-    ) -> "GridRunner":
-        """Queue the cross product workloads x machines x policies."""
-        for wl in workloads:
-            for machine in machines:
-                for policy in policies:
-                    self.add(wl, machine, policy, backing_1g)
-        return self
-
-    @property
-    def specs(self) -> List[RunSpec]:
-        """The deduplicated grid, in insertion order."""
-        return list(self._specs)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _partition(
-        self, persistent: bool
-    ) -> Tuple[Dict[RunSpec, SimulationResult], List[RunSpec]]:
-        """Split the grid into (cache hits, misses to execute)."""
-        hits: Dict[RunSpec, SimulationResult] = {}
-        misses: List[RunSpec] = []
-        settings = self.settings
-        store = ResultCache.default() if persistent else None
-        for spec in self._specs:
-            machine = _runner.canonical_machine(spec.machine)
-            key = settings.cache_key(
-                spec.workload, machine, spec.policy, spec.backing_1g
-            )
-            memoised = _runner._CACHE.get(key)
-            if memoised is not None:
-                hits[spec] = memoised
-                continue
-            if store is not None:
-                cached = store.get(
-                    settings.fingerprint(
-                        spec.workload, machine, spec.policy, spec.backing_1g
-                    )
-                )
-                if cached is not None:
-                    hits[spec] = cached
-                    _runner.store_result(
-                        spec.workload,
-                        machine,
-                        spec.policy,
-                        settings,
-                        spec.backing_1g,
-                        cached,
-                        persist=False,
-                    )
-                    continue
-            misses.append(spec)
-        return hits, misses
-
-    def _run_serial(self, misses: List[RunSpec]) -> Dict[RunSpec, SimulationResult]:
-        return dict(_execute_specs(misses, self.settings))
 
     def _run_pool(
         self, misses: List[RunSpec], jobs: int
-    ) -> Dict[RunSpec, SimulationResult]:
+    ) -> List[Tuple[RunSpec, SimulationResult]]:
         import concurrent.futures
         import multiprocessing
 
@@ -266,7 +156,7 @@ class GridRunner:
         except ValueError:
             ctx = multiprocessing.get_context()
         tasks = _bank_tasks(misses, jobs)
-        results: Dict[RunSpec, SimulationResult] = {}
+        results: List[Tuple[RunSpec, SimulationResult]] = []
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(tasks)), mp_context=ctx
         ) as pool:
@@ -275,65 +165,58 @@ class GridRunner:
                 for task in tasks
             ]
             for future in concurrent.futures.as_completed(futures):
-                results.update(future.result())
+                results.extend(future.result())
         return results
 
+    def _execute(
+        self, misses: List[RunSpec]
+    ) -> List[Tuple[RunSpec, SimulationResult]]:
+        """Simulate the misses: a plain loop at one job, else the pool."""
+        jobs = resolve_jobs(self.jobs)
+        if jobs > 1 and len(misses) > 1:
+            try:
+                return self._run_pool(misses, jobs)
+            except (OSError, ImportError, PermissionError, RuntimeError):
+                pass  # No usable multiprocessing on this platform.
+        return _execute_specs(misses, self.settings)
+
     def run(
-        self,
-        jobs: Optional[int] = None,
-        use_cache: bool = True,
+        self, specs: Iterable[RunSpec], use_cache: bool = True
     ) -> Dict[RunSpec, SimulationResult]:
-        """Execute the grid; returns ``{spec: result}`` in grid order.
+        """Execute a grid; returns ``{spec: result}`` in first-seen order.
 
-        Cached specs are answered without work.  Fresh results are
-        installed into both cache layers so later ``run_benchmark``
-        calls (the experiment drivers' inner loops) are pure hits.
+        Duplicate specs, and specs that share a fingerprint, run once.
+        With ``use_cache`` each run is looked up in the in-process memo,
+        then (unless ``REPRO_CACHE`` is off) on disk; only the misses
+        are simulated, and their results land in both layers.
+        ``use_cache=False`` simulates every run and touches neither.
         """
-        options = RuntimeOptions.from_env()
-        if use_cache:
-            hits, misses = self._partition(options.cache)
-        else:
-            hits, misses = {}, list(self._specs)
-        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
-        if misses:
-            if n_jobs <= 1 or len(misses) <= 1:
-                fresh = self._run_serial(misses)
+        keys = {spec: self.settings.fingerprint(spec) for spec in specs}
+        store = (
+            ResultCache.default()
+            if use_cache and RuntimeOptions.from_env().cache
+            else None
+        )
+        found: Dict[str, SimulationResult] = {}
+        misses: Dict[str, RunSpec] = {}
+        for spec, key in keys.items():
+            if key in found or key in misses:
+                continue
+            result = _runner._CACHE.get(key) if use_cache else None
+            if result is None and store is not None:
+                result = store.get(key)
+                if result is not None:
+                    _runner._CACHE[key] = result
+            if result is None:
+                misses[key] = spec
             else:
-                try:
-                    fresh = self._run_pool(misses, n_jobs)
-                except (OSError, ImportError, PermissionError, RuntimeError):
-                    # No usable multiprocessing on this platform.
-                    fresh = self._run_serial(misses)
-            for spec, result in fresh.items():
+                found[key] = result
+        if misses:
+            for spec, result in self._execute(list(misses.values())):
+                key = keys[spec]
+                found[key] = result
                 if use_cache:
-                    _runner.store_result(
-                        spec.workload,
-                        _runner.canonical_machine(spec.machine),
-                        spec.policy,
-                        self.settings,
-                        spec.backing_1g,
-                        result,
-                        persist=options.cache,
-                    )
-                hits[spec] = result
-        return {spec: hits[spec] for spec in self._specs}
-
-
-def prefetch(
-    specs: Iterable[RunSpec],
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-) -> Dict[RunSpec, SimulationResult]:
-    """Warm both cache layers for a batch of runs, in parallel.
-
-    The experiment drivers call this with their full grid before their
-    (serial, report-building) inner loops; with ``jobs`` resolving to 1
-    it is a no-op and the driver's own ``run_benchmark`` calls do the
-    work exactly as before.
-    """
-    grid = GridRunner(settings, jobs=jobs)
-    for spec in specs:
-        grid.add_spec(spec)
-    if not grid.specs or resolve_jobs(jobs) <= 1:
-        return {}
-    return grid.run()
+                    _runner._CACHE[key] = result
+                    if store is not None:
+                        store.put(key, result)
+        return {spec: found[key] for spec, key in keys.items()}

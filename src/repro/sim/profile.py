@@ -178,23 +178,12 @@ def run_profiled(
     stays importable from the engine without a ``sim`` ->
     ``experiments`` cycle.
     """
-    import dataclasses
+    from repro.experiments.runner import RunSettings, RunSpec, build_simulation
 
-    from repro.experiments.configs import make_policy
-    from repro.experiments.runner import RunSettings
-    from repro.hardware.machines import machine_by_name
-    from repro.sim.engine import Simulation
-    from repro.workloads.registry import get_workload
-
-    if settings is None:
-        settings = RunSettings()
-    config = dataclasses.replace(settings.config, profile=True)
-    topo = machine_by_name(machine) if isinstance(machine, str) else machine
-    instance = get_workload(workload).instantiate(topo, config.scale, settings.seed)
-    if backing_1g:
-        instance = instance.with_1g_backing()
-    sim = Simulation(
-        topo, instance, make_policy(policy, seed=settings.seed), config=config
+    sim = build_simulation(
+        RunSpec(workload, machine, policy, backing_1g),
+        settings or RunSettings(),
+        profile=True,
     )
     if sim.profiler is None:  # REPRO_PROFILE=0 in the environment
         sim.profiler = PhaseTimer()

@@ -122,29 +122,17 @@ def run_traced(
     stays importable from the engine without a ``sim`` ->
     ``experiments`` cycle.
     """
-    import dataclasses
+    from repro.experiments.runner import RunSettings, RunSpec, build_simulation
 
-    from repro.experiments.configs import make_policy
-    from repro.experiments.runner import RunSettings
-    from repro.hardware.machines import machine_by_name
-    from repro.sim.engine import Simulation
-    from repro.workloads.registry import get_workload
-
-    if settings is None:
-        settings = RunSettings()
-    config = dataclasses.replace(settings.config, trace=True)
-    topo = machine_by_name(machine) if isinstance(machine, str) else machine
-    instance = get_workload(workload).instantiate(topo, config.scale, settings.seed)
-    if backing_1g:
-        instance = instance.with_1g_backing()
-    sim = Simulation(
-        topo, instance, make_policy(policy, seed=settings.seed), config=config
+    settings = settings or RunSettings()
+    sim = build_simulation(
+        RunSpec(workload, machine, policy, backing_1g), settings, trace=True
     )
     if sim.tracer is None:  # REPRO_TRACE=0 in the environment
         sim.tracer = DecisionTrace(
             {
-                "workload": instance.name,
-                "machine": topo.name,
+                "workload": sim.instance.name,
+                "machine": sim.machine.name,
                 "policy": sim.policy.name,
                 "seed": settings.seed,
             }

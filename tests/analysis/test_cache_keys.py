@@ -4,8 +4,10 @@ PR 1 shipped a memo key that silently dropped four ``SimConfig``
 fields; the R001 rule exists so that bug class cannot recur.  These
 tests (a) run R001 over the real tree so any new config dataclass with
 an incomplete ``cache_key``/``fingerprint`` fails CI, (b) prove the
-rule would actually catch a regression by injecting one, and (c) pin
-the runtime semantics of ``_CACHE_KEY_EXCLUDE``.
+rule would actually catch a regression by injecting one, (c) pin
+the runtime semantics of ``_CACHE_KEY_EXCLUDE``, and (d) check at
+runtime that every :class:`RunSpec` field, policy params included,
+reaches the fingerprint both cache layers key on.
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 
+import pytest
+
 import repro
 from repro.analysis.linter import format_findings, lint_paths, lint_source
 from repro.analysis.rules import rules_by_id
-from repro.experiments.cache import normalized_config, run_fingerprint
-from repro.experiments.runner import RunSettings
+from repro.core.carrefour import CarrefourConfig
+from repro.core.reactive import ReactiveConfig
+from repro.experiments.cache import run_fingerprint
+from repro.experiments.runner import RunSettings, RunSpec
 from repro.sim.config import SimConfig
 
 PACKAGE = pathlib.Path(repro.__file__).parent
@@ -30,7 +36,7 @@ def test_every_cache_key_method_covers_all_fields():
 
 
 def test_r001_catches_an_injected_field():
-    """Add a field to RunSettings without touching cache_key: R001 trips.
+    """Add a field to RunSettings without touching fingerprint: R001 trips.
 
     This mutation test keeps the rule and the real source honest with
     each other — if R001's dataclass parsing drifted away from how
@@ -51,15 +57,14 @@ def test_exclude_list_names_real_fields():
     assert SimConfig._CACHE_KEY_EXCLUDE <= field_names
 
 
-def test_excluded_fields_do_not_split_the_memo_key():
+@pytest.mark.parametrize("excluded", sorted(SimConfig._CACHE_KEY_EXCLUDE))
+def test_excluded_fields_do_not_split_the_memo_key(excluded):
     cfg = SimConfig.quick(seed=0)
-    checked = dataclasses.replace(cfg, check_invariants=True)
-    base = RunSettings(config=cfg, seed=0)
-    with_checks = RunSettings(config=checked, seed=0)
-    key_a = base.cache_key("CG.D", "machine-B", "thp", False)
-    key_b = with_checks.cache_key("CG.D", "machine-B", "thp", False)
+    toggled = dataclasses.replace(cfg, **{excluded: not getattr(cfg, excluded)})
+    spec = RunSpec("CG.D", "B", "thp")
+    key_a = RunSettings(config=cfg, seed=0).fingerprint(spec)
+    key_b = RunSettings(config=toggled, seed=0).fingerprint(spec)
     assert key_a == key_b
-    assert normalized_config(checked) == normalized_config(cfg)
 
 
 def test_excluded_fields_do_not_split_the_fingerprint():
@@ -74,6 +79,68 @@ def test_result_affecting_fields_still_split_both_keys():
     other = dataclasses.replace(cfg, max_epochs=cfg.max_epochs + 1)
     args = ("CG.D", "machine-B", "thp", False)
     assert run_fingerprint(*args, cfg, 0) != run_fingerprint(*args, other, 0)
-    key_a = RunSettings(config=cfg, seed=0).cache_key(*args)
-    key_b = RunSettings(config=other, seed=0).cache_key(*args)
+    spec = RunSpec("CG.D", "B", "thp")
+    key_a = RunSettings(config=cfg, seed=0).fingerprint(spec)
+    key_b = RunSettings(config=other, seed=0).fingerprint(spec)
     assert key_a != key_b
+
+
+# --- Every RunSpec field reaches the fingerprint ------------------------
+
+_HOT = (("reactive_config", ReactiveConfig(hot_page_pct=3.0)),)
+_BASE_SPEC = RunSpec("CG.D", "B", "carrefour-lp", False, _HOT)
+
+#: One changed value per RunSpec field, then one per params value.
+_SPEC_CHANGES = {
+    "workload": {"workload": "UA.B"},
+    "machine": {"machine": "A"},
+    "policy": {"policy": "carrefour-2m"},
+    "backing_1g": {"backing_1g": True},
+    "params": {"params": ()},
+    "params-name": {"params": (("reactive_config_", _HOT[0][1]),)},
+    "params-value": {
+        "params": (("reactive_config", ReactiveConfig(hot_page_pct=12.0)),)
+    },
+    "params-nested-field": {
+        "params": (
+            (
+                "reactive_config",
+                ReactiveConfig(hot_page_pct=3.0, split_gain_threshold_pct=6.0),
+            ),
+        )
+    },
+    "params-config-type": {
+        "params": (("reactive_config", CarrefourConfig()),)
+    },
+}
+
+
+def test_spec_changes_cover_every_field():
+    changed = {
+        name for change in _SPEC_CHANGES.values() for name in change
+    }
+    assert changed == {f.name for f in dataclasses.fields(RunSpec)}
+
+
+@pytest.mark.parametrize("change", sorted(_SPEC_CHANGES))
+def test_every_spec_field_splits_the_fingerprint(change):
+    settings = RunSettings.quick()
+    other = dataclasses.replace(_BASE_SPEC, **_SPEC_CHANGES[change])
+    assert other != _BASE_SPEC
+    assert settings.fingerprint(other) != settings.fingerprint(_BASE_SPEC)
+
+
+def test_machine_aliases_share_one_fingerprint():
+    settings = RunSettings.quick()
+    assert settings.fingerprint(RunSpec("CG.D", "B")) == settings.fingerprint(
+        RunSpec("CG.D", "machine-B")
+    )
+
+
+def test_empty_params_keep_the_pre_params_fingerprint():
+    """Runs without params are filed exactly where they always were."""
+    cfg = SimConfig.quick(seed=0)
+    spec = RunSpec("CG.D", "B", "thp")
+    assert RunSettings(config=cfg, seed=0).fingerprint(spec) == run_fingerprint(
+        "CG.D", "machine-B", "thp", False, cfg, 0
+    )

@@ -17,7 +17,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.runner import (
     RunSettings,
-    canonical_machine,
+    RunSpec,
     clear_cache,
     run_benchmark,
 )
@@ -103,6 +103,7 @@ class TestMemoKeyRegression:
 
     def test_memo_key_covers_dropped_fields(self):
         base = RunSettings.quick()
+        spec = RunSpec("Kmeans", "A", "thp")
         for field, value in [
             ("max_epochs", 7),
             ("khugepaged_batch", 9),
@@ -112,9 +113,7 @@ class TestMemoKeyRegression:
             other = RunSettings(
                 config=replace(base.config, **{field: value}), seed=base.seed
             )
-            assert base.cache_key("Kmeans", "A", "thp", False) != other.cache_key(
-                "Kmeans", "A", "thp", False
-            ), field
+            assert base.fingerprint(spec) != other.fingerprint(spec), field
 
     def test_no_stale_collision_between_max_epochs(self, store):
         quick = SimConfig.quick()
@@ -140,7 +139,7 @@ class TestResultCache:
     def test_roundtrip(self, store):
         settings = RunSettings.quick()
         result = run_benchmark("Kmeans", "A", "linux-4k", settings)
-        key = settings.fingerprint("Kmeans", canonical_machine("A"), "linux-4k", False)
+        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
         loaded = store.get(key)
         assert loaded is not None
         assert loaded is not result
@@ -164,7 +163,7 @@ class TestResultCache:
     def test_corrupted_entry_reruns_not_crashes(self, store):
         settings = RunSettings.quick()
         run_benchmark("Kmeans", "A", "linux-4k", settings)
-        key = settings.fingerprint("Kmeans", canonical_machine("A"), "linux-4k", False)
+        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
         path = store.path_for(key)
         path.write_bytes(b"not a pickle at all")
         assert store.get(key) is None
@@ -206,7 +205,7 @@ class TestResultCache:
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         # The old entry is unreachable under the new stamp: a fresh
         # fingerprint points at a missing file.
-        key = settings.fingerprint("Kmeans", canonical_machine("A"), "linux-4k", False)
+        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
         assert store.get(key) is None
 
     def test_disabled_by_env(self, store, monkeypatch):

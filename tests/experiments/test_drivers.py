@@ -1,14 +1,15 @@
-"""Structure tests for the experiment drivers, with a stubbed runner.
+"""Structure tests for the experiment drivers, with a stubbed executor.
 
 These tests verify every driver's report shape (headers, row counts,
-data payload) without paying for real simulations: ``run_benchmark`` is
-monkeypatched to return canned results.
+data payload) without paying for real simulations: ``GridRunner.run``
+is monkeypatched to return canned results for exactly the grid it is
+handed, and records which of them the driver reads.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import experiments as exp_mod
+from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSettings
 from repro.hardware.counters import CounterBank
 from repro.sim.results import RunMetrics
@@ -50,20 +51,32 @@ class FakeResult:
         return 10.0
 
 
+class FakeRuns(dict):
+    """One stubbed grid's results; records every spec the driver reads."""
+
+    def __init__(self, specs):
+        # Vary runtime per policy so improvements are nonzero.
+        super().__init__(
+            (spec, FakeResult({"linux-4k": 2.0, "thp": 1.5}.get(spec.policy, 1.0)))
+            for spec in specs
+        )
+        self.reads = set()
+
+    def __getitem__(self, spec):
+        self.reads.add(spec)
+        return super().__getitem__(spec)
+
+
 @pytest.fixture
 def stub_runner(monkeypatch):
+    """Every ``GridRunner.run`` call's grid, as a :class:`FakeRuns`."""
     calls = []
 
-    def fake_run(workload, machine, policy, settings=None, **kwargs):
-        calls.append((workload, machine, policy, kwargs))
-        # Vary runtime per policy so improvements are nonzero.
-        runtime = {"linux-4k": 2.0, "thp": 1.5}.get(policy, 1.0)
-        return FakeResult(runtime)
+    def fake_run(self, specs, use_cache=True):
+        calls.append(FakeRuns(specs))
+        return calls[-1]
 
-    # Patch both the driver module's imported binding and the runner
-    # module's global (used internally by runner.improvement).
-    monkeypatch.setattr(exp_mod, "run_benchmark", fake_run)
-    monkeypatch.setattr("repro.experiments.runner.run_benchmark", fake_run)
+    monkeypatch.setattr(GridRunner, "run", fake_run)
     return calls
 
 
@@ -91,8 +104,9 @@ class TestFigureDrivers:
 
     def test_figure4_baseline_is_thp(self, stub_runner, settings):
         exp_mod.figure4(settings)
-        baselines = {c[2] for c in stub_runner if c[0] == "CG.D"}
-        assert "thp" in baselines
+        (runs,) = stub_runner
+        assert "thp" in {s.policy for s in runs if s.workload == "CG.D"}
+        assert "linux-4k" not in {s.policy for s in runs}
 
     def test_figure5_unaffected_set(self, stub_runner, settings):
         report = exp_mod.figure5(settings)
@@ -118,8 +132,29 @@ class TestFigureDrivers:
 
     def test_verylarge_uses_1g_backing(self, stub_runner, settings):
         exp_mod.verylarge(settings)
-        backings = [c[3].get("backing_1g") for c in stub_runner]
-        assert any(backings)
+        (runs,) = stub_runner
+        assert any(spec.backing_1g for spec in runs)
+
+
+class TestOneGrid:
+    @pytest.mark.parametrize("name", sorted(exp_mod.EXPERIMENTS))
+    def test_one_run_call_and_every_declared_run_read(
+        self, stub_runner, settings, name
+    ):
+        """Each driver hands one grid to one executor call and reads
+        exactly that grid: an undeclared read would be a ``KeyError``,
+        and a declared run nobody reads is wasted simulation."""
+        exp_mod.run_experiment(name, settings)
+        (runs,) = stub_runner
+        assert runs.reads == set(runs)
+
+    def test_ablations_sweep_policy_params(self, stub_runner, settings):
+        exp_mod.run_experiment("ablation-hot", settings)
+        exp_mod.run_experiment("ablation-budget", settings)
+        for runs in stub_runner:
+            assert len(runs) == 5
+            assert sum(not spec.params for spec in runs) == 1  # the baseline
+            assert len({spec.params for spec in runs}) == 5
 
 
 class TestRunExperiment:
@@ -131,6 +166,7 @@ class TestRunExperiment:
             "validate",
         }
         assert set(exp_mod.EXPERIMENTS) == expected
+        assert len(expected) == 15
 
     def test_unknown_experiment(self):
         from repro.errors import ConfigurationError

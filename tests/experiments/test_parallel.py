@@ -8,11 +8,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import runner as runner_mod
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     GridRunner,
     RunSpec,
     _bank_tasks,
-    prefetch,
     backend_choice,
     resolve_jobs,
 )
@@ -126,25 +126,7 @@ class TestBackendChoice:
             resolve_jobs(2, backend="thread")
 
 
-class TestGridAssembly:
-    def test_dedup(self):
-        grid = GridRunner(RunSettings.quick())
-        grid.add("Kmeans", "A", "thp")
-        grid.add("Kmeans", "A", "thp")
-        grid.add("Kmeans", "A", "thp", backing_1g=True)
-        assert len(grid.specs) == 2
-
-    def test_add_grid_cross_product(self):
-        grid = GridRunner(RunSettings.quick())
-        grid.add_grid(["a", "b"], ["A", "B"], ["p", "q", "p"])
-        assert len(grid.specs) == 2 * 2 * 2  # duplicate policy dropped
-
-    def test_insertion_order_preserved(self):
-        grid = GridRunner(RunSettings.quick())
-        for spec in GRID:
-            grid.add_spec(spec)
-        assert grid.specs == GRID
-
+class TestRunSpec:
     def test_describe(self):
         assert RunSpec("WC", "B", "thp").describe() == "WC@B/thp"
         assert (
@@ -153,31 +135,58 @@ class TestGridAssembly:
         )
 
 
+def _no_runs(monkeypatch):
+    def _boom(*args, **kwargs):
+        raise AssertionError("re-executed a cached spec")
+
+    monkeypatch.setattr(runner_mod, "execute_run", _boom)
+
+
 class TestGridExecution:
     def test_serial_jobs1(self, fresh_env):
         settings = RunSettings.quick()
-        grid = GridRunner(settings)
-        for spec in GRID[:2]:
-            grid.add_spec(spec)
-        results = grid.run(jobs=1)
+        results = GridRunner(settings, jobs=1).run(GRID[:2])
         assert set(results) == set(GRID[:2])
         for result in results.values():
             assert result.runtime_s > 0
 
+    def test_empty_grid(self, fresh_env):
+        assert GridRunner(RunSettings.quick()).run([]) == {}
+
+    def test_dedup_keeps_first_seen_order(self, fresh_env, monkeypatch):
+        settings = RunSettings.quick()
+        executed = []
+        execute = runner_mod.execute_run
+
+        def counted(spec, run_settings):
+            executed.append(spec)
+            return execute(spec, run_settings)
+
+        monkeypatch.setattr(runner_mod, "execute_run", counted)
+        grid = [GRID[1], GRID[0], GRID[1], GRID[0]]
+        results = GridRunner(settings, jobs=1).run(grid)
+        assert list(results) == [GRID[1], GRID[0]]
+        assert executed == [GRID[1], GRID[0]]
+
+    def test_machine_aliases_run_once(self, fresh_env):
+        settings = RunSettings.quick()
+        alias = RunSpec("Kmeans", "machine-A", "linux-4k")
+        results = GridRunner(settings, jobs=1).run([GRID[0], alias])
+        assert results[alias] is results[GRID[0]]
+
+    def test_execute_run_reached_through_the_module(self, fresh_env, monkeypatch):
+        """Serial runs call ``runner.execute_run`` as a module attribute,
+        so wrapping it observes every run (the pool's workers too)."""
+        _no_runs(monkeypatch)
+        with pytest.raises(AssertionError, match="re-executed"):
+            GridRunner(RunSettings.quick(), jobs=1).run(GRID[:1])
+
     def test_parallel_matches_serial_and_cached(self, fresh_env):
         """The acceptance guarantee: parallel == serial == cached."""
         settings = RunSettings.quick()
-        serial = {
-            spec: execute_run(
-                spec.workload, spec.machine, spec.policy, settings, spec.backing_1g
-            )
-            for spec in GRID
-        }
+        serial = {spec: execute_run(spec, settings) for spec in GRID}
 
-        grid = GridRunner(settings)
-        for spec in GRID:
-            grid.add_spec(spec)
-        parallel = grid.run(jobs=2)
+        parallel = GridRunner(settings, jobs=2).run(GRID)
 
         for spec in GRID:
             assert _signature(parallel[spec]) == _signature(serial[spec]), spec
@@ -194,62 +203,53 @@ class TestGridExecution:
 
     def test_results_installed_in_memo(self, fresh_env):
         settings = RunSettings.quick()
-        grid = GridRunner(settings)
-        grid.add_spec(GRID[0])
-        grid.add_spec(GRID[1])
-        results = grid.run(jobs=2)
+        results = GridRunner(settings, jobs=2).run(GRID[:2])
         for spec in GRID[:2]:
             again = run_benchmark(
                 spec.workload, spec.machine, spec.policy, settings
             )
             assert again is results[spec]
 
+    def test_memo_keyed_on_the_fingerprint(self, fresh_env):
+        settings = RunSettings.quick()
+        results = GridRunner(settings, jobs=1).run(GRID[:1])
+        key = settings.fingerprint(GRID[0])
+        assert runner_mod._CACHE == {key: results[GRID[0]]}
+
     def test_second_run_hits_cache(self, fresh_env, monkeypatch):
         settings = RunSettings.quick()
-        grid = GridRunner(settings)
-        grid.add_spec(GRID[0])
-        first = grid.run(jobs=1)
-
-        def _boom(*args, **kwargs):
-            raise AssertionError("re-executed a cached spec")
-
-        monkeypatch.setattr(runner_mod, "execute_run", _boom)
-        grid2 = GridRunner(settings)
-        grid2.add_spec(GRID[0])
-        second = grid2.run(jobs=1)
+        first = GridRunner(settings, jobs=1).run(GRID[:1])
+        _no_runs(monkeypatch)
+        second = GridRunner(settings, jobs=1).run(GRID[:1])
         assert second[GRID[0]] is first[GRID[0]]  # memo hit, same object
+
+    def test_pool_submits_only_the_misses(self, fresh_env, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        settings = RunSettings.quick()
+        first = GridRunner(settings, jobs=2).run(GRID[:1])
+        submitted = []
+
+        def recording(self, misses, jobs):
+            submitted.extend(misses)
+            return [(spec, execute_run(spec, settings)) for spec in misses]
+
+        monkeypatch.setattr(GridRunner, "_run_pool", recording)
+        results = GridRunner(settings, jobs=2).run(GRID)
+        assert submitted == GRID[1:]
+        assert results[GRID[0]] is first[GRID[0]]
 
     def test_use_cache_false_reruns(self, fresh_env):
         settings = RunSettings.quick()
-        grid = GridRunner(settings)
-        grid.add_spec(GRID[0])
-        first = grid.run(jobs=1)
-        second = GridRunner(settings).add_spec(GRID[0]).run(
-            jobs=1, use_cache=False
-        )
+        first = GridRunner(settings, jobs=1).run(GRID[:1])
+        second = GridRunner(settings, jobs=1).run(GRID[:1], use_cache=False)
         assert second[GRID[0]] is not first[GRID[0]]
         assert _signature(second[GRID[0]]) == _signature(first[GRID[0]])
 
-
-class TestPrefetch:
-    def test_noop_when_serial(self, fresh_env, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "1")
-        assert prefetch(GRID, RunSettings.quick()) == {}
-
-    def test_warms_memo(self, fresh_env, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv(JOBS_ENV, "2")
+    def test_use_cache_false_stores_nothing(self, fresh_env):
         settings = RunSettings.quick()
-        results = prefetch(GRID[:2], settings)
-        assert set(results) == set(GRID[:2])
-        for spec in GRID[:2]:
-            assert (
-                run_benchmark(spec.workload, spec.machine, spec.policy, settings)
-                is results[spec]
-            )
-
-    def test_empty_grid(self, fresh_env):
-        assert prefetch([], RunSettings.quick()) == {}
+        GridRunner(settings, jobs=1).run(GRID[:1], use_cache=False)
+        assert runner_mod._CACHE == {}
+        assert ResultCache.default().stats().n_entries == 0
 
 
 #: Two workloads x two policies: two stream banks, four runs.
@@ -282,10 +282,7 @@ class TestBankAffinity:
         # Forked workers inherit this process's banks; start from none.
         streambank.clear_stream_banks()
         settings = RunSettings.quick()
-        grid = GridRunner(settings)
-        for spec in AFFINE_GRID:
-            grid.add_spec(spec)
-        pooled = grid.run(jobs=2)
+        pooled = GridRunner(settings, jobs=2).run(AFFINE_GRID)
 
         rows = [line.split() for line in log.read_text().splitlines()]
         generated = [(bank, int(epoch)) for bank, epoch, _ in rows]
@@ -300,10 +297,8 @@ class TestBankAffinity:
 
         # And the pooled results are the serial grid's, bit for bit.
         clear_cache()
-        serial = GridRunner(settings)
-        for spec in AFFINE_GRID:
-            serial.add_spec(spec)
-        for spec, result in serial.run(jobs=1, use_cache=False).items():
+        serial = GridRunner(settings, jobs=1).run(AFFINE_GRID, use_cache=False)
+        for spec, result in serial.items():
             assert _signature(pooled[spec]) == _signature(result), spec
 
     def test_one_task_per_bank(self):

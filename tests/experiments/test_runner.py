@@ -7,9 +7,10 @@ from repro.errors import (
     UnknownPolicyError,
     UnknownWorkloadError,
 )
-from repro.core.carrefour import CarrefourPolicy
+from repro.core.carrefour import CarrefourConfig, CarrefourPolicy
 from repro.core.carrefour_lp import CarrefourLpPolicy
 from repro.core.pt_replication import PtReplicationPolicy
+from repro.core.reactive import ReactiveConfig
 from repro.experiments.configs import (
     POLICIES,
     make_policy,
@@ -19,7 +20,6 @@ from repro.sim.policy import PolicyStack
 from repro.experiments.runner import (
     RunSettings,
     clear_cache,
-    improvement,
     run_benchmark,
 )
 from repro.sim.policy import LinuxPolicy
@@ -123,6 +123,37 @@ class TestPolicyComposition:
         assert make_policy("carrefour-2m+replication").wants_ibs()
         assert not make_policy("thp+replication").wants_ibs()
 
+    def test_stack_takes_no_params(self):
+        params = (("config", CarrefourConfig()),)
+        with pytest.raises(ConfigurationError, match="takes no params"):
+            make_policy("carrefour-2m+replication", params=params)
+
+
+class TestPolicyParams:
+    def test_carrefour_lp_reactive_config(self):
+        cfg = ReactiveConfig(hot_page_pct=3.0)
+        policy = make_policy(
+            "carrefour-lp", seed=3, params=(("reactive_config", cfg),)
+        )
+        assert isinstance(policy, CarrefourLpPolicy)
+        assert policy.reactive.config is cfg
+        assert policy.name == "carrefour-lp"
+
+    def test_carrefour_2m_config(self):
+        cfg = CarrefourConfig(max_migration_bytes_per_interval=1 << 20)
+        policy = make_policy("carrefour-2m", params=(("config", cfg),))
+        assert isinstance(policy, CarrefourPolicy) and policy.thp
+        assert policy.engine.config is cfg
+
+    @pytest.mark.parametrize("name", ["thp", "linux-4k", "reactive-only"])
+    def test_other_policies_take_none(self, name):
+        with pytest.raises(TypeError):
+            make_policy(name, params=(("config", CarrefourConfig()),))
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(TypeError):
+            make_policy("carrefour-lp", params=(("no_such_knob", 1),))
+
 
 class TestPolicyDescriptions:
     def test_every_policy_documented(self):
@@ -157,8 +188,8 @@ class TestRunner:
         assert a.runtime_s == b.runtime_s  # but deterministic
 
     def test_improvement_signs(self, quick_settings):
-        imp = improvement("Kmeans", "A", "linux-4k", "linux-4k", quick_settings)
-        assert imp == pytest.approx(0.0)
+        base = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
+        assert base.improvement_over(base) == pytest.approx(0.0)
 
     def test_unknown_workload(self, quick_settings):
         with pytest.raises(UnknownWorkloadError):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import paper_data
-from repro.experiments.validation import _CHECKS, validate, validate_claims
+from repro.experiments.parallel import GridRunner
+from repro.experiments.validation import GRID, _CHECKS, validate, validate_claims
 from repro.workloads.registry import FIGURE1_ORDER
 
 
@@ -42,7 +43,26 @@ class TestPaperData:
         assert paper_data.FIGURE1_CALLOUTS[("CG.D", "B")] == -43.0
 
 
+class _RecordedRuns(dict):
+    """Results that remember every spec read through them."""
+
+    def __init__(self, runs):
+        super().__init__(runs)
+        self.reads = set()
+
+    def __getitem__(self, spec):
+        self.reads.add(spec)
+        return super().__getitem__(spec)
+
+
 class TestValidation:
+    def test_grid_is_exactly_the_runs_the_checks_read(self, quick_settings):
+        assert len(GRID) == len(set(GRID)) == 33
+        runs = _RecordedRuns(GridRunner(quick_settings).run(GRID))
+        for check in _CHECKS.values():
+            check(runs)  # an undeclared read raises KeyError
+        assert runs.reads == set(GRID)
+
     def test_all_claims_pass_at_quick_scale(self, quick_settings):
         results = validate_claims(quick_settings)
         failing = [r.claim_id for r in results if not r.passed]

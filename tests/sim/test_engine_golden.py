@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments.runner import RunSettings, RunSpec, run_benchmark
 
 # (workload, machine, policy, backing_1g) -> field -> float.hex()
 GOLDENS = {
@@ -416,7 +416,7 @@ def test_policy_matrix_fingerprints_pinned(policy, quick_settings):
     ``trace`` flag leak into the key) would silently orphan every
     cached result."""
     fp = quick_settings.fingerprint(
-        MATRIX_WORKLOAD, f"machine-{MATRIX_MACHINE}", policy, False
+        RunSpec(MATRIX_WORKLOAD, f"machine-{MATRIX_MACHINE}", policy)
     )
     assert fp == POLICY_MATRIX[policy]["fingerprint"]
 

@@ -14,8 +14,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.cache import normalized_config
-from repro.experiments.runner import execute_run
+from repro.experiments.runner import RunSpec, execute_run
 from repro.options import PROFILE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.profile import (
@@ -109,31 +108,27 @@ class TestProfileEnabled:
 class TestResultNeutrality:
     def test_env_profiled_run_bit_identical(self, quick_settings, monkeypatch):
         monkeypatch.delenv(PROFILE_ENV, raising=False)
-        plain = execute_run("Kmeans", "A", "thp", quick_settings)
+        spec = RunSpec("Kmeans", "A", "thp")
+        plain = execute_run(spec, quick_settings)
         monkeypatch.setenv(PROFILE_ENV, "1")
-        profiled = execute_run("Kmeans", "A", "thp", quick_settings)
+        profiled = execute_run(spec, quick_settings)
         assert _signature(plain) == _signature(profiled)
 
     def test_config_profiled_run_bit_identical(self, quick_settings, monkeypatch):
         monkeypatch.delenv(PROFILE_ENV, raising=False)
-        plain = execute_run("Kmeans", "A", "carrefour-lp", quick_settings)
+        spec = RunSpec("Kmeans", "A", "carrefour-lp")
+        plain = execute_run(spec, quick_settings)
         cfg = dataclasses.replace(quick_settings.config, profile=True)
         profiled = execute_run(
-            "Kmeans", "A", "carrefour-lp",
-            dataclasses.replace(quick_settings, config=cfg),
+            spec, dataclasses.replace(quick_settings, config=cfg)
         )
         assert _signature(plain) == _signature(profiled)
 
     def test_profile_flag_shares_cache_entries(self, quick_settings):
         cfg_on = dataclasses.replace(quick_settings.config, profile=True)
         on = dataclasses.replace(quick_settings, config=cfg_on)
-        assert normalized_config(cfg_on) == normalized_config(quick_settings.config)
-        assert on.cache_key("CG.D", "machine-A", "thp", False) == (
-            quick_settings.cache_key("CG.D", "machine-A", "thp", False)
-        )
-        assert on.fingerprint("CG.D", "machine-A", "thp", False) == (
-            quick_settings.fingerprint("CG.D", "machine-A", "thp", False)
-        )
+        spec = RunSpec("CG.D", "A", "thp")
+        assert on.fingerprint(spec) == quick_settings.fingerprint(spec)
 
 
 class TestRunProfiled:
@@ -177,7 +172,7 @@ class TestRunProfiled:
         self, quick_settings, monkeypatch, policy
     ):
         monkeypatch.delenv(PROFILE_ENV, raising=False)
-        plain = execute_run("Kmeans", "B", policy, quick_settings)
+        plain = execute_run(RunSpec("Kmeans", "B", policy), quick_settings)
         profiled, _ = run_profiled("Kmeans", "B", policy, quick_settings)
         assert _signature(plain) == _signature(profiled)
 

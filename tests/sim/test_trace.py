@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_benchmark
+from repro.experiments.runner import RunSpec, run_benchmark
 from repro.options import TRACE_ENV, TRACE_FILE_ENV
 from repro.sim.decisions import MigratePages, Outcome
 from repro.sim.trace import (
@@ -115,9 +115,8 @@ class TestTraceNeutrality:
             config=dataclasses.replace(quick_settings.config, trace=True),
             seed=quick_settings.seed,
         )
-        assert traced.fingerprint(
-            "Kmeans", "machine-A", "thp", False
-        ) == quick_settings.fingerprint("Kmeans", "machine-A", "thp", False)
+        spec = RunSpec("Kmeans", "A", "thp")
+        assert traced.fingerprint(spec) == quick_settings.fingerprint(spec)
 
     def test_untraced_run_has_no_tracer(self, quick_settings, monkeypatch):
         monkeypatch.delenv(TRACE_ENV, raising=False)
