@@ -23,18 +23,53 @@ The package is organised in layers:
     Drivers that regenerate every table and figure of the paper.
 """
 
-from repro.hardware.machines import machine_a, machine_b, machine_by_name
-from repro.hardware.topology import NumaTopology
-from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
-from repro.sim.results import SimulationResult
-from repro.workloads.registry import available_workloads, get_workload
-from repro.experiments.configs import POLICIES, make_policy
-from repro.experiments.runner import run_benchmark
+import importlib
+import sys
 
 # Also the persistent result-cache version stamp: bump on any change
 # that affects simulation output, so stale cached results are shed.
 __version__ = "1.1.0"
+
+
+def _lazy_exports(package: str, exports: "dict[str, tuple[str, ...]]") -> tuple:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package root.
+
+    ``exports`` maps each defining module to the names the package
+    re-exports from it.  A name's module is imported on its first
+    access, and the name is then bound in the package, so importing a
+    package imports none of its modules: a warm artifact loads only the
+    modules it renders with, and the simulation stack loads at the
+    first simulation.
+    """
+    namespace = vars(sys.modules[package])
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        if name not in origin:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(origin[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.hardware.machines": ("machine_a", "machine_b", "machine_by_name"),
+        "repro.hardware.topology": ("NumaTopology",),
+        "repro.sim.config": ("SimConfig",),
+        "repro.sim.engine": ("Simulation",),
+        "repro.sim.results": ("SimulationResult",),
+        "repro.workloads.registry": ("available_workloads", "get_workload"),
+        "repro.experiments.configs": ("POLICIES", "make_policy"),
+        "repro.experiments.runner": ("run_benchmark",),
+    },
+)
 
 __all__ = [
     "NumaTopology",

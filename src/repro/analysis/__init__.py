@@ -14,18 +14,25 @@ be a deterministic, physically consistent function of its configuration:
   bookkeeping after every simulated epoch.
 """
 
-from repro.analysis.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    invariants_enabled,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.invariants": (
+            "InvariantChecker",
+            "InvariantViolation",
+            "invariants_enabled",
+        ),
+        "repro.analysis.linter": (
+            "Finding",
+            "format_findings",
+            "lint_paths",
+            "lint_source",
+        ),
+        "repro.analysis.rules": ("ALL_RULES", "default_rules"),
+    },
 )
-from repro.analysis.linter import (
-    Finding,
-    format_findings,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.rules import ALL_RULES, default_rules
 
 __all__ = [
     "ALL_RULES",

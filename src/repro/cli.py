@@ -22,7 +22,6 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.analysis.linter import Finding, format_findings, lint_paths
 from repro.errors import ConfigurationError, UnknownNameError
 from repro.experiments.cache import ResultCache
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
@@ -308,6 +307,7 @@ def _lint_main(args: argparse.Namespace) -> int:
         load_baseline,
         write_baseline,
     )
+    from repro.analysis.linter import Finding, format_findings, lint_paths
 
     fmt = args.lint_format
     if args.baseline_update and not args.baseline:
@@ -538,12 +538,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     Bad input is a usage error: one line on stderr and exit code 2.
     That covers an unknown policy or workload name (the line names the
     closest known name), a malformed ``REPRO_*`` variable and any other
-    inconsistent configuration, such as ``--scale 2``.
+    inconsistent configuration, such as ``--scale 2``.  A reader that
+    closes stdout early (``repro list | head -1``) ends the command
+    with exit code 141, as SIGPIPE would, and nothing on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; on the closed
+        # pipe that would print an ignored-exception report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UnknownNameError as exc:
         print(f"error: {exc.summary}", file=sys.stderr)
         return 2

@@ -17,12 +17,29 @@
   conservative-only variants evaluated in Figure 4).
 """
 
-from repro.core.metrics import PageSampleTable, sample_lar
-from repro.core.carrefour import CarrefourConfig, CarrefourEngine, CarrefourPolicy
-from repro.core.lar_estimator import LarEstimate, estimate_lar_after_carrefour
-from repro.core.conservative import ConservativeComponent, ConservativeConfig
-from repro.core.reactive import ReactiveComponent, ReactiveConfig
-from repro.core.carrefour_lp import CarrefourLpPolicy
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.metrics": ("PageSampleTable", "sample_lar"),
+        "repro.core.carrefour": (
+            "CarrefourConfig",
+            "CarrefourEngine",
+            "CarrefourPolicy",
+        ),
+        "repro.core.lar_estimator": (
+            "LarEstimate",
+            "estimate_lar_after_carrefour",
+        ),
+        "repro.core.conservative": (
+            "ConservativeComponent",
+            "ConservativeConfig",
+        ),
+        "repro.core.reactive": ("ReactiveComponent", "ReactiveConfig"),
+        "repro.core.carrefour_lp": ("CarrefourLpPolicy",),
+    },
+)
 
 __all__ = [
     "PageSampleTable",

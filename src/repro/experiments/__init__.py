@@ -7,12 +7,27 @@ Section 4.2 overhead assessment and the Section 4.4 very-large-page
 study).
 """
 
-from repro.experiments.cache import ResultCache, cache_enabled, run_fingerprint
-from repro.experiments.configs import POLICIES, make_policy
-from repro.experiments.parallel import GridRunner, backend_choice, resolve_jobs
-from repro.experiments.runner import RunSettings, RunSpec, run_benchmark
-from repro.experiments.reporting import Report
-from repro.experiments.experiments import EXPERIMENTS, run_experiment
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.experiments.cache": (
+            "ResultCache",
+            "cache_enabled",
+            "run_fingerprint",
+        ),
+        "repro.experiments.configs": ("POLICIES", "make_policy"),
+        "repro.experiments.parallel": (
+            "GridRunner",
+            "backend_choice",
+            "resolve_jobs",
+        ),
+        "repro.experiments.runner": ("RunSettings", "RunSpec", "run_benchmark"),
+        "repro.experiments.reporting": ("Report",),
+        "repro.experiments.experiments": ("EXPERIMENTS", "run_experiment"),
+    },
+)
 
 __all__ = [
     "POLICIES",

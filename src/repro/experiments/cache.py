@@ -30,7 +30,7 @@ import pathlib
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -96,6 +96,30 @@ def _canonical(obj: object) -> object:
     return obj
 
 
+def key_form(value: object) -> object:
+    """``value`` as a cache key holds it.
+
+    A key canonicalizes each structured field and then the identity
+    dict holding the fields, so a field is canonicalized twice (which
+    re-quotes its dict keys); keeping both passes keeps every key.
+    Encoding the config is most of what a key costs, so the keys of a
+    grid share one encoding
+    (:meth:`repro.experiments.runner.RunSettings.fingerprints`).
+    """
+    return _canonical(_canonical(value))
+
+
+def _digest(identity: Dict[str, object]) -> str:
+    """The SHA-256 hex key of an identity whose values are in key form.
+
+    Identity keys are identifiers, so ordering the items by quoted key
+    orders them as their ``(key, value)`` reprs, the order every
+    existing key was hashed in.
+    """
+    text = repr({repr(k): identity[k] for k in sorted(identity, key=repr)})
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_fingerprint(
     workload: str,
     machine: str,
@@ -115,6 +139,29 @@ def run_fingerprint(
     ``params`` join the identity only when there are any, so a run
     without them keeps the key it always had.
     """
+    return encoded_run_fingerprint(
+        workload,
+        machine,
+        policy,
+        backing_1g,
+        key_form(config),
+        seed,
+        stamp=stamp,
+        params=params,
+    )
+
+
+def encoded_run_fingerprint(
+    workload: str,
+    machine: str,
+    policy: str,
+    backing_1g: bool,
+    encoded_config: object,
+    seed: int,
+    stamp: Optional[str] = None,
+    params: Tuple[Tuple[str, Any], ...] = (),
+) -> str:
+    """:func:`run_fingerprint`, given the config in :func:`key_form`."""
     identity = {
         "stamp": stamp if stamp is not None else version_stamp(),
         "workload": workload,
@@ -122,12 +169,11 @@ def run_fingerprint(
         "policy": policy,
         "backing_1g": bool(backing_1g),
         "seed": int(seed),
-        "config": _canonical(config),
+        "config": encoded_config,
     }
     if params:
-        identity["params"] = _canonical(params)
-    text = repr(_canonical(identity))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        identity["params"] = key_form(params)
+    return _digest(identity)
 
 
 def scenario_fingerprint(
@@ -144,14 +190,14 @@ def scenario_fingerprint(
     keys disjoint from single-run keys even under identical field
     values.
     """
-    identity = {
-        "stamp": stamp if stamp is not None else version_stamp(),
-        "kind": "scenario",
-        "scenario": _canonical(scenario),
-        "config": _canonical(config),
-    }
-    text = repr(_canonical(identity))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(
+        {
+            "stamp": stamp if stamp is not None else version_stamp(),
+            "kind": "scenario",
+            "scenario": key_form(scenario),
+            "config": key_form(config),
+        }
+    )
 
 
 @dataclass(frozen=True)

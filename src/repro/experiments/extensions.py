@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.carrefour import CarrefourConfig
-from repro.core.reactive import ReactiveConfig
 from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
 from repro.experiments.runner import RunSettings, RunSpec
@@ -122,6 +120,10 @@ _HOT_THRESHOLDS = (3.0, 6.0, 12.0, 100.0)
 
 
 def _hot_threshold_spec(threshold: float) -> RunSpec:
+    # Imported here, so that a cached lwp or autonuma report does not
+    # load the policies; an ablation needs its policy config for its keys.
+    from repro.core.reactive import ReactiveConfig
+
     # Disable the shared-page split path (gain threshold set out of
     # reach) so the sweep isolates Algorithm 1's line 19: split and
     # interleave pages hotter than the threshold.
@@ -180,6 +182,8 @@ _BUDGETS_MB = (32, 128, 512, 4096)
 
 
 def _budget_spec(budget_mb: int) -> RunSpec:
+    from repro.core.carrefour import CarrefourConfig
+
     config = CarrefourConfig(
         max_migration_bytes_per_interval=budget_mb * 1024 * 1024
     )

@@ -191,7 +191,7 @@ class GridRunner:
         are simulated, and their results land in both layers.
         ``use_cache=False`` simulates every run and touches neither.
         """
-        keys = {spec: self.settings.fingerprint(spec) for spec in specs}
+        keys = self.settings.fingerprints(specs)
         store = (
             ResultCache.default()
             if use_cache and RuntimeOptions.from_env().cache

@@ -17,16 +17,21 @@ consults the caches, and :func:`run_benchmark` is its one-spec call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
-from repro.experiments.cache import run_fingerprint
-from repro.experiments.configs import make_policy
+from repro.experiments.cache import (
+    encoded_run_fingerprint,
+    key_form,
+    run_fingerprint,
+)
 from repro.hardware.machines import machine_by_name
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResult
-from repro.workloads.registry import get_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import Simulation
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,26 @@ class RunSettings:
             params=spec.params,
         )
 
+    def fingerprints(self, specs: Iterable[RunSpec]) -> Dict[RunSpec, str]:
+        """:meth:`fingerprint` of every spec of a grid, in grid order.
+
+        The config is encoded once for the whole grid: it is most of
+        what a key costs.
+        """
+        config = key_form(self.config)
+        return {
+            spec: encoded_run_fingerprint(
+                spec.workload,
+                canonical_machine(spec.machine),
+                spec.policy,
+                spec.backing_1g,
+                config,
+                self.seed,
+                params=spec.params,
+            )
+            for spec in specs
+        }
+
 
 #: The in-process memo, keyed by :meth:`RunSettings.fingerprint`.
 _CACHE: Dict[str, SimulationResult] = {}
@@ -88,8 +113,13 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_machine(machine: str) -> str:
-    """The topology name cache keys are filed under (``A`` -> ``machine-A``)."""
+    """The topology name cache keys are filed under (``A`` -> ``machine-A``).
+
+    Memoized per name: building the topology costs more than the rest
+    of a key.
+    """
     return machine_by_name(machine).name
 
 
@@ -99,8 +129,14 @@ def build_simulation(
     """The simulation of one run, ready to ``run()``.
 
     ``config_overrides`` replace fields of the settings' config, e.g.
-    ``profile=True`` or ``trace=True``.
+    ``profile=True`` or ``trace=True``.  The simulation stack is
+    imported here, at the first simulation, so a run served from the
+    cache never loads it.
     """
+    from repro.experiments.configs import make_policy
+    from repro.sim.engine import Simulation
+    from repro.workloads.registry import get_workload
+
     config = settings.config
     if config_overrides:
         config = replace(config, **config_overrides)

@@ -24,14 +24,10 @@ from repro.experiments.cache import (
     cache_enabled,
     scenario_fingerprint,
 )
-from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_by_name
 from repro.scenarios import ScenarioConfig, make_arrival_generator
 from repro.sim.config import SimConfig
-from repro.sim.engine import Tenant
-from repro.sim.host import Host
 from repro.sim.results import SimulationResult
-from repro.workloads.registry import get_workload
 
 #: Static-analysis registry (rule R104): scenario runs are the second
 #: root of the simulation call graph, next to ``Simulation.run`` —
@@ -120,7 +116,14 @@ def execute_scenario(
 
     ``config`` is the base :class:`SimConfig` every tenant's per-tenant
     config derives from (seed and epoch cap are overridden per tenant).
+    The simulation stack is imported here, so a scenario served from
+    the cache never loads it.
     """
+    from repro.experiments.configs import make_policy
+    from repro.sim.engine import Tenant
+    from repro.sim.host import Host
+    from repro.workloads.registry import get_workload
+
     topo = machine_by_name(scenario.machine)
     base = config or SimConfig()
     host = Host(topo, config=base)

@@ -4,14 +4,25 @@ Everything the paper measures with model-specific registers on AMD
 Opterons is produced here from the simulated memory-access streams.
 """
 
-from repro.hardware.topology import NumaNode, NumaTopology
-from repro.hardware.machines import machine_a, machine_b, machine_by_name
-from repro.hardware.mem_controller import MemoryControllerModel
-from repro.hardware.interconnect import InterconnectModel
-from repro.hardware.caches import CacheModel, che_characteristic_time, lru_hit_rate
-from repro.hardware.tlb import TlbSpec, TlbModel
-from repro.hardware.counters import CounterBank, EpochCounters
-from repro.hardware.ibs import IbsEngine, IbsSamples
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.hardware.topology": ("NumaNode", "NumaTopology"),
+        "repro.hardware.machines": ("machine_a", "machine_b", "machine_by_name"),
+        "repro.hardware.mem_controller": ("MemoryControllerModel",),
+        "repro.hardware.interconnect": ("InterconnectModel",),
+        "repro.hardware.caches": (
+            "CacheModel",
+            "che_characteristic_time",
+            "lru_hit_rate",
+        ),
+        "repro.hardware.tlb": ("TlbSpec", "TlbModel"),
+        "repro.hardware.counters": ("CounterBank", "EpochCounters"),
+        "repro.hardware.ibs": ("IbsEngine", "IbsSamples"),
+    },
+)
 
 __all__ = [
     "NumaNode",

@@ -10,11 +10,22 @@ comparisons are ratios of runtimes for the same workload under
 different placement policies.
 """
 
-from repro.sim.config import MachineModels, SimConfig
-from repro.sim.engine import Simulation
-from repro.sim.policy import LinuxPolicy, PlacementPolicy, PolicyActionSummary
-from repro.sim.results import RunMetrics, SimulationResult
-from repro.sim.tracker import AccessTracker
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.config": ("MachineModels", "SimConfig"),
+        "repro.sim.engine": ("Simulation",),
+        "repro.sim.policy": (
+            "LinuxPolicy",
+            "PlacementPolicy",
+            "PolicyActionSummary",
+        ),
+        "repro.sim.results": ("RunMetrics", "SimulationResult"),
+        "repro.sim.tracker": ("AccessTracker",),
+    },
+)
 
 __all__ = [
     "SimConfig",

@@ -21,10 +21,10 @@ from typing import ClassVar, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.hardware.counters import CounterBank
-from repro.hardware.ibs import IbsSamples
-from repro.sim.decisions import Decision, Outcome
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.ibs import IbsSamples
+    from repro.sim.decisions import Decision, Outcome
     from repro.sim.engine import Simulation
 
 

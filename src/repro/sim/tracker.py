@@ -15,12 +15,15 @@ be evaluated at whatever granularity a page is currently backed with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.vm.address_space import AddressSpace
 from repro.vm.layout import GRANULES_PER_2M, SHIFT_1G, SHIFT_2M
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.vm.address_space import AddressSpace
 
 
 @dataclass(frozen=True)

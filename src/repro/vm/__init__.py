@@ -7,20 +7,31 @@ khugepaged-style promotion scanner), page-fault cost accounting,
 page migration and large-page splitting.
 """
 
-from repro.vm.layout import (
-    PAGE_4K,
-    PAGE_2M,
-    PAGE_1G,
-    GRANULES_PER_2M,
-    GRANULES_PER_1G,
-    PageSize,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.vm.layout": (
+            "PAGE_4K",
+            "PAGE_2M",
+            "PAGE_1G",
+            "GRANULES_PER_2M",
+            "GRANULES_PER_1G",
+            "PageSize",
+        ),
+        "repro.vm.frame_allocator": (
+            "BuddyAllocator",
+            "NodeMemory",
+            "PhysicalMemory",
+        ),
+        "repro.vm.address_space": ("AddressSpace", "FaultStats"),
+        "repro.vm.page_table": ("PageTableModel",),
+        "repro.vm.thp": ("ThpState", "khugepaged_scan"),
+        "repro.vm.page_fault": ("PageFaultModel",),
+        "repro.vm.migration": ("MigrationCostModel",),
+    },
 )
-from repro.vm.frame_allocator import BuddyAllocator, NodeMemory, PhysicalMemory
-from repro.vm.address_space import AddressSpace, FaultStats
-from repro.vm.page_table import PageTableModel
-from repro.vm.thp import ThpState, khugepaged_scan
-from repro.vm.page_fault import PageFaultModel
-from repro.vm.migration import MigrationCostModel
 
 __all__ = [
     "PAGE_4K",

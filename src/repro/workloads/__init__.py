@@ -10,27 +10,38 @@ for SSCA and WC, allocation storms for the Metis suite, and so on.
 See ``DESIGN.md`` section 6 for the modelling rationale.
 """
 
-from repro.workloads.base import (
-    CostProfile,
-    FaultBatch,
-    TlbGroup,
-    Workload,
-    WorkloadInstance,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workloads.base": (
+            "CostProfile",
+            "FaultBatch",
+            "TlbGroup",
+            "Workload",
+            "WorkloadInstance",
+        ),
+        "repro.workloads.regions": (
+            "HotRegion",
+            "PartitionedRegion",
+            "Region",
+            "SharedRegion",
+            "StreamRegion",
+        ),
+        "repro.workloads.registry": ("available_workloads", "get_workload"),
+        "repro.workloads.streambank": (
+            "StreamBank",
+            "clear_stream_banks",
+            "get_stream_bank",
+        ),
+        "repro.workloads.trace": (
+            "TraceData",
+            "TraceRecorder",
+            "TraceWorkloadInstance",
+        ),
+    },
 )
-from repro.workloads.regions import (
-    HotRegion,
-    PartitionedRegion,
-    Region,
-    SharedRegion,
-    StreamRegion,
-)
-from repro.workloads.registry import available_workloads, get_workload
-from repro.workloads.streambank import (
-    StreamBank,
-    clear_stream_banks,
-    get_stream_bank,
-)
-from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
 
 __all__ = [
     "CostProfile",

@@ -1,24 +1,20 @@
-"""Registry of all modelled benchmarks, keyed by the paper's names."""
+"""Registry of all modelled benchmarks, keyed by the paper's names.
+
+The benchmark lists below are plain names; the five suite modules that
+model the benchmarks load at the first :func:`get_workload` or
+:func:`available_workloads` call, so a run served from the cache never
+imports them.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List
+import functools
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.errors import UnknownWorkloadError
-from repro.workloads.base import Workload
-from repro.workloads.metis import METIS_WORKLOADS
-from repro.workloads.nas import NAS_WORKLOADS
-from repro.workloads.parsec import PARSEC_WORKLOADS
-from repro.workloads.specjbb import SPECJBB_WORKLOADS
-from repro.workloads.ssca import SSCA_WORKLOADS
 
-_ALL: List[Workload] = (
-    NAS_WORKLOADS + METIS_WORKLOADS + SSCA_WORKLOADS + SPECJBB_WORKLOADS + PARSEC_WORKLOADS
-)
-
-_BY_NAME: Dict[str, Workload] = {w.name: w for w in _ALL}
-# Case-insensitive aliases for convenience.
-_BY_NAME.update({w.name.lower(): w for w in _ALL})
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.base import Workload
 
 #: The order used by Figure 1 of the paper.
 FIGURE1_ORDER = [
@@ -71,19 +67,43 @@ UNAFFECTED_SET = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _catalog() -> Tuple[List[Workload], Dict[str, Workload]]:
+    """Every modelled benchmark, and a by-name index that also holds
+    each name in lower case; the suite modules load on the first call."""
+    from repro.workloads.metis import METIS_WORKLOADS
+    from repro.workloads.nas import NAS_WORKLOADS
+    from repro.workloads.parsec import PARSEC_WORKLOADS
+    from repro.workloads.specjbb import SPECJBB_WORKLOADS
+    from repro.workloads.ssca import SSCA_WORKLOADS
+
+    every = (
+        NAS_WORKLOADS
+        + METIS_WORKLOADS
+        + SSCA_WORKLOADS
+        + SPECJBB_WORKLOADS
+        + PARSEC_WORKLOADS
+    )
+    by_name = {w.name: w for w in every}
+    by_name.update({w.name.lower(): w for w in every})
+    return every, by_name
+
+
 def available_workloads() -> List[str]:
     """All benchmark names, in Figure 1 order plus extras."""
-    extras = [w.name for w in _ALL if w.name not in FIGURE1_ORDER]
+    every, _ = _catalog()
+    extras = [w.name for w in every if w.name not in FIGURE1_ORDER]
     return FIGURE1_ORDER + extras
 
 
 def get_workload(name: str) -> Workload:
     """Look up a benchmark by name (case-insensitive)."""
+    _, by_name = _catalog()
     try:
-        return _BY_NAME[name]
+        return by_name[name]
     except KeyError:
         try:
-            return _BY_NAME[name.lower()]
+            return by_name[name.lower()]
         except KeyError:
             raise UnknownWorkloadError.lookup_failed(
                 "workload", name, available_workloads()

@@ -13,6 +13,7 @@ reaches the fingerprint both cache layers key on.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pathlib
 
 import pytest
@@ -22,9 +23,15 @@ from repro.analysis.linter import format_findings, lint_paths, lint_source
 from repro.analysis.rules import rules_by_id
 from repro.core.carrefour import CarrefourConfig
 from repro.core.reactive import ReactiveConfig
-from repro.experiments.cache import run_fingerprint
+from repro.experiments import cache
+from repro.experiments import runner as runner_mod
+from repro.experiments.cache import run_fingerprint, scenario_fingerprint
+from repro.experiments.experiments import MACHINES, _grid
+from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSettings, RunSpec
+from repro.scenarios import ScenarioConfig
 from repro.sim.config import SimConfig
+from repro.workloads.registry import FIGURE1_ORDER
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 RUNNER_SRC = PACKAGE / "experiments" / "runner.py"
@@ -144,3 +151,93 @@ def test_empty_params_keep_the_pre_params_fingerprint():
     assert RunSettings(config=cfg, seed=0).fingerprint(spec) == run_fingerprint(
         "CG.D", "machine-B", "thp", False, cfg, 0
     )
+
+
+# --- One config encoding per grid ---------------------------------------
+
+def _two_pass_key(identity):
+    """The key as first written: each structured field canonicalized on
+    its own, then the whole identity once more.  The oracle for keys
+    that encode a grid's config once."""
+    encoded = dict(identity)
+    for name in ("config", "params", "scenario"):
+        if name in encoded:
+            encoded[name] = cache._canonical(encoded[name])
+    text = repr(cache._canonical(encoded))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Configs equal in value whose fields encode differently: a memo keyed
+#: on the config's value would file one under the other's key.
+_LOOKALIKE_CONFIGS = {
+    "int-scale": SimConfig(scale=1),
+    "float-scale": SimConfig(scale=1.0),
+    "zero-rate": SimConfig(ibs_rate=0.0),
+    "negative-zero-rate": SimConfig(ibs_rate=-0.0),
+    "bool-stats": SimConfig(track_access_stats=True),
+    "int-stats": SimConfig(track_access_stats=1),
+    "quick": SimConfig.quick(seed=3),
+}
+
+_KEY_SPECS = [
+    RunSpec("CG.D", "B", "thp"),
+    RunSpec("Kmeans", "machine-A", "linux-4k", True),
+    _BASE_SPEC,
+]
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKALIKE_CONFIGS))
+def test_keys_match_the_two_pass_encoding(name):
+    config = _LOOKALIKE_CONFIGS[name]
+    settings = RunSettings(config=config, seed=7)
+    keys = settings.fingerprints(_KEY_SPECS)
+    assert list(keys) == _KEY_SPECS
+    for spec in _KEY_SPECS:
+        identity = {
+            "stamp": repro.__version__,
+            "workload": spec.workload,
+            "machine": runner_mod.canonical_machine(spec.machine),
+            "policy": spec.policy,
+            "backing_1g": spec.backing_1g,
+            "seed": 7,
+            "config": config,
+        }
+        if spec.params:
+            identity["params"] = spec.params
+        assert keys[spec] == settings.fingerprint(spec) == _two_pass_key(identity)
+    scenario = ScenarioConfig(machine="A", workloads=("Kmeans",), pressure=0.5)
+    assert scenario_fingerprint(scenario, config) == _two_pass_key(
+        {
+            "stamp": repro.__version__,
+            "kind": "scenario",
+            "scenario": scenario,
+            "config": config,
+        }
+    )
+
+
+def test_lookalike_configs_keep_their_own_keys():
+    spec = RunSpec("CG.D", "B", "thp")
+    int_scale = RunSettings(config=_LOOKALIKE_CONFIGS["int-scale"])
+    float_scale = RunSettings(config=_LOOKALIKE_CONFIGS["float-scale"])
+    assert int_scale.config == float_scale.config
+    assert int_scale.fingerprints([spec]) != float_scale.fingerprints([spec])
+
+
+def test_a_grid_encodes_its_config_once(monkeypatch):
+    settings = RunSettings.quick()
+    grid = _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
+    assert len(grid) == 76
+    encoded = []
+    canonical = cache._canonical
+
+    def counting(obj):
+        if obj is settings.config:
+            encoded.append(obj)
+        return canonical(obj)
+
+    monkeypatch.setattr(cache, "_canonical", counting)
+    monkeypatch.setattr(runner_mod, "execute_run", lambda spec, _: spec)
+    results = GridRunner(settings, jobs=1).run(grid, use_cache=False)
+    assert list(results) == grid
+    assert len(encoded) == 1

@@ -249,6 +249,31 @@ def test_shipped_profiler_and_invariants_are_verified_neutral():
     assert list(ResultNeutralPurity().check(project)) == []
 
 
+def test_function_level_imports_keep_the_sim_stack_reachable():
+    # The runners import the simulation stack inside build_simulation
+    # and execute_scenario, and the workload registry loads its suites
+    # on first use; R104 must still follow those imports from its entry
+    # points down to the stream bank and the epoch loops.
+    from repro.analysis.callgraph import Project
+    from repro.analysis.deep import ReachableNondeterminism
+
+    project = Project.from_paths([PACKAGE])
+    entries = ReachableNondeterminism._resolve_entries(project)
+    assert [q.rsplit(".", 2)[-2:] for q in entries] == [
+        ["scenario_runner", "run_scenario"],
+        ["Simulation", "run"],
+    ]
+    reach = project.reachable_from(entries)
+    for function in (
+        "scenario_runner.execute_scenario",
+        "registry._catalog",
+        "engine.Tenant._run_epoch",
+        "host.Host.step_epoch",
+        "streambank.StreamBank._generate_row",
+    ):
+        assert any(q.endswith("." + function) for q in reach), function
+
+
 # ----------------------------------------------------------------------
 # Pinned mutants: catches no test, runtime check or validate claim makes
 # ----------------------------------------------------------------------

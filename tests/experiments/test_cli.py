@@ -299,3 +299,27 @@ class TestBadInput:
         assert bad.stderr == (
             "error: unknown policy 'carrefour-lpp' (did you mean 'carrefour-lp'?)\n"
         )
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["list", "policies"])
+    def test_closed_stdout_exits_quietly(self, command, unbuffered):
+        # `repro list | head -1`, made deterministic: the reader is gone
+        # before the first write.  Unbuffered, print() hits the closed
+        # pipe; buffered, the flush at exit does.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", command],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

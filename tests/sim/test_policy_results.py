@@ -127,6 +127,38 @@ class TestSimulationResult:
         assert m.pages_migrated_2m == 2
         assert m.pages_split_2m == 1
 
+    def test_improvement_reads_only_the_runtimes(self):
+        # Every figure cell divides two runtimes; building both runs'
+        # full metrics (LAR, imbalance, action sums) for it is waste.
+        class UnreadableBank:
+            def __getattr__(self, name):
+                raise AssertionError(f"counter bank read: {name}")
+
+        def result(runtime_s):
+            return SimulationResult(
+                workload="w",
+                machine="m",
+                policy="p",
+                runtime_s=runtime_s,
+                epoch_times_s=[runtime_s],
+                bank=UnreadableBank(),
+                hot_stats=None,
+                action_log=[(0.5, PolicyActionSummary(migrated_4k=3))],
+                final_page_counts={},
+            )
+
+        assert result(5.0).improvement_over(result(10.0)) == pytest.approx(100.0)
+        assert result(10.0).improvement_over(result(5.0)) == pytest.approx(-50.0)
+        with pytest.raises(SimulationError):
+            result(0.0).improvement_over(result(5.0))
+
+    def test_improvement_matches_the_metrics_formula(self, tiny_topo):
+        fast = make_sim(tiny_topo, LinuxPolicy(True)).run()
+        slow = make_sim(tiny_topo, LinuxPolicy(False)).run()
+        assert fast.improvement_over(slow) == fast.metrics().improvement_over(
+            slow.metrics()
+        )
+
     def test_describe(self, tiny_topo):
         result = make_sim(tiny_topo, LinuxPolicy(False)).run()
         text = result.describe()
