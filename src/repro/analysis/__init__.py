@@ -9,7 +9,7 @@ be a deterministic, physically consistent function of its configuration:
   keys, unseeded randomness, ordering-dependent float accumulation,
   swallowed exceptions, mutable defaults / float equality);
 * :mod:`repro.analysis.invariants` — an epoch-level runtime checker
-  (``REPRO_CHECK=1`` or ``SimConfig.check_invariants``) asserting page
+  (``REPRO_CHECK=1``) asserting page
   conservation, counter sanity, allocator accounting and huge-page
   bookkeeping after every simulated epoch.
 """
@@ -22,7 +22,6 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.analysis.invariants": (
             "InvariantChecker",
             "InvariantViolation",
-            "invariants_enabled",
         ),
         "repro.analysis.linter": (
             "Finding",
@@ -41,7 +40,6 @@ __all__ = [
     "InvariantViolation",
     "default_rules",
     "format_findings",
-    "invariants_enabled",
     "lint_paths",
     "lint_source",
 ]

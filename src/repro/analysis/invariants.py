@@ -3,10 +3,9 @@
 The simulation is only trustworthy if every epoch leaves the system in
 a physically consistent state: page migration and huge-page
 splitting/promotion must conserve frames, hardware counters must be
-sane and monotonic, and allocator accounting must balance.  When
-enabled (``REPRO_CHECK=1`` in the environment, or
-``SimConfig.check_invariants``), :class:`InvariantChecker` runs after
-every epoch and raises a structured :class:`InvariantViolation` —
+sane and monotonic, and allocator accounting must balance.  With
+``REPRO_CHECK=1`` in the environment, :class:`InvariantChecker` runs
+after every epoch and raises a structured :class:`InvariantViolation` —
 carrying the workload/machine/policy/epoch context — the moment any of
 these properties breaks, instead of letting corruption surface as a
 mysterious golden-file diff three experiments later.
@@ -23,7 +22,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.options import RuntimeOptions
 from repro.vm.layout import GRANULES_PER_2M, PAGE_4K, PageSize, SHIFT_1G, SHIFT_2M
 
 #: Static-analysis registry (rule R101): the checker observes, it never
@@ -94,26 +92,14 @@ class InvariantViolation(SimulationError):
         super().__init__(f"{detail} [{context}]" if context else detail)
 
 
-def invariants_enabled(config: Optional[object] = None) -> bool:
-    """Whether epoch checking is on for a run.
-
-    ``REPRO_CHECK`` wins in both directions when set; otherwise the
-    (optional) config's ``check_invariants`` flag decides.
-    """
-    check = RuntimeOptions.from_env().check
-    if check is None:
-        return bool(getattr(config, "check_invariants", False))
-    return check
-
-
 # ----------------------------------------------------------------------
 # Stateless checks (usable directly from tests)
 # ----------------------------------------------------------------------
 def check_address_space(asp) -> None:
     """Mapping/bookkeeping consistency of one :class:`AddressSpace`.
 
-    Vectorised equivalent of ``AddressSpace.check_invariants`` (which
-    loops per chunk), fast enough to run every epoch:
+    Vectorised, so it is fast enough to run every epoch; tests call it
+    directly after each mutation they exercise:
 
     * no granule is covered by two backing sizes at once,
     * ``mapped_count_2m`` matches the 4KB map exactly (so a 2MB split

@@ -70,17 +70,13 @@ def cache_root() -> pathlib.Path:
 def _canonical(obj: object) -> object:
     """Reduce a value to primitives with a stable, unambiguous encoding.
 
-    Dataclasses may name fields that cannot influence results (e.g.
-    ``SimConfig.check_invariants``) in a ``_CACHE_KEY_EXCLUDE`` class
-    attribute; those are left out of the encoding so toggling them
-    neither misses the cache nor resurrects different numbers.
+    A dataclass encodes every one of its fields: each field of a
+    :class:`SimConfig` or a policy config can change a result.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        excluded = getattr(type(obj), "_CACHE_KEY_EXCLUDE", frozenset())
         fields = {
             f.name: _canonical(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
-            if f.name not in excluded
         }
         return {"__class__": type(obj).__name__, **fields}
     if isinstance(obj, enum.Enum):

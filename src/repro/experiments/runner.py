@@ -18,7 +18,7 @@ consults the caches, and :func:`run_benchmark` is its one-spec call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 from repro.experiments.cache import (
@@ -70,8 +70,7 @@ class RunSettings:
     def fingerprint(self, spec: RunSpec) -> str:
         """The run's identity: its memo key and its persistent-cache key.
 
-        The complete config is hashed, less the result-neutral fields it
-        names in ``_CACHE_KEY_EXCLUDE``, plus a package version stamp.
+        The complete config is hashed, plus a package version stamp.
         """
         return run_fingerprint(
             spec.workload,
@@ -123,23 +122,17 @@ def canonical_machine(machine: str) -> str:
     return machine_by_name(machine).name
 
 
-def build_simulation(
-    spec: RunSpec, settings: RunSettings, **config_overrides: Any
-) -> Simulation:
+def build_simulation(spec: RunSpec, settings: RunSettings) -> Simulation:
     """The simulation of one run, ready to ``run()``.
 
-    ``config_overrides`` replace fields of the settings' config, e.g.
-    ``profile=True`` or ``trace=True``.  The simulation stack is
-    imported here, at the first simulation, so a run served from the
-    cache never loads it.
+    The simulation stack is imported here, at the first simulation, so
+    a run served from the cache never loads it.
     """
     from repro.experiments.configs import make_policy
     from repro.sim.engine import Simulation
     from repro.workloads.registry import get_workload
 
     config = settings.config
-    if config_overrides:
-        config = replace(config, **config_overrides)
     topo = machine_by_name(spec.machine)
     instance = get_workload(spec.workload).instantiate(
         topo, config.scale, settings.seed

@@ -126,7 +126,7 @@ def execute_scenario(
 
     topo = machine_by_name(scenario.machine)
     base = config or SimConfig()
-    host = Host(topo, config=base)
+    host = Host(topo)
     pressure_bytes = (
         host.apply_pressure(scenario.pressure) if scenario.pressure else 0
     )

@@ -1,6 +1,6 @@
 """Runtime options: every ``REPRO_*`` environment variable, parsed in one place.
 
-Eight variables tune how runs execute; none changes what a run
+Six variables tune how runs execute; none changes what a run
 computes:
 
 ======================  =========================================  ==============================
@@ -10,10 +10,8 @@ variable                meaning                                    unset
 ``REPRO_CACHE``         persistent result cache on/off             on
 ``REPRO_CACHE_DIR``     persistent result cache directory          ``~/.cache/repro``
 ``REPRO_STREAM_CACHE``  stream-bank block store directory          memory only
-``REPRO_CHECK``         runtime invariant checker on/off           ``SimConfig.check_invariants``
-``REPRO_PROFILE``       per-phase profiler on/off                  ``SimConfig.profile``
-``REPRO_TRACE``         decision trace on/off                      ``SimConfig.trace``
-``REPRO_TRACE_FILE``    JSONL file every traced run appends to     none
+``REPRO_CHECK``         runtime invariant checker on/off           off
+``REPRO_TRACE_FILE``    JSONL file every run appends its trace to  no trace
 ======================  =========================================  ==============================
 
 On/off variables accept one vocabulary, case-insensitive: ``1``,
@@ -21,6 +19,8 @@ On/off variables accept one vocabulary, case-insensitive: ``1``,
 ``REPRO_JOBS`` must be an integer of at least 1.  Anything else raises
 :class:`~repro.errors.ConfigurationError` naming the variable and the
 accepted values; the CLI prints it as one ``error:`` line and exits 2.
+Any other ``REPRO_*`` name is not read at all, so a variable left over
+from an older checkout is ignored rather than rejected.
 
 Options are read from ``os.environ`` where a run or a grid starts and
 never cached at import, so a process may change them between runs.
@@ -39,8 +39,6 @@ CACHE_ENABLE_ENV = "REPRO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 STREAM_CACHE_ENV = "REPRO_STREAM_CACHE"
 CHECK_ENV = "REPRO_CHECK"
-PROFILE_ENV = "REPRO_PROFILE"
-TRACE_ENV = "REPRO_TRACE"
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 
 TRUE_VALUES = ("1", "true", "on", "yes")
@@ -89,17 +87,14 @@ def _count(environ: Mapping[str, str], name: str) -> Optional[int]:
 class RuntimeOptions:
     """The parsed ``REPRO_*`` variables (see the module docstring).
 
-    ``None`` means unset: the caller's default applies, and for the
-    three on/off switches of a run that default is the config's flag.
+    ``None`` means unset: the caller's default applies.
     """
 
     jobs: Optional[int] = None
     cache: bool = True
     cache_dir: Optional[str] = None
     stream_cache: Optional[str] = None
-    check: Optional[bool] = None
-    profile: Optional[bool] = None
-    trace: Optional[bool] = None
+    check: bool = False
     trace_file: Optional[str] = None
 
     @classmethod
@@ -114,8 +109,6 @@ class RuntimeOptions:
             cache=_switch(env, CACHE_ENABLE_ENV) is not False,
             cache_dir=_text(env, CACHE_DIR_ENV),
             stream_cache=_text(env, STREAM_CACHE_ENV),
-            check=_switch(env, CHECK_ENV),
-            profile=_switch(env, PROFILE_ENV),
-            trace=_switch(env, TRACE_ENV),
+            check=_switch(env, CHECK_ENV) is True,
             trace_file=_text(env, TRACE_FILE_ENV),
         )

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+
+#: Largest accepted ``arrival_rate``.  A scenario spawns at most
+#: ``max_tenants`` tenants, so a higher rate changes nothing a run can
+#: show, and numpy's Poisson draw rejects rates above about 9.2e18.
+MAX_ARRIVAL_RATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,8 @@ class ScenarioConfig:
         spawn order (except ``fixed-trace``, which names each tenant's
         pair explicitly).
     arrival_rate:
-        Expected arrivals per host epoch (``poisson`` only).
+        Expected arrivals per host epoch (``poisson`` only), finite and
+        in ``[0, MAX_ARRIVAL_RATE]``.
     max_tenants:
         Total tenants a scenario may ever spawn (all generators).
     target_active:
@@ -71,8 +78,14 @@ class ScenarioConfig:
             raise ConfigurationError("scenario needs at least one workload")
         if not self.policies:
             raise ConfigurationError("scenario needs at least one policy")
-        if self.arrival_rate < 0:
-            raise ConfigurationError("arrival_rate must be non-negative")
+        if not (
+            math.isfinite(self.arrival_rate)
+            and 0 <= self.arrival_rate <= MAX_ARRIVAL_RATE
+        ):
+            raise ConfigurationError(
+                f"arrival_rate must be finite and in [0, {MAX_ARRIVAL_RATE:.0f}],"
+                f" not {self.arrival_rate!r}"
+            )
         if self.max_tenants <= 0:
             raise ConfigurationError("max_tenants must be positive")
         if self.target_active <= 0:

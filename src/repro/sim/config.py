@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, FrozenSet
 
 from repro.errors import ConfigurationError
 from repro.hardware.caches import CacheModel
@@ -29,6 +28,11 @@ class MachineModels:
 @dataclass(frozen=True)
 class SimConfig:
     """Engine parameters.
+
+    Every field is something a run computes from, so every field enters
+    the run's cache key.  The observers (phase timer, decision trace,
+    invariant checker) change no result and are not configured here;
+    see :mod:`repro.options`.
 
     Attributes
     ----------
@@ -64,24 +68,6 @@ class SimConfig:
     #: khugepaged chunks scanned per epoch when promotion is enabled
     #: (collapse throughput is bounded, as in Linux).
     khugepaged_batch: int = 512
-    #: Run the epoch-level runtime invariant checker
-    #: (:mod:`repro.analysis.invariants`); ``REPRO_CHECK=1`` in the
-    #: environment enables it regardless of this flag.
-    check_invariants: bool = False
-    #: Record per-phase engine wall times (:mod:`repro.sim.profile`);
-    #: ``REPRO_PROFILE=1`` in the environment enables it regardless of
-    #: this flag.
-    profile: bool = False
-    #: Record every policy decision and its outcome
-    #: (:mod:`repro.sim.trace`); ``REPRO_TRACE=1`` in the environment
-    #: enables it regardless of this flag.
-    trace: bool = False
-
-    #: Fields that cannot influence simulation results and are therefore
-    #: excluded from memo keys and persistent-cache fingerprints.
-    _CACHE_KEY_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset(
-        {"check_invariants", "profile", "trace"}
-    )
 
     def __post_init__(self) -> None:
         if self.epoch_s <= 0:

@@ -35,12 +35,13 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.invariants import InvariantChecker, invariants_enabled
+from repro.analysis.invariants import InvariantChecker
 from repro.errors import SimulationError
 from repro.hardware.counters import CounterBank, EpochCounters
 from repro.hardware.ibs import IbsEngine, IbsSamples
 from repro.hardware.tlb import TlbEpochResult, TlbModel
 from repro.hardware.topology import NumaTopology
+from repro.options import RuntimeOptions
 from repro.sim.config import SimConfig
 from repro.sim.decisions import (
     ChargeCompute,
@@ -60,9 +61,9 @@ from repro.sim.decisions import (
     ToggleThpPromotion,
 )
 from repro.sim.policy import PlacementPolicy, PolicyActionSummary
-from repro.sim.profile import PhaseTimer, profile_enabled
+from repro.sim.profile import PhaseTimer
 from repro.sim.results import SimulationResult
-from repro.sim.trace import DecisionTrace, trace_enabled
+from repro.sim.trace import DecisionTrace
 from repro.vm.address_space import AddressSpace, split_backing_page
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import (
@@ -186,9 +187,11 @@ class Tenant:
         self._next_policy_time = (
             policy.interval_s if policy.interval_s is not None else None
         )
-        self.invariant_checker = (
-            InvariantChecker(self) if invariants_enabled(self.config) else None
-        )
+        # Observers, none of which changes a result: the checker runs
+        # under REPRO_CHECK, the decision trace exists while
+        # REPRO_TRACE_FILE names its file, and the phase timer always.
+        options = RuntimeOptions.from_env()
+        self.invariant_checker = InvariantChecker(self) if options.check else None
         # Streams are policy-independent, so runs sharing (workload,
         # machine, seed, stream length) share one memoized bank.
         self._stream_bank = get_stream_bank(
@@ -198,7 +201,7 @@ class Tenant:
         # every input ``tlb_groups`` reads, so the bank's instance (and
         # its group-list memo) serves every run of the bank.
         self._geometry = self._stream_bank.instance
-        self.profiler = PhaseTimer() if profile_enabled(self.config) else None
+        self.profiler = PhaseTimer()
         self.page_tables = PageTableState(
             home_node=int(self.thread_nodes[0]) if self.n_threads else 0
         )
@@ -212,7 +215,7 @@ class Tenant:
                     "seed": self.config.seed,
                 }
             )
-            if trace_enabled(self.config)
+            if options.trace_file is not None
             else None
         )
         # Layout-keyed caches over the backing state, valid while
@@ -294,8 +297,7 @@ class Tenant:
         n_threads = self.n_threads
         freq = self.machine.cpu_freq_hz
         prof = self.profiler
-        if prof is not None:
-            prof.epoch_start()
+        prof.epoch_start()
 
         fault_time = np.zeros(n_threads)
         walk_time = np.zeros(n_threads)
@@ -321,8 +323,7 @@ class Tenant:
                 float(batch.faults_1g[t]),
                 concurrent,
             )
-        if prof is not None:
-            prof.lap("premap")
+        prof.lap("premap")
 
         # 2. Access streams: translation, traffic, TLB, IBS, tracking.
         stream_faults_4k = stream_faults_2m = 0.0
@@ -338,8 +339,7 @@ class Tenant:
         # states so its draws are unchanged.
         streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
         rng_states = bank.ibs_states(epoch) if self.ibs.rate > 0 else []
-        if prof is not None:
-            prof.lap("stream_bank")
+        prof.lap("stream_bank")
         # The bank's arrays are shared and read-only; the engine only
         # ever writes into its own per-epoch translation scratch.
         stream_homes = np.zeros((n_threads, length), dtype=np.int64)
@@ -375,8 +375,7 @@ class Tenant:
                 walk_l2,
                 written_replicated,
             )
-            if prof is not None:
-                prof.lap("streams")
+            prof.lap("streams")
         else:
             # With no page replicated every replication flag is clear,
             # so both replication gathers are skipped.
@@ -399,11 +398,9 @@ class Tenant:
                 if np.any(rep_mask):
                     ids, _ = self.asp.backing_info(written[rep_mask])
                     written_replicated.update(int(i) for i in np.unique(ids))
-            if prof is not None:
-                prof.lap("streams")
+            prof.lap("streams")
             self._pass1_tlb(epoch, stream_sizes, walk_time, tlb_misses, walk_l2)
-            if prof is not None:
-                prof.lap("tlb")
+            prof.lap("tlb")
 
         # Pass 2 — vectorized across threads: one 2-D bincount over
         # (thread, home node) replaces the per-thread bincounts, and
@@ -423,16 +420,14 @@ class Tenant:
         np.add.at(traffic, self.thread_nodes, thread_home_counts)
 
         active_idx = np.flatnonzero(active)
-        if prof is not None:
-            prof.lap("streams")
+        prof.lap("streams")
         if cfg.track_access_stats:
             # The tracker is built only from policy-independent bank
             # columns, so the bank folds it once for all its runs: the
             # first run to reach an epoch folds that epoch's row.
             bank.fold_tracker(epoch)
             self._tracked_epochs = epoch + 1
-        if prof is not None:
-            prof.lap("tracker")
+        prof.lap("tracker")
 
         n_samples = self.ibs.record_epoch_batch(
             active_idx,
@@ -445,8 +440,7 @@ class Tenant:
             rng_states,
         )
         ibs_time = n_samples * self.ibs.cost_cycles_per_sample / freq
-        if prof is not None:
-            prof.lap("ibs")
+        prof.lap("ibs")
 
         # 3. Price the traffic: controller queueing + interconnect hops.
         # Under a multi-tenant host, the other tenants' previous-epoch
@@ -473,8 +467,7 @@ class Tenant:
         ).sum(axis=1) / freq / cost.mlp
 
         thread_time = cost.cpu_seconds + dram_time + walk_time + fault_time + ibs_time
-        if prof is not None:
-            prof.lap("pricing")
+        prof.lap("pricing")
 
         # 4. Maintenance: khugepaged plus policy actions from last epoch.
         maintenance_s = self._pending_maintenance_s
@@ -525,8 +518,7 @@ class Tenant:
                 ibs_samples=self.ibs.pending_samples,
             )
         )
-        if prof is not None:
-            prof.lap("maintenance")
+        prof.lap("maintenance")
 
         # 5. Policy daemon at its interval (actions cost time next epoch).
         if (
@@ -565,13 +557,11 @@ class Tenant:
             interval = self.policy.interval_s or 1.0
             while self._next_policy_time <= self.sim_time_s:
                 self._next_policy_time += interval
-        if prof is not None:
-            prof.lap("policy")
+        prof.lap("policy")
 
         if self.invariant_checker is not None:
             self.invariant_checker.after_epoch(epoch)
-        if prof is not None:
-            prof.epoch_end()
+        prof.epoch_end()
 
     # ------------------------------------------------------------------
     # Pass-1 variants
@@ -821,7 +811,7 @@ class Simulation(Tenant):
         """Run the workload to completion and return the results."""
         from repro.sim.host import Host  # deferred: host imports this module
 
-        host = Host(self.machine, config=self.config, phys=self.phys)
+        host = Host(self.machine, phys=self.phys)
         host.admit(self)
         host.run_to_completion()
         return self.result()

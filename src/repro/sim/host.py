@@ -21,10 +21,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.invariants import HostInvariantChecker, invariants_enabled
+from repro.analysis.invariants import HostInvariantChecker
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.hardware.topology import NumaTopology
-from repro.sim.config import SimConfig
+from repro.options import RuntimeOptions
 from repro.sim.engine import Tenant
 from repro.vm.frame_allocator import PhysicalMemory
 
@@ -43,11 +43,9 @@ class Host:
     def __init__(
         self,
         machine: NumaTopology,
-        config: Optional[SimConfig] = None,
         phys: Optional[PhysicalMemory] = None,
     ) -> None:
         self.machine = machine
-        self.config = config or SimConfig()
         self.phys = (
             PhysicalMemory.for_topology(machine) if phys is None else phys
         )
@@ -61,9 +59,7 @@ class Host:
         #: late keep their own local epoch counters).
         self.epoch = 0
         self.checker = (
-            HostInvariantChecker(self)
-            if invariants_enabled(self.config)
-            else None
+            HostInvariantChecker(self) if RuntimeOptions.from_env().check else None
         )
 
     # ------------------------------------------------------------------

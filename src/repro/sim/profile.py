@@ -2,8 +2,7 @@
 
 Every simulated result is a sum of per-epoch engine phases, and perf
 work on the hot path needs to know where the wall-clock time actually
-goes.  When enabled (``REPRO_PROFILE=1`` in the environment, or
-``SimConfig.profile``), the engine owns a :class:`PhaseTimer` and calls
+goes.  Every tenant owns a :class:`PhaseTimer` and calls
 :meth:`PhaseTimer.lap` after each phase of ``_run_epoch``; phases are
 attributed as:
 
@@ -22,11 +21,11 @@ attributed as:
 * ``policy``      — the placement-policy daemon (step 5),
 * ``other``       — per-epoch remainder (e.g. invariant checking).
 
-Profiling is **result-neutral**: it never touches simulation state, the
-timings live on the engine (not in :class:`SimulationResult`), and
-``SimConfig.profile`` sits in ``_CACHE_KEY_EXCLUDE`` — so a profiled
-run is bit-identical to an unprofiled one and shares its cache entries,
-exactly like ``check_invariants``.
+The timer always runs: it costs a few microseconds per epoch, well
+under 0.1% of an artifact.  It is **result-neutral**: it never touches
+simulation state and its timings live on the tenant, not in
+:class:`SimulationResult`, so results and cache keys are the same as
+without it.
 
 Wall-clock reads are confined to this module and are the reason the
 ``# lint: ignore[R002]`` suppressions below exist: the timings are
@@ -37,8 +36,6 @@ from __future__ import annotations
 
 import time
 from typing import Dict, List, Optional, Tuple
-
-from repro.options import RuntimeOptions
 
 #: Static-analysis registry (rule R101): everything in this module is
 #: observation-only and must have no transitive write effect on
@@ -59,18 +56,6 @@ PHASES = (
     "policy",
     "other",
 )
-
-
-def profile_enabled(config: Optional[object] = None) -> bool:
-    """Whether per-phase profiling is on for a run.
-
-    ``REPRO_PROFILE`` wins in both directions when set; otherwise the
-    (optional) config's ``profile`` flag decides.
-    """
-    profile = RuntimeOptions.from_env().profile
-    if profile is None:
-        return bool(getattr(config, "profile", False))
-    return profile
 
 
 class PhaseTimer:
@@ -167,7 +152,7 @@ def run_profiled(
     settings: Optional[object] = None,
     backing_1g: bool = False,
 ) -> Tuple[object, PhaseTimer]:
-    """Run one benchmark uncached with profiling on.
+    """Run one benchmark uncached and return its phase timer.
 
     Returns ``(SimulationResult, PhaseTimer)``; the timer's ``counts``
     hold the run's TLB model evaluations and memo hits, its per-thread
@@ -183,10 +168,7 @@ def run_profiled(
     sim = build_simulation(
         RunSpec(workload, machine, policy, backing_1g),
         settings or RunSettings(),
-        profile=True,
     )
-    if sim.profiler is None:  # REPRO_PROFILE=0 in the environment
-        sim.profiler = PhaseTimer()
     result = sim.run()
     timer = sim.profiler
     timer.counts["tlb_evaluations"] = sim.tlb_model.evaluations

@@ -1,19 +1,18 @@
 """JSONL decision tracing for the policy layer.
 
 Every daemon interval the :class:`~repro.sim.engine.ActionExecutor`
-applies typed decisions against the address space; when tracing is
-enabled (``REPRO_TRACE=1`` in the environment, or ``SimConfig.trace``),
-the engine owns a :class:`DecisionTrace` and the executor records every
-decision together with its outcome — what was decided, by which
-decider, at what simulated time, and what actually happened (applied /
-skipped / bytes moved).  ``repro trace`` runs one benchmark with the
-trace on and ``REPRO_TRACE_FILE`` appends the records as JSON lines.
+applies typed decisions against the address space; when a tenant owns
+a :class:`DecisionTrace` the executor records every decision together
+with its outcome — what was decided, by which decider, at what
+simulated time, and what actually happened (applied / skipped / bytes
+moved).  A tenant owns one exactly when ``REPRO_TRACE_FILE`` names a
+file, to which each run appends its records as JSON lines, or when
+:func:`run_traced` (``repro trace``) attaches one.
 
-Tracing is **result-neutral**: it never touches simulation state, the
-records live on the engine (not in ``SimulationResult``), and
-``SimConfig.trace`` sits in ``_CACHE_KEY_EXCLUDE`` — so a traced run is
-bit-identical to an untraced one and shares its cache entries, exactly
-like ``profile`` and ``check_invariants``.
+Tracing is **result-neutral**: it never touches simulation state and
+the records live on the tenant, not in ``SimulationResult``, so a
+traced run is bit-identical to an untraced one and shares its cache
+entries.
 """
 
 from __future__ import annotations
@@ -26,18 +25,6 @@ from repro.options import RuntimeOptions
 #: Static-analysis registry (rule R101): tracing is observation-only
 #: and must have no transitive write effect on simulation state.
 _RESULT_NEUTRAL = ("sim.trace",)
-
-
-def trace_enabled(config: Optional[object] = None) -> bool:
-    """Whether decision tracing is on for a run.
-
-    ``REPRO_TRACE`` wins in both directions when set; otherwise the
-    (optional) config's ``trace`` flag decides.
-    """
-    trace = RuntimeOptions.from_env().trace
-    if trace is None:
-        return bool(getattr(config, "trace", False))
-    return trace
 
 
 class DecisionTrace:
@@ -113,7 +100,7 @@ def run_traced(
     settings: Optional[object] = None,
     backing_1g: bool = False,
 ) -> Tuple[object, DecisionTrace]:
-    """Run one benchmark uncached with decision tracing on.
+    """Run one benchmark uncached with a decision trace attached.
 
     Returns ``(SimulationResult, DecisionTrace)``.  The run bypasses
     both cache layers (the point is to watch the decisions being made)
@@ -125,10 +112,8 @@ def run_traced(
     from repro.experiments.runner import RunSettings, RunSpec, build_simulation
 
     settings = settings or RunSettings()
-    sim = build_simulation(
-        RunSpec(workload, machine, policy, backing_1g), settings, trace=True
-    )
-    if sim.tracer is None:  # REPRO_TRACE=0 in the environment
+    sim = build_simulation(RunSpec(workload, machine, policy, backing_1g), settings)
+    if sim.tracer is None:  # REPRO_TRACE_FILE is unset
         sim.tracer = DecisionTrace(
             {
                 "workload": sim.instance.name,

@@ -1025,46 +1025,6 @@ class AddressSpace:
         out += np.bincount(giga_nodes, minlength=self.n_nodes) * int(PageSize.SIZE_1G)
         return out
 
-    def check_invariants(self) -> None:
-        """Raise if mapping invariants are violated (test helper)."""
-        for chunk in np.flatnonzero(self.huge):
-            span = slice(int(chunk) << SHIFT_2M, (int(chunk) + 1) << SHIFT_2M)
-            if np.any(self.node4k[span] >= 0):
-                raise AssertionError(f"huge chunk {chunk} has 4KB mappings")
-            if self.mapped_count_2m[chunk] != 0:
-                raise AssertionError(f"huge chunk {chunk} has nonzero mapped count")
-            if self.node2m[chunk] < 0:
-                raise AssertionError(f"huge chunk {chunk} has no node")
-        for gchunk in np.flatnonzero(self.giga):
-            chunk_lo = (int(gchunk) << SHIFT_1G) >> SHIFT_2M
-            chunk_hi = ((int(gchunk) + 1) << SHIFT_1G) >> SHIFT_2M
-            if np.any(self.huge[chunk_lo:chunk_hi]):
-                raise AssertionError(f"1GB chunk {gchunk} overlaps 2MB pages")
-        counted = np.zeros(self.n_chunks_2m, dtype=np.int32)
-        mapped = np.flatnonzero(self.node4k >= 0)
-        if mapped.size:
-            ids, counts = np.unique(mapped >> SHIFT_2M, return_counts=True)
-            counted[ids] = counts.astype(np.int32)
-        if not np.array_equal(counted, self.mapped_count_2m):
-            raise AssertionError("mapped_count_2m out of sync")
-        # Replication accounting.
-        if np.any(self.replicated_4k & (self.node4k < 0)):
-            raise AssertionError("replicated granule without a mapping")
-        if np.any(self.replicated_2m & ~self.huge):
-            raise AssertionError("replicated 2MB chunk is not huge-backed")
-        expected_replicas = (
-            int(np.count_nonzero(self.replicated_4k)) * (self.n_nodes - 1) * PAGE_4K
-            + int(np.count_nonzero(self.replicated_2m))
-            * (self.n_nodes - 1)
-            * int(PageSize.SIZE_2M)
-        )
-        if expected_replicas != self.replica_bytes:
-            raise AssertionError("replica byte counter out of sync")
-        if self.replicated_pages != int(
-            np.count_nonzero(self.replicated_4k)
-        ) + int(np.count_nonzero(self.replicated_2m)):
-            raise AssertionError("replicated page count out of sync")
-
 
 def split_backing_page(
     address_space: AddressSpace, page_id: int, block_collapse: bool = True

@@ -4,10 +4,10 @@ PR 1 shipped a memo key that silently dropped four ``SimConfig``
 fields; the R001 rule exists so that bug class cannot recur.  These
 tests (a) run R001 over the real tree so any new config dataclass with
 an incomplete ``cache_key``/``fingerprint`` fails CI, (b) prove the
-rule would actually catch a regression by injecting one, (c) pin
-the runtime semantics of ``_CACHE_KEY_EXCLUDE``, and (d) check at
-runtime that every :class:`RunSpec` field, policy params included,
-reaches the fingerprint both cache layers key on.
+rule would actually catch a regression by injecting one, and (c) check
+at runtime that every :class:`SimConfig` field and every
+:class:`RunSpec` field, policy params included, reaches the
+fingerprint both cache layers key on.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.experiments.experiments import MACHINES, _grid
 from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSettings, RunSpec
 from repro.scenarios import ScenarioConfig
-from repro.sim.config import SimConfig
+from repro.hardware.tlb import TlbSpec
+from repro.sim.config import MachineModels, SimConfig
 from repro.workloads.registry import FIGURE1_ORDER
 
 PACKAGE = pathlib.Path(repro.__file__).parent
@@ -59,37 +60,45 @@ def test_r001_catches_an_injected_field():
     assert any("extra_knob" in f.message for f in findings)
 
 
-def test_exclude_list_names_real_fields():
-    field_names = {f.name for f in dataclasses.fields(SimConfig)}
-    assert SimConfig._CACHE_KEY_EXCLUDE <= field_names
+# --- Every SimConfig field reaches the fingerprint ----------------------
+
+#: One changed value per SimConfig field, against ``SimConfig.quick()``.
+_CONFIG_CHANGES = {
+    "epoch_s": 0.5,
+    "stream_length": 1024,
+    "scale": 0.5,
+    "ibs_rate": 1e-3,
+    "ibs_cost_cycles": 3000.0,
+    "seed": 1,
+    "track_access_stats": False,
+    "models": MachineModels(tlb=TlbSpec(entries_2m=64)),
+    "max_epochs": 9_999,
+    "khugepaged_batch": 256,
+}
 
 
-@pytest.mark.parametrize("excluded", sorted(SimConfig._CACHE_KEY_EXCLUDE))
-def test_excluded_fields_do_not_split_the_memo_key(excluded):
+def test_config_changes_cover_every_field():
+    """SimConfig holds only what a run computes from: no field is left
+    out of the key, and none is result-neutral."""
+    assert set(_CONFIG_CHANGES) == {f.name for f in dataclasses.fields(SimConfig)}
+    assert len(_CONFIG_CHANGES) == 10
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_CHANGES))
+def test_every_config_field_splits_the_fingerprint(name):
     cfg = SimConfig.quick(seed=0)
-    toggled = dataclasses.replace(cfg, **{excluded: not getattr(cfg, excluded)})
-    spec = RunSpec("CG.D", "B", "thp")
-    key_a = RunSettings(config=cfg, seed=0).fingerprint(spec)
-    key_b = RunSettings(config=toggled, seed=0).fingerprint(spec)
-    assert key_a == key_b
-
-
-def test_excluded_fields_do_not_split_the_fingerprint():
-    cfg = SimConfig.quick(seed=0)
-    checked = dataclasses.replace(cfg, check_invariants=True)
-    args = ("CG.D", "machine-B", "thp", False)
-    assert run_fingerprint(*args, cfg, 0) == run_fingerprint(*args, checked, 0)
-
-
-def test_result_affecting_fields_still_split_both_keys():
-    cfg = SimConfig.quick(seed=0)
-    other = dataclasses.replace(cfg, max_epochs=cfg.max_epochs + 1)
+    other = dataclasses.replace(cfg, **{name: _CONFIG_CHANGES[name]})
+    assert other != cfg
     args = ("CG.D", "machine-B", "thp", False)
     assert run_fingerprint(*args, cfg, 0) != run_fingerprint(*args, other, 0)
     spec = RunSpec("CG.D", "B", "thp")
-    key_a = RunSettings(config=cfg, seed=0).fingerprint(spec)
-    key_b = RunSettings(config=other, seed=0).fingerprint(spec)
-    assert key_a != key_b
+    settings, changed = RunSettings(config=cfg), RunSettings(config=other)
+    assert settings.fingerprint(spec) != changed.fingerprint(spec)
+    assert settings.fingerprints([spec]) != changed.fingerprints([spec])
+    scenario = ScenarioConfig(machine="A", workloads=("Kmeans",))
+    assert scenario_fingerprint(scenario, cfg) != scenario_fingerprint(
+        scenario, other
+    )
 
 
 # --- Every RunSpec field reaches the fingerprint ------------------------

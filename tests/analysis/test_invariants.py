@@ -10,8 +10,6 @@ structured :class:`InvariantViolation` naming the run context.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,6 @@ from repro.analysis.invariants import (
     check_layout_version,
     check_page_conservation,
     check_physical_memory,
-    invariants_enabled,
     layout_arrays,
 )
 from repro.experiments.configs import make_policy
@@ -30,6 +27,7 @@ from repro.hardware.machines import machine_by_name
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.sim.host import Host
 from repro.vm.address_space import BACKING_ID_2M_OFFSET, AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M
@@ -40,15 +38,12 @@ MACHINE = "A"
 POLICY = "carrefour-lp"  # exercises splits, migration and replication
 
 
-def _make_sim(check_invariants: bool) -> Simulation:
-    cfg = dataclasses.replace(
-        SimConfig.quick(seed=0), check_invariants=check_invariants
-    )
+def _make_sim() -> Simulation:
     return Simulation(
         machine_by_name(MACHINE),
         get_workload(WORKLOAD),
         make_policy(POLICY, seed=0),
-        config=cfg,
+        config=SimConfig.quick(seed=0),
     )
 
 
@@ -59,40 +54,28 @@ def checked_sim():
     Corruption tests mutate its state and must restore it before
     returning.
     """
-    sim = _make_sim(check_invariants=True)
-    sim.run()
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(CHECK_ENV, "1")
+        sim = _make_sim()
+        sim.run()
     return sim
 
 
 # ----------------------------------------------------------------------
 # Enablement
 # ----------------------------------------------------------------------
-def test_config_flag_enables_checker(monkeypatch):
-    monkeypatch.delenv(CHECK_ENV, raising=False)
-    assert _make_sim(True).invariant_checker is not None
-    assert _make_sim(False).invariant_checker is None
-
-
-def test_env_overrides_config_both_directions(monkeypatch):
-    monkeypatch.setenv(CHECK_ENV, "1")
-    assert _make_sim(False).invariant_checker is not None
-    monkeypatch.setenv(CHECK_ENV, "0")
-    assert _make_sim(True).invariant_checker is None
-
-
-def test_invariants_enabled_semantics(monkeypatch):
-    cfg_on = dataclasses.replace(SimConfig.quick(seed=0), check_invariants=True)
-    cfg_off = SimConfig.quick(seed=0)
-    monkeypatch.delenv(CHECK_ENV, raising=False)
-    assert invariants_enabled(cfg_on) is True
-    assert invariants_enabled(cfg_off) is False
-    assert invariants_enabled(None) is False
-    for value in ("1", "true", "ON", "yes"):
+@pytest.mark.parametrize(
+    "value, on",
+    [(None, False), ("1", True), ("yes", True), ("0", False), ("Off", False)],
+)
+def test_repro_check_alone_starts_the_checkers(monkeypatch, value, on):
+    if value is None:
+        monkeypatch.delenv(CHECK_ENV, raising=False)
+    else:
         monkeypatch.setenv(CHECK_ENV, value)
-        assert invariants_enabled(cfg_off) is True
-    for value in ("0", "false", "Off", "no"):
-        monkeypatch.setenv(CHECK_ENV, value)
-        assert invariants_enabled(cfg_on) is False
+    sim = _make_sim()
+    assert (sim.invariant_checker is not None) is on
+    assert (Host(sim.machine).checker is not None) is on
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +89,8 @@ def test_checked_run_is_clean_and_checks_every_epoch(checked_sim):
 
 def test_checking_does_not_perturb_results(checked_sim, monkeypatch):
     monkeypatch.delenv(CHECK_ENV, raising=False)
-    unchecked = _make_sim(check_invariants=False)
+    unchecked = _make_sim()
+    assert unchecked.invariant_checker is None
     result = unchecked.run()
     assert result.runtime_s.hex() == checked_sim.sim_time_s.hex()
     assert result.epoch_times_s == [
@@ -173,9 +157,9 @@ def test_detects_layout_change_without_layout_bump(monkeypatch):
 
 
 def test_checked_run_catches_a_missed_layout_bump(monkeypatch):
-    monkeypatch.delenv(CHECK_ENV, raising=False)
+    monkeypatch.setenv(CHECK_ENV, "1")
     _missed_layout_bump(monkeypatch)
-    sim = _make_sim(check_invariants=True)
+    sim = _make_sim()
     with pytest.raises(InvariantViolation, match="without a layout_version"):
         sim.run()
 
@@ -215,8 +199,8 @@ def test_physical_memory_accounting_holds(checked_sim):
 # Violations carry run context
 # ----------------------------------------------------------------------
 def test_engine_raises_with_run_context(monkeypatch):
-    monkeypatch.delenv(CHECK_ENV, raising=False)
-    sim = _make_sim(check_invariants=True)
+    monkeypatch.setenv(CHECK_ENV, "1")
+    sim = _make_sim()
     sim.asp.replica_bytes += 4096  # corrupt before the first epoch
     with pytest.raises(InvariantViolation) as excinfo:
         sim.run()

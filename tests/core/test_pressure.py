@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.core.pressure import MemoryPressurePolicy
 from repro.hardware.ibs import IbsSamples
 from repro.sim.engine import ActionExecutor, PageTableState
@@ -85,7 +86,7 @@ class TestWatermarks:
         assert summary.bytes_reclaimed == 128 * PAGE_4K
         assert not sim.thp.alloc_enabled  # THP allocation suppressed
         assert any("pressure reclaim" in note for note in summary.notes)
-        sim.asp.check_invariants()
+        check_address_space(sim.asp)
 
     def test_victims_are_highest_addresses(self):
         sim = make_sim()

@@ -16,8 +16,6 @@ from repro.options import (
     CACHE_ENABLE_ENV,
     CHECK_ENV,
     JOBS_ENV,
-    PROFILE_ENV,
-    TRACE_ENV,
 )
 
 
@@ -159,18 +157,6 @@ class TestBadInput:
                 "REPRO_CACHE='nope' is not on/off; use one of"
                 " 1, true, on, yes, 0, false, off, no",
             ),
-            (
-                PROFILE_ENV,
-                "2",
-                "REPRO_PROFILE='2' is not on/off; use one of"
-                " 1, true, on, yes, 0, false, off, no",
-            ),
-            (
-                TRACE_ENV,
-                "enabled",
-                "REPRO_TRACE='enabled' is not on/off; use one of"
-                " 1, true, on, yes, 0, false, off, no",
-            ),
         ],
     )
     def test_bad_runtime_option(self, capsys, monkeypatch, name, value, message):
@@ -180,6 +166,28 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "profile, trace", [("2", "enabled"), ("1", "1"), ("0", "0")]
+    )
+    def test_retired_variables_change_nothing(
+        self, capsys, monkeypatch, profile, trace
+    ):
+        """``REPRO_PROFILE`` and ``REPRO_TRACE`` are no longer read: a
+        leftover value, malformed or not, is neither rejected nor
+        turns anything on."""
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "1")  # registers restore-on-teardown
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        argv = ["run", "Kmeans", "--policy", "carrefour-2m", "--quick",
+                "--scale", "0.25", "--fresh"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("REPRO_PROFILE", profile)
+        monkeypatch.setenv("REPRO_TRACE", trace)
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
+        assert plain.err == ""
 
     @pytest.mark.parametrize(
         "argv, name, value",
@@ -199,6 +207,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name}={value!r} is not ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e19"])
+    def test_scenario_rate_outside_the_poisson_range(self, capsys, rate):
+        assert main(["scenario", "--rate", rate, "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: arrival_rate must be finite and in [0, 1000000],"
+            f" not {float(rate)!r}\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -11,6 +11,7 @@ from repro.analysis.invariants import (
     check_tenant_released,
 )
 from repro.errors import SimulationError
+from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation, Tenant
 from repro.sim.host import Host
@@ -20,6 +21,12 @@ from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import PartitionedRegion, SharedRegion
 
 MIB = 1 << 20
+
+
+@pytest.fixture(autouse=True)
+def checked(monkeypatch):
+    """Every host and tenant here runs the invariant checkers."""
+    monkeypatch.setenv(CHECK_ENV, "1")
 
 
 def make_instance(machine, name="toy", total_epochs=4, mib=6):
@@ -34,7 +41,7 @@ def make_instance(machine, name="toy", total_epochs=4, mib=6):
 
 
 def quick_cfg(**kwargs):
-    defaults = dict(stream_length=256, seed=0, check_invariants=True)
+    defaults = dict(stream_length=256, seed=0)
     defaults.update(kwargs)
     return SimConfig(**defaults)
 
@@ -53,7 +60,7 @@ def make_tenant(machine, host, tenant_id, cfg=None, **instance_kwargs):
 
 class TestColocation:
     def test_two_tenants_share_one_allocator(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         a = make_tenant(tiny_topo, host, 0, name="a")
         b = make_tenant(tiny_topo, host, 1, name="b")
         host.admit(a)
@@ -68,14 +75,14 @@ class TestColocation:
         assert host.phys.total_used_bytes > 0
 
     def test_invariant_checker_runs_with_shared_allocator(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         assert host.checker is not None
         host.admit(make_tenant(tiny_topo, host, 0))
         host.run_to_completion()
         assert host.checker._epochs_checked == host.epoch
 
     def test_release_returns_every_page(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
         host.run_to_completion()
@@ -87,7 +94,7 @@ class TestColocation:
         check_tenant_released(tenant.asp)
 
     def test_staggered_admission(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         first = make_tenant(tiny_topo, host, 0, total_epochs=6)
         host.admit(first)
         host.step_epoch()
@@ -107,7 +114,7 @@ class TestColocation:
             LinuxPolicy(False),
             quick_cfg(),
         ).run()
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         a = make_tenant(tiny_topo, host, 0, name="solo")
         b = make_tenant(tiny_topo, host, 1, name="rival")
         host.admit(a)
@@ -119,7 +126,7 @@ class TestColocation:
 
 class TestAdmission:
     def test_foreign_allocator_rejected(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         foreign = Tenant(
             tiny_topo,
             make_instance(tiny_topo),
@@ -132,7 +139,7 @@ class TestAdmission:
             host.admit(foreign)
 
     def test_wrong_machine_rejected(self, tiny_topo, quad_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = Tenant(
             quad_topo,
             make_instance(quad_topo),
@@ -145,20 +152,20 @@ class TestAdmission:
             host.admit(tenant)
 
     def test_duplicate_id_rejected(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         host.admit(make_tenant(tiny_topo, host, 0))
         with pytest.raises(SimulationError, match="twice"):
             host.admit(make_tenant(tiny_topo, host, 0))
 
     def test_release_running_tenant_rejected(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
         with pytest.raises(SimulationError, match="running"):
             host.release(tenant)
 
     def test_evict_frees_a_running_tenant(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0, total_epochs=10)
         host.admit(tenant)
         host.step_epoch()
@@ -173,7 +180,7 @@ class TestAdmission:
 
 class TestOom:
     def test_oom_kill_releases_pages(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         # Pin almost everything, then admit a tenant that needs more
         # than what's left.
         host.apply_pressure(0.97)
@@ -187,7 +194,7 @@ class TestOom:
         check_tenant_released(victim.asp)
 
     def test_survivor_keeps_running_after_oom(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         host.apply_pressure(0.97)
         survivor = make_tenant(tiny_topo, host, 0, mib=2, total_epochs=4)
         victim = make_tenant(tiny_topo, host, 1, mib=512)
@@ -201,7 +208,7 @@ class TestOom:
 
 class TestBackgroundRates:
     def test_sums_other_active_tenants(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenants = [make_tenant(tiny_topo, host, i) for i in range(3)]
         for tenant in tenants:
             host.admit(tenant)
@@ -216,13 +223,13 @@ class TestBackgroundRates:
         )
 
     def test_none_when_alone(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
         assert host.background_rates(tenant) is None
 
     def test_sum_does_not_alias_a_tenants_rates(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenants = [make_tenant(tiny_topo, host, i) for i in range(2)]
         for tenant in tenants:
             host.admit(tenant)
@@ -234,7 +241,7 @@ class TestBackgroundRates:
 
 class TestPressure:
     def test_pins_requested_fraction(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         total = host.phys.total_free_bytes
         pinned = host.apply_pressure(0.7)
         assert pinned == sum(
@@ -243,7 +250,7 @@ class TestPressure:
         assert pinned == pytest.approx(0.7 * total, rel=0.01)
 
     def test_conservation_holds_under_pressure(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         host.apply_pressure(0.5)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
@@ -252,21 +259,21 @@ class TestPressure:
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
     def test_invalid_fraction_rejected(self, tiny_topo, fraction):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         with pytest.raises(Exception):
             host.apply_pressure(fraction)
 
 
 class TestHostConservationCheck:
     def test_foreign_address_space_rejected(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
-        other = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
+        other = Host(tiny_topo)
         stranger = make_tenant(tiny_topo, other, 0)
         with pytest.raises(InvariantViolation, match="allocator"):
             check_host_conservation(host.phys, [stranger.asp])
 
     def test_leak_detected(self, tiny_topo):
-        host = Host(tiny_topo, config=quick_cfg())
+        host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
         host.step_epoch()

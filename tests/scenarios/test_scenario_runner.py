@@ -259,3 +259,35 @@ class TestTruncation:
         assert len(record.result.epoch_times_s) == 3
         with pytest.raises(ValueError):
             result.mean_runtime_s()
+
+
+class TestTenantProfiles:
+    def test_each_tenant_times_the_epochs_it_ran(self, monkeypatch):
+        """Every tenant owns a phase timer, so a scenario is profiled
+        per tenant: a completed and a truncated tenant each count
+        exactly their own epochs."""
+        from repro.sim.host import Host
+
+        admitted = []
+        admit = Host.admit
+
+        def recording(host, tenant):
+            admitted.append(tenant)
+            admit(host, tenant)
+
+        monkeypatch.setattr(Host, "admit", recording)
+        scenario = ScenarioConfig(
+            arrival="fixed-trace",
+            machine="A",
+            trace=((0, "SSCA.20", "thp"), (2, "Kmeans", "carrefour-lp")),
+            max_tenants=2,
+            tenant_epochs=4,
+            max_host_epochs=5,
+            seed=0,
+        )
+        result = execute_scenario(scenario, SimConfig.quick(seed=0))
+        assert [t.status for t in result.tenants] == ["completed", "truncated"]
+        assert [t.profiler.n_epochs for t in admitted] == [4, 3]
+        for tenant, record in zip(admitted, result.tenants):
+            assert tenant.profiler.n_epochs == len(record.result.epoch_times_s)
+            assert tenant.profiler.total_s > 0.0

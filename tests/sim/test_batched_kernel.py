@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.core.autonuma import AutoNumaConfig, AutoNumaPolicy
 from repro.core.carrefour import CarrefourConfig, CarrefourEngine
 from repro.core.metrics import PageSampleTable
@@ -81,7 +82,7 @@ def assert_same_state(asp, ref):
     assert asp.replica_bytes == ref.replica_bytes
     assert asp._replica_blocks == ref._replica_blocks
     assert allocator_state(asp.phys) == allocator_state(ref.phys)
-    asp.check_invariants()
+    check_address_space(asp)
 
 
 def build_space(rng, n_nodes, node_bytes, n_chunks, giga=0):

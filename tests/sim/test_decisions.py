@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
@@ -305,7 +306,7 @@ class TestEveryDecision:
         if summary.notes:
             changed.add("notes")
         assert changed <= set(type(decision).counters)
-        host.asp.check_invariants()
+        check_address_space(host.asp)
 
 
 class TestByteAccounting:
@@ -417,7 +418,7 @@ class TestByteAccounting:
         }
         assert (outcome.bytes_moved, outcome.count) == (moved, count)
         assert host.asp.phys.total_used_bytes - used == used_delta
-        host.asp.check_invariants()
+        check_address_space(host.asp)
 
     def test_page_table_replicas_cost_one_copy_per_other_node(self):
         host = mixed_host(n_nodes=4)
@@ -445,7 +446,7 @@ class TestReclaimPages:
         assert summary.pages_reclaimed == 16
         assert summary.bytes_reclaimed == 16 * PAGE_4K
         assert np.all(host.asp.home_nodes(np.arange(16)) == -1)
-        host.asp.check_invariants()
+        check_address_space(host.asp)
 
     def test_outcome_reports_bytes_and_count(self):
         host = self.make_4k_host()
@@ -613,7 +614,7 @@ class TestConflictResolution:
         assert a.outcomes[0].applied
         assert b.outcomes[0].reason == "conflict"
         assert first_stands(host)
-        host.asp.check_invariants()
+        check_address_space(host.asp)
 
     def test_single_decider_never_conflicts_with_itself(self):
         host = make_host()

@@ -1,28 +1,20 @@
 """Tests for the per-phase engine profiler (:mod:`repro.sim.profile`).
 
-The contract under test: profiling observes, never perturbs.  A
-profiled run must be bit-identical to an unprofiled one and share its
-cache entries, and the recorded phases must account for the full
-bracketed epoch time.
+The contract under test: every tenant times its epochs, the timer
+observes and never perturbs (the engine goldens pin results with it
+running), and the recorded phases account for the full bracketed epoch
+time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.runner import RunSpec, execute_run
-from repro.options import PROFILE_ENV
-from repro.sim.config import SimConfig
-from repro.sim.profile import (
-    PHASES,
-    PhaseTimer,
-    profile_enabled,
-    run_profiled,
-)
+from repro.experiments.runner import RunSpec, build_simulation, execute_run
+from repro.sim.profile import PHASES, PhaseTimer, run_profiled
 
 
 def _signature(result):
@@ -86,62 +78,30 @@ class TestPhaseTimer:
             assert phase in text
 
 
-class TestProfileEnabled:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert not profile_enabled(SimConfig())
-        assert not profile_enabled(None)
+class TestAlwaysOn:
+    @pytest.mark.parametrize("policy", ["thp", "carrefour-lp"])
+    def test_every_run_times_its_epochs(self, quick_settings, policy):
+        sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_settings)
+        assert isinstance(sim.profiler, PhaseTimer)
+        result = sim.run()
+        assert sim.profiler.n_epochs == len(result.epoch_times_s)
+        assert sim.profiler.total_s > 0.0
 
-    def test_config_flag(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert profile_enabled(SimConfig(profile=True))
-
-    def test_env_wins_on(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        assert profile_enabled(SimConfig(profile=False))
-
-    def test_env_wins_off(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "0")
-        assert not profile_enabled(SimConfig(profile=True))
-
-
-class TestResultNeutrality:
-    def test_env_profiled_run_bit_identical(self, quick_settings, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_leftover_profile_switch_is_ignored(self, quick_settings, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE", "0")
         spec = RunSpec("Kmeans", "A", "thp")
-        plain = execute_run(spec, quick_settings)
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        profiled = execute_run(spec, quick_settings)
-        assert _signature(plain) == _signature(profiled)
-
-    def test_config_profiled_run_bit_identical(self, quick_settings, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        spec = RunSpec("Kmeans", "A", "carrefour-lp")
-        plain = execute_run(spec, quick_settings)
-        cfg = dataclasses.replace(quick_settings.config, profile=True)
-        profiled = execute_run(
-            spec, dataclasses.replace(quick_settings, config=cfg)
-        )
-        assert _signature(plain) == _signature(profiled)
-
-    def test_profile_flag_shares_cache_entries(self, quick_settings):
-        cfg_on = dataclasses.replace(quick_settings.config, profile=True)
-        on = dataclasses.replace(quick_settings, config=cfg_on)
-        spec = RunSpec("CG.D", "A", "thp")
-        assert on.fingerprint(spec) == quick_settings.fingerprint(spec)
+        assert build_simulation(spec, quick_settings).profiler is not None
 
 
 class TestRunProfiled:
-    def test_phases_account_for_epochs(self, quick_settings, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_phases_account_for_epochs(self, quick_settings):
         result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
         assert timer.n_epochs == len(result.epoch_times_s)
         assert timer.total_s > 0.0
         assert timer.total_s == pytest.approx(sum(timer.phase_s.values()))
         assert all(seconds >= 0.0 for seconds in timer.phase_s.values())
 
-    def test_counts_tlb_evaluations_and_memo_hits(self, quick_settings, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_counts_tlb_evaluations_and_memo_hits(self, quick_settings):
         _, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
         counts = timer.summary()["counts"]
         # Symmetric threads share one classified input: the first
@@ -149,10 +109,7 @@ class TestRunProfiled:
         assert counts["tlb_evaluations"] >= 1
         assert counts["tlb_memo_hits"] > counts["tlb_evaluations"]
 
-    def test_counts_classifications_and_table_builds(
-        self, quick_settings, monkeypatch
-    ):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_counts_classifications_and_table_builds(self, quick_settings):
         _, timer = run_profiled("Kmeans", "A", "carrefour-lp", quick_settings)
         counts = timer.summary()["counts"]
         assert counts["tlb_classifications"] >= counts["tlb_evaluations"]
@@ -160,26 +117,17 @@ class TestRunProfiled:
         # backing page and by 4KB granule.
         assert counts["table_builds"] >= 2
 
-    def test_forced_on_despite_env_off(self, quick_settings, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "0")
-        result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
-        assert timer.n_epochs == len(result.epoch_times_s)
-
     # carrefour-2m samples IBS, so its run also prices the sampling
-    # overhead a profiled run must not alter.
+    # overhead, which run_profiled must price as execute_run does.
     @pytest.mark.parametrize("policy", ["linux-4k", "carrefour-2m"])
-    def test_matches_unprofiled_execute_run(
-        self, quick_settings, monkeypatch, policy
-    ):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_matches_execute_run(self, quick_settings, policy):
         plain = execute_run(RunSpec("Kmeans", "B", policy), quick_settings)
         profiled, _ = run_profiled("Kmeans", "B", policy, quick_settings)
         assert _signature(plain) == _signature(profiled)
 
 
 class TestProfileCli:
-    def test_cli_profile_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_cli_profile_json(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"
         rc = cli_main(
             ["profile", "Kmeans", "--quick", "--json", str(out_path)]

@@ -1,44 +1,14 @@
-"""Decision-trace tests: neutrality, env overrides, JSONL shape."""
+"""Decision-trace tests: neutrality, the trace file switch, JSONL shape."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import RunSpec, run_benchmark
-from repro.options import TRACE_ENV, TRACE_FILE_ENV
+from repro.experiments.runner import RunSpec, build_simulation, run_benchmark
+from repro.options import TRACE_FILE_ENV
 from repro.sim.decisions import MigratePages, Outcome
-from repro.sim.trace import (
-    DecisionTrace,
-    run_traced,
-    trace_enabled,
-)
-
-
-class TestTraceEnabled:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-        assert not trace_enabled(None)
-
-    def test_config_flag(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-
-        class Cfg:
-            trace = True
-
-        assert trace_enabled(Cfg())
-
-    def test_env_forces_on(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
-        assert trace_enabled(None)
-
-    def test_env_forces_off_over_config(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "0")
-
-        class Cfg:
-            trace = True
-
-        assert not trace_enabled(Cfg())
+from repro.sim.trace import DecisionTrace, run_traced
 
 
 def batch(*page_ids):
@@ -106,34 +76,51 @@ class TestTraceNeutrality:
         assert result.epoch_times_s == baseline.epoch_times_s
         assert trace.records, "daemon policy must have recorded decisions"
 
-    def test_trace_excluded_from_cache_key(self, quick_settings):
-        import dataclasses
 
-        from repro.experiments.runner import RunSettings
+def _headers(path):
+    return [
+        json.loads(line)["trace"]
+        for line in path.read_text().splitlines()
+        if line.startswith('{"trace"')
+    ]
 
-        traced = RunSettings(
-            config=dataclasses.replace(quick_settings.config, trace=True),
-            seed=quick_settings.seed,
-        )
-        spec = RunSpec("Kmeans", "A", "thp")
-        assert traced.fingerprint(spec) == quick_settings.fingerprint(spec)
 
-    def test_untraced_run_has_no_tracer(self, quick_settings, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-        result = run_benchmark(
-            "Kmeans", "A", "thp", quick_settings, use_cache=False
-        )
-        assert result is not None  # plain runs carry no trace state
+class TestTraceFile:
+    """``REPRO_TRACE_FILE`` alone turns tracing on."""
 
-    def test_env_off_does_not_break_run_traced(
-        self, quick_settings, monkeypatch
+    def test_no_trace_file_no_tracer(self, quick_settings, monkeypatch):
+        monkeypatch.delenv(TRACE_FILE_ENV, raising=False)
+        monkeypatch.setenv("REPRO_TRACE", "1")  # retired; not read
+        sim = build_simulation(RunSpec("Kmeans", "A", "carrefour-2m"), quick_settings)
+        assert sim.tracer is None
+        sim.run()
+        assert sim.tracer is None
+
+    def test_trace_file_appends_each_run(
+        self, quick_settings, monkeypatch, tmp_path
     ):
-        # REPRO_TRACE=0 suppresses the engine-owned tracer; run_traced
-        # installs its own, so explicit trace runs still observe.
-        monkeypatch.setenv(TRACE_ENV, "0")
+        path = tmp_path / "runs.jsonl"
+        monkeypatch.setenv(TRACE_FILE_ENV, str(path))
+        monkeypatch.setenv("REPRO_TRACE", "0")  # retired; not read
+        records = 0
+        for policy in ("carrefour-2m", "thp"):
+            sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_settings)
+            assert isinstance(sim.tracer, DecisionTrace)
+            sim.run()
+            records += len(sim.tracer.records)
+        assert [h["policy"] for h in _headers(path)] == ["carrefour-2m", "thp"]
+        assert records > 0
+        assert len(path.read_text().splitlines()) == records + 2
+
+    def test_run_traced_keeps_the_file_trace(
+        self, quick_settings, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "traced.jsonl"
+        monkeypatch.setenv(TRACE_FILE_ENV, str(path))
         _, trace = run_traced("Kmeans", "A", "carrefour-2m", quick_settings)
-        assert isinstance(trace, DecisionTrace)
         assert trace.records
+        assert len(_headers(path)) == 1
+        assert len(path.read_text().splitlines()) == len(trace.records) + 1
 
 
 class TestRunTraced:

@@ -19,9 +19,7 @@ from repro.options import (
     CHECK_ENV,
     FALSE_VALUES,
     JOBS_ENV,
-    PROFILE_ENV,
     STREAM_CACHE_ENV,
-    TRACE_ENV,
     TRACE_FILE_ENV,
     TRUE_VALUES,
     RuntimeOptions,
@@ -30,15 +28,13 @@ from repro.options import (
 SWITCHES = {
     CACHE_ENABLE_ENV: "cache",
     CHECK_ENV: "check",
-    PROFILE_ENV: "profile",
-    TRACE_ENV: "trace",
 }
 
 
 def test_unset_means_defaults():
     assert RuntimeOptions.from_env({}) == RuntimeOptions()
     assert RuntimeOptions().cache is True
-    assert RuntimeOptions().check is None
+    assert RuntimeOptions().check is False
 
 
 def test_empty_or_blank_reads_as_unset():
@@ -96,13 +92,21 @@ def test_paths():
 
 
 def test_read_from_the_process_environment_on_every_call(monkeypatch):
-    monkeypatch.setenv(PROFILE_ENV, "1")
-    assert RuntimeOptions.from_env().profile is True
-    monkeypatch.setenv(PROFILE_ENV, "0")
-    assert RuntimeOptions.from_env().profile is False
+    monkeypatch.setenv(CHECK_ENV, "1")
+    assert RuntimeOptions.from_env().check is True
+    monkeypatch.setenv(CHECK_ENV, "0")
+    assert RuntimeOptions.from_env().check is False
 
 
-def test_eight_variables():
+@pytest.mark.parametrize("name", ["REPRO_PROFILE", "REPRO_TRACE"])
+@pytest.mark.parametrize("value", ["1", "0", "maybe", "2"])
+def test_retired_variables_are_not_read(name, value):
+    """A leftover ``REPRO_PROFILE``/``REPRO_TRACE`` from an older
+    checkout's environment is neither parsed nor rejected."""
+    assert RuntimeOptions.from_env({name: value}) == RuntimeOptions()
+
+
+def test_six_variables():
     names = {
         value for key, value in vars(options).items() if key.endswith("_ENV")
     }
@@ -112,8 +116,6 @@ def test_eight_variables():
         "REPRO_CACHE_DIR",
         "REPRO_STREAM_CACHE",
         "REPRO_CHECK",
-        "REPRO_PROFILE",
-        "REPRO_TRACE",
         "REPRO_TRACE_FILE",
     }
     assert len(dataclasses.fields(RuntimeOptions)) == len(names)

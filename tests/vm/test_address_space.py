@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.invariants import check_address_space
 from repro.errors import MappingError
 from repro.vm.address_space import (
     AddressSpace,
@@ -33,7 +34,7 @@ class TestFaulting:
         assert stats.faults_4k == 3
         assert stats.faults_2m == 0
         assert np.all(asp.home_nodes(np.array([5, 6, 7])) == 1)
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_fault_in_thp_backs_whole_chunk(self):
         asp = make_asp()
@@ -41,7 +42,7 @@ class TestFaulting:
         assert stats.faults_2m == 1
         homes = asp.home_nodes(np.arange(GRANULES_PER_2M))
         assert np.all(homes == 0)
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_fault_in_partially_mapped_chunk_falls_back_to_4k(self):
         asp = make_asp()
@@ -105,7 +106,7 @@ class TestPremap:
         asp.premap_pattern_4k(0, nodes)
         homes = asp.home_nodes(np.arange(512))
         assert np.array_equal(homes, nodes)
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_premap_pattern_4k_overlap_rejected(self):
         asp = make_asp()
@@ -123,7 +124,7 @@ class TestPremap:
         asp.premap_pattern_2m(0, np.array([0, 1, 0], dtype=np.int8))
         assert asp.page_counts()[PageSize.SIZE_2M] == 3
         assert asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_premap_pattern_2m_overlap_rejected(self):
         asp = make_asp()
@@ -175,7 +176,7 @@ class TestSplitCollapse:
         homes = asp.home_nodes(np.arange(GRANULES_PER_2M))
         assert np.all(homes == 1)
         assert asp.phys[1].used_bytes == used_before
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_split_not_huge_rejected(self):
         asp = make_asp()
@@ -190,7 +191,7 @@ class TestSplitCollapse:
         asp.premap_pattern_4k(0, nodes)
         assert asp.collapse_chunk(0)
         assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_collapse_partial_chunk_refused(self):
         asp = make_asp()
@@ -210,7 +211,7 @@ class TestSplitCollapse:
         asp.split_chunk(0)
         asp.collapse_chunk(0)
         assert asp.phys.total_used_bytes == before
-        asp.check_invariants()
+        check_address_space(asp)
 
 
 class TestMigration:
@@ -232,7 +233,7 @@ class TestMigration:
         moved = asp.migrate_backing(BACKING_ID_2M_OFFSET, 1)
         assert moved == PAGE_2M
         assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_migrate_unmapped_rejected(self):
         asp = make_asp()
@@ -260,7 +261,7 @@ class TestMigration:
         moved = asp.migrate_granules(g, dst)
         assert moved == 4 * 4096
         assert np.array_equal(asp.home_nodes(g), dst.astype(np.int8))
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_migrate_granules_requires_4k(self):
         asp = make_asp()
@@ -279,7 +280,7 @@ class Test1GPages:
         stats = asp.map_range_1g(0, GRANULES_PER_1G, node=1)
         assert stats.faults_1g == 1
         assert asp.home_nodes(np.array([0, GRANULES_PER_1G - 1])).tolist() == [1, 1]
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_map_1g_misaligned_rejected(self):
         asp = self.make_1g_asp()
@@ -299,7 +300,7 @@ class Test1GPages:
         homes = asp.home_nodes(np.array([0, GRANULES_PER_1G - 1]))
         assert np.all(homes == 0)
         assert asp.page_counts()[PageSize.SIZE_1G] == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_migrate_1g(self):
         asp = self.make_1g_asp()
@@ -370,6 +371,6 @@ class TestProperties:
             assert (asp.layout_version != layout_version) == changed
             if changed:
                 assert asp.version > version
-        asp.check_invariants()
+        check_address_space(asp)
         # Physical accounting matches the mapping plus the replica copies.
         assert asp.phys.total_used_bytes == asp.mapped_bytes() + asp.replica_bytes

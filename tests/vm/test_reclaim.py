@@ -9,6 +9,7 @@ host's fragmented occupancy.
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.errors import ConfigurationError, MappingError
 from repro.vm.address_space import AddressSpace, BACKING_ID_2M_OFFSET
 from repro.vm.frame_allocator import NodeMemory, PhysicalMemory
@@ -33,7 +34,7 @@ class TestReclaimGranules:
         assert asp.phys.total_used_bytes == used_before - freed
         assert np.all(asp.home_nodes(np.arange(4)) == -1)
         assert np.all(asp.home_nodes(np.arange(4, 8)) == 0)
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_skips_unmapped_and_huge_backed(self):
         asp = make_asp()
@@ -45,14 +46,14 @@ class TestReclaimGranules:
         # Only the one plain 4KB mapping is eligible.
         assert freed == PAGE_4K
         assert asp.home_nodes(np.array([0]))[0] == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_skips_replicated(self):
         asp = make_asp()
         asp.fault_in(np.array([3]), node=0, thp_alloc=False)
         asp.replicate_backing(3)
         assert asp.reclaim_granules(np.array([3])) == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_reclaimed_granule_faults_back_in(self):
         asp = make_asp()
@@ -61,7 +62,7 @@ class TestReclaimGranules:
         stats = asp.fault_in(np.array([5]), node=1, thp_alloc=False)
         assert stats.faults_4k == 1
         assert asp.home_nodes(np.array([5]))[0] == 1
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_out_of_range_rejected(self):
         asp = make_asp()
@@ -94,7 +95,7 @@ class TestReleaseAll:
         assert asp.mapped_bytes() == 0
         assert asp.phys.total_used_bytes == 0
         assert asp.reclaimed_bytes == released
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_collapses_replicas_first(self):
         asp = make_asp()
@@ -111,7 +112,7 @@ class TestReleaseAll:
         asp.release_all()
         stats = asp.fault_in(np.array([0]), node=0, thp_alloc=True)
         assert stats.faults_2m == 1
-        asp.check_invariants()
+        check_address_space(asp)
 
 
 class TestPinFragmented:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.errors import MappingError
 from repro.vm.address_space import (
     AddressSpace,
@@ -31,7 +32,7 @@ class TestReplicate4K:
         assert asp.home_nodes_for(g, 1)[0] == 1
         # Non-replicated neighbours still resolve to their home.
         assert asp.home_nodes_for(np.array([3]), 1)[0] == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_double_replicate_is_noop(self):
         asp = make_asp()
@@ -48,7 +49,7 @@ class TestReplicate4K:
         freed = asp.unreplicate_backing(0)
         assert freed == PAGE_4K
         assert asp.phys.total_used_bytes == used_before
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_unreplicate_nonreplicated_is_noop(self):
         asp = make_asp()
@@ -72,7 +73,7 @@ class TestReplicate4K:
         asp.replicate_backing(0)
         moved = asp.migrate_granules(np.array([0, 1]), np.array([1, 1]))
         assert moved == PAGE_4K  # only granule 1 moved
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_collapse_chunk_refuses_replicated_members(self):
         asp = make_asp()
@@ -90,7 +91,7 @@ class TestReplicate2M:
         g = np.arange(0, GRANULES_PER_2M, 37)
         for node in range(4):
             assert np.all(asp.home_nodes_for(g, node) == node)
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_replication_mask(self):
         asp = make_asp()
@@ -105,7 +106,7 @@ class TestReplicate2M:
         asp.replicate_backing(BACKING_ID_2M_OFFSET)
         asp.split_chunk(0)
         assert asp.replica_bytes == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_replication_fails_when_node_full(self):
         phys = PhysicalMemory([GIB, 2 * PAGE_2M])
@@ -113,7 +114,7 @@ class TestReplicate2M:
         asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
         phys[1].alloc_small(1024)  # exhaust node 1
         assert asp.replicate_backing(BACKING_ID_2M_OFFSET) == 0
-        asp.check_invariants()
+        check_address_space(asp)
 
     def test_1g_replication_unsupported(self):
         from repro.vm.layout import GRANULES_PER_1G

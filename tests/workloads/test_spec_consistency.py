@@ -9,6 +9,7 @@ declared TLB geometry must stay within the region extents.
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.workloads.registry import FIGURE1_ORDER, get_workload
@@ -44,7 +45,7 @@ class TestSpecConsistency:
 
     def test_premap_accounting_consistent(self, name, machine_a_topo):
         inst, asp = materialise(name, machine_a_topo, thp=True)
-        asp.check_invariants()
+        check_address_space(asp)
         assert asp.phys.total_used_bytes == asp.mapped_bytes()
 
     def test_premap_4k_and_thp_cover_same_extent(self, name, machine_a_topo):
