@@ -11,12 +11,13 @@ these properties breaks, instead of letting corruption surface as a
 mysterious golden-file diff three experiments later.
 
 All checks are vectorised (numpy reductions over the address-space
-arrays), so the cost is a small multiple of one epoch's translation
-work; ``BENCH_runner.json`` tracks the measured overhead.
+arrays).  Even so they add 15-50% to a cold artifact; the README's
+``REPRO_CHECK`` section records the measured overhead per artifact.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -331,17 +332,32 @@ class InvariantChecker:
 
     Holds the cross-epoch state needed for monotonicity checks
     (cumulative counters, simulated time, mapped footprint — none of
-    which may ever decrease).
+    which may ever decrease).  The tenant owns its checker, so the
+    checker holds the tenant weakly: a strong reference back would be a
+    cycle that keeps every finished run alive until the next full
+    garbage collection.
     """
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        self._sim = weakref.ref(sim)
+        #: Whether this checker checks the allocator's node accounting
+        #: and the tenant's page conservation: only for a private
+        #: allocator that no checked host covers.  A shared allocator
+        #: holds other tenants' frames too, and a checked host checks
+        #: its allocator after every epoch
+        #: (:meth:`repro.sim.host.Host.admit` clears this flag).
+        self.checks_allocator = getattr(sim, "owns_phys", True)
         self._prev_totals: Dict[str, float] = {}
         self._prev_sim_time = 0.0
         self._prev_mapped_bytes = 0
         self._epochs_checked = 0
         #: ``(layout_version, layout_arrays)`` as of the last epoch.
         self._layout: Optional[Tuple[int, tuple]] = None
+
+    @property
+    def sim(self):
+        """The tenant this checker watches."""
+        return self._sim()
 
     def _violation(self, exc: InvariantViolation) -> InvariantViolation:
         """Re-raise a stateless check's violation with run context."""
@@ -362,10 +378,7 @@ class InvariantChecker:
             if self._layout is not None:
                 check_layout_version(sim.asp, *self._layout)
             self._layout = (sim.asp.layout_version, layout_arrays(sim.asp))
-            if getattr(sim, "owns_phys", True):
-                # Shared-allocator tenants see other tenants' frames in
-                # the node accounting; the host checker runs the
-                # cross-tenant version of these two instead.
+            if self.checks_allocator:
                 check_physical_memory(sim.phys)
                 check_page_conservation(sim.asp)
             if sim.bank.epochs:
@@ -462,15 +475,22 @@ class HostInvariantChecker:
 
     Runs after every host epoch, complementing the per-tenant
     :class:`InvariantChecker` (which each tenant still runs on its own
-    address space): the allocator must balance globally, the live
-    tenants' footprints must tile the used frames exactly (no frame
-    owned by two tenants), and departed tenants must have returned
-    every page.
+    address space): the allocator must balance globally, the tenants'
+    footprints must tile the used frames exactly (no frame owned by two
+    tenants), and departed tenants must have returned every page.  It
+    reads only address spaces, so the host keeps a departed tenant's
+    address space rather than the tenant; and it holds the host weakly,
+    as the host owns it.
     """
 
     def __init__(self, host) -> None:
-        self.host = host
+        self._host = weakref.ref(host)
         self._epochs_checked = 0
+
+    @property
+    def host(self):
+        """The host this checker watches."""
+        return self._host()
 
     def after_epoch(self, epoch: int) -> None:
         """Validate the shared allocator against all tenant mappings."""
@@ -478,14 +498,11 @@ class HostInvariantChecker:
         try:
             check_physical_memory(host.phys)
             check_host_conservation(
-                host.phys, [tenant.asp for tenant in host.tenants]
+                host.phys, list(host.address_spaces.values())
             )
-            for tenant in host.tenants:
-                if host.status[tenant.tenant_id] in (
-                    "released",
-                    "oom-killed",
-                ):
-                    check_tenant_released(tenant.asp)
+            for tenant_id, asp in host.address_spaces.items():
+                if host.status[tenant_id] in ("released", "oom-killed"):
+                    check_tenant_released(asp)
         except InvariantViolation as exc:
             raise InvariantViolation(
                 exc.detail,

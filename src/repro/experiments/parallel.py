@@ -20,12 +20,14 @@ single-core ones, where a pool has nothing to overlap — together with
 a human-readable reason, which the benchmarks record as
 ``backend_reason``.
 
-Pool tasks are bank-affine: the runs that share a stream bank — the
+Both run bank-affine tasks: the runs that share a stream bank — the
 same (workload, machine, backing) under the grid's settings, whatever
-the policy — go to one worker as one task, so each bank is generated
-in exactly one process (:func:`_bank_tasks`).  Only when there are
-fewer banks than workers are the largest groups split, so that no
-worker idles.
+the policy — form one task (:func:`_bank_tasks`), which the pool hands
+to one worker and the serial loop runs back to back.  So each bank is
+generated in exactly one process, and a process needs to keep only its
+most recent bank (:func:`repro.workloads.streambank.get_stream_bank`).
+Only when there are fewer banks than workers are the largest groups
+split, so that no worker idles.
 
 Worker count resolution, in priority order: explicit ``jobs``
 argument, the ``REPRO_JOBS`` environment variable, then
@@ -94,7 +96,7 @@ def _execute_specs(
 
 
 def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
-    """Split a grid's misses into bank-affine pool tasks.
+    """Split a grid's misses into bank-affine tasks.
 
     One task per stream-bank group: the specs sharing (workload,
     canonical machine, backing_1g), in grid order.  Streams do not
@@ -171,14 +173,18 @@ class GridRunner:
     def _execute(
         self, misses: List[RunSpec]
     ) -> List[Tuple[RunSpec, SimulationResult]]:
-        """Simulate the misses: a plain loop at one job, else the pool."""
+        """Simulate the misses' bank-affine tasks: a plain loop at one
+        job, else the pool."""
         jobs = resolve_jobs(self.jobs)
         if jobs > 1 and len(misses) > 1:
             try:
                 return self._run_pool(misses, jobs)
             except (OSError, ImportError, PermissionError, RuntimeError):
                 pass  # No usable multiprocessing on this platform.
-        return _execute_specs(misses, self.settings)
+        return _execute_specs(
+            [spec for task in _bank_tasks(misses, 1) for spec in task],
+            self.settings,
+        )
 
     def run(
         self, specs: Iterable[RunSpec], use_cache: bool = True

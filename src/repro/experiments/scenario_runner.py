@@ -119,10 +119,7 @@ def execute_scenario(
     The simulation stack is imported here, so a scenario served from
     the cache never loads it.
     """
-    from repro.experiments.configs import make_policy
-    from repro.sim.engine import Tenant
     from repro.sim.host import Host
-    from repro.workloads.registry import get_workload
 
     topo = machine_by_name(scenario.machine)
     base = config or SimConfig()
@@ -141,25 +138,7 @@ def execute_scenario(
         for workload_name, policy_name in gen.arrivals(
             host.epoch, len(host.active)
         ):
-            seed = tenant_seed(scenario, next_id)
-            tcfg = dataclasses.replace(base, seed=seed)
-            if scenario.tenant_epochs is not None:
-                tcfg = dataclasses.replace(
-                    tcfg,
-                    max_epochs=min(tcfg.max_epochs, scenario.tenant_epochs),
-                )
-            instance = get_workload(workload_name).instantiate(
-                topo, tcfg.scale, seed
-            )
-            tenant = Tenant(
-                topo,
-                instance,
-                make_policy(policy_name, seed=seed),
-                config=tcfg,
-                phys=host.phys,
-                tenant_id=next_id,
-            )
-            host.admit(tenant)
+            _admit(host, scenario, base, next_id, workload_name, policy_name)
             records[next_id] = TenantRecord(
                 tenant_id=next_id,
                 workload=workload_name,
@@ -168,21 +147,7 @@ def execute_scenario(
             )
             events.append((host.epoch, "spawn", next_id))
             next_id += 1
-
-        finished, killed = host.step_epoch()
-        for tenant in finished:
-            record = records[tenant.tenant_id]
-            record.result = tenant.result()
-            record.exit_epoch = host.epoch
-            record.status = "completed"
-            host.release(tenant)
-            events.append((host.epoch, "exit", tenant.tenant_id))
-        for tenant in killed:
-            record = records[tenant.tenant_id]
-            record.result = tenant.result()
-            record.exit_epoch = host.epoch
-            record.status = "oom-killed"
-            events.append((host.epoch, "oom-kill", tenant.tenant_id))
+        _record_departures(host, records, events, *host.step_epoch())
 
     # The clock ran out with tenants still running: record what they
     # managed, release their pages, and mark them truncated so results
@@ -201,6 +166,70 @@ def execute_scenario(
         tenants=[records[i] for i in sorted(records)],
         events=events,
     )
+
+
+def _admit(
+    host,
+    scenario: ScenarioConfig,
+    base: SimConfig,
+    tenant_id: int,
+    workload_name: str,
+    policy_name: str,
+) -> None:
+    """Build one arriving tenant, with its derived seed, and admit it."""
+    from repro.experiments.configs import make_policy
+    from repro.sim.engine import Tenant
+    from repro.workloads.registry import get_workload
+
+    seed = tenant_seed(scenario, tenant_id)
+    tcfg = dataclasses.replace(base, seed=seed)
+    if scenario.tenant_epochs is not None:
+        tcfg = dataclasses.replace(
+            tcfg, max_epochs=min(tcfg.max_epochs, scenario.tenant_epochs)
+        )
+    instance = get_workload(workload_name).instantiate(
+        host.machine, tcfg.scale, seed
+    )
+    host.admit(
+        Tenant(
+            host.machine,
+            instance,
+            make_policy(policy_name, seed=seed),
+            config=tcfg,
+            phys=host.phys,
+            tenant_id=tenant_id,
+        )
+    )
+
+
+def _record_departures(
+    host,
+    records: Dict[int, TenantRecord],
+    events: List[Tuple[int, str, int]],
+    finished: list,
+    killed: list,
+) -> None:
+    """File the results of one host epoch's departed tenants.
+
+    A finished tenant is released once its result is taken; the host
+    released a killed one already.  Tenants are built (:func:`_admit`)
+    and harvested here, in frames of their own, so no local of the
+    scenario loop refers to a departed tenant: it dies, with its stream
+    bank, before the next host epoch.
+    """
+    for tenant in finished:
+        record = records[tenant.tenant_id]
+        record.result = tenant.result()
+        record.exit_epoch = host.epoch
+        record.status = "completed"
+        host.release(tenant)
+        events.append((host.epoch, "exit", tenant.tenant_id))
+    for tenant in killed:
+        record = records[tenant.tenant_id]
+        record.result = tenant.result()
+        record.exit_epoch = host.epoch
+        record.status = "oom-killed"
+        events.append((host.epoch, "oom-kill", tenant.tenant_id))
 
 
 def run_scenario(

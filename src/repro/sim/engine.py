@@ -205,7 +205,7 @@ class Tenant:
         self.page_tables = PageTableState(
             home_node=int(self.thread_nodes[0]) if self.n_threads else 0
         )
-        self.executor = ActionExecutor(self)
+        self.executor = ActionExecutor()
         self.tracer = (
             DecisionTrace(
                 {
@@ -527,7 +527,9 @@ class Tenant:
         ):
             samples = self.ibs.drain()
             window = self.bank.window(self._last_policy_epoch)
-            summary = self.executor.run_interval(self.policy, samples, window)
+            summary = self.executor.run_interval(
+                self, self.policy, samples, window
+            )
             self.table_builds += len(samples.tables)
             self._last_policy_epoch = epoch + 1
             migration_model = self.models.migration
@@ -836,10 +838,14 @@ class ActionExecutor:
     denied, page by page).  A single decider never consults claims, or
     even builds a decision's targets, so its behaviour is untouched by
     composition support.
+
+    The executor keeps only its counters; every call names the tenant
+    it acts on.  A tenant owns its executor, so a reference back would
+    be a cycle that keeps each finished run, stream bank included,
+    alive until the next full garbage collection.
     """
 
-    def __init__(self, sim: "Simulation") -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         self.decisions_seen = 0
         self.decisions_applied = 0
         self.decisions_skipped = 0
@@ -851,9 +857,14 @@ class ActionExecutor:
     # Interval driving
     # ------------------------------------------------------------------
     def run_interval(
-        self, policy: PlacementPolicy, samples: IbsSamples, window: CounterBank
+        self,
+        sim: Tenant,
+        policy: PlacementPolicy,
+        samples: IbsSamples,
+        window: CounterBank,
     ) -> PolicyActionSummary:
-        """Run every decider of ``policy`` once; return the summary."""
+        """Run every decider of ``policy`` once against ``sim``; return
+        the summary."""
         summary = PolicyActionSummary()
         deciders = policy.deciders()
         claimed: Optional[Dict[Tuple[str, Any], int]] = (
@@ -861,7 +872,8 @@ class ActionExecutor:
         )
         for index, decider in enumerate(deciders):
             self.drive(
-                decider.decide(self.sim, samples, window),
+                sim,
+                decider.decide(sim, samples, window),
                 summary,
                 claimed=claimed,
                 index=index,
@@ -872,13 +884,14 @@ class ActionExecutor:
 
     def drive(
         self,
+        sim: Tenant,
         gen: Iterator[Decision],
         summary: PolicyActionSummary,
         claimed: Optional[Dict[Tuple[str, Any], int]] = None,
         index: int = 0,
         source: str = "decider",
     ) -> Any:
-        """Drive one decider generator to completion.
+        """Drive one decider generator to completion against ``sim``.
 
         Returns the generator's return value (component decision
         dataclasses use it to report what they observed).
@@ -888,7 +901,9 @@ class ActionExecutor:
         except StopIteration as stop:
             return stop.value
         while True:
-            outcome = self._apply(decision, summary, claimed, index, source)
+            outcome = self._apply(
+                sim, decision, summary, claimed, index, source
+            )
             try:
                 decision = gen.send(outcome)
             except StopIteration as stop:
@@ -896,6 +911,7 @@ class ActionExecutor:
 
     def _apply(
         self,
+        sim: Tenant,
         decision: Decision,
         summary: PolicyActionSummary,
         claimed: Optional[Dict[Tuple[str, Any], int]],
@@ -904,22 +920,23 @@ class ActionExecutor:
     ) -> Outcome:
         self.decisions_seen += 1
         if claimed is None:
-            outcome = self._execute(decision, summary)
+            outcome = self._execute(sim, decision, summary)
         else:
-            outcome = self._execute_claimed(decision, summary, claimed, index)
+            outcome = self._execute_claimed(
+                sim, decision, summary, claimed, index
+            )
         if outcome.applied:
             self.decisions_applied += 1
         else:
             self.decisions_skipped += 1
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = getattr(sim, "tracer", None)
         if tracer is not None:
-            tracer.record(
-                self.sim.sim_time_s, self.sim.epoch, source, decision, outcome
-            )
+            tracer.record(sim.sim_time_s, sim.epoch, source, decision, outcome)
         return outcome
 
     def _execute_claimed(
         self,
+        sim: Tenant,
         decision: Decision,
         summary: PolicyActionSummary,
         claimed: Dict[Tuple[str, Any], int],
@@ -937,7 +954,7 @@ class ActionExecutor:
         if isinstance(decision, MigratePages):
             if any(foreign):
                 decision = replace(decision, skip=np.array(foreign))
-            outcome = self._execute(decision, summary)
+            outcome = self._execute(sim, decision, summary)
             for tgt, moved in zip(targets, outcome.entry_bytes.tolist()):
                 if moved:
                     claimed.setdefault(tgt, index)
@@ -946,7 +963,7 @@ class ActionExecutor:
             return outcome
         if any(foreign):
             return Outcome(applied=False, reason="conflict")
-        outcome = self._execute(decision, summary)
+        outcome = self._execute(sim, decision, summary)
         if outcome.applied:
             for tgt in targets:
                 claimed.setdefault(tgt, index)
@@ -962,21 +979,24 @@ class ActionExecutor:
     # cover the domains the decision classes declare.
 
     def _apply_charge_compute(
-        self, decision: ChargeCompute, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ChargeCompute,
+        summary: PolicyActionSummary,
     ) -> Outcome:
         summary.compute_s += decision.seconds
         return Outcome(applied=True)
 
     def _apply_note(
-        self, decision: Note, summary: PolicyActionSummary
+        self, sim: Tenant, decision: Note, summary: PolicyActionSummary
     ) -> Outcome:
         summary.add_note(decision.text)
         return Outcome(applied=True)
 
     def _apply_migrate_pages(
-        self, decision: MigratePages, summary: PolicyActionSummary
+        self, sim: Tenant, decision: MigratePages, summary: PolicyActionSummary
     ) -> Outcome:
-        entry_bytes, reached = self.sim.asp.migrate_backings(
+        entry_bytes, reached = sim.asp.migrate_backings(
             decision.page_ids,
             decision.target_nodes,
             decision.budget_bytes,
@@ -997,9 +1017,12 @@ class ActionExecutor:
         )
 
     def _apply_interleave_region(
-        self, decision: InterleaveRegion, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: InterleaveRegion,
+        summary: PolicyActionSummary,
     ) -> Outcome:
-        moved = self.sim.asp.migrate_granules(
+        moved = sim.asp.migrate_granules(
             decision.granules, decision.target_nodes
         )
         summary.bytes_migrated += moved
@@ -1012,10 +1035,10 @@ class ActionExecutor:
         )
 
     def _apply_split_2m(
-        self, decision: Split2M, summary: PolicyActionSummary
+        self, sim: Tenant, decision: Split2M, summary: PolicyActionSummary
     ) -> Outcome:
         n = split_backing_page(
-            self.sim.asp, decision.page_id, decision.block_collapse
+            sim.asp, decision.page_id, decision.block_collapse
         )
         summary.splits_2m += n
         return Outcome(
@@ -1023,10 +1046,10 @@ class ActionExecutor:
         )
 
     def _apply_split_1g(
-        self, decision: Split1G, summary: PolicyActionSummary
+        self, sim: Tenant, decision: Split1G, summary: PolicyActionSummary
     ) -> Outcome:
         n = split_backing_page(
-            self.sim.asp, decision.page_id, decision.block_collapse
+            sim.asp, decision.page_id, decision.block_collapse
         )
         if n:
             summary.splits_1g += 1
@@ -1035,9 +1058,9 @@ class ActionExecutor:
         )
 
     def _apply_collapse_2m(
-        self, decision: Collapse2M, summary: PolicyActionSummary
+        self, sim: Tenant, decision: Collapse2M, summary: PolicyActionSummary
     ) -> Outcome:
-        ok = self.sim.asp.collapse_chunk(decision.chunk, decision.node)
+        ok = sim.asp.collapse_chunk(decision.chunk, decision.node)
         if ok:
             summary.collapses_2m += 1
         return Outcome(
@@ -1047,33 +1070,45 @@ class ActionExecutor:
         )
 
     def _apply_toggle_thp_alloc(
-        self, decision: ToggleThpAlloc, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ToggleThpAlloc,
+        summary: PolicyActionSummary,
     ) -> Outcome:
         if decision.enabled:
-            self.sim.thp.enable_alloc()
+            sim.thp.enable_alloc()
         else:
-            self.sim.thp.disable_alloc()
+            sim.thp.disable_alloc()
         return Outcome(applied=True)
 
     def _apply_toggle_thp_promotion(
-        self, decision: ToggleThpPromotion, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ToggleThpPromotion,
+        summary: PolicyActionSummary,
     ) -> Outcome:
         if decision.enabled:
-            self.sim.thp.enable_promotion()
+            sim.thp.enable_promotion()
         else:
-            self.sim.thp.disable_promotion()
+            sim.thp.disable_promotion()
         return Outcome(applied=True)
 
     def _apply_clear_collapse_blocks(
-        self, decision: ClearCollapseBlocks, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ClearCollapseBlocks,
+        summary: PolicyActionSummary,
     ) -> Outcome:
-        self.sim.asp.clear_collapse_blocks()
+        sim.asp.clear_collapse_blocks()
         return Outcome(applied=True)
 
     def _apply_replicate_page(
-        self, decision: ReplicatePage, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ReplicatePage,
+        summary: PolicyActionSummary,
     ) -> Outcome:
-        copied = self.sim.asp.replicate_backing(decision.page_id)
+        copied = sim.asp.replicate_backing(decision.page_id)
         if copied == 0:
             return Outcome(applied=False, reason="not replicated")
         summary.bytes_replicated += copied
@@ -1081,12 +1116,15 @@ class ActionExecutor:
         return Outcome(applied=True, bytes_moved=copied, count=1)
 
     def _apply_replicate_page_tables(
-        self, decision: ReplicatePageTables, summary: PolicyActionSummary
+        self,
+        sim: Tenant,
+        decision: ReplicatePageTables,
+        summary: PolicyActionSummary,
     ) -> Outcome:
-        pt = self.sim.page_tables
+        pt = sim.page_tables
         if pt.replicated:
             return Outcome(applied=False, reason="already replicated")
-        nbytes = self.sim.asp.page_table_bytes() * (self.sim.machine.n_nodes - 1)
+        nbytes = sim.asp.page_table_bytes() * (sim.machine.n_nodes - 1)
         pt.replicated = True
         pt.replica_bytes = nbytes
         summary.bytes_replicated += nbytes
@@ -1096,9 +1134,9 @@ class ActionExecutor:
         )
 
     def _apply_reclaim_pages(
-        self, decision: ReclaimPages, summary: PolicyActionSummary
+        self, sim: Tenant, decision: ReclaimPages, summary: PolicyActionSummary
     ) -> Outcome:
-        freed = self.sim.asp.reclaim_granules(decision.granules)
+        freed = sim.asp.reclaim_granules(decision.granules)
         summary.bytes_reclaimed += freed
         summary.pages_reclaimed += freed // PAGE_4K
         return Outcome(
@@ -1136,7 +1174,7 @@ class ActionExecutor:
     CONFLICT_DOMAINS: ClassVar[Tuple[str, ...]] = ("page", "thp", "pt")
 
     def _execute(
-        self, decision: Decision, summary: PolicyActionSummary
+        self, sim: Tenant, decision: Decision, summary: PolicyActionSummary
     ) -> Outcome:
         handler = self.HANDLERS.get(type(decision))
         if handler is None:
@@ -1145,7 +1183,7 @@ class ActionExecutor:
             )
         # Functions stored in a class-level dict are not bound on
         # attribute access; pass self explicitly.
-        return handler(self, decision, summary)
+        return handler(self, sim, decision, summary)
 
 
 def apply_decisions(
@@ -1160,7 +1198,6 @@ def apply_decisions(
     purpose — drives outside the engine's interval loop must not skew
     the engine executor's conservation totals.
     """
-    executor = ActionExecutor(sim)
     summary = PolicyActionSummary()
-    value = executor.drive(gen, summary, source=source)
+    value = ActionExecutor().drive(sim, gen, summary, source=source)
     return summary, value

@@ -26,6 +26,7 @@ from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.hardware.topology import NumaTopology
 from repro.options import RuntimeOptions
 from repro.sim.engine import Tenant
+from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 
 
@@ -38,6 +39,10 @@ class Host:
     workload or by being OOM-killed when the shared allocator cannot
     satisfy a fault.  :attr:`status` records every tenant's lifecycle
     state (``running`` / ``completed`` / ``oom-killed`` / ``released``).
+    The host holds a tenant only while it runs: once it leaves, only its
+    address space stays, for the checker to prove it returned every
+    page, so a departed tenant and its stream bank die with the
+    caller's last reference.
     """
 
     def __init__(
@@ -49,9 +54,10 @@ class Host:
         self.phys = (
             PhysicalMemory.for_topology(machine) if phys is None else phys
         )
-        #: Every tenant ever admitted, in admission order.
-        self.tenants: List[Tenant] = []
-        #: Tenants still running (subset of :attr:`tenants`).
+        #: Address space of every tenant ever admitted, by tenant id,
+        #: in admission order.
+        self.address_spaces: Dict[int, AddressSpace] = {}
+        #: Tenants still running, in admission order.
         self.active: List[Tenant] = []
         #: Lifecycle state by tenant id.
         self.status: Dict[int, str] = {}
@@ -78,9 +84,12 @@ class Host:
             raise SimulationError(
                 f"tenant id {tenant.tenant_id} admitted twice"
             )
-        self.tenants.append(tenant)
+        self.address_spaces[tenant.tenant_id] = tenant.asp
         self.active.append(tenant)
         self.status[tenant.tenant_id] = "running"
+        if self.checker is not None and tenant.invariant_checker is not None:
+            # This host checks the shared allocator after every epoch.
+            tenant.invariant_checker.checks_allocator = False
         tenant.start()
 
     def release(self, tenant: Tenant) -> int:

@@ -8,9 +8,18 @@ policy-independent: generation never reads the address space, so a
 draw exactly the same streams.  A :class:`StreamBank` generates each
 (epoch, thread) stream once, stores the ``(granules, writes, size)``
 rows in preallocated ``(n_threads, length)`` arrays the engine consumes
-directly, and memoizes banks process-wide keyed by a fingerprint of
-everything generation depends on: workload identity and scalars, the
-simulation seed, and the stream length.
+directly, and serves every run that shares it: banks are keyed by a
+fingerprint of everything generation depends on (workload identity and
+scalars, the simulation seed, and the stream length), or by the
+instance itself for a trace replay.
+
+One slot holds the most recent bank, and each tenant holds its own, so
+a bank lives exactly as long as its last run or the slot.  One slot
+suffices because runs that share a bank run back to back: the grid
+executor orders every grid, serial or pooled, into bank-affine tasks
+(:func:`repro.experiments.parallel._bank_tasks`).  A machine-B bank
+holds 34 MB at ``--quick`` and over 200 MB at full scale, so a process
+keeps at most one bank beyond those of its running tenants.
 
 Three fidelity rules keep every bank row bit-identical to drawing each
 thread's stream on its own (the per-thread oracle the tests compare
@@ -63,7 +72,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -79,20 +87,17 @@ from repro.vm.layout import SHIFT_1G, SHIFT_2M
 #: only bounds allocation and disk-store granularity.
 EPOCH_WINDOW = 16
 
-_MAX_BANKS = 12
 _MAX_BLOCKS_PER_BANK = 4
 
-_BANKS: "OrderedDict[str, StreamBank]" = OrderedDict()
-#: Banks for instances without a stable fingerprint (e.g. trace
-#: replays): keyed by identity, garbage-collected with the instance.
-_INSTANCE_BANKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: The slot: the most recently requested bank, if any (see the module
+#: docstring).
+_SLOT: "List[StreamBank]" = []
 
 
 def clear_stream_banks() -> None:
-    """Drop every memoized bank (benchmarks and tests use this to
-    measure or exercise cold generation)."""
-    _BANKS.clear()
-    _INSTANCE_BANKS.clear()
+    """Empty the bank slot (benchmarks and tests use this to measure or
+    exercise cold generation)."""
+    _SLOT.clear()
 
 
 _SCALAR_TYPES = (bool, int, float, str, bytes, type(None))
@@ -118,8 +123,8 @@ def bank_fingerprint(instance: object, sim_seed: int, length: int) -> Optional[s
 
     Returns ``None`` for instances without a ``regions`` list (trace
     replays and other duck-typed instances): their streams depend on
-    payload data we cannot cheaply fingerprint, so they get per-object
-    banks instead of shareable ones.
+    payload data we cannot cheaply fingerprint, so their banks are keyed
+    by the instance itself instead.
 
     The workload's ``cost.dram_accesses`` is part of the key: the
     bank's fused tracker columns bake the per-thread weight scaling
@@ -147,46 +152,25 @@ def bank_fingerprint(instance: object, sim_seed: int, length: int) -> Optional[s
 
 
 def get_stream_bank(instance: object, sim_seed: int, length: int) -> "StreamBank":
-    """The process-wide bank for ``(instance, sim_seed, length)``.
+    """The bank for ``(instance, sim_seed, length)``.
 
-    Fingerprinted instances share one bank per fingerprint (this is
-    what lets the two policy runs of a grid cell reuse each other's
-    streams); unfingerprintable instances get a bank tied to the object
-    itself.
+    The slot's bank when it matches — by fingerprint (this is what lets
+    the policy runs of a grid cell reuse each other's streams), or by
+    identity for an unfingerprintable instance — else a new bank, which
+    takes the slot.
     """
     fingerprint = bank_fingerprint(instance, sim_seed, length)
-    if fingerprint is None:
-        per_instance = _INSTANCE_BANKS.get(instance)
-        if per_instance is None:
-            per_instance = {}
-            _INSTANCE_BANKS[instance] = per_instance
-        bank = per_instance.get((sim_seed, length))
-        if bank is None:
-            bank = StreamBank(instance, sim_seed, length)
-            per_instance[(sim_seed, length)] = bank
-        return bank
-    bank = _BANKS.get(fingerprint)
-    if bank is not None and (
-        bank_fingerprint(bank.instance, sim_seed, length) != fingerprint
-    ):
-        # The stored instance's regions were re-bound (e.g. via
-        # ``with_1g_backing``) after the bank memoized them; its
-        # future fills would no longer match the key.  Rebuild.
-        bank = None
-    if bank is None:
-        bank = StreamBank(
-            instance,
-            sim_seed,
-            length,
-            fingerprint=fingerprint,
-            cache_dir=RuntimeOptions.from_env().stream_cache,
-        )
-        _BANKS[fingerprint] = bank
-        while len(_BANKS) > _MAX_BANKS:
-            _BANKS.popitem(last=False)
-    else:
-        _BANKS.move_to_end(fingerprint)
-    return bank
+    if not (_SLOT and _SLOT[0].serves(instance, sim_seed, length, fingerprint)):
+        _SLOT[:] = [
+            StreamBank(
+                instance,
+                sim_seed,
+                length,
+                fingerprint=fingerprint,
+                cache_dir=RuntimeOptions.from_env().stream_cache,
+            )
+        ]
+    return _SLOT[0]
 
 
 class _Block:
@@ -272,6 +256,28 @@ class StreamBank:
         #: Access tracker folded over epochs ``[0, _folded)``.
         self._fold: Optional[AccessTracker] = None
         self._folded = 0
+
+    def serves(
+        self,
+        instance: object,
+        sim_seed: int,
+        length: int,
+        fingerprint: Optional[str],
+    ) -> bool:
+        """Whether this bank's streams are ``instance``'s, given its
+        :func:`bank_fingerprint`."""
+        if fingerprint is None:
+            return (
+                self.instance is instance
+                and self.sim_seed == sim_seed
+                and self.length == length
+            )
+        # A stored instance whose regions were re-bound (e.g. via
+        # ``with_1g_backing``) after the bank keyed them would no
+        # longer fill rows that match the key.
+        return self.fingerprint == fingerprint and (
+            bank_fingerprint(self.instance, sim_seed, length) == fingerprint
+        )
 
     # ------------------------------------------------------------------
     # Engine-facing API

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import invariants
 from repro.analysis.invariants import (
     InvariantViolation,
     check_address_space,
@@ -193,6 +194,40 @@ def test_detects_bad_epoch_counters(checked_sim):
 
 def test_physical_memory_accounting_holds(checked_sim):
     check_physical_memory(checked_sim.phys)
+
+
+# ----------------------------------------------------------------------
+# Who checks the allocator
+# ----------------------------------------------------------------------
+def test_a_checked_host_checks_the_allocator_once_per_epoch(monkeypatch):
+    """A run's host checker covers the allocator, so the tenant's
+    checker leaves it alone rather than checking it a second time."""
+    monkeypatch.setenv(CHECK_ENV, "1")
+    calls = []
+    check = invariants.check_physical_memory
+
+    def counted(phys):
+        calls.append(phys)
+        check(phys)
+
+    monkeypatch.setattr(invariants, "check_physical_memory", counted)
+    sim = _make_sim()
+    assert sim.invariant_checker.checks_allocator
+    sim.run()
+    assert not sim.invariant_checker.checks_allocator
+    assert len(calls) == len(sim.bank.epochs) > 0
+
+
+def test_a_tenant_stepped_without_a_host_checks_its_allocator(monkeypatch):
+    monkeypatch.setenv(CHECK_ENV, "1")
+    sim = _make_sim()
+    sim.start()
+    sim.step()
+    sim.phys[0].alloc_small(1)  # a frame no mapping explains
+    with pytest.raises(InvariantViolation, match="page conservation") as exc:
+        sim.step()
+    assert exc.value.policy == sim.policy.name
+    assert exc.value.epoch == 1
 
 
 # ----------------------------------------------------------------------

@@ -99,3 +99,25 @@ def run(quick_settings):
         return run_benchmark(workload, machine, policy, quick_settings, **kwargs)
 
     return _run
+
+
+@pytest.fixture
+def refcount_only():
+    """Reference counting alone frees objects while the test runs.
+
+    The cyclic garbage collector is off and the stream-bank slot starts
+    and ends empty, so an object outlives the test's references to it
+    only if something in the program still refers to it.
+    """
+    import gc
+
+    from repro.workloads.streambank import clear_stream_banks
+
+    clear_stream_banks()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        clear_stream_banks()

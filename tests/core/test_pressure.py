@@ -31,9 +31,9 @@ def make_sim(n_chunks=4, n_nodes=2, dram=64 * MIB):
 
 
 def drive(policy, sim):
-    executor = ActionExecutor(sim)
+    executor = ActionExecutor()
     summary = PolicyActionSummary()
-    executor.drive(policy.decide(sim, IbsSamples.empty(), None), summary)
+    executor.drive(sim, policy.decide(sim, IbsSamples.empty(), None), summary)
     return summary
 
 

@@ -56,9 +56,9 @@ class PerPageExecutor(ActionExecutor):
     """The executor plus the per-page migration handler."""
 
     def _apply_migrate_page(
-        self, decision: MigratePage, summary: PolicyActionSummary
+        self, sim, decision: MigratePage, summary: PolicyActionSummary
     ) -> Outcome:
-        moved = self.sim.asp.migrate_backing(
+        moved = sim.asp.migrate_backing(
             decision.page_id, decision.target_node
         )
         if moved == 0:

@@ -331,7 +331,7 @@ def perturb(rng, hosts):
 
 def drive(executor_cls, host, gen):
     summary = PolicyActionSummary()
-    executor_cls(host).drive(gen, summary)
+    executor_cls().drive(host, gen, summary)
     return summary
 
 
@@ -444,7 +444,7 @@ def simulate(policy_name, executor_cls, reference):
     if reference:
         per_page(policy)
     sim = Simulation(topo, instance, policy, config=settings.config)
-    sim.executor = executor_cls(sim)
+    sim.executor = executor_cls()
     sim.tracer = DecisionTrace()
     result = sim.run()
     return result, sim.executor, sim.tracer

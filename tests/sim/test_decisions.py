@@ -117,9 +117,9 @@ class FakeDecider(PlacementPolicy):
 
 def run_stack(host, *deciders):
     stack = PolicyStack(deciders)
-    executor = ActionExecutor(host)
+    executor = ActionExecutor()
     summary = executor.run_interval(
-        stack, IbsSamples.empty(), CounterBank(host.machine.n_nodes, 4)
+        host, stack, IbsSamples.empty(), CounterBank(host.machine.n_nodes, 4)
     )
     return executor, summary
 
@@ -143,11 +143,11 @@ class TestExecutorApply:
 
     def test_migrate_noop_not_applied(self):
         host = make_host()
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         summary = PolicyActionSummary()
         # Already on node 0: nothing moves, decision is a skip.
         executor.drive(
-            gen_of(migrate((BACKING_ID_2M_OFFSET, 0))), summary
+            host, gen_of(migrate((BACKING_ID_2M_OFFSET, 0))), summary
         )
         assert executor.decisions_skipped == 1
         assert summary.bytes_migrated == 0
@@ -180,10 +180,10 @@ class TestExecutorApply:
     def test_replicate_page_tables_once(self):
         host = make_host()
         host.page_tables.numa_enabled = True
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         summary = PolicyActionSummary()
         executor.drive(
-            gen_of(ReplicatePageTables(), ReplicatePageTables()), summary
+            host, gen_of(ReplicatePageTables(), ReplicatePageTables()), summary
         )
         assert host.page_tables.replicated
         # n_nodes - 1 = 1 replica of the live page-table bytes.
@@ -201,8 +201,9 @@ class TestExecutorApply:
                 migrate((BACKING_ID_2M_OFFSET, 1)),  # already there
             ],
         )
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         executor.drive(
+            host,
             decider.decide(host, IbsSamples.empty(), None),
             PolicyActionSummary(),
         )
@@ -212,9 +213,10 @@ class TestExecutorApply:
 
     def test_conservation_counters(self):
         host = make_host()
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         summary = PolicyActionSummary()
         executor.drive(
+            host,
             gen_of(
                 ChargeCompute(0.1),
                 migrate((BACKING_ID_2M_OFFSET, 1)),
@@ -287,7 +289,8 @@ class TestEveryDecision:
         host.sim_time_s, host.epoch = 0.0, 0
         decider = FakeDecider("d", [decision])
         summary = PolicyActionSummary()
-        ActionExecutor(host).drive(
+        ActionExecutor().drive(
+            host,
             decider.decide(host, IbsSamples.empty(), None), summary, source="d"
         )
         (outcome,) = decider.outcomes
@@ -408,8 +411,8 @@ class TestByteAccounting:
         used = host.asp.phys.total_used_bytes
         decider = FakeDecider("d", [decision])
         summary = PolicyActionSummary()
-        ActionExecutor(host).drive(
-            decider.decide(host, IbsSamples.empty(), None), summary
+        ActionExecutor().drive(
+            host, decider.decide(host, IbsSamples.empty(), None), summary
         )
         (outcome,) = decider.outcomes
         assert numeric_fields(summary) == {
@@ -451,7 +454,8 @@ class TestReclaimPages:
     def test_outcome_reports_bytes_and_count(self):
         host = self.make_4k_host()
         decider = FakeDecider("r", [ReclaimPages(np.arange(8))])
-        ActionExecutor(host).drive(
+        ActionExecutor().drive(
+            host,
             decider.decide(host, IbsSamples.empty(), None),
             PolicyActionSummary(),
         )
@@ -462,9 +466,9 @@ class TestReclaimPages:
 
     def test_nothing_eligible_is_a_skip(self):
         host = make_host(huge=True)  # everything huge-backed
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         summary = PolicyActionSummary()
-        executor.drive(gen_of(ReclaimPages(np.arange(4))), summary)
+        executor.drive(host, gen_of(ReclaimPages(np.arange(4))), summary)
         assert executor.decisions_skipped == 1
         assert summary.pages_reclaimed == 0
 
@@ -625,9 +629,9 @@ class TestConflictResolution:
                 migrate((BACKING_ID_2M_OFFSET, 0)),
             ],
         )
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         executor.run_interval(
-            a, IbsSamples.empty(), CounterBank(host.machine.n_nodes, 4)
+            host, a, IbsSamples.empty(), CounterBank(host.machine.n_nodes, 4)
         )
         assert executor.decisions_skipped == 0
 
@@ -702,8 +706,8 @@ class TestBatchClaims:
             ],
         )
         summary = PolicyActionSummary()
-        ActionExecutor(host).drive(
-            decider.decide(host, IbsSamples.empty(), None), summary
+        ActionExecutor().drive(
+            host, decider.decide(host, IbsSamples.empty(), None), summary
         )
         (outcome,) = decider.outcomes
         assert outcome.reached == 2 and outcome.count == 2
@@ -831,9 +835,9 @@ class TestDecisionMetadata:
             pass
 
         host = make_host()
-        executor = ActionExecutor(host)
+        executor = ActionExecutor()
         with pytest.raises(SimulationError, match="unknown decision type"):
-            executor.drive(gen_of(Rogue()), PolicyActionSummary())
+            executor.drive(host, gen_of(Rogue()), PolicyActionSummary())
 
     @pytest.mark.parametrize(
         "yielded",

@@ -10,7 +10,9 @@ pre-aggregated columns.
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,24 @@ class TestBankMemoization:
         assert bank_fingerprint(r1, 0, LENGTH) is None
         assert get_stream_bank(r1, 0, LENGTH) is get_stream_bank(r1, 0, LENGTH)
         assert get_stream_bank(r1, 0, LENGTH) is not get_stream_bank(r2, 0, LENGTH)
+
+    def test_replay_is_freed_once_another_bank_takes_the_slot(self, tiny_topo):
+        """A replay's bank refers to the replay, so a memo keyed weakly
+        by the replay would keep both forever."""
+        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
+                             total_epochs=2)
+        trace = TraceRecorder().record(inst, stream_length=64)
+        replay = TraceWorkloadInstance("t", tiny_topo, trace)
+        bank = get_stream_bank(replay, 0, LENGTH)
+        bank.epoch_arrays(0)
+        replay_ref, bank_ref = weakref.ref(replay), weakref.ref(bank)
+        del replay, bank
+        gc.collect()
+        assert bank_ref() is get_stream_bank(replay_ref(), 0, LENGTH)
+        get_stream_bank(inst, 0, LENGTH)
+        gc.collect()
+        assert replay_ref() is None
+        assert bank_ref() is None
 
     def test_rebound_instance_invalidates_bank(self, tiny_topo):
         """with_1g_backing re-binds the shared region objects; the stale
