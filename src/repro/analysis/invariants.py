@@ -4,11 +4,14 @@ The simulation is only trustworthy if every epoch leaves the system in
 a physically consistent state: page migration and huge-page
 splitting/promotion must conserve frames, hardware counters must be
 sane and monotonic, and allocator accounting must balance.  With
-``REPRO_CHECK=1`` in the environment, :class:`InvariantChecker` runs
-after every epoch and raises a structured :class:`InvariantViolation` —
-carrying the workload/machine/policy/epoch context — the moment any of
-these properties breaks, instead of letting corruption surface as a
-mysterious golden-file diff three experiments later.
+``REPRO_CHECK=1`` in the environment, every
+:class:`~repro.sim.host.Host` (a single run is a one-tenant host) runs
+one :class:`InvariantChecker` after each tenant's epoch, after each
+host epoch and as each tenant leaves, and raises a structured
+:class:`InvariantViolation` — carrying the workload/machine/policy/epoch
+context — the moment any of these properties breaks, instead of letting
+corruption surface as a mysterious golden-file diff three experiments
+later.
 
 All checks are vectorised (numpy reductions over the address-space
 arrays).  Even so they add 15-50% to a cold artifact; the README's
@@ -17,8 +20,7 @@ arrays).  Even so they add 15-50% to a cold artifact; the README's
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -230,32 +232,16 @@ def _expected_bytes_per_node(asp) -> np.ndarray:
     return expected
 
 
-def check_page_conservation(asp) -> None:
-    """Pages are neither created nor lost: allocator usage on every
-    node equals the bytes mapped there plus replica copies held there.
-
-    A migration or split that leaked/double-freed frames breaks this
-    equality on the affected nodes immediately.
-    """
-    expected = _expected_bytes_per_node(asp)
-
-    for node in asp.phys.nodes:
-        want = int(expected[node.node_id]) + node.test_pinned_bytes
-        if node.used_bytes != want:
-            raise InvariantViolation(
-                f"page conservation broken on node {node.node_id}: "
-                f"allocator reports {node.used_bytes} bytes used, mappings "
-                f"account for {want}"
-            )
-
-
 def check_host_conservation(phys, address_spaces) -> None:
-    """Cross-tenant frame conservation on a shared allocator.
+    """Pages are neither created nor lost on a (shared) allocator.
 
-    Summing every tenant's expected per-node footprint and matching the
-    allocator's used-bytes accounting exactly proves, at the accounting
+    Allocator usage on every node must equal the bytes the given
+    address spaces map there plus the replica copies they hold there
+    (plus pinned pressure).  For one address space, a migration or
+    split that leaked or double-freed frames breaks this at once.
+    Across tenants, matching the sum exactly proves, at the accounting
     level, that no frame is owned by two tenants (double ownership would
-    make the sum exceed usage) and that freed tenants returned every
+    make the sum exceed usage) and that departed tenants returned every
     page (a leak would make usage exceed the sum).
     """
     n_nodes = len(phys.nodes)
@@ -324,189 +310,151 @@ def check_epoch_counters(counters, n_nodes: int) -> None:
             raise InvariantViolation(f"counter {name} is negative ({value})")
 
 
-# ----------------------------------------------------------------------
-# The per-run checker
-# ----------------------------------------------------------------------
-class InvariantChecker:
-    """Runs every invariant after each epoch of one simulation.
+def check_action_conservation(sim) -> None:
+    """Decisions in == actions out, between a tenant's executor and its
+    action log.
 
-    Holds the cross-epoch state needed for monotonicity checks
-    (cumulative counters, simulated time, mapped footprint — none of
-    which may ever decrease).  The tenant owns its checker, so the
-    checker holds the tenant weakly: a strong reference back would be a
-    cycle that keeps every finished run alive until the next full
-    garbage collection.
+    Every decision the executor saw was either applied or skipped, and
+    the per-interval summaries the engine logged (and priced) sum to
+    exactly the executor's lifetime totals — i.e. no policy action
+    bypassed the executor and no accounted work lacks a logged decision
+    path.
+    """
+    executor = sim.executor
+    seen = executor.decisions_seen
+    applied = executor.decisions_applied
+    skipped = executor.decisions_skipped
+    if seen != applied + skipped:
+        raise InvariantViolation(
+            f"decision conservation broken: {seen} seen != "
+            f"{applied} applied + {skipped} skipped"
+        )
+    for name in _ACTION_FIELDS:
+        logged = sum(getattr(summary, name) for _, summary in sim.action_log)
+        total = getattr(executor.totals, name)
+        if logged != total:
+            raise InvariantViolation(
+                f"action conservation broken for {name}: action log "
+                f"sums to {logged}, executor totals say {total}"
+            )
+
+
+# ----------------------------------------------------------------------
+# The host's checker
+# ----------------------------------------------------------------------
+class _TenantHistory(NamedTuple):
+    """What one tenant's next epoch is checked against."""
+
+    #: Cumulative totals of the monotonic counters.
+    totals: Dict[str, float]
+    sim_time_s: float
+    #: Mapped plus reclaimed bytes.
+    footprint: int
+    #: ``(layout_version, layout_arrays)``, or ``None`` before any epoch.
+    layout: Optional[Tuple[int, tuple]]
+
+
+_FIRST_EPOCH = _TenantHistory({}, 0.0, 0, None)
+
+
+def _in_run_context(exc: InvariantViolation, sim) -> InvariantViolation:
+    """A stateless check's violation again, naming the tenant's run."""
+    return InvariantViolation(
+        exc.detail,
+        workload=sim.instance.name,
+        machine=sim.machine.name,
+        policy=sim.policy.name,
+        epoch=sim.epoch,
+    )
+
+
+class InvariantChecker:
+    """Runs every runtime invariant of one host and its tenants.
+
+    The :class:`~repro.sim.host.Host` builds one under ``REPRO_CHECK``
+    and calls it at three points, handing it the tenant or the host
+    each time, so the checker refers to neither:
+
+    * :meth:`after_tenant_epoch` right after each tenant's epoch: the
+      tenant's mappings, layout version, counters, clock, footprint and
+      action conservation.  The cross-epoch state these need
+      (cumulative counters, simulated time, mapped footprint, none of
+      which may ever decrease) is kept by tenant id;
+    * :meth:`after_host_epoch` once per host epoch: allocator
+      accounting and cross-tenant page conservation over the address
+      spaces that still hold frames;
+    * :meth:`after_departure` once as a tenant leaves (release, OOM
+      kill or eviction): it returned every page.
     """
 
-    def __init__(self, sim) -> None:
-        self._sim = weakref.ref(sim)
-        #: Whether this checker checks the allocator's node accounting
-        #: and the tenant's page conservation: only for a private
-        #: allocator that no checked host covers.  A shared allocator
-        #: holds other tenants' frames too, and a checked host checks
-        #: its allocator after every epoch
-        #: (:meth:`repro.sim.host.Host.admit` clears this flag).
-        self.checks_allocator = getattr(sim, "owns_phys", True)
-        self._prev_totals: Dict[str, float] = {}
-        self._prev_sim_time = 0.0
-        self._prev_mapped_bytes = 0
-        self._epochs_checked = 0
-        #: ``(layout_version, layout_arrays)`` as of the last epoch.
-        self._layout: Optional[Tuple[int, tuple]] = None
+    def __init__(self) -> None:
+        self._history: Dict[int, _TenantHistory] = {}
 
-    @property
-    def sim(self):
-        """The tenant this checker watches."""
-        return self._sim()
-
-    def _violation(self, exc: InvariantViolation) -> InvariantViolation:
-        """Re-raise a stateless check's violation with run context."""
-        sim = self.sim
-        return InvariantViolation(
-            exc.detail,
-            workload=sim.instance.name,
-            machine=sim.machine.name,
-            policy=sim.policy.name,
-            epoch=sim.epoch,
-        )
-
-    def after_epoch(self, epoch: int) -> None:
-        """Validate the complete simulation state after one epoch."""
-        sim = self.sim
+    def after_tenant_epoch(self, sim) -> None:
+        """Validate one tenant's state after the epoch it just ran."""
+        before = self._history.get(sim.tenant_id, _FIRST_EPOCH)
+        latest = sim.bank.epochs[-1] if sim.bank.epochs else None
+        totals = dict(before.totals)
         try:
             check_address_space(sim.asp)
-            if self._layout is not None:
-                check_layout_version(sim.asp, *self._layout)
-            self._layout = (sim.asp.layout_version, layout_arrays(sim.asp))
-            if self.checks_allocator:
-                check_physical_memory(sim.phys)
-                check_page_conservation(sim.asp)
-            if sim.bank.epochs:
-                check_epoch_counters(sim.bank.epochs[-1], sim.machine.n_nodes)
-        except InvariantViolation as exc:
-            raise self._violation(exc) from None
-
-        latest = sim.bank.epochs[-1] if sim.bank.epochs else None
-        if latest is not None and latest.epoch != epoch:
-            raise self._violation(
-                InvariantViolation(
-                    f"latest counters are for epoch {latest.epoch}, "
-                    f"expected {epoch}"
-                )
-            )
-        if sim.sim_time_s < self._prev_sim_time:
-            raise self._violation(
-                InvariantViolation(
+            if before.layout is not None:
+                check_layout_version(sim.asp, *before.layout)
+            if latest is not None:
+                check_epoch_counters(latest, sim.machine.n_nodes)
+                if latest.epoch != sim.epoch:
+                    raise InvariantViolation(
+                        f"latest counters are for epoch {latest.epoch}, "
+                        f"expected {sim.epoch}"
+                    )
+            if sim.sim_time_s < before.sim_time_s:
+                raise InvariantViolation(
                     f"simulated time went backwards: {sim.sim_time_s} < "
-                    f"{self._prev_sim_time}"
+                    f"{before.sim_time_s}"
                 )
-            )
-        self._prev_sim_time = sim.sim_time_s
-
-        # Footprint only shrinks through accounted reclaim: mapped plus
-        # the cumulative reclaimed/released byte counter is monotonic,
-        # so an unaccounted unmap still surfaces as lost pages.
-        mapped = sim.asp.mapped_bytes() + getattr(
-            sim.asp, "reclaimed_bytes", 0
-        )
-        if mapped < self._prev_mapped_bytes:
-            raise self._violation(
-                InvariantViolation(
-                    f"mapped + reclaimed footprint shrank: {mapped} < "
-                    f"{self._prev_mapped_bytes} (nothing unmaps without "
-                    "reclaim accounting, so pages were lost)"
+            # Footprint only shrinks through accounted reclaim: mapped
+            # plus the cumulative reclaimed/released byte counter is
+            # monotonic, so an unaccounted unmap still surfaces as lost
+            # pages.
+            footprint = sim.asp.mapped_bytes() + sim.asp.reclaimed_bytes
+            if footprint < before.footprint:
+                raise InvariantViolation(
+                    f"mapped + reclaimed footprint shrank: {footprint} < "
+                    f"{before.footprint} (nothing unmaps without reclaim "
+                    "accounting, so pages were lost)"
                 )
-            )
-        self._prev_mapped_bytes = mapped
-
-        if latest is not None:
-            for name in _MONOTONIC_COUNTERS:
-                cumulative = self._prev_totals.get(name, 0.0) + float(
-                    getattr(latest, name)
-                )
-                if cumulative < self._prev_totals.get(name, 0.0):
-                    raise self._violation(
-                        InvariantViolation(
+            if latest is not None:
+                for name in _MONOTONIC_COUNTERS:
+                    previous = totals.get(name, 0.0)
+                    totals[name] = previous + float(getattr(latest, name))
+                    if totals[name] < previous:
+                        raise InvariantViolation(
                             f"cumulative counter {name} decreased"
                         )
-                    )
-                self._prev_totals[name] = cumulative
-        self._check_action_conservation()
-        self._epochs_checked += 1
+            check_action_conservation(sim)
+        except InvariantViolation as exc:
+            raise _in_run_context(exc, sim) from None
+        self._history[sim.tenant_id] = _TenantHistory(
+            totals,
+            sim.sim_time_s,
+            footprint,
+            (sim.asp.layout_version, layout_arrays(sim.asp)),
+        )
 
-    def _check_action_conservation(self) -> None:
-        """Decisions in == actions out, between executor and action log.
-
-        Every decision the executor saw was either applied or skipped,
-        and the per-interval summaries the engine logged (and priced)
-        sum to exactly the executor's lifetime totals — i.e. no policy
-        action bypassed the executor and no accounted work lacks a
-        logged decision path.
-        """
-        executor = getattr(self.sim, "executor", None)
-        if executor is None:
-            return
-        seen = executor.decisions_seen
-        applied = executor.decisions_applied
-        skipped = executor.decisions_skipped
-        if seen != applied + skipped:
-            raise self._violation(
-                InvariantViolation(
-                    f"decision conservation broken: {seen} seen != "
-                    f"{applied} applied + {skipped} skipped"
-                )
-            )
-        for name in _ACTION_FIELDS:
-            logged = sum(
-                getattr(summary, name) for _, summary in self.sim.action_log
-            )
-            total = getattr(executor.totals, name)
-            if logged != total:
-                raise self._violation(
-                    InvariantViolation(
-                        f"action conservation broken for {name}: action log "
-                        f"sums to {logged}, executor totals say {total}"
-                    )
-                )
-
-
-class HostInvariantChecker:
-    """Cross-tenant invariants for a shared-allocator host.
-
-    Runs after every host epoch, complementing the per-tenant
-    :class:`InvariantChecker` (which each tenant still runs on its own
-    address space): the allocator must balance globally, the tenants'
-    footprints must tile the used frames exactly (no frame owned by two
-    tenants), and departed tenants must have returned every page.  It
-    reads only address spaces, so the host keeps a departed tenant's
-    address space rather than the tenant; and it holds the host weakly,
-    as the host owns it.
-    """
-
-    def __init__(self, host) -> None:
-        self._host = weakref.ref(host)
-        self._epochs_checked = 0
-
-    @property
-    def host(self):
-        """The host this checker watches."""
-        return self._host()
-
-    def after_epoch(self, epoch: int) -> None:
-        """Validate the shared allocator against all tenant mappings."""
-        host = self.host
+    def after_host_epoch(self, host) -> None:
+        """Validate the shared allocator against every address space
+        that holds frames on it."""
         try:
             check_physical_memory(host.phys)
-            check_host_conservation(
-                host.phys, list(host.address_spaces.values())
-            )
-            for tenant_id, asp in host.address_spaces.items():
-                if host.status[tenant_id] in ("released", "oom-killed"):
-                    check_tenant_released(asp)
+            check_host_conservation(host.phys, host.address_spaces.values())
         except InvariantViolation as exc:
             raise InvariantViolation(
-                exc.detail,
-                machine=host.machine.name,
-                epoch=epoch,
+                exc.detail, machine=host.machine.name, epoch=host.epoch
             ) from None
-        self._epochs_checked += 1
+
+    def after_departure(self, sim) -> None:
+        """A tenant that just left holds nothing; forget its history."""
+        self._history.pop(sim.tenant_id, None)
+        try:
+            check_tenant_released(sim.asp)
+        except InvariantViolation as exc:
+            raise _in_run_context(exc, sim) from None

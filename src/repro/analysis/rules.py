@@ -30,9 +30,6 @@ from repro.analysis.linter import FileContext, Finding, Rule
 #: Method-name fragments that mark a cache-identity method for R001.
 KEY_METHOD_FRAGMENTS = ("cache_key", "fingerprint")
 
-#: Class attribute naming fields deliberately excluded from cache keys.
-CACHE_KEY_EXCLUDE_ATTR = "_CACHE_KEY_EXCLUDE"
-
 _WALL_CLOCK_TIME_FUNCS = frozenset(
     {
         "time",
@@ -101,25 +98,6 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _string_elements(node: ast.AST) -> Set[str]:
-    """String constants inside a set/tuple/list literal or wrapper call."""
-    if isinstance(node, ast.Call):
-        chain = _attr_chain(node.func)
-        if chain and chain.split(".")[-1] in {"set", "frozenset", "tuple", "list"}:
-            out: Set[str] = set()
-            for arg in node.args:
-                out |= _string_elements(arg)
-            return out
-        return set()
-    if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        return {
-            elt.value
-            for elt in node.elts
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        }
-    return set()
-
-
 class CacheKeyCompleteness(Rule):
     """R001: cache-key methods must reference every dataclass field."""
 
@@ -135,7 +113,6 @@ class CacheKeyCompleteness(Rule):
         self, ctx: FileContext, cls: ast.ClassDef
     ) -> Iterator[Finding]:
         fields: List[str] = []
-        excluded: Set[str] = set()
         methods: List[ast.FunctionDef] = []
         for stmt in cls.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(
@@ -143,17 +120,8 @@ class CacheKeyCompleteness(Rule):
             ):
                 name = stmt.target.id
                 annotation = ast.dump(stmt.annotation)
-                if name == CACHE_KEY_EXCLUDE_ATTR and stmt.value is not None:
-                    excluded |= _string_elements(stmt.value)
-                elif "ClassVar" not in annotation and not name.startswith("_"):
+                if "ClassVar" not in annotation and not name.startswith("_"):
                     fields.append(name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == CACHE_KEY_EXCLUDE_ATTR
-                    ):
-                        excluded |= _string_elements(stmt.value)
             elif isinstance(stmt, ast.FunctionDef) and any(
                 frag in stmt.name for frag in KEY_METHOD_FRAGMENTS
             ):
@@ -180,14 +148,14 @@ class CacheKeyCompleteness(Rule):
                         generic = True
             if generic:
                 continue
-            missing = sorted(set(fields) - referenced - excluded)
+            missing = sorted(set(fields) - referenced)
             if missing:
                 yield ctx.finding(
                     self.rule_id,
                     method,
                     f"{cls.name}.{method.name} omits field(s) "
-                    f"{', '.join(missing)}; reference them or add them to "
-                    f"{CACHE_KEY_EXCLUDE_ATTR}",
+                    f"{', '.join(missing)}; every field can change a "
+                    "result, so reference them all",
                 )
 
 

@@ -210,10 +210,6 @@ class CarrefourEngine:
             > self.config.replication_min_free_fraction
         )
 
-    def forget_page(self, page_id: int) -> None:
-        """Drop interleave history for a page (e.g. after splitting it)."""
-        self._interleaved.discard(page_id)
-
 
 class CarrefourPolicy(PlacementPolicy):
     """Pure Carrefour as a placement policy.

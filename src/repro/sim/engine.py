@@ -35,7 +35,6 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.invariants import InvariantChecker
 from repro.errors import SimulationError
 from repro.hardware.counters import CounterBank, EpochCounters
 from repro.hardware.ibs import IbsEngine, IbsSamples
@@ -149,11 +148,6 @@ class Tenant:
         self.policy = policy
 
         self.tenant_id = tenant_id
-        #: Whether this tenant's allocator is private.  Shared-allocator
-        #: tenants skip the per-tenant physical-memory conservation
-        #: checks (other tenants' frames are visible there); the host
-        #: runs the cross-tenant version instead.
-        self.owns_phys = phys is None
         self.phys = (
             PhysicalMemory.for_topology(machine) if phys is None else phys
         )
@@ -187,11 +181,10 @@ class Tenant:
         self._next_policy_time = (
             policy.interval_s if policy.interval_s is not None else None
         )
-        # Observers, none of which changes a result: the checker runs
-        # under REPRO_CHECK, the decision trace exists while
-        # REPRO_TRACE_FILE names its file, and the phase timer always.
+        # Observers, none of which changes a result: the decision trace
+        # exists while REPRO_TRACE_FILE names its file, and the phase
+        # timer always runs.  Invariants are the host's to check.
         options = RuntimeOptions.from_env()
-        self.invariant_checker = InvariantChecker(self) if options.check else None
         # Streams are policy-independent, so runs sharing (workload,
         # machine, seed, stream length) share one memoized bank.
         self._stream_bank = get_stream_bank(
@@ -560,9 +553,6 @@ class Tenant:
             while self._next_policy_time <= self.sim_time_s:
                 self._next_policy_time += interval
         prof.lap("policy")
-
-        if self.invariant_checker is not None:
-            self.invariant_checker.after_epoch(epoch)
         prof.epoch_end()
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.invariants import HostInvariantChecker
+from repro.analysis.invariants import InvariantChecker
 from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.hardware.topology import NumaTopology
 from repro.options import RuntimeOptions
@@ -39,10 +39,15 @@ class Host:
     workload or by being OOM-killed when the shared allocator cannot
     satisfy a fault.  :attr:`status` records every tenant's lifecycle
     state (``running`` / ``completed`` / ``oom-killed`` / ``released``).
-    The host holds a tenant only while it runs: once it leaves, only its
-    address space stays, for the checker to prove it returned every
-    page, so a departed tenant and its stream bank die with the
-    caller's last reference.
+    The host holds a tenant only while it runs, and its address space
+    only until it leaves (release, OOM kill or eviction), so a departed
+    tenant and its stream bank die with the caller's last reference.
+
+    Under ``REPRO_CHECK`` the host alone checks invariants, with one
+    :class:`~repro.analysis.invariants.InvariantChecker`: each tenant
+    after each of its epochs, the allocator and cross-tenant page
+    conservation once per host epoch, and each departing tenant once.
+    A tenant stepped without a host is not checked.
     """
 
     def __init__(
@@ -54,8 +59,9 @@ class Host:
         self.phys = (
             PhysicalMemory.for_topology(machine) if phys is None else phys
         )
-        #: Address space of every tenant ever admitted, by tenant id,
-        #: in admission order.
+        #: Address space of every tenant that holds frames here (running,
+        #: or completed and not yet released), by tenant id, in
+        #: admission order.
         self.address_spaces: Dict[int, AddressSpace] = {}
         #: Tenants still running, in admission order.
         self.active: List[Tenant] = []
@@ -65,7 +71,7 @@ class Host:
         #: late keep their own local epoch counters).
         self.epoch = 0
         self.checker = (
-            HostInvariantChecker(self) if RuntimeOptions.from_env().check else None
+            InvariantChecker() if RuntimeOptions.from_env().check else None
         )
 
     # ------------------------------------------------------------------
@@ -87,9 +93,6 @@ class Host:
         self.address_spaces[tenant.tenant_id] = tenant.asp
         self.active.append(tenant)
         self.status[tenant.tenant_id] = "running"
-        if self.checker is not None and tenant.invariant_checker is not None:
-            # This host checks the shared allocator after every epoch.
-            tenant.invariant_checker.checks_allocator = False
         tenant.start()
 
     def release(self, tenant: Tenant) -> int:
@@ -101,9 +104,7 @@ class Host:
         """
         if self.status.get(tenant.tenant_id) == "running":
             raise SimulationError("cannot release a running tenant")
-        freed = tenant.release()
-        self.status[tenant.tenant_id] = "released"
-        return freed
+        return self._depart(tenant, "released")
 
     def evict(self, tenant: Tenant) -> int:
         """Forcibly remove a still-running tenant and free its pages.
@@ -115,8 +116,16 @@ class Host:
         if self.status.get(tenant.tenant_id) != "running":
             raise SimulationError("evict targets running tenants")
         self.active.remove(tenant)
+        return self._depart(tenant, "released")
+
+    def _depart(self, tenant: Tenant, status: str) -> int:
+        """Free a leaving tenant's pages, check it returned them all,
+        and drop its address space."""
         freed = tenant.release()
-        self.status[tenant.tenant_id] = "released"
+        self.status[tenant.tenant_id] = status
+        self.address_spaces.pop(tenant.tenant_id, None)
+        if self.checker is not None:
+            self.checker.after_departure(tenant)
         return freed
 
     # ------------------------------------------------------------------
@@ -156,18 +165,19 @@ class Host:
             try:
                 more = tenant.step()
             except AllocationError:
-                tenant.release()
                 self.active.remove(tenant)
-                self.status[tenant.tenant_id] = "oom-killed"
+                self._depart(tenant, "oom-killed")
                 killed.append(tenant)
                 continue
+            if self.checker is not None:
+                self.checker.after_tenant_epoch(tenant)
             if not more:
                 self.active.remove(tenant)
                 self.status[tenant.tenant_id] = "completed"
                 finished.append(tenant)
         self.epoch += 1
         if self.checker is not None:
-            self.checker.after_epoch(self.epoch)
+            self.checker.after_host_epoch(self)
         return finished, killed
 
     def run_to_completion(self) -> None:

@@ -19,7 +19,9 @@ attributed as:
 * ``pricing``     — controller queueing + interconnect pricing (step 3),
 * ``maintenance`` — khugepaged, replica collapses, counter banking,
 * ``policy``      — the placement-policy daemon (step 5),
-* ``other``       — per-epoch remainder (e.g. invariant checking).
+* ``other``       — per-epoch remainder no phase above claims
+  (invariant checks are not in it: the host runs them after the
+  tenant's timed epoch).
 
 The timer always runs: it costs a few microseconds per epoch, well
 under 0.1% of an artifact.  It is **result-neutral**: it never touches

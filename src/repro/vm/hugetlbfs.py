@@ -10,20 +10,11 @@ here so Carrefour-LP can be evaluated with 1GB pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.errors import AllocationError, MappingError
 from repro.vm.address_space import AddressSpace, FaultStats
 from repro.vm.layout import GRANULES_PER_1G, SHIFT_1G
-
-
-@dataclass(frozen=True)
-class HugetlbRegion:
-    """A 1GB-page-backed virtual range."""
-
-    start_granule: int
-    n_granules: int
 
 
 def reserve_1g_region(

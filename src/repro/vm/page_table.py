@@ -43,11 +43,6 @@ class PageTableFootprint:
         """Total page-table memory in bytes."""
         return self.total_tables * PAGE_4K
 
-    @property
-    def leaf_entries(self) -> int:
-        """Approximate count of live leaf translations (PTE + PMD + PUD)."""
-        return self.pte_tables * ENTRIES_PER_TABLE
-
 
 class PageTableModel:
     """Derives page-table footprints from an address space.

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import rng_for
 from repro.errors import ConfigurationError
 from repro.hardware.topology import NumaTopology
 from repro.vm.address_space import AddressSpace
@@ -350,10 +349,6 @@ class WorkloadInstance:
                 groups.extend(part)
             self._tlb_groups_cache[(thread, keys)] = groups
         return groups
-
-    def stream_rng(self, thread: int, epoch: int) -> np.random.Generator:
-        """Deterministic RNG for one thread-epoch's stream."""
-        return rng_for(self.seed, self.name, "stream", thread, epoch)
 
     def with_1g_backing(self) -> "WorkloadInstance":
         """A copy of this instance backed by 1GB pages (hugetlbfs mode).

@@ -321,13 +321,6 @@ class PartitionedRegion(Region):
         out += rng.integers(0, self.block_granules, size=n)
         out += self.lo
 
-    def _sample_from_blocks(
-        self, blocks: np.ndarray, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        self._sample_from_blocks_into(blocks, n, rng, out)
-        return out
-
     def sample(
         self, thread: int, n: int, epoch: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -10,8 +10,8 @@ draw exactly the same streams.  A :class:`StreamBank` generates each
 rows in preallocated ``(n_threads, length)`` arrays the engine consumes
 directly, and serves every run that shares it: banks are keyed by a
 fingerprint of everything generation depends on (workload identity and
-scalars, the simulation seed, and the stream length), or by the
-instance itself for a trace replay.
+scalars, the simulation seed, the stream length and the package
+version), or by the instance itself for a trace replay.
 
 One slot holds the most recent bank, and each tenant holds its own, so
 a bank lives exactly as long as its last run or the slot.  One slot
@@ -62,7 +62,9 @@ a short run never generates past what it consumes.
 ``REPRO_STREAM_CACHE=<dir>`` (see :mod:`repro.options`) persists each
 epoch block to disk as its last row fills (``.npy`` columns loaded
 back memmapped, fused aggregation columns alongside), so banks survive
-across the processes of a grid sweep.  Pool workers share the store,
+across the processes of a grid sweep.  Blocks are filed under the
+bank's fingerprint, so a version bump starts an empty store, as it
+does for the result cache.  Pool workers share the store,
 so every file lands through a temp-file rename and an ``.ok`` marker
 is written last.
 """
@@ -77,6 +79,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro
 from repro._util import SeedHasher, stable_seed
 from repro.options import RuntimeOptions
 from repro.sim.tracker import AccessTracker
@@ -130,12 +133,16 @@ def bank_fingerprint(instance: object, sim_seed: int, length: int) -> Optional[s
     bank's fused tracker columns bake the per-thread weight scaling
     (``dram_accesses / stream_size``) into ``scaled_counts``, so two
     instances may only share a bank when they would scale identically.
+    So is :data:`repro.__version__`: the disk store files blocks under
+    the fingerprint, and streams that older code wrote must not serve
+    a newer model.
     """
     regions = getattr(instance, "regions", None)
     if regions is None:
         return None
     cost = getattr(instance, "cost", None)
     parts = (
+        repro.__version__,
         type(instance).__name__,
         instance.name,
         instance.seed,

@@ -6,8 +6,8 @@ on *their* application wants to feed in real behaviour.  This module
 provides that path:
 
 * :class:`TraceRecorder` captures the per-thread, per-epoch access
-  streams (with store flags) of any workload instance into a
-  :class:`TraceData` object;
+  streams (with store flags) of any workload instance, as its stream
+  bank serves them to a run, into a :class:`TraceData` object;
 * traces round-trip through a compact ``.npz`` file, so they can also
   be produced externally (e.g. from a PIN/DynamoRIO tool or ``perf
   mem`` records binned into 4KB granules and epochs);
@@ -28,7 +28,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.topology import NumaTopology
+from repro.sim.config import SimConfig
 from repro.workloads.base import CostProfile, FaultBatch, TlbGroup, WorkloadInstance
+from repro.workloads.streambank import get_stream_bank
 
 
 @dataclass
@@ -125,28 +127,33 @@ class TraceRecorder:
         stream_length: int = 1024,
         epochs: Optional[int] = None,
     ) -> TraceData:
-        """Generate and capture the instance's streams.
+        """Capture the instance's streams as a run draws them.
 
-        Uses the instance's own deterministic stream RNGs, so the trace
-        matches what the engine would have replayed live with the same
-        ``stream_length``.
+        The rows are the instance's stream-bank rows at the default
+        simulation seed (``SimConfig().seed``), so the trace holds
+        exactly the accesses a run of the instance with that seed and
+        ``stream_length`` consumes, over its first ``epochs`` epochs
+        (all of them by default).
         """
         if stream_length <= 0:
             raise ConfigurationError("stream_length must be positive")
-        total_epochs = epochs if epochs is not None else instance.total_epochs
+        total_epochs = instance.total_epochs if epochs is None else epochs
+        if total_epochs > instance.total_epochs:
+            raise ConfigurationError(
+                f"cannot record {total_epochs} epochs of an instance that "
+                f"runs {instance.total_epochs}"
+            )
+        bank = get_stream_bank(instance, SimConfig().seed, stream_length)
         threads, epochs_out, granules, writes = [], [], [], []
         for epoch in range(total_epochs):
-            for t in range(instance.n_threads):
-                rng = instance.stream_rng(t, epoch)
-                g, w = instance.epoch_stream_with_writes(
-                    t, epoch, rng, stream_length
-                )
-                if g.size == 0:
+            streams, stream_writes, sizes = bank.epoch_arrays(epoch)
+            for t, size in enumerate(sizes.tolist()):
+                if size == 0:
                     continue
-                threads.append(np.full(g.size, t, dtype=np.int64))
-                epochs_out.append(np.full(g.size, epoch, dtype=np.int64))
-                granules.append(g)
-                writes.append(w)
+                threads.append(np.full(size, t, dtype=np.int64))
+                epochs_out.append(np.full(size, epoch, dtype=np.int64))
+                granules.append(streams[t, :size])
+                writes.append(stream_writes[t, :size])
         if not granules:
             raise ConfigurationError("the instance produced no accesses")
         run_lengths = [
@@ -264,9 +271,3 @@ class TraceWorkloadInstance:
                 sequential=False,
             )
         ]
-
-    def stream_rng(self, thread: int, epoch: int) -> np.random.Generator:
-        """Deterministic RNG (only used to subsample long epochs)."""
-        from repro._util import rng_for
-
-        return rng_for(self.seed, self.name, "trace", thread, epoch)

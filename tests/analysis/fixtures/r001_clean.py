@@ -1,8 +1,8 @@
-"""R001 counterexamples: complete keys, exclusions, generic coverage."""
+"""R001 counterexamples: complete keys, class constants, generic coverage."""
 
 import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, FrozenSet
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -16,15 +16,16 @@ class CompleteSettings:
 
 
 @dataclass(frozen=True)
-class ExcludedSettings:
+class SettingsWithConstants:
     workload: str = "CG.D"
     seed: int = 0
-    verbose: bool = False
 
-    _CACHE_KEY_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset({"verbose"})
+    #: Class constants and private attributes are not fields.
+    KIND: ClassVar[str] = "settings"
+    _registry: ClassVar[dict] = {}
 
     def cache_key(self):
-        return (self.workload, self.seed)
+        return (self.KIND, self.workload, self.seed)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ import pytest
 
 from repro.analysis import invariants
 from repro.analysis.invariants import (
+    InvariantChecker,
     InvariantViolation,
     check_address_space,
     check_epoch_counters,
+    check_host_conservation,
     check_layout_version,
-    check_page_conservation,
     check_physical_memory,
     layout_arrays,
 )
@@ -49,17 +50,32 @@ def _make_sim() -> Simulation:
 
 
 @pytest.fixture(scope="module")
-def checked_sim():
-    """One completed, invariant-checked simulation shared by the module.
+def checked_run():
+    """One completed, invariant-checked simulation shared by the module,
+    with the epoch of every per-tenant check its host ran."""
+    checked = []
+    after = InvariantChecker.after_tenant_epoch
+
+    def counted(checker, sim):
+        checked.append(sim.epoch)
+        after(checker, sim)
+
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(CHECK_ENV, "1")
+        env.setattr(InvariantChecker, "after_tenant_epoch", counted)
+        sim = _make_sim()
+        sim.run()
+    return sim, checked
+
+
+@pytest.fixture(scope="module")
+def checked_sim(checked_run):
+    """The checked simulation.
 
     Corruption tests mutate its state and must restore it before
     returning.
     """
-    with pytest.MonkeyPatch.context() as env:
-        env.setenv(CHECK_ENV, "1")
-        sim = _make_sim()
-        sim.run()
-    return sim
+    return checked_run[0]
 
 
 # ----------------------------------------------------------------------
@@ -74,24 +90,25 @@ def test_repro_check_alone_starts_the_checkers(monkeypatch, value, on):
         monkeypatch.delenv(CHECK_ENV, raising=False)
     else:
         monkeypatch.setenv(CHECK_ENV, value)
-    sim = _make_sim()
-    assert (sim.invariant_checker is not None) is on
-    assert (Host(sim.machine).checker is not None) is on
+    assert (Host(machine_by_name(MACHINE)).checker is not None) is on
 
 
 # ----------------------------------------------------------------------
 # Clean runs
 # ----------------------------------------------------------------------
-def test_checked_run_is_clean_and_checks_every_epoch(checked_sim):
-    checker = checked_sim.invariant_checker
-    assert checker is not None
-    assert checker._epochs_checked == len(checked_sim.bank.epochs) > 0
+def test_checked_run_is_clean_and_checks_every_epoch(checked_run):
+    sim, checked = checked_run
+    assert checked == list(range(len(sim.bank.epochs)))
+    assert checked
 
 
 def test_checking_does_not_perturb_results(checked_sim, monkeypatch):
+    def never(checker, sim):
+        raise AssertionError("an unchecked run ran a check")
+
     monkeypatch.delenv(CHECK_ENV, raising=False)
+    monkeypatch.setattr(InvariantChecker, "after_tenant_epoch", never)
     unchecked = _make_sim()
-    assert unchecked.invariant_checker is None
     result = unchecked.run()
     assert result.runtime_s.hex() == checked_sim.sim_time_s.hex()
     assert result.epoch_times_s == [
@@ -171,10 +188,10 @@ def test_detects_leaked_frames(checked_sim):
     node.alloc_small(1)
     try:
         with pytest.raises(InvariantViolation, match="page conservation"):
-            check_page_conservation(checked_sim.asp)
+            check_host_conservation(checked_sim.phys, [checked_sim.asp])
     finally:
         node.free_small(1)
-    check_page_conservation(checked_sim.asp)
+    check_host_conservation(checked_sim.phys, [checked_sim.asp])
 
 
 def test_detects_bad_epoch_counters(checked_sim):
@@ -197,37 +214,36 @@ def test_physical_memory_accounting_holds(checked_sim):
 
 
 # ----------------------------------------------------------------------
-# Who checks the allocator
+# How often each check runs
 # ----------------------------------------------------------------------
 def test_a_checked_host_checks_the_allocator_once_per_epoch(monkeypatch):
-    """A run's host checker covers the allocator, so the tenant's
-    checker leaves it alone rather than checking it a second time."""
+    """A run is a one-tenant host: each epoch, its checker checks the
+    tenant, the allocator and the one address space holding frames
+    once each, and nothing departs."""
     monkeypatch.setenv(CHECK_ENV, "1")
-    calls = []
-    check = invariants.check_physical_memory
+    calls = {}
+    for name in (
+        "check_address_space",
+        "check_physical_memory",
+        "_expected_bytes_per_node",
+        "check_tenant_released",
+    ):
+        check = getattr(invariants, name)
 
-    def counted(phys):
-        calls.append(phys)
-        check(phys)
+        def counted(*args, _check=check, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _check(*args)
 
-    monkeypatch.setattr(invariants, "check_physical_memory", counted)
+        monkeypatch.setattr(invariants, name, counted)
     sim = _make_sim()
-    assert sim.invariant_checker.checks_allocator
     sim.run()
-    assert not sim.invariant_checker.checks_allocator
-    assert len(calls) == len(sim.bank.epochs) > 0
-
-
-def test_a_tenant_stepped_without_a_host_checks_its_allocator(monkeypatch):
-    monkeypatch.setenv(CHECK_ENV, "1")
-    sim = _make_sim()
-    sim.start()
-    sim.step()
-    sim.phys[0].alloc_small(1)  # a frame no mapping explains
-    with pytest.raises(InvariantViolation, match="page conservation") as exc:
-        sim.step()
-    assert exc.value.policy == sim.policy.name
-    assert exc.value.epoch == 1
+    epochs = len(sim.bank.epochs)
+    assert epochs > 0
+    assert calls == {
+        "check_address_space": epochs,
+        "check_physical_memory": epochs,
+        "_expected_bytes_per_node": epochs,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +262,83 @@ def test_engine_raises_with_run_context(monkeypatch):
     assert exc.epoch == 0
     assert "replica byte counter" in exc.detail
     assert f"policy={sim.policy.name}" in str(exc)
+
+
+def _split_a_huge_page_without_a_layout_bump(sim, monkeypatch):
+    _missed_layout_bump(monkeypatch)
+    chunk = int(np.flatnonzero(sim.asp.huge)[0])
+    sim.asp.split_chunk(chunk)
+    sim.asp.block_collapse(chunk)  # khugepaged must not undo the split
+
+
+def _bump_first_chunk_count(sim, monkeypatch):
+    sim.asp.mapped_count_2m[0] += 1
+
+
+def _add_replica_bytes(sim, monkeypatch):
+    sim.asp.replica_bytes += 4096
+
+
+def _add_replicated_page(sim, monkeypatch):
+    sim.asp.replicated_pages += 1
+
+
+def _rewind_the_clock(sim, monkeypatch):
+    sim.sim_time_s -= 1e3
+
+
+def _forget_reclaimed_bytes(sim, monkeypatch):
+    sim.asp.reclaimed_bytes -= 1 << 40
+
+
+def _see_a_decision_unaccounted(sim, monkeypatch):
+    sim.executor.decisions_seen += 1
+
+
+def _migrate_outside_the_log(sim, monkeypatch):
+    sim.executor.totals.bytes_migrated += 4096
+
+
+#: State corruptions the per-tenant check must catch, each with the
+#: detail its violation reports.
+PLANTED = {
+    "split bookkeeping": (_bump_first_chunk_count, "mapped_count_2m out of sync"),
+    "replica bytes": (_add_replica_bytes, "replica byte counter"),
+    "replicated pages": (_add_replicated_page, "replicated page count"),
+    "layout version": (
+        _split_a_huge_page_without_a_layout_bump,
+        "changed without a layout_version bump",
+    ),
+    "clock": (_rewind_the_clock, "simulated time went backwards"),
+    "footprint": (_forget_reclaimed_bytes, "footprint shrank"),
+    "decisions": (_see_a_decision_unaccounted, "decision conservation"),
+    "actions": (_migrate_outside_the_log, "action conservation broken"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(PLANTED))
+def test_a_corruption_between_epochs_raises_with_run_context(
+    monkeypatch, corruption
+):
+    """Planted before the second epoch of a checked run, each
+    corruption is reported by the check after that epoch."""
+    plant, detail = PLANTED[corruption]
+    monkeypatch.setenv(CHECK_ENV, "1")
+    run_epoch = Simulation._run_epoch
+
+    def planted(sim, epoch):
+        if epoch == 1:
+            plant(sim, monkeypatch)
+        run_epoch(sim, epoch)
+
+    monkeypatch.setattr(Simulation, "_run_epoch", planted)
+    sim = _make_sim()
+    with pytest.raises(InvariantViolation, match=detail) as excinfo:
+        sim.run()
+    exc = excinfo.value
+    assert (exc.workload, exc.machine, exc.policy, exc.epoch) == (
+        sim.instance.name, sim.machine.name, sim.policy.name, 1
+    )
 
 
 def test_violation_message_without_context():

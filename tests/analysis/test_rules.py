@@ -64,6 +64,32 @@ def test_bad_fixture_counts():
         assert len(findings) == count, (name, [f.message for f in findings])
 
 
+def test_r001_has_no_exclusion_allowlist():
+    """A field the key omits is flagged even when the class lists it as
+    excluded: cache keys hash every field, so a listed field would still
+    split keys while the memo key merged them."""
+    source = (
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar, FrozenSet\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Settings:\n"
+        "    workload: str = 'CG.D'\n"
+        "    verbose: bool = False\n"
+        "\n"
+        "    _CACHE_KEY_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset("
+        "{'verbose'})\n"
+        "\n"
+        "    def cache_key(self):\n"
+        "        return (self.workload,)\n"
+    )
+    findings = lint_source(source, "x.py", rules=rules_by_id("R001"))
+    assert [f.message.split(";")[0] for f in findings] == [
+        "Settings.cache_key omits field(s) verbose"
+    ]
+
+
 def test_sim_scoped_rules_skip_non_sim_paths():
     source = (FIXTURES / "sim" / "r003_bad.py").read_text()
     assert lint_source(source, "sim/r003_bad.py")

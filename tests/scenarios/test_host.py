@@ -1,17 +1,23 @@
-"""Host multiplexing: shared allocator, lifecycles, OOM, pressure."""
+"""Host multiplexing: shared allocator, lifecycles, OOM, pressure, and
+how often the host checks each invariant."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.analysis import invariants
 from repro.analysis.invariants import (
     InvariantViolation,
     check_host_conservation,
     check_tenant_released,
 )
 from repro.errors import SimulationError
+from repro.experiments.scenario_runner import execute_scenario
 from repro.options import CHECK_ENV
+from repro.scenarios import ScenarioConfig
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation, Tenant
 from repro.sim.host import Host
@@ -66,7 +72,6 @@ class TestColocation:
         host.admit(a)
         host.admit(b)
         assert a.phys is b.phys is host.phys
-        assert not a.owns_phys and not b.owns_phys
         host.run_to_completion()
         assert host.status == {0: "completed", 1: "completed"}
         assert a.result().runtime_s > 0
@@ -74,12 +79,22 @@ class TestColocation:
         # Both footprints still live on the shared allocator.
         assert host.phys.total_used_bytes > 0
 
-    def test_invariant_checker_runs_with_shared_allocator(self, tiny_topo):
+    def test_invariant_checker_runs_with_shared_allocator(
+        self, tiny_topo, monkeypatch
+    ):
         host = Host(tiny_topo)
         assert host.checker is not None
+        checked = []
+        after = host.checker.after_host_epoch
+
+        def counted(checked_host):
+            checked.append(checked_host.epoch)
+            after(checked_host)
+
+        monkeypatch.setattr(host.checker, "after_host_epoch", counted)
         host.admit(make_tenant(tiny_topo, host, 0))
         host.run_to_completion()
-        assert host.checker._epochs_checked == host.epoch
+        assert checked == list(range(1, host.epoch + 1))
 
     def test_release_returns_every_page(self, tiny_topo):
         host = Host(tiny_topo)
@@ -281,3 +296,137 @@ class TestHostConservationCheck:
         host.phys[0].alloc_small(4)
         with pytest.raises(InvariantViolation, match="conservation"):
             check_host_conservation(host.phys, [tenant.asp])
+
+
+#: Tenant 0 (Kmeans) runs host epochs 0-3 and tenant 1 (SSCA.20)
+#: host epochs 2-5; each is released as it completes.
+TWO_TENANTS = ScenarioConfig(
+    arrival="fixed-trace",
+    machine="A",
+    trace=((0, "Kmeans", "thp"), (2, "SSCA.20", "linux-4k")),
+    max_tenants=2,
+    tenant_epochs=4,
+    seed=0,
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The calls each counted check receives (the label of each
+    address space checked as released)."""
+    seen = {
+        "check_address_space": 0,
+        "check_physical_memory": 0,
+        "_expected_bytes_per_node": 0,
+        "check_tenant_released": [],
+    }
+    for name in seen:
+        check = getattr(invariants, name)
+
+        def counted(*args, _check=check, _name=name):
+            if _name == "check_tenant_released":
+                seen[_name].append(args[0].label)
+            else:
+                seen[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    return seen
+
+
+class TestCheckCounts:
+    """Exact call counts, so these cannot flake on a slow machine: each
+    tenant is checked after each of its epochs, the allocator once per
+    host epoch, page conservation once per host epoch for each address
+    space that still holds frames, and each departing tenant once."""
+
+    def test_a_scenario_checks_each_departure_once(self, calls):
+        result = execute_scenario(TWO_TENANTS, SimConfig.quick(seed=0))
+
+        assert [t.status for t in result.tenants] == ["completed"] * 2
+        tenant_epochs = sum(
+            len(t.result.epoch_times_s) for t in result.tenants
+        )
+        assert (tenant_epochs, result.host_epochs) == (8, 6)
+        assert calls == {
+            "check_address_space": tenant_epochs,
+            "check_physical_memory": result.host_epochs,
+            # A tenant holds frames exactly over the host epochs it
+            # runs: the scenario releases it as it completes.
+            "_expected_bytes_per_node": tenant_epochs,
+            "check_tenant_released": ["Kmeans", "SSCA.20"],
+        }
+
+    def test_a_truncated_scenario_checks_each_evicted_tenant_once(
+        self, calls
+    ):
+        truncated = dataclasses.replace(TWO_TENANTS, max_host_epochs=3)
+        result = execute_scenario(truncated, SimConfig.quick(seed=0))
+
+        assert [t.status for t in result.tenants] == ["truncated"] * 2
+        assert [len(t.result.epoch_times_s) for t in result.tenants] == [3, 1]
+        assert calls == {
+            "check_address_space": 4,
+            "check_physical_memory": 3,
+            "_expected_bytes_per_node": 4,
+            "check_tenant_released": ["Kmeans", "SSCA.20"],
+        }
+
+    def test_a_completed_tenant_is_conserved_until_it_is_released(
+        self, calls, tiny_topo
+    ):
+        """Tenant 0 completes at host epoch 2 but keeps its frames
+        through host epoch 3; tenant 1 runs four epochs and is never
+        released."""
+        host = Host(tiny_topo)
+        early = make_tenant(tiny_topo, host, 0, name="a", total_epochs=2)
+        host.admit(early)
+        host.admit(make_tenant(tiny_topo, host, 1, name="b"))
+        host.step_epoch()
+        host.step_epoch()
+        host.step_epoch()
+        host.release(early)
+        host.step_epoch()
+
+        assert host.status == {0: "released", 1: "completed"}
+        assert list(host.address_spaces) == [1]
+        assert calls == {
+            "check_address_space": 6,
+            "check_physical_memory": 4,
+            "_expected_bytes_per_node": 2 + 2 + 2 + 1,
+            "check_tenant_released": ["a"],
+        }
+
+    def test_an_oom_killed_tenant_is_checked_once(self, calls, tiny_topo):
+        host = Host(tiny_topo)
+        host.apply_pressure(0.97)
+        survivor = make_tenant(tiny_topo, host, 0, name="survivor", mib=2)
+        victim = make_tenant(tiny_topo, host, 1, name="victim", mib=512)
+        host.admit(survivor)
+        host.admit(victim)
+        host.run_to_completion()
+
+        assert host.status == {0: "completed", 1: "oom-killed"}
+        assert list(host.address_spaces) == [0]
+        victim_epochs = len(victim.result().epoch_times_s)
+        assert calls == {
+            "check_address_space": 4 + victim_epochs,
+            "check_physical_memory": host.epoch,
+            "_expected_bytes_per_node": 4 + victim_epochs,
+            "check_tenant_released": ["victim"],
+        }
+
+    def test_a_release_that_leaves_a_mapping_raises_at_release(
+        self, calls, monkeypatch, tiny_topo
+    ):
+        host = Host(tiny_topo)
+        tenant = make_tenant(tiny_topo, host, 0, total_epochs=2)
+        host.admit(tenant)
+        host.run_to_completion()
+        monkeypatch.setattr(tenant, "release", lambda: 0)  # frees nothing
+
+        with pytest.raises(
+            InvariantViolation, match="released tenant 'toy' still maps"
+        ) as excinfo:
+            host.release(tenant)
+        assert (excinfo.value.workload, excinfo.value.epoch) == ("toy", 1)

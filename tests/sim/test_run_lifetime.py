@@ -2,9 +2,9 @@
 
 The cyclic garbage collector is off in every test here, so an object
 lives exactly as long as something refers to it.  A reference cycle (a
-tenant and its executor or invariant checker, a host and its checker)
-or a memo that outlives its runs shows up as a live object, not as
-memory that the next full collection happens to free.  A stream bank
+tenant and its executor, a host and its invariant checker) or a memo
+that outlives its runs shows up as a live object, not as memory that
+the next full collection happens to free.  A stream bank
 holds every thread's streams for its epochs (34 MB for a machine-B
 bank at ``--quick``), so what keeps a run alive keeps its bank alive.
 """
@@ -23,6 +23,7 @@ from repro.hardware.machines import machine_by_name
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.sim.host import Host
 from repro.workloads import streambank
 from repro.workloads.registry import get_workload
 
@@ -39,14 +40,24 @@ def test_deleting_a_finished_simulation_frees_it(
         monkeypatch.setenv(CHECK_ENV, "1")
     else:
         monkeypatch.delenv(CHECK_ENV, raising=False)
+    hosts = []
+    init = Host.__init__
+
+    def recording_init(host, *args, **kwargs):
+        init(host, *args, **kwargs)
+        hosts.append(host)
+
+    monkeypatch.setattr(Host, "__init__", recording_init)
     sim = Simulation(
         machine_by_name("A"),
         get_workload("Kmeans"),
         make_policy(policy, seed=0),
         config=SimConfig.quick(seed=0),
     )
-    assert (sim.invariant_checker is not None) is check
     result = sim.run()
+    (host,) = hosts
+    hosts.clear()
+    assert (host.checker is not None) is check
     parts = {
         "simulation": sim,
         "address space": sim.asp,
@@ -54,10 +65,12 @@ def test_deleting_a_finished_simulation_frees_it(
         "policy": sim.policy,
         "executor": sim.executor,
         "profiler": sim.profiler,
+        "host": host,
     }
     if check:
-        parts["checker"] = sim.invariant_checker
+        parts["checker"] = host.checker
     refs = {name: weakref.ref(obj) for name, obj in parts.items()}
+    del host
     bank = weakref.ref(sim._stream_bank)
     del sim, parts
     assert [name for name, ref in refs.items() if ref() is not None] == []

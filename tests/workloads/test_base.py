@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from repro._util import rng_for
 from repro.errors import ConfigurationError
 from repro.workloads.base import CostProfile, FaultBatch, TlbGroup, Workload, WorkloadInstance
 from repro.workloads.regions import PartitionedRegion, SharedRegion
 
 MIB = 1 << 20
+
+
+def stream_rng(inst, thread, epoch):
+    """A seeded generator for one thread-epoch of ``inst``."""
+    return rng_for(inst.seed, inst.name, "stream", thread, epoch)
 
 
 def two_regions():
@@ -97,14 +103,14 @@ class TestWorkloadInstance:
 
     def test_stream_rng_deterministic(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        a = inst.epoch_stream(0, 0, inst.stream_rng(0, 0), 100)
-        b = inst.epoch_stream(0, 0, inst.stream_rng(0, 0), 100)
+        a = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
+        b = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
         assert np.array_equal(a, b)
 
     def test_stream_rng_varies_by_epoch(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        a = inst.epoch_stream(0, 0, inst.stream_rng(0, 0), 100)
-        b = inst.epoch_stream(0, 1, inst.stream_rng(0, 1), 100)
+        a = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
+        b = inst.epoch_stream(0, 1, stream_rng(inst, 0, 1), 100)
         assert not np.array_equal(a, b)
 
     def test_tlb_groups_weights_normalised(self, tiny_topo):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._util import rng_for
 from repro.errors import UnknownWorkloadError
 from repro.workloads.registry import (
     AFFECTED_SET,
@@ -62,7 +63,7 @@ class TestAllSpecsInstantiate:
     @pytest.mark.parametrize("name", FIGURE1_ORDER)
     def test_streams_and_groups_valid(self, name, machine_a_topo):
         inst = get_workload(name).instantiate(machine_a_topo, scale=0.25, seed=0)
-        rng = inst.stream_rng(0, 0)
+        rng = rng_for(inst.seed, inst.name, "stream", 0, 0)
         g = inst.epoch_stream(0, 0, rng, 512)
         assert len(g) == 512
         assert np.all((g >= 0) & (g < inst.n_granules))

@@ -9,6 +9,7 @@ declared TLB geometry must stay within the region extents.
 import numpy as np
 import pytest
 
+from repro._util import rng_for
 from repro.analysis.invariants import check_address_space
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
@@ -35,7 +36,10 @@ class TestSpecConsistency:
         for epoch in (0, inst.total_epochs - 1):
             for thread in (0, inst.n_threads - 1):
                 g = inst.epoch_stream(
-                    thread, epoch, inst.stream_rng(thread, epoch), 512
+                    thread,
+                    epoch,
+                    rng_for(inst.seed, inst.name, "stream", thread, epoch),
+                    512,
                 )
                 homes = asp.home_nodes(g)
                 assert np.all(homes >= 0), (

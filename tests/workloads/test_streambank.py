@@ -17,6 +17,7 @@ import weakref
 import numpy as np
 import pytest
 
+import repro
 from repro.options import STREAM_CACHE_ENV
 from repro.sim.tracker import AccessTracker
 from repro.workloads.base import CostProfile, WorkloadInstance
@@ -263,6 +264,39 @@ class TestDiskStore:
         assert not isinstance(streams2, np.memmap)
         for epoch in range(inst2.total_epochs):
             assert_bank_matches_sequential(bank2, inst2, epoch)
+
+    def test_a_version_bump_starts_an_empty_store(
+        self, tiny_topo, tmp_path, monkeypatch
+    ):
+        """Streams persisted by one version of the package are not
+        served to another: the new version regenerates every row."""
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=2)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+        assert os.path.exists(
+            os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
+        )
+
+        clear_stream_banks()
+        monkeypatch.setattr(repro, "__version__", "999.0")
+        generated = []
+        generate_row = StreamBank._generate_row
+
+        def counted(self, block, i):
+            generated.append(block.epoch0 + i)
+            return generate_row(self, block, i)
+
+        monkeypatch.setattr(StreamBank, "_generate_row", counted)
+        inst2 = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                              total_epochs=2)
+        bank2 = get_stream_bank(inst2, SIM_SEED, LENGTH)
+        for epoch in range(inst2.total_epochs):
+            assert_bank_matches_sequential(bank2, inst2, epoch)
+        assert generated == [0, 1]
+        assert bank2.fingerprint != bank.fingerprint
 
     @pytest.mark.parametrize(
         "accessor",

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro._util import rng_for
 from repro.errors import ConfigurationError
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.policy import LinuxPolicy
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import PartitionedRegion, SharedRegion
+from repro.workloads.streambank import StreamBank
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
 
 MIB = 1 << 20
@@ -93,6 +95,25 @@ class TestRecorder:
         with pytest.raises(ConfigurationError):
             TraceRecorder().record(inst, stream_length=0)
 
+    def test_records_the_bank_rows_a_run_consumes(self, tiny_topo):
+        inst = make_instance(tiny_topo)
+        trace = TraceRecorder().record(inst, stream_length=64)
+        bank = StreamBank(inst, SimConfig().seed, 64)
+        for epoch in range(inst.total_epochs):
+            streams, writes, sizes = bank.epoch_arrays(epoch)
+            for t in range(inst.n_threads):
+                recorded = (trace.epoch == epoch) & (trace.thread == t)
+                size = int(sizes[t])
+                assert np.array_equal(trace.granule[recorded], streams[t, :size])
+                assert np.array_equal(trace.is_write[recorded], writes[t, :size])
+
+    def test_epochs_beyond_the_instance_rejected(self, tiny_topo):
+        inst = make_instance(tiny_topo, epochs=3)
+        with pytest.raises(ConfigurationError, match="runs 3"):
+            TraceRecorder().record(inst, stream_length=64, epochs=4)
+        trace = TraceRecorder().record(inst, stream_length=64, epochs=2)
+        assert trace.total_epochs == 2
+
 
 class TestReplay:
     def test_replay_runs(self, tiny_topo):
@@ -144,14 +165,16 @@ class TestReplay:
     def test_subsampling_long_epochs(self, tiny_topo):
         trace, _ = make_trace(tiny_topo, stream_length=512)
         replay = TraceWorkloadInstance("t", tiny_topo, trace)
-        g, w = replay.epoch_stream_with_writes(0, 0, replay.stream_rng(0, 0), 128)
+        rng = rng_for(replay.seed, replay.name, "trace", 0, 0)
+        g, w = replay.epoch_stream_with_writes(0, 0, rng, 128)
         assert len(g) == 128
         assert len(w) == 128
 
     def test_missing_epoch_is_empty(self, tiny_topo):
         trace, _ = make_trace(tiny_topo)
         replay = TraceWorkloadInstance("t", tiny_topo, trace)
-        g = replay.epoch_stream(0, trace.total_epochs - 1, replay.stream_rng(0, 0), 64)
+        rng = rng_for(replay.seed, replay.name, "trace", 0, 0)
+        g = replay.epoch_stream(0, trace.total_epochs - 1, rng, 64)
         assert len(g) > 0
 
     def test_too_many_threads_rejected(self, tiny_topo, machine_b_topo):
