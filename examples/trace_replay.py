@@ -49,16 +49,17 @@ def main() -> None:
     # 1. Record the workload's accesses once.
     live = build_live_workload(machine)
     trace = TraceRecorder().record(live, stream_length=768)
-    path = os.path.join(tempfile.gettempdir(), "cg_like_trace.npz")
-    trace.save(path)
-    size_mb = os.path.getsize(path) / 1e6
-    print(
-        f"Recorded {len(trace):,} accesses from {trace.n_threads} threads"
-        f" over {trace.total_epochs} epochs -> {path} ({size_mb:.1f} MB)"
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cg_like_trace.npz")
+        trace.save(path)
+        size_mb = os.path.getsize(path) / 1e6
+        print(
+            f"Recorded {len(trace):,} accesses from {trace.n_threads} threads"
+            f" over {trace.total_epochs} epochs -> {path} ({size_mb:.1f} MB)"
+        )
+        reloaded = TraceData.load(path)
 
-    # 2. Reload and replay under several policies.
-    reloaded = TraceData.load(path)
+    # 2. Replay the reloaded trace under several policies.
     print(f"\n{'policy':14s} {'runtime':>9s} {'imbalance':>9s} {'splits':>7s}")
     results = {}
     for policy_name in ("linux-4k", "thp", "carrefour-lp"):

@@ -219,47 +219,6 @@ class IbsEngine:
         #: thread's captured state into, built on first use.
         self._replay: Optional[np.random.Generator] = None
 
-    def record_epoch(
-        self,
-        thread: int,
-        accessing_node: int,
-        granules: np.ndarray,
-        home_nodes: np.ndarray,
-        represented_accesses: float,
-        rng: np.random.Generator,
-        writes: "np.ndarray" = None,
-    ) -> int:
-        """Sample one thread-epoch stream; returns the number of samples.
-
-        ``granules``/``home_nodes`` form the sampled DRAM stream; the
-        stream stands for ``represented_accesses`` real accesses.
-        """
-        if not 0 <= accessing_node < self.n_nodes:
-            raise ConfigurationError("accessing_node out of range")
-        n_stream = len(granules)
-        if n_stream == 0 or represented_accesses <= 0 or self.rate == 0:
-            return 0
-        expected = self.rate * represented_accesses
-        n_samples = int(rng.poisson(expected))
-        if n_samples == 0:
-            return 0
-        # Cap: sampling more than the stream length adds no information.
-        n_samples = min(n_samples, n_stream)
-        idx = rng.integers(0, n_stream, size=n_samples)
-        self._stores[accessing_node].append(
-            np.asarray(granules, dtype=np.int64)[idx],
-            np.asarray(home_nodes, dtype=np.int8)[idx],
-            thread,
-            accessing_node,
-            (
-                np.asarray(writes, dtype=bool)[idx]
-                if writes is not None
-                else np.zeros(n_samples, dtype=bool)
-            ),
-        )
-        self._collected_since_drain += n_samples
-        return n_samples
-
     def record_epoch_batch(
         self,
         threads: np.ndarray,
@@ -280,8 +239,10 @@ class IbsEngine:
         processed in the order given by ``threads`` and each thread's
         Poisson/index draws come from a generator in the captured
         ``bit_generator`` state ``rng_states[t]``, so every draw is the
-        one :meth:`record_epoch` makes with that thread's generator.
-        Returns per-thread sample counts indexed like ``stream_sizes``.
+        one that thread's own generator would make next: a Poisson
+        sample count (capped at the stream length), then uniform stream
+        indices.  Returns per-thread sample counts indexed like
+        ``stream_sizes``.
         """
         counts = np.zeros(len(stream_sizes), dtype=np.int64)
         if self.rate == 0 or represented_accesses <= 0:

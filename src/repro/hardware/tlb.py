@@ -2,9 +2,9 @@
 
 AMD family-15h cores keep distinct L2 data-TLB capacities for 4KB, 2MB
 and 1GB translations.  The model consumes, per thread and per epoch,
-the access-count vector over *backing pages* (whatever sizes the
-address space currently uses) and produces expected TLB misses per
-size class via the Che/LRU approximation in
+the working set as groups of equally popular *backing pages* per size
+class (whatever sizes the address space currently uses) and produces
+expected TLB misses via the grouped Che/LRU approximation in
 :mod:`repro.hardware.caches`.
 
 The essential effect reproduced here is TLB *coverage*: the same
@@ -21,12 +21,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hardware.caches import (
-    CacheModel,
-    lru_group_hit_rates,
-    lru_hit_rate,
-    lru_hit_rate_grouped,
-)
+from repro.hardware.caches import CacheModel, lru_group_hit_rates
 from repro.vm.layout import PageSize
 
 
@@ -129,70 +124,12 @@ class TlbModel:
         self.evaluations = 0
         self.memo_hits = 0
 
-    def epoch_result(
-        self,
-        counts_by_size: Mapping[PageSize, np.ndarray],
-        represented_accesses: float,
-    ) -> TlbEpochResult:
-        """TLB behaviour of one thread for one epoch.
-
-        Parameters
-        ----------
-        counts_by_size:
-            For each page-size class, the per-page access-count vector
-            of the epoch's *sampled* stream (page identity is
-            irrelevant; only the popularity shape matters).
-        represented_accesses:
-            Total memory accesses the sampled stream stands for; misses
-            are scaled to this.
-        """
-        if represented_accesses < 0:
-            raise ConfigurationError("represented_accesses must be non-negative")
-        total_sampled = sum(
-            float(np.sum(counts_by_size[size]))
-            for size in sorted(counts_by_size)
-            if counts_by_size[size] is not None
-        )
-        if total_sampled <= 0:
-            return TlbEpochResult(0.0, 0.0, 0.0, 0.0)
-
-        misses = 0.0
-        walk_l2_misses = 0.0
-        for size, counts in sorted(counts_by_size.items()):
-            if counts is None:
-                continue
-            counts = np.asarray(counts, dtype=np.float64)
-            counts = counts[counts > 0]
-            if counts.size == 0:
-                continue
-            share = float(np.sum(counts)) / total_sampled
-            accesses = represented_accesses * share
-            hit = lru_hit_rate(counts, self.spec.entries_for(size))
-            size_misses = accesses * (1.0 - hit)
-            misses += size_misses
-            # Each miss walks the page table; the leaf PTE reference may
-            # miss in L2 depending on the PTE working set.
-            l2_miss_rate = self.cache_model.walk_l2_miss_rate(counts)
-            walk_l2_misses += size_misses * l2_miss_rate
-
-        walk_cycles = (
-            misses * self.spec.walk_base_cycles
-            + walk_l2_misses * self.cache_model.l2_miss_penalty_cycles
-        )
-        miss_rate = misses / represented_accesses if represented_accesses else 0.0
-        return TlbEpochResult(
-            misses=misses,
-            walk_cycles=walk_cycles,
-            walk_l2_misses=walk_l2_misses,
-            miss_rate=min(miss_rate, 1.0),
-        )
-
     def epoch_result_grouped(
         self,
         groups_by_size: Mapping[PageSize, Tuple[np.ndarray, np.ndarray, np.ndarray]],
         represented_accesses: float,
     ) -> TlbEpochResult:
-        """Grouped-popularity variant of :meth:`epoch_result`.
+        """TLB behaviour of one thread for one epoch.
 
         ``groups_by_size[size]`` is a triple ``(page_counts, weights,
         run_lengths)``: ``page_counts[i]`` pages of that size class
@@ -274,28 +211,3 @@ class TlbModel:
             walk_l2_misses=walk_l2_misses,
             miss_rate=min(miss_rate, 1.0),
         )
-
-    def coverage_bytes(self, size: PageSize) -> int:
-        """Address-space bytes covered by a full TLB of the given size."""
-        return self.spec.entries_for(size) * int(size)
-
-
-def split_counts_by_size(
-    backing_ids: np.ndarray, backing_sizes: np.ndarray
-) -> Dict[PageSize, np.ndarray]:
-    """Group an access stream into per-size page popularity vectors.
-
-    ``backing_ids`` are opaque page identifiers (one per access);
-    ``backing_sizes`` the page-size class of each access.  Returns, per
-    size, the access-count vector over distinct pages.
-    """
-    out: Dict[PageSize, np.ndarray] = {}
-    sizes = np.asarray(backing_sizes)
-    ids = np.asarray(backing_ids)
-    for size in PageSize:
-        mask = sizes == int(size)
-        if not np.any(mask):
-            continue
-        _, counts = np.unique(ids[mask], return_counts=True)
-        out[size] = counts.astype(np.float64)
-    return out

@@ -96,14 +96,21 @@ class Host:
         tenant.start()
 
     def release(self, tenant: Tenant) -> int:
-        """Return a departed tenant's pages to the shared allocator.
+        """Return a completed tenant's pages to the shared allocator.
 
         Call after harvesting the tenant's result: releasing tears down
         the address space (final page counts become zero), which is
         exactly what process exit does to a real server's allocator.
+        Only a completed tenant waits to be released, so each tenant
+        departs once: a running, never-admitted, OOM-killed or already
+        released tenant raises :class:`SimulationError`.
         """
-        if self.status.get(tenant.tenant_id) == "running":
-            raise SimulationError("cannot release a running tenant")
+        status = self.status.get(tenant.tenant_id)
+        if status != "completed":
+            raise SimulationError(
+                f"cannot release tenant {tenant.tenant_id}: it is "
+                f"{status or 'not admitted'}, not completed"
+            )
         return self._depart(tenant, "released")
 
     def evict(self, tenant: Tenant) -> int:

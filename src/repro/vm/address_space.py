@@ -455,51 +455,6 @@ class AddressSpace:
         self.mapped_count_2m[chunk_ids] += counts.astype(np.int32)
         self._bump_layout()
 
-    def premap_range(
-        self, start_granule: int, n_granules: int, node: int, thp_alloc: bool
-    ) -> FaultStats:
-        """Map an entire range on one node (bulk first-touch).
-
-        Used by workload allocation phases: the faulting thread sweeps
-        a region once, so we map it in bulk and return the fault counts
-        the sweep would have produced.
-        """
-        if n_granules <= 0:
-            return FaultStats()
-        end = start_granule + n_granules
-        if start_granule < 0 or end > self.n_granules:
-            raise MappingError("premap range outside the address space")
-        stats = FaultStats()
-        g = start_granule
-        while g < end:
-            chunk = g >> SHIFT_2M
-            chunk_start = chunk << SHIFT_2M
-            chunk_end = chunk_start + GRANULES_PER_2M
-            span_end = min(end, chunk_end)
-            already = self.home_nodes(np.arange(g, span_end))
-            todo = np.arange(g, span_end)[already < 0]
-            if todo.size == 0:
-                g = span_end
-                continue
-            whole_chunk = (
-                g == chunk_start
-                and span_end == chunk_end
-                and not self.huge[chunk]
-                and self.mapped_count_2m[chunk] == 0
-            )
-            if thp_alloc and whole_chunk and self._chunk_fits(chunk):
-                target = self._alloc_node_for(node, huge=True)
-                if self.phys[target].can_alloc_huge():
-                    self._back_huge(chunk, target)
-                    stats.faults_2m += 1
-                    g = span_end
-                    continue
-            target = self._alloc_node_for(node, huge=False)
-            self._map_small(todo, target)
-            stats.faults_4k += int(todo.size)
-            g = span_end
-        return stats
-
     def premap_pattern_4k(self, start_granule: int, nodes: np.ndarray) -> None:
         """Bulk-map a fully unmapped range as 4KB pages with given homes.
 

@@ -237,8 +237,6 @@ class NodeMemory:
         self.buddy = BuddyAllocator(dram_bytes // PAGE_4K, max_order=max_order)
         self._pool_free = 0
         self._pool_blocks: List[int] = []
-        self._pool_carves: List[int] = []
-        self._fragmentation_pins: List[int] = []
         #: Bytes held by explicit :meth:`inject_fragmentation` pins —
         #: allocator usage not backed by any mapping, which the runtime
         #: page-conservation invariant must account for separately.
@@ -280,11 +278,6 @@ class NodeMemory:
             start = self.buddy.alloc(order)
             if order == ORDER_2M:
                 self._pool_blocks.append(start)
-            else:
-                # Odd-order carve (rare path).  These frames belong to
-                # the pool's accounting, so they must never be released
-                # by release_fragmentation.
-                self._pool_carves.append((start << 6) | order)
             self._pool_free += 1 << order
         self._pool_free -= n
 
@@ -351,17 +344,12 @@ class NodeMemory:
         pinning those that are.
         """
         starts = self.buddy.alloc_many(order, n_blocks)
-        self._pin_blocks(starts, order)
         self.test_pinned_bytes += len(starts) * (1 << order) * PAGE_4K
         if len(starts) < n_blocks:
             raise AllocationError(
                 f"node {self.node_id}: only {len(starts)} of {n_blocks} "
                 f"order-{order} blocks free to pin"
             )
-
-    def _pin_blocks(self, starts: List[int], order: int) -> None:
-        """Record allocated blocks as fragmentation pins."""
-        self._fragmentation_pins.extend((start << 6) | order for start in starts)
 
     def pin_fragmented(self, target_bytes: int) -> int:
         """Pin ~``target_bytes`` so the *free* remainder is fragmented.
@@ -374,8 +362,9 @@ class NodeMemory:
         destroys two bytes of huge-page contiguity — the occupancy
         profile of a long-running host rather than a fresh boot.  Pins
         are accounted as :attr:`test_pinned_bytes` like
-        :meth:`inject_fragmentation` and released the same way.
-        Returns the bytes actually pinned.
+        :meth:`inject_fragmentation`, and like those they last as long
+        as the node: nothing unpins them.  Returns the bytes actually
+        pinned.
 
         Each phase is one bulk allocator step
         (:meth:`BuddyAllocator.alloc_many`/:meth:`~BuddyAllocator.free_many`),
@@ -395,22 +384,16 @@ class NodeMemory:
         )
         # Phase 2: release the upper half of every fully-held pair.
         held_set = set(held)
-        released: List[int] = []
-        kept: List[int] = []
-        for start in held:
-            if start & upper and start ^ upper in held_set:
-                released.append(start)
-            else:
-                kept.append(start)
+        released = [
+            start for start in held if start & upper and start ^ upper in held_set
+        ]
         self.buddy.free_many(released, half_order)
-        self._pin_blocks(kept, half_order)
-        pinned: int = len(kept) * half_bytes
+        pinned: int = (len(held) - len(released)) * half_bytes
         # Phase 3: top up from the now-scattered free halves (re-pinning
         # them cannot restore contiguity — their buddies stay pinned).
         top_up = self.buddy.alloc_many(
             half_order, max(0, (target_bytes - pinned) // half_bytes)
         )
-        self._pin_blocks(top_up, half_order)
         pinned += len(top_up) * half_bytes
         # Half-block pins so far; inject_fragmentation accounts its own.
         self.test_pinned_bytes += pinned
@@ -425,13 +408,6 @@ class NodeMemory:
             self.inject_fragmentation(remainder, order=0)
             pinned += remainder * PAGE_4K
         return pinned
-
-    def release_fragmentation(self) -> None:
-        """Release all pins created by :meth:`inject_fragmentation`."""
-        for token in self._fragmentation_pins:
-            self.buddy.free(token >> 6, token & 0x3F)
-        self._fragmentation_pins.clear()
-        self.test_pinned_bytes = 0
 
 
 class PhysicalMemory:

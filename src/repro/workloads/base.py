@@ -6,8 +6,8 @@ produces a :class:`WorkloadInstance` that the simulation engine drives:
 * :meth:`WorkloadInstance.premap_epoch` materialises first-touch
   allocation (the allocation phase, and growth for streaming regions),
   returning per-thread page-fault counts;
-* :meth:`WorkloadInstance.epoch_stream` yields each thread's sampled
-  DRAM-access stream for an epoch;
+* :meth:`WorkloadInstance.epoch_stream_into` draws each thread's
+  sampled DRAM-access stream for an epoch into the stream bank's rows;
 * :meth:`WorkloadInstance.tlb_groups` describes each thread's working
   set analytically (grouped popularity + extent geometry) so the TLB
   model can be evaluated against the *current backing state* without
@@ -17,7 +17,7 @@ produces a :class:`WorkloadInstance` that the simulation engine drives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -237,42 +237,6 @@ class WorkloadInstance:
             )
         return batch
 
-    def epoch_stream(
-        self, thread: int, epoch: int, rng: np.random.Generator, length: int
-    ) -> np.ndarray:
-        """Sampled DRAM-access stream (granule indices) for a thread-epoch."""
-        granules, _ = self.epoch_stream_with_writes(thread, epoch, rng, length)
-        return granules
-
-    def epoch_stream_with_writes(
-        self, thread: int, epoch: int, rng: np.random.Generator, length: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Access stream plus a per-access store mask.
-
-        The store mask follows each region's ``write_fraction``; the
-        replication machinery needs it to tell read-mostly pages apart.
-        """
-        if not 0 <= thread < self.n_threads:
-            raise ConfigurationError(f"thread {thread} out of range")
-        if length <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        counts = self._region_counts(length, rng)
-        parts = []
-        write_parts = []
-        for region, n in zip(self.regions, counts):
-            if n <= 0:
-                continue
-            part = region.sample(thread, int(n), epoch, rng)
-            if part.size:
-                parts.append(part)
-                if region.write_fraction <= 0.0:
-                    write_parts.append(np.zeros(part.size, dtype=bool))
-                else:
-                    write_parts.append(rng.random(part.size) < region.write_fraction)
-        if not parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        return np.concatenate(parts), np.concatenate(write_parts)
-
     def epoch_stream_into(
         self,
         thread: int,
@@ -282,14 +246,15 @@ class WorkloadInstance:
         out_granules: np.ndarray,
         out_writes: np.ndarray,
     ) -> int:
-        """Batched-assembly variant of :meth:`epoch_stream_with_writes`.
+        """Draw one thread-epoch's sampled DRAM-access stream.
 
-        Draws from ``rng`` in exactly the same order but writes the
-        stream directly into the caller's preallocated row buffers (the
-        stream-bank arrays) instead of concatenating per-region parts.
-        ``out_writes`` must arrive zeroed (regions with
-        ``write_fraction <= 0`` rely on it).  Returns the stream size;
-        entries past it are left untouched.
+        Splits ``length`` accesses across regions by access share, then
+        has each region draw its part straight into the caller's row
+        buffers (the stream-bank arrays): granule indices into
+        ``out_granules`` and, for regions with a positive
+        ``write_fraction``, a store mask into ``out_writes``, which
+        must arrive zeroed.  Returns the stream size; entries past it
+        are left untouched.
         """
         if not 0 <= thread < self.n_threads:
             raise ConfigurationError(f"thread {thread} out of range")
@@ -353,8 +318,10 @@ class WorkloadInstance:
     def with_1g_backing(self) -> "WorkloadInstance":
         """A copy of this instance backed by 1GB pages (hugetlbfs mode).
 
-        Regions are re-bound with 1GB alignment; used by the paper's
-        Section 4.4 very-large-page study.
+        Regions are re-bound with 1GB alignment, and each premap maps
+        whole 1GB pages through :meth:`AddressSpace.map_range_1g`: on
+        the first-touch owner's node, or round-robin under interleave.
+        Used by the paper's Section 4.4 very-large-page study.
         """
         return WorkloadInstance(
             name=self.name,

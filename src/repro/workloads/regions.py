@@ -191,12 +191,6 @@ class Region:
         return batch
 
     # -- access generation --------------------------------------------
-    def sample(
-        self, thread: int, n: int, epoch: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw ``n`` accessed granule indices for a thread-epoch."""
-        raise NotImplementedError
-
     def sample_into(
         self,
         thread: int,
@@ -205,16 +199,9 @@ class Region:
         rng: np.random.Generator,
         out: np.ndarray,
     ) -> int:
-        """Batched path: draw ``n`` indices directly into ``out``.
-
-        Draws from ``rng`` in exactly the same order as :meth:`sample`;
-        the builtins override this to skip the per-part concatenation.
-        Returns the number of entries written (``sample`` may return
-        fewer than ``n`` for exotic subclasses).
-        """
-        part = self.sample(thread, n, epoch, rng)
-        out[: part.size] = part
-        return int(part.size)
+        """Draw ``n`` accessed granule indices for a thread-epoch into
+        ``out`` (at least ``n`` long); returns the number written."""
+        raise NotImplementedError
 
     def tlb_groups(self, thread: int, epoch: int, norm_share: float) -> List[TlbGroup]:
         """Working-set groups for the TLB model (weights sum to share)."""
@@ -320,13 +307,6 @@ class PartitionedRegion(Region):
         np.multiply(chosen, self.block_granules, out=out)
         out += rng.integers(0, self.block_granules, size=n)
         out += self.lo
-
-    def sample(
-        self, thread: int, n: int, epoch: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        size = self.sample_into(thread, n, epoch, rng, out)
-        return out[:size]
 
     def sample_into(
         self,
@@ -543,13 +523,6 @@ class SharedRegion(Region):
             owners = np.where(master_owned, 0, owners)
         return owners
 
-    def sample(
-        self, thread: int, n: int, epoch: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        size = self.sample_into(thread, n, epoch, rng, out)
-        return out[:size]
-
     def sample_into(
         self,
         thread: int,
@@ -732,13 +705,6 @@ class StreamRegion(Region):
                 )
             )
         return batch
-
-    def sample(
-        self, thread: int, n: int, epoch: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        size = self.sample_into(thread, n, epoch, rng, out)
-        return out[:size]
 
     def sample_into(
         self,

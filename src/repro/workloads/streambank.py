@@ -27,8 +27,8 @@ against):
 
 * streams are drawn with the engine's own per-thread generators
   (``rng_for(sim_seed, instance.seed, instance.name, "stream", t,
-  epoch)``) through :meth:`WorkloadInstance.epoch_stream_into`, which
-  draws in exactly the order of ``epoch_stream_with_writes``;
+  epoch)``) through the instance's ``epoch_stream_into``, straight into
+  the bank's rows;
 * the IBS sampler continues each thread's generator *after* stream
   generation, so the bank captures every generator's
   ``bit_generator.state`` post-generation for the sampler to replay
@@ -439,25 +439,12 @@ class StreamBank:
         """Draw every thread's stream for one epoch row; returns the
         captured post-generation RNG states."""
         epoch = block.epoch0 + i
-        instance = self.instance
-        into = getattr(instance, "epoch_stream_into", None)
         states: List[dict] = []
         for t in range(self.n_threads):
             rng = self._seed_hasher.rng_for(t, epoch)
-            if into is not None:
-                n = into(
-                    t, epoch, rng, self.length,
-                    block.streams[i, t], block.writes[i, t],
-                )
-            else:
-                granules, writes = instance.epoch_stream_with_writes(
-                    t, epoch, rng, self.length
-                )
-                n = int(granules.size)
-                if n:
-                    block.streams[i, t, :n] = granules
-                    block.writes[i, t, :n] = writes
-            block.sizes[i, t] = n
+            block.sizes[i, t] = self.instance.epoch_stream_into(
+                t, epoch, rng, self.length, block.streams[i, t], block.writes[i, t]
+            )
             states.append(rng.bit_generator.state)
         return states
 

@@ -233,27 +233,34 @@ class TraceWorkloadInstance:
         """Traces have no allocation plan; faulting happens on access."""
         return FaultBatch.zeros(self.n_threads)
 
-    def epoch_stream_with_writes(
-        self, thread: int, epoch: int, rng: np.random.Generator, length: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Replay the recorded stream (subsampled to ``length`` if longer)."""
+    def epoch_stream_into(
+        self,
+        thread: int,
+        epoch: int,
+        rng: np.random.Generator,
+        length: int,
+        out_granules: np.ndarray,
+        out_writes: np.ndarray,
+    ) -> int:
+        """Replay the recorded stream into the caller's row buffers.
+
+        A recorded stream longer than ``length`` is subsampled without
+        replacement, keeping the recorded order.  Returns the stream
+        size; entries past it are left untouched.
+        """
         span = self._slices.get((epoch, thread))
         if span is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+            return 0
         s, e = span
         g = self._granule[s:e]
         w = self._write[s:e]
         if g.size > length:
             idx = rng.choice(g.size, size=length, replace=False)
             idx.sort()
-            return g[idx], w[idx]
-        return g, w
-
-    def epoch_stream(
-        self, thread: int, epoch: int, rng: np.random.Generator, length: int
-    ) -> np.ndarray:
-        """Granule stream only (compatibility helper)."""
-        return self.epoch_stream_with_writes(thread, epoch, rng, length)[0]
+            g, w = g[idx], w[idx]
+        out_granules[: g.size] = g
+        out_writes[: g.size] = w
+        return int(g.size)
 
     def tlb_groups(self, thread: int, epoch: int) -> List[TlbGroup]:
         """Single working-set group estimated from the trace."""

@@ -38,9 +38,28 @@ def drive(policy, sim):
 
 
 def pin_to_free_fraction(sim, fraction):
-    """Pin enough of every node that ``fraction`` of memory stays free."""
+    """Pin enough of every node that ``fraction`` of memory stays free.
+
+    Returns each node's pinned buddy blocks, for :func:`unpin`.
+    """
+    pins = []
     for node in sim.phys.nodes:
+        before = set(node.buddy._allocated)
         node.pin_fragmented(int(node.free_bytes * (1.0 - fraction)))
+        pins.append([
+            (start, order)
+            for start, order in node.buddy._allocated.items()
+            if start not in before
+        ])
+    return pins
+
+
+def unpin(sim, pins):
+    """Lift pressure: free the blocks :func:`pin_to_free_fraction` pinned."""
+    for node, blocks in zip(sim.phys.nodes, pins):
+        for start, order in blocks:
+            node.buddy.free(start, order)
+        node.test_pinned_bytes = 0
 
 
 class TestValidation:
@@ -105,13 +124,12 @@ class TestWatermarks:
         sim = make_sim()
         sim.thp.enable_alloc()
         sim.asp.fault_in(np.arange(256), node=0, thp_alloc=False)
-        pin_to_free_fraction(sim, 0.05)
+        pins = pin_to_free_fraction(sim, 0.05)
         policy = MemoryPressurePolicy(batch_granules=128)
         drive(policy, sim)
         assert policy._thp_suppressed
         # Pressure lifts: the pins go away, free fraction recovers.
-        for node in sim.phys.nodes:
-            node.release_fragmentation()
+        unpin(sim, pins)
         drive(policy, sim)
         assert not policy._thp_suppressed
         assert sim.thp.alloc_enabled
@@ -120,15 +138,14 @@ class TestWatermarks:
         sim = make_sim()
         sim.thp.enable_alloc()
         sim.asp.fault_in(np.arange(256), node=0, thp_alloc=False)
-        pin_to_free_fraction(sim, 0.05)
+        pins = pin_to_free_fraction(sim, 0.05)
         policy = MemoryPressurePolicy(
             low_watermark=0.10, high_watermark=0.60, batch_granules=64
         )
         drive(policy, sim)
         assert policy._thp_suppressed
         # Recover to ~0.5: above low, below high -> no flapping.
-        for node in sim.phys.nodes:
-            node.release_fragmentation()
+        unpin(sim, pins)
         pin_to_free_fraction(sim, 0.5)
         summary = drive(policy, sim)
         assert policy._thp_suppressed

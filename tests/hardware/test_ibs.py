@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsEngine, IbsSamples
+from tests.per_thread_streams import record_epoch
 
 
 def make_stream(n=1000, nodes=2, seed=0):
@@ -13,6 +14,32 @@ def make_stream(n=1000, nodes=2, seed=0):
     granules = rng.integers(0, 10_000, size=n)
     homes = rng.integers(0, nodes, size=n).astype(np.int8)
     return granules, homes
+
+
+def record(engine, thread, node, granules, homes, represented, rng):
+    """Sample one thread-epoch stream through ``record_epoch_batch``.
+
+    Thread ``thread`` is the batch's one active row; ``rng`` is advanced
+    past the draws the batch made from its captured state, so a
+    generator passed epoch after epoch keeps drawing fresh samples.
+    """
+    n = len(granules)
+    rows = thread + 1
+    streams = np.zeros((rows, n), dtype=np.int64)
+    home_rows = np.zeros((rows, n), dtype=np.int8)
+    streams[thread], home_rows[thread] = granules, homes
+    sizes = np.zeros(rows, dtype=np.int64)
+    sizes[thread] = n
+    nodes = np.zeros(rows, dtype=np.int64)
+    nodes[thread] = node
+    states = [rng.bit_generator.state] * rows
+    counts = engine.record_epoch_batch(
+        np.array([thread]), nodes, streams, home_rows,
+        np.zeros((rows, n), dtype=bool), sizes, represented, states,
+    )
+    if engine.rate > 0 and represented > 0 and n:
+        rng.bit_generator.state = engine._replay.bit_generator.state
+    return int(counts[thread])
 
 
 class TestIbsSamples:
@@ -46,20 +73,13 @@ class TestIbsSamples:
 
 
 class TestIbsEngine:
-    def test_zero_rate_collects_nothing(self):
-        engine = IbsEngine(n_nodes=2, rate=0.0)
-        g, h = make_stream()
-        n = engine.record_epoch(0, 0, g, h, 1e6, np.random.default_rng(0))
-        assert n == 0
-        assert len(engine.drain()) == 0
-
     def test_expected_sample_count(self):
         engine = IbsEngine(n_nodes=2, rate=1e-3)
         rng = np.random.default_rng(1)
         total = 0
         for i in range(50):
             g, h = make_stream(seed=i)
-            total += engine.record_epoch(0, 0, g, h, 1e5, rng)
+            total += record(engine, 0, 0, g, h, 1e5, rng)
         # Expectation: 50 epochs x 1e5 represented x 1e-3 = 5000, but
         # capped at the stream length (1000) per epoch.
         assert 2000 < total <= 50_000
@@ -68,7 +88,7 @@ class TestIbsEngine:
         engine = IbsEngine(n_nodes=2, rate=0.5)
         g = np.full(100, 42, dtype=np.int64)
         h = np.ones(100, dtype=np.int8)
-        engine.record_epoch(3, 1, g, h, 100, np.random.default_rng(0))
+        record(engine, 3, 1, g, h, 100, np.random.default_rng(0))
         samples = engine.drain()
         assert len(samples) > 0
         assert np.all(samples.granule == 42)
@@ -80,7 +100,7 @@ class TestIbsEngine:
     def test_drain_clears(self):
         engine = IbsEngine(n_nodes=2, rate=0.5)
         g, h = make_stream()
-        engine.record_epoch(0, 0, g, h, 1000, np.random.default_rng(0))
+        record(engine, 0, 0, g, h, 1000, np.random.default_rng(0))
         assert len(engine.drain()) > 0
         assert len(engine.drain()) == 0
         assert engine.pending_samples == 0
@@ -90,15 +110,9 @@ class TestIbsEngine:
         g, h = make_stream(nodes=4)
         rng = np.random.default_rng(0)
         for node in range(4):
-            engine.record_epoch(node, node, g, h, 1000, rng)
+            record(engine, node, node, g, h, 1000, rng)
         samples = engine.drain()
         assert set(np.unique(samples.accessing_node)) == {0, 1, 2, 3}
-
-    def test_invalid_node_rejected(self):
-        engine = IbsEngine(n_nodes=2, rate=0.5)
-        g, h = make_stream()
-        with pytest.raises(ConfigurationError):
-            engine.record_epoch(0, 5, g, h, 1000, np.random.default_rng(0))
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -118,7 +132,7 @@ class TestIbsEngine:
     def test_sample_count_bounded_by_stream(self, rate):
         engine = IbsEngine(n_nodes=2, rate=rate)
         g, h = make_stream(n=200)
-        n = engine.record_epoch(0, 0, g, h, 1e9, np.random.default_rng(0))
+        n = record(engine, 0, 0, g, h, 1e9, np.random.default_rng(0))
         assert n <= 200
 
 
@@ -166,7 +180,8 @@ class TestRecordEpochBatch:
 
     def test_matches_sequential_record_epoch(self):
         """Epoch after epoch, the one replay generator draws what each
-        thread's own generator draws."""
+        thread's own generator draws (the per-thread oracle in
+        ``tests/per_thread_streams.py``)."""
         n_threads, length = 6, 300
         represented = 5e5
         seq = IbsEngine(n_nodes=2, rate=1e-3)
@@ -182,7 +197,8 @@ class TestRecordEpochBatch:
             seq_counts = np.zeros(n_threads, dtype=np.int64)
             for t in np.flatnonzero(sizes > 0):
                 n = int(sizes[t])
-                seq_counts[t] = seq.record_epoch(
+                seq_counts[t] = record_epoch(
+                    seq,
                     int(t),
                     int(nodes[t]),
                     streams[t, :n],
@@ -249,7 +265,7 @@ class TestRecordEpochBatch:
         for epoch in range(40):
             g = np.arange(50, dtype=np.int64) + epoch
             h = np.zeros(50, dtype=np.int8)
-            expected += engine.record_epoch(epoch % 7, 0, g, h, 50, rng)
+            expected += record(engine, epoch % 7, 0, g, h, 50, rng)
         assert engine.pending_samples == expected
         samples = engine.drain()
         assert len(samples) == expected

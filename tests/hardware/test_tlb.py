@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.caches import CacheModel
-from repro.hardware.tlb import TlbModel, TlbSpec, split_counts_by_size
+from repro.hardware.tlb import TlbModel, TlbSpec
 from repro.vm.layout import PageSize
 
 
@@ -30,42 +30,51 @@ class TestTlbSpec:
             TlbSpec(walk_base_cycles=-1)
 
 
-class TestEpochResult:
-    def test_no_accesses(self, model):
-        res = model.epoch_result({}, 0.0)
+EVERY_SIZE = pytest.mark.parametrize(
+    "size", list(PageSize), ids=lambda size: size.name
+)
+
+
+def uniform(size, n_pages):
+    """All accesses spread evenly over ``n_pages`` pages of ``size``."""
+    return {size: (np.array([float(n_pages)]), np.array([1.0]), np.array([1.0]))}
+
+
+class TestEpochResultGrouped:
+    @EVERY_SIZE
+    def test_no_accesses(self, model, size):
+        res = model.epoch_result_grouped(uniform(size, 100), 0.0)
         assert res.misses == 0.0
         assert res.walk_cycles == 0.0
+        assert res.miss_rate == 0.0
 
-    def test_fitting_working_set_no_misses(self, model):
-        counts = {PageSize.SIZE_4K: np.ones(100)}
-        res = model.epoch_result(counts, 1e6)
+    @EVERY_SIZE
+    def test_fitting_working_set_no_misses(self, model, size):
+        entries = model.spec.entries_for(size)
+        res = model.epoch_result_grouped(uniform(size, entries // 2), 1e6)
         assert res.misses == pytest.approx(0.0)
 
-    def test_large_working_set_misses(self, model):
-        counts = {PageSize.SIZE_4K: np.ones(100_000)}
-        res = model.epoch_result(counts, 1e6)
+    @EVERY_SIZE
+    def test_large_working_set_misses(self, model, size):
+        entries = model.spec.entries_for(size)
+        res = model.epoch_result_grouped(uniform(size, 100 * entries), 1e6)
         assert res.misses > 0.9e6
         assert res.miss_rate > 0.9
         assert res.walk_cycles > 0
 
     def test_2m_coverage_beats_4k(self, model):
         # Same working set expressed as 512x fewer 2MB translations.
-        res_4k = model.epoch_result({PageSize.SIZE_4K: np.ones(50_000)}, 1e6)
-        res_2m = model.epoch_result(
-            {PageSize.SIZE_2M: np.ones(50_000 // 512)}, 1e6
+        res_4k = model.epoch_result_grouped(uniform(PageSize.SIZE_4K, 50_000), 1e6)
+        res_2m = model.epoch_result_grouped(
+            uniform(PageSize.SIZE_2M, 50_000 // 512), 1e6
         )
         assert res_2m.misses < res_4k.misses * 0.05
 
-    def test_negative_accesses_rejected(self, model):
+    @EVERY_SIZE
+    def test_negative_accesses_rejected(self, model, size):
         with pytest.raises(ConfigurationError):
-            model.epoch_result({}, -1.0)
+            model.epoch_result_grouped(uniform(size, 100), -1.0)
 
-    def test_coverage_bytes(self, model):
-        assert model.coverage_bytes(PageSize.SIZE_4K) == 1024 * 4096
-        assert model.coverage_bytes(PageSize.SIZE_2M) == 128 * 2 * 1024 * 1024
-
-
-class TestEpochResultGrouped:
     def test_run_length_divides_misses(self, model):
         base = model.epoch_result_grouped(
             {PageSize.SIZE_4K: (np.array([50_000.0]), np.array([1.0]), np.array([1.0]))},
@@ -108,25 +117,3 @@ class TestEpochResultGrouped:
         }
         res = model.epoch_result_grouped(groups, 1e6)
         assert res.miss_rate <= 1.0
-
-
-class TestSplitCountsBySize:
-    def test_grouping(self):
-        ids = np.array([1, 1, 2, 3, 3, 3])
-        sizes = np.array(
-            [
-                int(PageSize.SIZE_4K),
-                int(PageSize.SIZE_4K),
-                int(PageSize.SIZE_4K),
-                int(PageSize.SIZE_2M),
-                int(PageSize.SIZE_2M),
-                int(PageSize.SIZE_2M),
-            ]
-        )
-        out = split_counts_by_size(ids, sizes)
-        assert sorted(out[PageSize.SIZE_4K]) == [1.0, 2.0]
-        assert list(out[PageSize.SIZE_2M]) == [3.0]
-
-    def test_empty(self):
-        out = split_counts_by_size(np.empty(0, dtype=int), np.empty(0, dtype=int))
-        assert out == {}

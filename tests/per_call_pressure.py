@@ -90,20 +90,17 @@ def pin_fragmented(node: NodeMemory, target_bytes: int) -> int:
         if upper and (start ^ (1 << half_order)) in held_set:
             free(buddy, start, half_order)
         else:
-            node._fragmentation_pins.append((start << 6) | half_order)
             pinned += half_bytes
     while (
         pinned + half_bytes <= target_bytes
         and buddy.can_alloc(half_order)
     ):
-        start = alloc(buddy, half_order)
-        node._fragmentation_pins.append((start << 6) | half_order)
+        alloc(buddy, half_order)
         pinned += half_bytes
     node.test_pinned_bytes += pinned
     remainder = min(max(0, target_bytes - pinned) // PAGE_4K, buddy.free_frames)
     for _ in range(remainder):
-        start = alloc(buddy, 0)
-        node._fragmentation_pins.append(start << 6)
+        alloc(buddy, 0)
         node.test_pinned_bytes += PAGE_4K
     return pinned + remainder * PAGE_4K
 

@@ -179,6 +179,26 @@ class TestAdmission:
         with pytest.raises(SimulationError, match="running"):
             host.release(tenant)
 
+    def test_release_never_admitted_tenant_rejected(self, tiny_topo):
+        host = Host(tiny_topo)
+        stranger = make_tenant(tiny_topo, host, 5)
+        with pytest.raises(SimulationError, match="not admitted"):
+            host.release(stranger)
+        assert host.status == {}
+
+    def test_release_twice_rejected(self, tiny_topo, monkeypatch):
+        host = Host(tiny_topo)
+        tenant = make_tenant(tiny_topo, host, 0, total_epochs=2)
+        host.admit(tenant)
+        host.run_to_completion()
+        assert host.release(tenant) > 0
+        departures = []
+        monkeypatch.setattr(host.checker, "after_departure", departures.append)
+        with pytest.raises(SimulationError, match="released"):
+            host.release(tenant)
+        assert departures == []
+        assert host.status == {0: "released"}
+
     def test_evict_frees_a_running_tenant(self, tiny_topo):
         host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0, total_epochs=10)
@@ -207,6 +227,16 @@ class TestOom:
         # Every frame the victim touched went back to the pool.
         assert host.phys.total_used_bytes == used_before
         check_tenant_released(victim.asp)
+
+    def test_release_oom_killed_tenant_rejected(self, tiny_topo):
+        host = Host(tiny_topo)
+        host.apply_pressure(0.97)
+        victim = make_tenant(tiny_topo, host, 0, mib=512)
+        host.admit(victim)
+        host.run_to_completion()
+        with pytest.raises(SimulationError, match="oom-killed"):
+            host.release(victim)
+        assert host.status == {0: "oom-killed"}
 
     def test_survivor_keeps_running_after_oom(self, tiny_topo):
         host = Host(tiny_topo)

@@ -70,7 +70,6 @@ def allocator_state(phys):
             node.buddy._free_frames,
             node._pool_free,
             list(node._pool_blocks),
-            list(node._pool_carves),
         )
         for node in phys.nodes
     ]

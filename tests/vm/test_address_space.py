@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.invariants import check_address_space
-from repro.errors import MappingError
+from repro.errors import AllocationError, MappingError
 from repro.vm.address_space import (
     AddressSpace,
     BACKING_ID_1G_OFFSET,
@@ -77,28 +77,13 @@ class TestFaulting:
 
 
 class TestPremap:
-    def test_premap_range_thp(self):
-        asp = make_asp()
-        stats = asp.premap_range(0, 2 * GRANULES_PER_2M, node=1, thp_alloc=True)
-        assert stats.faults_2m == 2
-        assert asp.page_counts()[PageSize.SIZE_2M] == 2
-
-    def test_premap_range_4k(self):
-        asp = make_asp()
-        stats = asp.premap_range(10, 20, node=0, thp_alloc=False)
-        assert stats.faults_4k == 20
-
-    def test_premap_range_partial_chunk_under_thp(self):
-        asp = make_asp()
-        stats = asp.premap_range(0, 100, node=0, thp_alloc=True)
-        # Not a whole chunk: mapped 4K even with THP on.
-        assert stats.faults_4k == 100
-        assert stats.faults_2m == 0
-
     def test_premap_out_of_range(self):
         asp = make_asp(n_chunks=1)
         with pytest.raises(MappingError):
-            asp.premap_range(0, GRANULES_PER_2M + 1, 0, False)
+            asp.premap_pattern_4k(0, np.zeros(GRANULES_PER_2M + 1, dtype=np.int8))
+        with pytest.raises(MappingError):
+            asp.premap_pattern_2m(0, np.zeros(2, dtype=np.int8))
+        assert asp.mapped_bytes() == 0
 
     def test_premap_pattern_4k(self):
         asp = make_asp()
@@ -292,6 +277,22 @@ class Test1GPages:
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
         with pytest.raises(MappingError):
             asp.map_range_1g(0, GRANULES_PER_1G, 0)
+
+    def test_map_1g_past_the_end_rejected(self):
+        asp = self.make_1g_asp()
+        with pytest.raises(MappingError, match="outside"):
+            asp.map_range_1g(GRANULES_PER_1G, 2 * GRANULES_PER_1G, 0)
+        assert not asp.giga.any()
+
+    def test_map_1g_pool_exhaustion_raises(self):
+        # A 1GB node holds exactly one 1GB block: libhugetlbfs fails
+        # hard once the pool is used up, and so does the model.
+        asp = AddressSpace(2 * GRANULES_PER_1G, PhysicalMemory([GIB, GIB]))
+        asp.map_range_1g(0, GRANULES_PER_1G, node=0)
+        with pytest.raises(AllocationError):
+            asp.map_range_1g(GRANULES_PER_1G, GRANULES_PER_1G, node=0)
+        assert asp.giga.tolist() == [True, False]
+        check_address_space(asp)
 
     def test_split_1g(self):
         asp = self.make_1g_asp()

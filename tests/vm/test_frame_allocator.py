@@ -198,7 +198,8 @@ class TestNodeMemory:
         node = NodeMemory(0, 4 * PAGE_2M)
         node.inject_fragmentation(4 * 512 - 511, order=0)
         assert not node.can_alloc_huge()
-        node.release_fragmentation()
+        for start in list(node.buddy._allocated):  # every block is a pin
+            node.buddy.free(start, 0)
         assert node.can_alloc_huge()
 
     def test_giga_requires_gigabyte(self):

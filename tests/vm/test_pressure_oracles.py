@@ -91,7 +91,6 @@ def allocator_state(node: NodeMemory) -> tuple:
         [list(blocks) for blocks in buddy._free],
         list(buddy._allocated.items()),
         buddy.free_frames,
-        list(node._fragmentation_pins),
         node.test_pinned_bytes,
         node.pool_stats(),
     )

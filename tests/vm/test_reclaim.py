@@ -151,15 +151,6 @@ class TestPinFragmented:
         assert node.used_bytes >= node.test_pinned_bytes + 1024 * PAGE_4K
         node.buddy.check_invariants()
 
-    def test_release_fragmentation_undoes_pins(self):
-        node = NodeMemory(0, GIB)
-        node.pin_fragmented(int(GIB * 0.7))
-        node.release_fragmentation()
-        assert node.test_pinned_bytes == 0
-        assert node.used_bytes == 0
-        assert node.can_alloc_huge()
-        node.buddy.check_invariants()
-
     def test_negative_target_rejected(self):
         node = NodeMemory(0, GIB)
         with pytest.raises(ConfigurationError):

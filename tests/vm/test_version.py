@@ -48,12 +48,6 @@ class TestVersionBumps:
         asp.fault_in(np.array([5]), node=1, thp_alloc=False)
         assert asp.version == v
 
-    def test_premap_range_bumps(self):
-        asp = make_asp()
-        v = asp.version
-        asp.premap_range(0, GRANULES_PER_2M, node=0, thp_alloc=True)
-        assert asp.version > v
-
     def test_premap_pattern_4k_bumps(self):
         asp = make_asp()
         v = asp.version

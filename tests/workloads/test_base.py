@@ -7,6 +7,7 @@ from repro._util import rng_for
 from repro.errors import ConfigurationError
 from repro.workloads.base import CostProfile, FaultBatch, TlbGroup, Workload, WorkloadInstance
 from repro.workloads.regions import PartitionedRegion, SharedRegion
+from tests.per_thread_streams import shipped_stream
 
 MIB = 1 << 20
 
@@ -87,30 +88,32 @@ class TestWorkloadInstance:
 
     def test_epoch_stream_length(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        g = inst.epoch_stream(0, 0, np.random.default_rng(0), 1000)
-        assert len(g) == 1000
+        g, w = shipped_stream(inst, 0, 0, np.random.default_rng(0), 1000)
+        assert len(g) == len(w) == 1000
         assert np.all(g >= 0)
         assert np.all(g < inst.n_granules)
 
     def test_epoch_stream_zero_length(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        assert len(inst.epoch_stream(0, 0, np.random.default_rng(0), 0)) == 0
+        g, _ = shipped_stream(inst, 0, 0, np.random.default_rng(0), 0)
+        assert len(g) == 0
 
     def test_epoch_stream_bad_thread(self, tiny_topo):
         inst = make_instance(tiny_topo)
         with pytest.raises(ConfigurationError):
-            inst.epoch_stream(99, 0, np.random.default_rng(0), 10)
+            shipped_stream(inst, 99, 0, np.random.default_rng(0), 10)
 
     def test_stream_rng_deterministic(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        a = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
-        b = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
+        a, wa = shipped_stream(inst, 0, 0, stream_rng(inst, 0, 0), 100)
+        b, wb = shipped_stream(inst, 0, 0, stream_rng(inst, 0, 0), 100)
         assert np.array_equal(a, b)
+        assert np.array_equal(wa, wb)
 
     def test_stream_rng_varies_by_epoch(self, tiny_topo):
         inst = make_instance(tiny_topo)
-        a = inst.epoch_stream(0, 0, stream_rng(inst, 0, 0), 100)
-        b = inst.epoch_stream(0, 1, stream_rng(inst, 0, 1), 100)
+        a, _ = shipped_stream(inst, 0, 0, stream_rng(inst, 0, 0), 100)
+        b, _ = shipped_stream(inst, 0, 1, stream_rng(inst, 0, 1), 100)
         assert not np.array_equal(a, b)
 
     def test_tlb_groups_weights_normalised(self, tiny_topo):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.analysis.invariants import check_address_space
+from repro.errors import ConfigurationError, MappingError
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
-from repro.vm.layout import GRANULES_PER_2M
+from repro.vm.layout import GRANULES_PER_1G, GRANULES_PER_2M
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import (
     HotRegion,
@@ -32,6 +33,12 @@ def make_asp(instance):
     return AddressSpace(instance.n_granules, phys)
 
 
+def sample(region, thread, n, epoch, rng):
+    """``n`` accesses of a thread-epoch drawn by ``Region.sample_into``."""
+    out = np.empty(n, dtype=np.int64)
+    return out[: region.sample_into(thread, n, epoch, rng, out)]
+
+
 def premap_all(instance, asp, thp):
     nodes = instance.machine.core_to_node[: instance.n_threads].astype(np.int64)
     batches = []
@@ -46,7 +53,7 @@ class TestPartitionedRegion:
         inst = make_instance([region], tiny_topo)
         rng = np.random.default_rng(0)
         for t in range(inst.n_threads):
-            g = region.sample(t, 500, 0, rng)
+            g = sample(region, t, 500, 0, rng)
             owners = region.owner_of_local(g - region.lo)
             assert np.all(owners == t)
 
@@ -56,7 +63,7 @@ class TestPartitionedRegion:
         )
         inst = make_instance([region], tiny_topo)
         rng = np.random.default_rng(0)
-        g = region.sample(0, 2000, 0, rng)
+        g = sample(region, 0, 2000, 0, rng)
         owners = region.owner_of_local(g - region.lo)
         assert set(np.unique(owners)) > {0}
 
@@ -84,7 +91,7 @@ class TestPartitionedRegion:
         batches = premap_all(inst, asp, thp=False)
         assert batches[0].total > 0
         # Thread 0 (node 0) samples must be local after first touch.
-        g = region.sample(0, 200, 0, np.random.default_rng(1))
+        g = sample(region, 0, 200, 0, np.random.default_rng(1))
         assert np.all(asp.home_nodes(g) == 0)
 
     def test_premap_thp_whole_chunks(self, tiny_topo):
@@ -102,7 +109,7 @@ class TestPartitionedRegion:
         asp = make_asp(inst)
         premap_all(inst, asp, thp=True)
         rng = np.random.default_rng(2)
-        g = region.sample(0, 2000, 0, rng)
+        g = sample(region, 0, 2000, 0, rng)
         homes = asp.home_nodes(g)
         assert 0 < np.count_nonzero(homes != 0) < 2000
 
@@ -125,14 +132,14 @@ class TestSharedRegion:
     def test_uniform_sampling_in_range(self, tiny_topo):
         region = SharedRegion("s", 8 * MIB, 1.0)
         make_instance([region], tiny_topo)
-        g = region.sample(0, 1000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 1000, 0, np.random.default_rng(0))
         assert np.all(g >= region.lo)
         assert np.all(g < region.lo + region._logical)
 
     def test_zipf_skews_popularity(self, tiny_topo):
         region = SharedRegion("s", 8 * MIB, 1.0, zipf_s=1.2, clustered=True)
         make_instance([region], tiny_topo)
-        g = region.sample(0, 20_000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 20_000, 0, np.random.default_rng(0))
         local = g - region.lo
         # Clustered zipf: the first granules absorb most accesses.
         hot_fraction = np.count_nonzero(local < 64) / len(local)
@@ -141,7 +148,7 @@ class TestSharedRegion:
     def test_unclustered_spreads_hot_ranks(self, tiny_topo):
         region = SharedRegion("s", 8 * MIB, 1.0, zipf_s=1.2, clustered=False)
         make_instance([region], tiny_topo)
-        g = region.sample(0, 20_000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 20_000, 0, np.random.default_rng(0))
         local = g - region.lo
         hot_fraction = np.count_nonzero(local < 64) / len(local)
         assert hot_fraction < 0.15
@@ -151,7 +158,7 @@ class TestSharedRegion:
         inst = make_instance([region], tiny_topo)
         asp = make_asp(inst)
         premap_all(inst, asp, thp=False)
-        g = region.sample(1, 500, 0, np.random.default_rng(0))
+        g = sample(region, 1, 500, 0, np.random.default_rng(0))
         assert np.all(asp.home_nodes(g) == 0)
 
     def test_hashed_striping_spreads_nodes(self, tiny_topo):
@@ -159,7 +166,7 @@ class TestSharedRegion:
         inst = make_instance([region], tiny_topo)
         asp = make_asp(inst)
         premap_all(inst, asp, thp=False)
-        g = region.sample(0, 4000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 4000, 0, np.random.default_rng(0))
         homes = asp.home_nodes(g)
         counts = np.bincount(homes, minlength=2)
         assert counts.min() > 0.3 * counts.max()
@@ -167,8 +174,8 @@ class TestSharedRegion:
     def test_private_consumers_partition_ranks(self, tiny_topo):
         region = SharedRegion("s", 8 * MIB, 1.0, private_consumers=True)
         make_instance([region], tiny_topo)
-        g0 = region.sample(0, 3000, 0, np.random.default_rng(0))
-        g1 = region.sample(1, 3000, 0, np.random.default_rng(1))
+        g0 = sample(region, 0, 3000, 0, np.random.default_rng(0))
+        g1 = sample(region, 1, 3000, 0, np.random.default_rng(1))
         assert not (set(g0.tolist()) & set(g1.tolist()))
 
     def test_chunk_header_bias_moves_chunks_to_master(self, tiny_topo):
@@ -191,7 +198,7 @@ class TestSharedRegion:
         inst = make_instance([region], tiny_topo)
         asp = make_asp(inst)
         premap_all(inst, asp, thp=False)
-        g = region.sample(0, 5000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 5000, 0, np.random.default_rng(0))
         homes = asp.home_nodes(g)
         counts = np.bincount(homes, minlength=2)
         assert counts.min() > 0.25 * counts.max()
@@ -218,7 +225,7 @@ class TestHotRegion:
         make_instance([region], tiny_topo)
         assert region.zipf_s == 0.0
         assert region.clustered
-        g = region.sample(0, 5000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 5000, 0, np.random.default_rng(0))
         # Uniform across exactly 3 chunks.
         chunks = np.unique((g - region.lo) // GRANULES_PER_2M)
         assert len(chunks) == 3
@@ -253,7 +260,7 @@ class TestStreamRegion:
         asp = make_asp(inst)
         nodes = inst.machine.core_to_node[: inst.n_threads].astype(np.int64)
         inst.premap_epoch(0, asp, nodes, False)
-        g = region.sample(0, 1000, 0, np.random.default_rng(0))
+        g = sample(region, 0, 1000, 0, np.random.default_rng(0))
         assert np.all(asp.home_nodes(g) >= 0)
 
     def test_recency_concentrates_on_window(self, tiny_topo):
@@ -261,7 +268,7 @@ class TestStreamRegion:
             "st", 8 * MIB, 1.0, grow_epochs=0, window_bytes=MIB, recency=1.0
         )
         make_instance([region], tiny_topo, total_epochs=2)
-        g = region.sample(0, 1000, 1, np.random.default_rng(0))
+        g = sample(region, 0, 1000, 1, np.random.default_rng(0))
         span = g.max() - g.min()
         assert span <= region.window_granules
 
@@ -270,6 +277,50 @@ class TestStreamRegion:
             StreamRegion("st", MIB, 1.0, grow_epochs=-1)
         with pytest.raises(ConfigurationError):
             StreamRegion("st", MIB, 1.0, recency=1.5)
+
+
+class TestPremapPaths:
+    """``Region._premap_range``: the one premap path, 4KB, THP or 1GB."""
+
+    @staticmethod
+    def one_slice_per_thread(machine):
+        # Rebound with 1GB alignment, each thread's slice is one 1GB page.
+        region = StreamRegion("st", 4 * MIB, 1.0)
+        inst = make_instance([region], machine).with_1g_backing()
+        return inst, region, make_asp(inst)
+
+    @pytest.mark.parametrize(
+        "interleave, placed", [(False, [0, 0, 1, 1]), (True, [0, 1, 0, 1])]
+    )
+    def test_1g_backing_maps_whole_pages(self, tiny_topo, interleave, placed):
+        """Each 1GB page lands on its first-touch owner's node, or
+        round-robin under interleave; either way the owner takes the
+        one 1GB fault."""
+        inst, region, asp = self.one_slice_per_thread(tiny_topo)
+        nodes = tiny_topo.core_to_node[: inst.n_threads].astype(np.int64)
+        batch = inst.premap_epoch(0, asp, nodes, True, interleave)
+        assert batch.faults_1g.tolist() == [1, 1, 1, 1]
+        assert batch.faults_2m.sum() == batch.faults_4k.sum() == 0
+        gchunks = np.arange(region.lo, region.hi, GRANULES_PER_1G) // GRANULES_PER_1G
+        assert asp.giga[gchunks].all()
+        assert asp.node1g[gchunks].tolist() == placed
+        check_address_space(asp)
+
+    def test_1g_growth_must_come_in_1g_units(self, tiny_topo):
+        inst, region, asp = self.one_slice_per_thread(tiny_topo)
+        nodes = tiny_topo.core_to_node[: inst.n_threads].astype(np.int64)
+        with pytest.raises(MappingError, match="1GB units"):
+            region._premap_range(asp, nodes, True, 0, GRANULES_PER_2M)
+        assert asp.mapped_bytes() == 0
+
+    def test_unaligned_thp_premap_rejected(self, tiny_topo):
+        region = StreamRegion("st", 4 * MIB, 1.0)
+        inst = make_instance([region], tiny_topo)
+        asp = make_asp(inst)
+        nodes = tiny_topo.core_to_node[: inst.n_threads].astype(np.int64)
+        with pytest.raises(MappingError, match="2MB-aligned"):
+            region._premap_range(asp, nodes, True, 0, GRANULES_PER_2M // 2)
+        assert asp.mapped_bytes() == 0
 
 
 class TestRegionProperties:
@@ -298,6 +349,6 @@ class TestRegionProperties:
         inst = make_instance(regions, tiny_topo, total_epochs=4)
         rng = np.random.default_rng(seed)
         for region in regions:
-            g = region.sample(0, n, epoch, rng)
+            g = sample(region, 0, n, epoch, rng)
             assert np.all(g >= region.lo)
             assert np.all(g < region.hi)

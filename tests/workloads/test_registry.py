@@ -12,6 +12,7 @@ from repro.workloads.registry import (
     available_workloads,
     get_workload,
 )
+from tests.per_thread_streams import shipped_stream
 
 
 class TestRegistry:
@@ -64,7 +65,7 @@ class TestAllSpecsInstantiate:
     def test_streams_and_groups_valid(self, name, machine_a_topo):
         inst = get_workload(name).instantiate(machine_a_topo, scale=0.25, seed=0)
         rng = rng_for(inst.seed, inst.name, "stream", 0, 0)
-        g = inst.epoch_stream(0, 0, rng, 512)
+        g, _ = shipped_stream(inst, 0, 0, rng, 512)
         assert len(g) == 512
         assert np.all((g >= 0) & (g < inst.n_granules))
         groups = inst.tlb_groups(0, 0)

@@ -14,6 +14,7 @@ from repro.analysis.invariants import check_address_space
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.workloads.registry import FIGURE1_ORDER, get_workload
+from tests.per_thread_streams import shipped_stream
 
 ALL_BENCHMARKS = FIGURE1_ORDER + ["streamcluster"]
 
@@ -35,7 +36,8 @@ class TestSpecConsistency:
         inst, asp = materialise(name, machine_a_topo, thp=True)
         for epoch in (0, inst.total_epochs - 1):
             for thread in (0, inst.n_threads - 1):
-                g = inst.epoch_stream(
+                g, _ = shipped_stream(
+                    inst,
                     thread,
                     epoch,
                     rng_for(inst.seed, inst.name, "stream", thread, epoch),

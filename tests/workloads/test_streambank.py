@@ -116,7 +116,8 @@ class TestBatchedEquivalence:
         assert (sizes == LENGTH).all()
 
     def test_trace_replay_matches_sequential(self, tiny_topo):
-        """Trace instances (no epoch_stream_into) use the fallback."""
+        """A replay subsamples its recorded rows exactly as reading
+        them off the trace does."""
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
                              total_epochs=3)
         trace = TraceRecorder().record(inst, stream_length=96)

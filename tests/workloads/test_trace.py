@@ -12,6 +12,7 @@ from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import PartitionedRegion, SharedRegion
 from repro.workloads.streambank import StreamBank
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
+from tests.per_thread_streams import shipped_stream
 
 MIB = 1 << 20
 
@@ -166,7 +167,7 @@ class TestReplay:
         trace, _ = make_trace(tiny_topo, stream_length=512)
         replay = TraceWorkloadInstance("t", tiny_topo, trace)
         rng = rng_for(replay.seed, replay.name, "trace", 0, 0)
-        g, w = replay.epoch_stream_with_writes(0, 0, rng, 128)
+        g, w = shipped_stream(replay, 0, 0, rng, 128)
         assert len(g) == 128
         assert len(w) == 128
 
@@ -174,7 +175,7 @@ class TestReplay:
         trace, _ = make_trace(tiny_topo)
         replay = TraceWorkloadInstance("t", tiny_topo, trace)
         rng = rng_for(replay.seed, replay.name, "trace", 0, 0)
-        g = replay.epoch_stream(0, trace.total_epochs - 1, rng, 64)
+        g, _ = shipped_stream(replay, 0, trace.total_epochs - 1, rng, 64)
         assert len(g) > 0
 
     def test_too_many_threads_rejected(self, tiny_topo, machine_b_topo):
