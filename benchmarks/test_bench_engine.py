@@ -11,13 +11,15 @@ Two passes over the grid, both with ``REPRO_STREAM_CACHE`` pointing at
 a block store:
 
 * **cold** — fresh store directory, empty banks: every (workload,
-  machine) pair generates and persists its streams and fused
-  aggregation columns from scratch.  This is the first-ever sweep on a
-  machine.
+  machine) pair generates its streams from scratch and persists them
+  with every row's aggregates, computed from each completed block as
+  it is written; the bank's fold aggregates each row again.  This is
+  the first-ever sweep on a machine.
 * **warm** — banks dropped again, store kept: fills come back as
-  memmapped block loads.  This is every later process — a re-run, a
-  resumed sweep, the second CI job on a primed cache — and is where
-  the ``stream_bank_warm`` number comes from.
+  memmapped block loads, and folds read the stored aggregates.  This
+  is every later process — a re-run, a resumed sweep, the second CI
+  job on a primed cache — and is where the ``stream_bank_warm`` number
+  comes from.
 
 The PR 2 baseline for this grid (serial, cold, scale 0.25) was
 11.973 s; ``speedup_vs_pr2_baseline`` tracks the hot-path trajectory

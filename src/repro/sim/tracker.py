@@ -62,8 +62,9 @@ class AccessTracker:
     def add_epoch(self, ids: np.ndarray, scaled_counts: np.ndarray) -> None:
         """Accumulate one whole epoch's access weight in a single call.
 
-        ``ids``/``scaled_counts`` are the fused tracker columns of
-        :meth:`~repro.workloads.streambank.StreamBank.epoch_tracker`:
+        ``ids``/``scaled_counts`` are the fused tracker columns a
+        stream bank aggregates from a row as it folds it
+        (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`):
         every thread's ``np.unique`` ids concatenated in ascending
         thread order, with each thread's ``weight_per_access`` already
         multiplied into its counts.  ``np.add.at`` is unbuffered and
@@ -80,9 +81,9 @@ class AccessTracker:
         """Fold one epoch's sharing information in, all threads at once.
 
         ``packed`` is ``(ids, epoch_first, multi, level_offsets)`` —
-        the three page levels' sharing summaries concatenated, as
-        built by
-        :meth:`~repro.workloads.streambank.StreamBank.sharing_packed`:
+        the three page levels' sharing summaries concatenated, as a
+        stream bank aggregates them from a row as it folds it
+        (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`):
         per level, the sorted distinct ids touched by any thread this
         epoch, the lowest thread id touching each, and whether two or
         more distinct threads touched it.  Produces exactly the

@@ -50,8 +50,12 @@ _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _hash_owner(indices: np.ndarray, n_threads: int, salt: int) -> np.ndarray:
-    """Deterministic pseudo-random owner assignment for stripes/chunks."""
-    x = indices.astype(np.uint64) + np.uint64(salt)
+    """Deterministic pseudo-random owner assignment for stripes/chunks.
+
+    The salt is taken modulo 2**64, the width the hash wraps at, so any
+    integer seed (negative or past 64 bits) hashes.
+    """
+    x = indices.astype(np.uint64) + np.uint64(salt % (1 << 64))
     x = (x * _HASH_MULT) >> np.uint64(29)
     return (x % np.uint64(n_threads)).astype(np.int64)
 

@@ -18,7 +18,7 @@ a bank lives exactly as long as its last run or the slot.  One slot
 suffices because runs that share a bank run back to back: the grid
 executor orders every grid, serial or pooled, into bank-affine tasks
 (:func:`repro.experiments.parallel._bank_tasks`).  A machine-B bank
-holds 34 MB at ``--quick`` and over 200 MB at full scale, so a process
+holds 11 MB at ``--quick`` and 62 MB at full scale, so a process
 keeps at most one bank beyond those of its running tenants.
 
 Three fidelity rules keep every bank row bit-identical to drawing each
@@ -36,37 +36,30 @@ against):
 * the engine treats bank arrays as read-only (it keeps its own
   ``stream_homes`` scratch), so one bank serves every run sharing it.
 
-Fused epoch aggregation: alongside the streams, every epoch row stores
-the access tracker's whole-epoch inputs, pre-merged at fill time —
-
-* :meth:`StreamBank.epoch_tracker` — one COO triplet ``(ids,
-  thread_offsets, counts)`` of all per-thread ``np.unique`` columns in
-  ascending thread order, plus the per-thread weight scaling already
-  folded in (``scaled_counts``), so the engine feeds the tracker with
-  a single :meth:`~repro.sim.tracker.AccessTracker.add_epoch` call per
-  epoch instead of an ``n_threads`` Python loop;
-* :meth:`StreamBank.sharing_packed` — the three page-level sharing
-  summaries packed into flat ``(ids, first, multi)`` arrays with level
-  offsets, consumed whole by
-  :meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`.
-
-The bank also folds those columns into one
-:class:`~repro.sim.tracker.AccessTracker` for all of its runs
+A row keeps only its streams, store masks and RNG states.  The bank
+folds the access tracker once for all of its runs
 (:meth:`StreamBank.fold_tracker`): the first run to reach an epoch
 folds that epoch's row, and each run reads the fold of exactly the
-epochs it ran (:meth:`StreamBank.tracker`).
+epochs it ran (:meth:`StreamBank.tracker`).  Folding a row aggregates
+it (:meth:`StreamBank._aggregate_row`) into the tracker's whole-epoch
+inputs — one fused COO column of every thread's ``np.unique`` ids and
+weight-scaled counts for
+:meth:`~repro.sim.tracker.AccessTracker.add_epoch`, and the three
+page-level sharing summaries packed for
+:meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing` — and
+drops them once folded.
 
 Lazy fill: a row materializes inside the call that first needs it, so
 a short run never generates past what it consumes.
 
 ``REPRO_STREAM_CACHE=<dir>`` (see :mod:`repro.options`) persists each
 epoch block to disk as its last row fills (``.npy`` columns loaded
-back memmapped, fused aggregation columns alongside), so banks survive
-across the processes of a grid sweep.  Blocks are filed under the
-bank's fingerprint, so a version bump starts an empty store, as it
-does for the result cache.  Pool workers share the store,
-so every file lands through a temp-file rename and an ``.ok`` marker
-is written last.
+back memmapped, each row's aggregates alongside for a loaded block to
+fold from), so banks survive across the processes of a grid sweep.
+Blocks are filed under the bank's fingerprint, so a version bump
+starts an empty store, as it does for the result cache.  Pool workers
+share the store, so every file lands through a temp-file rename and an
+``.ok`` marker is written last.
 """
 
 from __future__ import annotations
@@ -184,7 +177,7 @@ class _Block:
     """Storage for one ``EPOCH_WINDOW``-sized range of epochs."""
 
     __slots__ = ("epoch0", "n_epochs", "streams", "writes", "sizes",
-                 "rng_states", "tracker", "sharing", "filled", "persisted")
+                 "rng_states", "stored", "filled", "persisted")
 
     def __init__(self, epoch0: int, n_epochs: int, n_threads: int,
                  length: int) -> None:
@@ -194,12 +187,9 @@ class _Block:
         self.writes = np.zeros((n_epochs, n_threads, length), dtype=bool)
         self.sizes = np.zeros((n_epochs, n_threads), dtype=np.int64)
         self.rng_states: List[Optional[List[dict]]] = [None] * n_epochs
-        #: Per-row fused tracker columns: ``(ids, thread_offsets,
-        #: counts, scaled_counts)``.
-        self.tracker: List[Optional[tuple]] = [None] * n_epochs
-        #: Per-row packed sharing summary: ``(ids, first, multi,
-        #: level_offsets)`` over the three page levels.
-        self.sharing: List[Optional[tuple]] = [None] * n_epochs
+        #: Per-row aggregates (:meth:`StreamBank._aggregate_row`) read
+        #: back from the disk store; ``None`` for a generated block.
+        self.stored: Optional[List[tuple]] = None
         self.filled = np.zeros(n_epochs, dtype=bool)
         self.persisted = False
 
@@ -211,8 +201,7 @@ class _Block:
         writes: np.ndarray,
         sizes: np.ndarray,
         rng_states: List[List[dict]],
-        tracker: List[tuple],
-        sharing: List[tuple],
+        stored: List[tuple],
     ) -> "_Block":
         block = cls.__new__(cls)
         block.epoch0 = epoch0
@@ -221,8 +210,7 @@ class _Block:
         block.writes = writes
         block.sizes = sizes
         block.rng_states = list(rng_states)
-        block.tracker = list(tracker)
-        block.sharing = list(sharing)
+        block.stored = stored
         block.filled = np.ones(block.n_epochs, dtype=bool)
         block.persisted = True
         return block
@@ -312,42 +300,6 @@ class StreamBank:
         block, i = self._ensure_row(epoch)
         return block.rng_states[i]
 
-    def epoch_tracker(self, epoch: int) -> tuple:
-        """Fused tracker columns ``(ids, thread_offsets, counts,
-        scaled_counts)`` for one epoch.
-
-        ``ids``/``counts`` are every thread's ``np.unique(stream,
-        return_counts=True)`` concatenated in ascending thread order
-        (``thread_offsets`` has ``n_threads + 1`` entries delimiting
-        the segments); ``scaled_counts`` is ``counts`` with each
-        thread's weight scale (``dram_accesses / stream_size``, zero
-        for idle threads) already multiplied in.  Feeding ``(ids,
-        scaled_counts)`` to
-        :meth:`~repro.sim.tracker.AccessTracker.add_epoch` is
-        bit-identical to adding each thread's ``counts * scale`` in
-        turn: ``np.add.at`` applies additions in element order, which
-        is exactly ascending thread order, and each thread's segment
-        holds distinct ids.
-        """
-        block, i = self._ensure_row(epoch)
-        return block.tracker[i]
-
-    def sharing_packed(self, epoch: int) -> tuple:
-        """Packed epoch sharing summary ``(ids, first, multi,
-        level_offsets)``.
-
-        The three page levels (4KB granule, 2MB chunk, 1GB chunk) are
-        concatenated; ``level_offsets`` (4 entries) delimits them.  Per
-        level: the sorted distinct ids touched by *any* thread this
-        epoch, the lowest thread id touching each, and whether two or
-        more distinct threads touched it.  Consumed whole by
-        :meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`;
-        policy-independent, so runs sharing a bank pay the aggregation
-        once, at fill time.
-        """
-        block, i = self._ensure_row(epoch)
-        return block.sharing[i]
-
     def fold_tracker(self, epoch: int) -> None:
         """Fold the tracker rows up to ``epoch`` into the bank's tracker.
 
@@ -366,7 +318,8 @@ class StreamBank:
         A run that reached as many epochs as the bank has folded reads
         the bank's own tracker (shared: treat it as read-only).  A run
         that stopped earlier, such as a truncated or OOM-killed scenario
-        tenant, gets its prefix folded afresh by the same function.
+        tenant, gets its prefix folded afresh by the same function, which
+        aggregates each generated row of the prefix again.
         """
         if self._fold is not None and n_epochs == self._folded:
             return self._fold
@@ -377,15 +330,22 @@ class StreamBank:
     def _fold_rows(self, tracker: AccessTracker, start: int, stop: int) -> None:
         """Fold epochs ``[start, stop)`` into ``tracker``, in order.
 
-        Per epoch, two vectorized calls: the fused weight columns (the
-        per-thread scale is baked in, identical to the engine's traffic
-        scaling, as the fingerprint pins ``dram_accesses``) and the
-        packed sharing summary.
+        Per epoch, two vectorized calls on the row's aggregates (stored
+        with a loaded block, else computed by :meth:`_aggregate_row` and
+        dropped once folded): the fused weight columns (the per-thread
+        scale is baked in, identical to the engine's traffic scaling, as
+        the fingerprint pins ``dram_accesses``) and the packed sharing
+        summary.
         """
         for epoch in range(start, stop):
-            ids, _, _, scaled = self.epoch_tracker(epoch)
+            block, i = self._ensure_row(epoch)
+            (ids, _, _, scaled), sharing = (
+                self._aggregate_row(block, i)
+                if block.stored is None
+                else block.stored[i]
+            )
             tracker.add_epoch(ids, scaled)
-            tracker.merge_epoch_sharing(self.sharing_packed(epoch))
+            tracker.merge_epoch_sharing(sharing)
 
     # ------------------------------------------------------------------
     # Row materialization (lazy fill)
@@ -415,18 +375,14 @@ class StreamBank:
         return block
 
     def _fill_row(self, block: _Block, i: int) -> None:
-        """Generate one epoch row — streams, RNG states, fused tracker
-        and sharing columns — and persist the block once its last row
-        is in.
+        """Generate one epoch row — streams, store masks and RNG states —
+        and persist the block once its last row is in.
 
         ``filled`` is set only after every column is complete, so a
         failed fill leaves the row to be regenerated (generation is
         deterministic).
         """
         block.rng_states[i] = self._generate_row(block, i)
-        tracker = self._aggregate_tracker(block, i)
-        block.tracker[i] = tracker
-        block.sharing[i] = self._aggregate_sharing(tracker[0], tracker[1])
         block.filled[i] = True
         if (
             self._dir is not None
@@ -447,6 +403,22 @@ class StreamBank:
             )
             states.append(rng.bit_generator.state)
         return states
+
+    def _aggregate_row(self, block: _Block, i: int) -> tuple:
+        """One filled row's aggregates: its fused tracker columns
+        ``(ids, thread_offsets, counts, scaled_counts)`` and its packed
+        sharing summary ``(ids, first, multi, level_offsets)``.
+
+        ``ids``/``counts`` are every thread's ``np.unique(stream,
+        return_counts=True)`` in ascending thread order
+        (``thread_offsets`` delimits the segments); ``scaled_counts``
+        has each thread's weight scale multiplied in.  The sharing
+        summary concatenates the 4KB, 2MB and 1GB levels: per level,
+        the sorted ids any thread touched, the lowest thread touching
+        each, and whether two or more threads did.
+        """
+        tracker = self._aggregate_tracker(block, i)
+        return tracker, self._aggregate_sharing(tracker[0], tracker[1])
 
     def _aggregate_tracker(self, block: _Block, i: int) -> tuple:
         """Fused tracker columns for one generated row.
@@ -594,7 +566,7 @@ class StreamBank:
         }
 
     def _agg_payload(self, block: _Block) -> Dict[str, np.ndarray]:
-        """Flatten a completed block's fused aggregation columns for
+        """Every row's aggregates of a completed block, flattened for
         the disk store (``scaled_counts`` is derived, recomputed on
         load)."""
         n_threads = self.n_threads
@@ -608,12 +580,13 @@ class StreamBank:
         s_first: List[np.ndarray] = []
         s_multi: List[np.ndarray] = []
         for i in range(block.n_epochs):
-            ids, offsets, counts, _ = block.tracker[i]
+            (ids, offsets, counts, _), (p_ids, p_first, p_multi, lvl) = (
+                self._aggregate_row(block, i)
+            )
             t_ids.append(ids)
             t_counts.append(counts)
             t_off[i] = offsets
             t_row[i + 1] = t_row[i] + ids.size
-            p_ids, p_first, p_multi, lvl = block.sharing[i]
             s_ids.append(p_ids)
             s_first.append(p_first)
             s_multi.append(p_multi)
@@ -687,19 +660,17 @@ class StreamBank:
             or len(rng_states) != n_epochs
         ):
             return None
-        rows = self._rows_from_agg(agg, sizes, n_epochs)
-        if rows is None:
+        stored = self._rows_from_agg(agg, sizes, n_epochs)
+        if stored is None:
             return None
-        tracker, sharing = rows
-        return _Block.from_store(
-            epoch0, streams, writes, sizes, rng_states, tracker, sharing
-        )
+        return _Block.from_store(epoch0, streams, writes, sizes, rng_states, stored)
 
     def _rows_from_agg(
         self, agg: Dict[str, np.ndarray], sizes: np.ndarray, n_epochs: int
-    ) -> Optional[Tuple[List[tuple], List[tuple]]]:
-        """Rebuild per-row fused columns from a stored block, or
-        ``None`` when the payload is inconsistent (stale store)."""
+    ) -> Optional[List[tuple]]:
+        """Rebuild each row's :meth:`_aggregate_row` output from a
+        stored block, or ``None`` when the payload is inconsistent
+        (stale store)."""
         try:
             t_ids, t_counts = agg["t_ids"], agg["t_counts"]
             t_row, t_off = agg["t_row"], agg["t_off"]
@@ -719,8 +690,7 @@ class StreamBank:
             or s_multi.shape != s_ids.shape
         ):
             return None
-        tracker: List[tuple] = []
-        sharing: List[tuple] = []
+        rows: List[tuple] = []
         for i in range(n_epochs):
             ids = t_ids[int(t_row[i]):int(t_row[i + 1])]
             counts = t_counts[int(t_row[i]):int(t_row[i + 1])]
@@ -728,15 +698,15 @@ class StreamBank:
             if int(offsets[-1]) != ids.size:
                 return None
             scaled = self._scaled_counts(sizes[i], offsets, counts)
-            tracker.append((ids, offsets, counts, scaled))
             lo, hi = int(s_row[i]), int(s_row[i + 1])
             lvl = s_lvl[i]
             if int(lvl[-1]) != hi - lo:
                 return None
-            sharing.append(
-                (s_ids[lo:hi], s_first[lo:hi], s_multi[lo:hi], lvl)
-            )
-        return tracker, sharing
+            rows.append((
+                (ids, offsets, counts, scaled),
+                (s_ids[lo:hi], s_first[lo:hi], s_multi[lo:hi], lvl),
+            ))
+        return rows
 
 
 def _atomic_write(path: str, directory: str, write) -> None:

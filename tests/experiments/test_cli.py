@@ -70,6 +70,22 @@ class TestMain:
         assert "Kmeans" in out
         assert "runtime=" in out
 
+    @pytest.mark.parametrize(
+        "seed", ["-102", "99999999999999999999999"], ids=["negative", "past-64-bits"]
+    )
+    def test_any_integer_seed_runs(self, capsys, seed):
+        """SSCA.20's regions salt their owner hash with ``seed + 101``
+        and ``seed + 777``: a seed below -101, or one past 64 bits,
+        runs like any other."""
+        code = main(
+            ["run", "SSCA.20", "--machine", "A", "--policy", "linux-4k",
+             "--quick", "--scale", "0.25", "--seed", seed]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "runtime=" in out
+        assert err == ""
+
     def test_jobs_flag_sets_env(self, capsys, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "1")  # registers restore-on-teardown
         code = main(

@@ -5,7 +5,7 @@ lives exactly as long as something refers to it.  A reference cycle (a
 tenant and its executor, a host and its invariant checker) or a memo
 that outlives its runs shows up as a live object, not as memory that
 the next full collection happens to free.  A stream bank
-holds every thread's streams for its epochs (34 MB for a machine-B
+holds every thread's streams for its epochs (11 MB for a machine-B
 bank at ``--quick``), so what keeps a run alive keeps its bank alive.
 """
 

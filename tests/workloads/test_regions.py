@@ -15,6 +15,7 @@ from repro.workloads.regions import (
     PartitionedRegion,
     SharedRegion,
     StreamRegion,
+    _hash_owner,
 )
 
 GIB = 1 << 30
@@ -202,6 +203,17 @@ class TestSharedRegion:
         homes = asp.home_nodes(g)
         counts = np.bincount(homes, minlength=2)
         assert counts.min() > 0.25 * counts.max()
+
+    @pytest.mark.parametrize("salt", [0, 101, 777, (1 << 63) + 5, (1 << 64) - 1, -1])
+    def test_owner_hash_salt_wraps_at_64_bits(self, salt):
+        """Region workloads salt the owner hash with ``seed + 101`` (and
+        ``seed + 777``), so any integer seed must hash: a salt and the
+        same salt plus 2**64 pick the same owners."""
+        stripes = np.arange(4096, dtype=np.int64)
+        owners = _hash_owner(stripes, 7, salt)
+        for other in (salt + (1 << 64), salt - (1 << 64), salt + (5 << 64)):
+            np.testing.assert_array_equal(_hash_owner(stripes, 7, other), owners)
+        assert owners.min() >= 0 and owners.max() < 7
 
     def test_invalid_zipf(self):
         with pytest.raises(ConfigurationError):

@@ -4,21 +4,28 @@ The contract under test is *bit-identity*: a bank must be
 indistinguishable from per-thread generation (the oracles in
 ``tests/per_thread_streams.py``) — same granule streams, same write
 masks, same post-generation RNG states (the IBS sampler continues
-those generators), and the same access-tracker state from the
-pre-aggregated columns.
+those generators), and the same access-tracker state from each row's
+aggregates (``StreamBank._aggregate_row``, run as the bank folds the
+row).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import repro
+from repro.experiments.parallel import GridRunner
+from repro.experiments.runner import RunSettings, RunSpec
 from repro.options import STREAM_CACHE_ENV
+from repro.sim.config import SimConfig
 from repro.sim.tracker import AccessTracker
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import (
@@ -70,6 +77,12 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
     return WorkloadInstance(
         "test", machine, regions, cost, total_epochs=total_epochs, **kwargs
     )
+
+
+def row_aggregates(bank, epoch):
+    """One epoch's ``(tracker columns, sharing summary)`` from the
+    bank's row helper, the row filled first."""
+    return bank._aggregate_row(*bank._ensure_row(epoch))
 
 
 def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
@@ -145,11 +158,12 @@ class TestBatchedEquivalence:
         _, writes, sizes = bank.epoch_arrays(1)
         assert (sizes == 0).all()
         assert not writes.any()
-        ids, first, multi, level_offsets = bank.sharing_packed(1)
+        _, sharing = row_aggregates(bank, 1)
+        ids, first, multi, level_offsets = sharing
         assert ids.size == first.size == multi.size == 0
         assert (level_offsets == 0).all()
         tracker = AccessTracker(64)
-        tracker.merge_epoch_sharing(bank.sharing_packed(1))
+        tracker.merge_epoch_sharing(sharing)
         assert not tracker._shared_4k.any()
         assert (tracker._first_4k == -1).all()
 
@@ -161,7 +175,7 @@ class TestTrackerColumns:
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         streams, _, sizes = bank.epoch_arrays(0)
-        ids, offsets, counts, _ = bank.epoch_tracker(0)
+        (ids, offsets, counts, _), _ = row_aggregates(bank, 0)
         for t in range(inst.n_threads):
             lo, hi = int(offsets[t]), int(offsets[t + 1])
             ref_u, ref_c = np.unique(streams[t, : int(sizes[t])],
@@ -300,8 +314,7 @@ class TestDiskStore:
         assert bank2.fingerprint != bank.fingerprint
 
     @pytest.mark.parametrize(
-        "accessor",
-        ["epoch_arrays", "ibs_states", "epoch_tracker", "sharing_packed"],
+        "accessor", ["epoch_arrays", "ibs_states", "fold_tracker"]
     )
     def test_every_accessor_persists_a_completed_block(
         self, accessor, tiny_topo, tmp_path, monkeypatch
@@ -319,9 +332,19 @@ class TestDiskStore:
         assert os.path.exists(marker)
 
 
-def assert_fused_matches_update(bank, instance, epochs):
-    """Property: add_epoch over the fused COO == the per-thread
-    ``update`` oracle loop, bit for bit, including sharing state.
+def assert_same_fold(got, want):
+    np.testing.assert_array_equal(got.weight, want.weight)
+    for level in ("4k", "2m", "1g"):
+        for kind in ("first", "shared"):
+            name = f"_{kind}_{level}"
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def assert_fused_matches_update(bank, instance, n_epochs):
+    """Property: the bank's fold of epochs ``[0, n_epochs)``, and
+    ``add_epoch``/``merge_epoch_sharing`` over each row's aggregates,
+    equal the per-thread ``update`` oracle loop bit for bit, sharing
+    state included.
 
     The reference recomputes the engine's per-thread scale
     (``dram_accesses / stream_size``) exactly as ``_run_epoch`` does.
@@ -329,7 +352,7 @@ def assert_fused_matches_update(bank, instance, epochs):
     seq = AccessTracker(instance.n_granules)
     fused = AccessTracker(instance.n_granules)
     dram = instance.cost.dram_accesses
-    for epoch in epochs:
+    for epoch in range(n_epochs):
         streams, _, sizes = bank.epoch_arrays(epoch)
         scale = np.zeros(bank.n_threads)
         active = sizes > 0
@@ -337,31 +360,26 @@ def assert_fused_matches_update(bank, instance, epochs):
         for t in range(bank.n_threads):
             n = int(sizes[t])
             update(seq, t, streams[t, :n], float(scale[t]))
-        ids, offsets, counts, scaled = bank.epoch_tracker(epoch)
+        (ids, offsets, counts, scaled), sharing = row_aggregates(bank, epoch)
         assert offsets.shape == (bank.n_threads + 1,)
         assert int(offsets[-1]) == ids.size == counts.size == scaled.size
         fused.add_epoch(ids, scaled)
-        fused.merge_epoch_sharing(bank.sharing_packed(epoch))
-    np.testing.assert_array_equal(fused.weight, seq.weight)
-    for level in ("4k", "2m", "1g"):
-        np.testing.assert_array_equal(
-            getattr(fused, f"_first_{level}"), getattr(seq, f"_first_{level}")
-        )
-        np.testing.assert_array_equal(
-            getattr(fused, f"_shared_{level}"), getattr(seq, f"_shared_{level}")
-        )
+        fused.merge_epoch_sharing(sharing)
+    assert_same_fold(fused, seq)
+    assert_same_fold(bank.tracker(n_epochs), seq)
 
 
 class TestFusedEpochAggregation:
-    """Property-style equivalence: the fused per-epoch COO path
-    (``epoch_tracker`` + ``add_epoch`` + ``sharing_packed``) must
-    reproduce the per-thread ``update`` oracle loop exactly."""
+    """Property-style equivalence: the fused per-epoch COO path (each
+    row's aggregates into ``add_epoch`` and ``merge_epoch_sharing``, and
+    the bank's own fold) must reproduce the per-thread ``update`` oracle
+    loop exactly."""
 
     @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
     def test_every_region_kind(self, kind, tiny_topo):
         inst = make_instance(REGION_FACTORIES[kind](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        assert_fused_matches_update(bank, inst, range(inst.total_epochs))
+        assert_fused_matches_update(bank, inst, inst.total_epochs)
 
     def test_empty_streams(self, tiny_topo):
         """Epochs nobody touches contribute empty COO segments."""
@@ -379,10 +397,10 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("sparse", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        ids, offsets, counts, scaled = bank.epoch_tracker(1)
+        (ids, offsets, counts, scaled), _ = row_aggregates(bank, 1)
         assert ids.size == counts.size == scaled.size == 0
         assert (offsets == 0).all()
-        assert_fused_matches_update(bank, replay, range(3))
+        assert_fused_matches_update(bank, replay, 3)
 
     def test_single_thread_epochs(self):
         """A one-core machine produces a single COO segment."""
@@ -398,19 +416,19 @@ class TestFusedEpochAggregation:
         inst = make_instance(REGION_FACTORIES["mixed"](), solo)
         assert inst.n_threads == 1
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        ids, offsets, counts, _ = bank.epoch_tracker(0)
+        (ids, offsets, counts, _), _ = row_aggregates(bank, 0)
         assert offsets.shape == (2,)
         np.testing.assert_array_equal(
             ids, np.unique(bank.epoch_arrays(0)[0][0])
         )
-        assert_fused_matches_update(bank, inst, range(inst.total_epochs))
+        assert_fused_matches_update(bank, inst, inst.total_epochs)
 
     def test_write_fraction_zero(self, tiny_topo):
         inst = make_instance(
             [SharedRegion("s", 4 * MIB, 1.0, write_fraction=0.0)], tiny_topo
         )
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        assert_fused_matches_update(bank, inst, range(inst.total_epochs))
+        assert_fused_matches_update(bank, inst, inst.total_epochs)
 
     def test_max_thread_id_edge(self, tiny_topo):
         """Only the highest thread id active: its segment must land at
@@ -430,13 +448,14 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("tail", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        ids, offsets, counts, _ = bank.epoch_tracker(0)
+        (ids, offsets, counts, _), (p_ids, p_first, _, _) = row_aggregates(
+            bank, 0
+        )
         assert (offsets[: last + 1] == 0).all()
         np.testing.assert_array_equal(ids, [7, 9, 11])
         np.testing.assert_array_equal(counts, [2, 2, 1])
-        p_ids, p_first, _, _ = bank.sharing_packed(0)
         assert (p_first == last).all()
-        assert_fused_matches_update(bank, replay, range(2))
+        assert_fused_matches_update(bank, replay, 2)
 
     def test_ragged_and_full_paths_agree(self, tiny_topo):
         """The vectorized row-sort aggregation (full rows) equals the
@@ -455,7 +474,13 @@ class TestFusedEpochAggregation:
             np.testing.assert_array_equal(a, b)
 
 
-ACCESSORS = ("epoch_arrays", "ibs_states", "epoch_tracker", "sharing_packed")
+#: Every way a row is reached: the engine's two accessors and the row
+#: helper a fold runs (each fills the row first).
+ACCESSORS = (
+    lambda bank, epoch: bank.epoch_arrays(epoch),
+    lambda bank, epoch: bank.ibs_states(epoch),
+    row_aggregates,
+)
 
 #: Epoch orders a consumer may walk a two-block bank in.
 FILL_ORDERS = {
@@ -476,8 +501,7 @@ def bank_row(bank, epoch):
         streams.copy(),
         writes.copy(),
         sizes.copy(),
-        bank.epoch_tracker(epoch),
-        bank.sharing_packed(epoch),
+        *row_aggregates(bank, epoch),
         list(bank.ibs_states(epoch)),
     )
 
@@ -517,7 +541,7 @@ class TestLazyFill:
                              total_epochs=total)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         for step, epoch in enumerate(FILL_ORDERS[order](total)):
-            getattr(bank, ACCESSORS[step % len(ACCESSORS)])(epoch)
+            ACCESSORS[step % len(ACCESSORS)](bank, epoch)
         assert sorted(bank._blocks) == [0, EPOCH_WINDOW]
         assert all(block.filled.all() for block in bank._blocks.values())
         for epoch in range(total):
@@ -540,3 +564,200 @@ class TestLazyFill:
         assert_rows_equal(bank_row(bank, 1), first)
         assert not bank._blocks[0].filled[0]
         assert_bank_matches_sequential(bank, inst, 1)
+
+
+class TestStoredAggregates:
+    """The disk store keeps each row's aggregates: its writer computes
+    them from the completed block, and a loaded block folds from them."""
+
+    def test_stored_arrays_are_the_row_helpers_output(
+        self, tiny_topo, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=3)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+        path = os.path.join(str(tmp_path), bank.fingerprint, "b0.agg.npz")
+        with np.load(path) as stored:
+            got = {key: stored[key] for key in stored.files}
+        rows = [row_aggregates(bank, e) for e in range(inst.total_epochs)]
+        tracker, sharing = zip(*rows)
+        want = {
+            "t_ids": np.concatenate([t[0] for t in tracker]),
+            "t_counts": np.concatenate([t[2] for t in tracker]),
+            "t_row": np.cumsum([0] + [t[0].size for t in tracker]),
+            "t_off": np.stack([t[1] for t in tracker]),
+            "s_ids": np.concatenate([p[0] for p in sharing]),
+            "s_first": np.concatenate([p[1] for p in sharing]),
+            "s_multi": np.concatenate([p[2] for p in sharing]),
+            "s_row": np.cumsum([0] + [p[0].size for p in sharing]),
+            "s_lvl": np.stack([p[3] for p in sharing]),
+        }
+        assert sorted(got) == sorted(want)
+        for key, array in want.items():
+            assert got[key].dtype == array.dtype, key
+            np.testing.assert_array_equal(got[key], array, err_msg=key)
+
+    def test_loaded_block_folds_like_a_generated_one(
+        self, tiny_topo, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        total = EPOCH_WINDOW + 4
+
+        def instance():
+            return make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                                 total_epochs=total)
+
+        writer = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            writer.fold_tracker(epoch)
+        clear_stream_banks()
+        loaded = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            loaded.fold_tracker(epoch)
+        assert sorted(loaded._blocks) == [0, EPOCH_WINDOW]
+        assert all(b.stored is not None for b in loaded._blocks.values())
+        generated = StreamBank(instance(), SIM_SEED, LENGTH)
+        for n in (total, EPOCH_WINDOW + 1):
+            assert_same_fold(loaded.tracker(n), generated.tracker(n))
+            assert_same_fold(writer.tracker(n), generated.tracker(n))
+
+
+#: A small serial grid: two runs share Kmeans's bank, SSCA.20 has its own.
+WORK_GRID = [
+    RunSpec("Kmeans", "A", "linux-4k"),
+    RunSpec("Kmeans", "A", "thp"),
+    RunSpec("SSCA.20", "A", "linux-4k"),
+]
+
+
+def record_aggregation(monkeypatch):
+    """Every bank built, and every ``(fingerprint, epoch)`` row the row
+    helper aggregates, from now on."""
+    banks, aggregated = [], []
+    init = StreamBank.__init__
+    aggregate_row = StreamBank._aggregate_row
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        banks.append(self)
+
+    def counted(self, block, i):
+        aggregated.append((self.fingerprint, block.epoch0 + i))
+        return aggregate_row(self, block, i)
+
+    monkeypatch.setattr(StreamBank, "__init__", tracked)
+    monkeypatch.setattr(StreamBank, "_aggregate_row", counted)
+    return banks, aggregated
+
+
+class TestAggregationWork:
+    """A row is aggregated when the bank folds it, once, and never when
+    nothing folds it or its aggregates come from the disk store."""
+
+    def test_each_folded_row_aggregates_once(self, monkeypatch):
+        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
+        banks, aggregated = record_aggregation(monkeypatch)
+        GridRunner(RunSettings.quick(), jobs=1).run(WORK_GRID, use_cache=False)
+        assert len(banks) == 2
+        folded = [
+            (bank.fingerprint, epoch)
+            for bank in banks
+            for epoch in range(bank._folded)
+        ]
+        assert all(bank._folded > 0 for bank in banks)
+        assert sorted(aggregated) == sorted(folded)
+
+    def test_untracked_runs_never_aggregate(self, monkeypatch):
+        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
+        banks, aggregated = record_aggregation(monkeypatch)
+        config = dataclasses.replace(SimConfig.quick(), track_access_stats=False)
+        GridRunner(RunSettings(config=config), jobs=1).run(
+            WORK_GRID, use_cache=False
+        )
+        assert len(banks) == 2
+        assert all(bank._blocks and bank._folded == 0 for bank in banks)
+        assert aggregated == []
+
+    def test_a_store_warm_pass_never_aggregates(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        banks, aggregated = record_aggregation(monkeypatch)
+        runner = GridRunner(RunSettings.quick(), jobs=1)
+        cold = runner.run(WORK_GRID, use_cache=False)
+        # Store-cold, every run completes its bank's blocks, so each
+        # row is aggregated twice: as the writer persists its block and
+        # as the bank folds it.
+        folded = [(b.fingerprint, e) for b in banks for e in range(b._folded)]
+        assert sorted(aggregated) == sorted(folded * 2)
+        clear_stream_banks()
+        banks.clear()
+        aggregated.clear()
+        warm = runner.run(WORK_GRID, use_cache=False)
+        assert len(banks) == 2
+        assert all(
+            block.stored is not None
+            for bank in banks
+            for block in bank._blocks.values()
+        )
+        assert aggregated == []
+        for spec in WORK_GRID:
+            assert warm[spec].hot_stats == cold[spec].hot_stats
+
+
+def deep_size(obj):
+    """``sys.getsizeof`` summed over a tree of dicts, lists and scalars
+    (an upper bound: shared keys and small ints count every time)."""
+    if isinstance(obj, dict):
+        return sys.getsizeof(obj) + sum(
+            deep_size(k) + deep_size(v) for k, v in obj.items()
+        )
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(deep_size(v) for v in obj)
+    return sys.getsizeof(obj)
+
+
+class TestRetention:
+    #: Room for the bank and block objects, their ``filled`` masks and
+    #: the containers that hold them.
+    SLACK_BYTES = 64 * 1024
+
+    def test_a_folded_bank_holds_streams_states_and_its_fold(
+        self, refcount_only, tiny_topo
+    ):
+        """Once every epoch is filled and folded, what deleting the bank
+        frees is its blocks' streams, writes, sizes and RNG states and
+        its one fold: no row keeps its aggregates."""
+        total = EPOCH_WINDOW + 4
+        length = 2048
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=total)
+        # Whatever the instance builds lazily on a first draw is built
+        # now, so it is not counted against the bank below.
+        StreamBank(inst, SIM_SEED, length).fold_tracker(total - 1)
+        tracemalloc.start()
+        try:
+            bank = StreamBank(inst, SIM_SEED, length)
+            for epoch in range(total):
+                bank.epoch_arrays(epoch)
+                bank.fold_tracker(epoch)
+            held = tracemalloc.get_traced_memory()[0]
+            blocks = list(bank._blocks.values())
+            assert len(blocks) == 2
+            assert all(block.stored is None for block in blocks)
+            arrays = sum(
+                block.streams.nbytes + block.writes.nbytes + block.sizes.nbytes
+                for block in blocks
+            )
+            states = sum(deep_size(block.rng_states) for block in blocks)
+            fold = sum(
+                value.nbytes
+                for value in vars(bank.tracker(total)).values()
+                if isinstance(value, np.ndarray)
+            )
+            del blocks, bank
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert arrays <= freed <= arrays + states + fold + self.SLACK_BYTES

@@ -171,12 +171,38 @@ class TestReplay:
         assert len(g) == 128
         assert len(w) == 128
 
-    def test_missing_epoch_is_empty(self, tiny_topo):
+    def test_last_recorded_epoch_replays_its_accesses(self, tiny_topo):
         trace, _ = make_trace(tiny_topo)
         replay = TraceWorkloadInstance("t", tiny_topo, trace)
         rng = rng_for(replay.seed, replay.name, "trace", 0, 0)
         g, _ = shipped_stream(replay, 0, trace.total_epochs - 1, rng, 64)
         assert len(g) > 0
+
+    def test_unrecorded_thread_epoch_replays_empty(self, tiny_topo):
+        """An ``(epoch, thread)`` the trace holds no access for replays
+        as a zero-size row and writes nothing into the row buffers."""
+        cost = CostProfile(cpu_seconds=0.1, mem_accesses=1e6, dram_accesses=1e5)
+        trace = TraceData(
+            n_threads=2,
+            n_granules=64,
+            total_epochs=2,
+            thread=np.array([0, 0, 1], dtype=np.int64),
+            epoch=np.array([0, 0, 1], dtype=np.int64),
+            granule=np.array([1, 2, 3], dtype=np.int64),
+            is_write=np.array([False, True, False]),
+            cost=cost,
+        )
+        replay = TraceWorkloadInstance("sparse", tiny_topo, trace)
+        for thread, epoch in ((1, 0), (0, 1)):
+            granules = np.full(16, -7, dtype=np.int64)
+            writes = np.ones(16, dtype=bool)
+            rng = rng_for(replay.seed, replay.name, "trace", thread, epoch)
+            state = rng.bit_generator.state
+            n = replay.epoch_stream_into(thread, epoch, rng, 16, granules, writes)
+            assert n == 0
+            assert (granules == -7).all()
+            assert writes.all()
+            assert rng.bit_generator.state == state
 
     def test_too_many_threads_rejected(self, tiny_topo, machine_b_topo):
         trace, _ = make_trace(machine_b_topo, epochs=1, stream_length=8)
