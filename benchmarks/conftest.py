@@ -22,15 +22,14 @@ import pathlib
 import pytest
 
 from repro.experiments.parallel import resolve_jobs
-from repro.experiments.runner import RunSettings
 from repro.sim.config import SimConfig
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def settings() -> RunSettings:
-    """Run settings for benchmark runs (scale from REPRO_BENCH_SCALE)."""
+def settings() -> SimConfig:
+    """The config benchmark runs share (scale from REPRO_BENCH_SCALE)."""
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
     seed = int(os.environ.get("REPRO_BENCH_SEED", "0"))
     if scale >= 1.0:
@@ -39,7 +38,7 @@ def settings() -> RunSettings:
         config = SimConfig(
             stream_length=768, scale=scale, seed=seed, ibs_rate=2e-4
         )
-    return RunSettings(config=config, seed=seed)
+    return config
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ def test_bench_engine(settings, tmp_path, monkeypatch):
     payload = {
         "grid": [f"{wl}@{m}/{p}" for wl, m, p in BENCH_GRID],
         "n_runs": len(BENCH_GRID),
-        "scale": settings.config.scale,
+        "scale": settings.scale,
         "cold_serial_wall_s": round(cold_wall, 3),
         "pr2_baseline_wall_s": PR2_BASELINE_WALL_S,
         "speedup_vs_pr2_baseline": round(PR2_BASELINE_WALL_S / cold_wall, 2),

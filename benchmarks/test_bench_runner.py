@@ -27,7 +27,7 @@ from repro.experiments.parallel import (
     backend_choice,
     resolve_jobs,
 )
-from repro.experiments.runner import clear_cache, execute_run
+from repro.experiments.runner import execute_run
 from repro.options import CHECK_ENV, STREAM_CACHE_ENV
 from repro.workloads.streambank import clear_stream_banks
 
@@ -46,7 +46,6 @@ BENCH_GRID = [
 
 def _timed_run(settings, jobs: int, cache_dir: pathlib.Path) -> float:
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    clear_cache()
     # Each timed pass starts with cold stream banks AND its own block
     # store; a shared REPRO_STREAM_CACHE would let the serial pass warm
     # the parallel pass's fills from disk and inflate the speedup.
@@ -62,7 +61,7 @@ def _timed_run(settings, jobs: int, cache_dir: pathlib.Path) -> float:
 def _timed_invariant_overhead(settings, repeats: int = 3) -> dict:
     """Wall-clock for CG.D@B with per-epoch invariant checking off/on.
 
-    Uses ``execute_run`` (no caching at either level) so both passes
+    Uses ``execute_run`` (no caching) so both passes
     really simulate; each arm sets ``REPRO_CHECK``, and the caller's
     value is restored afterwards.
 
@@ -123,9 +122,8 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
             if jobs > 1
             else None
         )
-        # Warm pass: same cache dir as the parallel pass, memo cleared,
-        # so every run is answered from disk.
-        clear_cache()
+        # Warm pass: same cache dir as the parallel pass, so every run
+        # is answered from disk.
         os.environ["REPRO_CACHE_DIR"] = str(tmp_path / ("parallel" if jobs > 1 else "serial"))
         start = time.perf_counter()
         warm = GridRunner(settings, jobs=jobs).run(BENCH_GRID)
@@ -139,7 +137,6 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
             os.environ.pop(STREAM_CACHE_ENV, None)
         else:
             os.environ[STREAM_CACHE_ENV] = old_stream_cache
-        clear_cache()
         clear_stream_banks()
 
     assert len(warm) == len(BENCH_GRID)
@@ -152,7 +149,7 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
         "backend": backend,
         "backend_reason": backend_reason,
         "cpu_count": os.cpu_count(),
-        "scale": settings.config.scale,
+        "scale": settings.scale,
         "serial_wall_s": round(serial_s, 3),
         "parallel_wall_s": round(parallel_s, 3) if parallel_s is not None else None,
         "warm_cache_wall_s": round(warm_s, 3),

@@ -10,18 +10,19 @@ recover.  Under plain THP nothing ever improves.
 Run:  python examples/policy_timeline.py
 """
 
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments.runner import run_benchmark
 from repro.experiments.timeline import (
     convergence_epoch,
     epoch_series,
     render_timeline,
 )
+from repro.sim.config import SimConfig
 
 
 def main() -> None:
-    settings = RunSettings.quick(seed=0)
+    config = SimConfig.quick(seed=0)
     for policy in ("thp", "carrefour-2m", "carrefour-lp"):
-        result = run_benchmark("CG.D", "B", policy, settings)
+        result = run_benchmark("CG.D", "B", policy, config)
         print()
         print(render_timeline(result))
         series = epoch_series(result)

@@ -8,21 +8,22 @@ Carrefour-LP recovers the losses while keeping the benefits.
 Run:  python examples/quickstart.py
 """
 
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments.runner import run_benchmark
+from repro.sim.config import SimConfig
 
 POLICIES = ["linux-4k", "thp", "carrefour-2m", "carrefour-lp"]
 
 
 def main() -> None:
-    settings = RunSettings.quick(seed=0)
+    config = SimConfig.quick(seed=0)
 
     for workload, machine in [("CG.D", "B"), ("WC", "B")]:
         print(f"\n=== {workload} on machine {machine} ===")
-        baseline = run_benchmark(workload, machine, "linux-4k", settings)
+        baseline = run_benchmark(workload, machine, "linux-4k", config)
         print(f"{'policy':14s} {'runtime':>9s} {'vs linux':>9s} "
               f"{'LAR':>5s} {'imbalance':>9s} {'2M pages':>9s}")
         for policy in POLICIES:
-            result = run_benchmark(workload, machine, policy, settings)
+            result = run_benchmark(workload, machine, policy, config)
             m = result.metrics()
             huge = m.final_page_counts.get(2 * 1024 * 1024, 0)
             print(

@@ -10,21 +10,22 @@ threads' data collapse onto one node — and only splitting
 Run:  python examples/very_large_pages.py
 """
 
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments.runner import run_benchmark
+from repro.sim.config import SimConfig
 from repro.vm.layout import PageSize
 
 
 def main() -> None:
-    settings = RunSettings.quick(seed=0)
+    config = SimConfig.quick(seed=0)
     for workload in ("streamcluster", "SSCA.20"):
-        base = run_benchmark(workload, "B", "linux-4k", settings)
+        base = run_benchmark(workload, "B", "linux-4k", config)
         rows = [
-            ("4KB pages", run_benchmark(workload, "B", "linux-4k", settings)),
-            ("2MB pages (THP)", run_benchmark(workload, "B", "thp", settings)),
-            ("1GB pages", run_benchmark(workload, "B", "linux-4k", settings,
+            ("4KB pages", run_benchmark(workload, "B", "linux-4k", config)),
+            ("2MB pages (THP)", run_benchmark(workload, "B", "thp", config)),
+            ("1GB pages", run_benchmark(workload, "B", "linux-4k", config,
                                         backing_1g=True)),
             ("1GB + Carrefour-LP", run_benchmark(workload, "B", "carrefour-lp",
-                                                 settings, backing_1g=True)),
+                                                 config, backing_1g=True)),
         ]
         print(f"\n=== {workload} on machine B ===")
         print(f"{'config':>20s} {'vs 4KB':>8s} {'imbalance':>9s} "

@@ -25,22 +25,25 @@ from typing import List, Optional
 from repro.errors import ConfigurationError, UnknownNameError
 from repro.experiments.cache import ResultCache
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.runner import RunSettings, run_benchmark
-from repro.options import CACHE_ENABLE_ENV, JOBS_ENV
+from repro.experiments.runner import run_benchmark
+from repro.options import (
+    CACHE_ENABLE_ENV,
+    JOBS_ENV,
+    TRACE_FILE_ENV,
+    RuntimeOptions,
+)
 from repro.sim.config import SimConfig
 from repro.workloads.registry import available_workloads
 
 
-def _settings_from_args(args: argparse.Namespace) -> RunSettings:
+def _config_from_args(args: argparse.Namespace) -> SimConfig:
     if args.quick:
-        settings = RunSettings.quick(seed=args.seed)
+        config = SimConfig.quick(seed=args.seed)
     else:
-        settings = RunSettings(config=SimConfig(seed=args.seed), seed=args.seed)
+        config = SimConfig(seed=args.seed)
     if args.scale is not None:
-        settings = RunSettings(
-            config=replace(settings.config, scale=args.scale), seed=args.seed
-        )
-    return settings
+        config = replace(config, scale=args.scale)
+    return config
 
 
 def _check_output_path(path: Optional[str], flag: str) -> None:
@@ -48,6 +51,7 @@ def _check_output_path(path: Optional[str], flag: str) -> None:
     lies in a missing one.
 
     Either would otherwise surface as a traceback after the whole run.
+    ``flag`` names where the path came from: an option or a variable.
     """
     if path is None:
         return
@@ -149,19 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a deep rule's rationale plus, for R110, R112 and"
         " R113, its inferred model: the decision kernel (decisions,"
         " handlers, policy roots) (implies --deep)",
-    )
-    lint_cmd.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of known findings; exit 0 unless *new*"
-        " findings appear",
-    )
-    lint_cmd.add_argument(
-        "--baseline-update",
-        action="store_true",
-        help="regenerate the --baseline file from the current findings"
-        " and exit 0",
     )
 
     for name in EXPERIMENTS:
@@ -292,27 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _lint_main(args: argparse.Namespace) -> int:
     """Run the determinism linter.
 
-    Exit codes: 0 clean (or no findings beyond the baseline), 1 when
-    reportable findings exist, 2 on usage errors (bad flags, malformed
-    baseline), 3 when the baseline file is missing or was written by an
-    unknown schema version (regenerate with --baseline-update).
+    Exit codes: 0 clean, 1 when findings exist, 2 on usage errors (bad
+    flags, a path that does not exist, a file that is not ``.py``).
     """
     import time
 
-    from repro.analysis.baseline import (
-        BaselineError,
-        BaselineMissingError,
-        BaselineSchemaError,
-        filter_new,
-        load_baseline,
-        write_baseline,
-    )
     from repro.analysis.linter import Finding, format_findings, lint_paths
 
     fmt = args.lint_format
-    if args.baseline_update and not args.baseline:
-        print("error: --baseline-update requires --baseline", file=sys.stderr)
-        return 2
     explain = getattr(args, "explain", None)
     if explain is not None:
         from repro.analysis.deep import RULE_RATIONALE
@@ -327,6 +305,13 @@ def _lint_main(args: argparse.Namespace) -> int:
         args.deep = True
     if args.paths:
         targets = [pathlib.Path(p) for p in args.paths]
+        for target in targets:
+            if not target.exists():
+                raise ConfigurationError(f"lint path {target} does not exist")
+            if not target.is_dir() and target.suffix != ".py":
+                raise ConfigurationError(
+                    f"lint path {target} is neither a directory nor a .py file"
+                )
     else:
         import repro
 
@@ -351,24 +336,6 @@ def _lint_main(args: argparse.Namespace) -> int:
                 print(finding.format_text())
                 if finding.chain:
                     print(f"  entry chain: {' -> '.join(finding.chain)}")
-    if args.baseline_update:
-        write_baseline(pathlib.Path(args.baseline), findings)
-        print(
-            f"wrote baseline with {len(findings)} finding(s) to "
-            f"{args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(pathlib.Path(args.baseline))
-        except (BaselineMissingError, BaselineSchemaError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings = filter_new(findings, baseline)
     output = format_findings(findings, fmt)
     if output:
         print(output)
@@ -384,12 +351,12 @@ def _profile_main(args: argparse.Namespace) -> int:
     from repro.sim.profile import run_profiled
 
     _check_output_path(args.json_path, "--json")
-    settings = _settings_from_args(args)
+    config = _config_from_args(args)
     result, timer = run_profiled(
         args.workload,
         args.machine,
         args.policy,
-        settings,
+        config,
         backing_1g=args.backing_1g,
     )
     print(result.describe())
@@ -398,8 +365,8 @@ def _profile_main(args: argparse.Namespace) -> int:
     if args.json_path:
         payload = {
             "run": f"{args.workload}@{args.machine}/{args.policy}",
-            "scale": settings.config.scale,
-            "seed": settings.seed,
+            "scale": config.scale,
+            "seed": config.seed,
             "simulated_runtime_s": result.runtime_s,
             "profile": timer.summary(),
         }
@@ -431,12 +398,11 @@ def _trace_main(args: argparse.Namespace) -> int:
     from repro.sim.trace import run_traced
 
     _check_output_path(args.jsonl_path, "--jsonl")
-    settings = _settings_from_args(args)
     result, trace = run_traced(
         args.workload,
         args.machine,
         args.policy,
-        settings,
+        _config_from_args(args),
         backing_1g=args.backing_1g,
     )
     print(result.describe())
@@ -470,7 +436,6 @@ def _scenario_main(args: argparse.Namespace) -> int:
     from repro.experiments.scenario_runner import run_scenario
     from repro.scenarios import ScenarioConfig
 
-    settings = _settings_from_args(args)
     trace = ()
     arrival = args.arrival
     if args.trace:
@@ -494,9 +459,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
         pressure=args.pressure,
         seed=args.seed,
     )
-    result = run_scenario(
-        scenario, settings.config, use_cache=not args.fresh
-    )
+    result = run_scenario(scenario, _config_from_args(args))
     print(
         f"scenario {scenario.arrival} on {result.machine}: "
         f"{len(result.tenants)} tenant(s) over {result.host_epochs} host"
@@ -580,27 +543,30 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint":
         return _lint_main(args)
 
-    if args.command == "profile":
-        return _profile_main(args)
-
     if args.command == "policies":
         return _policies_main()
+
+    # Every command below simulates: a trace file it could not write
+    # would fail only after the whole run.
+    _check_output_path(RuntimeOptions.from_env().trace_file, TRACE_FILE_ENV)
+
+    if args.command == "profile":
+        return _profile_main(args)
 
     if args.command == "trace":
         return _trace_main(args)
 
+    _apply_execution_flags(args)
+
     if args.command == "scenario":
         return _scenario_main(args)
 
-    _apply_execution_flags(args)
-
     if args.command == "run":
-        settings = _settings_from_args(args)
         result = run_benchmark(
             args.workload,
             args.machine,
             args.policy,
-            settings,
+            _config_from_args(args),
             backing_1g=args.backing_1g,
         )
         m = result.metrics()
@@ -616,8 +582,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"  pages: {m.final_page_counts}")
         return 0
 
-    settings = _settings_from_args(args)
-    report = run_experiment(args.command, settings)
+    report = run_experiment(args.command, _config_from_args(args))
     print(report.render())
     return 0
 

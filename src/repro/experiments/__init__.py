@@ -23,7 +23,7 @@ __getattr__, __dir__ = _lazy_exports(
             "backend_choice",
             "resolve_jobs",
         ),
-        "repro.experiments.runner": ("RunSettings", "RunSpec", "run_benchmark"),
+        "repro.experiments.runner": ("RunSpec", "run_benchmark"),
         "repro.experiments.reporting": ("Report",),
         "repro.experiments.experiments": ("EXPERIMENTS", "run_experiment"),
     },
@@ -32,7 +32,6 @@ __getattr__, __dir__ = _lazy_exports(
 __all__ = [
     "POLICIES",
     "make_policy",
-    "RunSettings",
     "run_benchmark",
     "Report",
     "EXPERIMENTS",

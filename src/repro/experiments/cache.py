@@ -15,8 +15,9 @@ concurrent run can never leave a torn entry; unreadable entries are
 treated as misses and deleted, never raised.
 
 Set ``REPRO_CACHE=0`` (or ``off``/``false``/``no``, see
-:mod:`repro.options`) to disable the persistent layer entirely; the
-in-process memo in :mod:`repro.experiments.runner` is unaffected.
+:mod:`repro.options`; ``--fresh`` sets it) to disable the store: every
+run is then simulated and nothing is stored.  It is the only result
+cache; nothing is memoised in process.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def version_stamp() -> str:
 
 
 def cache_enabled() -> bool:
-    """Whether the persistent layer is enabled (``REPRO_CACHE`` env)."""
+    """Whether the store is enabled (``REPRO_CACHE`` env)."""
     return RuntimeOptions.from_env().cache
 
 
@@ -99,8 +100,7 @@ def key_form(value: object) -> object:
     dict holding the fields, so a field is canonicalized twice (which
     re-quotes its dict keys); keeping both passes keeps every key.
     Encoding the config is most of what a key costs, so the keys of a
-    grid share one encoding
-    (:meth:`repro.experiments.runner.RunSettings.fingerprints`).
+    grid share one encoding (:func:`repro.experiments.runner.fingerprints`).
     """
     return _canonical(_canonical(value))
 
@@ -123,7 +123,6 @@ def run_fingerprint(
     backing_1g: bool,
     config: SimConfig,
     seed: int,
-    stamp: Optional[str] = None,
     params: Tuple[Tuple[str, Any], ...] = (),
 ) -> str:
     """SHA-256 hex key for one run, covering the *complete* config.
@@ -142,7 +141,6 @@ def run_fingerprint(
         backing_1g,
         key_form(config),
         seed,
-        stamp=stamp,
         params=params,
     )
 
@@ -154,12 +152,11 @@ def encoded_run_fingerprint(
     backing_1g: bool,
     encoded_config: object,
     seed: int,
-    stamp: Optional[str] = None,
     params: Tuple[Tuple[str, Any], ...] = (),
 ) -> str:
     """:func:`run_fingerprint`, given the config in :func:`key_form`."""
     identity = {
-        "stamp": stamp if stamp is not None else version_stamp(),
+        "stamp": version_stamp(),
         "workload": workload,
         "machine": machine,
         "policy": policy,
@@ -172,11 +169,7 @@ def encoded_run_fingerprint(
     return _digest(identity)
 
 
-def scenario_fingerprint(
-    scenario: object,
-    config: SimConfig,
-    stamp: Optional[str] = None,
-) -> str:
+def scenario_fingerprint(scenario: object, config: SimConfig) -> str:
     """SHA-256 hex key for one multi-tenant scenario run.
 
     Same contract as :func:`run_fingerprint` but keyed on the complete
@@ -188,7 +181,7 @@ def scenario_fingerprint(
     """
     return _digest(
         {
-            "stamp": stamp if stamp is not None else version_stamp(),
+            "stamp": version_stamp(),
             "kind": "scenario",
             "scenario": key_form(scenario),
             "config": key_form(config),

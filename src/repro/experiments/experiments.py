@@ -1,8 +1,8 @@
 """One driver per paper artifact (Figures 1-5, Tables 1-3, §4.2, §4.4).
 
-Every driver takes :class:`repro.experiments.runner.RunSettings`,
-declares its run grid once as a list of :class:`RunSpec`, hands it to
-one :meth:`GridRunner.run` call and renders a
+Every driver takes the :class:`repro.sim.config.SimConfig` its runs
+share, declares its run grid once as a list of :class:`RunSpec`, hands
+it to one :meth:`GridRunner.run` call and renders a
 :class:`repro.experiments.reporting.Report` from the results, with rows
 that mirror the paper's layout.  Absolute numbers are not expected to
 match the authors' hardware; the shape — who wins, roughly by how much,
@@ -17,7 +17,8 @@ from typing import Callable, Dict, Iterable, List, Optional
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.runner import RunSpec
+from repro.sim.config import SimConfig
 from repro.workloads.registry import AFFECTED_SET, FIGURE1_ORDER, UNAFFECTED_SET
 
 MACHINES = ("A", "B")
@@ -42,9 +43,9 @@ def _grid(
     ]
 
 
-def figure1(settings: Optional[RunSettings] = None) -> Report:
+def figure1(config: Optional[SimConfig] = None) -> Report:
     """Figure 1: THP performance improvement over Linux, both machines."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
     )
     rows = []
@@ -80,9 +81,9 @@ _TABLE1_CASES = [
 ]
 
 
-def table1(settings: Optional[RunSettings] = None) -> Report:
+def table1(config: Optional[SimConfig] = None) -> Report:
     """Table 1: detailed Linux-vs-THP profile of five applications."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         RunSpec(wl, machine, policy)
         for wl, machine in _TABLE1_CASES
         for policy in ("linux-4k", "thp")
@@ -139,10 +140,10 @@ def _policy_figure(
     workloads: List[str],
     policies: List[str],
     baseline: str,
-    settings: Optional[RunSettings],
+    config: Optional[SimConfig],
     notes: List[str],
 ) -> Report:
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         _grid(workloads, MACHINES, list(policies) + [baseline])
     )
     rows = []
@@ -171,7 +172,7 @@ def _policy_figure(
     )
 
 
-def figure2(settings: Optional[RunSettings] = None) -> Report:
+def figure2(config: Optional[SimConfig] = None) -> Report:
     """Figure 2: Carrefour-2M vs THP on the NUMA-affected applications."""
     return _policy_figure(
         "figure2",
@@ -179,7 +180,7 @@ def figure2(settings: Optional[RunSettings] = None) -> Report:
         AFFECTED_SET,
         ["thp", "carrefour-2m"],
         "linux-4k",
-        settings,
+        config,
         [
             "Paper: Carrefour-2M fixes SPECjbb and SSCA but fails on CG.D"
             " (hot pages) and UA (false sharing)."
@@ -187,7 +188,7 @@ def figure2(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def figure3(settings: Optional[RunSettings] = None) -> Report:
+def figure3(config: Optional[SimConfig] = None) -> Report:
     """Figure 3: Carrefour-LP vs THP on the NUMA-affected applications."""
     return _policy_figure(
         "figure3",
@@ -195,7 +196,7 @@ def figure3(settings: Optional[RunSettings] = None) -> Report:
         AFFECTED_SET,
         ["thp", "carrefour-lp"],
         "linux-4k",
-        settings,
+        config,
         [
             "Paper: Carrefour-LP restores CG.D/UA.B/UA.C, improves SSCA and"
             " SPECjbb, and does not significantly hurt the rest."
@@ -203,7 +204,7 @@ def figure3(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def figure4(settings: Optional[RunSettings] = None) -> Report:
+def figure4(config: Optional[SimConfig] = None) -> Report:
     """Figure 4: component breakdown, improvement over Linux *with THP*."""
     return _policy_figure(
         "figure4",
@@ -211,7 +212,7 @@ def figure4(settings: Optional[RunSettings] = None) -> Report:
         AFFECTED_SET,
         ["carrefour-2m", "conservative-only", "reactive-only", "carrefour-lp"],
         "thp",
-        settings,
+        config,
         [
             "Paper: enabling both components (Carrefour-LP) is always the best"
             " or close; conservative-only starts from 4KB pages and misses"
@@ -224,9 +225,9 @@ _TABLE2_WORKLOADS = ["SPECjbb", "CG.D", "UA.B"]
 _TABLE2_POLICIES = ["linux-4k", "thp", "carrefour-2m"]
 
 
-def table2(settings: Optional[RunSettings] = None) -> Report:
+def table2(config: Optional[SimConfig] = None) -> Report:
     """Table 2: PAMUP / NHP / PSP / imbalance / LAR on machine A."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         _grid(_TABLE2_WORKLOADS, ["A"], _TABLE2_POLICIES)
     )
     rows = []
@@ -266,9 +267,9 @@ _TABLE3_CASES = [("CG.D", "B"), ("UA.B", "A"), ("UA.C", "B")]
 _TABLE3_POLICIES = ["linux-4k", "thp", "carrefour-2m", "carrefour-lp"]
 
 
-def table3(settings: Optional[RunSettings] = None) -> Report:
+def table3(config: Optional[SimConfig] = None) -> Report:
     """Table 3: LAR and imbalance across the four policies."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         RunSpec(wl, machine, policy)
         for wl, machine in _TABLE3_CASES
         for policy in _TABLE3_POLICIES
@@ -309,7 +310,7 @@ def table3(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def figure5(settings: Optional[RunSettings] = None) -> Report:
+def figure5(config: Optional[SimConfig] = None) -> Report:
     """Figure 5: THP and Carrefour-LP on the unaffected applications."""
     return _policy_figure(
         "figure5",
@@ -317,7 +318,7 @@ def figure5(settings: Optional[RunSettings] = None) -> Report:
         UNAFFECTED_SET,
         ["thp", "carrefour-lp"],
         "linux-4k",
-        settings,
+        config,
         [
             "Paper: Carrefour-LP's overhead does not significantly hurt these"
             " apps; EP.C, SP.B and pca improve a lot because they had NUMA"
@@ -326,9 +327,9 @@ def figure5(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def overhead(settings: Optional[RunSettings] = None) -> Report:
+def overhead(config: Optional[SimConfig] = None) -> Report:
     """Section 4.2: Carrefour-LP overhead vs reactive / Carrefour-2M / Linux."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         _grid(
             FIGURE1_ORDER,
             MACHINES,
@@ -374,9 +375,9 @@ def overhead(settings: Optional[RunSettings] = None) -> Report:
 _VERYLARGE_WORKLOADS = ["SSCA.20", "streamcluster"]
 
 
-def verylarge(settings: Optional[RunSettings] = None) -> Report:
+def verylarge(config: Optional[SimConfig] = None) -> Report:
     """Section 4.4: 1GB pages on SSCA and streamcluster (machine B)."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         spec
         for wl in _VERYLARGE_WORKLOADS
         for spec in (
@@ -434,17 +435,17 @@ def verylarge(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def _extension(name: str) -> Callable[[Optional[RunSettings]], Report]:
-    def driver(settings: Optional[RunSettings] = None) -> Report:
+def _extension(name: str) -> Callable[[Optional[SimConfig]], Report]:
+    def driver(config: Optional[SimConfig] = None) -> Report:
         from repro.experiments import extensions
 
-        return getattr(extensions, name)(settings)
+        return getattr(extensions, name)(config)
 
     driver.__doc__ = f"Extension experiment: see repro.experiments.extensions.{name}."
     return driver
 
 
-EXPERIMENTS: Dict[str, Callable[[Optional[RunSettings]], Report]] = {
+EXPERIMENTS: Dict[str, Callable[[Optional[SimConfig]], Report]] = {
     "figure1": figure1,
     "table1": table1,
     "figure2": figure2,
@@ -463,17 +464,17 @@ EXPERIMENTS: Dict[str, Callable[[Optional[RunSettings]], Report]] = {
 }
 
 
-def _validate_driver(settings: Optional[RunSettings] = None) -> Report:
+def _validate_driver(config: Optional[SimConfig] = None) -> Report:
     """Claim-by-claim validation (see repro.experiments.validation)."""
     from repro.experiments.validation import validate
 
-    return validate(settings)
+    return validate(config)
 
 
 EXPERIMENTS["validate"] = _validate_driver
 
 
-def run_experiment(name: str, settings: Optional[RunSettings] = None) -> Report:
+def run_experiment(name: str, config: Optional[SimConfig] = None) -> Report:
     """Run one named experiment and return its report."""
     try:
         driver = EXPERIMENTS[name]
@@ -481,4 +482,4 @@ def run_experiment(name: str, settings: Optional[RunSettings] = None) -> Report:
         raise ConfigurationError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    return driver(settings)
+    return driver(config)

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.runner import RunSpec
+from repro.sim.config import SimConfig
 
 
 def _improvement_table(
@@ -30,11 +31,11 @@ def _improvement_table(
     title: str,
     cases: Sequence[Tuple[str, str]],
     policies: List[str],
-    settings: Optional[RunSettings],
+    config: Optional[SimConfig],
     notes: List[str],
 ) -> Report:
     """Improvement of each policy over linux-4k, one row per case."""
-    runs = GridRunner(settings).run(
+    runs = GridRunner(config).run(
         RunSpec(workload, machine, policy)
         for workload, machine in cases
         for policy in ["linux-4k"] + policies
@@ -65,14 +66,14 @@ _LWP_CASES = [("SSCA.20", "A"), ("pca", "B")]
 _LWP_POLICIES = ["thp", "carrefour-2m", "carrefour-lp", "carrefour-lp-lwp"]
 
 
-def lwp(settings: Optional[RunSettings] = None) -> Report:
+def lwp(config: Optional[SimConfig] = None) -> Report:
     """LWP-grade sampling vs plain IBS for Carrefour-LP."""
     return _improvement_table(
         "lwp",
         "Carrefour-LP with LWP-style sampling (improvement over Linux, %)",
         _LWP_CASES,
         _LWP_POLICIES,
-        settings,
+        config,
         [
             "Paper Section 4.1: sparse IBS samples make the reactive split"
             " estimate optimistic (SSCA: predicted 59%, actual 25%); denser,"
@@ -91,7 +92,7 @@ _AUTONUMA_POLICIES = [
 ]
 
 
-def autonuma(settings: Optional[RunSettings] = None) -> Report:
+def autonuma(config: Optional[SimConfig] = None) -> Report:
     """The standard remedies vs the Carrefour family.
 
     Compares mainline Linux's two answers — static numactl interleaving
@@ -107,7 +108,7 @@ def autonuma(settings: Optional[RunSettings] = None) -> Report:
         "Linux NUMA balancing vs Carrefour (improvement over Linux, %)",
         _AUTONUMA_CASES,
         _AUTONUMA_POLICIES,
-        settings,
+        config,
         [
             "AutoNUMA cannot split large pages: CG's hot pages and UA's"
             " falsely shared pages stay broken; only migrate-to-accessor"
@@ -138,11 +139,11 @@ def _hot_threshold_spec(threshold: float) -> RunSpec:
     )
 
 
-def ablation_hot_threshold(settings: Optional[RunSettings] = None) -> Report:
+def ablation_hot_threshold(config: Optional[SimConfig] = None) -> Report:
     """Sweep the reactive component's hot-page threshold on CG.D."""
     baseline = RunSpec("CG.D", "B", "linux-4k")
     sweep = {t: _hot_threshold_spec(t) for t in _HOT_THRESHOLDS}
-    runs = GridRunner(settings).run([baseline, *sweep.values()])
+    runs = GridRunner(config).run([baseline, *sweep.values()])
     base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
@@ -190,11 +191,11 @@ def _budget_spec(budget_mb: int) -> RunSpec:
     return RunSpec("pca", "B", "carrefour-2m", params=(("config", config),))
 
 
-def ablation_migration_budget(settings: Optional[RunSettings] = None) -> Report:
+def ablation_migration_budget(config: Optional[SimConfig] = None) -> Report:
     """Sweep Carrefour-2M's per-interval migration budget on pca."""
     baseline = RunSpec("pca", "B", "linux-4k")
     sweep = {mb: _budget_spec(mb) for mb in _BUDGETS_MB}
-    runs = GridRunner(settings).run([baseline, *sweep.values()])
+    runs = GridRunner(config).run([baseline, *sweep.values()])
     base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}

@@ -4,11 +4,10 @@ An artifact declares its grid as a list of
 :class:`~repro.experiments.runner.RunSpec` and hands it to one
 :meth:`GridRunner.run` call, which returns ``{spec: result}``;
 :func:`repro.experiments.runner.run_benchmark` is the same call with a
-one-spec grid.  ``run`` deduplicates the grid, looks each run up by its
-fingerprint in the in-process memo and then on disk, simulates the
-misses, and files their results under the same fingerprint in both
-layers.  Simulations are deterministic and share no state, so the
-misses are embarrassingly parallel.
+one-spec grid.  ``run`` deduplicates the grid by fingerprint, reads each
+run from the persistent store, simulates the misses, and files their
+results under the same fingerprint.  Simulations are deterministic and
+share no state, so the misses are embarrassingly parallel.
 
 The resolved worker count picks how the misses execute: one worker
 runs them in a plain in-process loop, more fan out over a
@@ -21,7 +20,7 @@ a human-readable reason, which the benchmarks record as
 ``backend_reason``.
 
 Both run bank-affine tasks: the runs that share a stream bank — the
-same (workload, machine, backing) under the grid's settings, whatever
+same (workload, machine, backing) under the grid's config, whatever
 the policy — form one task (:func:`_bank_tasks`), which the pool hands
 to one worker and the serial loop runs back to back.  So each bank is
 generated in exactly one process, and a process needs to keep only its
@@ -43,9 +42,10 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as _runner
-from repro.experiments.cache import ResultCache
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.cache import ResultCache, cache_enabled
+from repro.experiments.runner import RunSpec
 from repro.options import RuntimeOptions
+from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 
 _BACKENDS = ("serial", "process")
@@ -89,10 +89,10 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
 
 
 def _execute_specs(
-    specs: List[RunSpec], settings: RunSettings
+    specs: List[RunSpec], config: SimConfig
 ) -> List[Tuple[RunSpec, SimulationResult]]:
     """Run specs in order, uncached: the serial loop, or one pool task."""
-    return [(spec, _runner.execute_run(spec, settings)) for spec in specs]
+    return [(spec, _runner.execute_run(spec, config)) for spec in specs]
 
 
 def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
@@ -125,12 +125,12 @@ def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
 
 
 class GridRunner:
-    """The one executor: runs a grid through both cache layers and the pool.
+    """The one executor: runs a grid through the result cache and the pool.
 
     Usage::
 
         grid = [RunSpec("CG.D", "B", "thp"), RunSpec("CG.D", "B", "linux-4k")]
-        results = GridRunner(settings).run(grid)   # {RunSpec: SimulationResult}
+        results = GridRunner(SimConfig.quick()).run(grid)  # {RunSpec: result}
 
     Every artifact hands its whole grid to one :meth:`run` call and
     renders its report from the returned dict, so a read the grid did
@@ -139,10 +139,10 @@ class GridRunner:
 
     def __init__(
         self,
-        settings: Optional[RunSettings] = None,
+        config: Optional[SimConfig] = None,
         jobs: Optional[int] = None,
     ) -> None:
-        self.settings = settings or RunSettings()
+        self.config = config or SimConfig()
         self.jobs = jobs
 
     def _run_pool(
@@ -163,7 +163,7 @@ class GridRunner:
             max_workers=min(jobs, len(tasks)), mp_context=ctx
         ) as pool:
             futures = [
-                pool.submit(_execute_specs, task, self.settings)
+                pool.submit(_execute_specs, task, self.config)
                 for task in tasks
             ]
             for future in concurrent.futures.as_completed(futures):
@@ -183,36 +183,26 @@ class GridRunner:
                 pass  # No usable multiprocessing on this platform.
         return _execute_specs(
             [spec for task in _bank_tasks(misses, 1) for spec in task],
-            self.settings,
+            self.config,
         )
 
-    def run(
-        self, specs: Iterable[RunSpec], use_cache: bool = True
-    ) -> Dict[RunSpec, SimulationResult]:
+    def run(self, specs: Iterable[RunSpec]) -> Dict[RunSpec, SimulationResult]:
         """Execute a grid; returns ``{spec: result}`` in first-seen order.
 
         Duplicate specs, and specs that share a fingerprint, run once.
-        With ``use_cache`` each run is looked up in the in-process memo,
-        then (unless ``REPRO_CACHE`` is off) on disk; only the misses
-        are simulated, and their results land in both layers.
-        ``use_cache=False`` simulates every run and touches neither.
+        Unless ``REPRO_CACHE`` is off, each run is read from the
+        persistent store, only the misses are simulated, and their
+        results are stored; with it off, every run is simulated and
+        nothing is stored.
         """
-        keys = self.settings.fingerprints(specs)
-        store = (
-            ResultCache.default()
-            if use_cache and RuntimeOptions.from_env().cache
-            else None
-        )
+        keys = _runner.fingerprints(specs, self.config)
+        store = ResultCache.default() if cache_enabled() else None
         found: Dict[str, SimulationResult] = {}
         misses: Dict[str, RunSpec] = {}
         for spec, key in keys.items():
             if key in found or key in misses:
                 continue
-            result = _runner._CACHE.get(key) if use_cache else None
-            if result is None and store is not None:
-                result = store.get(key)
-                if result is not None:
-                    _runner._CACHE[key] = result
+            result = store.get(key) if store is not None else None
             if result is None:
                 misses[key] = spec
             else:
@@ -221,8 +211,6 @@ class GridRunner:
             for spec, result in self._execute(list(misses.values())):
                 key = keys[spec]
                 found[key] = result
-                if use_cache:
-                    _runner._CACHE[key] = result
-                    if store is not None:
-                        store.put(key, result)
+                if store is not None:
+                    store.put(key, result)
         return {spec: found[key] for spec, key in keys.items()}

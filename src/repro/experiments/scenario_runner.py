@@ -235,16 +235,16 @@ def _record_departures(
 def run_scenario(
     scenario: ScenarioConfig,
     config: Optional[SimConfig] = None,
-    use_cache: bool = True,
 ) -> ScenarioResult:
     """Run a scenario, consulting the persistent result cache first.
 
     Scenarios are deterministic functions of (scenario config, base
     sim config, package version), so they cache exactly like single
-    runs; ``use_cache=False`` bypasses and populates nothing.
+    runs; with ``REPRO_CACHE`` off the scenario is simulated and
+    nothing is stored.
     """
     base = config or SimConfig()
-    if not use_cache or not cache_enabled():
+    if not cache_enabled():
         return execute_scenario(scenario, base)
     key = scenario_fingerprint(scenario, base)
     store = ResultCache.default()

@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.experiments import paper_data
 from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.runner import RunSpec
+from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 
 Runs = Mapping[RunSpec, SimulationResult]
@@ -223,9 +224,9 @@ _CHECKS: Dict[str, Callable[[Runs], Tuple[bool, str]]] = {
 }
 
 
-def validate_claims(settings: Optional[RunSettings] = None) -> List[ClaimResult]:
+def validate_claims(config: Optional[SimConfig] = None) -> List[ClaimResult]:
     """Run every claim check; returns one result per claim."""
-    runs = GridRunner(settings).run(GRID)
+    runs = GridRunner(config).run(GRID)
     results = []
     for claim in paper_data.CLAIMS:
         check = _CHECKS[claim.claim_id]
@@ -242,9 +243,9 @@ def validate_claims(settings: Optional[RunSettings] = None) -> List[ClaimResult]
     return results
 
 
-def validate(settings: Optional[RunSettings] = None) -> Report:
+def validate(config: Optional[SimConfig] = None) -> Report:
     """Claim validation as a renderable report (CLI: ``repro validate``)."""
-    results = validate_claims(settings)
+    results = validate_claims(config)
     rows = [
         [
             "PASS" if r.passed else "FAIL",

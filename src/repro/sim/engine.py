@@ -173,7 +173,7 @@ class Tenant:
         self._started = False
         self._epochs_run = 0
         self._total_epochs = 0
-        self._background_rates: Optional[np.ndarray] = None
+        self._background_rates = np.zeros((machine.n_nodes, machine.n_nodes))
         self.last_rates: Optional[np.ndarray] = None
         self.action_log: List[Tuple[float, PolicyActionSummary]] = []
         self._pending_maintenance_s = 0.0
@@ -437,22 +437,16 @@ class Tenant:
 
         # 3. Price the traffic: controller queueing + interconnect hops.
         # Under a multi-tenant host, the other tenants' previous-epoch
-        # traffic congests the same controllers and links; the N=1 path
-        # (bg is None) performs exactly the original arithmetic so
-        # single-workload runs stay bit-identical.
+        # traffic congests the same controllers and links; alone, the
+        # background is zeros, and adding zeros is exact.
         rates = traffic / cfg.epoch_s
-        bg = self._background_rates
-        if bg is not None:
-            shared = rates + bg
-            controller_latency = self.models.controller.latency_cycles(
-                shared.sum(axis=0)
-            )
-            hop_latency = self.models.interconnect.hop_latency_matrix(
-                self.machine, shared
-            )
-        else:
-            controller_latency = self.models.controller.latency_cycles(rates.sum(axis=0))
-            hop_latency = self.models.interconnect.hop_latency_matrix(self.machine, rates)
+        shared = rates + self._background_rates
+        controller_latency = self.models.controller.latency_cycles(
+            shared.sum(axis=0)
+        )
+        hop_latency = self.models.interconnect.hop_latency_matrix(
+            self.machine, shared
+        )
         self.last_rates = rates
         latency = controller_latency[None, :] + hop_latency  # (src, dst) cycles
         dram_time = (

@@ -138,20 +138,17 @@ class Host:
     # ------------------------------------------------------------------
     # The epoch loop
     # ------------------------------------------------------------------
-    def background_rates(self, tenant: Tenant) -> Optional[np.ndarray]:
+    def background_rates(self, tenant: Tenant) -> np.ndarray:
         """Other active tenants' traffic rates, summed per node pair.
 
-        ``None`` when no co-tenant has produced traffic yet — the
-        single-tenant case, which must price epochs with bitwise the
-        original arithmetic.
+        Zeros when no co-tenant has produced traffic yet: rates are
+        non-negative, so adding zeros prices a lone tenant's epochs
+        exactly as its own rates alone would.
         """
-        total: Optional[np.ndarray] = None
+        n = self.machine.n_nodes
+        total = np.zeros((n, n))
         for other in self.active:
-            if other is tenant or other.last_rates is None:
-                continue
-            if total is None:
-                total = other.last_rates.copy()
-            else:
+            if other is not tenant and other.last_rates is not None:
                 total += other.last_rates
         return total
 

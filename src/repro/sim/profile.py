@@ -39,6 +39,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.config import SimConfig
+
 #: Static-analysis registry (rule R101): everything in this module is
 #: observation-only and must have no transitive write effect on
 #: simulation state.  The deep linter also protects this module by
@@ -151,7 +153,7 @@ def run_profiled(
     workload: str,
     machine: str = "A",
     policy: str = "thp",
-    settings: Optional[object] = None,
+    config: Optional[SimConfig] = None,
     backing_1g: bool = False,
 ) -> Tuple[object, PhaseTimer]:
     """Run one benchmark uncached and return its phase timer.
@@ -159,17 +161,16 @@ def run_profiled(
     Returns ``(SimulationResult, PhaseTimer)``; the timer's ``counts``
     hold the run's TLB model evaluations and memo hits, its per-thread
     TLB classifications and the sample tables its policy built.  The run
-    bypasses both cache layers (timings must reflect real simulation
+    bypasses the result cache (timings must reflect real simulation
     work) and the result is bit-identical to what the cached path would
-    produce for the same settings.  Imports are deferred so this module
+    produce for the same config.  Imports are deferred so this module
     stays importable from the engine without a ``sim`` ->
     ``experiments`` cycle.
     """
-    from repro.experiments.runner import RunSettings, RunSpec, build_simulation
+    from repro.experiments.runner import RunSpec, build_simulation
 
     sim = build_simulation(
-        RunSpec(workload, machine, policy, backing_1g),
-        settings or RunSettings(),
+        RunSpec(workload, machine, policy, backing_1g), config or SimConfig()
     )
     result = sim.run()
     timer = sim.profiler

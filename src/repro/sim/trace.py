@@ -21,6 +21,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.options import RuntimeOptions
+from repro.sim.config import SimConfig
 
 #: Static-analysis registry (rule R101): tracing is observation-only
 #: and must have no transitive write effect on simulation state.
@@ -97,29 +98,29 @@ def run_traced(
     workload: str,
     machine: str = "A",
     policy: str = "thp",
-    settings: Optional[object] = None,
+    config: Optional[SimConfig] = None,
     backing_1g: bool = False,
 ) -> Tuple[object, DecisionTrace]:
     """Run one benchmark uncached with a decision trace attached.
 
     Returns ``(SimulationResult, DecisionTrace)``.  The run bypasses
-    both cache layers (the point is to watch the decisions being made)
+    the result cache (the point is to watch the decisions being made)
     and the result is bit-identical to what the cached path would
-    produce for the same settings.  Imports are deferred so this module
+    produce for the same config.  Imports are deferred so this module
     stays importable from the engine without a ``sim`` ->
     ``experiments`` cycle.
     """
-    from repro.experiments.runner import RunSettings, RunSpec, build_simulation
+    from repro.experiments.runner import RunSpec, build_simulation
 
-    settings = settings or RunSettings()
-    sim = build_simulation(RunSpec(workload, machine, policy, backing_1g), settings)
+    config = config or SimConfig()
+    sim = build_simulation(RunSpec(workload, machine, policy, backing_1g), config)
     if sim.tracer is None:  # REPRO_TRACE_FILE is unset
         sim.tracer = DecisionTrace(
             {
                 "workload": sim.instance.name,
                 "machine": sim.machine.name,
                 "policy": sim.policy.name,
-                "seed": settings.seed,
+                "seed": config.seed,
             }
         )
     result = sim.run()

@@ -7,7 +7,7 @@ an incomplete ``cache_key``/``fingerprint`` fails CI, (b) prove the
 rule would actually catch a regression by injecting one, and (c) check
 at runtime that every :class:`SimConfig` field and every
 :class:`RunSpec` field, policy params included, reaches the
-fingerprint both cache layers key on.
+fingerprint the result cache keys on.
 """
 
 from __future__ import annotations
@@ -28,14 +28,16 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.cache import run_fingerprint, scenario_fingerprint
 from repro.experiments.experiments import MACHINES, _grid
 from repro.experiments.parallel import GridRunner
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.runner import RunSpec, fingerprints
 from repro.scenarios import ScenarioConfig
 from repro.hardware.tlb import TlbSpec
 from repro.sim.config import MachineModels, SimConfig
 from repro.workloads.registry import FIGURE1_ORDER
 
 PACKAGE = pathlib.Path(repro.__file__).parent
-RUNNER_SRC = PACKAGE / "experiments" / "runner.py"
+R001_CLEAN = (
+    pathlib.Path(__file__).parent / "fixtures" / "r001_clean.py"
+)
 
 
 def test_every_cache_key_method_covers_all_fields():
@@ -44,19 +46,24 @@ def test_every_cache_key_method_covers_all_fields():
 
 
 def test_r001_catches_an_injected_field():
-    """Add a field to RunSettings without touching fingerprint: R001 trips.
+    """Add a field to a complete key's dataclass: R001 trips.
 
-    This mutation test keeps the rule and the real source honest with
-    each other — if R001's dataclass parsing drifted away from how
-    runner.py is written, the clean-tree test above could pass
-    vacuously; this one would fail.
+    No dataclass in ``src/`` has a key method (a run's key is
+    :func:`repro.experiments.runner.fingerprints`, which the runtime
+    tests below cover field by field), so the mutation goes into the
+    clean fixture: the clean-tree test above would pass vacuously if
+    R001's dataclass parsing drifted; this one would fail.
     """
-    source = RUNNER_SRC.read_text(encoding="utf-8")
-    anchor = "    seed: int = 0\n"
-    assert anchor in source, "RunSettings layout changed; update this test"
-    mutated = source.replace(anchor, anchor + "    extra_knob: int = 0\n", 1)
-    findings = lint_source(mutated, str(RUNNER_SRC), rules=rules_by_id("R001"))
-    assert findings, "R001 missed a field added to RunSettings"
+    source = R001_CLEAN.read_text(encoding="utf-8")
+    anchor = "    scale: float = 1.0\n\n    def cache_key(self):\n"
+    assert anchor in source, "r001_clean.py layout changed; update this test"
+    mutated = source.replace(
+        anchor, "    scale: float = 1.0\n    extra_knob: int = 0\n\n"
+        "    def cache_key(self):\n", 1
+    )
+    assert lint_source(source, str(R001_CLEAN), rules=rules_by_id("R001")) == []
+    findings = lint_source(mutated, str(R001_CLEAN), rules=rules_by_id("R001"))
+    assert findings, "R001 missed a field added to CompleteSettings"
     assert any("extra_knob" in f.message for f in findings)
 
 
@@ -92,9 +99,7 @@ def test_every_config_field_splits_the_fingerprint(name):
     args = ("CG.D", "machine-B", "thp", False)
     assert run_fingerprint(*args, cfg, 0) != run_fingerprint(*args, other, 0)
     spec = RunSpec("CG.D", "B", "thp")
-    settings, changed = RunSettings(config=cfg), RunSettings(config=other)
-    assert settings.fingerprint(spec) != changed.fingerprint(spec)
-    assert settings.fingerprints([spec]) != changed.fingerprints([spec])
+    assert fingerprints([spec], cfg) != fingerprints([spec], other)
     scenario = ScenarioConfig(machine="A", workloads=("Kmeans",))
     assert scenario_fingerprint(scenario, cfg) != scenario_fingerprint(
         scenario, other
@@ -140,24 +145,24 @@ def test_spec_changes_cover_every_field():
 
 @pytest.mark.parametrize("change", sorted(_SPEC_CHANGES))
 def test_every_spec_field_splits_the_fingerprint(change):
-    settings = RunSettings.quick()
     other = dataclasses.replace(_BASE_SPEC, **_SPEC_CHANGES[change])
     assert other != _BASE_SPEC
-    assert settings.fingerprint(other) != settings.fingerprint(_BASE_SPEC)
+    keys = fingerprints([_BASE_SPEC, other], SimConfig.quick())
+    assert keys[other] != keys[_BASE_SPEC]
 
 
 def test_machine_aliases_share_one_fingerprint():
-    settings = RunSettings.quick()
-    assert settings.fingerprint(RunSpec("CG.D", "B")) == settings.fingerprint(
-        RunSpec("CG.D", "machine-B")
+    keys = fingerprints(
+        [RunSpec("CG.D", "B"), RunSpec("CG.D", "machine-B")], SimConfig.quick()
     )
+    assert len(set(keys.values())) == 1
 
 
 def test_empty_params_keep_the_pre_params_fingerprint():
     """Runs without params are filed exactly where they always were."""
     cfg = SimConfig.quick(seed=0)
     spec = RunSpec("CG.D", "B", "thp")
-    assert RunSettings(config=cfg, seed=0).fingerprint(spec) == run_fingerprint(
+    assert fingerprints([spec], cfg)[spec] == run_fingerprint(
         "CG.D", "machine-B", "thp", False, cfg, 0
     )
 
@@ -198,8 +203,7 @@ _KEY_SPECS = [
 @pytest.mark.parametrize("name", sorted(_LOOKALIKE_CONFIGS))
 def test_keys_match_the_two_pass_encoding(name):
     config = _LOOKALIKE_CONFIGS[name]
-    settings = RunSettings(config=config, seed=7)
-    keys = settings.fingerprints(_KEY_SPECS)
+    keys = fingerprints(_KEY_SPECS, config)
     assert list(keys) == _KEY_SPECS
     for spec in _KEY_SPECS:
         identity = {
@@ -208,12 +212,13 @@ def test_keys_match_the_two_pass_encoding(name):
             "machine": runner_mod.canonical_machine(spec.machine),
             "policy": spec.policy,
             "backing_1g": spec.backing_1g,
-            "seed": 7,
+            "seed": config.seed,
             "config": config,
         }
         if spec.params:
             identity["params"] = spec.params
-        assert keys[spec] == settings.fingerprint(spec) == _two_pass_key(identity)
+        assert keys[spec] == _two_pass_key(identity)
+        assert fingerprints([spec], config)[spec] == keys[spec]
     scenario = ScenarioConfig(machine="A", workloads=("Kmeans",), pressure=0.5)
     assert scenario_fingerprint(scenario, config) == _two_pass_key(
         {
@@ -227,26 +232,27 @@ def test_keys_match_the_two_pass_encoding(name):
 
 def test_lookalike_configs_keep_their_own_keys():
     spec = RunSpec("CG.D", "B", "thp")
-    int_scale = RunSettings(config=_LOOKALIKE_CONFIGS["int-scale"])
-    float_scale = RunSettings(config=_LOOKALIKE_CONFIGS["float-scale"])
-    assert int_scale.config == float_scale.config
-    assert int_scale.fingerprints([spec]) != float_scale.fingerprints([spec])
+    int_scale = _LOOKALIKE_CONFIGS["int-scale"]
+    float_scale = _LOOKALIKE_CONFIGS["float-scale"]
+    assert int_scale == float_scale
+    assert fingerprints([spec], int_scale) != fingerprints([spec], float_scale)
 
 
 def test_a_grid_encodes_its_config_once(monkeypatch):
-    settings = RunSettings.quick()
+    config = SimConfig.quick()
     grid = _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
     assert len(grid) == 76
     encoded = []
     canonical = cache._canonical
 
     def counting(obj):
-        if obj is settings.config:
+        if obj is config:
             encoded.append(obj)
         return canonical(obj)
 
     monkeypatch.setattr(cache, "_canonical", counting)
     monkeypatch.setattr(runner_mod, "execute_run", lambda spec, _: spec)
-    results = GridRunner(settings, jobs=1).run(grid, use_cache=False)
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    results = GridRunner(config, jobs=1).run(grid)
     assert list(results) == grid
     assert len(encoded) == 1

@@ -1,9 +1,9 @@
 """CLI contract tests for ``repro lint``.
 
 Pins the externally observable behaviour CI depends on: exit codes
-(0 clean / 1 findings / 2 usage error / 3 missing-or-unknown-schema
-baseline), the ``--format json`` schema, canonical finding order, the baseline workflow, suppression-comment parsing edge
-cases, and the sim-path scoping rules.
+(0 clean / 1 findings / 2 usage error), the ``--format json`` schema,
+canonical finding order, suppression-comment parsing edge cases, and
+the sim-path scoping rules.
 """
 
 from __future__ import annotations
@@ -54,56 +54,37 @@ def test_exit_1_on_findings(sim_tree, capsys):
     assert "finding(s)" in out
 
 
-def test_exit_2_on_baseline_update_without_baseline(sim_tree, capsys):
-    (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    assert main(["lint", str(sim_tree), "--baseline-update"]) == 2
-    assert "--baseline-update requires --baseline" in capsys.readouterr().err
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+@pytest.mark.parametrize("name", ["missing", "missing.py"])
+def test_exit_2_on_a_path_that_does_not_exist(tmp_path, capsys, deep, name):
+    """A typo in a lint path is a usage error, not a clean tree."""
+    path = tmp_path / name
+    argv = ["lint", str(path)] + (["--deep"] if deep else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: lint path {path} does not exist\n"
+    assert captured.out == ""
 
 
-def test_exit_3_on_missing_baseline(sim_tree, tmp_path, capsys):
-    (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    absent = tmp_path / "absent.json"
-    assert main(["lint", str(sim_tree), "--baseline", str(absent)]) == 3
-    err = capsys.readouterr().err
-    assert "does not exist" in err
-    assert "--baseline-update" in err
-
-
-def test_exit_3_on_unknown_baseline_schema(sim_tree, tmp_path, capsys):
-    (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    stale = tmp_path / "stale.json"
-    stale.write_text(
-        json.dumps(
-            {"schema": "repro-lint-baseline/99", "version": 99, "counts": {}}
-        )
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+def test_exit_2_on_a_file_that_is_not_python(sim_tree, capsys, deep):
+    notes = sim_tree / "README.md"
+    notes.write_text("# notes\n")
+    argv = ["lint", str(notes)] + (["--deep"] if deep else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: lint path {notes} is neither a directory nor a .py file\n"
     )
-    assert main(["lint", str(sim_tree), "--baseline", str(stale)]) == 3
-    err = capsys.readouterr().err
-    assert "unknown schema" in err
-    assert "--baseline-update" in err
+    assert captured.out == ""
 
 
-def test_exit_2_on_malformed_baseline(sim_tree, tmp_path, capsys):
-    (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["lint", str(sim_tree), "--baseline", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_legacy_unstamped_baseline_still_loads(sim_tree, tmp_path, capsys):
-    # Version-1 files written before the ``schema`` stamp existed carry
-    # no ``schema`` key; they must keep working.
+def test_one_bad_path_fails_the_whole_command(sim_tree, tmp_path, capsys):
     (sim_tree / "bad.py").write_text(CLOCK_SRC)
-    baseline = tmp_path / "legacy.json"
-    args = ["lint", str(sim_tree), "--baseline", str(baseline)]
-    assert main(args + ["--baseline-update"]) == 0
-    payload = json.loads(baseline.read_text())
-    assert payload["schema"] == "repro-lint-baseline/1"  # stamped on write
-    del payload["schema"]
-    baseline.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(args) == 0
+    assert main(["lint", str(sim_tree), str(tmp_path / "typo")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
@@ -230,44 +211,6 @@ def test_deep_flag_clean_tree(sim_tree, capsys):
     (sim_tree / "ok.py").write_text(CLEAN_SRC)
     assert main(["lint", str(sim_tree), "--deep"]) == 0
     assert "no findings" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Baseline workflow end to end
-# ----------------------------------------------------------------------
-def test_baseline_workflow(sim_tree, tmp_path, capsys):
-    (sim_tree / "bad.py").write_text(CLOCK_SRC)
-    baseline = tmp_path / "baseline.json"
-
-    assert main(["lint", str(sim_tree)]) == 1
-    capsys.readouterr()
-
-    # Record the debt...
-    args = ["lint", str(sim_tree), "--baseline", str(baseline)]
-    assert main(args + ["--baseline-update"]) == 0
-    assert baseline.exists()
-    capsys.readouterr()
-
-    # ...now the same tree passes against the baseline...
-    assert main(args) == 0
-    capsys.readouterr()
-
-    # ...but a *new* finding still fails, and only it is reported.
-    (sim_tree / "worse.py").write_text(CLOCK_SRC)
-    assert main(args) == 1
-    out = capsys.readouterr().out
-    assert "worse.py" in out
-    assert "bad.py" not in out
-
-
-def test_baseline_update_covers_deep_findings(sim_tree, tmp_path, capsys):
-    (sim_tree / "sizes.py").write_text(DEEP_BAD_SRC)
-    baseline = tmp_path / "baseline.json"
-    args = ["lint", str(sim_tree), "--deep", "--baseline", str(baseline)]
-    assert main(args + ["--baseline-update"]) == 0
-    assert main(args) == 0
-    payload = json.loads(baseline.read_text())
-    assert any(key.startswith("R101|") for key in payload["counts"])
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,8 @@ def _hermetic_caches(tmp_path_factory):
 
 from repro.hardware.machines import machine_a, machine_b
 from repro.hardware.topology import NumaNode, NumaTopology
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments.runner import run_benchmark
+from repro.sim.config import SimConfig
 from repro.vm.frame_allocator import PhysicalMemory
 
 GIB = 1024**3
@@ -82,21 +83,21 @@ def machine_b_topo() -> NumaTopology:
 
 
 @pytest.fixture(scope="session")
-def quick_settings() -> RunSettings:
-    """Reduced-cost run settings shared across integration tests.
+def quick_config() -> SimConfig:
+    """Reduced-cost config shared across integration tests.
 
-    Runs are memoised process-wide by the runner, so every test that
-    asks for the same (workload, machine, policy) reuses one simulation.
+    Results land in the session's result cache, so every test that asks
+    for the same (workload, machine, policy) reuses one simulation.
     """
-    return RunSettings.quick(seed=0)
+    return SimConfig.quick(seed=0)
 
 
 @pytest.fixture(scope="session")
-def run(quick_settings):
+def run(quick_config):
     """Callable fixture: run (workload, machine, policy) with caching."""
 
     def _run(workload: str, machine: str, policy: str, **kwargs):
-        return run_benchmark(workload, machine, policy, quick_settings, **kwargs)
+        return run_benchmark(workload, machine, policy, quick_config, **kwargs)
 
     return _run
 

@@ -49,20 +49,20 @@ class TestRemoteWalkPenalty:
 
 
 class TestReplicationDecision:
-    def test_replicates_exactly_once(self, quick_settings):
+    def test_replicates_exactly_once(self, quick_config):
         _, trace = run_traced(
-            WORKLOAD, MACHINE, "replication", quick_settings
+            WORKLOAD, MACHINE, "replication", quick_config
         )
         assert trace.counts() == {"ReplicatePageTables": 1}
         assert all(rec["applied"] for rec in trace.records)
 
-    def test_pt_remote_decides_nothing(self, quick_settings):
-        _, trace = run_traced(WORKLOAD, MACHINE, "pt-remote", quick_settings)
+    def test_pt_remote_decides_nothing(self, quick_config):
+        _, trace = run_traced(WORKLOAD, MACHINE, "pt-remote", quick_config)
         assert trace.records == []
 
-    def test_composes_with_carrefour(self, quick_settings):
+    def test_composes_with_carrefour(self, quick_config):
         result, trace = run_traced(
-            WORKLOAD, MACHINE, "carrefour-2m+replication", quick_settings
+            WORKLOAD, MACHINE, "carrefour-2m+replication", quick_config
         )
         kinds = trace.counts()
         assert kinds.get("ReplicatePageTables", 0) == 1

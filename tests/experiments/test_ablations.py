@@ -20,19 +20,18 @@ from repro.experiments.extensions import (
     _hot_threshold_spec,
     ablation_migration_budget,
 )
-from repro.experiments.runner import RunSettings, clear_cache, execute_run
+from repro.experiments.runner import execute_run
 from repro.hardware.machines import machine_by_name
 from repro.options import CACHE_DIR_ENV
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.workloads.registry import get_workload
 
 
-def _run_custom(workload, machine, policy, settings):
+def _run_custom(workload, machine, policy, config):
     topo = machine_by_name(machine)
-    instance = get_workload(workload).instantiate(
-        topo, settings.config.scale, settings.seed
-    )
-    return Simulation(topo, instance, policy, settings.config).run()
+    instance = get_workload(workload).instantiate(topo, config.scale, config.seed)
+    return Simulation(topo, instance, policy, config).run()
 
 
 def _hand_built_hot(threshold, seed):
@@ -72,24 +71,21 @@ def _observed(result):
     ids=["hot-3", "budget-128"],
 )
 def test_params_path_matches_the_hand_built_policy(spec, hand_built):
-    settings = RunSettings.quick()
-    reference = _run_custom(spec.workload, spec.machine, hand_built, settings)
+    config = SimConfig.quick()
+    reference = _run_custom(spec.workload, spec.machine, hand_built, config)
     assert reference.action_log, "the sweep point must act"
-    assert _observed(execute_run(spec, settings)) == _observed(reference)
+    assert _observed(execute_run(spec, config)) == _observed(reference)
 
 
 def test_warm_ablation_executes_no_run(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    clear_cache()
-    settings = RunSettings.quick()
-    cold = ablation_migration_budget(settings).render()
+    config = SimConfig.quick()
+    cold = ablation_migration_budget(config).render()
     assert ResultCache.default().stats().n_entries == 5
 
     def _boom(*args, **kwargs):
         raise AssertionError("a warm ablation simulated a run")
 
     monkeypatch.setattr(runner_mod, "execute_run", _boom)
-    assert ablation_migration_budget(settings).render() == cold  # memo
-    clear_cache()
-    assert ablation_migration_budget(settings).render() == cold  # disk
-    clear_cache()
+    assert ablation_migration_budget(config).render() == cold
+    assert ResultCache.default().stats().n_entries == 5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -15,26 +16,20 @@ from repro.experiments.cache import (
     cache_root,
     run_fingerprint,
 )
-from repro.experiments.runner import (
-    RunSettings,
-    RunSpec,
-    clear_cache,
-    run_benchmark,
-)
+from repro.experiments.runner import RunSpec, fingerprints, run_benchmark
 from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.sim.config import SimConfig
 
 
 @pytest.fixture
 def store(tmp_path, monkeypatch):
-    """A fresh cache rooted in a per-test tmp dir, memo cleared."""
+    """A fresh cache rooted in a per-test tmp dir."""
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    clear_cache()
-    yield ResultCache.default()
-    clear_cache()
+    return ResultCache.default()
 
 
-def _fp(config: SimConfig, **overrides) -> str:
+def _fp(config: SimConfig, stamp: str = "test-stamp", **overrides) -> str:
+    """The run key, with the package version stamp set to ``stamp``."""
     identity = dict(
         workload="Kmeans",
         machine="A",
@@ -42,10 +37,14 @@ def _fp(config: SimConfig, **overrides) -> str:
         backing_1g=False,
         config=config,
         seed=0,
-        stamp="test-stamp",
     )
     identity.update(overrides)
-    return run_fingerprint(**identity)
+    with mock.patch.object(repro, "__version__", stamp):
+        return run_fingerprint(**identity)
+
+
+def _key(spec: RunSpec, config: SimConfig) -> str:
+    return fingerprints([spec], config)[spec]
 
 
 class TestFingerprint:
@@ -99,10 +98,11 @@ class TestFingerprint:
 
 
 class TestMemoKeyRegression:
-    """The in-process memo must also use the complete config."""
+    """A grid's run keys use the complete config (the in-process memo's
+    key once dropped four fields)."""
 
     def test_memo_key_covers_dropped_fields(self):
-        base = RunSettings.quick()
+        base = SimConfig.quick()
         spec = RunSpec("Kmeans", "A", "thp")
         for field, value in [
             ("max_epochs", 7),
@@ -110,15 +110,13 @@ class TestMemoKeyRegression:
             ("ibs_cost_cycles", 123.0),
             ("track_access_stats", False),
         ]:
-            other = RunSettings(
-                config=replace(base.config, **{field: value}), seed=base.seed
-            )
-            assert base.fingerprint(spec) != other.fingerprint(spec), field
+            other = replace(base, **{field: value})
+            assert _key(spec, base) != _key(spec, other), field
 
     def test_no_stale_collision_between_max_epochs(self, store):
         quick = SimConfig.quick()
-        short = RunSettings(config=replace(quick, max_epochs=2))
-        longer = RunSettings(config=replace(quick, max_epochs=4))
+        short = replace(quick, max_epochs=2)
+        longer = replace(quick, max_epochs=4)
         a = run_benchmark("Kmeans", "A", "linux-4k", short)
         b = run_benchmark("Kmeans", "A", "linux-4k", longer)
         assert a is not b
@@ -127,8 +125,8 @@ class TestMemoKeyRegression:
 
     def test_track_access_stats_not_collided(self, store):
         quick = SimConfig.quick()
-        with_stats = RunSettings(config=quick)
-        without = RunSettings(config=replace(quick, track_access_stats=False))
+        with_stats = quick
+        without = replace(quick, track_access_stats=False)
         a = run_benchmark("Kmeans", "A", "linux-4k", with_stats)
         b = run_benchmark("Kmeans", "A", "linux-4k", without)
         assert a.hot_stats is not None
@@ -137,9 +135,9 @@ class TestMemoKeyRegression:
 
 class TestResultCache:
     def test_roundtrip(self, store):
-        settings = RunSettings.quick()
-        result = run_benchmark("Kmeans", "A", "linux-4k", settings)
-        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
+        config = SimConfig.quick()
+        result = run_benchmark("Kmeans", "A", "linux-4k", config)
+        key = _key(RunSpec("Kmeans", "A", "linux-4k"), config)
         loaded = store.get(key)
         assert loaded is not None
         assert loaded is not result
@@ -148,28 +146,26 @@ class TestResultCache:
         assert loaded.bank.total("tlb_misses") == result.bank.total("tlb_misses")
 
     def test_hit_across_memo_clear_skips_simulation(self, store, monkeypatch):
-        settings = RunSettings.quick()
-        first = run_benchmark("Kmeans", "A", "linux-4k", settings)
-        clear_cache()
+        config = SimConfig.quick()
+        first = run_benchmark("Kmeans", "A", "linux-4k", config)
 
         def _boom(*args, **kwargs):
             raise AssertionError("simulated again despite persistent hit")
 
         monkeypatch.setattr(runner_mod, "execute_run", _boom)
-        second = run_benchmark("Kmeans", "A", "linux-4k", settings)
+        second = run_benchmark("Kmeans", "A", "linux-4k", config)
         assert second is not first
         assert second.runtime_s == first.runtime_s
 
     def test_corrupted_entry_reruns_not_crashes(self, store):
-        settings = RunSettings.quick()
-        run_benchmark("Kmeans", "A", "linux-4k", settings)
-        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
+        config = SimConfig.quick()
+        run_benchmark("Kmeans", "A", "linux-4k", config)
+        key = _key(RunSpec("Kmeans", "A", "linux-4k"), config)
         path = store.path_for(key)
         path.write_bytes(b"not a pickle at all")
         assert store.get(key) is None
         assert not path.exists()  # bad entry dropped
-        clear_cache()
-        result = run_benchmark("Kmeans", "A", "linux-4k", settings)
+        result = run_benchmark("Kmeans", "A", "linux-4k", config)
         assert result.runtime_s > 0
 
     def test_wrong_type_entry_is_a_miss(self, store):
@@ -180,17 +176,17 @@ class TestResultCache:
         assert not path.exists()
 
     def test_atomic_write_leaves_no_tmp_files(self, store):
-        settings = RunSettings.quick()
-        run_benchmark("Kmeans", "A", "linux-4k", settings)
+        config = SimConfig.quick()
+        run_benchmark("Kmeans", "A", "linux-4k", config)
         leftovers = [
             p for p in store.root.iterdir() if p.name.startswith(".tmp-")
         ]
         assert leftovers == []
 
     def test_stats_and_clear(self, store):
-        settings = RunSettings.quick()
-        run_benchmark("Kmeans", "A", "linux-4k", settings)
-        run_benchmark("Kmeans", "A", "thp", settings)
+        config = SimConfig.quick()
+        run_benchmark("Kmeans", "A", "linux-4k", config)
+        run_benchmark("Kmeans", "A", "thp", config)
         stats = store.stats()
         assert stats.n_entries == 2
         assert stats.total_bytes > 0
@@ -199,20 +195,19 @@ class TestResultCache:
         assert store.stats().n_entries == 0
 
     def test_version_stamp_invalidates(self, store, monkeypatch):
-        settings = RunSettings.quick()
-        run_benchmark("Kmeans", "A", "linux-4k", settings)
-        clear_cache()
+        config = SimConfig.quick()
+        run_benchmark("Kmeans", "A", "linux-4k", config)
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         # The old entry is unreachable under the new stamp: a fresh
         # fingerprint points at a missing file.
-        key = settings.fingerprint(RunSpec("Kmeans", "A", "linux-4k"))
+        key = _key(RunSpec("Kmeans", "A", "linux-4k"), config)
         assert store.get(key) is None
 
     def test_disabled_by_env(self, store, monkeypatch):
         monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         assert not cache_enabled()
-        settings = RunSettings.quick()
-        run_benchmark("Kmeans", "A", "linux-4k", settings)
+        config = SimConfig.quick()
+        run_benchmark("Kmeans", "A", "linux-4k", config)
         assert store.stats().n_entries == 0
 
     def test_root_from_env(self, tmp_path, monkeypatch):

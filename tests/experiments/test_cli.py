@@ -10,13 +10,17 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.experiments.experiments import EXPERIMENTS
-from repro.experiments.runner import RunSettings, run_benchmark
+from repro.experiments import runner as runner_mod
+from repro.experiments import scenario_runner
+from repro.experiments.runner import run_benchmark
 from repro.options import (
     CACHE_DIR_ENV,
     CACHE_ENABLE_ENV,
     CHECK_ENV,
     JOBS_ENV,
+    TRACE_FILE_ENV,
 )
+from repro.sim.config import SimConfig
 
 
 class TestParser:
@@ -106,10 +110,7 @@ class TestMain:
 
     def test_cache_stats_and_clear(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cli-cache"))
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
-        run_benchmark("Kmeans", "A", "linux-4k", RunSettings.quick())
+        run_benchmark("Kmeans", "A", "linux-4k", SimConfig.quick())
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries:    1" in out
@@ -118,7 +119,6 @@ class TestMain:
         assert "removed 1" in out
         assert main(["cache", "stats"]) == 0
         assert "entries:    0" in capsys.readouterr().out
-        clear_cache()
 
 
 class TestBadInput:
@@ -307,6 +307,49 @@ class TestBadInput:
         assert captured.err == (
             f"error: {flag} {tmp_path} is a directory, not a file\n"
         )
+        assert captured.out == ""
+
+    #: A cheap invocation of each kind of command that simulates.
+    SIMULATING = {
+        "run": ["run", "Kmeans", "--quick", "--scale", "0.25", "--fresh"],
+        "scenario": ["scenario", "--quick", "--machine", "A", "--workloads",
+                     "Kmeans", "--max-tenants", "1", "--tenant-epochs", "2",
+                     "--fresh"],
+        "profile": ["profile", "Kmeans", "--quick", "--scale", "0.25"],
+        "trace": ["trace", "Kmeans", "--quick", "--scale", "0.25"],
+        "lwp": ["lwp", "--quick", "--fresh", "--jobs", "1"],
+    }
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("command", sorted(SIMULATING))
+    def test_unwritable_trace_file(
+        self, capsys, monkeypatch, tmp_path, command, where
+    ):
+        """A ``REPRO_TRACE_FILE`` that cannot be written stops the
+        command before its first simulation, not after the last."""
+        path = tmp_path if where == "directory" else tmp_path / "no" / "t.jsonl"
+        monkeypatch.setenv(TRACE_FILE_ENV, str(path))
+        # Registered so that teardown restores them, should a command
+        # get as far as setting them.
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "1")
+        monkeypatch.setenv(JOBS_ENV, "1")
+
+        def no_runs(*args):
+            raise AssertionError("simulated despite a bad trace file")
+
+        monkeypatch.setattr(runner_mod, "build_simulation", no_runs)
+        monkeypatch.setattr(runner_mod, "execute_run", no_runs)
+        monkeypatch.setattr(scenario_runner, "execute_scenario", no_runs)
+        assert main(self.SIMULATING[command]) == 2
+        captured = capsys.readouterr()
+        if where == "directory":
+            message = f"{TRACE_FILE_ENV} {path} is a directory, not a file"
+        else:
+            message = (
+                f"{TRACE_FILE_ENV} {path}: directory {path.parent}"
+                " does not exist"
+            )
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_inconsistent_configuration(self, capsys):

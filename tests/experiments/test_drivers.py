@@ -10,8 +10,8 @@ import pytest
 
 from repro.experiments import experiments as exp_mod
 from repro.experiments.parallel import GridRunner
-from repro.experiments.runner import RunSettings
 from repro.hardware.counters import CounterBank
+from repro.sim.config import SimConfig
 from repro.sim.results import RunMetrics
 from repro.workloads.registry import AFFECTED_SET, FIGURE1_ORDER, UNAFFECTED_SET
 
@@ -72,7 +72,7 @@ def stub_runner(monkeypatch):
     """Every ``GridRunner.run`` call's grid, as a :class:`FakeRuns`."""
     calls = []
 
-    def fake_run(self, specs, use_cache=True):
+    def fake_run(self, specs):
         calls.append(FakeRuns(specs))
         return calls[-1]
 
@@ -81,57 +81,57 @@ def stub_runner(monkeypatch):
 
 
 @pytest.fixture
-def settings():
-    return RunSettings.quick()
+def config():
+    return SimConfig.quick()
 
 
 class TestFigureDrivers:
-    def test_figure1_covers_all_benchmarks(self, stub_runner, settings):
-        report = exp_mod.figure1(settings)
+    def test_figure1_covers_all_benchmarks(self, stub_runner, config):
+        report = exp_mod.figure1(config)
         assert len(report.rows) == len(FIGURE1_ORDER)
         assert report.headers == ["benchmark", "machine A", "machine B"]
         assert set(report.data) == {"A", "B"}
         assert set(report.data["A"]) == set(FIGURE1_ORDER)
 
-    def test_figure2_affected_set(self, stub_runner, settings):
-        report = exp_mod.figure2(settings)
+    def test_figure2_affected_set(self, stub_runner, config):
+        report = exp_mod.figure2(config)
         assert [row[0] for row in report.rows] == AFFECTED_SET
         assert len(report.headers) == 1 + 2 * 2  # two policies x two machines
 
-    def test_figure3_policies(self, stub_runner, settings):
-        report = exp_mod.figure3(settings)
+    def test_figure3_policies(self, stub_runner, config):
+        report = exp_mod.figure3(config)
         assert "carrefour-lp (A)" in report.headers
 
-    def test_figure4_baseline_is_thp(self, stub_runner, settings):
-        exp_mod.figure4(settings)
+    def test_figure4_baseline_is_thp(self, stub_runner, config):
+        exp_mod.figure4(config)
         (runs,) = stub_runner
         assert "thp" in {s.policy for s in runs if s.workload == "CG.D"}
         assert "linux-4k" not in {s.policy for s in runs}
 
-    def test_figure5_unaffected_set(self, stub_runner, settings):
-        report = exp_mod.figure5(settings)
+    def test_figure5_unaffected_set(self, stub_runner, config):
+        report = exp_mod.figure5(config)
         assert [row[0] for row in report.rows] == UNAFFECTED_SET
 
-    def test_table1_five_cases(self, stub_runner, settings):
-        report = exp_mod.table1(settings)
+    def test_table1_five_cases(self, stub_runner, config):
+        report = exp_mod.table1(config)
         assert len(report.rows) == 5
         assert "CG.D@B" in report.data
 
-    def test_table2_three_by_three(self, stub_runner, settings):
-        report = exp_mod.table2(settings)
+    def test_table2_three_by_three(self, stub_runner, config):
+        report = exp_mod.table2(config)
         assert len(report.rows) == 9  # 3 workloads x 3 policies
 
-    def test_table3_uses_steady_metrics(self, stub_runner, settings):
-        report = exp_mod.table3(settings)
+    def test_table3_uses_steady_metrics(self, stub_runner, config):
+        report = exp_mod.table3(config)
         assert "steady" in report.title
         assert report.data["CG.D@B"]["carrefour-lp"]["lar"] == 50.0
 
-    def test_overhead_covers_everything(self, stub_runner, settings):
-        report = exp_mod.overhead(settings)
+    def test_overhead_covers_everything(self, stub_runner, config):
+        report = exp_mod.overhead(config)
         assert len(report.rows) == len(FIGURE1_ORDER)
 
-    def test_verylarge_uses_1g_backing(self, stub_runner, settings):
-        exp_mod.verylarge(settings)
+    def test_verylarge_uses_1g_backing(self, stub_runner, config):
+        exp_mod.verylarge(config)
         (runs,) = stub_runner
         assert any(spec.backing_1g for spec in runs)
 
@@ -139,18 +139,18 @@ class TestFigureDrivers:
 class TestOneGrid:
     @pytest.mark.parametrize("name", sorted(exp_mod.EXPERIMENTS))
     def test_one_run_call_and_every_declared_run_read(
-        self, stub_runner, settings, name
+        self, stub_runner, config, name
     ):
         """Each driver hands one grid to one executor call and reads
         exactly that grid: an undeclared read would be a ``KeyError``,
         and a declared run nobody reads is wasted simulation."""
-        exp_mod.run_experiment(name, settings)
+        exp_mod.run_experiment(name, config)
         (runs,) = stub_runner
         assert runs.reads == set(runs)
 
-    def test_ablations_sweep_policy_params(self, stub_runner, settings):
-        exp_mod.run_experiment("ablation-hot", settings)
-        exp_mod.run_experiment("ablation-budget", settings)
+    def test_ablations_sweep_policy_params(self, stub_runner, config):
+        exp_mod.run_experiment("ablation-hot", config)
+        exp_mod.run_experiment("ablation-budget", config)
         for runs in stub_runner:
             assert len(runs) == 5
             assert sum(not spec.params for spec in runs) == 1  # the baseline

@@ -16,13 +16,9 @@ from repro.experiments.parallel import (
     backend_choice,
     resolve_jobs,
 )
-from repro.experiments.runner import (
-    RunSettings,
-    clear_cache,
-    execute_run,
-    run_benchmark,
-)
-from repro.options import CACHE_DIR_ENV, JOBS_ENV
+from repro.experiments.runner import execute_run, fingerprints, run_benchmark
+from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV, JOBS_ENV
+from repro.sim.config import SimConfig
 from repro.workloads import streambank
 
 GRID = [
@@ -34,11 +30,8 @@ GRID = [
 
 @pytest.fixture
 def fresh_env(tmp_path, monkeypatch):
-    """Isolated cache dir and empty memo for grid-execution tests."""
+    """An empty result cache of its own for grid-execution tests."""
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def _signature(result):
@@ -144,34 +137,34 @@ def _no_runs(monkeypatch):
 
 class TestGridExecution:
     def test_serial_jobs1(self, fresh_env):
-        settings = RunSettings.quick()
-        results = GridRunner(settings, jobs=1).run(GRID[:2])
+        config = SimConfig.quick()
+        results = GridRunner(config, jobs=1).run(GRID[:2])
         assert set(results) == set(GRID[:2])
         for result in results.values():
             assert result.runtime_s > 0
 
     def test_empty_grid(self, fresh_env):
-        assert GridRunner(RunSettings.quick()).run([]) == {}
+        assert GridRunner(SimConfig.quick()).run([]) == {}
 
     def test_dedup_keeps_first_seen_order(self, fresh_env, monkeypatch):
-        settings = RunSettings.quick()
+        config = SimConfig.quick()
         executed = []
         execute = runner_mod.execute_run
 
-        def counted(spec, run_settings):
+        def counted(spec, run_config):
             executed.append(spec)
-            return execute(spec, run_settings)
+            return execute(spec, run_config)
 
         monkeypatch.setattr(runner_mod, "execute_run", counted)
         grid = [GRID[1], GRID[0], GRID[1], GRID[0]]
-        results = GridRunner(settings, jobs=1).run(grid)
+        results = GridRunner(config, jobs=1).run(grid)
         assert list(results) == [GRID[1], GRID[0]]
         assert executed == [GRID[1], GRID[0]]
 
     def test_machine_aliases_run_once(self, fresh_env):
-        settings = RunSettings.quick()
+        config = SimConfig.quick()
         alias = RunSpec("Kmeans", "machine-A", "linux-4k")
-        results = GridRunner(settings, jobs=1).run([GRID[0], alias])
+        results = GridRunner(config, jobs=1).run([GRID[0], alias])
         assert results[alias] is results[GRID[0]]
 
     def test_execute_run_reached_through_the_module(self, fresh_env, monkeypatch):
@@ -179,77 +172,133 @@ class TestGridExecution:
         so wrapping it observes every run (the pool's workers too)."""
         _no_runs(monkeypatch)
         with pytest.raises(AssertionError, match="re-executed"):
-            GridRunner(RunSettings.quick(), jobs=1).run(GRID[:1])
+            GridRunner(SimConfig.quick(), jobs=1).run(GRID[:1])
 
     def test_parallel_matches_serial_and_cached(self, fresh_env):
         """The acceptance guarantee: parallel == serial == cached."""
-        settings = RunSettings.quick()
-        serial = {spec: execute_run(spec, settings) for spec in GRID}
+        config = SimConfig.quick()
+        serial = {spec: execute_run(spec, config) for spec in GRID}
 
-        parallel = GridRunner(settings, jobs=2).run(GRID)
+        parallel = GridRunner(config, jobs=2).run(GRID)
 
         for spec in GRID:
             assert _signature(parallel[spec]) == _signature(serial[spec]), spec
 
-        # Third path: a fresh process-level view answered from the
-        # persistent cache (memo cleared, entries on disk).
-        clear_cache()
+        # Third path: answered from the result cache on disk.
         for spec in GRID:
             cached = run_benchmark(
-                spec.workload, spec.machine, spec.policy, settings,
+                spec.workload, spec.machine, spec.policy, config,
                 backing_1g=spec.backing_1g,
             )
             assert _signature(cached) == _signature(serial[spec]), spec
 
-    def test_results_installed_in_memo(self, fresh_env):
-        settings = RunSettings.quick()
-        results = GridRunner(settings, jobs=2).run(GRID[:2])
-        for spec in GRID[:2]:
-            again = run_benchmark(
-                spec.workload, spec.machine, spec.policy, settings
-            )
-            assert again is results[spec]
-
-    def test_memo_keyed_on_the_fingerprint(self, fresh_env):
-        settings = RunSettings.quick()
-        results = GridRunner(settings, jobs=1).run(GRID[:1])
-        key = settings.fingerprint(GRID[0])
-        assert runner_mod._CACHE == {key: results[GRID[0]]}
-
     def test_second_run_hits_cache(self, fresh_env, monkeypatch):
-        settings = RunSettings.quick()
-        first = GridRunner(settings, jobs=1).run(GRID[:1])
+        config = SimConfig.quick()
+        first = GridRunner(config, jobs=1).run(GRID[:1])
         _no_runs(monkeypatch)
-        second = GridRunner(settings, jobs=1).run(GRID[:1])
-        assert second[GRID[0]] is first[GRID[0]]  # memo hit, same object
+        second = GridRunner(config, jobs=1).run(GRID[:1])
+        assert second[GRID[0]] is not first[GRID[0]]  # read from disk
+        assert _signature(second[GRID[0]]) == _signature(first[GRID[0]])
 
     def test_pool_submits_only_the_misses(self, fresh_env, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        settings = RunSettings.quick()
-        first = GridRunner(settings, jobs=2).run(GRID[:1])
+        config = SimConfig.quick()
+        first = GridRunner(config, jobs=2).run(GRID[:1])
         submitted = []
 
         def recording(self, misses, jobs):
             submitted.extend(misses)
-            return [(spec, execute_run(spec, settings)) for spec in misses]
+            return [(spec, execute_run(spec, config)) for spec in misses]
 
         monkeypatch.setattr(GridRunner, "_run_pool", recording)
-        results = GridRunner(settings, jobs=2).run(GRID)
+        results = GridRunner(config, jobs=2).run(GRID)
         assert submitted == GRID[1:]
-        assert results[GRID[0]] is first[GRID[0]]
+        assert _signature(results[GRID[0]]) == _signature(first[GRID[0]])
 
-    def test_use_cache_false_reruns(self, fresh_env):
-        settings = RunSettings.quick()
-        first = GridRunner(settings, jobs=1).run(GRID[:1])
-        second = GridRunner(settings, jobs=1).run(GRID[:1], use_cache=False)
+    def test_use_cache_false_reruns(self, fresh_env, monkeypatch):
+        """``REPRO_CACHE=0`` (what ``--fresh`` sets) simulates again."""
+        config = SimConfig.quick()
+        first = GridRunner(config, jobs=1).run(GRID[:1])
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        second = GridRunner(config, jobs=1).run(GRID[:1])
         assert second[GRID[0]] is not first[GRID[0]]
         assert _signature(second[GRID[0]]) == _signature(first[GRID[0]])
 
-    def test_use_cache_false_stores_nothing(self, fresh_env):
-        settings = RunSettings.quick()
-        GridRunner(settings, jobs=1).run(GRID[:1], use_cache=False)
-        assert runner_mod._CACHE == {}
+    def test_use_cache_false_stores_nothing(self, fresh_env, monkeypatch):
+        """``REPRO_CACHE=0`` (what ``--fresh`` sets) stores nothing."""
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        GridRunner(SimConfig.quick(), jobs=1).run(GRID[:1])
         assert ResultCache.default().stats().n_entries == 0
+
+
+class TestOneCacheLayer:
+    """The disk store is the only result cache, and ``REPRO_CACHE`` its
+    only switch.  Exact counts, so a slow runner cannot make these flake.
+    """
+
+    #: Three distinct runs, one of them twice and once under an alias.
+    DUPLICATED = GRID + [GRID[1], RunSpec("Kmeans", "machine-A", "thp")]
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every ``execute_run`` and every store read and write."""
+        calls = {"run": [], "get": [], "put": []}
+        execute = runner_mod.execute_run
+        get, put = ResultCache.get, ResultCache.put
+
+        def counted_run(spec, config):
+            calls["run"].append(spec)
+            return execute(spec, config)
+
+        def counted_get(self, key, *args, **kwargs):
+            calls["get"].append(key)
+            return get(self, key, *args, **kwargs)
+
+        def counted_put(self, key, result):
+            calls["put"].append(key)
+            return put(self, key, result)
+
+        monkeypatch.setattr(runner_mod, "execute_run", counted_run)
+        monkeypatch.setattr(ResultCache, "get", counted_get)
+        monkeypatch.setattr(ResultCache, "put", counted_put)
+        return calls
+
+    def test_a_warm_grid_reads_each_key_from_disk_once(
+        self, fresh_env, monkeypatch
+    ):
+        config = SimConfig.quick()
+        keys = set(fingerprints(GRID, config).values())
+        cold = GridRunner(config, jobs=1).run(self.DUPLICATED)
+        assert ResultCache.default().stats().n_entries == 3
+        calls = self._count(monkeypatch)
+        warm = GridRunner(config, jobs=1).run(self.DUPLICATED)
+        assert calls["run"] == []
+        assert calls["put"] == []
+        assert sorted(calls["get"]) == sorted(keys)
+        for spec in self.DUPLICATED:
+            assert _signature(warm[spec]) == _signature(cold[spec])
+
+    def test_cache_off_runs_each_distinct_run_once_and_stores_nothing(
+        self, fresh_env, monkeypatch
+    ):
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        calls = self._count(monkeypatch)
+        results = GridRunner(SimConfig.quick(), jobs=1).run(self.DUPLICATED)
+        assert sorted(calls["run"], key=repr) == sorted(GRID, key=repr)
+        assert calls["get"] == calls["put"] == []
+        assert ResultCache.default().stats().n_entries == 0
+        assert results[self.DUPLICATED[-1]] is results[GRID[1]]
+
+    def test_nothing_outlives_a_run_call_in_process(
+        self, fresh_env, monkeypatch
+    ):
+        """Two grids in one process share no results: with the store
+        off, the second simulates everything again."""
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        GridRunner(SimConfig.quick(), jobs=1).run(GRID[:2])
+        calls = self._count(monkeypatch)
+        GridRunner(SimConfig.quick(), jobs=1).run(GRID[:2])
+        assert calls["run"] == GRID[:2]
 
 
 #: Two workloads x two policies: two stream banks, four runs.
@@ -281,8 +330,8 @@ class TestBankAffinity:
         monkeypatch.setattr(streambank.StreamBank, "_generate_row", logged)
         # Forked workers inherit this process's banks; start from none.
         streambank.clear_stream_banks()
-        settings = RunSettings.quick()
-        pooled = GridRunner(settings, jobs=2).run(AFFINE_GRID)
+        config = SimConfig.quick()
+        pooled = GridRunner(config, jobs=2).run(AFFINE_GRID)
 
         rows = [line.split() for line in log.read_text().splitlines()]
         generated = [(bank, int(epoch)) for bank, epoch, _ in rows]
@@ -296,8 +345,8 @@ class TestBankAffinity:
         assert str(os.getpid()) not in {pid for *_, pid in rows}
 
         # And the pooled results are the serial grid's, bit for bit.
-        clear_cache()
-        serial = GridRunner(settings, jobs=1).run(AFFINE_GRID, use_cache=False)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        serial = GridRunner(config, jobs=1).run(AFFINE_GRID)
         for spec, result in serial.items():
             assert _signature(pooled[spec]) == _signature(result), spec
 

@@ -17,11 +17,10 @@ from repro.experiments.configs import (
     policy_descriptions,
 )
 from repro.sim.policy import PolicyStack
-from repro.experiments.runner import (
-    RunSettings,
-    clear_cache,
-    run_benchmark,
-)
+from repro.experiments import runner as runner_mod
+from repro.experiments.parallel import GridRunner
+from repro.experiments.runner import run_benchmark
+from repro.options import CACHE_ENABLE_ENV
 from repro.sim.policy import LinuxPolicy
 
 
@@ -169,38 +168,40 @@ class TestPolicyDescriptions:
 
 
 class TestRunner:
-    def test_run_benchmark_cached(self, quick_settings):
-        a = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        b = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        assert a is b  # memoised
+    def test_run_benchmark_cached(self, quick_config, monkeypatch):
+        a = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
 
-    def test_cache_key_distinguishes_policy(self, quick_settings):
-        a = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        b = run_benchmark("Kmeans", "A", "thp", quick_settings)
+        def no_runs(*args):
+            raise AssertionError("re-executed a cached run")
+
+        monkeypatch.setattr(runner_mod, "execute_run", no_runs)
+        b = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
+        assert b is not a  # read back from disk
+        assert b.runtime_s == a.runtime_s
+        assert b.epoch_times_s == a.epoch_times_s
+
+    def test_cache_key_distinguishes_policy(self, quick_config):
+        a = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
+        b = run_benchmark("Kmeans", "A", "thp", quick_config)
         assert a is not b
 
-    def test_no_cache_option(self, quick_settings):
-        a = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        b = run_benchmark(
-            "Kmeans", "A", "linux-4k", quick_settings, use_cache=False
-        )
+    def test_no_cache_option(self, quick_config, monkeypatch):
+        a = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        b = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
         assert a is not b
         assert a.runtime_s == b.runtime_s  # but deterministic
 
-    def test_improvement_signs(self, quick_settings):
-        base = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
+    def test_improvement_signs(self, quick_config):
+        base = run_benchmark("Kmeans", "A", "linux-4k", quick_config)
         assert base.improvement_over(base) == pytest.approx(0.0)
 
-    def test_unknown_workload(self, quick_settings):
+    def test_unknown_workload(self, quick_config):
         with pytest.raises(UnknownWorkloadError):
-            run_benchmark("nope", "A", "thp", quick_settings)
+            run_benchmark("nope", "A", "thp", quick_config)
 
     def test_settings_default(self):
-        settings = RunSettings()
-        assert settings.config.scale == 1.0
-
-    def test_clear_cache(self, quick_settings):
-        a = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        clear_cache()
-        b = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
-        assert a is not b
+        """A grid without a config runs at full scale, seed 0."""
+        config = GridRunner().config
+        assert config.scale == 1.0
+        assert config.seed == 0

@@ -56,20 +56,20 @@ class _RecordedRuns(dict):
 
 
 class TestValidation:
-    def test_grid_is_exactly_the_runs_the_checks_read(self, quick_settings):
+    def test_grid_is_exactly_the_runs_the_checks_read(self, quick_config):
         assert len(GRID) == len(set(GRID)) == 33
-        runs = _RecordedRuns(GridRunner(quick_settings).run(GRID))
+        runs = _RecordedRuns(GridRunner(quick_config).run(GRID))
         for check in _CHECKS.values():
             check(runs)  # an undeclared read raises KeyError
         assert runs.reads == set(GRID)
 
-    def test_all_claims_pass_at_quick_scale(self, quick_settings):
-        results = validate_claims(quick_settings)
+    def test_all_claims_pass_at_quick_scale(self, quick_config):
+        results = validate_claims(quick_config)
         failing = [r.claim_id for r in results if not r.passed]
         assert not failing, f"claims failing: {failing}"
 
-    def test_report_structure(self, quick_settings):
-        report = validate(quick_settings)
+    def test_report_structure(self, quick_config):
+        report = validate(quick_config)
         assert report.experiment_id == "validate"
         assert len(report.rows) == len(paper_data.CLAIMS)
         assert "14/14" in report.title

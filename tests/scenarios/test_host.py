@@ -268,10 +268,14 @@ class TestBackgroundRates:
         )
 
     def test_none_when_alone(self, tiny_topo):
+        """Alone, a tenant's background is zeros: adding them prices
+        its epochs exactly as its own rates alone would."""
         host = Host(tiny_topo)
         tenant = make_tenant(tiny_topo, host, 0)
         host.admit(tenant)
-        assert host.background_rates(tenant) is None
+        assert np.array_equal(host.background_rates(tenant), np.zeros((2, 2)))
+        tenant.last_rates = np.full((2, 2), 1.0)
+        assert np.array_equal(host.background_rates(tenant), np.zeros((2, 2)))
 
     def test_sum_does_not_alias_a_tenants_rates(self, tiny_topo):
         host = Host(tiny_topo)

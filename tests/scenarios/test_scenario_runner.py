@@ -15,6 +15,8 @@ import dataclasses
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import scenario_runner
 from repro.experiments.cache import ResultCache, scenario_fingerprint
 from repro.experiments.scenario_runner import (
     ScenarioResult,
@@ -22,7 +24,7 @@ from repro.experiments.scenario_runner import (
     run_scenario,
     tenant_seed,
 )
-from repro.options import STREAM_CACHE_ENV
+from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV, STREAM_CACHE_ENV
 from repro.scenarios import ScenarioConfig
 from repro.sim.config import SimConfig
 from repro.vm.layout import PageSize
@@ -231,12 +233,50 @@ class TestCaching:
         )
         assert a != b
 
-    def test_use_cache_false_bypasses(self):
+    def test_use_cache_false_bypasses(self, monkeypatch):
+        """``REPRO_CACHE=0`` (what ``--fresh`` sets) bypasses the store."""
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         cfg = SimConfig.quick(seed=0)
         scenario = dataclasses.replace(PINNED, seed=99)
-        run_scenario(scenario, cfg, use_cache=False)
+        run_scenario(scenario, cfg)
         key = scenario_fingerprint(scenario, cfg)
         assert ResultCache.default().get(key, expect=ScenarioResult) is None
+
+    def test_fresh_stores_nothing_and_plain_runs_store_one_entry(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``repro scenario --fresh`` sets ``REPRO_CACHE=0`` as the
+        artifacts do: it simulates and stores nothing.  Then, each as a
+        new process would see it, a plain invocation stores one entry
+        and a second simulates nothing.  Exact counts."""
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "1")  # registers restore-on-teardown
+        executed = []
+        execute = scenario_runner.execute_scenario
+
+        def counted(scenario, config=None):
+            executed.append(scenario)
+            return execute(scenario, config)
+
+        monkeypatch.setattr(scenario_runner, "execute_scenario", counted)
+        argv = ["scenario", "--quick", "--machine", "A", "--workloads",
+                "Kmeans", "--max-tenants", "1", "--tenant-epochs", "2"]
+        store = ResultCache.default()
+
+        assert main(argv + ["--fresh"]) == 0
+        fresh = capsys.readouterr().out
+        assert len(executed) == 1
+        assert store.stats().n_entries == 0
+
+        monkeypatch.delenv(CACHE_ENABLE_ENV)
+        assert main(argv) == 0
+        assert len(executed) == 2
+        assert store.stats().n_entries == 1
+
+        assert main(argv) == 0
+        assert len(executed) == 2
+        assert store.stats().n_entries == 1
+        assert capsys.readouterr().out == fresh * 2
 
 
 class TestTruncation:

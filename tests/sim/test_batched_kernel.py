@@ -22,10 +22,10 @@ from repro.core.carrefour import CarrefourConfig, CarrefourEngine
 from repro.core.metrics import PageSampleTable
 from repro.errors import MappingError
 from repro.experiments.configs import make_policy
-from repro.experiments.runner import RunSettings
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.hardware.machines import machine_by_name
+from repro.sim.config import SimConfig
 from repro.sim.engine import ActionExecutor, PageTableState, Simulation
 from repro.sim.policy import PolicyActionSummary
 from repro.sim.trace import DecisionTrace
@@ -434,15 +434,13 @@ def per_page(policy):
 
 
 def simulate(policy_name, executor_cls, reference):
-    settings = RunSettings.quick(seed=0)
+    config = SimConfig.quick(seed=0)
     topo = machine_by_name("A")
-    instance = get_workload("SSCA.20").instantiate(
-        topo, settings.config.scale, settings.seed
-    )
+    instance = get_workload("SSCA.20").instantiate(topo, config.scale, config.seed)
     policy = make_policy(policy_name, seed=0)
     if reference:
         per_page(policy)
-    sim = Simulation(topo, instance, policy, config=settings.config)
+    sim = Simulation(topo, instance, policy, config=config)
     sim.executor = executor_cls()
     sim.tracer = DecisionTrace()
     result = sim.run()

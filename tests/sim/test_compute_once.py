@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.metrics import PageSampleTable
 from repro.experiments.configs import make_policy
-from repro.experiments.runner import RunSettings, RunSpec, execute_run
+from repro.experiments.runner import RunSpec, execute_run
 from repro.hardware.ibs import IbsSamples
 from repro.hardware.machines import machine_by_name
 from repro.sim import tracker as tracker_module
@@ -448,7 +448,7 @@ class TestReplicationGathers:
 
     def test_linux_4k_run_makes_no_gather(self, monkeypatch):
         gathers = self._count(monkeypatch)
-        execute_run(RunSpec("Kmeans", "A", "linux-4k"), RunSettings.quick())
+        execute_run(RunSpec("Kmeans", "A", "linux-4k"), SimConfig.quick())
         assert gathers == []
 
     def test_a_replicating_run_still_gathers(self, monkeypatch):

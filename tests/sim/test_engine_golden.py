@@ -14,7 +14,12 @@ import json
 
 import pytest
 
-from repro.experiments.runner import RunSettings, RunSpec, run_benchmark
+from repro.experiments.runner import (
+    RunSpec,
+    execute_run,
+    fingerprints,
+    run_benchmark,
+)
 
 # (workload, machine, policy, backing_1g) -> field -> float.hex()
 GOLDENS = {
@@ -77,17 +82,18 @@ def _observe(result) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(GOLDENS, key=repr), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}{'-1g' if c[3] else ''}")
-def test_vectorized_engine_matches_pre_change_goldens(case, quick_settings):
+def test_vectorized_engine_matches_pre_change_goldens(case, quick_config):
     workload, machine, policy, backing_1g = case
     result = run_benchmark(
-        workload, machine, policy, quick_settings, backing_1g=backing_1g
+        workload, machine, policy, quick_config, backing_1g=backing_1g
     )
     assert _observe(result) == GOLDENS[case]
 
 
-def test_engine_deterministic_across_repeats(quick_settings):
-    a = run_benchmark("Kmeans", "A", "thp", quick_settings, use_cache=False)
-    b = run_benchmark("Kmeans", "A", "thp", quick_settings, use_cache=False)
+def test_engine_deterministic_across_repeats(quick_config):
+    spec = RunSpec("Kmeans", "A", "thp")
+    a = execute_run(spec, quick_config)
+    b = execute_run(spec, quick_config)
     assert a.runtime_s == b.runtime_s
     assert a.epoch_times_s == b.epoch_times_s
     assert a.bank.total("tlb_misses") == b.bank.total("tlb_misses")
@@ -397,10 +403,10 @@ def test_matrix_covers_whole_registry():
 
 
 @pytest.mark.parametrize("policy", sorted(POLICY_MATRIX))
-def test_policy_matrix_decision_equivalence(policy, quick_settings):
+def test_policy_matrix_decision_equivalence(policy, quick_config):
     golden = POLICY_MATRIX[policy]
     result = run_benchmark(
-        MATRIX_WORKLOAD, MATRIX_MACHINE, policy, quick_settings
+        MATRIX_WORKLOAD, MATRIX_MACHINE, policy, quick_config
     )
     assert result.runtime_s.hex() == golden["runtime_s"]
     assert (
@@ -410,14 +416,13 @@ def test_policy_matrix_decision_equivalence(policy, quick_settings):
 
 
 @pytest.mark.parametrize("policy", sorted(POLICY_MATRIX))
-def test_policy_matrix_fingerprints_pinned(policy, quick_settings):
+def test_policy_matrix_fingerprints_pinned(policy, quick_config):
     """The persistent-cache key is part of the contract: refactors that
     accidentally change ``SimConfig`` hashing (e.g. by letting the
     ``trace`` flag leak into the key) would silently orphan every
     cached result."""
-    fp = quick_settings.fingerprint(
-        RunSpec(MATRIX_WORKLOAD, f"machine-{MATRIX_MACHINE}", policy)
-    )
+    spec = RunSpec(MATRIX_WORKLOAD, f"machine-{MATRIX_MACHINE}", policy)
+    fp = fingerprints([spec], quick_config)[spec]
     assert fp == POLICY_MATRIX[policy]["fingerprint"]
 
 

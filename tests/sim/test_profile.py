@@ -80,37 +80,37 @@ class TestPhaseTimer:
 
 class TestAlwaysOn:
     @pytest.mark.parametrize("policy", ["thp", "carrefour-lp"])
-    def test_every_run_times_its_epochs(self, quick_settings, policy):
-        sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_settings)
+    def test_every_run_times_its_epochs(self, quick_config, policy):
+        sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_config)
         assert isinstance(sim.profiler, PhaseTimer)
         result = sim.run()
         assert sim.profiler.n_epochs == len(result.epoch_times_s)
         assert sim.profiler.total_s > 0.0
 
-    def test_leftover_profile_switch_is_ignored(self, quick_settings, monkeypatch):
+    def test_leftover_profile_switch_is_ignored(self, quick_config, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "0")
         spec = RunSpec("Kmeans", "A", "thp")
-        assert build_simulation(spec, quick_settings).profiler is not None
+        assert build_simulation(spec, quick_config).profiler is not None
 
 
 class TestRunProfiled:
-    def test_phases_account_for_epochs(self, quick_settings):
-        result, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
+    def test_phases_account_for_epochs(self, quick_config):
+        result, timer = run_profiled("Kmeans", "A", "thp", quick_config)
         assert timer.n_epochs == len(result.epoch_times_s)
         assert timer.total_s > 0.0
         assert timer.total_s == pytest.approx(sum(timer.phase_s.values()))
         assert all(seconds >= 0.0 for seconds in timer.phase_s.values())
 
-    def test_counts_tlb_evaluations_and_memo_hits(self, quick_settings):
-        _, timer = run_profiled("Kmeans", "A", "thp", quick_settings)
+    def test_counts_tlb_evaluations_and_memo_hits(self, quick_config):
+        _, timer = run_profiled("Kmeans", "A", "thp", quick_config)
         counts = timer.summary()["counts"]
         # Symmetric threads share one classified input: the first
         # evaluates it, the others are memo hits.
         assert counts["tlb_evaluations"] >= 1
         assert counts["tlb_memo_hits"] > counts["tlb_evaluations"]
 
-    def test_counts_classifications_and_table_builds(self, quick_settings):
-        _, timer = run_profiled("Kmeans", "A", "carrefour-lp", quick_settings)
+    def test_counts_classifications_and_table_builds(self, quick_config):
+        _, timer = run_profiled("Kmeans", "A", "carrefour-lp", quick_config)
         counts = timer.summary()["counts"]
         assert counts["tlb_classifications"] >= counts["tlb_evaluations"]
         # Each Carrefour-LP interval groups its batch at least by
@@ -120,9 +120,9 @@ class TestRunProfiled:
     # carrefour-2m samples IBS, so its run also prices the sampling
     # overhead, which run_profiled must price as execute_run does.
     @pytest.mark.parametrize("policy", ["linux-4k", "carrefour-2m"])
-    def test_matches_execute_run(self, quick_settings, policy):
-        plain = execute_run(RunSpec("Kmeans", "B", policy), quick_settings)
-        profiled, _ = run_profiled("Kmeans", "B", policy, quick_settings)
+    def test_matches_execute_run(self, quick_config, policy):
+        plain = execute_run(RunSpec("Kmeans", "B", policy), quick_config)
+        profiled, _ = run_profiled("Kmeans", "B", policy, quick_config)
         assert _signature(plain) == _signature(profiled)
 
 

@@ -18,9 +18,9 @@ import pytest
 from repro.experiments import runner as runner_mod
 from repro.experiments.configs import POLICIES, make_policy
 from repro.experiments.parallel import GridRunner
-from repro.experiments.runner import RunSettings, RunSpec
+from repro.experiments.runner import RunSpec
 from repro.hardware.machines import machine_by_name
-from repro.options import CHECK_ENV
+from repro.options import CACHE_ENABLE_ENV, CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.host import Host
@@ -111,8 +111,8 @@ def test_a_serial_grid_keeps_one_bank(refcount_only, monkeypatch):
     live = []
     execute_run = runner_mod.execute_run
 
-    def counted(spec, settings):
-        result = execute_run(spec, settings)
+    def counted(spec, config):
+        result = execute_run(spec, config)
         order.append(spec)
         live.append(sum(ref() is not None for ref in banks))
         return result
@@ -120,9 +120,8 @@ def test_a_serial_grid_keeps_one_bank(refcount_only, monkeypatch):
     monkeypatch.setattr(streambank.StreamBank, "__init__", tracked)
     monkeypatch.setattr(streambank.StreamBank, "_generate_row", logged)
     monkeypatch.setattr(runner_mod, "execute_run", counted)
-    results = GridRunner(RunSettings.quick(), jobs=1).run(
-        INTERLEAVED_GRID, use_cache=False
-    )
+    monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+    results = GridRunner(SimConfig.quick(), jobs=1).run(INTERLEAVED_GRID)
 
     assert list(results) == INTERLEAVED_GRID
     assert order == [INTERLEAVED_GRID[i] for i in (0, 2, 1)]

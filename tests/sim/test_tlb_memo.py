@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import RunSettings, RunSpec, execute_run
+from repro.experiments.runner import RunSpec, execute_run
 from repro.hardware import tlb
 from repro.hardware.caches import CacheModel
 from repro.hardware.tlb import TlbModel, TlbSpec
@@ -72,7 +72,7 @@ class TestRunCounts:
 
         monkeypatch.setattr(TlbModel, "epoch_result_grouped", recording)
         monkeypatch.setattr(tlb, "lru_group_hit_rates", solving)
-        execute_run(RunSpec("WC", "A", "thp"), RunSettings.quick())
+        execute_run(RunSpec("WC", "A", "thp"), SimConfig.quick())
         assert len(calls) > 10 * len(inputs)
         assert len(solves) == sum(inputs.values())
         (model,) = models

@@ -67,10 +67,10 @@ class TestDecisionTrace:
 
 
 class TestTraceNeutrality:
-    def test_traced_run_bit_identical(self, quick_settings):
-        baseline = run_benchmark("Kmeans", "A", "carrefour-2m", quick_settings)
+    def test_traced_run_bit_identical(self, quick_config):
+        baseline = run_benchmark("Kmeans", "A", "carrefour-2m", quick_config)
         result, trace = run_traced(
-            "Kmeans", "A", "carrefour-2m", quick_settings
+            "Kmeans", "A", "carrefour-2m", quick_config
         )
         assert result.runtime_s == baseline.runtime_s
         assert result.epoch_times_s == baseline.epoch_times_s
@@ -88,23 +88,23 @@ def _headers(path):
 class TestTraceFile:
     """``REPRO_TRACE_FILE`` alone turns tracing on."""
 
-    def test_no_trace_file_no_tracer(self, quick_settings, monkeypatch):
+    def test_no_trace_file_no_tracer(self, quick_config, monkeypatch):
         monkeypatch.delenv(TRACE_FILE_ENV, raising=False)
         monkeypatch.setenv("REPRO_TRACE", "1")  # retired; not read
-        sim = build_simulation(RunSpec("Kmeans", "A", "carrefour-2m"), quick_settings)
+        sim = build_simulation(RunSpec("Kmeans", "A", "carrefour-2m"), quick_config)
         assert sim.tracer is None
         sim.run()
         assert sim.tracer is None
 
     def test_trace_file_appends_each_run(
-        self, quick_settings, monkeypatch, tmp_path
+        self, quick_config, monkeypatch, tmp_path
     ):
         path = tmp_path / "runs.jsonl"
         monkeypatch.setenv(TRACE_FILE_ENV, str(path))
         monkeypatch.setenv("REPRO_TRACE", "0")  # retired; not read
         records = 0
         for policy in ("carrefour-2m", "thp"):
-            sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_settings)
+            sim = build_simulation(RunSpec("Kmeans", "A", policy), quick_config)
             assert isinstance(sim.tracer, DecisionTrace)
             sim.run()
             records += len(sim.tracer.records)
@@ -113,26 +113,26 @@ class TestTraceFile:
         assert len(path.read_text().splitlines()) == records + 2
 
     def test_run_traced_keeps_the_file_trace(
-        self, quick_settings, monkeypatch, tmp_path
+        self, quick_config, monkeypatch, tmp_path
     ):
         path = tmp_path / "traced.jsonl"
         monkeypatch.setenv(TRACE_FILE_ENV, str(path))
-        _, trace = run_traced("Kmeans", "A", "carrefour-2m", quick_settings)
+        _, trace = run_traced("Kmeans", "A", "carrefour-2m", quick_config)
         assert trace.records
         assert len(_headers(path)) == 1
         assert len(path.read_text().splitlines()) == len(trace.records) + 1
 
 
 class TestRunTraced:
-    def test_context_header(self, quick_settings):
-        _, trace = run_traced("Kmeans", "A", "thp", quick_settings)
+    def test_context_header(self, quick_config):
+        _, trace = run_traced("Kmeans", "A", "thp", quick_config)
         assert trace.context["workload"] == "Kmeans"
         assert trace.context["policy"] == "thp"
-        assert trace.context["seed"] == quick_settings.seed
+        assert trace.context["seed"] == quick_config.seed
 
-    def test_composed_policy_traces_sources(self, quick_settings):
+    def test_composed_policy_traces_sources(self, quick_config):
         _, trace = run_traced(
-            "Kmeans", "A", "carrefour-2m+replication", quick_settings
+            "Kmeans", "A", "carrefour-2m+replication", quick_config
         )
         sources = {rec["source"] for rec in trace.records}
         assert "carrefour-2m" in sources

@@ -23,8 +23,8 @@ import pytest
 
 import repro
 from repro.experiments.parallel import GridRunner
-from repro.experiments.runner import RunSettings, RunSpec
-from repro.options import STREAM_CACHE_ENV
+from repro.experiments.runner import RunSpec
+from repro.options import CACHE_ENABLE_ENV, STREAM_CACHE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.tracker import AccessTracker
 from repro.workloads.base import CostProfile, WorkloadInstance
@@ -659,8 +659,9 @@ class TestAggregationWork:
 
     def test_each_folded_row_aggregates_once(self, monkeypatch):
         monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         banks, aggregated = record_aggregation(monkeypatch)
-        GridRunner(RunSettings.quick(), jobs=1).run(WORK_GRID, use_cache=False)
+        GridRunner(SimConfig.quick(), jobs=1).run(WORK_GRID)
         assert len(banks) == 2
         folded = [
             (bank.fingerprint, epoch)
@@ -672,20 +673,20 @@ class TestAggregationWork:
 
     def test_untracked_runs_never_aggregate(self, monkeypatch):
         monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         banks, aggregated = record_aggregation(monkeypatch)
         config = dataclasses.replace(SimConfig.quick(), track_access_stats=False)
-        GridRunner(RunSettings(config=config), jobs=1).run(
-            WORK_GRID, use_cache=False
-        )
+        GridRunner(config, jobs=1).run(WORK_GRID)
         assert len(banks) == 2
         assert all(bank._blocks and bank._folded == 0 for bank in banks)
         assert aggregated == []
 
     def test_a_store_warm_pass_never_aggregates(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         banks, aggregated = record_aggregation(monkeypatch)
-        runner = GridRunner(RunSettings.quick(), jobs=1)
-        cold = runner.run(WORK_GRID, use_cache=False)
+        runner = GridRunner(SimConfig.quick(), jobs=1)
+        cold = runner.run(WORK_GRID)
         # Store-cold, every run completes its bank's blocks, so each
         # row is aggregated twice: as the writer persists its block and
         # as the bank folds it.
@@ -694,7 +695,7 @@ class TestAggregationWork:
         clear_stream_banks()
         banks.clear()
         aggregated.clear()
-        warm = runner.run(WORK_GRID, use_cache=False)
+        warm = runner.run(WORK_GRID)
         assert len(banks) == 2
         assert all(
             block.stored is not None
