@@ -309,15 +309,19 @@ class TestBadInput:
         )
         assert captured.out == ""
 
-    #: A cheap invocation of each kind of command that simulates.
+    #: A cheap invocation of every command that simulates: each artifact
+    #: of ``EXPERIMENTS`` and the four single-run commands.
     SIMULATING = {
+        **{
+            name: [name, "--quick", "--fresh", "--jobs", "1"]
+            for name in EXPERIMENTS
+        },
         "run": ["run", "Kmeans", "--quick", "--scale", "0.25", "--fresh"],
         "scenario": ["scenario", "--quick", "--machine", "A", "--workloads",
                      "Kmeans", "--max-tenants", "1", "--tenant-epochs", "2",
                      "--fresh"],
         "profile": ["profile", "Kmeans", "--quick", "--scale", "0.25"],
         "trace": ["trace", "Kmeans", "--quick", "--scale", "0.25"],
-        "lwp": ["lwp", "--quick", "--fresh", "--jobs", "1"],
     }
 
     @pytest.mark.parametrize("where", ["directory", "missing-directory"])
