@@ -1,11 +1,8 @@
-"""Repo-specific lint rules (R001-R005).
+"""Repo-specific lint rules (R002-R005).
 
 Each rule targets a bug class this codebase has actually hit or is
 structurally exposed to:
 
-* **R001** — a ``cache_key``/``fingerprint`` method on a dataclass must
-  cover every field (PR 1 shipped a memo key that silently dropped four
-  ``SimConfig`` fields, colliding results across configs).
 * **R002** — randomness must flow through ``repro._util.rng_for`` and
   simulation code must never read wall-clock time: both break the
   bit-identical replay contract.
@@ -26,9 +23,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.linter import FileContext, Finding, Rule
-
-#: Method-name fragments that mark a cache-identity method for R001.
-KEY_METHOD_FRAGMENTS = ("cache_key", "fingerprint")
 
 _WALL_CLOCK_TIME_FUNCS = frozenset(
     {
@@ -87,76 +81,6 @@ def _iter_functions(
             stack.pop()
 
     yield from visit(tree)
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        chain = _attr_chain(target)
-        if chain and chain.split(".")[-1] == "dataclass":
-            return True
-    return False
-
-
-class CacheKeyCompleteness(Rule):
-    """R001: cache-key methods must reference every dataclass field."""
-
-    rule_id = "R001"
-    title = "cache-key completeness"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                yield from self._check_class(ctx, node)
-
-    def _check_class(
-        self, ctx: FileContext, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        fields: List[str] = []
-        methods: List[ast.FunctionDef] = []
-        for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                name = stmt.target.id
-                annotation = ast.dump(stmt.annotation)
-                if "ClassVar" not in annotation and not name.startswith("_"):
-                    fields.append(name)
-            elif isinstance(stmt, ast.FunctionDef) and any(
-                frag in stmt.name for frag in KEY_METHOD_FRAGMENTS
-            ):
-                methods.append(stmt)
-        if not fields or not methods:
-            return
-        for method in methods:
-            referenced: Set[str] = set()
-            generic = False
-            for sub in ast.walk(method):
-                if (
-                    isinstance(sub, ast.Attribute)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self"
-                ):
-                    referenced.add(sub.attr)
-                elif isinstance(sub, ast.Call):
-                    chain = _attr_chain(sub.func)
-                    if chain and chain.split(".")[-1] in {
-                        "fields",
-                        "asdict",
-                        "astuple",
-                    }:
-                        generic = True
-            if generic:
-                continue
-            missing = sorted(set(fields) - referenced)
-            if missing:
-                yield ctx.finding(
-                    self.rule_id,
-                    method,
-                    f"{cls.name}.{method.name} omits field(s) "
-                    f"{', '.join(missing)}; every field can change a "
-                    "result, so reference them all",
-                )
 
 
 #: Functions allowed to construct ``np.random`` machinery directly: the
@@ -429,7 +353,6 @@ class SimHygiene(Rule):
 
 #: Every shipped rule, in id order.
 ALL_RULES: Tuple[type, ...] = (
-    CacheKeyCompleteness,
     UnseededRandomness,
     OrderDependentAccumulation,
     SwallowedException,

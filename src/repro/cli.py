@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = sub.add_parser(
         "lint",
-        help="run the determinism linter (R001-R005; --deep adds"
+        help="run the determinism linter (R002-R005; --deep adds"
         " R101, R104, R110, R112 and R113)",
     )
     lint_cmd.add_argument(

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.vm.layout import GRANULES_PER_2M, SHIFT_1G, SHIFT_2M
+from repro.vm.layout import CHUNKS_2M_PER_1G, GRANULES_PER_2M, SHIFT_1G
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.address_space import AddressSpace
@@ -116,64 +116,61 @@ class AccessTracker:
     # ------------------------------------------------------------------
     # Metrics against a backing state
     # ------------------------------------------------------------------
-    def _chunk_weights(self) -> np.ndarray:
-        pad = (-self.n_granules) % GRANULES_PER_2M
-        w = self.weight
-        if pad:
-            w = np.concatenate([w, np.zeros(pad)])
-        return w.reshape(-1, GRANULES_PER_2M).sum(axis=1)
-
     def hot_page_stats(
         self, address_space: AddressSpace, hot_threshold_pct: float = 6.0
     ) -> HotPageStats:
-        """PAMUP / NHP / PSP evaluated at the *current* backing sizes."""
+        """PAMUP / NHP / PSP evaluated at the *current* backing sizes.
+
+        Which pages are 4KB-backed is decided once per 2MB chunk and
+        expanded to a ``bool`` per granule; the 4KB maximum and hot
+        count are masked reductions over :attr:`weight` itself.  Beyond
+        the per-chunk arrays, a call allocates two bytes per granule
+        (the mask and the hot flags) and a compacted copy of the shared
+        4KB weights.  Every float is summed over the same array as a
+        per-granule evaluation sums it — ``total`` over the dense
+        weights, each PSP term over its compacted shared weights — so
+        the statistics are bit-identical to it.
+        """
         total = float(self.weight.sum())
         if total <= 0:
             return HotPageStats(0.0, 0, 0.0, 0.0)
-        chunk_w = self._chunk_weights()
+        chunk_w = _group_sums(self.weight, GRANULES_PER_2M)
+        gchunk_w = _group_sums(chunk_w, CHUNKS_2M_PER_1G)
         n_chunks = chunk_w.size
 
-        # Split weights by current backing level.
+        # Split pages by current backing level, one flag per 2MB chunk.
+        giga = address_space.giga[: gchunk_w.size]
+        giga_of_chunk = np.repeat(giga, CHUNKS_2M_PER_1G)[:n_chunks]
         huge = address_space.huge[:n_chunks]
-        c1_of_c2 = np.arange(n_chunks) >> (SHIFT_1G - SHIFT_2M)
-        giga_of_chunk = address_space.giga[c1_of_c2]
         chunk_is_huge = huge & ~giga_of_chunk
+        chunk_is_4k = ~huge & ~giga_of_chunk
+        granule_is_4k = np.repeat(chunk_is_4k, GRANULES_PER_2M)
+        granule_is_4k = granule_is_4k[: self.n_granules]
 
         # Per-page maxima and hot counts at each level.
-        g_of_granule = np.arange(self.n_granules) >> SHIFT_2M
-        granule_level = (
-            ~address_space.huge[g_of_granule]
-            & ~address_space.giga[np.arange(self.n_granules) >> SHIFT_1G]
-        )
-        w4 = self.weight[granule_level]
-        w2 = chunk_w[chunk_is_huge]
-        pad1 = (-chunk_w.size) % (1 << (SHIFT_1G - SHIFT_2M))
-        cw = np.concatenate([chunk_w, np.zeros(pad1)]) if pad1 else chunk_w
-        gchunk_w = cw.reshape(-1, 1 << (SHIFT_1G - SHIFT_2M)).sum(axis=1)
-        w1 = gchunk_w[address_space.giga[: gchunk_w.size]]
-
-        page_max = 0.0
-        hot = 0
         threshold = total * hot_threshold_pct / 100.0
-        for w in (w4, w2, w1):
+        page_max = float(np.max(self.weight, where=granule_is_4k, initial=0.0))
+        hot_4k = self.weight > threshold
+        hot_4k &= granule_is_4k
+        hot = int(np.count_nonzero(hot_4k))
+        del hot_4k  # freed before the PSP compaction below
+        for w in (chunk_w[chunk_is_huge], gchunk_w[giga]):
             if w.size:
                 page_max = max(page_max, float(w.max()))
                 hot += int(np.count_nonzero(w > threshold))
 
         # PSP: accesses to pages shared by >= 2 threads, at backing size.
         shared_weight = 0.0
-        if np.any(granule_level):
-            shared_weight += float(
-                self.weight[granule_level & self._shared_4k].sum()
-            )
+        if np.any(chunk_is_4k):
+            granule_is_4k &= self._shared_4k  # now: 4KB-backed and shared
+            shared_weight += float(self.weight[granule_is_4k].sum())
         if np.any(chunk_is_huge):
             shared_weight += float(
                 chunk_w[chunk_is_huge & self._shared_2m[:n_chunks]].sum()
             )
-        giga_mask = address_space.giga[: gchunk_w.size]
-        if np.any(giga_mask):
+        if np.any(giga):
             shared_weight += float(
-                gchunk_w[giga_mask & self._shared_1g[: gchunk_w.size]].sum()
+                gchunk_w[giga & self._shared_1g[: gchunk_w.size]].sum()
             )
 
         return HotPageStats(
@@ -182,3 +179,15 @@ class AccessTracker:
             psp_pct=100.0 * shared_weight / total,
             total_weight=total,
         )
+
+
+def _group_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """Sum of each run of ``width`` consecutive values, the last run
+    zero-padded; only that last run is copied."""
+    n_full = values.size - values.size % width
+    sums = values[:n_full].reshape(-1, width).sum(axis=1)
+    if n_full == values.size:
+        return sums
+    last = np.zeros((1, width))
+    last[0, : values.size - n_full] = values[n_full:]
+    return np.concatenate([sums, last.sum(axis=1)])

@@ -1,26 +1,23 @@
-"""Cache-key completeness regression, driven by R001 as a library.
+"""Cache-key completeness, checked at runtime.
 
-PR 1 shipped a memo key that silently dropped four ``SimConfig``
-fields; the R001 rule exists so that bug class cannot recur.  These
-tests (a) run R001 over the real tree so any new config dataclass with
-an incomplete ``cache_key``/``fingerprint`` fails CI, (b) prove the
-rule would actually catch a regression by injecting one, and (c) check
-at runtime that every :class:`SimConfig` field and every
-:class:`RunSpec` field, policy params included, reaches the
-fingerprint the result cache keys on.
+A memo key once silently dropped four ``SimConfig`` fields.  A run's
+key is now a module-level function
+(:func:`repro.experiments.runner.fingerprints`, over
+:func:`~repro.experiments.cache.run_fingerprint`, and
+:func:`~repro.experiments.cache.scenario_fingerprint` for scenarios),
+so these tests change every :class:`SimConfig` field and every
+:class:`RunSpec` field, policy params included, one at a time and
+require each change to split the fingerprint the result cache keys on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import pathlib
 
 import pytest
 
 import repro
-from repro.analysis.linter import format_findings, lint_paths, lint_source
-from repro.analysis.rules import rules_by_id
 from repro.core.carrefour import CarrefourConfig
 from repro.core.reactive import ReactiveConfig
 from repro.experiments import cache
@@ -33,38 +30,6 @@ from repro.scenarios import ScenarioConfig
 from repro.hardware.tlb import TlbSpec
 from repro.sim.config import MachineModels, SimConfig
 from repro.workloads.registry import FIGURE1_ORDER
-
-PACKAGE = pathlib.Path(repro.__file__).parent
-R001_CLEAN = (
-    pathlib.Path(__file__).parent / "fixtures" / "r001_clean.py"
-)
-
-
-def test_every_cache_key_method_covers_all_fields():
-    findings = lint_paths([PACKAGE], rules=rules_by_id("R001"))
-    assert findings == [], format_findings(findings)
-
-
-def test_r001_catches_an_injected_field():
-    """Add a field to a complete key's dataclass: R001 trips.
-
-    No dataclass in ``src/`` has a key method (a run's key is
-    :func:`repro.experiments.runner.fingerprints`, which the runtime
-    tests below cover field by field), so the mutation goes into the
-    clean fixture: the clean-tree test above would pass vacuously if
-    R001's dataclass parsing drifted; this one would fail.
-    """
-    source = R001_CLEAN.read_text(encoding="utf-8")
-    anchor = "    scale: float = 1.0\n\n    def cache_key(self):\n"
-    assert anchor in source, "r001_clean.py layout changed; update this test"
-    mutated = source.replace(
-        anchor, "    scale: float = 1.0\n    extra_knob: int = 0\n\n"
-        "    def cache_key(self):\n", 1
-    )
-    assert lint_source(source, str(R001_CLEAN), rules=rules_by_id("R001")) == []
-    findings = lint_source(mutated, str(R001_CLEAN), rules=rules_by_id("R001"))
-    assert findings, "R001 missed a field added to CompleteSettings"
-    assert any("extra_knob" in f.message for f in findings)
 
 
 # --- Every SimConfig field reaches the fingerprint ----------------------

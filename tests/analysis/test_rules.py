@@ -1,4 +1,4 @@
-"""Fixture-driven tests for lint rules R001-R005.
+"""Fixture-driven tests for lint rules R002-R005.
 
 Each rule has a ``*_bad.py`` fixture that must trip it (and only it)
 and a ``*_clean.py`` counterexample that must lint clean under every
@@ -19,7 +19,6 @@ from repro.analysis.rules import rules_by_id
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 BAD_FIXTURES = [
-    ("r001_bad.py", "R001"),
     ("r002_bad.py", "R002"),
     ("sim/r002_time_bad.py", "R002"),
     ("sim/r003_bad.py", "R003"),
@@ -28,7 +27,6 @@ BAD_FIXTURES = [
 ]
 
 CLEAN_FIXTURES = [
-    "r001_clean.py",
     "r002_clean.py",
     "sim/r002_time_clean.py",
     "sim/r003_clean.py",
@@ -52,7 +50,6 @@ def test_clean_fixture_has_no_findings(name):
 def test_bad_fixture_counts():
     """Every distinct defect in a bad fixture is reported separately."""
     expected = {
-        "r001_bad.py": 2,  # two dataclasses with incomplete keys
         "r002_bad.py": 3,  # two np.random calls + one random.shuffle
         "sim/r002_time_bad.py": 2,  # time.time + datetime.now
         "sim/r003_bad.py": 3,  # dict loop, sum-over-values, set loop
@@ -62,32 +59,6 @@ def test_bad_fixture_counts():
     for name, count in expected.items():
         findings = lint_paths([FIXTURES / name])
         assert len(findings) == count, (name, [f.message for f in findings])
-
-
-def test_r001_has_no_exclusion_allowlist():
-    """A field the key omits is flagged even when the class lists it as
-    excluded: cache keys hash every field, so a listed field would still
-    split keys while the memo key merged them."""
-    source = (
-        "from dataclasses import dataclass\n"
-        "from typing import ClassVar, FrozenSet\n"
-        "\n"
-        "\n"
-        "@dataclass(frozen=True)\n"
-        "class Settings:\n"
-        "    workload: str = 'CG.D'\n"
-        "    verbose: bool = False\n"
-        "\n"
-        "    _CACHE_KEY_EXCLUDE: ClassVar[FrozenSet[str]] = frozenset("
-        "{'verbose'})\n"
-        "\n"
-        "    def cache_key(self):\n"
-        "        return (self.workload,)\n"
-    )
-    findings = lint_source(source, "x.py", rules=rules_by_id("R001"))
-    assert [f.message.split(";")[0] for f in findings] == [
-        "Settings.cache_key omits field(s) verbose"
-    ]
 
 
 def test_sim_scoped_rules_skip_non_sim_paths():

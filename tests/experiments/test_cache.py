@@ -97,11 +97,11 @@ class TestFingerprint:
         assert before != after
 
 
-class TestMemoKeyRegression:
+class TestKeyRegression:
     """A grid's run keys use the complete config (the in-process memo's
     key once dropped four fields)."""
 
-    def test_memo_key_covers_dropped_fields(self):
+    def test_key_covers_dropped_fields(self):
         base = SimConfig.quick()
         spec = RunSpec("Kmeans", "A", "thp")
         for field, value in [
@@ -145,7 +145,7 @@ class TestResultCache:
         assert loaded.epoch_times_s == result.epoch_times_s
         assert loaded.bank.total("tlb_misses") == result.bank.total("tlb_misses")
 
-    def test_hit_across_memo_clear_skips_simulation(self, store, monkeypatch):
+    def test_disk_hit_skips_simulation(self, store, monkeypatch):
         config = SimConfig.quick()
         first = run_benchmark("Kmeans", "A", "linux-4k", config)
 

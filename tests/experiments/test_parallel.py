@@ -215,7 +215,7 @@ class TestGridExecution:
         assert submitted == GRID[1:]
         assert _signature(results[GRID[0]]) == _signature(first[GRID[0]])
 
-    def test_use_cache_false_reruns(self, fresh_env, monkeypatch):
+    def test_cache_off_reruns(self, fresh_env, monkeypatch):
         """``REPRO_CACHE=0`` (what ``--fresh`` sets) simulates again."""
         config = SimConfig.quick()
         first = GridRunner(config, jobs=1).run(GRID[:1])
@@ -224,7 +224,7 @@ class TestGridExecution:
         assert second[GRID[0]] is not first[GRID[0]]
         assert _signature(second[GRID[0]]) == _signature(first[GRID[0]])
 
-    def test_use_cache_false_stores_nothing(self, fresh_env, monkeypatch):
+    def test_cache_off_stores_nothing(self, fresh_env, monkeypatch):
         """``REPRO_CACHE=0`` (what ``--fresh`` sets) stores nothing."""
         monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         GridRunner(SimConfig.quick(), jobs=1).run(GRID[:1])

@@ -200,7 +200,7 @@ class TestRunner:
         with pytest.raises(UnknownWorkloadError):
             run_benchmark("nope", "A", "thp", quick_config)
 
-    def test_settings_default(self):
+    def test_config_default(self):
         """A grid without a config runs at full scale, seed 0."""
         config = GridRunner().config
         assert config.scale == 1.0

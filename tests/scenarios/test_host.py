@@ -267,7 +267,7 @@ class TestBackgroundRates:
             host.background_rates(tenants[0]), np.full((2, 2), 2.0)
         )
 
-    def test_none_when_alone(self, tiny_topo):
+    def test_zeros_when_alone(self, tiny_topo):
         """Alone, a tenant's background is zeros: adding them prices
         its epochs exactly as its own rates alone would."""
         host = Host(tiny_topo)

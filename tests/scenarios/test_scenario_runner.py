@@ -233,7 +233,7 @@ class TestCaching:
         )
         assert a != b
 
-    def test_use_cache_false_bypasses(self, monkeypatch):
+    def test_cache_off_bypasses(self, monkeypatch):
         """``REPRO_CACHE=0`` (what ``--fresh`` sets) bypasses the store."""
         monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         cfg = SimConfig.quick(seed=0)

@@ -39,6 +39,7 @@ from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.registry import get_workload
 from repro.workloads.regions import SharedRegion
 from repro.workloads.streambank import clear_stream_banks, get_stream_bank
+from tests.per_granule_stats import stats_bits
 from tests.per_thread_streams import update
 
 MIB = 1 << 20
@@ -292,15 +293,6 @@ def _assert_same_fold(got, want):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-def _stats_bits(stats):
-    return (
-        stats.pamup_pct.hex(),
-        stats.n_hot_pages,
-        stats.psp_pct.hex(),
-        stats.total_weight.hex(),
-    )
-
-
 class TestTrackerFold:
     def test_runs_of_a_bank_fold_each_epoch_once(self, monkeypatch):
         folds = []
@@ -325,7 +317,7 @@ class TestTrackerFold:
         oracle = _oracle_tracker(bank, sims[0].instance, n_epochs)
         _assert_same_fold(bank.tracker(n_epochs), oracle)
         for sim, result in zip(sims, results):
-            assert _stats_bits(result.hot_stats) == _stats_bits(
+            assert stats_bits(result.hot_stats) == stats_bits(
                 oracle.hot_page_stats(sim.asp)
             )
 
@@ -342,7 +334,7 @@ class TestTrackerFold:
         assert len(short_result.epoch_times_s) == n_epochs // 2 < n_epochs
         oracle = _oracle_tracker(bank, short.instance, n_epochs // 2)
         _assert_same_fold(bank.tracker(n_epochs // 2), oracle)
-        assert _stats_bits(short_result.hot_stats) == _stats_bits(
+        assert stats_bits(short_result.hot_stats) == stats_bits(
             oracle.hot_page_stats(short.asp)
         )
         # The bank's own fold still covers the full run.

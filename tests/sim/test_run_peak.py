@@ -1,0 +1,81 @@
+"""A run's peak memory is its live state.
+
+A run's end-of-run statistics (:meth:`AccessTracker.hot_page_stats`)
+once set its peak: two ``int64`` index arrays as long as the address
+space and a ``float64`` copy of every 4KB-backed weight, 18 to 20 bytes
+per granule on top of what the run keeps (the per-granule form lives on
+in ``tests/per_granule_stats.py``).  These tests bound that transient
+under ``tracemalloc``, with the garbage collector off
+(``refcount_only``) so a freed array is gone when it is freed.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.experiments.runner import RunSpec, build_simulation
+from repro.options import CHECK_ENV
+from repro.sim.config import SimConfig
+from repro.sim.tracker import AccessTracker
+from repro.vm.address_space import AddressSpace
+from repro.vm.frame_allocator import PhysicalMemory
+from repro.vm.layout import GRANULES_PER_2M
+
+GIB = 1 << 30
+MIB = 1 << 20
+#: The tracker of a quick IS.D@B run.
+IS_D_GRANULES = 1_605_632
+
+
+def _mapped(layout: str) -> AddressSpace:
+    asp = AddressSpace(IS_D_GRANULES, PhysicalMemory([8 * GIB]))
+    n_huge = 0 if layout == "all-4k" else asp.n_chunks_2m // 2
+    asp.premap_pattern_2m(0, np.zeros(n_huge, dtype=np.int8))
+    start = n_huge * GRANULES_PER_2M
+    nodes = np.zeros(IS_D_GRANULES - start, dtype=np.int8)
+    asp.premap_pattern_4k(start, nodes)
+    return asp
+
+
+@pytest.mark.parametrize("layout", ["all-4k", "mixed"])
+def test_hot_page_stats_allocates_under_a_float64_per_granule(
+    refcount_only, layout
+):
+    """The call's peak is its bool mask and hot flags, or the mask and
+    the compacted shared 4KB weights: here a quarter of the granules
+    are shared, 2 bytes per granule compacted in the all-4KB layout."""
+    asp = _mapped(layout)
+    tracker = AccessTracker(IS_D_GRANULES)
+    tracker.weight[:] = np.random.default_rng(0).random(IS_D_GRANULES)
+    tracker._shared_4k[::4] = True
+    tracemalloc.start()
+    try:
+        stats = tracker.hot_page_stats(asp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.total_weight > 0
+    assert peak < IS_D_GRANULES * np.dtype(np.float64).itemsize
+
+
+def test_a_quick_runs_peak_is_within_8_mib_of_its_end_state(
+    refcount_only, monkeypatch
+):
+    """What a quick IS.D@B linux-4k run holds at its end (its stream
+    bank, tracker fold, address space and result) is all but its peak:
+    no step of the run, the end-of-run statistics included, allocates
+    8 MiB more than that.  The invariant checker is off; its checks are
+    transients of their own."""
+    monkeypatch.delenv(CHECK_ENV, raising=False)
+    sim = build_simulation(RunSpec("IS.D", "B", "linux-4k"), SimConfig.quick())
+    tracemalloc.start()
+    try:
+        result = sim.run()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.hot_stats is not None
+    assert peak - end < 8 * MIB

@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import RunSpec, build_simulation
+from repro.sim import tracker as tracker_module
+from repro.sim.config import SimConfig
 from repro.sim.tracker import AccessTracker
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
-from repro.vm.layout import GRANULES_PER_2M
+from repro.vm.layout import (
+    CHUNKS_2M_PER_1G,
+    GRANULES_PER_1G,
+    GRANULES_PER_2M,
+    SHIFT_2M,
+)
+from tests import per_granule_stats
+from tests.per_granule_stats import stats_bits
 from tests.per_thread_streams import update
 
 GIB = 1 << 30
@@ -102,3 +112,112 @@ class TestTracker:
         tracker = AccessTracker(asp.n_granules)
         update(tracker, 0, np.array([0]), 1.0)
         assert "PAMUP" in str(tracker.hot_page_stats(asp))
+
+
+#: Page-size layouts of the synthetic address spaces: ``ragged`` is the
+#: mixed layout over a granule count that is not a multiple of 512.
+LAYOUTS = ("all-4k", "all-2m", "mixed", "1g", "ragged")
+#: ``spread``: four threads touch random granules, so pages are shared
+#: at every level; ``zero``: nothing is touched; ``one-hot``: one
+#: granule takes about 10% of the accesses, so one page, of whatever
+#: size backs it, is above the 6% threshold.
+PATTERNS = ("spread", "zero", "one-hot")
+
+
+def layout_space(layout):
+    """An address space mapped in one of :data:`LAYOUTS`."""
+    n_granules = 40 * GRANULES_PER_2M
+    if layout == "1g":
+        n_granules += GRANULES_PER_1G
+    elif layout == "ragged":
+        n_granules += 300
+    asp = AddressSpace(n_granules, PhysicalMemory([2 * GIB, 2 * GIB]))
+    start = 0
+    if layout == "1g":
+        asp.map_range_1g(0, GRANULES_PER_1G, 0)
+        start = GRANULES_PER_1G
+    n_chunks = (n_granules - start) // GRANULES_PER_2M
+    n_huge = {"all-4k": 0, "all-2m": n_chunks}.get(layout, n_chunks // 2)
+    nodes = (np.arange(n_granules) % 2).astype(np.int8)
+    asp.premap_pattern_2m(start >> SHIFT_2M, nodes[:n_huge])
+    start += n_huge * GRANULES_PER_2M
+    asp.premap_pattern_4k(start, nodes[start:])
+    return asp
+
+
+def tracked(asp, pattern):
+    """A tracker over ``asp`` fed with one of :data:`PATTERNS`."""
+    tracker = AccessTracker(asp.n_granules)
+    if pattern == "zero":
+        return tracker
+    rng = np.random.default_rng(7)
+    for thread in range(4):
+        granules = rng.integers(0, asp.n_granules, 5000)
+        update(tracker, thread, granules, 0.37 + thread)
+    if pattern == "one-hot":
+        update(tracker, 0, np.full(4000, 5), 1.0)
+    return tracker
+
+
+class TestChunkGranularity:
+    """The shipped statistics match the per-granule oracle bit for bit."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_the_per_granule_oracle(self, layout, pattern):
+        asp = layout_space(layout)
+        tracker = tracked(asp, pattern)
+        for pct in (6.0, 0.01):
+            assert stats_bits(tracker.hot_page_stats(asp, pct)) == stats_bits(
+                per_granule_stats.hot_page_stats(tracker, asp, pct)
+            )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_the_cases_reach_what_they_name(self, layout):
+        asp = layout_space(layout)
+        assert asp.giga.any() == (layout == "1g")
+        assert asp.huge.any() == (layout != "all-4k")
+        assert (asp.node4k >= 0).any() == (layout != "all-2m")
+        assert (asp.n_granules % GRANULES_PER_2M != 0) == (layout == "ragged")
+        spread = tracked(asp, "spread")
+        for level in ("4k", "2m", "1g"):
+            assert getattr(spread, f"_shared_{level}").any(), level
+        assert tracked(asp, "zero").hot_page_stats(asp).total_weight == 0.0
+        assert tracked(asp, "one-hot").hot_page_stats(asp).n_hot_pages == 1
+
+    def test_a_partial_last_chunk_sums_as_the_padded_copy_did(self):
+        """No page of a partial chunk is ever 2MB- or 1GB-backed, so
+        its sum reaches no statistic: compare the sums directly."""
+        tracker = tracked(layout_space("ragged"), "spread")
+        group_sums = tracker_module._group_sums
+        chunk_w = group_sums(tracker.weight, GRANULES_PER_2M)
+        assert chunk_w.tobytes() == (
+            per_granule_stats.chunk_weights(tracker).tobytes()
+        )
+        pad = np.zeros(CHUNKS_2M_PER_1G - chunk_w.size)
+        padded = np.concatenate([chunk_w, pad])
+        assert group_sums(chunk_w, CHUNKS_2M_PER_1G).tobytes() == (
+            padded.reshape(-1, CHUNKS_2M_PER_1G).sum(axis=1).tobytes()
+        )
+
+
+#: Quick runs whose end-of-run statistics are checked against the
+#: oracle: all-4KB, THP, a policy that splits and promotes pages, and
+#: 1GB-backed.
+ORACLE_RUNS = (
+    RunSpec("IS.D", "B", "thp"),
+    RunSpec("IS.D", "B", "linux-4k"),
+    RunSpec("CG.D", "A", "carrefour-2m"),
+    RunSpec("SSCA.20", "B", "linux-4k", backing_1g=True),
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_RUNS, ids=RunSpec.describe)
+def test_a_quick_run_matches_the_per_granule_oracle(spec):
+    sim = build_simulation(spec, SimConfig.quick())
+    result = sim.run()
+    assert sim.asp.giga.any() == spec.backing_1g
+    tracker = sim._stream_bank.tracker(len(result.epoch_times_s))
+    assert stats_bits(result.hot_stats) == stats_bits(
+        per_granule_stats.hot_page_stats(tracker, sim.asp)
+    )
