@@ -14,7 +14,7 @@ corruption surface as a mysterious golden-file diff three experiments
 later.
 
 All checks are vectorised (numpy reductions over the address-space
-arrays).  Even so they add 15-50% to a cold artifact; the README's
+arrays).  Even so they add about 9-22% to a cold artifact; the README's
 ``REPRO_CHECK`` section records the measured overhead per artifact.
 """
 
@@ -25,7 +25,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.vm.layout import GRANULES_PER_2M, PAGE_4K, PageSize, SHIFT_1G, SHIFT_2M
+from repro.vm.layout import CHUNKS_2M_PER_1G, GRANULES_PER_2M, PAGE_4K, PageSize
 
 #: Static-analysis registry (rule R101): the checker observes, it never
 #: repairs — a checker that mutated state would invalidate the very
@@ -110,25 +110,25 @@ def check_address_space(asp) -> None:
     * every live huge/giga page has a home node,
     * replication flags, the replicated-page count and the replica
       byte counter are in sync.
+
+    The 4KB map is read once, as a ``bool`` mask counted per 2MB chunk;
+    every other check works on those counts and the per-chunk arrays,
+    so a call allocates one byte per granule and no index array.
     """
-    mapped4 = np.flatnonzero(asp.node4k >= 0)
+    mapped = asp.node4k >= 0
+    counted = _count_per_chunk(mapped)
+    has_4k = counted > 0
     huge_chunks = np.flatnonzero(asp.huge)
     giga_chunks = np.flatnonzero(asp.giga)
+    giga_of_chunk = np.repeat(asp.giga, CHUNKS_2M_PER_1G)[: asp.n_chunks_2m]
 
-    if mapped4.size and np.any(asp.huge[mapped4 >> SHIFT_2M]):
+    if np.any(asp.huge & has_4k):
         raise InvariantViolation("4KB mapping inside a 2MB huge page")
-    if mapped4.size and np.any(asp.giga[mapped4 >> SHIFT_1G]):
+    if np.any(giga_of_chunk & has_4k):
         raise InvariantViolation("4KB mapping inside a 1GB page")
-    if huge_chunks.size and np.any(
-        asp.giga[huge_chunks >> (SHIFT_1G - SHIFT_2M)]
-    ):
+    if np.any(giga_of_chunk & asp.huge):
         raise InvariantViolation("2MB huge page inside a 1GB page")
 
-    counted = np.zeros(asp.n_chunks_2m, dtype=np.int64)
-    if mapped4.size:
-        counted += np.bincount(
-            mapped4 >> SHIFT_2M, minlength=asp.n_chunks_2m
-        )
     if not np.array_equal(counted, asp.mapped_count_2m.astype(np.int64)):
         bad = int(np.flatnonzero(counted != asp.mapped_count_2m)[0])
         raise InvariantViolation(
@@ -147,12 +147,14 @@ def check_address_space(asp) -> None:
     if giga_chunks.size and np.any(asp.node1g[giga_chunks] < 0):
         raise InvariantViolation("live 1GB page without a home node")
 
-    if np.any(asp.replicated_4k & (asp.node4k < 0)):
+    n_replicated_4k = int(np.count_nonzero(asp.replicated_4k))
+    mapped &= asp.replicated_4k  # now: replicated and mapped
+    if int(np.count_nonzero(mapped)) != n_replicated_4k:
         raise InvariantViolation("replicated granule without a mapping")
     if np.any(asp.replicated_2m & ~asp.huge):
         raise InvariantViolation("replicated 2MB chunk is not huge-backed")
     expected_replicas = (
-        int(np.count_nonzero(asp.replicated_4k)) * (asp.n_nodes - 1) * PAGE_4K
+        n_replicated_4k * (asp.n_nodes - 1) * PAGE_4K
         + int(np.count_nonzero(asp.replicated_2m))
         * (asp.n_nodes - 1)
         * int(PageSize.SIZE_2M)
@@ -162,15 +164,25 @@ def check_address_space(asp) -> None:
             f"replica byte counter out of sync: expected "
             f"{expected_replicas}, recorded {asp.replica_bytes}"
         )
-    flagged = int(np.count_nonzero(asp.replicated_4k)) + int(
-        np.count_nonzero(asp.replicated_2m)
-    )
+    flagged = n_replicated_4k + int(np.count_nonzero(asp.replicated_2m))
     if flagged != asp.replicated_pages:
         raise InvariantViolation(
             f"replicated page count out of sync: {flagged} flagged, "
             f"recorded {asp.replicated_pages} (translation skips the "
             "replication gathers while the count is zero)"
         )
+
+
+def _count_per_chunk(mask: np.ndarray) -> np.ndarray:
+    """Set flags in each run of :data:`GRANULES_PER_2M` granules of
+    ``mask`` (the last run may be short), as ``int64`` per chunk."""
+    n_full = mask.size - mask.size % GRANULES_PER_2M
+    counts = np.count_nonzero(
+        mask[:n_full].reshape(-1, GRANULES_PER_2M), axis=1
+    ).astype(np.int64, copy=False)
+    if n_full == mask.size:
+        return counts
+    return np.append(counts, np.count_nonzero(mask[n_full:]))
 
 
 def layout_arrays(asp) -> tuple:
@@ -254,7 +266,7 @@ def check_host_conservation(phys, address_spaces) -> None:
             )
         expected += _expected_bytes_per_node(asp)
     for node in phys.nodes:
-        want = int(expected[node.node_id]) + node.test_pinned_bytes
+        want = int(expected[node.node_id]) + node.pinned_bytes
         if node.used_bytes != want:
             raise InvariantViolation(
                 f"cross-tenant page conservation broken on node "

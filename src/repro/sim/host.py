@@ -198,10 +198,11 @@ class Host:
         Models a long-running host's occupancy without simulating the
         occupants: the pins go through
         :meth:`~repro.vm.frame_allocator.NodeMemory.pin_fragmented`, so
-        they are accounted as ``test_pinned_bytes`` and page
-        conservation keeps holding, and every pinned byte also breaks
-        huge-page contiguity — the promotion-failure regime the paper
-        attributes to loaded servers, as opposed to a fresh boot.
+        they are counted as ``pinned_bytes`` (one count per node, no
+        record per pin) and page conservation keeps holding, and every
+        pinned byte also breaks huge-page contiguity — the
+        promotion-failure regime the paper attributes to loaded servers,
+        as opposed to a fresh boot.
         """
         if not 0.0 <= fraction < 1.0:
             raise ConfigurationError(

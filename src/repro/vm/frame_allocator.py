@@ -14,6 +14,12 @@ identity of individual 4KB frames is not tracked because nothing in the
 simulation depends on physical frame numbers — only on the *node* and
 the *page size*.  The pool returns blocks to the buddy allocator once
 it holds at least a full block of free frames.
+
+Memory pressure pins blocks for good (:meth:`NodeMemory.pin_fragmented`,
+:meth:`NodeMemory.inject_fragmentation`).  A pin leaves the free lists
+exactly as an allocation of the block would, but the allocator only
+counts its frames and keeps no per-block record: nothing frees a pin,
+and at 50% pressure a 64 GiB node holds 32,768 of them.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ class BuddyAllocator:
         self.max_order = max_order
         self._free: List[Set[int]] = [set() for _ in range(max_order + 1)]
         self._allocated: Dict[int, int] = {}  # block start -> order
+        self._pinned_frames = 0  # frames held by pins, which get no record
         self._free_frames = 0
         self._seed_free_lists()
 
@@ -71,8 +78,13 @@ class BuddyAllocator:
 
     @property
     def allocated_frames(self) -> int:
-        """Number of allocated 4KB frames."""
+        """Number of 4KB frames in use: allocated blocks and pins."""
         return self.total_frames - self._free_frames
+
+    @property
+    def pinned_frames(self) -> int:
+        """Number of 4KB frames held by :meth:`pin_many` pins."""
+        return self._pinned_frames
 
     def free_blocks(self, order: int) -> int:
         """Number of free blocks currently on the given order's list."""
@@ -125,24 +137,10 @@ class BuddyAllocator:
         exactly the state the same sequence of calls leaves.
         """
         self._check_order(order)
-        free = self._free
+        starts = self._take(order, count)
         allocated = self._allocated
-        top = self.max_order
-        starts: List[int] = []
-        for _ in range(count):
-            source = order
-            while source <= top and not free[source]:
-                source += 1
-            if source > top:
-                break
-            start = free[source].pop()
-            # Split down to the requested order, freeing the upper buddies.
-            while source > order:
-                source -= 1
-                free[source].add(start + (1 << source))
+        for start in starts:
             allocated[start] = order
-            starts.append(start)
-        self._free_frames -= len(starts) << order
         return starts
 
     def free(self, start: int, order: int) -> None:
@@ -159,20 +157,77 @@ class BuddyAllocator:
         blocks before it are freed.
         """
         self._check_order(order)
-        free = self._free
         allocated = self._allocated
+        freed: List[int] = []
+        try:
+            for start in starts:
+                recorded = allocated.pop(start, None)
+                if recorded is None:
+                    raise AllocationError(
+                        f"block at frame {start} is not allocated"
+                    )
+                if recorded != order:
+                    allocated[start] = recorded
+                    raise AllocationError(
+                        f"block at frame {start} was allocated with order "
+                        f"{recorded}, not {order}"
+                    )
+                freed.append(start)
+        finally:
+            self._give(freed, order)
+
+    def pin_many(self, order: int, count: int) -> List[int]:
+        """Take up to ``count`` blocks of one order for good.
+
+        The free lists go through exactly the steps of
+        :meth:`alloc_many`, but a pin gets no per-block record: only
+        :attr:`pinned_frames` counts it, so :meth:`free` refuses it and
+        a node pinned to half its size keeps no entry per pin.  Returns
+        the start frames pinned.
+        """
+        self._check_order(order)
+        starts = self._take(order, count)
+        self._pinned_frames += len(starts) << order
+        return starts
+
+    def unpin_many(self, starts: List[int], order: int) -> None:
+        """Give back blocks :meth:`pin_many` took, in sequence.
+
+        Each merges with its free buddies as one :meth:`free` call
+        would.  Nothing records a pin, so nothing checks these: the
+        caller passes only its own pins of this order.
+        """
+        self._check_order(order)
+        self._give(starts, order)
+        self._pinned_frames -= len(starts) << order
+
+    def _take(self, order: int, count: int) -> List[int]:
+        """Pop up to ``count`` blocks of one order off the free lists,
+        splitting larger blocks; returns the blocks' start frames."""
+        free = self._free
+        top = self.max_order
+        starts: List[int] = []
+        for _ in range(count):
+            source = order
+            while source <= top and not free[source]:
+                source += 1
+            if source > top:
+                break
+            start = free[source].pop()
+            # Split down to the requested order, freeing the upper buddies.
+            while source > order:
+                source -= 1
+                free[source].add(start + (1 << source))
+            starts.append(start)
+        self._free_frames -= len(starts) << order
+        return starts
+
+    def _give(self, starts: List[int], order: int) -> None:
+        """Put blocks of one order back on the free lists, in sequence,
+        each merged with its free buddies."""
+        free = self._free
         top = self.max_order
         for start in starts:
-            recorded = allocated.pop(start, None)
-            if recorded is None:
-                raise AllocationError(f"block at frame {start} is not allocated")
-            if recorded != order:
-                allocated[start] = recorded
-                raise AllocationError(
-                    f"block at frame {start} was allocated with order "
-                    f"{recorded}, not {order}"
-                )
-            self._free_frames += 1 << order
             merged = order
             while merged < top:
                 buddy = start ^ (1 << merged)
@@ -185,13 +240,16 @@ class BuddyAllocator:
                 start = min(start, buddy)
                 merged += 1
             free[merged].add(start)
+        self._free_frames += len(starts) << order
 
     def check_accounting(self) -> None:
         """Cheap counter consistency check (safe to run every epoch).
 
         Verifies the free-frame counter against the free lists and that
-        allocated + free covers the node exactly, without the O(frames)
-        overlap scan of :meth:`check_invariants`.
+        allocated blocks, pins and free frames cover the node exactly,
+        without the O(frames) overlap scan of :meth:`check_invariants`.
+        Pins are a count, so the walk covers the recorded blocks alone:
+        under pressure those are the tenants' pages, not the pins.
         """
         counted = sum(
             len(blocks) << order for order, blocks in enumerate(self._free)
@@ -199,8 +257,9 @@ class BuddyAllocator:
         if counted != self._free_frames:
             raise AssertionError("free-frame counter out of sync with lists")
         allocated = sum(1 << order for order in sorted(self._allocated.values()))
-        if allocated + self._free_frames != self.total_frames:
-            raise AssertionError("allocated + free != total frames")
+        used = allocated + self._pinned_frames
+        if used + self._free_frames != self.total_frames:
+            raise AssertionError("allocated + pinned + free != total frames")
 
     def check_invariants(self) -> None:
         """Raise if internal bookkeeping is inconsistent (test helper)."""
@@ -237,10 +296,6 @@ class NodeMemory:
         self.buddy = BuddyAllocator(dram_bytes // PAGE_4K, max_order=max_order)
         self._pool_free = 0
         self._pool_blocks: List[int] = []
-        #: Bytes held by explicit :meth:`inject_fragmentation` pins —
-        #: allocator usage not backed by any mapping, which the runtime
-        #: page-conservation invariant must account for separately.
-        self.test_pinned_bytes: int = 0
 
     # ------------------------------------------------------------------
     # Capacity
@@ -254,6 +309,13 @@ class NodeMemory:
     def free_bytes(self) -> int:
         """Bytes available for new allocations (buddy free + pool free)."""
         return (self.buddy.free_frames + self._pool_free) * PAGE_4K
+
+    @property
+    def pinned_bytes(self) -> int:
+        """Bytes held by :meth:`pin_fragmented` and
+        :meth:`inject_fragmentation` pins: allocator usage no mapping
+        backs, which page conservation must account for separately."""
+        return self.buddy.pinned_frames * PAGE_4K
 
     def pool_stats(self) -> PoolStats:
         """Current small-frame pool statistics."""
@@ -332,19 +394,20 @@ class NodeMemory:
         self.buddy.free(start, ORDER_1G)
 
     # ------------------------------------------------------------------
-    # Test support
+    # Pins: memory held for good, counted rather than recorded
     # ------------------------------------------------------------------
     def inject_fragmentation(self, n_blocks: int, order: int = 0) -> None:
         """Pin ``n_blocks`` blocks of the given order to fragment memory.
 
         Used by tests and examples to exercise THP's fallback path:
         after pinning enough scattered small blocks, no order-9 block
-        remains and huge allocations fail.  Raises
-        :class:`AllocationError` when fewer blocks are free, after
-        pinning those that are.
+        remains and huge allocations fail.  The pins go through
+        :meth:`BuddyAllocator.pin_many`, so they count towards
+        :attr:`pinned_bytes` without a per-block record and are never
+        freed.  Raises :class:`AllocationError` when fewer blocks are
+        free, after pinning those that are.
         """
-        starts = self.buddy.alloc_many(order, n_blocks)
-        self.test_pinned_bytes += len(starts) * (1 << order) * PAGE_4K
+        starts = self.buddy.pin_many(order, n_blocks)
         if len(starts) < n_blocks:
             raise AllocationError(
                 f"node {self.node_id}: only {len(starts)} of {n_blocks} "
@@ -361,16 +424,17 @@ class NodeMemory:
         back (their buddies stay pinned), so every byte pinned this way
         destroys two bytes of huge-page contiguity — the occupancy
         profile of a long-running host rather than a fresh boot.  Pins
-        are accounted as :attr:`test_pinned_bytes` like
-        :meth:`inject_fragmentation`, and like those they last as long
-        as the node: nothing unpins them.  Returns the bytes actually
-        pinned.
+        are counted in :attr:`pinned_bytes` like
+        :meth:`inject_fragmentation`'s, and like those they last as
+        long as the node: nothing frees them.  Returns the bytes
+        actually pinned.
 
         Each phase is one bulk allocator step
-        (:meth:`BuddyAllocator.alloc_many`/:meth:`~BuddyAllocator.free_many`),
-        which leaves the allocator exactly as one call per half-block
-        would: the same free lists in the same iteration order and the
-        same allocated map in the same insertion order.
+        (:meth:`BuddyAllocator.pin_many`/:meth:`~BuddyAllocator.unpin_many`),
+        which moves every free list exactly as one ``alloc``/``free``
+        call per half-block would: the same free lists in the same
+        iteration order, so later allocations return the same frames.
+        Only the allocated map differs: it holds no pin.
         """
         if target_bytes < 0:
             raise ConfigurationError("target_bytes must be non-negative")
@@ -379,7 +443,7 @@ class NodeMemory:
         upper = 1 << half_order
         # Phase 1: hold half-blocks worth twice the target, breaking a
         # proportional share of the node's 2MB blocks.
-        held = self.buddy.alloc_many(
+        held = self.buddy.pin_many(
             half_order, ceil_div(2 * target_bytes, half_bytes)
         )
         # Phase 2: release the upper half of every fully-held pair.
@@ -387,16 +451,14 @@ class NodeMemory:
         released = [
             start for start in held if start & upper and start ^ upper in held_set
         ]
-        self.buddy.free_many(released, half_order)
+        self.buddy.unpin_many(released, half_order)
         pinned: int = (len(held) - len(released)) * half_bytes
         # Phase 3: top up from the now-scattered free halves (re-pinning
         # them cannot restore contiguity — their buddies stay pinned).
-        top_up = self.buddy.alloc_many(
+        top_up = self.buddy.pin_many(
             half_order, max(0, (target_bytes - pinned) // half_bytes)
         )
         pinned += len(top_up) * half_bytes
-        # Half-block pins so far; inject_fragmentation accounts its own.
-        self.test_pinned_bytes += pinned
         # Phase 4: sub-1MB remainder as individual 4KB frames.  Phase 2
         # keeps unpaired upper halves, so ``pinned`` may already exceed
         # the target by a fraction of a half-block.

@@ -14,6 +14,7 @@ from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M, PAGE_4K
 from repro.vm.thp import ThpState
+from tests import per_call_pressure as per_call
 
 MIB = 1 << 20
 
@@ -40,12 +41,16 @@ def drive(policy, sim):
 def pin_to_free_fraction(sim, fraction):
     """Pin enough of every node that ``fraction`` of memory stays free.
 
-    Returns each node's pinned buddy blocks, for :func:`unpin`.
+    Shipped pins last as long as the node, so these go through the
+    per-call oracle (``tests/per_call_pressure.py``): it leaves the free
+    lists exactly as ``NodeMemory.pin_fragmented`` does, but records
+    each pin as an allocated block.  Returns each node's pinned buddy
+    blocks, for :func:`unpin`.
     """
     pins = []
     for node in sim.phys.nodes:
         before = set(node.buddy._allocated)
-        node.pin_fragmented(int(node.free_bytes * (1.0 - fraction)))
+        per_call.pin_fragmented(node, int(node.free_bytes * (1.0 - fraction)))
         pins.append([
             (start, order)
             for start, order in node.buddy._allocated.items()
@@ -59,7 +64,6 @@ def unpin(sim, pins):
     for node, blocks in zip(sim.phys.nodes, pins):
         for start, order in blocks:
             node.buddy.free(start, order)
-        node.test_pinned_bytes = 0
 
 
 class TestValidation:

@@ -2,16 +2,18 @@
 
 ``NodeMemory.pin_fragmented`` used to make one ``BuddyAllocator.alloc``
 call per held half-block and one ``free`` call per released upper half,
-and ``khugepaged_scan`` used to try ``AddressSpace.collapse_chunk`` on
-every eligible chunk even when no node had a free 2MB block.  The
-shipped code pins each phase in one bulk allocator step
-(``alloc_many``/``free_many``) and skips a scan no node can back.  This
+recording every pin in the allocated map, and ``khugepaged_scan`` used
+to try ``AddressSpace.collapse_chunk`` on every eligible chunk even when
+no node had a free 2MB block.  The shipped code pins each phase in one
+bulk allocator step (``pin_many``/``unpin_many``), counting the pins
+instead of recording them, and skips a scan no node can back.  This
 module keeps the old loops as oracles, including the single-block
 ``alloc``/``free`` bodies they called, so the oracle does not share the
 split and merge code under test.  The equivalence tests drive both
 against identical copies of the state and require identical results,
 allocator internals (free-list iteration order, allocated-map insertion
-order) included.
+order) included; the oracle's pins are the blocks its pinning added to
+the allocated map, which the shipped allocator only counts.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def free(buddy: BuddyAllocator, start: int, order: int) -> None:
 
 
 def pin_fragmented(node: NodeMemory, target_bytes: int) -> int:
-    """The per-call pinning loop: one allocator call per block."""
+    """The per-call pinning loop: one allocator call per block, each pin
+    recorded in the allocated map.  Returns the bytes pinned."""
     if target_bytes < 0:
         raise ConfigurationError("target_bytes must be non-negative")
     buddy = node.buddy
@@ -97,11 +100,9 @@ def pin_fragmented(node: NodeMemory, target_bytes: int) -> int:
     ):
         alloc(buddy, half_order)
         pinned += half_bytes
-    node.test_pinned_bytes += pinned
     remainder = min(max(0, target_bytes - pinned) // PAGE_4K, buddy.free_frames)
     for _ in range(remainder):
         alloc(buddy, 0)
-        node.test_pinned_bytes += PAGE_4K
     return pinned + remainder * PAGE_4K
 
 

@@ -294,7 +294,7 @@ class TestPressure:
         total = host.phys.total_free_bytes
         pinned = host.apply_pressure(0.7)
         assert pinned == sum(
-            node.test_pinned_bytes for node in host.phys.nodes
+            node.pinned_bytes for node in host.phys.nodes
         )
         assert pinned == pytest.approx(0.7 * total, rel=0.01)
 

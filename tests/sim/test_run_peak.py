@@ -4,8 +4,10 @@ A run's end-of-run statistics (:meth:`AccessTracker.hot_page_stats`)
 once set its peak: two ``int64`` index arrays as long as the address
 space and a ``float64`` copy of every 4KB-backed weight, 18 to 20 bytes
 per granule on top of what the run keeps (the per-granule form lives on
-in ``tests/per_granule_stats.py``).  These tests bound that transient
-under ``tracemalloc``, with the garbage collector off
+in ``tests/per_granule_stats.py``).  The invariant checker's address-space
+check built the same kind of index arrays every epoch (its per-granule
+form lives on in ``tests/per_granule_checks.py``).  These tests bound
+those transients under ``tracemalloc``, with the garbage collector off
 (``refcount_only``) so a freed array is gone when it is freed.
 """
 
@@ -16,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import check_address_space
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
@@ -59,6 +62,21 @@ def test_hot_page_stats_allocates_under_a_float64_per_granule(
         tracemalloc.stop()
     assert stats.total_weight > 0
     assert peak < IS_D_GRANULES * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("layout", ["all-4k", "mixed"])
+def test_check_address_space_allocates_under_4_mib(refcount_only, layout):
+    """The check reads the 4KB map once, as a ``bool`` mask counted per
+    2MB chunk: 1.5 MiB here, where the per-granule form's index arrays
+    took 26.0 MiB on the fully 4KB-mapped space."""
+    asp = _mapped(layout)
+    tracemalloc.start()
+    try:
+        check_address_space(asp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MIB
 
 
 def test_a_quick_runs_peak_is_within_8_mib_of_its_end_state(

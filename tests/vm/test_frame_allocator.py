@@ -195,12 +195,26 @@ class TestNodeMemory:
             node.alloc_small(1)
 
     def test_fragmentation_blocks_huge(self):
+        # Recorded blocks, so they can be freed; pins never are.
+        node = NodeMemory(0, 4 * PAGE_2M)
+        blocks = node.buddy.alloc_many(0, 4 * 512 - 511)
+        assert not node.can_alloc_huge()
+        node.buddy.free_many(blocks, 0)
+        assert node.can_alloc_huge()
+
+    def test_injected_pins_are_counted_not_recorded(self):
         node = NodeMemory(0, 4 * PAGE_2M)
         node.inject_fragmentation(4 * 512 - 511, order=0)
         assert not node.can_alloc_huge()
-        for start in list(node.buddy._allocated):  # every block is a pin
-            node.buddy.free(start, 0)
-        assert node.can_alloc_huge()
+        assert node.buddy._allocated == {}
+        assert node.pinned_bytes == node.used_bytes == (4 * 512 - 511) * PAGE_4K
+        node.buddy.check_accounting()
+        with pytest.raises(AllocationError, match="not allocated"):
+            node.buddy.free(0, 0)
+        with pytest.raises(AllocationError, match="only 511 of 512"):
+            node.inject_fragmentation(512, order=0)
+        assert node.free_bytes == 0
+        assert node.pinned_bytes == 4 * PAGE_2M
 
     def test_giga_requires_gigabyte(self):
         node = NodeMemory(0, 2 * (1 << 30))

@@ -6,10 +6,16 @@ and ``khugepaged_scan`` skips its per-chunk loop when no node has a free
 ``tests/per_call_pressure.py`` leave: every free list in the same
 iteration order, the allocated map in the same insertion order, the
 same pins and counters, the same frames from later allocations, and the
-same address-space arrays and scan cursor.
+same address-space arrays and scan cursor.  The one difference is by
+design: the oracle records each pin in the allocated map, the shipped
+allocator only counts its frames, so the shipped map must be the
+oracle's without the oracle's pins.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro.vm.thp import ThpState, khugepaged_scan
 from tests import per_call_pressure as per_call
 
 GIB = 1 << 30
+MIB = 1 << 20
 
 FRACTIONS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.97)
 
@@ -84,16 +91,35 @@ NODES = {
 }
 
 
-def allocator_state(node: NodeMemory) -> tuple:
-    """Everything pinning can change, in observable order."""
+def allocator_state(node: NodeMemory, pins: Optional[dict] = None) -> tuple:
+    """Everything pinning can change, in observable order.
+
+    ``pins`` are blocks a per-call oracle recorded as allocated where the
+    shipped allocator only counts frames: they are left out of the
+    allocated map and counted with the pinned bytes instead.
+    """
     buddy = node.buddy
+    pins = pins or {}
     return (
         [list(blocks) for blocks in buddy._free],
-        list(buddy._allocated.items()),
+        [item for item in buddy._allocated.items() if item[0] not in pins],
         buddy.free_frames,
-        node.test_pinned_bytes,
+        node.pinned_bytes + sum((1 << o) * PAGE_4K for o in pins.values()),
         node.pool_stats(),
     )
+
+
+def oracle_pin(node: NodeMemory, target_bytes: int) -> tuple:
+    """Pin through the per-call oracle; returns the bytes pinned and the
+    blocks its pinning added to the allocated map, in insertion order."""
+    before = set(node.buddy._allocated)
+    pinned = per_call.pin_fragmented(node, target_bytes)
+    pins = {
+        start: order
+        for start, order in node.buddy._allocated.items()
+        if start not in before
+    }
+    return pinned, pins
 
 
 class TestBulkPinning:
@@ -104,28 +130,60 @@ class TestBulkPinning:
         assert allocator_state(bulk) == allocator_state(oracle)
         target = int(bulk.free_bytes * fraction)
         pinned = bulk.pin_fragmented(target)
-        assert pinned == per_call.pin_fragmented(oracle, target)
-        assert pinned == bulk.test_pinned_bytes
-        assert allocator_state(bulk) == allocator_state(oracle)
+        want, pins = oracle_pin(oracle, target)
+        assert pinned == want
+        assert pinned == bulk.pinned_bytes
+        assert oracle.pinned_bytes == 0  # the oracle records, never counts
+        assert bulk.buddy.pinned_frames == sum(1 << o for o in pins.values())
+        assert allocator_state(bulk) == allocator_state(oracle, pins)
         # Later allocations and frees return the same frames.
         assert _shipped_ops(bulk.buddy, 5, 100) == _shipped_ops(
             oracle.buddy, 5, 100
         )
-        assert allocator_state(bulk) == allocator_state(oracle)
+        assert allocator_state(bulk) == allocator_state(oracle, pins)
         bulk.buddy.check_accounting()
+        oracle.buddy.check_accounting()
 
     def test_host_apply_pressure_matches_per_call(self):
         """The host entry point pins every node like the per-call loop."""
         host = Host(machine_a())
         oracle = PhysicalMemory.for_topology(machine_a())
         pinned = host.apply_pressure(0.7)
-        assert pinned == sum(
-            per_call.pin_fragmented(node, int(node.free_bytes * 0.7))
-            for node in oracle.nodes
-        )
-        for node, ref in zip(host.phys.nodes, oracle.nodes):
-            assert allocator_state(node) == allocator_state(ref)
+        results = [
+            oracle_pin(node, int(node.free_bytes * 0.7)) for node in oracle.nodes
+        ]
+        assert pinned == sum(want for want, _ in results)
+        for node, ref, (want, pins) in zip(host.phys.nodes, oracle.nodes, results):
+            assert node.pinned_bytes == want
+            assert allocator_state(node) == allocator_state(ref, pins)
             assert not node.can_alloc_huge()
+
+
+class TestPinsKeepNoRecord:
+    """A pin is a count, not an allocated-map entry: machine B's eight
+    64 GiB nodes under 50% pressure hold 32,768 pins each, which took
+    52.0 MiB with an entry per pin and take 24.0 MiB without (the
+    order-8 free sets the released halves leave)."""
+
+    def test_machine_b_pressure_retains_under_32_mib(self, refcount_only):
+        tracemalloc.start()
+        try:
+            host = Host(machine_b())
+            host.apply_pressure(0.5)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert host.phys.total_free_bytes > 0
+        assert retained < 32 * MIB
+
+    @pytest.mark.parametrize("kind", ["A", "B", "irregular"])
+    def test_pinning_a_fresh_node_adds_no_record(self, kind):
+        node = NODES[kind]()
+        pinned = node.pin_fragmented(int(node.free_bytes * 0.5))
+        node.inject_fragmentation(3, order=0)
+        assert node.buddy._allocated == {}
+        assert node.pinned_bytes == node.used_bytes == pinned + 3 * PAGE_4K
+        node.buddy.check_accounting()
 
 
 class TestOneBlockCase:

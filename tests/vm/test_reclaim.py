@@ -119,7 +119,7 @@ class TestPinFragmented:
     def test_pins_and_accounts_target(self):
         node = NodeMemory(0, GIB)
         pinned = node.pin_fragmented(int(GIB * 0.7))
-        assert pinned == node.test_pinned_bytes
+        assert pinned == node.pinned_bytes
         assert pinned == pytest.approx(0.7 * GIB, rel=0.01)
         node.buddy.check_invariants()
 
@@ -148,7 +148,7 @@ class TestPinFragmented:
         node = NodeMemory(0, GIB)
         node.pin_fragmented(int(GIB * 0.7))
         node.alloc_small(1024)
-        assert node.used_bytes >= node.test_pinned_bytes + 1024 * PAGE_4K
+        assert node.used_bytes >= node.pinned_bytes + 1024 * PAGE_4K
         node.buddy.check_invariants()
 
     def test_negative_target_rejected(self):
@@ -159,4 +159,4 @@ class TestPinFragmented:
     def test_zero_target_is_noop(self):
         node = NodeMemory(0, GIB)
         assert node.pin_fragmented(0) == 0
-        assert node.test_pinned_bytes == 0
+        assert node.pinned_bytes == 0
