@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,24 +85,11 @@ def rng_from_state(
     return rng
 
 
-def as_int_array(values: Iterable[int]) -> np.ndarray:
-    """Coerce an iterable of indices to a contiguous int64 array."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return np.ascontiguousarray(arr)
-
-
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division for non-negative operands."""
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     return -(-numerator // denominator)
-
-
-def pct(value: float) -> str:
-    """Format a ratio-as-percent value for report tables."""
-    return f"{value:.1f}%"
 
 
 def human_bytes(n: int) -> str:

@@ -46,7 +46,6 @@ segment of the qualified name (``"sim.profile"`` covers
 from __future__ import annotations
 
 import ast
-import pathlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import Effect, FunctionInfo, Project
@@ -321,21 +320,3 @@ def deep_lint_project(
             findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return findings
-
-
-def deep_lint_paths(
-    paths: Sequence[pathlib.Path],
-    rules: Optional[Sequence[DeepRule]] = None,
-) -> List[Finding]:
-    """Build a project from paths and run the deep rules over it."""
-    project = Project.from_paths(paths)
-    return deep_lint_project(project, rules)
-
-
-def deep_lint_sources(
-    sources: Dict[str, str],
-    rules: Optional[Sequence[DeepRule]] = None,
-) -> List[Finding]:
-    """Deep-lint an in-memory ``{path: source}`` tree (tests)."""
-    project = Project.from_sources(sources)
-    return deep_lint_project(project, rules)

@@ -20,7 +20,7 @@ structurally exposed to:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.linter import FileContext, Finding, Rule
 
@@ -363,12 +363,3 @@ ALL_RULES: Tuple[type, ...] = (
 def default_rules() -> List[Rule]:
     """Fresh instances of every rule (rules are stateless but cheap)."""
     return [rule() for rule in ALL_RULES]
-
-
-def rules_by_id(*ids: str) -> List[Rule]:
-    """Instantiate a subset of rules by id (library use in tests)."""
-    table: Dict[str, type] = {rule.rule_id: rule for rule in ALL_RULES}
-    try:
-        return [table[i]() for i in ids]
-    except KeyError as exc:
-        raise ValueError(f"unknown rule id {exc.args[0]!r}") from exc

@@ -186,16 +186,3 @@ def sample_lar(samples: IbsSamples) -> float:
         return 100.0
     local = np.count_nonzero(samples.accessing_node == samples.home_node)
     return 100.0 * local / len(samples)
-
-
-def sample_imbalance(samples: IbsSamples, n_nodes: int) -> float:
-    """Controller imbalance estimated from samples, percent of mean."""
-    if len(samples) == 0:
-        return 0.0
-    per_node = np.bincount(
-        samples.home_node.astype(np.int64), minlength=n_nodes
-    ).astype(np.float64)
-    mean = per_node.mean()
-    if mean <= 0:
-        return 0.0
-    return 100.0 * per_node.std() / mean

@@ -12,11 +12,7 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "repro.experiments.cache": (
-            "ResultCache",
-            "cache_enabled",
-            "run_fingerprint",
-        ),
+        "repro.experiments.cache": ("ResultCache", "cache_enabled"),
         "repro.experiments.configs": ("POLICIES", "make_policy"),
         "repro.experiments.parallel": (
             "GridRunner",
@@ -42,5 +38,4 @@ __all__ = [
     "resolve_jobs",
     "ResultCache",
     "cache_enabled",
-    "run_fingerprint",
 ]

@@ -116,35 +116,6 @@ def _digest(identity: Dict[str, object]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_fingerprint(
-    workload: str,
-    machine: str,
-    policy: str,
-    backing_1g: bool,
-    config: SimConfig,
-    seed: int,
-    params: Tuple[Tuple[str, Any], ...] = (),
-) -> str:
-    """SHA-256 hex key for one run, covering the *complete* config.
-
-    Every :class:`SimConfig` field participates — including
-    ``max_epochs``, ``khugepaged_batch``, ``ibs_cost_cycles`` and
-    ``track_access_stats``, which the old tuple key omitted — plus the
-    nested hardware cost models and a package version stamp.  Policy
-    ``params`` join the identity only when there are any, so a run
-    without them keeps the key it always had.
-    """
-    return encoded_run_fingerprint(
-        workload,
-        machine,
-        policy,
-        backing_1g,
-        key_form(config),
-        seed,
-        params=params,
-    )
-
-
 def encoded_run_fingerprint(
     workload: str,
     machine: str,
@@ -154,7 +125,15 @@ def encoded_run_fingerprint(
     seed: int,
     params: Tuple[Tuple[str, Any], ...] = (),
 ) -> str:
-    """:func:`run_fingerprint`, given the config in :func:`key_form`."""
+    """SHA-256 hex key for one run, given its config in :func:`key_form`.
+
+    The identity covers every :class:`SimConfig` field — including
+    ``max_epochs``, ``khugepaged_batch``, ``ibs_cost_cycles`` and
+    ``track_access_stats``, which the old tuple key omitted — plus the
+    nested hardware cost models and a package version stamp.  Policy
+    ``params`` join the identity only when there are any, so a run
+    without them keeps the key it always had.
+    """
     identity = {
         "stamp": version_stamp(),
         "workload": workload,
@@ -172,10 +151,10 @@ def encoded_run_fingerprint(
 def scenario_fingerprint(scenario: object, config: SimConfig) -> str:
     """SHA-256 hex key for one multi-tenant scenario run.
 
-    Same contract as :func:`run_fingerprint` but keyed on the complete
-    :class:`~repro.scenarios.config.ScenarioConfig` (any dataclass
-    canonicalises) plus the base :class:`SimConfig` every tenant's
-    per-tenant config derives from.  The ``kind`` marker keeps scenario
+    Same contract as :func:`encoded_run_fingerprint` but keyed on the
+    complete :class:`~repro.scenarios.config.ScenarioConfig` (any
+    dataclass canonicalises) plus the base :class:`SimConfig` every
+    tenant's per-tenant config derives from.  The ``kind`` marker keeps scenario
     keys disjoint from single-run keys even under identical field
     values.
     """

@@ -1,9 +1,9 @@
-"""Plain-text rendering of experiment reports (tables and bar charts)."""
+"""Plain-text rendering of experiment reports (aligned tables)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -47,37 +47,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
-
-
-def format_bars(
-    labels: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    width: int = 40,
-    limit: Optional[float] = None,
-) -> str:
-    """ASCII horizontal bar chart for figure-style data.
-
-    Each label gets one bar per series; values are percentages and may
-    be negative (bars extend left of the axis).
-    """
-    values = [v for vs in series.values() for v in vs]
-    if not values:
-        return "(no data)"
-    span = limit if limit is not None else max(1.0, max(abs(v) for v in values))
-    half = width // 2
-    lines = []
-    label_w = max(len(l) for l in labels)
-    series_w = max(len(s) for s in series)
-    for i, label in enumerate(labels):
-        for s_name, vs in series.items():
-            v = vs[i]
-            n = min(half, max(-half, round(v / span * half)))
-            if n >= 0:
-                bar = " " * half + "|" + "#" * n + " " * (half - n)
-            else:
-                bar = " " * (half + n) + "#" * (-n) + "|" + " " * half
-            lines.append(
-                f"{label.rjust(label_w)} {s_name.rjust(series_w)} {bar} {v:+7.1f}%"
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip()

@@ -85,18 +85,6 @@ class ScenarioResult:
         """Tenants OOM-killed by shared-allocator exhaustion."""
         return len(self.by_status("oom-killed"))
 
-    def mean_runtime_s(self, workload: Optional[str] = None) -> float:
-        """Mean completed-tenant runtime, optionally per workload."""
-        times = [
-            t.result.runtime_s
-            for t in self.by_status("completed")
-            if t.result is not None
-            and (workload is None or t.workload == workload)
-        ]
-        if not times:
-            raise ValueError("no completed tenants match")
-        return sum(times) / len(times)
-
 
 def tenant_seed(scenario: ScenarioConfig, tenant_id: int) -> int:
     """The derived root seed for one tenant.

@@ -13,11 +13,7 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.hardware.machines": ("machine_a", "machine_b", "machine_by_name"),
         "repro.hardware.mem_controller": ("MemoryControllerModel",),
         "repro.hardware.interconnect": ("InterconnectModel",),
-        "repro.hardware.caches": (
-            "CacheModel",
-            "che_characteristic_time",
-            "lru_hit_rate",
-        ),
+        "repro.hardware.caches": ("CacheModel",),
         "repro.hardware.tlb": ("TlbSpec", "TlbModel"),
         "repro.hardware.counters": ("CounterBank", "EpochCounters"),
         "repro.hardware.ibs": ("IbsEngine", "IbsSamples"),
@@ -33,8 +29,6 @@ __all__ = [
     "MemoryControllerModel",
     "InterconnectModel",
     "CacheModel",
-    "che_characteristic_time",
-    "lru_hit_rate",
     "TlbSpec",
     "TlbModel",
     "CounterBank",

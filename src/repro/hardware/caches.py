@@ -55,60 +55,6 @@ def _solve_occupancy(occupied: Callable[[float], float], capacity: int) -> float
     return 0.5 * (lo + hi)
 
 
-def che_characteristic_time(popularity: np.ndarray, capacity: int) -> float:
-    """Solve for the characteristic time ``T_C`` of an LRU cache.
-
-    Parameters
-    ----------
-    popularity:
-        Per-item access probabilities.  Must be non-negative; zero
-        entries are allowed and ignored.  Need not sum to one (it is
-        normalised internally).
-    capacity:
-        Cache capacity in items; must be positive.
-
-    Returns
-    -------
-    float
-        ``T_C`` in units of accesses.  ``inf`` when every distinct item
-        fits in the cache (the hit rate is then 1).
-    """
-    if capacity <= 0:
-        raise ConfigurationError("cache capacity must be positive")
-    p = np.asarray(popularity, dtype=np.float64)
-    if p.ndim != 1:
-        raise ConfigurationError("popularity must be a 1-D array")
-    if p.size and float(np.min(p)) < 0:
-        raise ConfigurationError("popularity values must be non-negative")
-    p = p[p > 0]
-    if p.size == 0 or p.size <= capacity:
-        return float("inf")
-    total = float(np.sum(p))
-    p = p / total
-
-    def occupied(t: float) -> float:
-        return float(np.sum(-np.expm1(-p * t)))
-
-    return _solve_occupancy(occupied, capacity)
-
-
-def lru_hit_rate(popularity: np.ndarray, capacity: int) -> float:
-    """Aggregate hit rate of an LRU cache under Che's approximation.
-
-    Returns the access-weighted hit probability in ``[0, 1]``.
-    """
-    p = np.asarray(popularity, dtype=np.float64)
-    p = p[p > 0]
-    if p.size == 0:
-        return 1.0
-    t_c = che_characteristic_time(p, capacity)
-    if np.isinf(t_c):
-        return 1.0
-    p = p / float(np.sum(p))
-    hit = float(np.sum(p * -np.expm1(-p * t_c)))
-    return min(max(hit, 0.0), 1.0)
-
-
 def che_characteristic_time_grouped(
     group_counts: np.ndarray, group_weights: np.ndarray, capacity: int
 ) -> float:
@@ -215,32 +161,15 @@ class CacheModel:
     l2_miss_penalty_cycles: float = 180.0
     ptes_per_line: int = 8
 
-    def walk_l2_miss_rate(self, page_popularity: np.ndarray) -> float:
-        """Probability that a page-walk leaf reference misses in L2.
-
-        ``page_popularity`` is the per-page access-count vector of the
-        epoch (any non-negative weights).  Consecutive pages share PTE
-        cache lines, so the popularity vector is folded by
-        ``ptes_per_line`` before applying the LRU model.
-        """
-        counts = np.asarray(page_popularity, dtype=np.float64)
-        counts = counts[counts > 0]
-        if counts.size == 0:
-            return 0.0
-        pad = (-counts.size) % self.ptes_per_line
-        if pad:
-            counts = np.concatenate([counts, np.zeros(pad)])
-        lines = counts.reshape(-1, self.ptes_per_line).sum(axis=1)
-        return 1.0 - lru_hit_rate(lines, self.l2_lines_for_walks)
-
     def walk_l2_miss_rate_grouped(
         self, group_counts: np.ndarray, group_weights: np.ndarray
     ) -> float:
-        """Grouped-popularity version of :meth:`walk_l2_miss_rate`.
+        """Probability that a page-walk leaf reference misses in L2.
 
         ``group_counts[i]`` pages share ``group_weights[i]`` of the
-        accesses; consecutive pages share PTE lines, so line counts are
-        the page counts divided by :attr:`ptes_per_line`.
+        epoch's accesses; consecutive pages share PTE cache lines, so
+        line counts are the page counts divided by
+        :attr:`ptes_per_line`.
         """
         counts = np.asarray(group_counts, dtype=np.float64)
         weights = np.asarray(group_weights, dtype=np.float64)

@@ -15,7 +15,7 @@ Both consume :class:`EpochCounters` objects merged by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -76,11 +76,6 @@ class EpochCounters:
     def dram_requests(self) -> float:
         """Total DRAM requests across all controllers."""
         return float(self.traffic.sum())
-
-    @property
-    def local_requests(self) -> float:
-        """DRAM requests serviced by the accessing thread's own node."""
-        return float(np.trace(self.traffic))
 
 
 @dataclass
@@ -190,17 +185,6 @@ class CounterBank:
             return 0.0
         return self.total("l2_data_misses") / (duration * 1e6)
 
-    def time_breakdown(self) -> Dict[str, float]:
-        """Thread-summed time components across the bank (diagnostics)."""
-        return {
-            "cpu": self.total("time_cpu_s"),
-            "dram": self.total("time_dram_s"),
-            "walk": self.total("time_walk_s"),
-            "fault": self.total("time_fault_s"),
-            "ibs": self.total("time_ibs_s"),
-            "maintenance": self.total("daemon_time_s"),
-        }
-
     def describe(self) -> str:
         """Short human-readable summary for debugging and reports."""
         return (
@@ -209,16 +193,3 @@ class CounterBank:
             f"L2-walk={self.pct_l2_misses_from_walks():.1f}%, "
             f"max-fault={self.max_fault_time_fraction():.1f}%"
         )
-
-
-def merge_banks(banks: Sequence[CounterBank]) -> CounterBank:
-    """Merge several banks (same machine shape) into one."""
-    if not banks:
-        raise ConfigurationError("cannot merge zero banks")
-    first = banks[0]
-    merged = CounterBank(first.n_nodes, first.n_cores)
-    for bank in banks:
-        if (bank.n_nodes, bank.n_cores) != (first.n_nodes, first.n_cores):
-            raise ConfigurationError("banks to merge must share machine shape")
-        merged.epochs.extend(bank.epochs)
-    return merged

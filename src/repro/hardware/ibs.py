@@ -289,9 +289,3 @@ class IbsEngine:
         if len(batches) == 1:
             return batches[0]
         return IbsSamples.concatenate(batches)
-
-    def overhead_seconds(self, n_samples: int, cpu_freq_hz: float) -> float:
-        """CPU time consumed collecting ``n_samples`` samples."""
-        if n_samples < 0:
-            raise ConfigurationError("n_samples must be non-negative")
-        return n_samples * self.cost_cycles_per_sample / cpu_freq_hz

@@ -11,7 +11,7 @@ congestion) lives in :mod:`repro.hardware.mem_controller` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,26 +102,9 @@ class NumaTopology:
         return int(self._core_to_node.size)
 
     @property
-    def total_dram_bytes(self) -> int:
-        """Total DRAM across all nodes."""
-        return sum(node.dram_bytes for node in self.nodes)
-
-    @property
     def core_to_node(self) -> np.ndarray:
         """Array mapping global core id to its node id."""
         return self._core_to_node
-
-    def node_of_core(self, core: int) -> int:
-        """Node hosting a given global core id."""
-        if not 0 <= core < self.n_cores:
-            raise ConfigurationError(f"core {core} out of range 0..{self.n_cores - 1}")
-        return int(self._core_to_node[core])
-
-    def cores_of_node(self, node: int) -> List[int]:
-        """Global core ids belonging to a node."""
-        if not 0 <= node < self.n_nodes:
-            raise ConfigurationError(f"node {node} out of range 0..{self.n_nodes - 1}")
-        return list(np.flatnonzero(self._core_to_node == node))
 
     def hops(self, src: int, dst: int) -> int:
         """Number of interconnect hops from node ``src`` to node ``dst``."""

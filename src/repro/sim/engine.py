@@ -75,7 +75,7 @@ from repro.vm.layout import (
 )
 from repro.vm.thp import ThpState, khugepaged_scan
 from repro.workloads.base import Workload, WorkloadInstance
-from repro.workloads.streambank import get_stream_bank
+from repro.workloads.streambank import get_stream_bank, weight_scale
 
 #: Static-analysis registry (rule R104): roots of the simulation call
 #: graph.  Every random/clock sink reachable from here must be either
@@ -406,13 +406,11 @@ class Tenant:
         pair_counts = np.bincount(flat, minlength=n_threads * n_nodes).reshape(
             n_threads, n_nodes
         )
-        scale = np.zeros(n_threads)
-        active = stream_sizes > 0
-        scale[active] = cost.dram_accesses / stream_sizes[active]
+        scale = weight_scale(cost.dram_accesses, stream_sizes)
         thread_home_counts[:] = pair_counts.astype(np.float64) * scale[:, None]
         np.add.at(traffic, self.thread_nodes, thread_home_counts)
 
-        active_idx = np.flatnonzero(active)
+        active_idx = np.flatnonzero(stream_sizes > 0)
         prof.lap("streams")
         if cfg.track_access_stats:
             # The tracker is built only from policy-independent bank

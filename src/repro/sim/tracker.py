@@ -62,14 +62,14 @@ class AccessTracker:
     def add_epoch(self, ids: np.ndarray, scaled_counts: np.ndarray) -> None:
         """Accumulate one whole epoch's access weight in a single call.
 
-        ``ids``/``scaled_counts`` are the fused tracker columns a
-        stream bank aggregates from a row as it folds it
+        ``ids``/``scaled_counts`` are the columns a stream bank
+        aggregates from a row as it folds it
         (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`):
-        every thread's ``np.unique`` ids concatenated in ascending
-        thread order, with each thread's ``weight_per_access`` already
-        multiplied into its counts.  ``np.add.at`` is unbuffered and
-        applies additions in element order — ascending thread order,
-        with distinct ids inside each thread's segment — so the
+        every thread's ``np.unique`` ids merged in granule order, the
+        threads of one granule in ascending order, with each thread's
+        ``weight_per_access`` already multiplied into its counts.
+        ``np.add.at`` is unbuffered and applies additions in element
+        order — per granule, ascending thread order — so the
         floating-point accumulation sequence per granule is exactly
         that of adding one thread's stream at a time, bit for bit.
         """

@@ -374,15 +374,6 @@ class AddressSpace:
             live[inside] = backed[index[inside]]
         return live
 
-    def node_of_backing(self, backing_id: int) -> int:
-        """Home node of a backing page (-1 if unmapped)."""
-        kind = self.backing_id_kind(backing_id)
-        if kind is PageSize.SIZE_4K:
-            return int(self.node4k[backing_id])
-        if kind is PageSize.SIZE_2M:
-            return int(self.node2m[backing_id - BACKING_ID_2M_OFFSET])
-        return int(self.node1g[backing_id - BACKING_ID_1G_OFFSET])
-
     # ------------------------------------------------------------------
     # Faulting and explicit mapping
     # ------------------------------------------------------------------
@@ -970,10 +961,14 @@ class AddressSpace:
         }
 
     def bytes_per_node(self) -> np.ndarray:
-        """Mapped bytes per home node."""
+        """Mapped bytes per home node.
+
+        The 4KB map is counted one node at a time through a ``bool``
+        comparison, so no per-granule index array is built.
+        """
         out = np.zeros(self.n_nodes, dtype=np.int64)
-        mapped4k = self.node4k[self.node4k >= 0].astype(np.int64)
-        out += np.bincount(mapped4k, minlength=self.n_nodes) * PAGE_4K
+        for node in range(self.n_nodes):
+            out[node] = np.count_nonzero(self.node4k == node) * PAGE_4K
         huge_nodes = self.node2m[self.huge].astype(np.int64)
         out += np.bincount(huge_nodes, minlength=self.n_nodes) * int(PageSize.SIZE_2M)
         giga_nodes = self.node1g[self.giga].astype(np.int64)

@@ -86,11 +86,6 @@ class BuddyAllocator:
         """Number of 4KB frames held by :meth:`pin_many` pins."""
         return self._pinned_frames
 
-    def free_blocks(self, order: int) -> int:
-        """Number of free blocks currently on the given order's list."""
-        self._check_order(order)
-        return len(self._free[order])
-
     def largest_free_order(self) -> int:
         """Largest order with a free block; -1 when memory is exhausted."""
         for order in range(self.max_order, -1, -1):
@@ -260,19 +255,6 @@ class BuddyAllocator:
         used = allocated + self._pinned_frames
         if used + self._free_frames != self.total_frames:
             raise AssertionError("allocated + pinned + free != total frames")
-
-    def check_invariants(self) -> None:
-        """Raise if internal bookkeeping is inconsistent (test helper)."""
-        self.check_accounting()
-        seen: Set[int] = set()
-        for order, blocks in enumerate(self._free):
-            for start in blocks:
-                if start % (1 << order) != 0:
-                    raise AssertionError(f"misaligned free block {start}@{order}")
-                span = set(range(start, start + (1 << order)))
-                if seen & span:
-                    raise AssertionError("overlapping free blocks")
-                seen |= span
 
 
 @dataclass

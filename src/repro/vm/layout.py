@@ -49,34 +49,3 @@ class PageSize(enum.IntEnum):
     def order(self) -> int:
         """Buddy-allocator order of one page of this size."""
         return {PAGE_4K: ORDER_4K, PAGE_2M: ORDER_2M, PAGE_1G: ORDER_1G}[int(self)]
-
-
-def granules_of_bytes(n_bytes: int) -> int:
-    """Number of 4KB granules needed to cover ``n_bytes`` (rounded up)."""
-    if n_bytes < 0:
-        raise ValueError("byte count must be non-negative")
-    return -(-n_bytes // PAGE_4K)
-
-
-def chunks_2m_of_granules(n_granules: int) -> int:
-    """Number of 2MB chunks needed to cover ``n_granules`` (rounded up)."""
-    if n_granules < 0:
-        raise ValueError("granule count must be non-negative")
-    return -(-n_granules // GRANULES_PER_2M)
-
-
-def chunks_1g_of_granules(n_granules: int) -> int:
-    """Number of 1GB chunks needed to cover ``n_granules`` (rounded up)."""
-    if n_granules < 0:
-        raise ValueError("granule count must be non-negative")
-    return -(-n_granules // GRANULES_PER_1G)
-
-
-def chunk_2m_of(granule):
-    """2MB-chunk index containing a granule (scalar or ndarray)."""
-    return granule >> SHIFT_2M
-
-
-def chunk_1g_of(granule):
-    """1GB-chunk index containing a granule (scalar or ndarray)."""
-    return granule >> SHIFT_1G

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.vm.layout import PAGE_2M, PAGE_4K
+from repro.vm.layout import PAGE_2M
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,3 @@ class MigrationCostModel:
         )
         return n_collapses * per_collapse * self._ptl_multiplier(n_threads)
 
-    def migration_time_for_pages_s(self, n_4k: int, n_2m: int) -> float:
-        """Convenience: migration time for counts of 4KB and 2MB pages."""
-        return self.migration_time_s(
-            n_4k * PAGE_4K + n_2m * PAGE_2M, n_4k + n_2m
-        )

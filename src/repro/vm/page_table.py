@@ -3,9 +3,12 @@
 x86-64 uses a four-level radix page table.  Backing memory with 2MB
 pages removes the leaf (PTE) level for those ranges; 1GB pages remove
 two levels.  The paper's motivation cites an Oracle installation whose
-page tables alone consumed 7GB of RAM — this model quantifies exactly
-that effect, and feeds the simulator's page-walk cost (larger tables
-mean walk references miss caches more).
+page tables alone consumed 7GB of RAM; this model quantifies that
+effect, and ``examples/page_table_overhead.py`` reproduces the
+calculation with it.  The simulator does not read it: walk cost comes
+from the TLB and cache models, and replicating page tables
+(``ReplicatePageTables``) is priced by
+:meth:`repro.vm.address_space.AddressSpace.page_table_bytes`.
 """
 
 from __future__ import annotations

@@ -211,10 +211,6 @@ class WorkloadInstance:
     # ------------------------------------------------------------------
     # Engine-facing API
     # ------------------------------------------------------------------
-    def thread_node(self, thread: int) -> int:
-        """NUMA node of the core running a thread (threads pinned 1:1)."""
-        return self.machine.node_of_core(thread)
-
     def premap_epoch(
         self,
         epoch: int,
@@ -333,13 +329,6 @@ class WorkloadInstance:
             n_threads=self.n_threads,
             backing_1g=True,
         )
-
-    def region_named(self, name: str) -> "Region":
-        """Look up a region by name (test and example helper)."""
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(f"no region named {name!r} in {self.name}")
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,12 @@ folds the access tracker once for all of its runs
 (:meth:`StreamBank.fold_tracker`): the first run to reach an epoch
 folds that epoch's row, and each run reads the fold of exactly the
 epochs it ran (:meth:`StreamBank.tracker`).  Folding a row aggregates
-it (:meth:`StreamBank._aggregate_row`) into the tracker's whole-epoch
-inputs — one fused COO column of every thread's ``np.unique`` ids and
-weight-scaled counts for
+it with one sort (:meth:`StreamBank._aggregate_row`): its distinct
+``(granule, thread)`` keys with their counts, which weigh into
 :meth:`~repro.sim.tracker.AccessTracker.add_epoch`, and the three
 page-level sharing summaries packed for
-:meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing` — and
-drops them once folded.
+:meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`.  The
+aggregates are dropped once folded.
 
 Lazy fill: a row materializes inside the call that first needs it, so
 a short run never generates past what it consumes.
@@ -57,7 +56,9 @@ epoch block to disk as its last row fills (``.npy`` columns loaded
 back memmapped, each row's aggregates alongside for a loaded block to
 fold from), so banks survive across the processes of a grid sweep.
 Blocks are filed under the bank's fingerprint, so a version bump
-starts an empty store, as it does for the result cache.  Pool workers
+starts an empty store, as it does for the result cache; a block whose
+aggregates are in another layout reads as a miss, and is regenerated
+and rewritten.  Pool workers
 share the store, so every file lands through a temp-file rename and an
 ``.ok`` marker is written last.
 """
@@ -96,6 +97,33 @@ def clear_stream_banks() -> None:
     _SLOT.clear()
 
 
+def weight_scale(dram_accesses: float, sizes: np.ndarray) -> np.ndarray:
+    """Each thread's weight per access in one epoch: ``dram_accesses /
+    size``, zero for a thread that drew nothing.
+
+    The engine scales its traffic bins, and a bank its tracker counts,
+    by this one vector, so the tracker's weights are the traffic's.
+    """
+    scale = np.zeros(sizes.shape[0])
+    active = sizes > 0
+    scale[active] = dram_accesses / sizes[active]
+    return scale
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``values`` begins."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _offsets(arrays) -> np.ndarray:
+    """Where each of ``arrays`` starts in their concatenation, and the
+    total size last."""
+    return np.cumsum([0] + [a.size for a in arrays], dtype=np.int64)
+
+
 _SCALAR_TYPES = (bool, int, float, str, bytes, type(None))
 
 
@@ -123,8 +151,8 @@ def bank_fingerprint(instance: object, sim_seed: int, length: int) -> Optional[s
     by the instance itself instead.
 
     The workload's ``cost.dram_accesses`` is part of the key: the
-    bank's fused tracker columns bake the per-thread weight scaling
-    (``dram_accesses / stream_size``) into ``scaled_counts``, so two
+    bank's tracker fold scales each thread's counts by
+    :func:`weight_scale` (``dram_accesses / stream_size``), so two
     instances may only share a bank when they would scale identically.
     So is :data:`repro.__version__`: the disk store files blocks under
     the fingerprint, and streams that older code wrote must not serve
@@ -234,9 +262,11 @@ class StreamBank:
         self.total_epochs = int(instance.total_epochs)
         self.fingerprint = fingerprint
         cost = getattr(instance, "cost", None)
-        #: Baked into ``scaled_counts`` exactly as the engine computes
-        #: its per-thread scale (``dram_accesses / stream_size``).
+        #: Scales the tracker's counts as the engine scales its traffic
+        #: (:func:`weight_scale`).
         self._dram = 0.0 if cost is None else float(cost.dram_accesses)
+        #: Bits a thread id takes in a row's packed aggregation keys.
+        self._tbits = max(1, (self.n_threads - 1).bit_length())
         #: Prefix-memoized seeder: per-row generators vary only in the
         #: ``(thread, epoch)`` suffix, so the fixed parts hash once.
         self._seed_hasher = SeedHasher(
@@ -332,19 +362,21 @@ class StreamBank:
 
         Per epoch, two vectorized calls on the row's aggregates (stored
         with a loaded block, else computed by :meth:`_aggregate_row` and
-        dropped once folded): the fused weight columns (the per-thread
-        scale is baked in, identical to the engine's traffic scaling, as
-        the fingerprint pins ``dram_accesses``) and the packed sharing
+        dropped once folded): each key's granule with its count times
+        its thread's :func:`weight_scale` (the engine's traffic scale;
+        the fingerprint pins ``dram_accesses``), and the packed sharing
         summary.
         """
+        tmask = (1 << self._tbits) - 1
         for epoch in range(start, stop):
             block, i = self._ensure_row(epoch)
-            (ids, _, _, scaled), sharing = (
+            keys, counts, sharing = (
                 self._aggregate_row(block, i)
                 if block.stored is None
                 else block.stored[i]
             )
-            tracker.add_epoch(ids, scaled)
+            scale = weight_scale(self._dram, block.sizes[i])
+            tracker.add_epoch(keys >> self._tbits, counts * scale[keys & tmask])
             tracker.merge_epoch_sharing(sharing)
 
     # ------------------------------------------------------------------
@@ -405,151 +437,51 @@ class StreamBank:
         return states
 
     def _aggregate_row(self, block: _Block, i: int) -> tuple:
-        """One filled row's aggregates: its fused tracker columns
-        ``(ids, thread_offsets, counts, scaled_counts)`` and its packed
-        sharing summary ``(ids, first, multi, level_offsets)``.
+        """One filled row's aggregates ``(keys, counts, sharing)``, from
+        one sort of the row's accesses.
 
-        ``ids``/``counts`` are every thread's ``np.unique(stream,
-        return_counts=True)`` in ascending thread order
-        (``thread_offsets`` delimits the segments); ``scaled_counts``
-        has each thread's weight scale multiplied in.  The sharing
-        summary concatenates the 4KB, 2MB and 1GB levels: per level,
-        the sorted ids any thread touched, the lowest thread touching
-        each, and whether two or more threads did.
+        Each access packs as ``(granule << tbits) | thread``.  Sorted,
+        the distinct ``keys`` and their run lengths ``counts`` are every
+        thread's ``np.unique(stream, return_counts=True)`` merged in
+        granule order, the threads of one granule in ascending order.
+
+        ``sharing`` packs the 4KB, 2MB and 1GB levels as ``(ids, first,
+        multi, level_offsets)``: per level, the sorted ids any thread
+        touched, the lowest thread touching each, and whether two or
+        more threads did.  The 4KB pages are the runs of equal granules
+        among ``keys``.  A coarser page's threads are the union of its
+        finer pages' threads, so its lowest and highest toucher are the
+        min and max of theirs (segment reductions over runs already in
+        order), and it is shared iff the two differ.
         """
-        tracker = self._aggregate_tracker(block, i)
-        return tracker, self._aggregate_sharing(tracker[0], tracker[1])
+        tbits = self._tbits
+        valid = np.arange(self.length) < block.sizes[i][:, None]
+        threads = np.arange(self.n_threads, dtype=np.int64)[:, None]
+        keys = ((block.streams[i] << tbits) | threads)[valid]
+        keys.sort()
+        starts = _run_starts(keys)
+        counts = np.diff(starts, append=keys.size)
+        keys = keys[starts]
 
-    def _aggregate_tracker(self, block: _Block, i: int) -> tuple:
-        """Fused tracker columns for one generated row.
-
-        Full rows (every thread drew exactly ``length`` accesses — all
-        builtin region workloads) take a vectorized path: one row-wise
-        sort plus a neighbour-diff keep mask computes every thread's
-        ``np.unique(..., return_counts=True)`` at once (identical
-        values — sorting and run-length counting are exact integer
-        operations).  Ragged rows (trace replays) fall back to
-        per-thread ``np.unique``.
-        """
-        sizes = block.sizes[i]
-        n_threads = self.n_threads
-        length = self.length
-        if length > 0 and bool((sizes == length).all()):
-            srt = np.sort(block.streams[i], axis=1)
-            keep = np.empty((n_threads, length), dtype=bool)
-            keep[:, 0] = True
-            np.not_equal(srt[:, 1:], srt[:, :-1], out=keep[:, 1:])
-            starts = np.flatnonzero(keep.reshape(-1))
-            ids = srt.reshape(-1)[starts]
-            counts = np.diff(np.append(starts, n_threads * length))
-            offsets = np.zeros(n_threads + 1, dtype=np.int64)
-            np.cumsum(keep.sum(axis=1), out=offsets[1:])
-        else:
-            ids_list: List[np.ndarray] = []
-            counts_list: List[np.ndarray] = []
-            offsets = np.zeros(n_threads + 1, dtype=np.int64)
-            for t in range(n_threads):
-                n = int(sizes[t])
-                unique, counts_t = np.unique(
-                    block.streams[i, t, :n], return_counts=True
-                )
-                ids_list.append(unique)
-                counts_list.append(counts_t)
-                offsets[t + 1] = offsets[t] + unique.size
-            ids = (
-                np.concatenate(ids_list)
-                if ids_list else np.empty(0, dtype=np.int64)
-            )
-            counts = (
-                np.concatenate(counts_list)
-                if counts_list else np.empty(0, dtype=np.int64)
-            )
-        scaled = self._scaled_counts(sizes, offsets, counts)
-        return (ids, offsets, counts, scaled)
-
-    def _scaled_counts(
-        self, sizes: np.ndarray, offsets: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """``counts`` with each thread's weight scale multiplied in.
-
-        The scale vector is computed exactly as the engine's:
-        ``dram_accesses / stream_size`` per active thread, zero for
-        idle ones; each element of a thread's segment is multiplied by
-        the same float64, so the products match the per-thread
-        ``counts * weight_per_access`` bitwise.
-        """
-        scale = np.zeros(self.n_threads)
-        active = sizes > 0
-        scale[active] = self._dram / sizes[active]
-        return counts * np.repeat(scale, np.diff(offsets))
-
-    def _aggregate_sharing(
-        self, ids: np.ndarray, offsets: np.ndarray
-    ) -> tuple:
-        """Packed three-level sharing summary from fused tracker ids.
-
-        Only the 4KB level sorts: per-thread id segments are unique
-        within each segment, so packing ``(id << tbits) | thread`` into
-        one int64 key and sorting it is the stable by-id merge (equal
-        ids order by thread; no two keys tie).  Each id run then yields
-        its lowest (``first``) and highest (``last``) toucher, and a
-        run of length >= 2 means >= 2 distinct threads (``multi``).
-
-        The coarser levels never re-sort: a 2MB chunk's touching-thread
-        set is the union over its 4KB granules, so its lowest toucher
-        is the min of per-granule ``first``, its highest the max of
-        per-granule ``last``, and it is multi-touched iff max > min —
-        all segment reductions (``reduceat``) over the already-sorted
-        granule runs.  1GB folds from 2MB the same way.
-        """
-        level_ids: List[np.ndarray] = []
-        level_first: List[np.ndarray] = []
-        level_multi: List[np.ndarray] = []
-        if ids.size:
-            seg_threads = np.repeat(
-                np.arange(self.n_threads, dtype=np.int64), np.diff(offsets)
-            )
-            tbits = max(1, (self.n_threads - 1).bit_length())
-            key = (ids << tbits) | seg_threads
-            key.sort()
-            lvl_ids = key >> tbits
-            lvl_threads = (key & ((1 << tbits) - 1)).astype(np.int16)
-            keep = np.empty(lvl_ids.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(lvl_ids[1:], lvl_ids[:-1], out=keep[1:])
-            starts = np.flatnonzero(keep)
-            ends = np.empty_like(starts)
-            ends[:-1] = starts[1:] - 1
-            ends[-1] = lvl_ids.size - 1
-            lvl_ids = lvl_ids[starts]
-            lvl_first = lvl_threads[starts]
-            lvl_last = lvl_threads[ends]
-            for shift in (0, SHIFT_2M, SHIFT_1G - SHIFT_2M):
-                if shift:
-                    shifted = lvl_ids >> shift
-                    keep = np.empty(shifted.size, dtype=bool)
-                    keep[0] = True
-                    np.not_equal(shifted[1:], shifted[:-1], out=keep[1:])
-                    starts = np.flatnonzero(keep)
-                    lvl_ids = shifted[starts]
-                    lvl_first = np.minimum.reduceat(lvl_first, starts)
-                    lvl_last = np.maximum.reduceat(lvl_last, starts)
-                level_ids.append(lvl_ids)
-                level_first.append(lvl_first)
-                level_multi.append(lvl_last > lvl_first)
-        else:
-            for _ in range(3):
-                level_ids.append(np.empty(0, dtype=np.int64))
-                level_first.append(np.empty(0, dtype=np.int16))
-                level_multi.append(np.empty(0, dtype=bool))
-        level_offsets = np.zeros(4, dtype=np.int64)
-        np.cumsum([a.size for a in level_ids], out=level_offsets[1:])
-        return (
+        ids = keys >> tbits
+        first = last = (keys & ((1 << tbits) - 1)).astype(np.int16)
+        level_ids, level_first, level_multi = [], [], []
+        for shift in (0, SHIFT_2M, SHIFT_1G - SHIFT_2M):
+            ids = ids >> shift
+            starts = _run_starts(ids)
+            ids = ids[starts]
+            first = np.minimum.reduceat(first, starts)
+            last = np.maximum.reduceat(last, starts)
+            level_ids.append(ids)
+            level_first.append(first)
+            level_multi.append(last > first)
+        sharing = (
             np.concatenate(level_ids),
             np.concatenate(level_first),
             np.concatenate(level_multi),
-            level_offsets,
+            _offsets(level_ids),
         )
+        return keys, counts, sharing
 
     # ------------------------------------------------------------------
     # Optional on-disk store (REPRO_STREAM_CACHE)
@@ -566,42 +498,22 @@ class StreamBank:
         }
 
     def _agg_payload(self, block: _Block) -> Dict[str, np.ndarray]:
-        """Every row's aggregates of a completed block, flattened for
-        the disk store (``scaled_counts`` is derived, recomputed on
-        load)."""
-        n_threads = self.n_threads
-        t_row = np.zeros(block.n_epochs + 1, dtype=np.int64)
-        t_off = np.zeros((block.n_epochs, n_threads + 1), dtype=np.int64)
-        s_row = np.zeros(block.n_epochs + 1, dtype=np.int64)
-        s_lvl = np.zeros((block.n_epochs, 4), dtype=np.int64)
-        t_ids: List[np.ndarray] = []
-        t_counts: List[np.ndarray] = []
-        s_ids: List[np.ndarray] = []
-        s_first: List[np.ndarray] = []
-        s_multi: List[np.ndarray] = []
-        for i in range(block.n_epochs):
-            (ids, offsets, counts, _), (p_ids, p_first, p_multi, lvl) = (
-                self._aggregate_row(block, i)
-            )
-            t_ids.append(ids)
-            t_counts.append(counts)
-            t_off[i] = offsets
-            t_row[i + 1] = t_row[i] + ids.size
-            s_ids.append(p_ids)
-            s_first.append(p_first)
-            s_multi.append(p_multi)
-            s_row[i + 1] = s_row[i] + p_ids.size
-            s_lvl[i] = lvl
+        """Every row's :meth:`_aggregate_row` output of a completed
+        block, concatenated for the disk store (``t_row``/``s_row``
+        delimit the rows)."""
+        keys, counts, sharing = zip(
+            *(self._aggregate_row(block, i) for i in range(block.n_epochs))
+        )
+        s_ids, s_first, s_multi, s_lvl = zip(*sharing)
         return {
-            "t_ids": np.concatenate(t_ids),
-            "t_counts": np.concatenate(t_counts),
-            "t_row": t_row,
-            "t_off": t_off,
+            "t_keys": np.concatenate(keys),
+            "t_counts": np.concatenate(counts),
+            "t_row": _offsets(keys),
             "s_ids": np.concatenate(s_ids),
             "s_first": np.concatenate(s_first),
             "s_multi": np.concatenate(s_multi),
-            "s_row": s_row,
-            "s_lvl": s_lvl,
+            "s_row": _offsets(s_ids),
+            "s_lvl": np.stack(s_lvl),
         }
 
     def _persist(self, block: _Block) -> None:
@@ -668,23 +580,21 @@ class StreamBank:
     def _rows_from_agg(
         self, agg: Dict[str, np.ndarray], sizes: np.ndarray, n_epochs: int
     ) -> Optional[List[tuple]]:
-        """Rebuild each row's :meth:`_aggregate_row` output from a
-        stored block, or ``None`` when the payload is inconsistent
-        (stale store)."""
+        """Each row's :meth:`_aggregate_row` output from a stored block,
+        or ``None`` when the payload is of another layout or
+        inconsistent (a stale store)."""
         try:
-            t_ids, t_counts = agg["t_ids"], agg["t_counts"]
-            t_row, t_off = agg["t_row"], agg["t_off"]
-            s_ids, s_first = agg["s_ids"], agg["s_first"]
-            s_multi, s_row, s_lvl = agg["s_multi"], agg["s_row"], agg["s_lvl"]
+            t_keys, t_counts, t_row = agg["t_keys"], agg["t_counts"], agg["t_row"]
+            s_ids, s_first, s_multi = agg["s_ids"], agg["s_first"], agg["s_multi"]
+            s_row, s_lvl = agg["s_row"], agg["s_lvl"]
         except KeyError:
             return None
         if (
             t_row.shape != (n_epochs + 1,)
-            or t_off.shape != (n_epochs, self.n_threads + 1)
             or s_row.shape != (n_epochs + 1,)
             or s_lvl.shape != (n_epochs, 4)
-            or int(t_row[-1]) != t_ids.size
-            or t_counts.shape != t_ids.shape
+            or int(t_row[-1]) != t_keys.size
+            or t_counts.shape != t_keys.shape
             or int(s_row[-1]) != s_ids.size
             or s_first.shape != s_ids.shape
             or s_multi.shape != s_ids.shape
@@ -692,19 +602,19 @@ class StreamBank:
             return None
         rows: List[tuple] = []
         for i in range(n_epochs):
-            ids = t_ids[int(t_row[i]):int(t_row[i + 1])]
-            counts = t_counts[int(t_row[i]):int(t_row[i + 1])]
-            offsets = t_off[i]
-            if int(offsets[-1]) != ids.size:
-                return None
-            scaled = self._scaled_counts(sizes[i], offsets, counts)
-            lo, hi = int(s_row[i]), int(s_row[i + 1])
+            t_lo, t_hi = int(t_row[i]), int(t_row[i + 1])
+            s_lo, s_hi = int(s_row[i]), int(s_row[i + 1])
+            counts = t_counts[t_lo:t_hi]
             lvl = s_lvl[i]
-            if int(lvl[-1]) != hi - lo:
+            if (
+                int(counts.sum()) != int(sizes[i].sum())
+                or int(lvl[-1]) != s_hi - s_lo
+            ):
                 return None
             rows.append((
-                (ids, offsets, counts, scaled),
-                (s_ids[lo:hi], s_first[lo:hi], s_multi[lo:hi], lvl),
+                t_keys[t_lo:t_hi],
+                counts,
+                (s_ids[s_lo:s_hi], s_first[s_lo:s_hi], s_multi[s_lo:s_hi], lvl),
             ))
         return rows
 

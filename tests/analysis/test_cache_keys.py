@@ -2,8 +2,8 @@
 
 A memo key once silently dropped four ``SimConfig`` fields.  A run's
 key is now a module-level function
-(:func:`repro.experiments.runner.fingerprints`, over
-:func:`~repro.experiments.cache.run_fingerprint`, and
+(:func:`repro.experiments.runner.fingerprints`, checked against one
+run's key alone in ``tests/per_run_fingerprint.py``, and
 :func:`~repro.experiments.cache.scenario_fingerprint` for scenarios),
 so these tests change every :class:`SimConfig` field and every
 :class:`RunSpec` field, policy params included, one at a time and
@@ -22,7 +22,7 @@ from repro.core.carrefour import CarrefourConfig
 from repro.core.reactive import ReactiveConfig
 from repro.experiments import cache
 from repro.experiments import runner as runner_mod
-from repro.experiments.cache import run_fingerprint, scenario_fingerprint
+from repro.experiments.cache import scenario_fingerprint
 from repro.experiments.experiments import MACHINES, _grid
 from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSpec, fingerprints
@@ -30,6 +30,7 @@ from repro.scenarios import ScenarioConfig
 from repro.hardware.tlb import TlbSpec
 from repro.sim.config import MachineModels, SimConfig
 from repro.workloads.registry import FIGURE1_ORDER
+from tests.per_run_fingerprint import run_fingerprint
 
 
 # --- Every SimConfig field reaches the fingerprint ----------------------

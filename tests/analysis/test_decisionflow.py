@@ -15,8 +15,8 @@ import time
 import repro
 from repro.analysis.callgraph import Project
 from repro.analysis.decisionflow import decision_flow_model
-from repro.analysis.deep import deep_lint_sources
 from repro.analysis.linter import format_findings
+from tests.deep_lint import deep_lint_paths, deep_lint_sources
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 
@@ -452,8 +452,6 @@ def test_shipped_policies_prove_pure_under_r110():
 
 
 def test_shipped_tree_decision_rules_clean_within_budget():
-    from repro.analysis.deep import deep_lint_paths
-
     t0 = time.perf_counter()
     findings = deep_lint_paths([PACKAGE])
     elapsed = time.perf_counter() - t0
@@ -470,7 +468,7 @@ def test_broken_fixture_package_fails_deep_lint():
     non-zero exit naming each deep rule; this test keeps the fixture
     honest so that step can never silently pass.
     """
-    from repro.analysis.deep import ALL_DEEP_RULES, deep_lint_paths
+    from repro.analysis.deep import ALL_DEEP_RULES
 
     fixture = pathlib.Path(__file__).parent / "fixtures" / "decisionflow_broken"
     findings = deep_lint_paths([fixture])

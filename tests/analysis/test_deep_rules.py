@@ -19,8 +19,8 @@ import time
 import pytest
 
 import repro
-from repro.analysis.deep import deep_lint_paths, deep_lint_sources
 from repro.analysis.linter import format_findings
+from tests.deep_lint import deep_lint_paths, deep_lint_sources
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 

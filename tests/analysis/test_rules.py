@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.analysis.linter import lint_paths, lint_source
-from repro.analysis.rules import rules_by_id
+from repro.analysis.rules import ALL_RULES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -113,9 +113,8 @@ def test_blanket_suppression_comment():
 def test_rule_subset_selection():
     """Running only R004 ignores defects other rules would flag."""
     source = (FIXTURES / "r002_bad.py").read_text()
-    assert lint_source(source, "x.py", rules=rules_by_id("R004")) == []
-    with pytest.raises(ValueError):
-        rules_by_id("R999")
+    (r004,) = [rule() for rule in ALL_RULES if rule.rule_id == "R004"]
+    assert lint_source(source, "x.py", rules=[r004]) == []
 
 
 def test_syntax_error_reported_not_raised(tmp_path):

@@ -13,6 +13,7 @@ from repro.sim.policy import LinuxPolicy
 from repro.vm.address_space import BACKING_ID_2M_OFFSET
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import SharedRegion
+from tests.vm_helpers import node_of_backing
 
 MIB = 1 << 20
 
@@ -73,7 +74,7 @@ class TestTwoStageFilter:
         region = sim.instance.regions[0]
         window = CounterBank(2, 4)
         chunk = region.lo // 512
-        target_node = 1 - sim.asp.node_of_backing(BACKING_ID_2M_OFFSET + chunk)
+        target_node = 1 - node_of_backing(sim.asp, BACKING_ID_2M_OFFSET + chunk)
         for _ in range(2):
             summary, _ = apply_decisions(
                 sim,
@@ -81,7 +82,7 @@ class TestTwoStageFilter:
                     sim, samples_for(sim, [region.lo], [target_node]), window
                 ),
             )
-        assert sim.asp.node_of_backing(BACKING_ID_2M_OFFSET + chunk) == target_node
+        assert node_of_backing(sim.asp, BACKING_ID_2M_OFFSET + chunk) == target_node
         assert summary.migrated_2m == 1
 
     def test_alternating_nodes_never_migrate(self, tiny_topo):
@@ -90,7 +91,7 @@ class TestTwoStageFilter:
         region = sim.instance.regions[0]
         window = CounterBank(2, 4)
         chunk = region.lo // 512
-        home = sim.asp.node_of_backing(BACKING_ID_2M_OFFSET + chunk)
+        home = node_of_backing(sim.asp, BACKING_ID_2M_OFFSET + chunk)
         moved = 0
         for node in (0, 1, 0, 1):
             # One page, many samples per interval, dominant node flips.
@@ -102,7 +103,7 @@ class TestTwoStageFilter:
             )
             moved += summary.migrated_2m
         # Streak resets on every flip: at most the first settle.
-        assert sim.asp.node_of_backing(BACKING_ID_2M_OFFSET + chunk) in (0, 1, home)
+        assert node_of_backing(sim.asp, BACKING_ID_2M_OFFSET + chunk) in (0, 1, home)
         assert moved <= 1
 
     def test_hint_fault_overhead_scales(self, tiny_topo):

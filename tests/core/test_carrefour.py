@@ -19,6 +19,7 @@ from repro.vm.address_space import (
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M, PAGE_2M
 from repro.vm.thp import ThpState
+from tests.vm_helpers import node_of_backing
 
 GIB = 1 << 30
 
@@ -106,18 +107,18 @@ class TestPlacement:
         table = make_table(asp, [0, 0], [1, 1])
         summary = place(engine, table, asp, 2)
         assert summary.migrated_2m == 1
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 1
 
     def test_shared_page_interleaves_once(self):
         asp = make_asp(huge=True)
         engine = CarrefourEngine()
         table = make_table(asp, [0, 1], [0, 1])
         place(engine, table, asp, 2)
-        node_after = asp.node_of_backing(BACKING_ID_2M_OFFSET)
+        node_after = node_of_backing(asp, BACKING_ID_2M_OFFSET)
         # A second interval must not re-randomise the interleaved page.
         table2 = make_table(asp, [0, 1], [0, 1])
         summary2 = place(engine, table2, asp, 2)
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == node_after
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == node_after
         assert summary2.bytes_migrated <= PAGE_2M  # at most settles once
 
     def test_page_already_local_is_free(self):
@@ -153,8 +154,8 @@ class TestPlacement:
         # Chunk 1 has 3 samples, chunk 0 has 2: chunk 1 moves first.
         table = make_table(asp, [0, 0, 512, 512, 512], [1] * 5)
         place(engine, table, asp, 2)
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 0
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET + 1) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 0
 
     def test_stale_ids_skipped(self):
         asp = make_asp(huge=True)

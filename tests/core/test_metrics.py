@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsSamples
-from repro.core.metrics import PageSampleTable, sample_imbalance, sample_lar
+from repro.core.metrics import PageSampleTable, sample_lar
 from repro.vm.address_space import AddressSpace, BACKING_ID_2M_OFFSET
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M
@@ -135,14 +135,3 @@ class TestSampleMetrics:
     def test_lar(self):
         samples = make_samples([0, 1, 2, 3], [0, 0, 1, 1], homes=[0, 1, 1, 0])
         assert sample_lar(samples) == pytest.approx(50.0)
-
-    def test_imbalance_empty(self):
-        assert sample_imbalance(IbsSamples.empty(), 2) == 0.0
-
-    def test_imbalance_balanced(self):
-        samples = make_samples([0, 1], [0, 1], homes=[0, 1])
-        assert sample_imbalance(samples, 2) == pytest.approx(0.0)
-
-    def test_imbalance_skewed(self):
-        samples = make_samples([0, 1], [0, 1], homes=[0, 0])
-        assert sample_imbalance(samples, 2) == pytest.approx(100.0)

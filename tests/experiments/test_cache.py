@@ -10,15 +10,11 @@ import pytest
 
 import repro
 from repro.experiments import runner as runner_mod
-from repro.experiments.cache import (
-    ResultCache,
-    cache_enabled,
-    cache_root,
-    run_fingerprint,
-)
+from repro.experiments.cache import ResultCache, cache_enabled, cache_root
 from repro.experiments.runner import RunSpec, fingerprints, run_benchmark
 from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.sim.config import SimConfig
+from tests.per_run_fingerprint import run_fingerprint
 
 
 @pytest.fixture

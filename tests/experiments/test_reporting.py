@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.reporting import Report, format_bars, format_table
+from repro.experiments.reporting import Report, format_table
 
 
 class TestFormatTable:
@@ -20,21 +20,6 @@ class TestFormatTable:
     def test_empty_headers(self):
         with pytest.raises(ConfigurationError):
             format_table([], [])
-
-
-class TestFormatBars:
-    def test_positive_and_negative(self):
-        out = format_bars(["x", "y"], {"thp": [50.0, -25.0]})
-        assert "+50.0%" in out
-        assert "-25.0%" in out
-        assert "#" in out
-
-    def test_empty(self):
-        assert format_bars([], {}) == "(no data)"
-
-    def test_limit_clamps(self):
-        out = format_bars(["x"], {"s": [1000.0]}, width=20, limit=100)
-        assert "+1000.0%" in out
 
 
 class TestReport:

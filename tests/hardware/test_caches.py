@@ -1,4 +1,8 @@
-"""Tests for the Che/LRU cache approximation, including properties."""
+"""Tests for the Che/LRU cache approximation, including properties.
+
+The grouped forms are checked against the per-item model in
+``tests/per_item_che.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,13 +12,16 @@ from repro.errors import ConfigurationError
 from repro.hardware import caches
 from repro.hardware.caches import (
     CacheModel,
-    che_characteristic_time,
     che_characteristic_time_grouped,
     lru_group_hit_rates,
-    lru_hit_rate,
     lru_hit_rate_grouped,
 )
 from tests.full_bisection import solve_occupancy_full
+from tests.per_item_che import (
+    che_characteristic_time,
+    lru_hit_rate,
+    walk_l2_miss_rate,
+)
 
 
 class TestCharacteristicTime:
@@ -191,19 +198,19 @@ class TestBisectionEarlyExit:
 class TestCacheModel:
     def test_small_pte_set_hits(self):
         model = CacheModel(l2_lines_for_walks=512)
-        assert model.walk_l2_miss_rate(np.ones(100)) == pytest.approx(0.0, abs=0.05)
+        assert walk_l2_miss_rate(model, np.ones(100)) == pytest.approx(0.0, abs=0.05)
 
     def test_huge_pte_set_misses(self):
         model = CacheModel(l2_lines_for_walks=512)
-        assert model.walk_l2_miss_rate(np.ones(100_000)) > 0.8
+        assert walk_l2_miss_rate(model, np.ones(100_000)) > 0.8
 
     def test_empty_counts(self):
         model = CacheModel()
-        assert model.walk_l2_miss_rate(np.zeros(0)) == 0.0
+        assert walk_l2_miss_rate(model, np.zeros(0)) == 0.0
 
     def test_grouped_matches_flat(self):
         model = CacheModel(l2_lines_for_walks=256)
-        flat = model.walk_l2_miss_rate(np.ones(8000))
+        flat = walk_l2_miss_rate(model, np.ones(8000))
         grouped = model.walk_l2_miss_rate_grouped(
             np.array([8000.0]), np.array([1.0])
         )

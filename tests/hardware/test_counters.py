@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.counters import CounterBank, EpochCounters, merge_banks
+from repro.hardware.counters import CounterBank, EpochCounters
 
 
 def make_epoch(epoch=0, traffic=None, duration=1.0, **kwargs):
@@ -17,7 +17,6 @@ class TestEpochCounters:
     def test_requests(self):
         e = make_epoch(traffic=np.array([[3.0, 1.0], [2.0, 4.0]]))
         assert e.dram_requests == 10.0
-        assert e.local_requests == 7.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -96,36 +95,7 @@ class TestCounterBank:
         bank.add(make_epoch(duration=1.0, l2_data_misses=5e8))
         assert bank.maptu() == pytest.approx(500.0)
 
-    def test_time_breakdown(self):
-        bank = CounterBank(2, 4)
-        bank.add(make_epoch(time_cpu_s=1.0, time_dram_s=2.0))
-        bank.add(make_epoch(epoch=1, time_cpu_s=1.0, time_walk_s=0.5))
-        bd = bank.time_breakdown()
-        assert bd["cpu"] == pytest.approx(2.0)
-        assert bd["dram"] == pytest.approx(2.0)
-        assert bd["walk"] == pytest.approx(0.5)
-
     def test_describe_runs(self):
         bank = CounterBank(2, 4)
         bank.add(make_epoch())
         assert "epochs" in bank.describe()
-
-
-class TestMergeBanks:
-    def test_merge(self):
-        a = CounterBank(2, 4)
-        a.add(make_epoch(epoch=0))
-        b = CounterBank(2, 4)
-        b.add(make_epoch(epoch=1))
-        merged = merge_banks([a, b])
-        assert len(merged.epochs) == 2
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            merge_banks([])
-
-    def test_merge_shape_mismatch(self):
-        a = CounterBank(2, 4)
-        b = CounterBank(3, 4)
-        with pytest.raises(ConfigurationError):
-            merge_banks([a, b])

@@ -118,15 +118,6 @@ class TestIbsEngine:
         with pytest.raises(ConfigurationError):
             IbsEngine(n_nodes=2, rate=1.5)
 
-    def test_overhead_seconds(self):
-        engine = IbsEngine(n_nodes=2, rate=0.1, cost_cycles_per_sample=2000)
-        assert engine.overhead_seconds(1000, 2e9) == pytest.approx(1e-3)
-
-    def test_overhead_negative_rejected(self):
-        engine = IbsEngine(n_nodes=2)
-        with pytest.raises(ConfigurationError):
-            engine.overhead_seconds(-1, 2e9)
-
     @given(rate=st.floats(min_value=1e-5, max_value=1.0))
     @settings(max_examples=20, deadline=None)
     def test_sample_count_bounded_by_stream(self, rate):

@@ -40,7 +40,7 @@ class TestMachineB:
 
     def test_dram(self):
         topo = machine_b()
-        assert topo.total_dram_bytes == 512 * GIB
+        assert sum(node.dram_bytes for node in topo.nodes) == 512 * GIB
 
     def test_hops_bounded(self):
         topo = machine_b()

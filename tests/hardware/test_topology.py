@@ -43,33 +43,10 @@ class TestNumaTopology:
         topo = make_topo(n_nodes=2, cores=2)
         assert list(topo.core_to_node) == [0, 0, 1, 1]
 
-    def test_node_of_core(self):
-        topo = make_topo(n_nodes=2, cores=3)
-        assert topo.node_of_core(0) == 0
-        assert topo.node_of_core(5) == 1
-
-    def test_node_of_core_out_of_range(self):
-        topo = make_topo()
-        with pytest.raises(ConfigurationError):
-            topo.node_of_core(99)
-
-    def test_cores_of_node(self):
-        topo = make_topo(n_nodes=2, cores=2)
-        assert topo.cores_of_node(1) == [2, 3]
-
-    def test_cores_of_node_out_of_range(self):
-        topo = make_topo()
-        with pytest.raises(ConfigurationError):
-            topo.cores_of_node(7)
-
     def test_hops_diagonal_zero(self):
         topo = make_topo(n_nodes=3)
         for i in range(3):
             assert topo.hops(i, i) == 0
-
-    def test_total_dram(self):
-        topo = make_topo(n_nodes=4)
-        assert topo.total_dram_bytes == 4 * GIB
 
     def test_unordered_nodes_rejected(self):
         nodes = [NumaNode(1, 2, GIB), NumaNode(0, 2, GIB)]

@@ -44,6 +44,7 @@ from tests.per_page_kernel import (
     PerPageExecutor,
     migrate_backing_loop,
 )
+from tests.vm_helpers import node_of_backing
 
 MIB = 1 << 20
 
@@ -232,7 +233,7 @@ class TestMigrateBackings:
         replicated = np.flatnonzero(asp.replicated_4k)
         ids = np.concatenate([replicated, live_ids(asp)[:50]])
         ids = np.unique(ids)
-        targets = np.array([asp.node_of_backing(int(i)) for i in ids])
+        targets = np.array([node_of_backing(asp, int(i)) for i in ids])
         targets[np.isin(ids, replicated)] ^= 1
         moved, reached, _ = check_batch(asp, ids, targets, 1 << 40)
         assert reached == ids.size and not moved.any()

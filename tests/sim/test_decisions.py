@@ -38,6 +38,7 @@ from repro.vm.address_space import (
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_1G, GRANULES_PER_2M, PAGE_2M, PAGE_4K
 from repro.vm.thp import ThpState
+from tests.vm_helpers import node_of_backing
 
 GIB = 1 << 30
 
@@ -139,7 +140,7 @@ class TestExecutorApply:
         )
         assert summary.migrated_2m == 1
         assert summary.bytes_migrated == PAGE_2M
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1
 
     def test_migrate_noop_not_applied(self):
         host = make_host()
@@ -497,7 +498,7 @@ class TestConflictResolution:
         b = FakeDecider("b", [migrate((BACKING_ID_2M_OFFSET, 0))])
         run_stack(host, a, b)
         # b's migration back to node 0 was skipped as a conflict.
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1
         assert b.outcomes[0].reason == "conflict"
 
     def test_same_decider_may_touch_target_twice(self):
@@ -512,7 +513,7 @@ class TestConflictResolution:
         b = FakeDecider("b", [ChargeCompute(0.0)])
         run_stack(host, a, b)
         assert a.outcomes[0].applied and a.outcomes[1].applied
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 0
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 0
 
     def test_unapplied_decision_does_not_claim(self):
         host = make_host()
@@ -523,7 +524,7 @@ class TestConflictResolution:
         run_stack(host, a, b)
         assert not a.outcomes[0].applied
         assert b.outcomes[0].applied
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1
 
     def test_thp_toggle_is_a_shared_target(self):
         host = make_host()
@@ -566,8 +567,8 @@ class TestConflictResolution:
             (
                 Collapse2M(FIRST_4K_CHUNK),
                 migrate((BACKING_ID_2M_OFFSET + FIRST_4K_CHUNK, 1)),
-                lambda host: host.asp.node_of_backing(
-                    BACKING_ID_2M_OFFSET + FIRST_4K_CHUNK
+                lambda host: node_of_backing(
+                    host.asp, BACKING_ID_2M_OFFSET + FIRST_4K_CHUNK
                 )
                 == 0,
             ),
@@ -575,7 +576,7 @@ class TestConflictResolution:
                 migrate((BACKING_ID_2M_OFFSET, 1)),
                 Split2M(BACKING_ID_2M_OFFSET),
                 lambda host: host.asp.huge[0]
-                and host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1,
+                and node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1,
             ),
             (
                 # Unblocked, so only the claim keeps b from re-collapsing.
@@ -650,8 +651,8 @@ class TestBatchClaims:
         (outcome,) = b.outcomes
         assert outcome.applied
         assert outcome.entry_bytes.tolist() == [0, PAGE_2M]
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET + 1) == 1
 
     def test_batch_claims_only_the_pages_it_moved(self):
         host = make_host()
@@ -672,8 +673,8 @@ class TestBatchClaims:
         assert b.outcomes[0].applied
         assert b.outcomes[1].reason == "conflict"
         assert b.outcomes[2].reason == "conflict"
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
-        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(host.asp, BACKING_ID_2M_OFFSET + 1) == 1
 
     def test_targets_built_only_inside_a_stack(self, monkeypatch):
         built = []

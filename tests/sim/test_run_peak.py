@@ -6,9 +6,11 @@ space and a ``float64`` copy of every 4KB-backed weight, 18 to 20 bytes
 per granule on top of what the run keeps (the per-granule form lives on
 in ``tests/per_granule_stats.py``).  The invariant checker's address-space
 check built the same kind of index arrays every epoch (its per-granule
-form lives on in ``tests/per_granule_checks.py``).  These tests bound
-those transients under ``tracemalloc``, with the garbage collector off
-(``refcount_only``) so a freed array is gone when it is freed.
+form lives on in ``tests/per_granule_checks.py``), and its page
+conservation gathered every mapped granule's node as ``int64``.  These
+tests bound those transients under ``tracemalloc``, with the garbage
+collector off (``refcount_only``) so a freed array is gone when it is
+freed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis.invariants import check_address_space
+from repro.analysis.invariants import check_address_space, check_host_conservation
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
@@ -73,6 +75,22 @@ def test_check_address_space_allocates_under_4_mib(refcount_only, layout):
     tracemalloc.start()
     try:
         check_address_space(asp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MIB
+
+
+@pytest.mark.parametrize("layout", ["all-4k", "mixed"])
+def test_check_host_conservation_allocates_under_4_mib(refcount_only, layout):
+    """Page conservation counts each node's 4KB mappings through a
+    ``bool`` comparison: 1.5 MiB here, where gathering every mapped
+    granule's node as ``int64`` took 13.8 MiB on the fully 4KB-mapped
+    space."""
+    asp = _mapped(layout)
+    tracemalloc.start()
+    try:
+        check_host_conservation(asp.phys, [asp])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,10 +6,8 @@ import pytest
 from repro import errors
 from repro._util import (
     SeedHasher,
-    as_int_array,
     ceil_div,
     human_bytes,
-    pct,
     rng_for,
     rng_from_state,
     stable_seed,
@@ -92,17 +90,6 @@ class TestSeedHasher:
             SeedHasher()
 
 
-class TestAsIntArray:
-    def test_scalar_becomes_1d(self):
-        arr = as_int_array(7)
-        assert arr.shape == (1,)
-        assert arr.dtype == np.int64
-
-    def test_list(self):
-        arr = as_int_array([1, 2, 3])
-        assert arr.tolist() == [1, 2, 3]
-
-
 class TestCeilDiv:
     def test_exact(self):
         assert ceil_div(8, 4) == 2
@@ -119,9 +106,6 @@ class TestCeilDiv:
 
 
 class TestFormatting:
-    def test_pct(self):
-        assert pct(12.345) == "12.3%"
-
     def test_human_bytes_small(self):
         assert human_bytes(512) == "512 B"
 

@@ -12,7 +12,14 @@ from repro.vm.address_space import (
     BACKING_ID_2M_OFFSET,
 )
 from repro.vm.frame_allocator import PhysicalMemory
-from repro.vm.layout import GRANULES_PER_1G, GRANULES_PER_2M, PAGE_2M, PageSize
+from repro.vm.layout import (
+    GRANULES_PER_1G,
+    GRANULES_PER_2M,
+    PAGE_2M,
+    PAGE_4K,
+    PageSize,
+)
+from tests.vm_helpers import node_of_backing
 
 GIB = 1 << 30
 
@@ -108,7 +115,7 @@ class TestPremap:
         asp = make_asp()
         asp.premap_pattern_2m(0, np.array([0, 1, 0], dtype=np.int8))
         assert asp.page_counts()[PageSize.SIZE_2M] == 3
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET + 1) == 1
         check_address_space(asp)
 
     def test_premap_pattern_2m_overlap_rejected(self):
@@ -175,7 +182,7 @@ class TestSplitCollapse:
         )
         asp.premap_pattern_4k(0, nodes)
         assert asp.collapse_chunk(0)
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 1
         check_address_space(asp)
 
     def test_collapse_partial_chunk_refused(self):
@@ -187,7 +194,7 @@ class TestSplitCollapse:
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(512, dtype=np.int8))
         assert asp.collapse_chunk(0, node=1)
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 1
 
     def test_split_collapse_roundtrip_accounting(self):
         asp = make_asp()
@@ -217,7 +224,7 @@ class TestMigration:
         asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
         moved = asp.migrate_backing(BACKING_ID_2M_OFFSET, 1)
         assert moved == PAGE_2M
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 1
         check_address_space(asp)
 
     def test_migrate_unmapped_rejected(self):
@@ -308,7 +315,7 @@ class Test1GPages:
         asp.map_range_1g(0, GRANULES_PER_1G, node=0)
         moved = asp.migrate_backing(BACKING_ID_1G_OFFSET, 1)
         assert moved == 1 << 30
-        assert asp.node_of_backing(BACKING_ID_1G_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_1G_OFFSET) == 1
 
 
 class TestIntrospection:
@@ -324,6 +331,44 @@ class TestIntrospection:
         per = asp.bytes_per_node()
         assert per[0] == PAGE_2M
         assert per[1] == PAGE_2M
+
+    def test_bytes_per_node_counts_4k_pages(self):
+        asp = make_asp(n_nodes=3)
+        asp.premap_pattern_4k(7, np.array([2, 0, 2, 2, 0, 2], dtype=np.int8))
+        assert asp.bytes_per_node().tolist() == [2 * PAGE_4K, 0, 4 * PAGE_4K]
+
+    def test_bytes_per_node_counts_1g_pages(self):
+        asp = AddressSpace(2 * GRANULES_PER_1G, PhysicalMemory([4 * GIB, 4 * GIB]))
+        asp.map_range_1g(GRANULES_PER_1G, GRANULES_PER_1G, node=1)
+        assert asp.bytes_per_node().tolist() == [0, GIB]
+
+    def test_an_empty_space_holds_no_bytes_on_any_node(self):
+        per = make_asp(n_nodes=3).bytes_per_node()
+        assert per.dtype == np.int64
+        assert per.tolist() == [0, 0, 0]
+
+    def test_reclaimed_granules_leave_their_node(self):
+        asp = make_asp()
+        asp.premap_pattern_4k(0, np.ones(8, dtype=np.int8))
+        asp.reclaim_granules(np.arange(3))
+        assert asp.bytes_per_node().tolist() == [0, 5 * PAGE_4K]
+
+    def test_bytes_per_node_matches_a_per_granule_count(self):
+        """Each node's mapped bytes, in a space mixing all three page
+        sizes with holes, equal a count of every granule's home."""
+        asp = AddressSpace(2 * GRANULES_PER_1G, PhysicalMemory([4 * GIB] * 3))
+        asp.map_range_1g(GRANULES_PER_1G, GRANULES_PER_1G, node=2)
+        asp.premap_pattern_2m(0, np.array([1, 0, 1], dtype=np.int8))
+        rng = np.random.default_rng(0)
+        granules = rng.choice(
+            np.arange(3 * GRANULES_PER_2M, GRANULES_PER_1G), 4000, replace=False
+        )
+        for node in range(3):
+            asp.fault_in(granules[node::3], node=node, thp_alloc=False)
+        homes = asp.home_nodes(np.arange(asp.n_granules))
+        want = np.bincount(homes[homes >= 0], minlength=3) * PAGE_4K
+        assert asp.bytes_per_node().tolist() == want.tolist()
+        assert int(asp.bytes_per_node().sum()) == asp.mapped_bytes()
 
 
 class TestProperties:

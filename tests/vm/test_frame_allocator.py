@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AllocationError, ConfigurationError
 from repro.vm.frame_allocator import BuddyAllocator, NodeMemory, PhysicalMemory
 from repro.vm.layout import ORDER_1G, ORDER_2M, PAGE_2M, PAGE_4K
+from tests.vm_helpers import check_buddy_invariants, free_blocks
 
 MIB_FRAMES = 256  # 1 MiB worth of 4K frames
 
@@ -22,7 +23,7 @@ class TestBuddyBasics:
         assert b.free_frames == (1 << 12) - 8
         b.free(start, 3)
         assert b.free_frames == 1 << 12
-        b.check_invariants()
+        check_buddy_invariants(b)
 
     def test_alignment(self):
         b = BuddyAllocator(1 << 12)
@@ -35,9 +36,9 @@ class TestBuddyBasics:
         blocks = [b.alloc(0) for _ in range(4)]
         for start in blocks:
             b.free(start, 0)
-        b.check_invariants()
+        check_buddy_invariants(b)
         # Everything merged back: one max-order block again.
-        assert b.free_blocks(10) == 1
+        assert free_blocks(b, 10) == 1
 
     def test_exhaustion_raises(self):
         b = BuddyAllocator(8, max_order=3)
@@ -80,7 +81,7 @@ class TestBuddyBasics:
         # 1000 frames = 512 + 256 + 128 + 64 + 32 + 8
         b = BuddyAllocator(1000, max_order=9)
         assert b.free_frames == 1000
-        b.check_invariants()
+        check_buddy_invariants(b)
 
     def test_fragmentation_blocks_large_alloc(self):
         b = BuddyAllocator(1 << 10, max_order=10)
@@ -123,7 +124,7 @@ class TestBuddyProperties:
             elif live:
                 start, o = live.pop()
                 b.free(start, o)
-        b.check_invariants()
+        check_buddy_invariants(b)
         allocated = sum(1 << o for _, o in live)
         assert b.allocated_frames == allocated
 
@@ -139,9 +140,9 @@ class TestBuddyProperties:
                 pass
         for start, order in live:
             b.free(start, order)
-        b.check_invariants()
+        check_buddy_invariants(b)
         assert b.free_frames == 1 << 12
-        assert b.free_blocks(12) == 1
+        assert free_blocks(b, 12) == 1
 
     @given(orders=st.lists(st.integers(0, 6), min_size=2, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -248,7 +249,7 @@ class TestPhysicalMemory:
     def test_for_topology(self, tiny_topo):
         phys = PhysicalMemory.for_topology(tiny_topo)
         assert len(phys) == 2
-        assert phys.total_free_bytes == tiny_topo.total_dram_bytes
+        assert phys.total_free_bytes == sum(n.dram_bytes for n in tiny_topo.nodes)
 
     def test_node_with_most_free(self):
         phys = PhysicalMemory([4 * PAGE_2M, 8 * PAGE_2M])

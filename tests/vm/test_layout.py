@@ -14,11 +14,6 @@ from repro.vm.layout import (
     PAGE_2M,
     PAGE_4K,
     PageSize,
-    chunk_1g_of,
-    chunk_2m_of,
-    chunks_1g_of_granules,
-    chunks_2m_of_granules,
-    granules_of_bytes,
 )
 
 
@@ -44,35 +39,3 @@ class TestPageSize:
         assert PageSize.SIZE_4K.order == 0
         assert PageSize.SIZE_2M.order == 9
         assert PageSize.SIZE_1G.order == 18
-
-
-class TestArithmetic:
-    def test_granules_of_bytes_rounds_up(self):
-        assert granules_of_bytes(1) == 1
-        assert granules_of_bytes(4096) == 1
-        assert granules_of_bytes(4097) == 2
-
-    def test_granules_of_bytes_zero(self):
-        assert granules_of_bytes(0) == 0
-
-    def test_granules_of_bytes_negative(self):
-        with pytest.raises(ValueError):
-            granules_of_bytes(-1)
-
-    def test_chunk_counts_round_up(self):
-        assert chunks_2m_of_granules(1) == 1
-        assert chunks_2m_of_granules(512) == 1
-        assert chunks_2m_of_granules(513) == 2
-        assert chunks_1g_of_granules(262144) == 1
-        assert chunks_1g_of_granules(262145) == 2
-
-    def test_chunk_counts_negative(self):
-        with pytest.raises(ValueError):
-            chunks_2m_of_granules(-1)
-        with pytest.raises(ValueError):
-            chunks_1g_of_granules(-1)
-
-    def test_chunk_of_vectorised(self):
-        g = np.array([0, 511, 512, 262143, 262144])
-        assert list(chunk_2m_of(g)) == [0, 0, 1, 511, 512]
-        assert list(chunk_1g_of(g)) == [0, 0, 0, 0, 1]

@@ -34,13 +34,15 @@ class TestMigrationTime:
 
     def test_2m_migration_costlier_than_4k(self):
         model = MigrationCostModel()
-        assert model.migration_time_for_pages_s(0, 1) > model.migration_time_for_pages_s(1, 0)
+        assert model.migration_time_s(PAGE_2M, 1) > model.migration_time_s(PAGE_4K, 1)
 
     def test_2m_cheaper_than_512_4k(self):
         # Moving one 2MB page beats moving its 512 constituents
         # (fewer fixed costs), which is why Carrefour-2M prefers it.
         model = MigrationCostModel()
-        assert model.migration_time_for_pages_s(0, 1) < model.migration_time_for_pages_s(512, 0)
+        assert model.migration_time_s(PAGE_2M, 1) < model.migration_time_s(
+            512 * PAGE_4K, 512
+        )
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError, MappingError
 from repro.vm.address_space import AddressSpace, BACKING_ID_2M_OFFSET
 from repro.vm.frame_allocator import NodeMemory, PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M, ORDER_2M, PAGE_2M, PAGE_4K
+from tests.vm_helpers import check_buddy_invariants, free_blocks
 
 GIB = 1 << 30
 
@@ -121,7 +122,7 @@ class TestPinFragmented:
         pinned = node.pin_fragmented(int(GIB * 0.7))
         assert pinned == node.pinned_bytes
         assert pinned == pytest.approx(0.7 * GIB, rel=0.01)
-        node.buddy.check_invariants()
+        check_buddy_invariants(node.buddy)
 
     def test_high_pressure_destroys_huge_contiguity(self):
         node = NodeMemory(0, GIB)
@@ -139,7 +140,7 @@ class TestPinFragmented:
         # must still serve huge allocations.
         assert node.can_alloc_huge()
         intact = sum(
-            node.buddy.free_blocks(order) << (order - ORDER_2M)
+            free_blocks(node.buddy, order) << (order - ORDER_2M)
             for order in range(ORDER_2M, node.buddy.max_order + 1)
         )
         assert intact == pytest.approx(0.4 * blocks_before, rel=0.05)
@@ -149,7 +150,7 @@ class TestPinFragmented:
         node.pin_fragmented(int(GIB * 0.7))
         node.alloc_small(1024)
         assert node.used_bytes >= node.pinned_bytes + 1024 * PAGE_4K
-        node.buddy.check_invariants()
+        check_buddy_invariants(node.buddy)
 
     def test_negative_target_rejected(self):
         node = NodeMemory(0, GIB)

@@ -6,6 +6,7 @@ from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M, PageSize
 from repro.vm.thp import ThpState, khugepaged_scan
+from tests.vm_helpers import node_of_backing
 
 GIB = 1 << 30
 
@@ -86,4 +87,4 @@ class TestKhugepaged:
         khugepaged_scan(state, asp)
         from repro.vm.address_space import BACKING_ID_2M_OFFSET
 
-        assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert node_of_backing(asp, BACKING_ID_2M_OFFSET) == 1

@@ -121,17 +121,6 @@ class TestWorkloadInstance:
         groups = inst.tlb_groups(0, 0)
         assert sum(g.weight for g in groups) == pytest.approx(1.0)
 
-    def test_thread_node(self, tiny_topo):
-        inst = make_instance(tiny_topo)
-        assert inst.thread_node(0) == 0
-        assert inst.thread_node(inst.n_threads - 1) == tiny_topo.n_nodes - 1
-
-    def test_region_named(self, tiny_topo):
-        inst = make_instance(tiny_topo)
-        assert inst.region_named("p").name == "p"
-        with pytest.raises(KeyError):
-            inst.region_named("nope")
-
     def test_with_1g_backing_rebinds(self, tiny_topo):
         inst = make_instance(tiny_topo)
         inst_1g = inst.with_1g_backing()

@@ -59,7 +59,8 @@ class TestAllSpecsInstantiate:
             assert inst.n_threads == topo.n_cores
             assert inst.total_epochs > 0
             # Footprint fits comfortably in the machine's DRAM.
-            assert inst.n_granules * 4096 < topo.total_dram_bytes // 2
+            dram = sum(node.dram_bytes for node in topo.nodes)
+            assert inst.n_granules * 4096 < dram // 2
 
     @pytest.mark.parametrize("name", FIGURE1_ORDER)
     def test_streams_and_groups_valid(self, name, machine_a_topo):

@@ -16,6 +16,7 @@ import gc
 import os
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.experiments.runner import RunSpec
 from repro.options import CACHE_ENABLE_ENV, STREAM_CACHE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.tracker import AccessTracker
+from repro.vm.layout import SHIFT_1G, SHIFT_2M
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import (
     HotRegion,
@@ -38,9 +40,12 @@ from repro.workloads.streambank import (
     EPOCH_WINDOW,
     _MAX_BLOCKS_PER_BANK,
     StreamBank,
+    _offsets,
+    _run_starts,
     bank_fingerprint,
     clear_stream_banks,
     get_stream_bank,
+    weight_scale,
 )
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
 from tests.per_thread_streams import SIM_SEED, sequential_rows, update
@@ -80,9 +85,14 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
 
 
 def row_aggregates(bank, epoch):
-    """One epoch's ``(tracker columns, sharing summary)`` from the
-    bank's row helper, the row filled first."""
+    """One epoch's ``(keys, counts, sharing)`` from the bank's row
+    helper, the row filled first."""
     return bank._aggregate_row(*bank._ensure_row(epoch))
+
+
+def split_keys(bank, keys):
+    """A row's packed aggregation keys as ``(granules, threads)``."""
+    return keys >> bank._tbits, keys & ((1 << bank._tbits) - 1)
 
 
 def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
@@ -158,7 +168,7 @@ class TestBatchedEquivalence:
         _, writes, sizes = bank.epoch_arrays(1)
         assert (sizes == 0).all()
         assert not writes.any()
-        _, sharing = row_aggregates(bank, 1)
+        _, _, sharing = row_aggregates(bank, 1)
         ids, first, multi, level_offsets = sharing
         assert ids.size == first.size == multi.size == 0
         assert (level_offsets == 0).all()
@@ -168,20 +178,145 @@ class TestBatchedEquivalence:
         assert (tracker._first_4k == -1).all()
 
 
+def assert_columns_match_numpy_unique(bank, epoch):
+    """A row's keys are sorted and distinct, and each thread's entries,
+    in key (granule) order, are its ``np.unique(stream,
+    return_counts=True)``."""
+    streams, _, sizes = bank.epoch_arrays(epoch)
+    keys, counts, _ = row_aggregates(bank, epoch)
+    assert (np.diff(keys) > 0).all()
+    ids, threads = split_keys(bank, keys)
+    for t in range(bank.n_threads):
+        ref_u, ref_c = np.unique(streams[t, : int(sizes[t])],
+                                 return_counts=True)
+        np.testing.assert_array_equal(ids[threads == t], ref_u)
+        np.testing.assert_array_equal(counts[threads == t], ref_c)
+
+
 class TestTrackerColumns:
     def test_columns_match_numpy_unique(self, tiny_topo):
-        """Each thread's segment of the fused columns is its
-        ``np.unique(stream, return_counts=True)``."""
+        """Full rows: every thread draws ``length`` accesses."""
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        streams, _, sizes = bank.epoch_arrays(0)
-        (ids, offsets, counts, _), _ = row_aggregates(bank, 0)
-        for t in range(inst.n_threads):
-            lo, hi = int(offsets[t]), int(offsets[t + 1])
-            ref_u, ref_c = np.unique(streams[t, : int(sizes[t])],
-                                     return_counts=True)
-            np.testing.assert_array_equal(ids[lo:hi], ref_u)
-            np.testing.assert_array_equal(counts[lo:hi], ref_c)
+        for epoch in range(inst.total_epochs):
+            assert (bank.epoch_arrays(epoch)[2] == LENGTH).all()
+            assert_columns_match_numpy_unique(bank, epoch)
+
+    def test_ragged_replay_row(self, tiny_topo):
+        """Threads of a replay draw different numbers of accesses, one
+        of them none."""
+        bank = ragged_replay_bank(tiny_topo)
+        np.testing.assert_array_equal(bank.epoch_arrays(0)[2], [5, 9, 0, 2])
+        assert_columns_match_numpy_unique(bank, 0)
+
+
+def ragged_replay_bank(topo):
+    """A one-epoch replay on a 4-thread machine whose threads draw 5, 9,
+    0 and 2 accesses."""
+    cost = CostProfile(cpu_seconds=0.1, mem_accesses=1e6, dram_accesses=1e5)
+    thread = np.array([0] * 5 + [1] * 9 + [3] * 2, dtype=np.int64)
+    trace = TraceData(
+        n_threads=4,
+        n_granules=64,
+        total_epochs=1,
+        thread=thread,
+        epoch=np.zeros(thread.size, dtype=np.int64),
+        granule=np.array([3, 9, 3, 1, 40, 9, 9, 2, 3, 63, 1, 1, 0, 3,
+                          9, 9], dtype=np.int64),
+        is_write=np.zeros(thread.size, dtype=bool),
+        cost=cost,
+        tlb_run_length=8.0,
+    )
+    replay = TraceWorkloadInstance("ragged", topo, trace)
+    return StreamBank(replay, SIM_SEED, 16)
+
+
+class TestWeightScale:
+    """``weight_scale`` is the one per-thread weight the engine's
+    traffic bins and a bank's tracker counts share."""
+
+    def test_active_threads_share_the_epoch_accesses(self):
+        scale = weight_scale(1e5, np.array([4, 10, 250]))
+        np.testing.assert_array_equal(scale, [1e5 / 4, 1e5 / 10, 1e5 / 250])
+
+    def test_idle_threads_weigh_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = weight_scale(1e5, np.array([0, 8, 0, 2]))
+        np.testing.assert_array_equal(scale, [0.0, 1e5 / 8, 0.0, 1e5 / 2])
+
+    def test_an_idle_row_weighs_nothing(self):
+        scale = weight_scale(1e5, np.zeros(3, dtype=np.int64))
+        assert scale.dtype == np.float64
+        assert not scale.any()
+
+    def test_each_active_thread_weighs_the_epoch_accesses(self, tiny_topo):
+        """Scaled by thread, a row's counts add up to the epoch's DRAM
+        accesses for every thread that drew any, and to zero for one
+        that drew none."""
+        bank = ragged_replay_bank(tiny_topo)
+        dram = bank.instance.cost.dram_accesses
+        keys, counts, _ = row_aggregates(bank, 0)
+        _, threads = split_keys(bank, keys)
+        scale = weight_scale(dram, bank.epoch_arrays(0)[2])
+        per_thread = np.bincount(
+            threads, weights=counts * scale[threads], minlength=bank.n_threads
+        )
+        np.testing.assert_allclose(per_thread, [dram, dram, 0.0, dram])
+
+
+class TestRunHelpers:
+    def test_run_starts_of_an_empty_row(self):
+        assert _run_starts(np.array([], dtype=np.int64)).size == 0
+
+    def test_run_starts_of_a_single_run(self):
+        np.testing.assert_array_equal(_run_starts(np.full(5, 7)), [0])
+
+    def test_run_starts_mark_each_change(self):
+        np.testing.assert_array_equal(
+            _run_starts(np.array([2, 2, 5, 7, 7, 7, 2])), [0, 2, 3, 6]
+        )
+
+    def test_offsets_end_with_the_total(self):
+        offsets = _offsets([np.arange(3), np.arange(0), np.arange(5)])
+        assert offsets.dtype == np.int64
+        np.testing.assert_array_equal(offsets, [0, 3, 3, 8])
+
+
+def assert_sharing_matches_thread_sets(bank, epoch):
+    """Each level of a row's sharing summary lists, in ascending order,
+    the pages any thread touched, the lowest thread touching each, and
+    whether two or more threads did."""
+    streams, _, sizes = bank.epoch_arrays(epoch)
+    ids, first, multi, level_offsets = row_aggregates(bank, epoch)[2]
+    assert level_offsets[0] == 0
+    assert level_offsets[-1] == ids.size
+    for level, shift in enumerate((0, SHIFT_2M, SHIFT_1G)):
+        touched = {}
+        for t in range(bank.n_threads):
+            for page in np.unique(streams[t, : int(sizes[t])] >> shift).tolist():
+                touched.setdefault(page, []).append(t)
+        pages = sorted(touched)
+        lo, hi = level_offsets[level], level_offsets[level + 1]
+        np.testing.assert_array_equal(ids[lo:hi], pages)
+        np.testing.assert_array_equal(
+            first[lo:hi], [touched[p][0] for p in pages]
+        )
+        np.testing.assert_array_equal(
+            multi[lo:hi], [len(touched[p]) > 1 for p in pages]
+        )
+
+
+class TestSharingLevels:
+    @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
+    def test_levels_match_thread_sets(self, kind, tiny_topo):
+        inst = make_instance(REGION_FACTORIES[kind](), tiny_topo)
+        bank = StreamBank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            assert_sharing_matches_thread_sets(bank, epoch)
+
+    def test_ragged_replay_row(self, tiny_topo):
+        assert_sharing_matches_thread_sets(ragged_replay_bank(tiny_topo), 0)
 
 
 class TestBankMemoization:
@@ -360,10 +495,12 @@ def assert_fused_matches_update(bank, instance, n_epochs):
         for t in range(bank.n_threads):
             n = int(sizes[t])
             update(seq, t, streams[t, :n], float(scale[t]))
-        (ids, offsets, counts, scaled), sharing = row_aggregates(bank, epoch)
-        assert offsets.shape == (bank.n_threads + 1,)
-        assert int(offsets[-1]) == ids.size == counts.size == scaled.size
-        fused.add_epoch(ids, scaled)
+        keys, counts, sharing = row_aggregates(bank, epoch)
+        assert (np.diff(keys) > 0).all()
+        assert counts.shape == keys.shape
+        assert int(counts.sum()) == int(sizes.sum())
+        ids, threads = split_keys(bank, keys)
+        fused.add_epoch(ids, counts * scale[threads])
         fused.merge_epoch_sharing(sharing)
     assert_same_fold(fused, seq)
     assert_same_fold(bank.tracker(n_epochs), seq)
@@ -397,9 +534,8 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("sparse", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        (ids, offsets, counts, scaled), _ = row_aggregates(bank, 1)
-        assert ids.size == counts.size == scaled.size == 0
-        assert (offsets == 0).all()
+        keys, counts, _ = row_aggregates(bank, 1)
+        assert keys.size == counts.size == 0
         assert_fused_matches_update(bank, replay, 3)
 
     def test_single_thread_epochs(self):
@@ -416,8 +552,9 @@ class TestFusedEpochAggregation:
         inst = make_instance(REGION_FACTORIES["mixed"](), solo)
         assert inst.n_threads == 1
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        (ids, offsets, counts, _), _ = row_aggregates(bank, 0)
-        assert offsets.shape == (2,)
+        keys, _, _ = row_aggregates(bank, 0)
+        ids, threads = split_keys(bank, keys)
+        assert not threads.any()
         np.testing.assert_array_equal(
             ids, np.unique(bank.epoch_arrays(0)[0][0])
         )
@@ -448,30 +585,13 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("tail", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        (ids, offsets, counts, _), (p_ids, p_first, _, _) = row_aggregates(
-            bank, 0
-        )
-        assert (offsets[: last + 1] == 0).all()
+        keys, counts, (p_ids, p_first, _, _) = row_aggregates(bank, 0)
+        ids, threads = split_keys(bank, keys)
+        assert (threads == last).all()
         np.testing.assert_array_equal(ids, [7, 9, 11])
         np.testing.assert_array_equal(counts, [2, 2, 1])
         assert (p_first == last).all()
         assert_fused_matches_update(bank, replay, 2)
-
-    def test_ragged_and_full_paths_agree(self, tiny_topo):
-        """The vectorized row-sort aggregation (full rows) equals the
-        per-thread np.unique fallback on the same data."""
-        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
-        bank = StreamBank(inst, SIM_SEED, LENGTH)
-        block, i = bank._ensure_row(2)
-        fast = bank._aggregate_tracker(block, i)
-        forced = bank.length
-        try:
-            bank.length = -1  # any mismatch forces the ragged path
-            slow = bank._aggregate_tracker(block, i)
-        finally:
-            bank.length = forced
-        for a, b in zip(fast, slow):
-            np.testing.assert_array_equal(a, b)
 
 
 #: Every way a row is reached: the engine's two accessors and the row
@@ -507,12 +627,11 @@ def bank_row(bank, epoch):
 
 
 def assert_rows_equal(got, want):
-    for a, b in zip(got[:3], want[:3]):
+    for a, b in zip(got[:5], want[:5]):
         np.testing.assert_array_equal(a, b)
-    for columns in (3, 4):
-        for a, b in zip(got[columns], want[columns]):
-            np.testing.assert_array_equal(a, b)
-    assert got[5] == want[5]
+    for a, b in zip(got[5], want[5]):
+        np.testing.assert_array_equal(a, b)
+    assert got[6] == want[6]
 
 
 class TestLazyFill:
@@ -583,12 +702,11 @@ class TestStoredAggregates:
         with np.load(path) as stored:
             got = {key: stored[key] for key in stored.files}
         rows = [row_aggregates(bank, e) for e in range(inst.total_epochs)]
-        tracker, sharing = zip(*rows)
+        keys, counts, sharing = zip(*rows)
         want = {
-            "t_ids": np.concatenate([t[0] for t in tracker]),
-            "t_counts": np.concatenate([t[2] for t in tracker]),
-            "t_row": np.cumsum([0] + [t[0].size for t in tracker]),
-            "t_off": np.stack([t[1] for t in tracker]),
+            "t_keys": np.concatenate(keys),
+            "t_counts": np.concatenate(counts),
+            "t_row": np.cumsum([0] + [k.size for k in keys]),
             "s_ids": np.concatenate([p[0] for p in sharing]),
             "s_first": np.concatenate([p[1] for p in sharing]),
             "s_multi": np.concatenate([p[2] for p in sharing]),
@@ -623,6 +741,159 @@ class TestStoredAggregates:
         for n in (total, EPOCH_WINDOW + 1):
             assert_same_fold(loaded.tracker(n), generated.tracker(n))
             assert_same_fold(writer.tracker(n), generated.tracker(n))
+
+    def test_a_block_in_the_older_layout_is_rebuilt(
+        self, tiny_topo, tmp_path, monkeypatch
+    ):
+        """A block whose ``agg.npz`` holds each thread's ``np.unique``
+        ids and per-thread offsets (``t_ids``/``t_off``, the layout
+        before packed keys) reads as a miss: its rows are generated
+        again, the block is rewritten with keys, and every fold is
+        bit-identical."""
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        total = 3
+
+        def instance():
+            return make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                                 total_epochs=total)
+
+        writer = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            writer.fold_tracker(epoch)
+        path = os.path.join(str(tmp_path), writer.fingerprint, "b0.agg.npz")
+        with np.load(path) as stored:
+            current = {key: stored[key] for key in stored.files}
+        older = {k: v for k, v in current.items() if k.startswith("s_")}
+        older.update(older_tracker_columns(writer, total))
+        with open(path, "wb") as fh:
+            np.savez(fh, **older)
+
+        clear_stream_banks()
+        generated = []
+        generate_row = StreamBank._generate_row
+
+        def counted(self, block, i):
+            generated.append(block.epoch0 + i)
+            return generate_row(self, block, i)
+
+        monkeypatch.setattr(StreamBank, "_generate_row", counted)
+        rebuilt = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            rebuilt.fold_tracker(epoch)
+        assert generated == list(range(total))
+        assert rebuilt._blocks[0].stored is None
+        with np.load(path) as stored:
+            assert sorted(stored.files) == sorted(current)
+            for key, array in current.items():
+                np.testing.assert_array_equal(stored[key], array, err_msg=key)
+
+        clear_stream_banks()
+        loaded = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            loaded.fold_tracker(epoch)
+        assert generated == list(range(total))
+        assert loaded._blocks[0].stored is not None
+        want = StreamBank(instance(), SIM_SEED, LENGTH).tracker(total)
+        for bank in (writer, rebuilt, loaded):
+            assert_same_fold(bank.tracker(total), want)
+
+
+def older_tracker_columns(bank, n_epochs):
+    """The tracker columns of ``agg.npz`` before packed keys: per row,
+    every thread's ``np.unique`` ids and counts in thread order, rows
+    delimited by ``t_row`` and each row's threads by ``t_off``."""
+    ids, counts, t_off = [], [], []
+    for epoch in range(n_epochs):
+        streams, _, sizes = bank.epoch_arrays(epoch)
+        unique = [
+            np.unique(streams[t, : int(sizes[t])], return_counts=True)
+            for t in range(bank.n_threads)
+        ]
+        ids.append(np.concatenate([u for u, _ in unique]))
+        counts.append(np.concatenate([c for _, c in unique]))
+        t_off.append(np.cumsum([0] + [u.size for u, _ in unique]))
+    return {
+        "t_ids": np.concatenate(ids),
+        "t_counts": np.concatenate(counts),
+        "t_row": np.cumsum([0] + [a.size for a in ids]),
+        "t_off": np.stack(t_off),
+    }
+
+
+def bumped(array, index):
+    """A copy of ``array`` with one entry raised by one."""
+    out = array.copy()
+    out[index] += 1
+    return out
+
+
+#: Ways a stored ``agg.npz`` payload can disagree with its block.
+PAYLOAD_FAULTS = {
+    "older-layout": lambda agg: {
+        k: v for k, v in agg.items() if k != "t_keys"
+    },
+    "row-offsets-short": lambda agg: {**agg, "t_row": agg["t_row"][:-1]},
+    "row-offsets-past-the-keys": lambda agg: {
+        **agg, "t_row": bumped(agg["t_row"], -1)
+    },
+    "counts-shorter-than-keys": lambda agg: {
+        **agg, "t_counts": agg["t_counts"][:-1]
+    },
+    "counts-off-the-sizes": lambda agg: {
+        **agg, "t_counts": bumped(agg["t_counts"], 0)
+    },
+    "sharing-offsets-short": lambda agg: {**agg, "s_row": agg["s_row"][:-1]},
+    "sharing-offsets-past-the-ids": lambda agg: {
+        **agg, "s_row": bumped(agg["s_row"], -1)
+    },
+    "first-shorter-than-ids": lambda agg: {
+        **agg, "s_first": agg["s_first"][:-1]
+    },
+    "multi-shorter-than-ids": lambda agg: {
+        **agg, "s_multi": agg["s_multi"][:-1]
+    },
+    "level-offsets-short": lambda agg: {**agg, "s_lvl": agg["s_lvl"][:, :-1]},
+    "level-offsets-off-the-row": lambda agg: {
+        **agg, "s_lvl": bumped(agg["s_lvl"], (0, -1))
+    },
+}
+
+
+class TestStoredPayload:
+    """A stored block's rows read back as the row helper computed them,
+    and a payload that disagrees with its block reads as a miss."""
+
+    @pytest.fixture
+    def stored(self, tiny_topo, tmp_path, monkeypatch):
+        """A persisted three-epoch bank and its ``agg.npz`` payload."""
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=3)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+        path = os.path.join(str(tmp_path), bank.fingerprint, "b0.agg.npz")
+        with np.load(path) as npz:
+            agg = {key: npz[key] for key in npz.files}
+        return bank, agg
+
+    def test_a_consistent_payload_reads_back_each_row(self, stored):
+        bank, agg = stored
+        rows = bank._rows_from_agg(agg, bank._blocks[0].sizes, 3)
+        assert len(rows) == 3
+        for epoch, (keys, counts, sharing) in enumerate(rows):
+            want_keys, want_counts, want_sharing = row_aggregates(bank, epoch)
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(counts, want_counts)
+            for got, want in zip(sharing, want_sharing):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+    def test_an_inconsistent_payload_reads_as_a_miss(self, fault, stored):
+        bank, agg = stored
+        sizes = bank._blocks[0].sizes
+        assert bank._rows_from_agg(agg, sizes, 3) is not None
+        assert bank._rows_from_agg(PAYLOAD_FAULTS[fault](agg), sizes, 3) is None
 
 
 #: A small serial grid: two runs share Kmeans's bank, SSCA.20 has its own.
