@@ -19,6 +19,14 @@ def stable_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``values`` begins."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def rng_for(*parts: object) -> np.random.Generator:
     """A :class:`numpy.random.Generator` seeded deterministically from parts."""
     return np.random.default_rng(stable_seed(*parts))

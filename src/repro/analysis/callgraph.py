@@ -249,14 +249,6 @@ class Project:
             return
         self.add_source(source, str(file_path), module=module)
 
-    @classmethod
-    def from_sources(cls, sources: Dict[str, str]) -> "Project":
-        """Build from an in-memory {path: source} mapping (tests)."""
-        project = cls()
-        for path, source in sorted(sources.items()):
-            project.add_source(source, path)
-        return project
-
     def add_source(
         self, source: str, path: str, module: Optional[str] = None
     ) -> None:

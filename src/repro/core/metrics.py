@@ -3,8 +3,8 @@
 Everything the policies know comes from IBS samples.  A
 :class:`PageSampleTable` groups a batch of samples by *backing page*
 (at the page sizes currently in use, or — for what-if estimates — at
-4KB granularity regardless of backing) and exposes the per-page,
-per-node access counts that drive every placement decision.
+4KB granularity regardless of backing) and keeps the per-page columns
+(samples, accessing nodes, dominant node, stores) behind every decision.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util import run_starts
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsSamples
 from repro.vm.address_space import AddressSpace
@@ -22,24 +23,31 @@ from repro.vm.address_space import AddressSpace
 class PageSampleTable:
     """Per-page sample statistics from one monitoring interval.
 
+    Every column holds one 8-byte value per page, pages in ascending id
+    order, so a table takes 40 bytes per page whatever the node count.
+
     Attributes
     ----------
     ids:
         Backing-page ids (or granule ids in 4KB mode), one per page.
-    node_counts:
-        ``(n_pages, n_nodes)`` samples per page per *accessing* node.
-    thread_counts:
-        ``(n_pages,)`` number of distinct accessing threads per page.
+    totals:
+        Samples per page.
+    nodes_touching:
+        Number of distinct accessing nodes per page.
+    dominant:
+        Most frequent accessing node per page, the lowest on a tie.
+    write_counts:
+        Sampled stores per page (replication eligibility).
     n_samples:
         Total samples in the table.
     """
 
     ids: np.ndarray
-    node_counts: np.ndarray
-    thread_counts: np.ndarray
+    totals: np.ndarray
+    nodes_touching: np.ndarray
+    dominant: np.ndarray
+    write_counts: np.ndarray
     n_samples: int
-    #: Sampled stores per page (replication eligibility).
-    write_counts: np.ndarray = None
 
     @classmethod
     def from_samples(
@@ -59,7 +67,7 @@ class PageSampleTable:
         ``samples.tables``, keyed on the granularity and node count and,
         for ``backing`` tables, on the address space and its
         :attr:`~repro.vm.address_space.AddressSpace.layout_version` (the
-        only state :meth:`~repro.vm.address_space.AddressSpace.backing_info`
+        only state :meth:`~repro.vm.address_space.AddressSpace.backing_ids`
         reads).  Callers share the table, so its arrays are made
         read-only.
         """
@@ -74,13 +82,8 @@ class PageSampleTable:
         table = samples.tables.get(key)
         if table is None:
             table = cls._group(samples, address_space, n_nodes, granularity)
-            for column in (
-                table.ids,
-                table.node_counts,
-                table.thread_counts,
-                table.write_counts,
-            ):
-                column.flags.writeable = False
+            for name in ("ids", "totals", "nodes_touching", "dominant", "write_counts"):
+                getattr(table, name).flags.writeable = False
             samples.tables[key] = table
         return table
 
@@ -92,66 +95,63 @@ class PageSampleTable:
         n_nodes: int,
         granularity: str,
     ) -> "PageSampleTable":
-        """Build one table (:meth:`from_samples` without the memo)."""
-        if len(samples) == 0:
-            return cls(
-                ids=np.empty(0, dtype=np.int64),
-                node_counts=np.empty((0, n_nodes)),
-                thread_counts=np.empty(0, dtype=np.int64),
-                n_samples=0,
-                write_counts=np.empty(0),
-            )
+        """Build one table (:meth:`from_samples` without the memo).
+
+        One in-place sort of packed ``(page << (nbits + 1)) |
+        (accessing_node << 1) | is_write`` keys, ``nbits`` wide enough
+        for every node below ``n_nodes``, lines each page's samples up
+        by node: a page is a run of keys equal from bit ``nbits + 1``
+        up, and its samples from one node a run equal from bit 1 up.
+        """
+        n = len(samples)
+        if n == 0:
+            ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
+            return cls(ints, floats, ints.copy(), ints.copy(), floats.copy(), 0)
+        # A node outside [0, n_nodes) would alias into the next page's key.
+        nodes = samples.accessing_node
+        if int(nodes.min()) < 0 or int(nodes.max()) >= n_nodes:
+            raise ConfigurationError(f"accessing nodes must lie in [0, {n_nodes})")
+        nbits = (n_nodes - 1).bit_length()
         if granularity == "backing":
-            keys, _ = address_space.backing_info(samples.granule)
+            keys = address_space.backing_ids(samples.granule)
         else:
-            keys = np.asarray(samples.granule, dtype=np.int64)
-        ids, inverse = np.unique(keys, return_inverse=True)
-        inverse = inverse.astype(np.int64).reshape(-1)
-        node_counts = (
-            np.bincount(
-                inverse * n_nodes + samples.accessing_node.astype(np.int64),
-                minlength=ids.size * n_nodes,
-            )
-            .reshape(ids.size, n_nodes)
-            .astype(np.float64)
-        )
-        write_counts = np.bincount(
-            inverse,
-            weights=samples.is_write.astype(np.float64),
-            minlength=ids.size,
-        )
-        # Distinct accessing threads per page, via a packed
-        # (page, thread) pair key.  The multiplier must exceed every
-        # thread id or pairs from different pages would collide and
-        # corrupt the distinct-thread counts, so it widens with the
-        # data instead of assuming int16 thread ids.
-        threads = samples.thread.astype(np.int64)
-        if threads.size and int(threads.min()) < 0:
-            raise ConfigurationError("thread ids must be non-negative")
-        multiplier = max(65536, int(threads.max()) + 1 if threads.size else 0)
-        pair = np.sort(inverse * multiplier + threads)
-        # Sort-and-diff dedup: plain np.unique hashes, which is far
-        # slower on arrays this size.
-        first = np.ones(pair.size, dtype=bool)
-        np.not_equal(pair[1:], pair[:-1], out=first[1:])
-        thread_counts = np.bincount(pair[first] // multiplier, minlength=ids.size)
+            keys = samples.granule.astype(np.int64)
+        keys <<= nbits + 1
+        keys |= np.left_shift(nodes, 1, dtype=np.int64)
+        keys |= samples.is_write
+        keys.sort()
+
+        # (page, node) runs over the samples, then page runs over those.
+        runs = run_starts(keys >> 1)
+        run_keys = keys[runs] >> 1
+        page_runs = run_starts(run_keys >> nbits)
+
+        # A page's dominant node is its longest run, the lowest node on
+        # a tie (as ``argmax`` over a row of node counts): each run
+        # scores its length above the complement of its node.
+        low = (1 << nbits) - 1
+        score = np.diff(runs, append=n) << nbits
+        score |= low - (run_keys & low)
+        dominant = low - (np.maximum.reduceat(score, page_runs) & low)
+        # Drop each temporary once read: a build's peak stays near its
+        # sorted keys and its columns.
+        del score
+        ids = run_keys[page_runs] >> nbits
+        del run_keys
+        pages = runs[page_runs]
+        nodes_touching = np.diff(page_runs, append=runs.size)
+        del runs, page_runs
+        keys &= 1
+        write_counts = np.add.reduceat(keys, pages).astype(np.float64)
+        del keys
         return cls(
             ids=ids,
-            node_counts=node_counts,
-            thread_counts=thread_counts,
-            n_samples=int(len(samples)),
+            totals=np.diff(pages, append=n).astype(np.float64),
+            nodes_touching=nodes_touching,
+            dominant=dominant,
             write_counts=write_counts,
+            n_samples=n,
         )
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Total samples per page."""
-        return self.node_counts.sum(axis=1)
-
-    @property
-    def nodes_touching(self) -> np.ndarray:
-        """Number of distinct accessing nodes per page."""
-        return (self.node_counts > 0).sum(axis=1)
 
     def single_node_mask(self) -> np.ndarray:
         """Pages whose samples all came from one node."""
@@ -163,21 +163,15 @@ class PageSampleTable:
 
     def hot_mask(self, threshold_pct: float) -> np.ndarray:
         """Pages receiving more than ``threshold_pct`` percent of samples."""
-        if self.n_samples == 0:
-            return np.zeros(0, dtype=bool)
         return self.totals > self.n_samples * threshold_pct / 100.0
 
     def read_only_mask(self) -> np.ndarray:
         """Pages with no sampled store (replication candidates)."""
-        if self.write_counts is None:
-            return np.ones(self.ids.shape, dtype=bool)
         return self.write_counts == 0
 
     def dominant_nodes(self) -> np.ndarray:
         """Most frequent accessing node per page."""
-        if self.ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.argmax(self.node_counts, axis=1)
+        return self.dominant
 
 
 def sample_lar(samples: IbsSamples) -> float:

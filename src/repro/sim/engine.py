@@ -389,7 +389,7 @@ class Tenant:
                 written = flat_granules[writes_flat]
                 rep_mask = self.asp.replication_mask(written)
                 if np.any(rep_mask):
-                    ids, _ = self.asp.backing_info(written[rep_mask])
+                    ids = self.asp.backing_ids(written[rep_mask])
                     written_replicated.update(int(i) for i in np.unique(ids))
             prof.lap("streams")
             self._pass1_tlb(epoch, stream_sizes, walk_time, tlb_misses, walk_l2)
@@ -605,7 +605,7 @@ class Tenant:
                 written = granules[writes]
                 rep_mask = self.asp.replication_mask(written)
                 if np.any(rep_mask):
-                    ids, _ = self.asp.backing_info(written[rep_mask])
+                    ids = self.asp.backing_ids(written[rep_mask])
                     written_replicated.update(int(i) for i in np.unique(ids))
             tlb_result = self.tlb_model.epoch_result_grouped(
                 self._classify_tlb_groups(

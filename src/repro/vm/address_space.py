@@ -130,7 +130,7 @@ class AddressSpace:
         """Monotonic counter of backing-state mutations.
 
         Any operation that can change what :meth:`home_nodes`,
-        :meth:`backing_info` or a backing-composition scan would return
+        :meth:`backing_ids` or a backing-composition scan would return
         increments it; pure reads never do.  Consumers that read only
         the page-size layout key on :attr:`layout_version` instead.
         """
@@ -143,7 +143,7 @@ class AddressSpace:
         Moves exactly when ``mapped_count_2m``, ``huge`` or ``giga`` may
         have changed; every such move also moves :attr:`version`.
         Migrations and replication move :attr:`version` only, so what
-        :meth:`backing_info` or a backing-fraction scan returns is
+        :meth:`backing_ids` or a backing-fraction scan returns is
         unchanged while this counter is.
         """
         return self._layout_version
@@ -200,25 +200,25 @@ class AddressSpace:
         np.copyto(nodes, self.node1g[c1], where=giga_mask)
         return nodes
 
-    def backing_info(self, granules: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-access backing-page id and page-size class.
+    def backing_ids(self, granules: np.ndarray) -> np.ndarray:
+        """Backing-page id per access.
 
         Ids are unique across size classes: granule index for 4KB pages,
         chunk index offset by :data:`BACKING_ID_2M_OFFSET` for 2MB, and
-        by :data:`BACKING_ID_1G_OFFSET` for 1GB.
+        by :data:`BACKING_ID_1G_OFFSET` for 1GB (:meth:`backing_id_kind`
+        reads the class back).
         """
         g = np.asarray(granules, dtype=np.int64)
-        c2 = g >> SHIFT_2M
-        c1 = g >> SHIFT_1G
-        giga_mask = self.giga[c1]
-        huge_mask = self.huge[c2] & ~giga_mask
         ids = g.copy()
-        np.copyto(ids, c2 + BACKING_ID_2M_OFFSET, where=huge_mask)
-        np.copyto(ids, c1 + BACKING_ID_1G_OFFSET, where=giga_mask)
-        sizes = np.full(g.shape, int(PageSize.SIZE_4K), dtype=np.int64)
-        sizes[huge_mask] = int(PageSize.SIZE_2M)
-        sizes[giga_mask] = int(PageSize.SIZE_1G)
-        return ids, sizes
+        for shift, offset, backed in (
+            (SHIFT_2M, BACKING_ID_2M_OFFSET, self.huge),
+            (SHIFT_1G, BACKING_ID_1G_OFFSET, self.giga),
+        ):
+            chunks = g >> shift
+            mask = backed[chunks]
+            chunks += offset
+            np.copyto(ids, chunks, where=mask)
+        return ids
 
     @staticmethod
     def backing_id_kind(backing_id: int) -> PageSize:

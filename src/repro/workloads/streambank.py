@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro
-from repro._util import SeedHasher, stable_seed
+from repro._util import SeedHasher, run_starts, stable_seed
 from repro.options import RuntimeOptions
 from repro.sim.tracker import AccessTracker
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
@@ -108,14 +108,6 @@ def weight_scale(dram_accesses: float, sizes: np.ndarray) -> np.ndarray:
     active = sizes > 0
     scale[active] = dram_accesses / sizes[active]
     return scale
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal neighbours in ``values`` begins."""
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return np.flatnonzero(new)
 
 
 def _offsets(arrays) -> np.ndarray:
@@ -459,7 +451,7 @@ class StreamBank:
         threads = np.arange(self.n_threads, dtype=np.int64)[:, None]
         keys = ((block.streams[i] << tbits) | threads)[valid]
         keys.sort()
-        starts = _run_starts(keys)
+        starts = run_starts(keys)
         counts = np.diff(starts, append=keys.size)
         keys = keys[starts]
 
@@ -468,7 +460,7 @@ class StreamBank:
         level_ids, level_first, level_multi = [], [], []
         for shift in (0, SHIFT_2M, SHIFT_1G - SHIFT_2M):
             ids = ids >> shift
-            starts = _run_starts(ids)
+            starts = run_starts(ids)
             ids = ids[starts]
             first = np.minimum.reduceat(first, starts)
             last = np.maximum.reduceat(last, starts)

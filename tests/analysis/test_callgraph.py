@@ -11,13 +11,13 @@ from __future__ import annotations
 from repro.analysis.callgraph import (
     GLOBAL_ROOT,
     Effect,
-    Project,
     module_name_for,
 )
+from tests.deep_lint import project_from_sources
 
 
 def analyzed(sources):
-    project = Project.from_sources(sources)
+    project = project_from_sources(sources)
     project.analyze()
     return project
 
@@ -229,7 +229,7 @@ def test_registry_tuples_are_indexed():
         "_RESULT_NEUTRAL = ('sim.profile', 'monitor.watch')\n"
         "_SIM_ENTRY_POINTS = ('Daemon.tick',)\n"
     )
-    project = Project.from_sources({"src/m.py": source})
+    project = project_from_sources({"src/m.py": source})
     assert project.result_neutral == {"sim.profile", "monitor.watch"}
     assert project.entry_points == {"Daemon.tick"}
 

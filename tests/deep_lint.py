@@ -16,6 +16,14 @@ from repro.analysis.deep import DeepRule, deep_lint_project
 from repro.analysis.linter import Finding
 
 
+def project_from_sources(sources: Dict[str, str]) -> Project:
+    """A project built from an in-memory ``{path: source}`` tree."""
+    project = Project()
+    for path, source in sorted(sources.items()):
+        project.add_source(source, path)
+    return project
+
+
 def deep_lint_paths(
     paths: Sequence[pathlib.Path],
     rules: Optional[Sequence[DeepRule]] = None,
@@ -29,4 +37,4 @@ def deep_lint_sources(
     rules: Optional[Sequence[DeepRule]] = None,
 ) -> List[Finding]:
     """Deep-lint an in-memory ``{path: source}`` tree."""
-    return deep_lint_project(Project.from_sources(sources), rules)
+    return deep_lint_project(project_from_sources(sources), rules)

@@ -8,18 +8,25 @@ sends one :class:`~repro.sim.decisions.MigratePages` batch per interval
 instead.  This module keeps the per-page loops as oracles: the
 equivalence tests drive both against identical copies of the state and
 require identical results, allocator internals included.
+
+It also keeps the sample table as a ``(pages x nodes)`` count matrix
+(:func:`node_matrix_columns`): the shipped
+:class:`~repro.core.metrics.PageSampleTable` stores one column per
+statistic, built by one sort, and must equal the matrix's row
+reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Generator, Optional, Tuple
+from typing import ClassVar, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
 from repro.core.autonuma import AutoNumaPolicy
 from repro.core.carrefour import CarrefourEngine
 from repro.core.metrics import PageSampleTable
+from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
     Decision,
@@ -189,3 +196,56 @@ class PerPageAutoNumaPolicy(AutoNumaPolicy):
             if not outcome.applied:
                 continue
             budget -= outcome.bytes_moved
+
+
+def node_matrix_columns(
+    samples: IbsSamples,
+    address_space: AddressSpace,
+    n_nodes: int,
+    granularity: str = "backing",
+) -> Dict[str, np.ndarray]:
+    """A sample table's columns, through a ``(pages x nodes)`` matrix.
+
+    The grouping ``PageSampleTable`` did before it kept columns:
+    ``np.unique`` over the page keys, a bincount of ``page * n_nodes +
+    node`` reshaped to a float64 count per page and node, and a
+    weighted bincount of stores; then the row reductions its readers
+    did (``sum``, the count of nonzero nodes, ``argmax``).  The second
+    sort it made, of packed page-thread pairs, counted distinct threads
+    per page for a column nothing read; it is left out.
+    """
+    if len(samples) == 0:
+        ids = np.empty(0, dtype=np.int64)
+        node_counts = np.empty((0, n_nodes))
+        write_counts = np.empty(0)
+    else:
+        if granularity == "backing":
+            keys = address_space.backing_ids(samples.granule)
+        else:
+            keys = np.asarray(samples.granule, dtype=np.int64)
+        ids, inverse = np.unique(keys, return_inverse=True)
+        inverse = inverse.astype(np.int64).reshape(-1)
+        node_counts = (
+            np.bincount(
+                inverse * n_nodes + samples.accessing_node.astype(np.int64),
+                minlength=ids.size * n_nodes,
+            )
+            .reshape(ids.size, n_nodes)
+            .astype(np.float64)
+        )
+        write_counts = np.bincount(
+            inverse,
+            weights=samples.is_write.astype(np.float64),
+            minlength=ids.size,
+        )
+    return {
+        "ids": ids,
+        "totals": node_counts.sum(axis=1),
+        "nodes_touching": (node_counts > 0).sum(axis=1),
+        "dominant": (
+            np.argmax(node_counts, axis=1)
+            if ids.size
+            else np.empty(0, dtype=np.int64)
+        ),
+        "write_counts": write_counts,
+    }

@@ -2,7 +2,7 @@
 
 * Each interval's IBS batch groups into one sample table per
   granularity and page-size layout; the LAR estimate, the reactive step
-  and Carrefour share it.
+  and Carrefour share it.  A build sorts once.
 * TLB classification re-runs only when the page-size layout changes
   (``AddressSpace.layout_version``), not on every migration or replica.
 * The runs of a stream bank share one access-tracker fold and one TLB
@@ -17,6 +17,7 @@ against the per-thread tracker oracle in ``tests/per_thread_streams.py``.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -95,11 +96,36 @@ def _batch(granules, nodes, threads):
 def _table_bits(table):
     return (
         table.ids.tobytes(),
-        table.node_counts.tobytes(),
-        table.thread_counts.tobytes(),
+        table.totals.tobytes(),
+        table.nodes_touching.tobytes(),
+        table.dominant.tobytes(),
         table.n_samples,
         table.write_counts.tobytes(),
     )
+
+
+#: What ``sys.setprofile`` sees of a numpy sort: ``np.sort`` and
+#: ``np.argsort`` reach the array methods as C calls, ``np.unique`` is
+#: a Python function (which sorts inside).
+SORT_C_CALLS = {"ndarray.sort", "ndarray.argsort"}
+
+
+def _sorts_in(build):
+    """``build()`` and the numpy sorts it called, in call order."""
+    sorts = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", "") in SORT_C_CALLS:
+            sorts.append(arg.__qualname__)
+        elif event == "call" and frame.f_code.co_name == "unique":
+            sorts.append("unique")
+
+    sys.setprofile(profile)
+    try:
+        result = build()
+    finally:
+        sys.setprofile(None)
+    return result, sorts
 
 
 class TestSampleTables:
@@ -185,8 +211,39 @@ class TestSampleTables:
         second = PageSampleTable.from_samples(samples, spaces[1], 2)
         assert first.ids.size == 2 and second.ids.size == 128
         wider = PageSampleTable.from_samples(samples, spaces[0], 4)
-        assert wider.node_counts.shape == (2, 4)
+        assert wider is not first
+        assert wider.nodes_touching.tolist() == [1, 1]
+        assert _table_bits(wider) == _table_bits(first)
         assert len(samples.tables) == 3
+
+    def test_each_build_sorts_once(self, monkeypatch):
+        """Every table a carrefour-lp run builds, at either granularity,
+        costs one ``ndarray.sort``: no ``np.unique``, ``argsort`` or
+        second sort."""
+        original = PageSampleTable.__dict__["_group"].__func__
+        builds = []
+
+        def profiled(cls, samples, *args):
+            table, sorts = _sorts_in(lambda: original(cls, samples, *args))
+            builds.append((len(samples), sorts))
+            return table
+
+        monkeypatch.setattr(PageSampleTable, "_group", classmethod(profiled))
+        sim = _simulation("CG.D", "A", "carrefour-lp", SimConfig.quick())
+        sim.run()
+        assert len(builds) == sim.table_builds > 0
+        assert all(sorts == (["ndarray.sort"] if n else []) for n, sorts in builds)
+
+    def test_the_profile_sees_every_sort(self):
+        """The counter itself: it sees each way numpy sorts."""
+        a = np.arange(8)[::-1].copy()
+        for sort, seen in (
+            (lambda: a.copy().sort(), ["ndarray.sort"]),
+            (lambda: np.sort(a), ["ndarray.sort"]),
+            (lambda: np.argsort(a), ["ndarray.argsort"]),
+        ):
+            assert _sorts_in(sort)[1] == seen
+        assert _sorts_in(lambda: np.unique(a))[1][0] == "unique"
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,12 @@ per granule on top of what the run keeps (the per-granule form lives on
 in ``tests/per_granule_stats.py``).  The invariant checker's address-space
 check built the same kind of index arrays every epoch (its per-granule
 form lives on in ``tests/per_granule_checks.py``), and its page
-conservation gathered every mapped granule's node as ``int64``.  These
-tests bound those transients under ``tracemalloc``, with the garbage
-collector off (``refcount_only``) so a freed array is gone when it is
-freed.
+conservation gathered every mapped granule's node as ``int64``.  A
+policy's sample table kept a ``(pages x nodes)`` float64 count matrix
+and built it through an ``int64`` one, the largest transient of a
+carrefour-lp interval.  These tests bound those transients under
+``tracemalloc``, with the garbage collector off (``refcount_only``) so
+a freed array is gone when it is freed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import check_address_space, check_host_conservation
+from repro.core.metrics import PageSampleTable
 from repro.experiments.runner import RunSpec, build_simulation
+from repro.hardware.ibs import IbsSamples
 from repro.options import CHECK_ENV
 from repro.sim.config import SimConfig
 from repro.sim.tracker import AccessTracker
@@ -95,6 +99,55 @@ def test_check_host_conservation_allocates_under_4_mib(refcount_only, layout):
     finally:
         tracemalloc.stop()
     assert peak < 4 * MIB
+
+
+def _sample_batch(n_samples: int, n_nodes: int) -> IbsSamples:
+    """A synthetic interval's batch over the quick IS.D@B space."""
+    rng = np.random.default_rng(0)
+    return IbsSamples(
+        granule=rng.integers(0, IS_D_GRANULES, n_samples),
+        accessing_node=rng.integers(0, n_nodes, n_samples).astype(np.int8),
+        home_node=np.zeros(n_samples, dtype=np.int8),
+        thread=rng.integers(0, 64, n_samples).astype(np.int16),
+        from_dram=np.ones(n_samples, dtype=bool),
+        is_write=rng.random(n_samples) < 0.3,
+    )
+
+
+@pytest.mark.parametrize("granularity", ["backing", "4k"])
+def test_a_sample_table_holds_40_bytes_per_page(granularity):
+    """Five one-dimensional columns of 8-byte values, each owning its
+    buffer; the node matrix made it 88 bytes per page on 8 nodes."""
+    table = PageSampleTable.from_samples(
+        _sample_batch(20_000, 8), _mapped("mixed"), 8, granularity
+    )
+    columns = (
+        table.ids,
+        table.totals,
+        table.nodes_touching,
+        table.dominant,
+        table.write_counts,
+    )
+    assert all(c.base is None and c.shape == table.ids.shape for c in columns)
+    assert sum(c.nbytes for c in columns) == 5 * 8 * table.ids.size
+
+
+@pytest.mark.parametrize("granularity", ["backing", "4k"])
+def test_a_sample_table_builds_under_12_mib(refcount_only, granularity):
+    """One build of a 150k-sample, 8-node batch (the size of a quick
+    carrefour-lp run's largest) peaks at 5.2 MiB grouped by backing
+    page and 8.8 MiB by 4KB page, its 143k-page columns included; the
+    node matrix's build took 13.0 and 19.7 MiB."""
+    asp = _mapped("mixed")
+    samples = _sample_batch(150_000, 8)
+    tracemalloc.start()
+    try:
+        table = PageSampleTable.from_samples(samples, asp, 8, granularity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.totals.sum() == len(samples)
+    assert peak < 12 * MIB
 
 
 def test_a_quick_runs_peak_is_within_8_mib_of_its_end_state(

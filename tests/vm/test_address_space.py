@@ -131,11 +131,11 @@ class TestBackingInfo:
         asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
         asp.premap_pattern_4k(GRANULES_PER_2M, np.ones(4, dtype=np.int8))
         g = np.array([0, 5, GRANULES_PER_2M, GRANULES_PER_2M + 3])
-        ids, sizes = asp.backing_info(g)
+        ids = asp.backing_ids(g)
         assert ids[0] == ids[1] == BACKING_ID_2M_OFFSET
         assert ids[2] == GRANULES_PER_2M
-        assert sizes[0] == int(PageSize.SIZE_2M)
-        assert sizes[2] == int(PageSize.SIZE_4K)
+        assert AddressSpace.backing_id_kind(ids[0]) is PageSize.SIZE_2M
+        assert AddressSpace.backing_id_kind(ids[2]) is PageSize.SIZE_4K
 
     def test_backing_id_kind(self):
         assert AddressSpace.backing_id_kind(7) is PageSize.SIZE_4K
@@ -402,7 +402,7 @@ class TestProperties:
             elif op == 5:  # reclaim the chunk's first granules
                 asp.reclaim_granules(np.arange(g, g + 8))
             else:  # migrate or replicate the backing at chunk start
-                ids, _ = asp.backing_info(np.array([g]))
+                ids = asp.backing_ids(np.array([g]))
                 if asp.backing_is_live(int(ids[0])):
                     if op == 3:
                         asp.migrate_backing(int(ids[0]), node)

@@ -152,7 +152,7 @@ class TestVersionBumps:
         v = asp.version
         asp.home_nodes(np.array([5, 6]))
         asp.home_nodes_for(np.array([5, 6]), 1)
-        asp.backing_info(np.array([5, 6]))
+        asp.backing_ids(np.array([5, 6]))
         asp.replication_mask(np.array([5, 6]))
         asp.bytes_per_node()
         asp.page_counts()

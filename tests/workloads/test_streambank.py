@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro._util import run_starts
 from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSpec
 from repro.options import CACHE_ENABLE_ENV, STREAM_CACHE_ENV
@@ -41,7 +42,6 @@ from repro.workloads.streambank import (
     _MAX_BLOCKS_PER_BANK,
     StreamBank,
     _offsets,
-    _run_starts,
     bank_fingerprint,
     clear_stream_banks,
     get_stream_bank,
@@ -267,14 +267,14 @@ class TestWeightScale:
 
 class TestRunHelpers:
     def test_run_starts_of_an_empty_row(self):
-        assert _run_starts(np.array([], dtype=np.int64)).size == 0
+        assert run_starts(np.array([], dtype=np.int64)).size == 0
 
     def test_run_starts_of_a_single_run(self):
-        np.testing.assert_array_equal(_run_starts(np.full(5, 7)), [0])
+        np.testing.assert_array_equal(run_starts(np.full(5, 7)), [0])
 
     def test_run_starts_mark_each_change(self):
         np.testing.assert_array_equal(
-            _run_starts(np.array([2, 2, 5, 7, 7, 7, 2])), [0, 2, 3, 6]
+            run_starts(np.array([2, 2, 5, 7, 7, 7, 2])), [0, 2, 3, 6]
         )
 
     def test_offsets_end_with_the_total(self):
