@@ -47,9 +47,7 @@ class InterleaveAllPolicy(PlacementPolicy):
         sim.thp.enable_promotion()
 
     def decide(self, sim, samples, window):
-        table = PageSampleTable.from_samples(
-            samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-        )
+        table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
         ids = table.ids[sim.asp.backings_live(table.ids)]
         targets = (self._cursor + np.arange(ids.size)) % sim.machine.n_nodes
         self._cursor += int(ids.size)

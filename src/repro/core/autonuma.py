@@ -101,9 +101,7 @@ class AutoNumaPolicy(PlacementPolicy):
         yield ChargeCompute(len(samples) * self.config.hint_fault_cost_s)
         if len(samples) == 0:
             return
-        table = PageSampleTable.from_samples(
-            samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-        )
+        table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
         budget = self.config.max_migration_bytes_per_interval
         if budget <= 0:
             yield Note("migration budget exhausted")

@@ -246,9 +246,7 @@ class CarrefourPolicy(PlacementPolicy):
         if not self.engine.should_engage(window):
             yield Note("carrefour disabled (thresholds)")
             return
-        table = PageSampleTable.from_samples(
-            samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-        )
+        table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
         yield from self.engine.decide_placement(
             table, sim.asp, sim.machine.n_nodes
         )

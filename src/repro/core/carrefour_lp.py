@@ -129,9 +129,7 @@ class CarrefourLpPolicy(PlacementPolicy):
 
         engaged = self.engine.should_engage(window)
         if engaged:
-            table = PageSampleTable.from_samples(
-                samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-            )
+            table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
             yield from self.engine.decide_placement(
                 table, sim.asp, sim.machine.n_nodes
             )

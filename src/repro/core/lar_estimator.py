@@ -20,10 +20,14 @@ the failure mode the paper reports for SSCA (predicted 59%, actual
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
+import numpy as np
+
+from repro._util import run_starts
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsSamples
-from repro.core.metrics import PageSampleTable, sample_lar
+from repro.core.metrics import PageSampleTable, node_bits, sample_lar
 from repro.vm.address_space import AddressSpace
 
 
@@ -47,20 +51,48 @@ class LarEstimate:
         return self.with_carrefour_and_split - self.current
 
 
-def _placement_lar(table: PageSampleTable, n_nodes: int) -> float:
-    """LAR predicted under the Carrefour placement rule for a table.
+def _placement_lar(
+    totals: np.ndarray, single: np.ndarray, n_samples: int, n_nodes: int
+) -> float:
+    """LAR predicted under the Carrefour placement rule, from each
+    page's sample count and whether one node took all its samples.
 
     Single-node pages migrate to that node: all their sampled accesses
     become local.  Shared pages are interleaved to a random node: each
     access is local with probability 1/n_nodes.
     """
-    if table.n_samples == 0:
+    if n_samples == 0:
         return 100.0
-    totals = table.totals
-    single = table.single_node_mask()
     local = float(totals[single].sum())
     local += float(totals[~single].sum()) / n_nodes
-    return 100.0 * local / table.n_samples
+    return 100.0 * local / n_samples
+
+
+def _granule_columns(
+    samples: IbsSamples, n_nodes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per sampled 4KB granule, in ascending order, its samples as
+    ``float64`` and whether one node took them all.
+
+    One in-place sort of packed ``(granule << nbits) | accessing_node``
+    keys: a granule is a run of keys equal from bit ``nbits`` up, and
+    its nodes the runs of equal keys within it.  These are the
+    ``totals`` and ``single_node_mask()`` of the batch's sample table
+    grouped by granule, so the estimate sums the same arrays.
+    """
+    n = len(samples)
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=bool)
+    nbits = node_bits(samples.accessing_node, n_nodes)
+    keys = samples.granule.astype(np.int64)
+    keys <<= nbits
+    keys |= samples.accessing_node
+    keys.sort()
+    runs = run_starts(keys)
+    granule_runs = run_starts(keys[runs] >> nbits)
+    totals = np.diff(runs[granule_runs], append=n).astype(np.float64)
+    single = np.diff(granule_runs, append=runs.size) == 1
+    return totals, single
 
 
 def estimate_lar_after_carrefour(
@@ -69,16 +101,15 @@ def estimate_lar_after_carrefour(
     """Full what-if estimate from one interval's samples."""
     if n_nodes <= 0:
         raise ConfigurationError("n_nodes must be positive")
-    current = sample_lar(samples)
-    backing = PageSampleTable.from_samples(
-        samples, address_space, n_nodes, granularity="backing"
-    )
-    split = PageSampleTable.from_samples(
-        samples, address_space, n_nodes, granularity="4k"
-    )
+    n = len(samples)
+    backing = PageSampleTable.from_samples(samples, address_space, n_nodes)
     return LarEstimate(
-        current=current,
-        with_carrefour=_placement_lar(backing, n_nodes),
-        with_carrefour_and_split=_placement_lar(split, n_nodes),
-        n_samples=int(len(samples)),
+        current=sample_lar(samples),
+        with_carrefour=_placement_lar(
+            backing.totals, backing.single_node_mask(), n, n_nodes
+        ),
+        with_carrefour_and_split=_placement_lar(
+            *_granule_columns(samples, n_nodes), n, n_nodes
+        ),
+        n_samples=n,
     )

@@ -1,10 +1,12 @@
 """Sample tables and metric helpers shared by the Carrefour family.
 
 Everything the policies know comes from IBS samples.  A
-:class:`PageSampleTable` groups a batch of samples by *backing page*
-(at the page sizes currently in use, or — for what-if estimates — at
-4KB granularity regardless of backing) and keeps the per-page columns
+:class:`PageSampleTable` groups a batch of samples by *backing page*, at
+the page sizes currently in use, and keeps the per-page columns
 (samples, accessing nodes, dominant node, stores) behind every decision.
+The what-if estimate of splitting every large page groups by 4KB
+granule with a lighter pass of its own
+(:mod:`repro.core.lar_estimator`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class PageSampleTable:
     Attributes
     ----------
     ids:
-        Backing-page ids (or granule ids in 4KB mode), one per page.
+        Backing-page ids, one per page.
     totals:
         Samples per page.
     nodes_touching:
@@ -55,33 +57,20 @@ class PageSampleTable:
         samples: IbsSamples,
         address_space: AddressSpace,
         n_nodes: int,
-        granularity: str = "backing",
     ) -> "PageSampleTable":
-        """Group a sample batch by page.
-
-        ``granularity='backing'`` groups by the page sizes currently in
-        use; ``granularity='4k'`` groups by 4KB granule regardless of
-        backing (the "what if we split everything" view).
+        """Group a sample batch by the page sizes currently in use.
 
         Each table is built once per batch: it is memoized in
-        ``samples.tables``, keyed on the granularity and node count and,
-        for ``backing`` tables, on the address space and its
-        :attr:`~repro.vm.address_space.AddressSpace.layout_version` (the
-        only state :meth:`~repro.vm.address_space.AddressSpace.backing_ids`
-        reads).  Callers share the table, so its arrays are made
-        read-only.
+        ``samples.tables``, keyed on the node count, the address space
+        and its :attr:`~repro.vm.address_space.AddressSpace.layout_version`
+        (the only state
+        :meth:`~repro.vm.address_space.AddressSpace.backing_ids` reads).
+        Callers share the table, so its arrays are made read-only.
         """
-        if granularity == "backing":
-            key: tuple = (
-                granularity, n_nodes, address_space, address_space.layout_version
-            )
-        elif granularity == "4k":
-            key = (granularity, n_nodes)
-        else:
-            raise ConfigurationError(f"unknown granularity {granularity!r}")
+        key = (n_nodes, address_space, address_space.layout_version)
         table = samples.tables.get(key)
         if table is None:
-            table = cls._group(samples, address_space, n_nodes, granularity)
+            table = cls._group(samples, address_space, n_nodes)
             for name in ("ids", "totals", "nodes_touching", "dominant", "write_counts"):
                 getattr(table, name).flags.writeable = False
             samples.tables[key] = table
@@ -93,7 +82,6 @@ class PageSampleTable:
         samples: IbsSamples,
         address_space: AddressSpace,
         n_nodes: int,
-        granularity: str,
     ) -> "PageSampleTable":
         """Build one table (:meth:`from_samples` without the memo).
 
@@ -107,15 +95,9 @@ class PageSampleTable:
         if n == 0:
             ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
             return cls(ints, floats, ints.copy(), ints.copy(), floats.copy(), 0)
-        # A node outside [0, n_nodes) would alias into the next page's key.
         nodes = samples.accessing_node
-        if int(nodes.min()) < 0 or int(nodes.max()) >= n_nodes:
-            raise ConfigurationError(f"accessing nodes must lie in [0, {n_nodes})")
-        nbits = (n_nodes - 1).bit_length()
-        if granularity == "backing":
-            keys = address_space.backing_ids(samples.granule)
-        else:
-            keys = samples.granule.astype(np.int64)
+        nbits = node_bits(nodes, n_nodes)
+        keys = address_space.backing_ids(samples.granule)
         keys <<= nbits + 1
         keys |= np.left_shift(nodes, 1, dtype=np.int64)
         keys |= samples.is_write
@@ -172,6 +154,15 @@ class PageSampleTable:
     def dominant_nodes(self) -> np.ndarray:
         """Most frequent accessing node per page."""
         return self.dominant
+
+
+def node_bits(nodes: np.ndarray, n_nodes: int) -> int:
+    """Bits a node id takes in a packed sample key, once every one of
+    the non-empty ``nodes`` is checked to lie in ``[0, n_nodes)``: one
+    outside would alias into the next page's key."""
+    if int(nodes.min()) < 0 or int(nodes.max()) >= n_nodes:
+        raise ConfigurationError(f"accessing nodes must lie in [0, {n_nodes})")
+    return (n_nodes - 1).bit_length()
 
 
 def sample_lar(samples: IbsSamples) -> float:

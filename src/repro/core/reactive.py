@@ -131,9 +131,7 @@ class ReactiveComponent:
             self.split_pages = True
         decision.split_pages = self.split_pages
 
-        table = PageSampleTable.from_samples(
-            samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-        )
+        table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
         large = table.ids >= BACKING_ID_2M_OFFSET
 
         if self._cooldown > 0:

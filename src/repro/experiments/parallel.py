@@ -22,9 +22,10 @@ a human-readable reason, which the benchmarks record as
 Both run bank-affine tasks: the runs that share a stream bank — the
 same (workload, machine, backing) under the grid's config, whatever
 the policy — form one task (:func:`_bank_tasks`), which the pool hands
-to one worker and the serial loop runs back to back.  So each bank is
-generated in exactly one process, and a process needs to keep only its
-most recent bank (:func:`repro.workloads.streambank.get_stream_bank`).
+to one worker and the serial loop runs back to back, the largest tasks
+first.  So each bank is generated in exactly one process, and a
+process needs to keep only its most recent bank
+(:func:`repro.workloads.streambank.get_stream_bank`).
 Only when there are fewer banks than workers are the largest groups
 split, so that no worker idles.
 
@@ -44,6 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.experiments import runner as _runner
 from repro.experiments.cache import ResultCache, cache_enabled
 from repro.experiments.runner import RunSpec
+from repro.hardware.machines import machine_by_name
 from repro.options import RuntimeOptions
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
@@ -96,7 +98,7 @@ def _execute_specs(
 
 
 def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
-    """Split a grid's misses into bank-affine tasks.
+    """Split a grid's misses into bank-affine tasks, largest first.
 
     One task per stream-bank group: the specs sharing (workload,
     canonical machine, backing_1g), in grid order.  Streams do not
@@ -104,6 +106,11 @@ def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
     later run in it reads the rows back.  While there are fewer tasks
     than ``workers``, the largest task (the first, on ties) is halved,
     so every worker gets work as long as there are runs to go round.
+
+    The tasks are then sorted, stably, by their runs times their
+    machine's cores (a run draws and folds one stream per core), most
+    first: the pool hands out the long tasks while every worker is
+    still busy, and equal tasks keep grid order.
     """
     groups: Dict[Tuple[str, str, bool], List[RunSpec]] = {}
     for spec in misses:
@@ -121,6 +128,10 @@ def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
             break
         half = (len(task) + 1) // 2
         tasks[largest:largest + 1] = [task[:half], task[half:]]
+    tasks.sort(
+        key=lambda task: len(task) * machine_by_name(task[0].machine).n_cores,
+        reverse=True,
+    )
     return tasks
 
 

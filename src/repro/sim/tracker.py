@@ -6,21 +6,24 @@ used page), NHP (number of hot pages, >6% of accesses), and PSP
 are *profiling* quantities measured with full visibility; the policies
 themselves only ever see IBS samples.
 
-The tracker keeps, per 4KB granule: cumulative (represented) access
-weight, the first accessing thread, and a shared flag; the same
-first/shared pair is kept per 2MB and per 1GB chunk so sharedness can
-be evaluated at whatever granularity a page is currently backed with.
+The tracker keeps, per 4KB granule, the cumulative (represented) access
+weight and the lowest and highest thread that ever touched it: 10 bytes
+per granule on machines A and B.  A page is shared iff two distinct
+threads touched it, that is iff its highest toucher is above its
+lowest, and a 2MB or 1GB page's threads are its granules' threads, so
+sharedness at whatever size backs a page is the bounds' max over min
+across the page, derived when the statistics are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.vm.layout import CHUNKS_2M_PER_1G, GRANULES_PER_2M, SHIFT_1G
+from repro.vm.layout import CHUNKS_2M_PER_1G, GRANULES_PER_2M
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vm.address_space import AddressSpace
@@ -43,75 +46,51 @@ class HotPageStats:
 
 
 class AccessTracker:
-    """Accumulates per-granule access weight and sharing information."""
+    """Accumulates per-granule access weight and touching-thread bounds.
 
-    def __init__(self, n_granules: int) -> None:
+    ``tmin``/``tmax`` hold each granule's lowest and highest toucher in
+    the narrowest signed type that holds every thread id (``int8`` up
+    to 128 threads); an untouched granule reads ``tmin`` at the type's
+    maximum and ``tmax`` at -1, so ``tmax > tmin`` is its shared flag.
+    """
+
+    def __init__(self, n_granules: int, n_threads: int) -> None:
         if n_granules <= 0:
             raise ConfigurationError("n_granules must be positive")
+        if n_threads <= 0:
+            raise ConfigurationError("n_threads must be positive")
         self.n_granules = n_granules
-        n_chunks = -(-n_granules // GRANULES_PER_2M)
-        n_gchunks = -(-n_granules // (1 << SHIFT_1G))
+        # The narrowest signed type holding -n_threads holds every id
+        # in [0, n_threads) and the -1 of an untouched granule.
+        dtype = np.min_scalar_type(-n_threads)
         self.weight = np.zeros(n_granules, dtype=np.float64)
-        self._first_4k = np.full(n_granules, -1, dtype=np.int16)
-        self._shared_4k = np.zeros(n_granules, dtype=bool)
-        self._first_2m = np.full(n_chunks, -1, dtype=np.int16)
-        self._shared_2m = np.zeros(n_chunks, dtype=bool)
-        self._first_1g = np.full(n_gchunks, -1, dtype=np.int16)
-        self._shared_1g = np.zeros(n_gchunks, dtype=bool)
+        self.tmin = np.full(n_granules, np.iinfo(dtype).max, dtype=dtype)
+        self.tmax = np.full(n_granules, -1, dtype=dtype)
 
-    def add_epoch(self, ids: np.ndarray, scaled_counts: np.ndarray) -> None:
-        """Accumulate one whole epoch's access weight in a single call.
+    def add_epoch(
+        self, granules: np.ndarray, threads: np.ndarray, weights: np.ndarray
+    ) -> None:
+        """Fold one whole epoch in with a single call.
 
-        ``ids``/``scaled_counts`` are the columns a stream bank
-        aggregates from a row as it folds it
-        (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`):
-        every thread's ``np.unique`` ids merged in granule order, the
-        threads of one granule in ascending order, with each thread's
-        ``weight_per_access`` already multiplied into its counts.
+        The three columns are a stream-bank row's distinct ``(granule,
+        thread)`` pairs in ascending order, as the bank aggregates them
+        from the row as it folds it
+        (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`),
+        with each pair's count times its thread's weight per access.
         ``np.add.at`` is unbuffered and applies additions in element
         order — per granule, ascending thread order — so the
         floating-point accumulation sequence per granule is exactly
         that of adding one thread's stream at a time, bit for bit.
+        Every pair's thread widens its granule's bounds through the
+        same unbuffered ``minimum``/``maximum``, in the bounds' own
+        type (a wider one would take numpy's slow casting path).
         """
-        if ids.size == 0:
+        if granules.size == 0:
             return
-        np.add.at(self.weight, ids, scaled_counts)
-
-    def merge_epoch_sharing(self, packed) -> None:
-        """Fold one epoch's sharing information in, all threads at once.
-
-        ``packed`` is ``(ids, epoch_first, multi, level_offsets)`` —
-        the three page levels' sharing summaries concatenated, as a
-        stream bank aggregates them from a row as it folds it
-        (:meth:`~repro.workloads.streambank.StreamBank.fold_tracker`):
-        per level, the sorted distinct ids touched by any thread this
-        epoch, the lowest thread id touching each, and whether two or
-        more distinct threads touched it.  Produces exactly the
-        ``first``/``shared`` state that marking one thread's stream at
-        a time, in ascending thread order, would: a previously
-        untouched id records the epoch's first toucher (and is shared
-        iff several threads hit it this epoch); a known id becomes
-        shared when the epoch brings any different thread.
-        """
-        ids, epoch_first, multi, level_offsets = packed
-        for level, (first, shared) in enumerate(
-            (
-                (self._first_4k, self._shared_4k),
-                (self._first_2m, self._shared_2m),
-                (self._first_1g, self._shared_1g),
-            )
-        ):
-            lo = int(level_offsets[level])
-            hi = int(level_offsets[level + 1])
-            if hi <= lo:
-                continue
-            l_ids = ids[lo:hi]
-            l_first = epoch_first[lo:hi]
-            l_multi = multi[lo:hi]
-            current = first[l_ids]
-            fresh = current < 0
-            first[l_ids[fresh]] = l_first[fresh]
-            shared[l_ids[l_multi | (~fresh & (current != l_first))]] = True
+        np.add.at(self.weight, granules, weights)
+        threads = threads.astype(self.tmin.dtype)
+        np.minimum.at(self.tmin, granules, threads)
+        np.maximum.at(self.tmax, granules, threads)
 
     # ------------------------------------------------------------------
     # Metrics against a backing state
@@ -123,13 +102,17 @@ class AccessTracker:
 
         Which pages are 4KB-backed is decided once per 2MB chunk and
         expanded to a ``bool`` per granule; the 4KB maximum and hot
-        count are masked reductions over :attr:`weight` itself.  Beyond
-        the per-chunk arrays, a call allocates two bytes per granule
-        (the mask and the hot flags) and a compacted copy of the shared
-        4KB weights.  Every float is summed over the same array as a
-        per-granule evaluation sums it — ``total`` over the dense
-        weights, each PSP term over its compacted shared weights — so
-        the statistics are bit-identical to it.
+        count are masked reductions over :attr:`weight` itself.  A
+        page is shared iff its highest toucher is above its lowest:
+        per granule ``tmax > tmin``, per 2MB and 1GB page the max of
+        ``tmax`` over the min of ``tmin`` across it.  Beyond the
+        per-chunk arrays, a call allocates two bytes per granule (the
+        mask, and one buffer for the hot flags and then the 4KB shared
+        flags) and a compacted copy of the shared 4KB weights.  Every
+        float is summed over the same array as a per-granule evaluation
+        sums it — ``total`` over the dense weights, each PSP term over
+        its compacted shared weights — so the statistics are
+        bit-identical to it.
         """
         total = float(self.weight.sum())
         if total <= 0:
@@ -150,28 +133,32 @@ class AccessTracker:
         # Per-page maxima and hot counts at each level.
         threshold = total * hot_threshold_pct / 100.0
         page_max = float(np.max(self.weight, where=granule_is_4k, initial=0.0))
-        hot_4k = self.weight > threshold
-        hot_4k &= granule_is_4k
-        hot = int(np.count_nonzero(hot_4k))
-        del hot_4k  # freed before the PSP compaction below
+        flags = self.weight > threshold
+        flags &= granule_is_4k
+        hot = int(np.count_nonzero(flags))
         for w in (chunk_w[chunk_is_huge], gchunk_w[giga]):
             if w.size:
                 page_max = max(page_max, float(w.max()))
                 hot += int(np.count_nonzero(w > threshold))
 
         # PSP: accesses to pages shared by >= 2 threads, at backing size.
+        # The hot flags' buffer takes the 4KB pages' shared flags.
+        np.greater(self.tmax, self.tmin, out=flags)
+        granule_is_4k &= flags  # now: 4KB-backed and shared
+        del flags  # freed before the PSP compaction below
         shared_weight = 0.0
         if np.any(chunk_is_4k):
-            granule_is_4k &= self._shared_4k  # now: 4KB-backed and shared
             shared_weight += float(self.weight[granule_is_4k].sum())
+        chunk_min, chunk_max = _group_bounds(self.tmin, self.tmax, GRANULES_PER_2M)
         if np.any(chunk_is_huge):
             shared_weight += float(
-                chunk_w[chunk_is_huge & self._shared_2m[:n_chunks]].sum()
+                chunk_w[chunk_is_huge & (chunk_max > chunk_min)].sum()
             )
         if np.any(giga):
-            shared_weight += float(
-                gchunk_w[giga & self._shared_1g[: gchunk_w.size]].sum()
+            gchunk_min, gchunk_max = _group_bounds(
+                chunk_min, chunk_max, CHUNKS_2M_PER_1G
             )
+            shared_weight += float(gchunk_w[giga & (gchunk_max > gchunk_min)].sum())
 
         return HotPageStats(
             pamup_pct=100.0 * page_max / total,
@@ -191,3 +178,18 @@ def _group_sums(values: np.ndarray, width: int) -> np.ndarray:
     last = np.zeros((1, width))
     last[0, : values.size - n_full] = values[n_full:]
     return np.concatenate([sums, last.sum(axis=1)])
+
+
+def _group_bounds(
+    lowest: np.ndarray, highest: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The least of ``lowest`` and the greatest of ``highest`` over each
+    run of ``width`` consecutive entries, the last run possibly short:
+    the thread bounds of the pages those entries make up."""
+    n_full = lowest.size - lowest.size % width
+    low = lowest[:n_full].reshape(-1, width).min(axis=1)
+    high = highest[:n_full].reshape(-1, width).max(axis=1)
+    if n_full < lowest.size:
+        low = np.append(low, lowest[n_full:].min())
+        high = np.append(high, highest[n_full:].max())
+    return low, high

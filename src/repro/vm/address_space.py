@@ -466,14 +466,17 @@ class AddressSpace:
         chunk_hi = ((end - 1) >> SHIFT_2M) + 1
         if np.any(self.node4k[span] >= 0) or np.any(self.huge[chunk_lo:chunk_hi]):
             raise MappingError("pattern overlaps existing mappings")
-        counts = np.bincount(nodes.astype(np.int64), minlength=self.n_nodes)
-        for node, count in enumerate(counts):
+        for node in range(self.n_nodes):
+            count = int(np.count_nonzero(nodes == node))
             if count:
-                self.phys[node].alloc_small(int(count))
+                self.phys[node].alloc_small(count)
         self.node4k[span] = nodes
-        g = np.arange(start_granule, end, dtype=np.int64)
-        chunk_ids, chunk_counts = np.unique(g >> SHIFT_2M, return_counts=True)
-        self.mapped_count_2m[chunk_ids] += chunk_counts.astype(np.int32)
+        # Every chunk the range covers gains all its granules but the
+        # ones before the start and after the end.
+        counts = np.full(chunk_hi - chunk_lo, GRANULES_PER_2M, dtype=np.int32)
+        counts[0] -= start_granule - (chunk_lo << SHIFT_2M)
+        counts[-1] -= (chunk_hi << SHIFT_2M) - end
+        self.mapped_count_2m[chunk_lo:chunk_hi] += counts
         self._bump_layout()
 
     def premap_pattern_2m(self, chunk_start: int, nodes: np.ndarray) -> np.ndarray:

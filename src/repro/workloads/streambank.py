@@ -25,10 +25,12 @@ Three fidelity rules keep every bank row bit-identical to drawing each
 thread's stream on its own (the per-thread oracle the tests compare
 against):
 
-* streams are drawn with the engine's own per-thread generators
-  (``rng_for(sim_seed, instance.seed, instance.name, "stream", t,
-  epoch)``) through the instance's ``epoch_stream_into``, straight into
-  the bank's rows;
+* streams are drawn from the engine's own per-thread generator states
+  (those of ``rng_for(sim_seed, instance.seed, instance.name, "stream",
+  t, epoch)``, computed for the whole row at once by
+  :func:`repro._util.default_rng_states` and loaded in turn into one
+  reused generator) through the instance's ``epoch_stream_into``,
+  straight into the bank's rows;
 * the IBS sampler continues each thread's generator *after* stream
   generation, so the bank captures every generator's
   ``bit_generator.state`` post-generation for the sampler to replay
@@ -41,12 +43,11 @@ folds the access tracker once for all of its runs
 (:meth:`StreamBank.fold_tracker`): the first run to reach an epoch
 folds that epoch's row, and each run reads the fold of exactly the
 epochs it ran (:meth:`StreamBank.tracker`).  Folding a row aggregates
-it with one sort (:meth:`StreamBank._aggregate_row`): its distinct
-``(granule, thread)`` keys with their counts, which weigh into
-:meth:`~repro.sim.tracker.AccessTracker.add_epoch`, and the three
-page-level sharing summaries packed for
-:meth:`~repro.sim.tracker.AccessTracker.merge_epoch_sharing`.  The
-aggregates are dropped once folded.
+it with one sort (:meth:`StreamBank._aggregate_row`) into its distinct
+``(granule, thread)`` keys with their counts, with which
+:meth:`~repro.sim.tracker.AccessTracker.add_epoch` adds to each
+granule's access weight and widens its lowest and highest toucher.
+The aggregates are dropped once folded.
 
 Lazy fill: a row materializes inside the call that first needs it, so
 a short run never generates past what it consumes.
@@ -74,10 +75,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro
-from repro._util import SeedHasher, run_starts, stable_seed
+from repro._util import (
+    SeedHasher,
+    default_rng_states,
+    rng_from_state,
+    run_starts,
+    stable_seed,
+)
 from repro.options import RuntimeOptions
 from repro.sim.tracker import AccessTracker
-from repro.vm.layout import SHIFT_1G, SHIFT_2M
 
 #: Epochs per storage block.  Blocks are filled lazily epoch by epoch,
 #: so a short run never generates past what it consumes; the window
@@ -85,6 +91,11 @@ from repro.vm.layout import SHIFT_1G, SHIFT_2M
 EPOCH_WINDOW = 16
 
 _MAX_BLOCKS_PER_BANK = 4
+
+#: The arrays of a stored block's ``agg.npz``: every row's
+#: :meth:`StreamBank._aggregate_row` keys and counts, concatenated, and
+#: the row offsets.  A file without them is of an older layout.
+_AGG_KEYS = ("t_keys", "t_counts", "t_row")
 
 #: The slot: the most recently requested bank, if any (see the module
 #: docstring).
@@ -264,6 +275,8 @@ class StreamBank:
         self._seed_hasher = SeedHasher(
             sim_seed, instance.seed, instance.name, "stream"
         )
+        #: The one generator every row's threads draw from in turn.
+        self._rng: Optional[np.random.Generator] = None
         self._dir = (
             os.path.join(cache_dir, fingerprint)
             if cache_dir is not None and fingerprint is not None
@@ -329,7 +342,7 @@ class StreamBank:
         folded again, so each epoch is folded once per bank.
         """
         if self._fold is None:
-            self._fold = AccessTracker(int(self.instance.n_granules))
+            self._fold = self._new_tracker()
         if epoch >= self._folded:
             self._fold_rows(self._fold, self._folded, epoch + 1)
             self._folded = epoch + 1
@@ -345,31 +358,33 @@ class StreamBank:
         """
         if self._fold is not None and n_epochs == self._folded:
             return self._fold
-        tracker = AccessTracker(int(self.instance.n_granules))
+        tracker = self._new_tracker()
         self._fold_rows(tracker, 0, n_epochs)
         return tracker
+
+    def _new_tracker(self) -> AccessTracker:
+        return AccessTracker(int(self.instance.n_granules), self.n_threads)
 
     def _fold_rows(self, tracker: AccessTracker, start: int, stop: int) -> None:
         """Fold epochs ``[start, stop)`` into ``tracker``, in order.
 
-        Per epoch, two vectorized calls on the row's aggregates (stored
+        Per epoch, one vectorized call on the row's aggregates (stored
         with a loaded block, else computed by :meth:`_aggregate_row` and
-        dropped once folded): each key's granule with its count times
-        its thread's :func:`weight_scale` (the engine's traffic scale;
-        the fingerprint pins ``dram_accesses``), and the packed sharing
-        summary.
+        dropped once folded): each key's granule and thread, with its
+        count times its thread's :func:`weight_scale` (the engine's
+        traffic scale; the fingerprint pins ``dram_accesses``).
         """
         tmask = (1 << self._tbits) - 1
         for epoch in range(start, stop):
             block, i = self._ensure_row(epoch)
-            keys, counts, sharing = (
+            keys, counts = (
                 self._aggregate_row(block, i)
                 if block.stored is None
                 else block.stored[i]
             )
+            threads = keys & tmask
             scale = weight_scale(self._dram, block.sizes[i])
-            tracker.add_epoch(keys >> self._tbits, counts * scale[keys & tmask])
-            tracker.merge_epoch_sharing(sharing)
+            tracker.add_epoch(keys >> self._tbits, threads, counts * scale[threads])
 
     # ------------------------------------------------------------------
     # Row materialization (lazy fill)
@@ -417,11 +432,20 @@ class StreamBank:
 
     def _generate_row(self, block: _Block, i: int) -> List[dict]:
         """Draw every thread's stream for one epoch row; returns the
-        captured post-generation RNG states."""
+        captured post-generation RNG states.
+
+        The row's start states are computed at once from the threads'
+        seeds, and each is loaded into the bank's one generator before
+        that thread draws: no generator is built per thread.
+        """
         epoch = block.epoch0 + i
+        seed = self._seed_hasher.seed
+        starts = default_rng_states(
+            [seed(t, epoch) for t in range(self.n_threads)]
+        )
         states: List[dict] = []
-        for t in range(self.n_threads):
-            rng = self._seed_hasher.rng_for(t, epoch)
+        for t, start in enumerate(starts):
+            rng = self._rng = rng_from_state(start, self._rng)
             block.sizes[i, t] = self.instance.epoch_stream_into(
                 t, epoch, rng, self.length, block.streams[i, t], block.writes[i, t]
             )
@@ -429,51 +453,20 @@ class StreamBank:
         return states
 
     def _aggregate_row(self, block: _Block, i: int) -> tuple:
-        """One filled row's aggregates ``(keys, counts, sharing)``, from
-        one sort of the row's accesses.
+        """One filled row's aggregates ``(keys, counts)``, from one sort
+        of the row's accesses.
 
         Each access packs as ``(granule << tbits) | thread``.  Sorted,
         the distinct ``keys`` and their run lengths ``counts`` are every
         thread's ``np.unique(stream, return_counts=True)`` merged in
         granule order, the threads of one granule in ascending order.
-
-        ``sharing`` packs the 4KB, 2MB and 1GB levels as ``(ids, first,
-        multi, level_offsets)``: per level, the sorted ids any thread
-        touched, the lowest thread touching each, and whether two or
-        more threads did.  The 4KB pages are the runs of equal granules
-        among ``keys``.  A coarser page's threads are the union of its
-        finer pages' threads, so its lowest and highest toucher are the
-        min and max of theirs (segment reductions over runs already in
-        order), and it is shared iff the two differ.
         """
-        tbits = self._tbits
         valid = np.arange(self.length) < block.sizes[i][:, None]
         threads = np.arange(self.n_threads, dtype=np.int64)[:, None]
-        keys = ((block.streams[i] << tbits) | threads)[valid]
+        keys = ((block.streams[i] << self._tbits) | threads)[valid]
         keys.sort()
         starts = run_starts(keys)
-        counts = np.diff(starts, append=keys.size)
-        keys = keys[starts]
-
-        ids = keys >> tbits
-        first = last = (keys & ((1 << tbits) - 1)).astype(np.int16)
-        level_ids, level_first, level_multi = [], [], []
-        for shift in (0, SHIFT_2M, SHIFT_1G - SHIFT_2M):
-            ids = ids >> shift
-            starts = run_starts(ids)
-            ids = ids[starts]
-            first = np.minimum.reduceat(first, starts)
-            last = np.maximum.reduceat(last, starts)
-            level_ids.append(ids)
-            level_first.append(first)
-            level_multi.append(last > first)
-        sharing = (
-            np.concatenate(level_ids),
-            np.concatenate(level_first),
-            np.concatenate(level_multi),
-            _offsets(level_ids),
-        )
-        return keys, counts, sharing
+        return keys[starts], np.diff(starts, append=keys.size)
 
     # ------------------------------------------------------------------
     # Optional on-disk store (REPRO_STREAM_CACHE)
@@ -491,21 +484,15 @@ class StreamBank:
 
     def _agg_payload(self, block: _Block) -> Dict[str, np.ndarray]:
         """Every row's :meth:`_aggregate_row` output of a completed
-        block, concatenated for the disk store (``t_row``/``s_row``
-        delimit the rows)."""
-        keys, counts, sharing = zip(
+        block, concatenated for the disk store (``t_row`` delimits the
+        rows)."""
+        keys, counts = zip(
             *(self._aggregate_row(block, i) for i in range(block.n_epochs))
         )
-        s_ids, s_first, s_multi, s_lvl = zip(*sharing)
         return {
             "t_keys": np.concatenate(keys),
             "t_counts": np.concatenate(counts),
             "t_row": _offsets(keys),
-            "s_ids": np.concatenate(s_ids),
-            "s_first": np.concatenate(s_first),
-            "s_multi": np.concatenate(s_multi),
-            "s_row": _offsets(s_ids),
-            "s_lvl": np.stack(s_lvl),
         }
 
     def _persist(self, block: _Block) -> None:
@@ -553,7 +540,7 @@ class StreamBank:
             with open(paths["rng"], "r", encoding="ascii") as fh:
                 rng_states = json.load(fh)
             with np.load(paths["agg"]) as stored:
-                agg = {key: stored[key] for key in stored.files}
+                agg = {key: stored[key] for key in _AGG_KEYS if key in stored}
         except (OSError, ValueError, KeyError):
             return None
         n_epochs = max(1, min(EPOCH_WINDOW, self.total_epochs - epoch0))
@@ -576,38 +563,22 @@ class StreamBank:
         or ``None`` when the payload is of another layout or
         inconsistent (a stale store)."""
         try:
-            t_keys, t_counts, t_row = agg["t_keys"], agg["t_counts"], agg["t_row"]
-            s_ids, s_first, s_multi = agg["s_ids"], agg["s_first"], agg["s_multi"]
-            s_row, s_lvl = agg["s_row"], agg["s_lvl"]
+            t_keys, t_counts, t_row = (agg[key] for key in _AGG_KEYS)
         except KeyError:
             return None
         if (
             t_row.shape != (n_epochs + 1,)
-            or s_row.shape != (n_epochs + 1,)
-            or s_lvl.shape != (n_epochs, 4)
             or int(t_row[-1]) != t_keys.size
             or t_counts.shape != t_keys.shape
-            or int(s_row[-1]) != s_ids.size
-            or s_first.shape != s_ids.shape
-            or s_multi.shape != s_ids.shape
         ):
             return None
         rows: List[tuple] = []
         for i in range(n_epochs):
-            t_lo, t_hi = int(t_row[i]), int(t_row[i + 1])
-            s_lo, s_hi = int(s_row[i]), int(s_row[i + 1])
-            counts = t_counts[t_lo:t_hi]
-            lvl = s_lvl[i]
-            if (
-                int(counts.sum()) != int(sizes[i].sum())
-                or int(lvl[-1]) != s_hi - s_lo
-            ):
+            lo, hi = int(t_row[i]), int(t_row[i + 1])
+            counts = t_counts[lo:hi]
+            if int(counts.sum()) != int(sizes[i].sum()):
                 return None
-            rows.append((
-                t_keys[t_lo:t_hi],
-                counts,
-                (s_ids[s_lo:s_hi], s_first[s_lo:s_hi], s_multi[s_lo:s_hi], lvl),
-            ))
+            rows.append((t_keys[lo:hi], counts))
         return rows
 
 

@@ -43,7 +43,7 @@ def place(engine, table, asp, n_nodes):
     return summary
 
 
-def make_table(asp, granules, nodes, n_nodes=2, granularity="backing"):
+def make_table(asp, granules, nodes, n_nodes=2):
     n = len(granules)
     samples = IbsSamples(
         granule=np.asarray(granules, dtype=np.int64),
@@ -52,7 +52,7 @@ def make_table(asp, granules, nodes, n_nodes=2, granularity="backing"):
         thread=np.zeros(n, dtype=np.int16),
         from_dram=np.ones(n, dtype=bool),
     )
-    return PageSampleTable.from_samples(samples, asp, n_nodes, granularity)
+    return PageSampleTable.from_samples(samples, asp, n_nodes)
 
 
 def window_with(lar_traffic, n_nodes=2, maptu_misses=1e9):

@@ -9,6 +9,7 @@ from repro.core.lar_estimator import estimate_lar_after_carrefour
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import PhysicalMemory
 from repro.vm.layout import GRANULES_PER_2M
+from tests.per_page_kernel import node_matrix_columns
 
 GIB = 1 << 30
 
@@ -90,3 +91,31 @@ class TestEstimator:
         est = estimate_lar_after_carrefour(samples, asp, 2)
         assert est.current == pytest.approx(100.0)
         assert est.carrefour_gain == pytest.approx(est.with_carrefour - 100.0)
+
+
+class TestSplitEstimate:
+    """The split estimate sums the 4KB grouping's per-page totals and
+    single-node flags, in ascending page order, as the five-column 4KB
+    sample table did: bit for bit, against the matrix oracle."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4, 8])
+    def test_bit_identical_to_the_4k_table(self, n_nodes):
+        asp = make_asp(n_chunks=8)
+        rng = np.random.default_rng(n_nodes)
+        for n_samples, n_pages in ((5000, None), (3000, 60), (1, None)):
+            pages = np.arange(asp.n_granules)
+            if n_pages is not None:
+                pages = rng.choice(pages, n_pages)
+            samples = make_samples(
+                rng.choice(pages, n_samples),
+                rng.integers(0, n_nodes, n_samples),
+                rng.integers(0, n_nodes, n_samples),
+            )
+            columns = node_matrix_columns(samples, asp, n_nodes, "4k")
+            totals = columns["totals"]
+            single = columns["nodes_touching"] == 1
+            local = float(totals[single].sum())
+            local += float(totals[~single].sum()) / n_nodes
+            want = 100.0 * local / n_samples
+            got = estimate_lar_after_carrefour(samples, asp, n_nodes)
+            assert got.with_carrefour_and_split.hex() == want.hex()

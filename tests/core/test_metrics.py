@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsSamples
+from repro.core.lar_estimator import _granule_columns
 from repro.core.metrics import PageSampleTable, sample_lar
 from repro.vm.address_space import (
     BACKING_ID_1G_OFFSET,
@@ -50,15 +51,15 @@ class TestPageSampleTable:
         assert table.totals[0] == 3
 
     def test_4k_granularity_ignores_backing(self):
+        """The split estimate's columns group by granule, whatever
+        backs it: one sample on granule 0, two nodes on granule 5."""
         asp = make_asp()
         asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
         samples = make_samples([0, 5, 5], [0, 0, 1])
-        table = PageSampleTable.from_samples(samples, asp, 2, granularity="4k")
-        assert table.ids.tolist() == [0, 5]
-
-    def test_invalid_granularity(self):
-        with pytest.raises(ConfigurationError):
-            PageSampleTable.from_samples(IbsSamples.empty(), make_asp(), 2, "8k")
+        totals, single = _granule_columns(samples, 2)
+        assert totals.tolist() == [1.0, 2.0]
+        assert single.tolist() == [True, False]
+        assert PageSampleTable.from_samples(samples, asp, 2).ids.size == 1
 
     def test_node_counts(self):
         """Page 0 takes one sample from each node: two samples, two
@@ -98,7 +99,17 @@ class TestPageSampleTable:
         assert table.dominant_nodes()[0] == 1
 
 
-@pytest.mark.parametrize("granularity", ["backing", "4k"])
+#: Each way a batch is grouped by packed keys: the sample table by
+#: backing page, and the split estimate's columns by 4KB granule.
+GROUPINGS = {
+    "backing": lambda samples, asp, n_nodes: PageSampleTable.from_samples(
+        samples, asp, n_nodes
+    ),
+    "4k": lambda samples, asp, n_nodes: _granule_columns(samples, n_nodes),
+}
+
+
+@pytest.mark.parametrize("granularity", sorted(GROUPINGS))
 class TestNodeRange:
     """A node outside ``[0, n_nodes)`` is refused: packed into a key
     (or binned at ``page * n_nodes + node``), it would count as a node
@@ -111,7 +122,7 @@ class TestNodeRange:
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
         samples = make_samples([0, 1, 1], [2, 0, 0])
         with pytest.raises(ConfigurationError, match="accessing node"):
-            PageSampleTable.from_samples(samples, asp, 2, granularity)
+            GROUPINGS[granularity](samples, asp, 2)
         assert samples.tables == {}
 
     def test_a_node_past_the_last_on_the_last_page(self, granularity):
@@ -119,14 +130,14 @@ class TestNodeRange:
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
         samples = make_samples([0, 1, 1], [0, 0, 2])
         with pytest.raises(ConfigurationError, match="accessing node"):
-            PageSampleTable.from_samples(samples, asp, 2, granularity)
+            GROUPINGS[granularity](samples, asp, 2)
 
     def test_a_negative_node(self, granularity):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
         samples = make_samples([0, 1], [0, -1])
         with pytest.raises(ConfigurationError, match="accessing node"):
-            PageSampleTable.from_samples(samples, asp, 2, granularity)
+            GROUPINGS[granularity](samples, asp, 2)
 
 
 COLUMNS = ("ids", "totals", "nodes_touching", "dominant", "write_counts")
@@ -154,9 +165,16 @@ def oracle_space():
 
 def assert_matches_matrix(samples, asp, n_nodes, granularity="backing"):
     """The table equals the node matrix's row reductions, column for
-    column, dtypes included."""
-    table = PageSampleTable.from_samples(samples, asp, n_nodes, granularity)
+    column, dtypes included; at ``4k``, the split estimate's columns
+    equal the granule matrix's totals and single-node flags."""
     expected = node_matrix_columns(samples, asp, n_nodes, granularity)
+    if granularity == "4k":
+        totals, single = _granule_columns(samples, n_nodes)
+        assert totals.dtype == expected["totals"].dtype
+        assert np.array_equal(totals, expected["totals"])
+        assert np.array_equal(single, expected["nodes_touching"] == 1)
+        return None
+    table = PageSampleTable.from_samples(samples, asp, n_nodes)
     for name in COLUMNS:
         column = getattr(table, name)
         assert column.dtype == expected[name].dtype, name
@@ -205,17 +223,19 @@ class TestMatrixOracle:
         table = assert_matches_matrix(
             IbsSamples.empty(), oracle_space, n_nodes, granularity
         )
-        assert table.ids.size == 0
-        assert table.hot_mask(6.0).size == table.read_only_mask().size == 0
+        if table is not None:
+            assert table.ids.size == 0
+            assert table.hot_mask(6.0).size == table.read_only_mask().size == 0
 
     @pytest.mark.parametrize("granularity", ["backing", "4k"])
     def test_one_sample(self, oracle_space, n_nodes, granularity):
         node = n_nodes - 1
         samples = make_samples([REGIONS["2m"][0] + 7], [node], writes=[True])
         table = assert_matches_matrix(samples, oracle_space, n_nodes, granularity)
-        assert table.totals.tolist() == [1.0]
-        assert table.dominant_nodes().tolist() == [node]
-        assert table.write_counts.tolist() == [1.0]
+        if table is not None:
+            assert table.totals.tolist() == [1.0]
+            assert table.dominant_nodes().tolist() == [node]
+            assert table.write_counts.tolist() == [1.0]
 
     def test_ties_go_to_the_lowest_node(self, oracle_space, n_nodes):
         """Each page takes the same number of samples from each node of

@@ -372,6 +372,33 @@ class TestBankAffinity:
             tasks = _bank_tasks(specs, workers)
             assert len(tasks) == workers
             assert all(tasks)
-            assert [spec for task in tasks for spec in task] == specs
+            flat = [spec for task in tasks for spec in task]
+            assert sorted(flat, key=specs.index) == specs
+            # Each task keeps its runs in grid order.
+            assert all(task == sorted(task, key=specs.index) for task in tasks)
         # Never more tasks than runs.
         assert len(_bank_tasks(specs, 16)) == len(specs)
+
+    def test_larger_tasks_go_first(self):
+        """Tasks sort by runs times the machine's cores (A: 24, B: 64),
+        most first; equal ones keep grid order."""
+        specs = [
+            RunSpec("WC", "A", "thp"),
+            RunSpec("Kmeans", "A", "linux-4k"),
+            RunSpec("Kmeans", "A", "thp"),
+            RunSpec("Kmeans", "A", "carrefour-2m"),
+            RunSpec("IS.D", "B", "thp"),
+            RunSpec("SSCA.20", "A", "thp"),
+            RunSpec("CG.D", "B", "thp"),
+            RunSpec("CG.D", "B", "linux-4k"),
+        ]
+        tasks = _bank_tasks(specs, 2)
+        assert [[specs.index(spec) for spec in task] for task in tasks] == [
+            [6, 7],  # 2 x 64
+            [1, 2, 3],  # 3 x 24
+            [4],  # 1 x 64
+            [0],  # 1 x 24
+            [5],  # 1 x 24, after WC as in the grid
+        ]
+        serial = _bank_tasks(list(reversed(specs)), 1)
+        assert [task[0].workload for task in serial[-2:]] == ["SSCA.20", "WC"]

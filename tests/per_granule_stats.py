@@ -5,9 +5,12 @@
 maximum and hot-page count with masked reductions.  This module keeps
 the per-granule form it replaced: two ``int64`` index arrays as long as
 the address space map every granule to its 2MB and 1GB chunk, and the
-4KB-backed weights are copied out before they are reduced.  The
-equivalence tests run both over the same trackers and address spaces
-and require every field to match bit for bit (:func:`stats_bits`).
+4KB-backed weights are copied out before they are reduced.  Sharing
+is read per level off copies of the thread bounds padded to whole pages
+(:func:`shared_flags`), where the shipped statistics reduce the full
+pages and the short last page apart.  The equivalence tests run both
+over the same trackers and address spaces and require every field to
+match bit for bit (:func:`stats_bits`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,30 @@ def chunk_weights(tracker) -> np.ndarray:
     if pad:
         w = np.concatenate([w, np.zeros(pad)])
     return w.reshape(-1, GRANULES_PER_2M).sum(axis=1)
+
+
+def _padded_bounds(low: np.ndarray, high: np.ndarray, width: int):
+    """Each page's bounds from copies padded to whole pages with
+    untouched entries."""
+    pad = (-low.size) % width
+    low = np.concatenate([low, np.full(pad, np.iinfo(low.dtype).max, low.dtype)])
+    high = np.concatenate([high, np.full(pad, -1, high.dtype)])
+    return (
+        low.reshape(-1, width).min(axis=1),
+        high.reshape(-1, width).max(axis=1),
+    )
+
+
+def shared_flags(tracker) -> dict:
+    """Per 4KB granule, 2MB chunk and 1GB chunk: whether two or more
+    threads touched it."""
+    low2, high2 = _padded_bounds(tracker.tmin, tracker.tmax, GRANULES_PER_2M)
+    low1, high1 = _padded_bounds(tracker.tmin, tracker.tmax, 1 << SHIFT_1G)
+    return {
+        "4k": tracker.tmax > tracker.tmin,
+        "2m": high2 > low2,
+        "1g": high1 > low1,
+    }
 
 
 def hot_page_stats(
@@ -77,19 +104,16 @@ def hot_page_stats(
             hot += int(np.count_nonzero(w > threshold))
 
     # PSP: accesses to pages shared by >= 2 threads, at backing size.
+    shared = shared_flags(tracker)
     shared_weight = 0.0
     if np.any(granule_level):
-        shared_weight += float(
-            tracker.weight[granule_level & tracker._shared_4k].sum()
-        )
+        shared_weight += float(tracker.weight[granule_level & shared["4k"]].sum())
     if np.any(chunk_is_huge):
-        shared_weight += float(
-            chunk_w[chunk_is_huge & tracker._shared_2m[:n_chunks]].sum()
-        )
+        shared_weight += float(chunk_w[chunk_is_huge & shared["2m"]].sum())
     giga_mask = address_space.giga[: gchunk_w.size]
     if np.any(giga_mask):
         shared_weight += float(
-            gchunk_w[giga_mask & tracker._shared_1g[: gchunk_w.size]].sum()
+            gchunk_w[giga_mask & shared["1g"][: gchunk_w.size]].sum()
         )
 
     return HotPageStats(

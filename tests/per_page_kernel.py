@@ -172,9 +172,7 @@ class PerPageAutoNumaPolicy(AutoNumaPolicy):
         yield ChargeCompute(len(samples) * self.config.hint_fault_cost_s)
         if len(samples) == 0:
             return
-        table = PageSampleTable.from_samples(
-            samples, sim.asp, sim.machine.n_nodes, granularity="backing"
-        )
+        table = PageSampleTable.from_samples(samples, sim.asp, sim.machine.n_nodes)
         dominant = table.dominant_nodes()
         budget = self.config.max_migration_bytes_per_interval
         order = np.argsort(-table.totals)

@@ -14,6 +14,11 @@ module keeps the per-thread loops those batched paths must match:
 * the access tracker fed one thread at a time;
 * one thread-epoch's IBS samples drawn with that thread's generator.
 
+It also keeps the sharing state the tracker kept before its per-granule
+thread bounds (:class:`FirstShared`): per 4KB, 2MB and 1GB page, the
+first thread to touch it and whether another did, merged one row at a
+time from the row's three page-level summaries (:func:`row_sharing`).
+
 The equivalence tests drive both over the same workloads and require
 identical results.
 """
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import rng_for
+from repro._util import rng_for, run_starts
 from repro.errors import ConfigurationError
 from repro.hardware.ibs import IbsEngine
 from repro.sim.tracker import AccessTracker
@@ -112,16 +117,85 @@ def update(
         return
     unique, counts = np.unique(g, return_counts=True)
     tracker.weight[unique] += counts * weight_per_access
-    _mark(tracker._first_4k, tracker._shared_4k, unique, thread)
-    _mark(tracker._first_2m, tracker._shared_2m, np.unique(unique >> SHIFT_2M), thread)
-    _mark(tracker._first_1g, tracker._shared_1g, np.unique(unique >> SHIFT_1G), thread)
+    tracker.tmin[unique] = np.minimum(tracker.tmin[unique], thread)
+    tracker.tmax[unique] = np.maximum(tracker.tmax[unique], thread)
 
 
-def _mark(first: np.ndarray, shared: np.ndarray, ids: np.ndarray, thread: int) -> None:
-    current = first[ids]
-    fresh = current < 0
-    first[ids[fresh]] = thread
-    shared[ids[(~fresh) & (current != thread)]] = True
+#: The page levels the sharing oracle tracks, as granule-id shifts.
+LEVELS = {"4k": 0, "2m": SHIFT_2M, "1g": SHIFT_1G}
+
+
+def row_sharing(keys: np.ndarray, tbits: int) -> tuple:
+    """One row's sharing summary ``(ids, first, multi, level_offsets)``
+    from its sorted distinct ``(granule << tbits) | thread`` keys.
+
+    Per level, the sorted ids any thread touched, the lowest thread
+    touching each, and whether two or more threads did, the levels
+    concatenated.  The 4KB pages are the runs of equal granules among
+    ``keys``; a coarser page's lowest and highest toucher are the min
+    and max of its finer pages'.
+    """
+    ids = keys >> tbits
+    first = last = (keys & ((1 << tbits) - 1)).astype(np.int16)
+    level_ids, level_first, level_multi = [], [], []
+    for shift in (0, SHIFT_2M, SHIFT_1G - SHIFT_2M):
+        ids = ids >> shift
+        starts = run_starts(ids)
+        ids = ids[starts]
+        first = np.minimum.reduceat(first, starts)
+        last = np.maximum.reduceat(last, starts)
+        level_ids.append(ids)
+        level_first.append(first)
+        level_multi.append(last > first)
+    return (
+        np.concatenate(level_ids),
+        np.concatenate(level_first),
+        np.concatenate(level_multi),
+        np.cumsum([0] + [a.size for a in level_ids], dtype=np.int64),
+    )
+
+
+class FirstShared:
+    """Per page at each of :data:`LEVELS`, the first thread to touch it
+    (-1 while untouched) and whether a second thread did."""
+
+    def __init__(self, n_granules: int) -> None:
+        self.first = {
+            level: np.full(-(-n_granules >> shift), -1, dtype=np.int16)
+            for level, shift in LEVELS.items()
+        }
+        self.shared = {
+            level: np.zeros(first.size, dtype=bool)
+            for level, first in self.first.items()
+        }
+
+    def merge_epoch_sharing(self, packed) -> None:
+        """Fold one row's :func:`row_sharing` summary in, all threads at
+        once: a previously untouched id records the row's first toucher
+        (and is shared iff several threads hit it this row); a known id
+        becomes shared when the row brings any different thread."""
+        ids, epoch_first, multi, level_offsets = packed
+        for level_index, level in enumerate(LEVELS):
+            lo = int(level_offsets[level_index])
+            hi = int(level_offsets[level_index + 1])
+            if hi <= lo:
+                continue
+            first, shared = self.first[level], self.shared[level]
+            l_ids = ids[lo:hi]
+            l_first = epoch_first[lo:hi]
+            current = first[l_ids]
+            fresh = current < 0
+            first[l_ids[fresh]] = l_first[fresh]
+            shared[l_ids[multi[lo:hi] | (~fresh & (current != l_first))]] = True
+
+
+def bank_sharing(bank, n_epochs: int) -> FirstShared:
+    """The sharing oracle merged over a bank's rows ``[0, n_epochs)``."""
+    oracle = FirstShared(int(bank.instance.n_granules))
+    for epoch in range(n_epochs):
+        keys, _ = bank._aggregate_row(*bank._ensure_row(epoch))
+        oracle.merge_epoch_sharing(row_sharing(keys, bank._tbits))
+    return oracle
 
 
 def record_epoch(

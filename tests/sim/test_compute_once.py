@@ -22,6 +22,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core import lar_estimator
 from repro.core.metrics import PageSampleTable
 from repro.experiments.configs import make_policy
 from repro.experiments.runner import RunSpec, execute_run
@@ -76,9 +77,8 @@ def _simulation(workload, machine, policy, config):
 # ----------------------------------------------------------------------
 # Sample tables
 # ----------------------------------------------------------------------
-def _table_key(samples, address_space, n_nodes, granularity="backing"):
-    layout = address_space.layout_version if granularity == "backing" else None
-    return (id(samples), granularity, layout)
+def _table_key(samples, address_space, n_nodes):
+    return (id(samples), address_space.layout_version)
 
 
 def _batch(granules, nodes, threads):
@@ -129,9 +129,7 @@ def _sorts_in(build):
 
 
 class TestSampleTables:
-    def test_each_interval_builds_one_table_per_granularity_and_layout(
-        self, monkeypatch
-    ):
+    def test_each_interval_builds_one_table_per_layout(self, monkeypatch):
         calls, builds, batches = [], [], []
 
         def on_call(samples, *args, **kwargs):
@@ -152,15 +150,11 @@ class TestSampleTables:
         # backing table of one batch; only the first ask builds it.
         assert len(calls) > len(builds)
         per_batch = {}
-        for batch, granularity, layout in builds:
-            per_batch.setdefault(batch, []).append((granularity, layout))
-        for keys in per_batch.values():
-            assert sum(g == "4k" for g, _ in keys) == 1
+        for batch, layout in builds:
+            per_batch.setdefault(batch, []).append(layout)
+        assert all(len(layouts) <= 2 for layouts in per_batch.values())
         # A reactive split before Carrefour's ask costs one rebuild.
-        assert any(
-            sorted(g for g, _ in keys) == ["4k", "backing", "backing"]
-            for keys in per_batch.values()
-        )
+        assert any(len(layouts) == 2 for layouts in per_batch.values())
 
     def test_split_between_reactive_and_carrefour_costs_one_rebuild(self):
         asp = AddressSpace(4 * GRANULES_PER_2M, PhysicalMemory([GIB, GIB]))
@@ -177,29 +171,26 @@ class TestSampleTables:
             granules, rng.integers(0, 2, 400), rng.integers(0, 4, 400)
         )
 
-        # The LAR estimate groups the batch both ways.
+        # The LAR estimate groups the batch by backing page.
         backing = PageSampleTable.from_samples(samples, asp, 2)
-        split = PageSampleTable.from_samples(samples, asp, 2, "4k")
         # The reactive step asks again: served from the batch.
         assert PageSampleTable.from_samples(samples, asp, 2) is backing
         # Migrations and replicas leave the page-size layout alone.
         asp.migrate_backing(BACKING_ID_2M_OFFSET, 1)
         asp.replicate_backing(2 * GRANULES_PER_2M)
         assert PageSampleTable.from_samples(samples, asp, 2) is backing
-        assert len(samples.tables) == 2
+        assert len(samples.tables) == 1
         # A split before Carrefour's ask costs exactly one rebuild.
         asp.split_chunk(1)
         rebuilt = PageSampleTable.from_samples(samples, asp, 2)
         assert rebuilt is not backing
         assert PageSampleTable.from_samples(samples, asp, 2) is rebuilt
-        assert PageSampleTable.from_samples(samples, asp, 2, "4k") is split
-        assert len(samples.tables) == 3
-        # Served tables equal fresh builds bit for bit.
+        assert len(samples.tables) == 2
+        # A served table equals a fresh build bit for bit.
         fresh = _batch(granules, samples.accessing_node, samples.thread)
-        for granularity, table in (("backing", rebuilt), ("4k", split)):
-            assert _table_bits(table) == _table_bits(
-                PageSampleTable.from_samples(fresh, asp, 2, granularity)
-            )
+        assert _table_bits(rebuilt) == _table_bits(
+            PageSampleTable.from_samples(fresh, asp, 2)
+        )
 
     def test_tables_are_keyed_per_address_space_and_node_count(self):
         phys = PhysicalMemory([GIB, GIB])
@@ -217,22 +208,31 @@ class TestSampleTables:
         assert len(samples.tables) == 3
 
     def test_each_build_sorts_once(self, monkeypatch):
-        """Every table a carrefour-lp run builds, at either granularity,
-        costs one ``ndarray.sort``: no ``np.unique``, ``argsort`` or
-        second sort."""
+        """Every table a carrefour-lp run builds, and the 4KB columns of
+        every split estimate, cost one ``ndarray.sort``: no
+        ``np.unique``, ``argsort`` or second sort."""
         original = PageSampleTable.__dict__["_group"].__func__
-        builds = []
+        columns = lar_estimator._granule_columns
+        builds, splits = [], []
 
         def profiled(cls, samples, *args):
             table, sorts = _sorts_in(lambda: original(cls, samples, *args))
             builds.append((len(samples), sorts))
             return table
 
+        def profiled_columns(samples, n_nodes):
+            result, sorts = _sorts_in(lambda: columns(samples, n_nodes))
+            splits.append((len(samples), sorts))
+            return result
+
         monkeypatch.setattr(PageSampleTable, "_group", classmethod(profiled))
+        monkeypatch.setattr(lar_estimator, "_granule_columns", profiled_columns)
         sim = _simulation("CG.D", "A", "carrefour-lp", SimConfig.quick())
         sim.run()
         assert len(builds) == sim.table_builds > 0
-        assert all(sorts == (["ndarray.sort"] if n else []) for n, sorts in builds)
+        assert splits
+        for n, sorts in builds + splits:
+            assert sorts == (["ndarray.sort"] if n else [])
 
     def test_the_profile_sees_every_sort(self):
         """The counter itself: it sees each way numpy sorts."""
@@ -330,7 +330,7 @@ class TestClassifications:
 # ----------------------------------------------------------------------
 def _oracle_tracker(bank, instance, n_epochs):
     """The per-run fold: every thread's stream fed one at a time."""
-    tracker = AccessTracker(instance.n_granules)
+    tracker = AccessTracker(instance.n_granules, bank.n_threads)
     dram = instance.cost.dram_accesses
     for epoch in range(n_epochs):
         streams, _, sizes = bank.epoch_arrays(epoch)
@@ -343,11 +343,8 @@ def _oracle_tracker(bank, instance, n_epochs):
 
 
 def _assert_same_fold(got, want):
-    np.testing.assert_array_equal(got.weight, want.weight)
-    for level in ("4k", "2m", "1g"):
-        for kind in ("first", "shared"):
-            name = f"_{kind}_{level}"
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name in ("weight", "tmin", "tmax"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestTrackerFold:
@@ -355,9 +352,9 @@ class TestTrackerFold:
         folds = []
         original = AccessTracker.add_epoch
 
-        def recording(self, ids, scaled):
+        def recording(self, *columns):
             folds.append(self)
-            return original(self, ids, scaled)
+            return original(self, *columns)
 
         monkeypatch.setattr(tracker_module.AccessTracker, "add_epoch", recording)
         config = SimConfig.quick()

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import check_address_space, check_host_conservation
+from repro.core.lar_estimator import _granule_columns
 from repro.core.metrics import PageSampleTable
 from repro.experiments.runner import RunSpec, build_simulation
 from repro.hardware.ibs import IbsSamples
@@ -57,9 +58,11 @@ def test_hot_page_stats_allocates_under_a_float64_per_granule(
     the compacted shared 4KB weights: here a quarter of the granules
     are shared, 2 bytes per granule compacted in the all-4KB layout."""
     asp = _mapped(layout)
-    tracker = AccessTracker(IS_D_GRANULES)
+    tracker = AccessTracker(IS_D_GRANULES, 64)
     tracker.weight[:] = np.random.default_rng(0).random(IS_D_GRANULES)
-    tracker._shared_4k[::4] = True
+    tracker.tmin[:] = 0
+    tracker.tmax[:] = 0
+    tracker.tmax[::4] = 1
     tracemalloc.start()
     try:
         stats = tracker.hot_page_stats(asp)
@@ -68,6 +71,23 @@ def test_hot_page_stats_allocates_under_a_float64_per_granule(
         tracemalloc.stop()
     assert stats.total_weight > 0
     assert peak < IS_D_GRANULES * np.dtype(np.float64).itemsize
+
+
+def test_premap_pattern_4k_allocates_under_4_mib(refcount_only):
+    """Mapping the whole space as 4KB pages on 8 nodes counts each
+    node's and each chunk's new mappings without an ``int64`` copy of
+    the pattern or of the range: 1.8 MiB here, where the per-node
+    ``bincount`` and the per-granule ``np.unique`` took 40.1 MiB."""
+    asp = AddressSpace(IS_D_GRANULES, PhysicalMemory([GIB] * 8))
+    nodes = (np.arange(IS_D_GRANULES) % 8).astype(np.int8)
+    tracemalloc.start()
+    try:
+        asp.premap_pattern_4k(0, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asp.mapped_count_2m.sum() == IS_D_GRANULES
+    assert peak < 4 * MIB
 
 
 @pytest.mark.parametrize("layout", ["all-4k", "mixed"])
@@ -114,12 +134,11 @@ def _sample_batch(n_samples: int, n_nodes: int) -> IbsSamples:
     )
 
 
-@pytest.mark.parametrize("granularity", ["backing", "4k"])
-def test_a_sample_table_holds_40_bytes_per_page(granularity):
+def test_a_sample_table_holds_40_bytes_per_page():
     """Five one-dimensional columns of 8-byte values, each owning its
     buffer; the node matrix made it 88 bytes per page on 8 nodes."""
     table = PageSampleTable.from_samples(
-        _sample_batch(20_000, 8), _mapped("mixed"), 8, granularity
+        _sample_batch(20_000, 8), _mapped("mixed"), 8
     )
     columns = (
         table.ids,
@@ -132,22 +151,50 @@ def test_a_sample_table_holds_40_bytes_per_page(granularity):
     assert sum(c.nbytes for c in columns) == 5 * 8 * table.ids.size
 
 
-@pytest.mark.parametrize("granularity", ["backing", "4k"])
+#: The per-page totals of one batch grouped by backing page (a sample
+#: table) and by 4KB granule (the split estimate's columns).
+GROUPED_TOTALS = {
+    "backing": lambda samples, asp: PageSampleTable.from_samples(
+        samples, asp, 8
+    ).totals,
+    "4k": lambda samples, asp: _granule_columns(samples, 8)[0],
+}
+
+
+@pytest.mark.parametrize("granularity", sorted(GROUPED_TOTALS))
 def test_a_sample_table_builds_under_12_mib(refcount_only, granularity):
-    """One build of a 150k-sample, 8-node batch (the size of a quick
-    carrefour-lp run's largest) peaks at 5.2 MiB grouped by backing
-    page and 8.8 MiB by 4KB page, its 143k-page columns included; the
-    node matrix's build took 13.0 and 19.7 MiB."""
+    """One grouping of a 150k-sample, 8-node batch (the size of a quick
+    carrefour-lp run's largest) peaks at 5.2 MiB as a table by backing
+    page, its columns included; the split estimate's two columns by 4KB
+    page peak lower than the five-column 4KB table's 8.8 MiB.  The node
+    matrix's builds took 13.0 and 19.7 MiB."""
     asp = _mapped("mixed")
     samples = _sample_batch(150_000, 8)
     tracemalloc.start()
     try:
-        table = PageSampleTable.from_samples(samples, asp, 8, granularity)
+        totals = GROUPED_TOTALS[granularity](samples, asp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.totals.sum() == len(samples)
+    assert totals.sum() == len(samples)
     assert peak < 12 * MIB
+
+
+@pytest.mark.parametrize("machine", ["A", "B"])
+def test_the_tracker_holds_10_bytes_per_granule(machine):
+    """A float64 weight and two one-byte thread bounds per granule on
+    machines A (24 threads) and B (64): no per-chunk or per-level
+    state.  With a first toucher and shared flag at each of three page
+    sizes it held 11 bytes per granule and more per chunk."""
+    sim = build_simulation(RunSpec("IS.D", machine, "linux-4k"), SimConfig.quick())
+    result = sim.run()
+    tracker = sim._stream_bank.tracker(len(result.epoch_times_s))
+    held = sum(
+        value.nbytes
+        for value in vars(tracker).values()
+        if isinstance(value, np.ndarray)
+    )
+    assert held <= 10 * tracker.n_granules
 
 
 def test_a_quick_runs_peak_is_within_8_mib_of_its_end_state(

@@ -30,7 +30,7 @@ def make_asp(n_chunks=8):
 
 class TestTracker:
     def test_empty_stats(self):
-        tracker = AccessTracker(1024)
+        tracker = AccessTracker(1024, 4)
         asp = make_asp(2)
         stats = tracker.hot_page_stats(asp)
         assert stats.pamup_pct == 0.0
@@ -39,19 +39,40 @@ class TestTracker:
 
     def test_invalid_size(self):
         with pytest.raises(ConfigurationError):
-            AccessTracker(0)
+            AccessTracker(0, 4)
+
+    def test_invalid_thread_count(self):
+        with pytest.raises(ConfigurationError):
+            AccessTracker(1024, 0)
+
+    @pytest.mark.parametrize(
+        "n_threads, dtype",
+        [(1, np.int8), (64, np.int8), (128, np.int8), (129, np.int16),
+         (32768, np.int16), (32769, np.int32)],
+    )
+    def test_bounds_take_the_narrowest_signed_type(self, n_threads, dtype):
+        """Every thread id and the -1 of an untouched granule fit."""
+        tracker = AccessTracker(8, n_threads)
+        assert tracker.tmin.dtype == tracker.tmax.dtype == dtype
+        assert np.iinfo(dtype).max >= n_threads - 1
+        update(tracker, n_threads - 1, np.array([3]), 1.0)
+        update(tracker, 0, np.array([3, 5]), 1.0)
+        assert (tracker.tmin[[3, 5]] == 0).all()
+        assert tracker.tmax[3] == n_threads - 1
+        assert tracker.tmax[5] == 0
+        assert (tracker.tmax[[0, 1, 2, 4, 6, 7]] == -1).all()
 
     def test_pamup_4k(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         update(tracker, 0, np.array([0, 0, 0, 1]), 1.0)
         stats = tracker.hot_page_stats(asp)
         assert stats.pamup_pct == pytest.approx(75.0)
 
     def test_pamup_coalesces_under_huge(self):
         asp = make_asp()
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         # Accesses spread over 4 granules of the same 2MB chunk.
         g = np.array([0, 100, 200, 300])
         update(tracker, 0, g, 1.0)
@@ -65,7 +86,7 @@ class TestTracker:
     def test_nhp_threshold(self):
         asp = make_asp()
         asp.premap_pattern_2m(0, np.array([0, 0, 1], dtype=np.int8))
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         # Chunk 0: 50%, chunk 1: 45%, chunk 2: 5%.
         update(tracker, 0, np.repeat([0, 512, 1024], [50, 45, 5]), 1.0)
         stats = tracker.hot_page_stats(asp, hot_threshold_pct=6.0)
@@ -74,7 +95,7 @@ class TestTracker:
     def test_psp_4k_requires_two_threads(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         update(tracker, 0, np.array([0, 1]), 1.0)
         update(tracker, 1, np.array([1, 2]), 1.0)
         stats = tracker.hot_page_stats(asp)
@@ -83,7 +104,7 @@ class TestTracker:
 
     def test_psp_rises_at_2m_granularity(self):
         asp = make_asp()
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         # Threads touch different granules of the same chunk.
         update(tracker, 0, np.array([0, 0]), 1.0)
         update(tracker, 1, np.array([100, 100]), 1.0)
@@ -95,21 +116,40 @@ class TestTracker:
     def test_weight_scaling(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(2, dtype=np.int8))
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         update(tracker, 0, np.array([0]), 10.0)
         update(tracker, 0, np.array([1]), 1.0)
         stats = tracker.hot_page_stats(asp)
         assert stats.pamup_pct == pytest.approx(100.0 * 10 / 11)
 
     def test_empty_epoch_noop(self):
-        tracker = AccessTracker(1024)
-        tracker.add_epoch(np.empty(0, dtype=np.int64), np.empty(0))
+        tracker = AccessTracker(1024, 4)
+        empty = np.empty(0, dtype=np.int64)
+        tracker.add_epoch(empty, empty, np.empty(0))
         assert tracker.weight.sum() == 0
+        assert (tracker.tmax == -1).all()
+
+    def test_an_epoch_widens_each_granules_bounds(self):
+        """A granule's run of pairs gives its lowest and highest thread
+        this epoch; they widen, never narrow, what earlier epochs left."""
+        tracker = AccessTracker(8, 4)
+        tracker.add_epoch(
+            np.array([1, 1, 4, 6, 6, 6]),
+            np.array([2, 3, 1, 0, 1, 3]),
+            np.ones(6),
+        )
+        tracker.add_epoch(np.array([1, 4]), np.array([0, 1]), np.ones(2))
+        np.testing.assert_array_equal(tracker.tmin[[1, 4, 6]], [0, 1, 0])
+        np.testing.assert_array_equal(tracker.tmax[[1, 4, 6]], [3, 1, 3])
+        np.testing.assert_array_equal(tracker.weight[[1, 4, 6]], [3, 2, 3])
+        untouched = [0, 2, 3, 5, 7]
+        assert (tracker.tmin[untouched] == np.iinfo(np.int8).max).all()
+        assert (tracker.tmax[untouched] == -1).all()
 
     def test_str_rendering(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(1, dtype=np.int8))
-        tracker = AccessTracker(asp.n_granules)
+        tracker = AccessTracker(asp.n_granules, 4)
         update(tracker, 0, np.array([0]), 1.0)
         assert "PAMUP" in str(tracker.hot_page_stats(asp))
 
@@ -120,8 +160,9 @@ LAYOUTS = ("all-4k", "all-2m", "mixed", "1g", "ragged")
 #: ``spread``: four threads touch random granules, so pages are shared
 #: at every level; ``zero``: nothing is touched; ``one-hot``: one
 #: granule takes about 10% of the accesses, so one page, of whatever
-#: size backs it, is above the 6% threshold.
-PATTERNS = ("spread", "zero", "one-hot")
+#: size backs it, is above the 6% threshold; ``solo``: one thread
+#: touches random granules, so no page of any size is shared.
+PATTERNS = ("spread", "zero", "one-hot", "solo")
 
 
 def layout_space(layout):
@@ -147,10 +188,13 @@ def layout_space(layout):
 
 def tracked(asp, pattern):
     """A tracker over ``asp`` fed with one of :data:`PATTERNS`."""
-    tracker = AccessTracker(asp.n_granules)
+    tracker = AccessTracker(asp.n_granules, 4)
     if pattern == "zero":
         return tracker
     rng = np.random.default_rng(7)
+    if pattern == "solo":
+        update(tracker, 2, rng.integers(0, asp.n_granules, 5000), 1.0)
+        return tracker
     for thread in range(4):
         granules = rng.integers(0, asp.n_granules, 5000)
         update(tracker, thread, granules, 0.37 + thread)
@@ -180,8 +224,12 @@ class TestChunkGranularity:
         assert (asp.node4k >= 0).any() == (layout != "all-2m")
         assert (asp.n_granules % GRANULES_PER_2M != 0) == (layout == "ragged")
         spread = tracked(asp, "spread")
-        for level in ("4k", "2m", "1g"):
-            assert getattr(spread, f"_shared_{level}").any(), level
+        for level, shared in per_granule_stats.shared_flags(spread).items():
+            assert shared.any(), level
+        solo = tracked(asp, "solo")
+        for level, shared in per_granule_stats.shared_flags(solo).items():
+            assert not shared.any(), level
+        assert solo.hot_page_stats(asp).total_weight > 0
         assert tracked(asp, "zero").hot_page_stats(asp).total_weight == 0.0
         assert tracked(asp, "one-hot").hot_page_stats(asp).n_hot_pages == 1
 

@@ -7,6 +7,7 @@ from repro import errors
 from repro._util import (
     SeedHasher,
     ceil_div,
+    default_rng_states,
     human_bytes,
     rng_for,
     rng_from_state,
@@ -80,14 +81,54 @@ class TestSeedHasher:
         assert SeedHasher("a", 1).seed() == stable_seed("a", 1)
 
     def test_rng_matches_rng_for(self):
+        """A hasher's seed, through its start state, draws exactly what
+        the generator ``rng_for`` builds does."""
         hasher = SeedHasher("w", "stream")
-        a = hasher.rng_for(2, 5).random(8)
+        (state,) = default_rng_states([hasher.seed(2, 5)])
+        a = rng_from_state(state).random(8)
         b = rng_for("w", "stream", 2, 5).random(8)
         assert np.array_equal(a, b)
 
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             SeedHasher()
+
+
+class TestDefaultRngStates:
+    """One batch computes the states ``np.random.default_rng`` seeds."""
+
+    #: Zero, the largest one-word seed, the smallest two-word one and
+    #: the largest 64-bit seed.
+    EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def test_matches_default_rng_on_10000_seeds_and_the_edges(self):
+        drawn = rng_for("default_rng_states").integers(
+            0, 2**64 - 1, size=10_000, dtype=np.uint64, endpoint=True
+        )
+        seeds = self.EDGES + drawn.tolist()
+        states = default_rng_states(seeds)
+        assert len(states) == len(seeds)
+        for seed, state in zip(seeds, states):
+            assert state == np.random.default_rng(seed).bit_generator.state
+
+    def test_one_word_seeds_below_2_32(self):
+        """Seeds whose entropy is one ``uint32`` word, and a row of
+        consecutive ones."""
+        seeds = list(range(64)) + [2**31, 2**32 - 2]
+        for seed, state in zip(seeds, default_rng_states(seeds)):
+            assert state == np.random.default_rng(seed).bit_generator.state
+
+    def test_a_stream_banks_seeds(self):
+        """The seeds a bank row derives: every thread of one epoch."""
+        hasher = SeedHasher(0, 7, "CG.D", "stream")
+        seeds = [hasher.seed(t, 3) for t in range(64)]
+        for t, state in enumerate(default_rng_states(seeds)):
+            replayed = rng_from_state(state).random(4)
+            want = rng_for(0, 7, "CG.D", "stream", t, 3).random(4)
+            assert np.array_equal(replayed, want)
+
+    def test_an_empty_batch(self):
+        assert default_rng_states([]) == []
 
 
 class TestCeilDiv:

@@ -100,6 +100,31 @@ class TestPremap:
         assert np.array_equal(homes, nodes)
         check_address_space(asp)
 
+    @pytest.mark.parametrize(
+        "start, size",
+        [
+            (0, 1),  # one granule
+            (3, 500),  # inside one chunk, both ends partial
+            (0, GRANULES_PER_2M),  # exactly one chunk
+            (GRANULES_PER_2M - 1, 2),  # straddling a boundary
+            (100, 3 * GRANULES_PER_2M),  # partial, full, full, partial
+            (GRANULES_PER_2M, 4 * GRANULES_PER_2M),  # full chunks only
+            (7 * GRANULES_PER_2M + 5, GRANULES_PER_2M - 5),  # to the end
+        ],
+    )
+    def test_premap_pattern_4k_counts_each_chunks_mappings(self, start, size):
+        """Each chunk the range covers counts its new mappings: the
+        per-granule count over the range, chunk by chunk."""
+        asp = make_asp()
+        asp.premap_pattern_4k(start, np.ones(size, dtype=np.int8))
+        want = np.bincount(
+            np.arange(start, start + size) // GRANULES_PER_2M,
+            minlength=asp.n_chunks_2m,
+        )
+        assert asp.mapped_count_2m.dtype == np.int32
+        np.testing.assert_array_equal(asp.mapped_count_2m, want)
+        check_address_space(asp)
+
     def test_premap_pattern_4k_overlap_rejected(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(10, dtype=np.int8))

@@ -6,7 +6,9 @@ indistinguishable from per-thread generation (the oracles in
 masks, same post-generation RNG states (the IBS sampler continues
 those generators), and the same access-tracker state from each row's
 aggregates (``StreamBank._aggregate_row``, run as the bank folds the
-row).
+row).  The tracker's per-granule thread bounds must also give every
+page the sharing flag that merging each row's first/shared summaries
+gave it (the :class:`~tests.per_thread_streams.FirstShared` oracle).
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import repro
 from repro._util import run_starts
 from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSpec
+from repro.hardware.machines import machine_by_name
 from repro.options import CACHE_ENABLE_ENV, STREAM_CACHE_ENV
 from repro.sim.config import SimConfig
-from repro.sim.tracker import AccessTracker
+from repro.sim.tracker import AccessTracker, _group_bounds
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import (
@@ -37,6 +40,7 @@ from repro.workloads.regions import (
     SharedRegion,
     StreamRegion,
 )
+from repro.workloads.registry import available_workloads, get_workload
 from repro.workloads.streambank import (
     EPOCH_WINDOW,
     _MAX_BLOCKS_PER_BANK,
@@ -48,7 +52,14 @@ from repro.workloads.streambank import (
     weight_scale,
 )
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
-from tests.per_thread_streams import SIM_SEED, sequential_rows, update
+from tests.per_thread_streams import (
+    LEVELS,
+    SIM_SEED,
+    bank_sharing,
+    row_sharing,
+    sequential_rows,
+    update,
+)
 
 MIB = 1 << 20
 LENGTH = 192
@@ -85,9 +96,39 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
 
 
 def row_aggregates(bank, epoch):
-    """One epoch's ``(keys, counts, sharing)`` from the bank's row
-    helper, the row filled first."""
+    """One epoch's ``(keys, counts)`` from the bank's row helper, the
+    row filled first."""
     return bank._aggregate_row(*bank._ensure_row(epoch))
+
+
+def new_tracker(bank):
+    return AccessTracker(bank.instance.n_granules, bank.n_threads)
+
+
+def row_fold(bank, epoch):
+    """A fresh tracker with only ``epoch``'s row folded in."""
+    tracker = new_tracker(bank)
+    bank._fold_rows(tracker, epoch, epoch + 1)
+    return tracker
+
+
+def page_bounds(tracker, level):
+    """Each page's ``(lowest, highest)`` toucher at one of ``LEVELS``."""
+    low, high = tracker.tmin, tracker.tmax
+    if level != "4k":
+        low, high = _group_bounds(low, high, 1 << SHIFT_2M)
+    if level == "1g":
+        low, high = _group_bounds(low, high, 1 << (SHIFT_1G - SHIFT_2M))
+    return low, high
+
+
+def shared_flags(tracker):
+    """Each level's shared flags, derived from the thread bounds."""
+    flags = {}
+    for level in LEVELS:
+        low, high = page_bounds(tracker, level)
+        flags[level] = high > low
+    return flags
 
 
 def split_keys(bank, keys):
@@ -168,14 +209,12 @@ class TestBatchedEquivalence:
         _, writes, sizes = bank.epoch_arrays(1)
         assert (sizes == 0).all()
         assert not writes.any()
-        _, _, sharing = row_aggregates(bank, 1)
-        ids, first, multi, level_offsets = sharing
-        assert ids.size == first.size == multi.size == 0
-        assert (level_offsets == 0).all()
-        tracker = AccessTracker(64)
-        tracker.merge_epoch_sharing(sharing)
-        assert not tracker._shared_4k.any()
-        assert (tracker._first_4k == -1).all()
+        keys, counts = row_aggregates(bank, 1)
+        assert keys.size == counts.size == 0
+        tracker = row_fold(bank, 1)
+        assert (tracker.tmin == np.iinfo(tracker.tmin.dtype).max).all()
+        assert (tracker.tmax == -1).all()
+        assert not tracker.weight.any()
 
 
 def assert_columns_match_numpy_unique(bank, epoch):
@@ -183,7 +222,7 @@ def assert_columns_match_numpy_unique(bank, epoch):
     in key (granule) order, are its ``np.unique(stream,
     return_counts=True)``."""
     streams, _, sizes = bank.epoch_arrays(epoch)
-    keys, counts, _ = row_aggregates(bank, epoch)
+    keys, counts = row_aggregates(bank, epoch)
     assert (np.diff(keys) > 0).all()
     ids, threads = split_keys(bank, keys)
     for t in range(bank.n_threads):
@@ -256,7 +295,7 @@ class TestWeightScale:
         that drew none."""
         bank = ragged_replay_bank(tiny_topo)
         dram = bank.instance.cost.dram_accesses
-        keys, counts, _ = row_aggregates(bank, 0)
+        keys, counts = row_aggregates(bank, 0)
         _, threads = split_keys(bank, keys)
         scale = weight_scale(dram, bank.epoch_arrays(0)[2])
         per_thread = np.bincount(
@@ -283,28 +322,25 @@ class TestRunHelpers:
         np.testing.assert_array_equal(offsets, [0, 3, 3, 8])
 
 
-def assert_sharing_matches_thread_sets(bank, epoch):
-    """Each level of a row's sharing summary lists, in ascending order,
-    the pages any thread touched, the lowest thread touching each, and
-    whether two or more threads did."""
+def assert_bounds_match_thread_sets(bank, epoch):
+    """Folded alone, a row gives each page at every level the lowest and
+    highest of the threads that touched it, and leaves every other page
+    untouched."""
     streams, _, sizes = bank.epoch_arrays(epoch)
-    ids, first, multi, level_offsets = row_aggregates(bank, epoch)[2]
-    assert level_offsets[0] == 0
-    assert level_offsets[-1] == ids.size
-    for level, shift in enumerate((0, SHIFT_2M, SHIFT_1G)):
+    tracker = row_fold(bank, epoch)
+    for level, shift in LEVELS.items():
         touched = {}
         for t in range(bank.n_threads):
             for page in np.unique(streams[t, : int(sizes[t])] >> shift).tolist():
                 touched.setdefault(page, []).append(t)
+        low, high = page_bounds(tracker, level)
         pages = sorted(touched)
-        lo, hi = level_offsets[level], level_offsets[level + 1]
-        np.testing.assert_array_equal(ids[lo:hi], pages)
-        np.testing.assert_array_equal(
-            first[lo:hi], [touched[p][0] for p in pages]
-        )
-        np.testing.assert_array_equal(
-            multi[lo:hi], [len(touched[p]) > 1 for p in pages]
-        )
+        np.testing.assert_array_equal(low[pages], [touched[p][0] for p in pages])
+        np.testing.assert_array_equal(high[pages], [touched[p][-1] for p in pages])
+        untouched = np.ones(low.size, dtype=bool)
+        untouched[pages] = False
+        assert (low[untouched] == np.iinfo(low.dtype).max).all()
+        assert (high[untouched] == -1).all()
 
 
 class TestSharingLevels:
@@ -313,10 +349,10 @@ class TestSharingLevels:
         inst = make_instance(REGION_FACTORIES[kind](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         for epoch in range(inst.total_epochs):
-            assert_sharing_matches_thread_sets(bank, epoch)
+            assert_bounds_match_thread_sets(bank, epoch)
 
     def test_ragged_replay_row(self, tiny_topo):
-        assert_sharing_matches_thread_sets(ragged_replay_bank(tiny_topo), 0)
+        assert_bounds_match_thread_sets(ragged_replay_bank(tiny_topo), 0)
 
 
 class TestBankMemoization:
@@ -468,24 +504,21 @@ class TestDiskStore:
 
 
 def assert_same_fold(got, want):
-    np.testing.assert_array_equal(got.weight, want.weight)
-    for level in ("4k", "2m", "1g"):
-        for kind in ("first", "shared"):
-            name = f"_{kind}_{level}"
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for name in ("weight", "tmin", "tmax"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def assert_fused_matches_update(bank, instance, n_epochs):
     """Property: the bank's fold of epochs ``[0, n_epochs)``, and
-    ``add_epoch``/``merge_epoch_sharing`` over each row's aggregates,
-    equal the per-thread ``update`` oracle loop bit for bit, sharing
-    state included.
+    ``add_epoch`` over each row's aggregates, equal the per-thread
+    ``update`` oracle loop bit for bit, thread bounds included.
 
     The reference recomputes the engine's per-thread scale
     (``dram_accesses / stream_size``) exactly as ``_run_epoch`` does.
     """
-    seq = AccessTracker(instance.n_granules)
-    fused = AccessTracker(instance.n_granules)
+    seq = new_tracker(bank)
+    fused = new_tracker(bank)
     dram = instance.cost.dram_accesses
     for epoch in range(n_epochs):
         streams, _, sizes = bank.epoch_arrays(epoch)
@@ -495,22 +528,20 @@ def assert_fused_matches_update(bank, instance, n_epochs):
         for t in range(bank.n_threads):
             n = int(sizes[t])
             update(seq, t, streams[t, :n], float(scale[t]))
-        keys, counts, sharing = row_aggregates(bank, epoch)
+        keys, counts = row_aggregates(bank, epoch)
         assert (np.diff(keys) > 0).all()
         assert counts.shape == keys.shape
         assert int(counts.sum()) == int(sizes.sum())
         ids, threads = split_keys(bank, keys)
-        fused.add_epoch(ids, counts * scale[threads])
-        fused.merge_epoch_sharing(sharing)
+        fused.add_epoch(ids, threads, counts * scale[threads])
     assert_same_fold(fused, seq)
     assert_same_fold(bank.tracker(n_epochs), seq)
 
 
 class TestFusedEpochAggregation:
     """Property-style equivalence: the fused per-epoch COO path (each
-    row's aggregates into ``add_epoch`` and ``merge_epoch_sharing``, and
-    the bank's own fold) must reproduce the per-thread ``update`` oracle
-    loop exactly."""
+    row's aggregates into ``add_epoch``, and the bank's own fold) must
+    reproduce the per-thread ``update`` oracle loop exactly."""
 
     @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
     def test_every_region_kind(self, kind, tiny_topo):
@@ -534,7 +565,7 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("sparse", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        keys, counts, _ = row_aggregates(bank, 1)
+        keys, counts = row_aggregates(bank, 1)
         assert keys.size == counts.size == 0
         assert_fused_matches_update(bank, replay, 3)
 
@@ -552,7 +583,7 @@ class TestFusedEpochAggregation:
         inst = make_instance(REGION_FACTORIES["mixed"](), solo)
         assert inst.n_threads == 1
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        keys, _, _ = row_aggregates(bank, 0)
+        keys, _ = row_aggregates(bank, 0)
         ids, threads = split_keys(bank, keys)
         assert not threads.any()
         np.testing.assert_array_equal(
@@ -569,7 +600,7 @@ class TestFusedEpochAggregation:
 
     def test_max_thread_id_edge(self, tiny_topo):
         """Only the highest thread id active: its segment must land at
-        the COO tail and own the sharing ``first`` entries."""
+        the COO tail and be both bounds of every granule it touched."""
         cost = CostProfile(cpu_seconds=0.1, mem_accesses=1e6, dram_accesses=1e5)
         last = 3  # tiny_topo has 4 cores -> thread ids 0..3
         trace = TraceData(
@@ -585,13 +616,136 @@ class TestFusedEpochAggregation:
         )
         replay = TraceWorkloadInstance("tail", tiny_topo, trace)
         bank = StreamBank(replay, SIM_SEED, 16)
-        keys, counts, (p_ids, p_first, _, _) = row_aggregates(bank, 0)
+        keys, counts = row_aggregates(bank, 0)
         ids, threads = split_keys(bank, keys)
         assert (threads == last).all()
         np.testing.assert_array_equal(ids, [7, 9, 11])
         np.testing.assert_array_equal(counts, [2, 2, 1])
-        assert (p_first == last).all()
+        tracker = row_fold(bank, 0)
+        assert (tracker.tmin[[7, 9, 11]] == last).all()
+        assert (tracker.tmax[[7, 9, 11]] == last).all()
+        assert not shared_flags(tracker)["1g"].any()
         assert_fused_matches_update(bank, replay, 2)
+
+
+def assert_flags_match_the_merge(bank, prefixes):
+    """Folded over each of ``prefixes`` epochs, the bank's tracker gives
+    every page at every level the shared flag that merging each row's
+    first/shared summary in turn gives it, and bounds exactly the pages
+    the merge saw touched; returns the last flags."""
+    flags = None
+    for n_epochs in sorted(prefixes):
+        oracle = bank_sharing(bank, n_epochs)
+        tracker = bank.tracker(n_epochs)
+        flags = shared_flags(tracker)
+        for level in LEVELS:
+            np.testing.assert_array_equal(
+                flags[level], oracle.shared[level], err_msg=level
+            )
+            low, high = page_bounds(tracker, level)
+            np.testing.assert_array_equal(
+                low <= high, oracle.first[level] >= 0, err_msg=level
+            )
+    return flags
+
+
+def registry_bank(name, machine, backing_1g=False):
+    """A workload's bank as a quick run on ``machine`` draws it."""
+    config = SimConfig.quick()
+    instance = get_workload(name).instantiate(
+        machine_by_name(machine), config.scale, config.seed
+    )
+    if backing_1g:
+        instance = instance.with_1g_backing()
+    return StreamBank(instance, config.seed, config.stream_length)
+
+
+def idle_thread_replay(topo):
+    """A three-epoch replay over a ragged three-chunk space on a 4-thread
+    machine: thread 2 never draws, and in epoch 1 only thread 3 does."""
+    rng = np.random.default_rng(11)
+    n_granules = 3 * (1 << SHIFT_2M) + 40
+    thread = rng.choice([0, 1, 3], size=900)
+    epoch = rng.integers(0, 3, size=900)
+    keep = (epoch != 1) | (thread == 3)
+    cost = CostProfile(cpu_seconds=0.1, mem_accesses=1e6, dram_accesses=1e5)
+    trace = TraceData(
+        n_threads=4,
+        n_granules=n_granules,
+        total_epochs=3,
+        thread=thread[keep].astype(np.int64),
+        epoch=epoch[keep].astype(np.int64),
+        granule=rng.integers(0, n_granules, size=int(keep.sum())),
+        is_write=np.zeros(int(keep.sum()), dtype=bool),
+        cost=cost,
+        tlb_run_length=8.0,
+    )
+    return StreamBank(TraceWorkloadInstance("idle", topo, trace), SIM_SEED, 512)
+
+
+class TestThreadBounds:
+    """Sharing from thread bounds equals the first/shared merge the
+    tracker kept before, at 4KB, 2MB and 1GB (``FirstShared``)."""
+
+    @pytest.mark.parametrize("machine", ["A", "B"])
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_every_registry_workload(self, name, machine):
+        bank = registry_bank(name, machine)
+        total = bank.total_epochs
+        bank.fold_tracker(total - 1)
+        assert_flags_match_the_merge(bank, {1, max(1, total // 2), total})
+
+    def test_1g_backing(self):
+        bank = registry_bank("SSCA.20", "B", backing_1g=True)
+        total = bank.total_epochs
+        bank.fold_tracker(total - 1)
+        flags = assert_flags_match_the_merge(bank, {total // 2, total})
+        assert all(flags[level].any() for level in LEVELS)
+
+    def test_ragged_replays_with_idle_threads(self, tiny_topo):
+        bank = idle_thread_replay(tiny_topo)
+        sizes = np.stack([bank.epoch_arrays(e)[2] for e in range(3)])
+        assert not sizes[:, 2].any()
+        np.testing.assert_array_equal(sizes[1] > 0, [False, False, False, True])
+        flags = assert_flags_match_the_merge(bank, {1, 2, 3})
+        assert flags["4k"].any() and flags["2m"].all()
+        assert_flags_match_the_merge(ragged_replay_bank(tiny_topo), {1})
+
+    @pytest.mark.parametrize("machine, dtype", [("A", np.int8), ("B", np.int8)])
+    def test_bounds_are_the_narrowest_type(self, machine, dtype):
+        tracker = registry_bank("Kmeans", machine)._new_tracker()
+        assert tracker.tmin.dtype == tracker.tmax.dtype == dtype
+
+
+class TestRowSeeding:
+    """A row seeds its threads from one batch of start states loaded into
+    the bank's one generator."""
+
+    def test_a_row_builds_no_default_rng(self, monkeypatch):
+        bank = registry_bank("Kmeans", "A")
+        # Whatever the instance builds on its first draws is built now.
+        registry_bank("Kmeans", "A").epoch_arrays(0)
+        built = {"default_rng": 0, "PCG64": 0}
+        default_rng, pcg64 = np.random.default_rng, np.random.PCG64
+
+        def counted_default_rng(*args, **kwargs):
+            built["default_rng"] += 1
+            return default_rng(*args, **kwargs)
+
+        def counted_pcg64(*args, **kwargs):
+            built["PCG64"] += 1
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted_default_rng)
+        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+        for epoch in range(3):
+            bank.epoch_arrays(epoch)
+        assert built == {"default_rng": 0, "PCG64": 1}
+        monkeypatch.undo()
+        for epoch in range(3):
+            assert_bank_matches_sequential(
+                bank, bank.instance, epoch, length=bank.length
+            )
 
 
 #: Every way a row is reached: the engine's two accessors and the row
@@ -629,9 +783,7 @@ def bank_row(bank, epoch):
 def assert_rows_equal(got, want):
     for a, b in zip(got[:5], want[:5]):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(got[5], want[5]):
-        np.testing.assert_array_equal(a, b)
-    assert got[6] == want[6]
+    assert got[5] == want[5]
 
 
 class TestLazyFill:
@@ -702,16 +854,11 @@ class TestStoredAggregates:
         with np.load(path) as stored:
             got = {key: stored[key] for key in stored.files}
         rows = [row_aggregates(bank, e) for e in range(inst.total_epochs)]
-        keys, counts, sharing = zip(*rows)
+        keys, counts = zip(*rows)
         want = {
             "t_keys": np.concatenate(keys),
             "t_counts": np.concatenate(counts),
             "t_row": np.cumsum([0] + [k.size for k in keys]),
-            "s_ids": np.concatenate([p[0] for p in sharing]),
-            "s_first": np.concatenate([p[1] for p in sharing]),
-            "s_multi": np.concatenate([p[2] for p in sharing]),
-            "s_row": np.cumsum([0] + [p[0].size for p in sharing]),
-            "s_lvl": np.stack([p[3] for p in sharing]),
         }
         assert sorted(got) == sorted(want)
         for key, array in want.items():
@@ -747,9 +894,9 @@ class TestStoredAggregates:
     ):
         """A block whose ``agg.npz`` holds each thread's ``np.unique``
         ids and per-thread offsets (``t_ids``/``t_off``, the layout
-        before packed keys) reads as a miss: its rows are generated
-        again, the block is rewritten with keys, and every fold is
-        bit-identical."""
+        before packed keys, with the sharing summaries of its day) reads
+        as a miss: its rows are generated again, the block is rewritten
+        with keys alone, and every fold is bit-identical."""
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
         total = 3
 
@@ -763,7 +910,7 @@ class TestStoredAggregates:
         path = os.path.join(str(tmp_path), writer.fingerprint, "b0.agg.npz")
         with np.load(path) as stored:
             current = {key: stored[key] for key in stored.files}
-        older = {k: v for k, v in current.items() if k.startswith("s_")}
+        older = sharing_columns(writer, total)
         older.update(older_tracker_columns(writer, total))
         with open(path, "wb") as fh:
             np.savez(fh, **older)
@@ -796,6 +943,78 @@ class TestStoredAggregates:
         want = StreamBank(instance(), SIM_SEED, LENGTH).tracker(total)
         for bank in (writer, rebuilt, loaded):
             assert_same_fold(bank.tracker(total), want)
+
+    def test_a_block_with_sharing_summaries_reads_its_keys(
+        self, tiny_topo, tmp_path, monkeypatch
+    ):
+        """A block written while ``agg.npz`` also held each row's
+        first/shared summaries (``s_ids``, ``s_first``, ``s_multi``,
+        ``s_row``, ``s_lvl``) beside the same packed keys is read, not
+        regenerated: its keys and counts are this layout's, the
+        summaries are not read, and every fold is bit-identical to a
+        generated bank's, thread bounds and sharing flags included."""
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        total = EPOCH_WINDOW + 4
+
+        def instance():
+            return make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                                 total_epochs=total)
+
+        writer = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            writer.fold_tracker(epoch)
+        for epoch0 in (0, EPOCH_WINDOW):
+            n_epochs = min(EPOCH_WINDOW, total - epoch0)
+            path = os.path.join(
+                str(tmp_path), writer.fingerprint, f"b{epoch0}.agg.npz"
+            )
+            with np.load(path) as stored:
+                payload = {key: stored[key] for key in stored.files}
+            assert sorted(payload) == ["t_counts", "t_keys", "t_row"]
+            payload.update(sharing_columns(writer, n_epochs, epoch0))
+            with open(path, "wb") as fh:
+                np.savez(fh, **payload)
+
+        clear_stream_banks()
+        generated = []
+        generate_row = StreamBank._generate_row
+
+        def counted(self, block, i):
+            generated.append(block.epoch0 + i)
+            return generate_row(self, block, i)
+
+        monkeypatch.setattr(StreamBank, "_generate_row", counted)
+        loaded = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            loaded.fold_tracker(epoch)
+        assert generated == []
+        assert all(b.stored is not None for b in loaded._blocks.values())
+        want = StreamBank(instance(), SIM_SEED, LENGTH)
+        for n in (total, EPOCH_WINDOW + 1, 3):
+            assert_same_fold(loaded.tracker(n), want.tracker(n))
+            oracle = bank_sharing(want, n)
+            flags = shared_flags(loaded.tracker(n))
+            for level in LEVELS:
+                np.testing.assert_array_equal(flags[level], oracle.shared[level])
+
+
+def sharing_columns(bank, n_epochs, epoch0=0):
+    """The first/shared summaries ``agg.npz`` held beside the tracker
+    columns until the tracker kept thread bounds: per row of the block
+    at ``epoch0``, :func:`~tests.per_thread_streams.row_sharing`'s
+    arrays, rows delimited by ``s_row`` and levels by ``s_lvl``."""
+    rows = [
+        row_sharing(row_aggregates(bank, epoch0 + i)[0], bank._tbits)
+        for i in range(n_epochs)
+    ]
+    ids, first, multi, levels = zip(*rows)
+    return {
+        "s_ids": np.concatenate(ids),
+        "s_first": np.concatenate(first),
+        "s_multi": np.concatenate(multi),
+        "s_row": np.cumsum([0] + [a.size for a in ids]),
+        "s_lvl": np.stack(levels),
+    }
 
 
 def older_tracker_columns(bank, n_epochs):
@@ -842,20 +1061,6 @@ PAYLOAD_FAULTS = {
     "counts-off-the-sizes": lambda agg: {
         **agg, "t_counts": bumped(agg["t_counts"], 0)
     },
-    "sharing-offsets-short": lambda agg: {**agg, "s_row": agg["s_row"][:-1]},
-    "sharing-offsets-past-the-ids": lambda agg: {
-        **agg, "s_row": bumped(agg["s_row"], -1)
-    },
-    "first-shorter-than-ids": lambda agg: {
-        **agg, "s_first": agg["s_first"][:-1]
-    },
-    "multi-shorter-than-ids": lambda agg: {
-        **agg, "s_multi": agg["s_multi"][:-1]
-    },
-    "level-offsets-short": lambda agg: {**agg, "s_lvl": agg["s_lvl"][:, :-1]},
-    "level-offsets-off-the-row": lambda agg: {
-        **agg, "s_lvl": bumped(agg["s_lvl"], (0, -1))
-    },
 }
 
 
@@ -881,12 +1086,10 @@ class TestStoredPayload:
         bank, agg = stored
         rows = bank._rows_from_agg(agg, bank._blocks[0].sizes, 3)
         assert len(rows) == 3
-        for epoch, (keys, counts, sharing) in enumerate(rows):
-            want_keys, want_counts, want_sharing = row_aggregates(bank, epoch)
+        for epoch, (keys, counts) in enumerate(rows):
+            want_keys, want_counts = row_aggregates(bank, epoch)
             np.testing.assert_array_equal(keys, want_keys)
             np.testing.assert_array_equal(counts, want_counts)
-            for got, want in zip(sharing, want_sharing):
-                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
     def test_an_inconsistent_payload_reads_as_a_miss(self, fault, stored):
