@@ -165,7 +165,7 @@ def rng_from_state(
     generator starts from or reaches; this is a replay mechanism, never
     a fresh randomness source, which is why it sits next to ``rng_for``
     as the only other sanctioned ``np.random`` construction site (lint
-    rule R002/R104).
+    rule R104).
 
     Given ``rng``, the state is loaded into that generator, which is
     returned: a consumer replaying one state after another reuses one

@@ -3,11 +3,13 @@
 Two halves, both aimed at the same property — every simulation run must
 be a deterministic, physically consistent function of its configuration:
 
-* :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — an
-  AST-based linter (``repro lint``) with repo-specific rules that catch
-  determinism and robustness bugs at review time (incomplete cache
-  keys, unseeded randomness, ordering-dependent float accumulation,
-  swallowed exceptions, mutable defaults / float equality);
+* ``repro lint`` — one parse of the source into a project-wide symbol
+  table and call graph (:mod:`repro.analysis.callgraph`), over which
+  the rules of :mod:`repro.analysis.rules` catch, at review time,
+  swallowed broad exceptions, measurement code that writes simulation
+  state, randomness or wall-clock reads reachable from a simulation,
+  and decision-kernel contracts a decider, handler or conflict claim
+  breaks;
 * :mod:`repro.analysis.invariants` — an epoch-level runtime checker
   (``REPRO_CHECK=1``) asserting page
   conservation, counter sanity, allocator accounting and huge-page
@@ -26,8 +28,6 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.analysis.linter": (
             "Finding",
             "format_findings",
-            "lint_paths",
-            "lint_source",
         ),
         "repro.analysis.rules": ("ALL_RULES", "default_rules"),
     },
@@ -40,6 +40,4 @@ __all__ = [
     "InvariantViolation",
     "default_rules",
     "format_findings",
-    "lint_paths",
-    "lint_source",
 ]

@@ -39,7 +39,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.linter import FileContext
+from repro.analysis.linter import FileContext, Finding
 
 #: Pseudo-root for writes to module-level state.
 GLOBAL_ROOT = "<global>"
@@ -163,7 +163,8 @@ class FunctionInfo:
         return self._body_nodes
 
 
-def _attr_chain(node: ast.AST) -> Optional[str]:
+def attr_chain(node: ast.AST) -> Optional[str]:
+    """Dotted-name string for ``a.b.c`` style expressions, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -198,6 +199,12 @@ class Project:
 
     def __init__(self) -> None:
         self.contexts: Dict[str, FileContext] = {}  # module -> FileContext
+        #: Every parsed file, in parse order.  Two lint paths can hold
+        #: files with the same module name (``a/x.py`` and ``b/x.py``);
+        #: ``contexts`` keeps the last, but each file is linted.
+        self.files: List[FileContext] = []
+        #: Files that could not be read (E000) or parsed (E001).
+        self.errors: List[Finding] = []
         self.functions: Dict[str, FunctionInfo] = {}  # qualname -> info
         self.classes: Dict[str, ast.ClassDef] = {}  # qualified class name
         #: method name -> qualnames of every project method with that name
@@ -224,41 +231,60 @@ class Project:
         Module names are derived *relative to the directory passed in*
         (with a ``src`` component additionally stripped), so a fixture
         tree rooted anywhere gets the short module names its own
-        registry declarations use.
+        registry declarations use.  A file reached through two paths (a
+        directory and a file inside it) is parsed once, under the first.
         """
         project = cls()
+        seen: Set[pathlib.Path] = set()
         for root in paths:
             root = pathlib.Path(root)
             if root.is_dir():
-                files = sorted(
-                    p
-                    for p in root.rglob("*.py")
+                files = [
+                    (p, module_name_for(str(p.relative_to(root))))
+                    for p in sorted(root.rglob("*.py"))
                     if "__pycache__" not in p.parts
-                )
-                for file_path in files:
-                    rel = file_path.relative_to(root)
-                    project._add_file(file_path, module_name_for(str(rel)))
+                ]
             elif root.suffix == ".py":
-                project._add_file(root, module_name_for(root.name))
+                files = [(root, module_name_for(root.name))]
+            else:
+                continue
+            for file_path, module in files:
+                key = file_path.resolve()
+                if key not in seen:
+                    seen.add(key)
+                    project._add_file(file_path, module)
         return project
 
     def _add_file(self, file_path: pathlib.Path, module: str) -> None:
         try:
             source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+        except (OSError, UnicodeDecodeError) as exc:
+            self.errors.append(
+                Finding("E000", str(file_path), 0, 0, f"unreadable file: {exc}")
+            )
             return
         self.add_source(source, str(file_path), module=module)
 
     def add_source(
         self, source: str, path: str, module: Optional[str] = None
     ) -> None:
-        """Parse and index one file (syntax errors are skipped)."""
+        """Parse and index one file; a syntax error is recorded as E001."""
         try:
             ctx = FileContext(source, path)
-        except SyntaxError:
+        except SyntaxError as exc:
+            self.errors.append(
+                Finding(
+                    "E001",
+                    path,
+                    exc.lineno or 0,
+                    exc.offset or 0,
+                    f"syntax error: {exc.msg}",
+                )
+            )
             return
         if module is None:
             module = module_name_for(path)
+        self.files.append(ctx)
         self.contexts[module] = ctx
         self._index_module(module, ctx)
         self._analyzed = False
@@ -441,7 +467,7 @@ class Project:
                 if own in self.functions:
                     return (own,)
             # module.func(...) via an import of the module.
-            chain = _attr_chain(func)
+            chain = attr_chain(func)
             if chain is not None:
                 head, _, rest = chain.partition(".")
                 imported = self.imports.get(info.module, {}).get(head)
@@ -679,7 +705,7 @@ class _FunctionScanner:
             if base is not None:
                 self._add(*base)
         # np.copyto(dst, ...) writes its first argument.
-        chain = _attr_chain(func)
+        chain = attr_chain(func)
         if chain is not None and chain.split(".")[-1] == "copyto" and call.args:
             base = resolve_expr(info, call.args[0])
             if base is not None:

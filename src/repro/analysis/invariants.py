@@ -29,7 +29,7 @@ from repro.vm.layout import CHUNKS_2M_PER_1G, GRANULES_PER_2M, PAGE_4K, PageSize
 
 #: Static-analysis registry (rule R101): the checker observes, it never
 #: repairs — a checker that mutated state would invalidate the very
-#: runs it certifies.  The deep linter also protects this module by
+#: runs it certifies.  R101 also protects this module by
 #: default, so deleting this declaration does not disable the check.
 _RESULT_NEUTRAL = ("analysis.invariants",)
 

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = sub.add_parser(
         "lint",
-        help="run the determinism linter (R002-R005; --deep adds"
-        " R101, R104, R110, R112 and R113)",
+        help="run the determinism linter (R004, R101, R104, R110, R112 and"
+        " R113) over one parse of the given files",
     )
     lint_cmd.add_argument(
         "paths",
@@ -139,20 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (json for CI consumption)",
     )
     lint_cmd.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program rules R101 (result-neutral"
-        " purity), R104 (randomness or wall-clock reachable from a sim"
-        " entry point), R110 (decider purity), R112 (accounting"
-        " completeness) and R113 (conflict domains) over the call graph",
-    )
-    lint_cmd.add_argument(
         "--explain",
         default=None,
         metavar="RULE",
-        help="print a deep rule's rationale plus, for R110, R112 and"
-        " R113, its inferred model: the decision kernel (decisions,"
-        " handlers, policy roots) (implies --deep)",
+        help="print a rule's rationale plus, for R110, R112 and R113, its"
+        " inferred model: the decision kernel (decisions, handlers,"
+        " policy roots); text output only",
     )
 
     for name in EXPERIMENTS:
@@ -281,28 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _lint_main(args: argparse.Namespace) -> int:
-    """Run the determinism linter.
+    """Run the determinism linter: parse every file once, run every rule.
 
-    Exit codes: 0 clean, 1 when findings exist, 2 on usage errors (bad
-    flags, a path that does not exist, a file that is not ``.py``).
+    Exit codes: 0 clean, 1 when findings exist (an unreadable file or a
+    syntax error is one), 2 on usage errors (bad flags, a path that does
+    not exist, a file that is not ``.py``, ``--explain`` with
+    ``--format json``).
     """
-    import time
-
-    from repro.analysis.linter import Finding, format_findings, lint_paths
+    from repro.analysis.callgraph import Project
+    from repro.analysis.linter import format_findings
+    from repro.analysis.rules import RULE_RATIONALE, explain_rule, lint_project
 
     fmt = args.lint_format
-    explain = getattr(args, "explain", None)
+    explain = args.explain
     if explain is not None:
-        from repro.analysis.deep import RULE_RATIONALE
-
+        if fmt == "json":
+            raise ConfigurationError(
+                "--explain prints text; it cannot be combined with --format json"
+            )
         if explain not in RULE_RATIONALE:
             known = ", ".join(sorted(RULE_RATIONALE))
-            print(
-                f"error: unknown deep rule {explain!r} (known: {known})",
-                file=sys.stderr,
-            )
-            return 2
-        args.deep = True
+            raise ConfigurationError(f"unknown rule {explain!r} (known: {known})")
     if args.paths:
         targets = [pathlib.Path(p) for p in args.paths]
         for target in targets:
@@ -316,26 +307,17 @@ def _lint_main(args: argparse.Namespace) -> int:
         import repro
 
         targets = [pathlib.Path(repro.__file__).parent]
-    findings = lint_paths(targets)
-    if args.deep:
-        from repro.analysis.callgraph import Project
-        from repro.analysis.deep import deep_lint_project, explain_rule
-
-        t0 = time.perf_counter()
-        project = Project.from_paths(targets)
-        findings = findings + deep_lint_project(project)
-        findings.sort(key=Finding.sort_key)
-        elapsed = time.perf_counter() - t0
-        print(f"deep analysis: {elapsed:.2f}s", file=sys.stderr)
-        if explain is not None:
-            print(explain_rule(explain, project))
-            for finding in findings:
-                if finding.rule != explain:
-                    continue
-                print()
-                print(finding.format_text())
-                if finding.chain:
-                    print(f"  entry chain: {' -> '.join(finding.chain)}")
+    project = Project.from_paths(targets)
+    findings = lint_project(project)
+    if explain is not None:
+        print(explain_rule(explain, project))
+        for finding in findings:
+            if finding.rule != explain:
+                continue
+            print()
+            print(finding.format_text())
+            if finding.chain:
+                print(f"  entry chain: {' -> '.join(finding.chain)}")
     output = format_findings(findings, fmt)
     if output:
         print(output)

@@ -51,8 +51,8 @@ class SimConfig:
         Root seed; all randomness derives deterministically from it.
     track_access_stats:
         Maintain the per-granule access tracker needed for PAMUP / NHP
-        / PSP reporting.  The tracker takes 11 bytes per granule
-        (17.7 MB for a quick IS.D run on machine B), and a run without
+        / PSP reporting.  The tracker takes 10 bytes per granule
+        (16.1 MB for a quick IS.D run on machine B), and a run without
         it reports no hot-page statistics.
     """
 

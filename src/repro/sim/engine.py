@@ -80,7 +80,7 @@ from repro.workloads.streambank import get_stream_bank, weight_scale
 #: Static-analysis registry (rule R104): roots of the simulation call
 #: graph.  Every random/clock sink reachable from here must be either
 #: the sanctioned ``rng_for`` site or an explicitly suppressed
-#: observability read (the profiler's ``# lint: ignore[R002]`` lines).
+#: observability read (the profiler's ``# lint: ignore[R104]`` lines).
 _SIM_ENTRY_POINTS = ("Simulation.run",)
 
 

@@ -30,7 +30,7 @@ simulation state and its timings live on the tenant, not in
 without it.
 
 Wall-clock reads are confined to this module and are the reason the
-``# lint: ignore[R002]`` suppressions below exist: the timings are
+``# lint: ignore[R104]`` suppressions below exist: the timings are
 observability output, never simulation input.
 """
 
@@ -43,7 +43,7 @@ from repro.sim.config import SimConfig
 
 #: Static-analysis registry (rule R101): everything in this module is
 #: observation-only and must have no transitive write effect on
-#: simulation state.  The deep linter also protects this module by
+#: simulation state.  R101 also protects this module by
 #: default, so deleting this declaration does not disable the check.
 _RESULT_NEUTRAL = ("sim.profile",)
 
@@ -91,7 +91,7 @@ class PhaseTimer:
 
     def epoch_start(self) -> None:
         """Mark the beginning of an epoch."""
-        now = time.perf_counter()  # lint: ignore[R002]
+        now = time.perf_counter()  # lint: ignore[R104]
         self._epoch_t0 = now
         self._mark = now
 
@@ -101,7 +101,7 @@ class PhaseTimer:
             raise ValueError("lap() outside an epoch_start/epoch_end bracket")
         if phase not in self.phase_s:
             raise ValueError(f"unknown phase {phase!r}")
-        now = time.perf_counter()  # lint: ignore[R002]
+        now = time.perf_counter()  # lint: ignore[R104]
         self.phase_s[phase] += now - self._mark
         self._mark = now
 
@@ -109,7 +109,7 @@ class PhaseTimer:
         """Close the epoch, folding the remainder into ``other``."""
         if self._epoch_t0 is None or self._mark is None:
             raise ValueError("epoch_end() without epoch_start()")
-        now = time.perf_counter()  # lint: ignore[R002]
+        now = time.perf_counter()  # lint: ignore[R104]
         self.phase_s["other"] += now - self._mark
         self.n_epochs += 1
         self._epoch_t0 = None

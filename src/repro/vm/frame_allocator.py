@@ -251,7 +251,7 @@ class BuddyAllocator:
         )
         if counted != self._free_frames:
             raise AssertionError("free-frame counter out of sync with lists")
-        allocated = sum(1 << order for order in sorted(self._allocated.values()))
+        allocated = sum(1 << order for order in self._allocated.values())
         used = allocated + self._pinned_frames
         if used + self._free_frames != self.total_frames:
             raise AssertionError("allocated + pinned + free != total frames")

@@ -13,7 +13,7 @@ from repro.analysis.callgraph import (
     Effect,
     module_name_for,
 )
-from tests.deep_lint import project_from_sources
+from tests.lint_helpers import project_from_sources
 
 
 def analyzed(sources):

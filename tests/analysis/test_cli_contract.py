@@ -2,8 +2,9 @@
 
 Pins the externally observable behaviour CI depends on: exit codes
 (0 clean / 1 findings / 2 usage error), the ``--format json`` schema,
-canonical finding order, suppression-comment parsing edge cases, and
-the sim-path scoping rules.
+canonical finding order, one parse per file, suppression-comment
+parsing edge cases, and the files the one parse cannot read or parse
+(E000, E001).
 """
 
 from __future__ import annotations
@@ -12,26 +13,39 @@ import json
 
 import pytest
 
-from repro.analysis.linter import FileContext, lint_source
 from repro.cli import main
+from tests.lint_helpers import lint_sources
 
 CLEAN_SRC = "def f(x):\n    return x + 1\n"
 
-# R002 (wall-clock in sim code) — fires only under a sim-path.
-CLOCK_SRC = "import time\n\n\ndef stamp():\n    return time.time()\n"
+# R104: a wall-clock read reachable from the sim entry point.
+CLOCK_SRC = (
+    "import time\n\n\n"
+    "class Simulation:\n"
+    "    def run(self):\n"
+    "        return time.time()\n"
+)
 
-# Shallow-clean but R101 under --deep (registered measurement code that
-# writes simulation state).
-DEEP_BAD_SRC = (
+# R101: registered measurement code that writes simulation state.
+NEUTRAL_BAD_SRC = (
     "def observe(sim):\n"
     "    sim.epoch = 0\n\n\n"
     "_RESULT_NEUTRAL = (\"observe\",)\n"
 )
 
+# R004: a broad handler that swallows what it caught.
+SWALLOW_SRC = (
+    "def close(resource):\n"
+    "    try:\n"
+    "        resource.close()\n"
+    "    except Exception:\n"
+    "        pass\n"
+)
+
 
 @pytest.fixture
 def sim_tree(tmp_path):
-    """A throwaway tree whose files lint as simulation code."""
+    """A throwaway tree laid out like the package."""
     root = tmp_path / "src" / "repro" / "sim"
     root.mkdir(parents=True)
     return root
@@ -46,32 +60,33 @@ def test_exit_0_on_clean_tree(sim_tree, capsys):
     assert "no findings" in capsys.readouterr().out
 
 
-def test_exit_1_on_findings(sim_tree, capsys):
-    (sim_tree / "bad.py").write_text(CLOCK_SRC)
+@pytest.mark.parametrize(
+    "source,rule",
+    [(CLOCK_SRC, "R104"), (NEUTRAL_BAD_SRC, "R101")],
+    ids=["R104", "R101"],
+)
+def test_exit_1_on_findings(sim_tree, capsys, source, rule):
+    (sim_tree / "bad.py").write_text(source)
     assert main(["lint", str(sim_tree)]) == 1
     out = capsys.readouterr().out
-    assert "R002" in out
+    assert f" {rule} " in out
     assert "finding(s)" in out
 
 
-@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
 @pytest.mark.parametrize("name", ["missing", "missing.py"])
-def test_exit_2_on_a_path_that_does_not_exist(tmp_path, capsys, deep, name):
+def test_exit_2_on_a_path_that_does_not_exist(tmp_path, capsys, name):
     """A typo in a lint path is a usage error, not a clean tree."""
     path = tmp_path / name
-    argv = ["lint", str(path)] + (["--deep"] if deep else [])
-    assert main(argv) == 2
+    assert main(["lint", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: lint path {path} does not exist\n"
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
-def test_exit_2_on_a_file_that_is_not_python(sim_tree, capsys, deep):
+def test_exit_2_on_a_file_that_is_not_python(sim_tree, capsys):
     notes = sim_tree / "README.md"
     notes.write_text("# notes\n")
-    argv = ["lint", str(notes)] + (["--deep"] if deep else [])
-    assert main(argv) == 2
+    assert main(["lint", str(notes)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
         f"error: lint path {notes} is neither a directory nor a .py file\n"
@@ -87,6 +102,85 @@ def test_one_bad_path_fails_the_whole_command(sim_tree, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_deep_flag_is_gone(sim_tree, capsys):
+    """Every rule runs in the one pass; ``--deep`` is no longer an option."""
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(sim_tree), "--deep"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Files the pass cannot read or parse
+# ----------------------------------------------------------------------
+def test_syntax_error_reported_not_raised(sim_tree, capsys):
+    broken = sim_tree / "broken.py"
+    broken.write_text("def f(:\n")
+    assert main(["lint", str(broken), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["path"], f["line"]) for f in payload["findings"]] == [
+        ("E001", str(broken), 1)
+    ]
+
+
+def test_unreadable_file_reported_not_raised(sim_tree, capsys):
+    latin = sim_tree / "latin.py"
+    latin.write_bytes(b"name = '\xe9'\n")
+    assert main(["lint", str(sim_tree)]) == 1
+    out = capsys.readouterr().out
+    assert f"{latin}:0:0: E000 unreadable file:" in out
+
+
+def test_a_broken_file_does_not_hide_the_others(sim_tree, capsys):
+    """One pass reports the file it cannot parse and the rule findings
+    of the files it can."""
+    (sim_tree / "broken.py").write_text("def f(:\n")
+    (sim_tree / "neutral.py").write_text(NEUTRAL_BAD_SRC)
+    assert main(["lint", str(sim_tree), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["path"]) for f in payload["findings"]] == [
+        ("E001", str(sim_tree / "broken.py")),
+        ("R101", str(sim_tree / "neutral.py")),
+    ]
+
+
+# ----------------------------------------------------------------------
+# One parse per file
+# ----------------------------------------------------------------------
+def test_each_file_is_parsed_once(sim_tree, monkeypatch, capsys):
+    """Every rule runs over the one parse, and a file named both on its
+    own and through its directory is still parsed once."""
+    import ast
+    from collections import Counter
+
+    (sim_tree / "swallow.py").write_text(SWALLOW_SRC)
+    (sim_tree / "neutral.py").write_text(NEUTRAL_BAD_SRC)
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    parsed = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    assert main(["lint", str(sim_tree), str(sim_tree / "swallow.py")]) == 1
+    assert parsed == Counter(
+        {str(sim_tree / name): 1 for name in ("neutral.py", "ok.py", "swallow.py")}
+    )
+
+
+def test_a_file_named_twice_is_reported_once(sim_tree, capsys):
+    (sim_tree / "swallow.py").write_text(SWALLOW_SRC)
+    argv = ["lint", str(sim_tree), str(sim_tree / "swallow.py"), "--format", "json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["path"], f["line"]) for f in payload["findings"]] == [
+        ("R004", str(sim_tree / "swallow.py"), 4)
+    ]
+
+
 # ----------------------------------------------------------------------
 # JSON schema stability
 # ----------------------------------------------------------------------
@@ -97,7 +191,7 @@ def test_json_schema_is_stable(sim_tree, capsys):
     assert set(payload) == {"findings", "count"}
     assert payload["count"] == len(payload["findings"]) == 1
     assert set(payload["findings"][0]) == {"rule", "path", "line", "col", "message"}
-    assert payload["findings"][0]["rule"] == "R002"
+    assert payload["findings"][0]["rule"] == "R104"
 
 
 def test_json_schema_on_clean_tree(sim_tree, capsys):
@@ -127,26 +221,44 @@ def test_json_carries_chain_when_present():
 # ----------------------------------------------------------------------
 # --explain
 # ----------------------------------------------------------------------
-#: Deep rules that have been deleted (EXPERIMENTS.md, "Earning the deep
-#: lint rules").
-DELETED_DEEP_RULES = ("R102", "R103", "R109", "R111")
+#: Rules that have been deleted (EXPERIMENTS.md, "Earning the lint
+#: rules").
+DELETED_RULES = ("R002", "R003", "R005", "R102", "R103", "R109", "R111")
 
 
-@pytest.mark.parametrize("rule", ("R999", "R105") + DELETED_DEEP_RULES)
+@pytest.mark.parametrize("rule", ("R999", "R105") + DELETED_RULES)
 def test_explain_unknown_rule_is_a_usage_error(sim_tree, capsys, rule):
     (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    assert main(["lint", str(sim_tree), "--deep", "--explain", rule]) == 2
-    assert f"error: unknown deep rule {rule!r}" in capsys.readouterr().err
+    assert main(["lint", str(sim_tree), "--explain", rule]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unknown rule {rule!r}")
+    assert captured.err.count("\n") == 1
+
+
+def test_explain_with_json_is_a_usage_error(sim_tree, capsys):
+    """``--explain`` prints text before the report, so with ``--format
+    json`` stdout would not parse."""
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    argv = ["lint", str(sim_tree), "--explain", "R104", "--format", "json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --explain prints text; it cannot be combined with"
+        " --format json\n"
+    )
 
 
 DECISION_KERNEL_RULES = ("R110", "R112", "R113")
 
 
-@pytest.mark.parametrize("rule", ("R101", "R104") + DECISION_KERNEL_RULES)
+@pytest.mark.parametrize(
+    "rule", ("R004", "R101", "R104") + DECISION_KERNEL_RULES
+)
 def test_explain_on_clean_tree_exits_zero(sim_tree, capsys, rule):
-    """``--explain`` implies ``--deep``; the decision-kernel rules also
-    print the model their checks infer."""
-    from repro.analysis.deep import RULE_RATIONALE
+    """The decision-kernel rules also print the model their checks
+    infer."""
+    from repro.analysis.rules import RULE_RATIONALE
 
     (sim_tree / "ok.py").write_text(CLEAN_SRC)
     assert main(["lint", str(sim_tree), "--explain", rule]) == 0
@@ -156,7 +268,7 @@ def test_explain_on_clean_tree_exits_zero(sim_tree, capsys, rule):
 
 
 def test_explain_prints_rationale_and_findings(sim_tree, capsys):
-    (sim_tree / "bad.py").write_text(DEEP_BAD_SRC)
+    (sim_tree / "bad.py").write_text(NEUTRAL_BAD_SRC)
     assert main(["lint", str(sim_tree), "--explain", "R101"]) == 1
     out = capsys.readouterr().out
     explanation, _, _ = out.partition("finding(s)")
@@ -170,47 +282,31 @@ def test_explain_prints_rationale_and_findings(sim_tree, capsys):
 # Canonical ordering
 # ----------------------------------------------------------------------
 def test_finding_order_is_path_line_rule(sim_tree, capsys):
-    """The pinned sort key: (path, line, rule id) across rule families.
+    """The pinned sort key: (path, line, rule id), whatever the rule.
 
-    ``a.py`` triggers shallow R002 at line 5 and deep R101 at line 8;
-    ``b.py`` triggers R002 again.  Output must interleave by path then
-    line, not by which rule family produced the finding.
+    ``a.py`` triggers R104 at line 6 and R101 at line 9; ``b.py``
+    triggers R104 again.  Output must interleave by path then line, not
+    by the order the rules run in.
     """
     (sim_tree / "a.py").write_text(
-        "import time\n\n\n"
-        "def stamp():\n"
-        "    return time.time()\n\n\n"
+        CLOCK_SRC + "\n\n"
         "def observe(sim):\n"
         "    sim.epoch = 0\n\n\n"
         "_RESULT_NEUTRAL = (\"observe\",)\n"
     )
-    (sim_tree / "b.py").write_text(CLOCK_SRC)
-    assert main(["lint", str(sim_tree), "--deep", "--format", "json"]) == 1
+    (sim_tree / "b.py").write_text(
+        "import time\n\n"
+        "_SIM_ENTRY_POINTS = (\"b.tick\",)\n\n\n"
+        "def tick():\n"
+        "    return time.monotonic()\n"
+    )
+    assert main(["lint", str(sim_tree), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     triples = [
         (f["path"], f["line"], f["rule"]) for f in payload["findings"]
     ]
     assert triples == sorted(triples)
-    assert [t[2] for t in triples] == ["R002", "R101", "R002"]
-
-
-# ----------------------------------------------------------------------
-# --deep through the CLI
-# ----------------------------------------------------------------------
-def test_deep_flag_adds_whole_program_findings(sim_tree, capsys):
-    (sim_tree / "sizes.py").write_text(DEEP_BAD_SRC)
-    assert main(["lint", str(sim_tree)]) == 0  # shallow rules are blind
-    capsys.readouterr()
-    assert main(["lint", str(sim_tree), "--deep"]) == 1
-    captured = capsys.readouterr()
-    assert "R101" in captured.out
-    assert "deep analysis:" in captured.err  # wall-clock reported
-
-
-def test_deep_flag_clean_tree(sim_tree, capsys):
-    (sim_tree / "ok.py").write_text(CLEAN_SRC)
-    assert main(["lint", str(sim_tree), "--deep"]) == 0
-    assert "no findings" in capsys.readouterr().out
+    assert [t[1:] for t in triples] == [(6, "R104"), (9, "R101"), (7, "R104")]
 
 
 # ----------------------------------------------------------------------
@@ -218,56 +314,26 @@ def test_deep_flag_clean_tree(sim_tree, capsys):
 # ----------------------------------------------------------------------
 def clock_findings(comment):
     source = CLOCK_SRC.replace("time.time()", f"time.time(){comment}")
-    return lint_source(source, path="sim/x.py")
+    return lint_sources({"src/sim/x.py": source})
 
 
 def test_suppression_single_id():
     assert clock_findings("") != []
-    assert clock_findings("  # lint: ignore[R002]") == []
+    assert clock_findings("  # lint: ignore[R104]") == []
 
 
 def test_suppression_multiple_ids():
-    assert clock_findings("  # lint: ignore[R002,R005]") == []
-    assert clock_findings("  # lint: ignore[R005,R002]") == []
+    assert clock_findings("  # lint: ignore[R104,R101]") == []
+    assert clock_findings("  # lint: ignore[R101,R104]") == []
 
 
 def test_suppression_tolerates_whitespace():
-    assert clock_findings("  #   lint:   ignore[ R002 , R005 ]") == []
+    assert clock_findings("  #   lint:   ignore[ R104 , R101 ]") == []
 
 
 def test_suppression_other_rule_does_not_apply():
-    assert clock_findings("  # lint: ignore[R005]") != []
+    assert clock_findings("  # lint: ignore[R101]") != []
 
 
 def test_suppression_bare_ignores_everything():
     assert clock_findings("  # lint: ignore") == []
-
-
-# ----------------------------------------------------------------------
-# Sim-path scoping (SIM_PATH_ROOTS regression)
-# ----------------------------------------------------------------------
-def is_sim_path(path):
-    return FileContext("x = 1\n", path).is_sim_path
-
-
-def test_sim_paths_inside_the_package():
-    assert is_sim_path("src/repro/sim/engine.py")
-    assert is_sim_path("src/repro/vm/layout.py")
-    assert not is_sim_path("src/repro/cli.py")
-    assert not is_sim_path("src/repro/analysis/linter.py")
-
-
-def test_checkout_directory_names_do_not_leak():
-    # Regression: a checkout under .../sim/... or .../core/... used to
-    # mark *every* file sim-path; only components below the package
-    # root may count.
-    assert not is_sim_path("/home/u/sim/checkout/src/repro/cli.py")
-    assert not is_sim_path("/data/core/repos/src/repro/analysis/rules.py")
-    assert is_sim_path("/home/u/core/checkout/src/repro/sim/engine.py")
-    assert not is_sim_path("/opt/core/stuff.py")
-
-
-def test_fixture_trees_and_relative_snippets_still_match():
-    assert is_sim_path("tests/analysis/fixtures/sim/x.py")
-    assert is_sim_path("sim/snippet.py")  # lint_source() convention
-    assert not is_sim_path("notes/readme.py")

@@ -16,7 +16,7 @@ import repro
 from repro.analysis.callgraph import Project
 from repro.analysis.decisionflow import decision_flow_model
 from repro.analysis.linter import format_findings
-from tests.deep_lint import deep_lint_paths, deep_lint_sources
+from tests.lint_helpers import lint_sources, lint_tree
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 
@@ -68,7 +68,7 @@ class HushedPolicy(PlacementPolicy):
 
 
 def r110_findings():
-    return deep_lint_sources({"src/core/mut.py": R110_SRC})
+    return lint_sources({"src/core/mut.py": R110_SRC})
 
 
 def test_r110_proves_mutation_through_a_two_call_chain():
@@ -190,7 +190,7 @@ class ActionExecutor:
 
 
 def r112_findings():
-    return deep_lint_sources({"src/sim/acct.py": R112_SRC})
+    return lint_sources({"src/sim/acct.py": R112_SRC})
 
 
 def test_r112_flags_undeclared_counter_touch():
@@ -243,7 +243,7 @@ def test_r112_conservation_coverage():
     source = R112_SRC.replace(
         'counters = ("replicated_pages",)', "counters = ()"
     )
-    findings = deep_lint_sources({"src/sim/acct.py": source})
+    findings = lint_sources({"src/sim/acct.py": source})
     messages = "\n".join(f.message for f in by_rule(findings, "R112"))
     assert "'replicated_pages'" in messages
     assert "reconciled by the invariant checker" in messages
@@ -303,7 +303,7 @@ class ActionExecutor:
 
 
 def r113_findings():
-    return deep_lint_sources({"src/sim/dom.py": R113_SRC})
+    return lint_sources({"src/sim/dom.py": R113_SRC})
 
 
 def test_r113_requires_an_explicit_domain():
@@ -385,7 +385,7 @@ class ActionExecutor:
 
 
 def r113_batch_findings():
-    return deep_lint_sources({"src/sim/batch.py": R113_BATCH_SRC})
+    return lint_sources({"src/sim/batch.py": R113_BATCH_SRC})
 
 
 def test_r113_reads_comprehension_targets():
@@ -453,26 +453,26 @@ def test_shipped_policies_prove_pure_under_r110():
 
 def test_shipped_tree_decision_rules_clean_within_budget():
     t0 = time.perf_counter()
-    findings = deep_lint_paths([PACKAGE])
+    findings = lint_tree([PACKAGE])
     elapsed = time.perf_counter() - t0
     decision_rules = [f for f in findings if f.rule in ("R110", "R112", "R113")]
     assert decision_rules == [], format_findings(decision_rules)
-    # Acceptance bound: every deep rule over src/ in < 3 s.
-    assert elapsed < 3.0, f"deep analysis took {elapsed:.2f}s"
+    # Acceptance bound: every rule over src/ in < 3 s.
+    assert elapsed < 3.0, f"lint took {elapsed:.2f}s"
 
 
 def test_broken_fixture_package_fails_deep_lint():
-    """The CI proof fixture really trips every deep rule.
+    """The CI proof fixture really trips every rule.
 
-    CI deep-lints ``fixtures/decisionflow_broken`` and requires a
-    non-zero exit naming each deep rule; this test keeps the fixture
-    honest so that step can never silently pass.
+    CI lints ``fixtures/decisionflow_broken`` and requires a non-zero
+    exit naming each rule; this test keeps the fixture honest so that
+    step can never silently pass.
     """
-    from repro.analysis.deep import ALL_DEEP_RULES
+    from repro.analysis.rules import ALL_RULES
 
     fixture = pathlib.Path(__file__).parent / "fixtures" / "decisionflow_broken"
-    findings = deep_lint_paths([fixture])
+    findings = lint_tree([fixture])
     rules = sorted({f.rule for f in findings})
-    assert rules == [r.rule_id for r in ALL_DEEP_RULES], format_findings(findings)
+    assert rules == [r.rule_id for r in ALL_RULES], format_findings(findings)
     confused = [f for f in findings if f.rule == "R113"]
     assert any("ConfusedDecision" in f.message for f in confused)

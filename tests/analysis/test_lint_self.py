@@ -7,16 +7,11 @@ import json
 import pathlib
 
 import repro
-from repro.analysis.linter import format_findings, lint_paths
 from repro.cli import main
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-
-def test_package_lints_clean():
-    findings = lint_paths([PACKAGE])
-    assert findings == [], format_findings(findings)
+BROKEN = FIXTURES / "decisionflow_broken"
 
 
 def test_cli_lint_exits_zero_on_clean_tree(capsys):
@@ -31,17 +26,19 @@ def test_cli_lint_default_target_is_the_package(capsys):
 
 
 def test_cli_lint_exits_nonzero_on_findings(capsys):
-    assert main(["lint", str(FIXTURES)]) == 1
+    """One pass over the broken fixture names every rule."""
+    assert main(["lint", str(BROKEN)]) == 1
     out = capsys.readouterr().out
     assert "finding(s)" in out
-    for rule in ("R002", "R003", "R004", "R005"):
-        assert rule in out
+    for rule in ("R004", "R101", "R104", "R110", "R112", "R113"):
+        assert f" {rule} " in out
 
 
 def test_cli_lint_json_findings_shape(capsys):
     assert main(["lint", str(FIXTURES / "r004_bad.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == len(payload["findings"]) > 0
+    assert payload["count"] == len(payload["findings"]) == 2
+    assert {f["rule"] for f in payload["findings"]} == {"R004"}
     assert set(payload["findings"][0]) == {
         "rule",
         "path",
