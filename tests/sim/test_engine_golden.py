@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -456,4 +457,41 @@ def test_goldens_move_only_with_a_version_bump():
         f"{__version__}: a model change that moves the goldens must bump "
         "repro.__version__ (the persistent cache stamp) and pin this "
         "digest for the new version in GOLDEN_DIGESTS"
+    )
+
+
+# --- Artifact outputs move only with a version bump --------------------
+#
+# ``benchmarks/output/`` holds the ``--quick`` stdout of every artifact
+# (CI regenerates all of them and diffs the tree).  An artifact can move
+# while every golden above holds, and would then be served stale from
+# the result cache, so its outputs are pinned per version too.
+ARTIFACT_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "output"
+
+ARTIFACT_DIGESTS = {
+    "1.1.0": "1bf49044eff18a9e4d713616828354c6ac44bb2a1ce6bb160c4ccc6a0cb95164",
+}
+
+
+def artifact_digest() -> str:
+    """SHA-256 over the output files' sorted names and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(ARTIFACT_DIR.glob("*.txt")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_artifact_outputs_move_only_with_a_version_bump():
+    from repro import __version__
+    from repro.experiments.experiments import EXPERIMENTS
+
+    assert {p.stem for p in ARTIFACT_DIR.glob("*.txt")} == set(EXPERIMENTS)
+    digest = artifact_digest()
+    assert ARTIFACT_DIGESTS.get(__version__) == digest, (
+        f"benchmarks/output/ digest {digest} is not pinned for version "
+        f"{__version__}: an artifact whose output moves must bump "
+        "repro.__version__ and pin this digest for the new version in "
+        "ARTIFACT_DIGESTS"
     )
