@@ -301,8 +301,9 @@ class Project:
                     imports[local] = f"{node.module}.{alias.name}"
             elif isinstance(node, ast.Import):
                 for alias in node.names:
+                    # ``import a.b`` binds ``a``; ``import a.b as c``, ``a.b``.
                     local = alias.asname or alias.name.split(".")[0]
-                    imports[local] = alias.name
+                    imports[local] = alias.name if alias.asname else local
         for stmt in ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{module}.{stmt.name}"

@@ -242,7 +242,8 @@ class ReachableNondeterminism(Rule):
             ctx = project.contexts.get(info.module)
             if ctx is None:
                 continue
-            for call, chain in self._sink_calls(info):
+            imports = project.imports.get(info.module, {})
+            for call, chain in self._sink_calls(info, imports):
                 via = " -> ".join(
                     _short_qual(q) for q in chains[qualname]
                 )
@@ -266,15 +267,23 @@ class ReachableNondeterminism(Rule):
         ]
 
     @staticmethod
-    def _sink_calls(info: FunctionInfo) -> Iterator[Tuple[ast.Call, str]]:
+    def _sink_calls(
+        info: FunctionInfo, imports: Dict[str, str]
+    ) -> Iterator[Tuple[ast.Call, str]]:
+        """Each sink call in ``info`` with its name as spelled.  A call
+        is matched with the head of its name resolved through the
+        module's ``imports``, so ``randrange`` imported from ``random``
+        and ``npr`` bound to ``numpy.random`` are sinks too."""
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
             chain = attr_chain(node.func)
             if chain is None:
                 continue
-            parts = chain.split(".")
-            if chain.startswith(("np.random.", "numpy.random.")):
+            head, dot, rest = chain.partition(".")
+            resolved = imports.get(head, head) + dot + rest
+            parts = resolved.split(".")
+            if resolved.startswith(("np.random.", "numpy.random.")):
                 yield node, chain
             elif parts[0] == "random" and len(parts) > 1:
                 yield node, chain

@@ -215,6 +215,13 @@ R104_SINKS = {
     "time-monotonic": ("import time", "time.monotonic()"),
     "datetime-now": ("from datetime import datetime", "datetime.now()"),
     "date-today": ("import datetime", "datetime.date.today()"),
+    # Sinks imported by name or under another name.
+    "stdlib-random-by-name": ("from random import randrange", "randrange(10)"),
+    "numpy-generator-by-name": (
+        "from numpy.random import default_rng", "default_rng()"
+    ),
+    "numpy-random-alias": ("import numpy.random as npr", "npr.default_rng()"),
+    "perf-counter-by-name": ("from time import perf_counter", "perf_counter()"),
 }
 
 
@@ -233,6 +240,21 @@ def test_r104_flags_each_sink_class(imports, call):
     assert [(f.line, f.message.split(" reachable")[0]) for f in r104] == [
         (6, f"{sink}()")
     ]
+
+
+def test_r104_matches_a_call_by_what_its_name_imports():
+    # ``import numpy.random`` binds ``numpy``; ``monotonic`` and ``time``
+    # here come from project modules, not from the clock.
+    source = (
+        "import numpy.random\n"
+        "from clock import monotonic\n"
+        "from util import time\n\n\n"
+        "class Simulation:\n"
+        "    def run(self, items):\n"
+        "        return numpy.zeros(3), monotonic(), time()\n"
+    )
+    r104 = by_rule(lint_sources({"src/repro/sim/engine.py": source}), "R104")
+    assert r104 == []
 
 
 def test_r104_allows_draws_from_a_derived_generator():
