@@ -80,6 +80,21 @@ class TestPoisson:
         )
         assert _schedule(scenario) == _schedule(scenario)
 
+    def test_ci_scenario_schedule_is_pinned(self):
+        """CI's colocation (seed 7, rate 0.5, three tenants): one arrival
+        at host epoch 0, two at epoch 4 and none at epochs 1-3 or 5-7.
+        A change to the arrivals' generator, its key or its draw moves
+        the schedule, while the completion counts stay the same."""
+        scenario = ScenarioConfig(
+            arrival_rate=0.5, max_tenants=3, seed=7,
+            workloads=("SSCA.20", "Kmeans"), policies=("thp", "carrefour-lp"),
+        )
+        assert _schedule(scenario, n_epochs=8) == [
+            (0, "SSCA.20", "thp"),
+            (4, "Kmeans", "carrefour-lp"),
+            (4, "SSCA.20", "thp"),
+        ]
+
     def test_different_seeds_differ(self):
         a = ScenarioConfig(arrival_rate=0.1, max_tenants=8, seed=0)
         b = ScenarioConfig(arrival_rate=0.1, max_tenants=8, seed=1)
