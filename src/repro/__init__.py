@@ -28,7 +28,7 @@ import sys
 
 # Also the persistent result-cache version stamp: bump on any change
 # that affects simulation output, so stale cached results are shed.
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 
 def _lazy_exports(package: str, exports: "dict[str, tuple[str, ...]]") -> tuple:

@@ -557,10 +557,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"  runtime={m.runtime_s:.3f}s fault={m.fault_time_total_s * 1e3:.0f}ms"
             f" (max {m.max_fault_pct:.1f}%) L2walk={m.pct_l2_walk:.1f}%"
         )
-        if m.pamup_pct is not None:
-            print(
-                f"  PAMUP={m.pamup_pct:.1f}% NHP={m.n_hot_pages} PSP={m.psp_pct:.0f}%"
-            )
+        print(
+            f"  PAMUP={m.pamup_pct:.1f}% NHP={m.n_hot_pages} PSP={m.psp_pct:.0f}%"
+        )
         print(f"  pages: {m.final_page_counts}")
         return 0
 

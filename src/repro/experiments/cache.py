@@ -1,7 +1,7 @@
 """Persistent on-disk cache for simulation results.
 
 Simulations are deterministic functions of (workload, machine, policy
-and its parameters, backing, seed, complete
+and its parameters, backing, complete
 :class:`~repro.sim.config.SimConfig`), so their results can be reused
 across processes and sessions.  Entries are pickled
 :class:`~repro.sim.results.SimulationResult` objects stored under
@@ -31,7 +31,7 @@ import pathlib
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
 logger = logging.getLogger(__name__)
 
@@ -93,79 +93,25 @@ def _canonical(obj: object) -> object:
     return obj
 
 
-def key_form(value: object) -> object:
-    """``value`` as a cache key holds it.
+def fingerprint(**identity: object) -> str:
+    """The SHA-256 hex key of ``identity`` plus the package version stamp.
 
-    A key canonicalizes each structured field and then the identity
-    dict holding the fields, so a field is canonicalized twice (which
-    re-quotes its dict keys); keeping both passes keeps every key.
-    Encoding the config is most of what a key costs, so the keys of a
-    grid share one encoding (:func:`repro.experiments.runner.fingerprints`).
+    The identity is encoded in one :func:`_canonical` pass, so every
+    field of every dataclass in it enters the key.
     """
-    return _canonical(_canonical(value))
-
-
-def _digest(identity: Dict[str, object]) -> str:
-    """The SHA-256 hex key of an identity whose values are in key form.
-
-    Identity keys are identifiers, so ordering the items by quoted key
-    orders them as their ``(key, value)`` reprs, the order every
-    existing key was hashed in.
-    """
-    text = repr({repr(k): identity[k] for k in sorted(identity, key=repr)})
+    text = repr(_canonical({"stamp": version_stamp(), **identity}))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def encoded_run_fingerprint(
-    workload: str,
-    machine: str,
-    policy: str,
-    backing_1g: bool,
-    encoded_config: object,
-    seed: int,
-    params: Tuple[Tuple[str, Any], ...] = (),
-) -> str:
-    """SHA-256 hex key for one run, given its config in :func:`key_form`.
-
-    The identity covers every :class:`SimConfig` field — including
-    ``max_epochs``, ``khugepaged_batch``, ``ibs_cost_cycles`` and
-    ``track_access_stats``, which the old tuple key omitted — plus the
-    nested hardware cost models and a package version stamp.  Policy
-    ``params`` join the identity only when there are any, so a run
-    without them keeps the key it always had.
-    """
-    identity = {
-        "stamp": version_stamp(),
-        "workload": workload,
-        "machine": machine,
-        "policy": policy,
-        "backing_1g": bool(backing_1g),
-        "seed": int(seed),
-        "config": encoded_config,
-    }
-    if params:
-        identity["params"] = key_form(params)
-    return _digest(identity)
 
 
 def scenario_fingerprint(scenario: object, config: SimConfig) -> str:
     """SHA-256 hex key for one multi-tenant scenario run.
 
-    Same contract as :func:`encoded_run_fingerprint` but keyed on the
-    complete :class:`~repro.scenarios.config.ScenarioConfig` (any
-    dataclass canonicalises) plus the base :class:`SimConfig` every
-    tenant's per-tenant config derives from.  The ``kind`` marker keeps scenario
-    keys disjoint from single-run keys even under identical field
-    values.
+    Keyed on the complete :class:`~repro.scenarios.config.ScenarioConfig`
+    plus the base :class:`SimConfig` every tenant's per-tenant config
+    derives from.  The ``kind`` marker keeps scenario keys disjoint from
+    single-run keys (:func:`repro.experiments.runner.run_fingerprint`).
     """
-    return _digest(
-        {
-            "stamp": version_stamp(),
-            "kind": "scenario",
-            "scenario": key_form(scenario),
-            "config": key_form(config),
-        }
-    )
+    return fingerprint(kind="scenario", scenario=scenario, config=config)
 
 
 @dataclass(frozen=True)

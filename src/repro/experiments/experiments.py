@@ -409,8 +409,8 @@ def verylarge(config: Optional[SimConfig] = None) -> Report:
                 _fmt(entries["1g"]),
                 _fmt(entries["lp-on-1g"]),
                 f"x{entries['slowdown-1g']:.2f}",
-                f"{stats1g.n_hot_pages if stats1g else 0}",
-                f"{stats1g.psp_pct:.0f}%" if stats1g else "-",
+                f"{stats1g.n_hot_pages}",
+                f"{stats1g.psp_pct:.0f}%",
             ]
         )
     return Report(

@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
-from repro.experiments.cache import encoded_run_fingerprint, key_form
+from repro.experiments.cache import fingerprint
 from repro.hardware.machines import machine_by_name
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
@@ -47,29 +47,28 @@ class RunSpec:
         return f"{self.workload}@{self.machine}/{self.policy}{suffix}"
 
 
+def run_fingerprint(spec: RunSpec, config: SimConfig) -> str:
+    """The cache key of ``spec`` run under ``config``.
+
+    Every spec field (the machine by its canonical name, so aliases
+    share a key) and the complete config, seed included, are hashed,
+    plus a package version stamp.
+    """
+    return fingerprint(
+        workload=spec.workload,
+        machine=canonical_machine(spec.machine),
+        policy=spec.policy,
+        backing_1g=bool(spec.backing_1g),
+        params=spec.params,
+        config=config,
+    )
+
+
 def fingerprints(
     specs: Iterable[RunSpec], config: SimConfig
 ) -> Dict[RunSpec, str]:
-    """Each spec's identity under ``config``, in grid order: the key its
-    result is filed under.
-
-    Every spec field and the complete config are hashed, plus a package
-    version stamp; the identity's seed is ``config.seed``.  The config
-    is encoded once for the whole grid: it is most of what a key costs.
-    """
-    encoded = key_form(config)
-    return {
-        spec: encoded_run_fingerprint(
-            spec.workload,
-            canonical_machine(spec.machine),
-            spec.policy,
-            spec.backing_1g,
-            encoded,
-            config.seed,
-            params=spec.params,
-        )
-        for spec in specs
-    }
+    """Each spec's :func:`run_fingerprint` under ``config``, in grid order."""
+    return {spec: run_fingerprint(spec, config) for spec in specs}
 
 
 @functools.lru_cache(maxsize=None)

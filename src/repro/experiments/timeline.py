@@ -41,8 +41,7 @@ class EpochSeries:
 
 def epoch_series(result: SimulationResult) -> EpochSeries:
     """Extract the per-epoch trajectory from a simulation result."""
-    times, lars, imbs, faults, walks = [], [], [], [], []
-    splits, collapses, migrated = [], [], []
+    times, lars, imbs, faults, walks, collapses = [], [], [], [], [], []
     for e in result.bank.epochs:
         times.append(e.duration_s)
         per_controller = e.traffic.sum(axis=0)
@@ -52,11 +51,11 @@ def epoch_series(result: SimulationResult) -> EpochSeries:
         imbs.append(100.0 * float(per_controller.std()) / mean if mean > 0 else 0.0)
         faults.append(e.time_fault_s)
         walks.append(e.time_walk_s)
-        splits.append(e.pages_split_2m)
         collapses.append(e.pages_collapsed_2m)
-        migrated.append(e.pages_migrated_4k + e.pages_migrated_2m)
-    # Policy actions are logged at interval boundaries; attribute split
-    # and migration counts to the epoch in which they were decided.
+    splits = [0] * len(times)
+    migrated = [0] * len(times)
+    # Splits and migrations are policy actions, logged at interval
+    # boundaries: count each in the epoch in which it was decided.
     for when, summary in result.action_log:
         cumulative = 0.0
         for i, duration in enumerate(times):

@@ -52,10 +52,6 @@ class EpochCounters:
     time_walk_s: float = 0.0
     time_fault_s: float = 0.0
     time_ibs_s: float = 0.0
-    pages_migrated_4k: int = 0
-    pages_migrated_2m: int = 0
-    pages_split_2m: int = 0
-    pages_split_1g: int = 0
     pages_collapsed_2m: int = 0
     #: Replicated pages collapsed because a write hit them this epoch.
     replicas_collapsed: int = 0

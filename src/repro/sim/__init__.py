@@ -15,7 +15,7 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "repro.sim.config": ("MachineModels", "SimConfig"),
+        "repro.sim.config": ("SimConfig",),
         "repro.sim.engine": ("Simulation",),
         "repro.sim.policy": (
             "LinuxPolicy",
@@ -29,7 +29,6 @@ __getattr__, __dir__ = _lazy_exports(
 
 __all__ = [
     "SimConfig",
-    "MachineModels",
     "Simulation",
     "PlacementPolicy",
     "LinuxPolicy",

@@ -36,9 +36,12 @@ from typing import (
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.hardware.caches import CacheModel
 from repro.hardware.counters import CounterBank, EpochCounters
 from repro.hardware.ibs import IbsEngine, IbsSamples
-from repro.hardware.tlb import TlbEpochResult, TlbModel
+from repro.hardware.interconnect import InterconnectModel
+from repro.hardware.mem_controller import MemoryControllerModel
+from repro.hardware.tlb import TlbEpochResult, TlbModel, TlbSpec
 from repro.hardware.topology import NumaTopology
 from repro.options import RuntimeOptions
 from repro.sim.config import SimConfig
@@ -73,8 +76,11 @@ from repro.vm.layout import (
     SHIFT_1G,
     SHIFT_2M,
 )
+from repro.vm.migration import MigrationCostModel
+from repro.vm.page_fault import PageFaultModel
 from repro.vm.thp import ThpState, khugepaged_scan
 from repro.workloads.base import Workload, WorkloadInstance
+from repro.workloads.common import EPOCH_S
 from repro.workloads.streambank import get_stream_bank, weight_scale
 
 #: Static-analysis registry (rule R104): roots of the simulation call
@@ -82,6 +88,14 @@ from repro.workloads.streambank import get_stream_bank, weight_scale
 #: the sanctioned ``rng_for`` site or an explicitly suppressed
 #: observability read (the profiler's ``# lint: ignore[R104]`` lines).
 _SIM_ENTRY_POINTS = ("Simulation.run",)
+
+# The cost models every tenant prices with.  Their calibration is fixed
+# once, with the workloads' costs calibrated against the same epoch
+# (``EPOCH_S``) and controller, so no run configures them.
+_CONTROLLER = MemoryControllerModel()
+_INTERCONNECT = InterconnectModel()
+_PAGE_FAULT = PageFaultModel()
+_MIGRATION = MigrationCostModel()
 
 
 @dataclass
@@ -136,7 +150,6 @@ class Tenant:
     ) -> None:
         self.machine = machine
         self.config = config or SimConfig()
-        self.models = self.config.models
         if isinstance(workload, Workload):
             self.instance = workload.instantiate(
                 machine, self.config.scale, self.config.seed
@@ -153,11 +166,10 @@ class Tenant:
         )
         self.asp = AddressSpace(self.instance.n_granules, self.phys, self.instance.name)
         self.thp = ThpState()
-        self.tlb_model = TlbModel(self.models.tlb, self.models.cache)
+        self.tlb_model = TlbModel(TlbSpec(), CacheModel())
         self.ibs = IbsEngine(
             machine.n_nodes,
             rate=self.config.ibs_rate if policy.wants_ibs() else 0.0,
-            cost_cycles_per_sample=self.config.ibs_cost_cycles,
         )
         self.bank = CounterBank(machine.n_nodes, machine.n_cores)
         #: Epochs whose access-tracker row this tenant has reached; its
@@ -272,19 +284,14 @@ class Tenant:
             runtime_s=self.sim_time_s,
             epoch_times_s=[e.duration_s for e in self.bank.epochs],
             bank=self.bank,
-            hot_stats=(
-                self._stream_bank.tracker(self._tracked_epochs).hot_page_stats(
-                    self.asp
-                )
-                if self.config.track_access_stats
-                else None
-            ),
+            hot_stats=self._stream_bank.tracker(
+                self._tracked_epochs
+            ).hot_page_stats(self.asp),
             action_log=self.action_log,
             final_page_counts=self.asp.page_counts(),
         )
 
     def _run_epoch(self, epoch: int) -> None:
-        cfg = self.config
         cost = self.instance.cost
         n_nodes = self.machine.n_nodes
         n_threads = self.n_threads
@@ -310,7 +317,7 @@ class Tenant:
         )
         concurrent = batch.faulting_threads()
         for t in range(n_threads):
-            fault_time[t] = self.models.page_fault.handler_time_s(
+            fault_time[t] = _PAGE_FAULT.handler_time_s(
                 float(batch.faults_4k[t]),
                 float(batch.faults_2m[t]),
                 float(batch.faults_1g[t]),
@@ -321,7 +328,7 @@ class Tenant:
         # 2. Access streams: translation, traffic, TLB, IBS, tracking.
         stream_faults_4k = stream_faults_2m = 0.0
         written_replicated: set = set()
-        length = cfg.stream_length
+        length = self.config.stream_length
         bank = self._stream_bank
 
         # Pass 1a — per-thread streams.  Streams are drawn before any
@@ -412,12 +419,11 @@ class Tenant:
 
         active_idx = np.flatnonzero(stream_sizes > 0)
         prof.lap("streams")
-        if cfg.track_access_stats:
-            # The tracker is built only from policy-independent bank
-            # columns, so the bank folds it once for all its runs: the
-            # first run to reach an epoch folds that epoch's row.
-            bank.fold_tracker(epoch)
-            self._tracked_epochs = epoch + 1
+        # The tracker is built only from policy-independent bank
+        # columns, so the bank folds it once for all its runs: the
+        # first run to reach an epoch folds that epoch's row.
+        bank.fold_tracker(epoch)
+        self._tracked_epochs = epoch + 1
         prof.lap("tracker")
 
         n_samples = self.ibs.record_epoch_batch(
@@ -437,14 +443,10 @@ class Tenant:
         # Under a multi-tenant host, the other tenants' previous-epoch
         # traffic congests the same controllers and links; alone, the
         # background is zeros, and adding zeros is exact.
-        rates = traffic / cfg.epoch_s
+        rates = traffic / EPOCH_S
         shared = rates + self._background_rates
-        controller_latency = self.models.controller.latency_cycles(
-            shared.sum(axis=0)
-        )
-        hop_latency = self.models.interconnect.hop_latency_matrix(
-            self.machine, shared
-        )
+        controller_latency = _CONTROLLER.latency_cycles(shared.sum(axis=0))
+        hop_latency = _INTERCONNECT.hop_latency_matrix(self.machine, shared)
         self.last_rates = rates
         latency = controller_latency[None, :] + hop_latency  # (src, dst) cycles
         dram_time = (
@@ -462,16 +464,13 @@ class Tenant:
             if self.asp.unreplicate_backing(page_id) > 0:
                 replicas_collapsed += 1
         if replicas_collapsed:
-            maintenance_s += self.models.migration.collapse_time_s(
+            maintenance_s += _MIGRATION.collapse_time_s(
                 replicas_collapsed, n_threads
             )
         collapsed = 0
         if self.thp.promotion_enabled:
-            self.thp.scan_batch = cfg.khugepaged_batch
             collapsed = khugepaged_scan(self.thp, self.asp)
-            maintenance_s += self.models.migration.collapse_time_s(
-                collapsed, n_threads
-            )
+            maintenance_s += _MIGRATION.collapse_time_s(collapsed, n_threads)
 
         epoch_time = float(thread_time.max()) + maintenance_s / n_nodes
         self.sim_time_s += epoch_time
@@ -517,26 +516,25 @@ class Tenant:
             )
             self.table_builds += len(samples.tables)
             self._last_policy_epoch = epoch + 1
-            migration_model = self.models.migration
             action_cost = (
-                migration_model.migration_time_s(
+                _MIGRATION.migration_time_s(
                     summary.bytes_migrated + summary.bytes_replicated,
                     summary.migrated_4k
                     + summary.migrated_2m
                     + summary.replicated_pages,
                 )
-                + migration_model.split_time_s(
+                + _MIGRATION.split_time_s(
                     summary.splits_2m + summary.splits_1g * (GRANULES_PER_1G // 512),
                     self.n_threads,
                 )
-                + migration_model.collapse_time_s(summary.collapses_2m, self.n_threads)
+                + _MIGRATION.collapse_time_s(summary.collapses_2m, self.n_threads)
                 + summary.compute_s
             )
             # Reclaim is priced like migration (unmap + frame return);
             # guarded so configs that never reclaim add literally
             # nothing to the float sum.
             if summary.pages_reclaimed:
-                action_cost += migration_model.migration_time_s(
+                action_cost += _MIGRATION.migration_time_s(
                     summary.bytes_reclaimed, summary.pages_reclaimed
                 )
             self._pending_maintenance_s += action_cost
@@ -593,7 +591,7 @@ class Tenant:
                     int(self.thread_nodes[t]),
                     self.thp.alloc_enabled,
                 )
-                fault_time[t] += self.models.page_fault.handler_time_s(
+                fault_time[t] += _PAGE_FAULT.handler_time_s(
                     stats.faults_4k, stats.faults_2m, stats.faults_1g, 1
                 )
                 faults_4k += stats.faults_4k
@@ -695,7 +693,7 @@ class Tenant:
         cycles = (
             misses
             * hops
-            * self.models.interconnect.hop_latency_cycles
+            * _INTERCONNECT.hop_latency_cycles
             * pt.walk_levels
         )
         return cycles / self.machine.cpu_freq_hz

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 from repro.hardware.counters import CounterBank
@@ -39,9 +39,9 @@ class RunMetrics:
     max_fault_pct: float
     tlb_misses: float
     dram_requests: float
-    pamup_pct: Optional[float] = None
-    n_hot_pages: Optional[int] = None
-    psp_pct: Optional[float] = None
+    pamup_pct: float
+    n_hot_pages: int
+    psp_pct: float
     pages_migrated_4k: int = 0
     pages_migrated_2m: int = 0
     pages_split_2m: int = 0
@@ -70,7 +70,7 @@ class SimulationResult:
     runtime_s: float
     epoch_times_s: List[float]
     bank: CounterBank
-    hot_stats: Optional[HotPageStats]
+    hot_stats: HotPageStats
     action_log: List[Tuple[float, PolicyActionSummary]]
     final_page_counts: Dict[PageSize, int]
 
@@ -91,9 +91,9 @@ class SimulationResult:
             max_fault_pct=self.bank.max_fault_time_fraction(),
             tlb_misses=self.bank.total("tlb_misses"),
             dram_requests=self.bank.total("l2_data_misses"),
-            pamup_pct=self.hot_stats.pamup_pct if self.hot_stats else None,
-            n_hot_pages=self.hot_stats.n_hot_pages if self.hot_stats else None,
-            psp_pct=self.hot_stats.psp_pct if self.hot_stats else None,
+            pamup_pct=self.hot_stats.pamup_pct,
+            n_hot_pages=self.hot_stats.n_hot_pages,
+            psp_pct=self.hot_stats.psp_pct,
             pages_migrated_4k=migrated_4k,
             pages_migrated_2m=migrated_2m,
             pages_split_2m=splits_2m,

@@ -6,7 +6,8 @@ from repro.hardware.mem_controller import MemoryControllerModel
 from repro.hardware.topology import NumaTopology
 from repro.workloads.base import CostProfile
 
-#: Reference epoch length the cost profiles are calibrated against.
+#: Simulated seconds per epoch: the cost profiles are calibrated against
+#: it, and the engine prices each epoch's traffic over it.
 EPOCH_S = 0.25
 
 MIB = 1024 * 1024

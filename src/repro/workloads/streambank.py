@@ -69,6 +69,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -527,7 +528,10 @@ class StreamBank:
             pass
 
     def _load(self, epoch0: int) -> Optional[_Block]:
-        """Load a persisted block memmapped, or ``None``."""
+        """Load a persisted block memmapped, or ``None`` when it is
+        missing or any of its files cannot be read (a truncated or
+        emptied file reads as a miss: the block is generated and
+        rewritten)."""
         if self._dir is None:
             return None
         paths = self._paths(epoch0)
@@ -541,7 +545,7 @@ class StreamBank:
                 rng_states = json.load(fh)
             with np.load(paths["agg"]) as stored:
                 agg = {key: stored[key] for key in _AGG_KEYS if key in stored}
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             return None
         n_epochs = max(1, min(EPOCH_WINDOW, self.total_epochs - epoch0))
         if (

@@ -11,10 +11,14 @@ import pytest
 import repro
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import ResultCache, cache_enabled, cache_root
-from repro.experiments.runner import RunSpec, fingerprints, run_benchmark
+from repro.experiments.runner import (
+    RunSpec,
+    fingerprints,
+    run_benchmark,
+    run_fingerprint,
+)
 from repro.options import CACHE_DIR_ENV, CACHE_ENABLE_ENV
 from repro.sim.config import SimConfig
-from tests.per_run_fingerprint import run_fingerprint
 
 
 @pytest.fixture
@@ -26,17 +30,9 @@ def store(tmp_path, monkeypatch):
 
 def _fp(config: SimConfig, stamp: str = "test-stamp", **overrides) -> str:
     """The run key, with the package version stamp set to ``stamp``."""
-    identity = dict(
-        workload="Kmeans",
-        machine="A",
-        policy="thp",
-        backing_1g=False,
-        config=config,
-        seed=0,
-    )
-    identity.update(overrides)
+    spec = replace(RunSpec("Kmeans", "A", "thp"), **overrides)
     with mock.patch.object(repro, "__version__", stamp):
-        return run_fingerprint(**identity)
+        return run_fingerprint(spec, config)
 
 
 def _key(spec: RunSpec, config: SimConfig) -> str:
@@ -51,14 +47,10 @@ class TestFingerprint:
     @pytest.mark.parametrize(
         "field,value",
         [
-            # Regression: the old tuple key dropped these four fields,
-            # so two configs differing only here collided.
+            # Regression: the old tuple key dropped this field, so two
+            # configs differing only here collided.
             ("max_epochs", 7),
-            ("khugepaged_batch", 9),
-            ("ibs_cost_cycles", 123.0),
-            ("track_access_stats", False),
             # And the ones it always covered must still matter.
-            ("epoch_s", 0.125),
             ("stream_length", 512),
             ("scale", 0.5),
             ("ibs_rate", 1e-3),
@@ -77,7 +69,6 @@ class TestFingerprint:
             {"machine": "B"},
             {"policy": "linux-4k"},
             {"backing_1g": True},
-            {"seed": 5},
             {"stamp": "other-stamp"},
         ],
     )
@@ -87,27 +78,21 @@ class TestFingerprint:
 
     def test_default_stamp_is_package_version(self, monkeypatch):
         config = SimConfig.quick()
-        before = run_fingerprint("Kmeans", "A", "thp", False, config, 0)
+        spec = RunSpec("Kmeans", "A", "thp")
+        before = run_fingerprint(spec, config)
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
-        after = run_fingerprint("Kmeans", "A", "thp", False, config, 0)
+        after = run_fingerprint(spec, config)
         assert before != after
 
 
 class TestKeyRegression:
     """A grid's run keys use the complete config (the in-process memo's
-    key once dropped four fields)."""
+    key once dropped four fields, of which ``max_epochs`` remains)."""
 
     def test_key_covers_dropped_fields(self):
         base = SimConfig.quick()
         spec = RunSpec("Kmeans", "A", "thp")
-        for field, value in [
-            ("max_epochs", 7),
-            ("khugepaged_batch", 9),
-            ("ibs_cost_cycles", 123.0),
-            ("track_access_stats", False),
-        ]:
-            other = replace(base, **{field: value})
-            assert _key(spec, base) != _key(spec, other), field
+        assert _key(spec, base) != _key(spec, replace(base, max_epochs=7))
 
     def test_no_stale_collision_between_max_epochs(self, store):
         quick = SimConfig.quick()
@@ -118,15 +103,6 @@ class TestKeyRegression:
         assert a is not b
         assert len(a.epoch_times_s) == 2
         assert len(b.epoch_times_s) == 4
-
-    def test_track_access_stats_not_collided(self, store):
-        quick = SimConfig.quick()
-        with_stats = quick
-        without = replace(quick, track_access_stats=False)
-        a = run_benchmark("Kmeans", "A", "linux-4k", with_stats)
-        b = run_benchmark("Kmeans", "A", "linux-4k", without)
-        assert a.hot_stats is not None
-        assert b.hot_stats is None
 
 
 class TestResultCache:

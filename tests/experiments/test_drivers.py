@@ -13,6 +13,7 @@ from repro.experiments.parallel import GridRunner
 from repro.hardware.counters import CounterBank
 from repro.sim.config import SimConfig
 from repro.sim.results import RunMetrics
+from repro.sim.tracker import HotPageStats
 from repro.workloads.registry import AFFECTED_SET, FIGURE1_ORDER, UNAFFECTED_SET
 
 
@@ -22,7 +23,7 @@ class FakeResult:
     def __init__(self, runtime=1.0):
         self.runtime_s = runtime
         self.bank = CounterBank(2, 4)
-        self.hot_stats = None
+        self.hot_stats = HotPageStats(1.0, 0, 5.0, 1.0)
         self.action_log = []
         self.final_page_counts = {}
 

@@ -81,12 +81,23 @@ class TestBasicRun:
         with pytest.raises(SimulationError):
             Simulation(quad_topo, inst, LinuxPolicy(False), quick_cfg())
 
-    def test_tracker_disabled(self, tiny_topo):
-        cfg = quick_cfg(track_access_stats=False)
-        sim = Simulation(tiny_topo, make_instance(tiny_topo), LinuxPolicy(False), cfg)
+    def test_every_run_reports_hot_page_stats(self, tiny_topo):
+        """The tracker always folds: a run reports PAMUP, NHP and PSP
+        over every epoch it ran."""
+        inst = make_instance(tiny_topo)
+        sim = Simulation(tiny_topo, inst, LinuxPolicy(False), quick_cfg())
         result = sim.run()
-        assert result.hot_stats is None
-        assert result.metrics().pamup_pct is None
+        stats = result.hot_stats
+        assert sim._tracked_epochs == inst.total_epochs
+        assert stats.total_weight == pytest.approx(
+            result.bank.traffic.sum(), rel=1e-12
+        )
+        m = result.metrics()
+        assert (m.pamup_pct, m.n_hot_pages, m.psp_pct) == (
+            stats.pamup_pct,
+            stats.n_hot_pages,
+            stats.psp_pct,
+        )
 
     def test_tracker_weighs_accesses_as_the_traffic_does(self, tiny_topo):
         """The bank scales its tracker counts by the engine's traffic

@@ -114,7 +114,7 @@ POLICY_MATRIX = {
     'linux-4k': {
         'runtime_s': '0x1.676fcccaeadbap+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': '31b53b6ce0d5756d59fcf48bc3168ef516f003342b2d6b1a1f7172a5d3b66901',
+        'fingerprint': 'd11395c4e48cecfb292119220b0d2650f1054aca240553fa6a856eb8390c29cf',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -131,7 +131,7 @@ POLICY_MATRIX = {
     'thp': {
         'runtime_s': '0x1.497f7a8b08110p+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': '973b430e4c04931eefbfcf22bae9111bfaa90b71312c8b9064c0196064e8c07e',
+        'fingerprint': 'f1b6f9c52bfee184f01938f73c06af644563bde30655c84f76518424be2e7d2d',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -148,7 +148,7 @@ POLICY_MATRIX = {
     'carrefour-4k': {
         'runtime_s': '0x1.750034c8237f1p+2',
         'daemon_time': '0x1.b284dbea08fcbp-1',
-        'fingerprint': '0d8b76998001f5ec3b7c1fff3c5f3597bd92f2764448f901f740ba216c2ff36d',
+        'fingerprint': '456265b20c5be75415e516836315c20e112e938a061312b665c7ea3cf380aaf5',
         'actions': {
             'migrated_4k': 71407,
             'migrated_2m': 0,
@@ -165,7 +165,7 @@ POLICY_MATRIX = {
     'carrefour-2m': {
         'runtime_s': '0x1.2da3adbc75524p+2',
         'daemon_time': '0x1.23186c00b0df5p-2',
-        'fingerprint': '5d4999d9fb5293c6dc8e8a2f36167797e32f052d7ca33164148c69c9e536e8b4',
+        'fingerprint': '4b8f114505d005bfdd27de2446661d3cbd2b040a0064de23754a300d54dd22e8',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 287,
@@ -182,7 +182,7 @@ POLICY_MATRIX = {
     'carrefour-lp': {
         'runtime_s': '0x1.4d59258ed953bp+2',
         'daemon_time': '0x1.3ed6dc859ea88p+0',
-        'fingerprint': 'b876ce4de0799eed202075bfc67a247b19395ceb6292925f52749c85dc5e09f5',
+        'fingerprint': '8512d0772cbc1995b951cbccfeca4885c7c6770b7dc11ae65badac067fb99edd',
         'actions': {
             'migrated_4k': 36205,
             'migrated_2m': 281,
@@ -199,7 +199,7 @@ POLICY_MATRIX = {
     'reactive-only': {
         'runtime_s': '0x1.713b07970975dp+2',
         'daemon_time': '0x1.e25b77c3d3c69p-1',
-        'fingerprint': '2b7c55ca1bbeda6ea7a0d1e3cf36242af38cdd4bf046a85055fb7fd3c5130429',
+        'fingerprint': '288b7090ce53e3b688039af68f3e6cd9355971895e4ca4d182854bb8f4265521',
         'actions': {
             'migrated_4k': 71126,
             'migrated_2m': 0,
@@ -216,7 +216,7 @@ POLICY_MATRIX = {
     'conservative-only': {
         'runtime_s': '0x1.41d5b4eeaba5dp+2',
         'daemon_time': '0x1.2cd425b1a6fb9p+0',
-        'fingerprint': '72a80982ce2b52fac547c43112a6f7a05a69cb92076b5ad187c844ec81cbb6ad',
+        'fingerprint': 'c9ed8fb5df129c2b5e4553e61345b3182af2a66ecb5296604cf3b91b348f7110',
         'actions': {
             'migrated_4k': 19799,
             'migrated_2m': 274,
@@ -233,7 +233,7 @@ POLICY_MATRIX = {
     'carrefour-lp-lwp': {
         'runtime_s': '0x1.50591f3108ec9p+2',
         'daemon_time': '0x1.6264aaefe6794p+0',
-        'fingerprint': 'a656cb7af6990cfeb392a72e5c9dcc1bbb56d4fd41dd7bb99a3dc93a12859669',
+        'fingerprint': '80bc9edb1a37ad5a72ceb6969b889d37825efad8c102b7b1b25d47021ab3137a',
         'actions': {
             'migrated_4k': 44376,
             'migrated_2m': 255,
@@ -250,7 +250,7 @@ POLICY_MATRIX = {
     'autonuma': {
         'runtime_s': '0x1.49bcafe1aa87bp+2',
         'daemon_time': '0x1.8534c97d90632p-2',
-        'fingerprint': '7e1b6b84d12fd90f3f0d87aa486b7a704deeaac72b3bac6ab82493dadfe765ca',
+        'fingerprint': '6a9431451ed14af07a3b0648a6f2252cf868840bbfe7b05fbe56ac0a7cca87c1',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 243,
@@ -267,7 +267,7 @@ POLICY_MATRIX = {
     'autonuma-4k': {
         'runtime_s': '0x1.6ce1855e7bb62p+2',
         'daemon_time': '0x1.3957d58afea4ap-2',
-        'fingerprint': '3fb1f441639fb54d95a65d781a61bfda7792ba54f73e19d237cadcec8604d134',
+        'fingerprint': '46687c083215052ea8978aefb2f6696ab766ff31f155033856e369ca7553eeba',
         'actions': {
             'migrated_4k': 4873,
             'migrated_2m': 0,
@@ -284,7 +284,7 @@ POLICY_MATRIX = {
     'interleave-4k': {
         'runtime_s': '0x1.767be86fc2badp+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': '8134ce6e733a91898c2974794d47000855f215211752ea207c732eef97d8ec29',
+        'fingerprint': '3dfa19cb037c213e53c10c684325546c265b473cc6e349ab165b6e61d9d8d8e9',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -301,7 +301,7 @@ POLICY_MATRIX = {
     'interleave-thp': {
         'runtime_s': '0x1.2c77de4df755dp+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': '8526ed2c455ecb9b95ff427564b31b511b37a679449ef0601b77a5cdd2dae9fd',
+        'fingerprint': 'fd17efab6d4d474efc72341c3d3fc911e285f60080508786adc80ead96a6f425',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -318,7 +318,7 @@ POLICY_MATRIX = {
     'pt-remote': {
         'runtime_s': '0x1.9cc5e7debd40ap+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': '7a7e330e4980a7ca4b2b96259dabf7656cdaeef08c3796bd27671434dfd21a8e',
+        'fingerprint': '493d2ba5c5856a7aed7a7fbb37c41bad9c531828c070d10c67d10331974ef7f9',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -338,7 +338,7 @@ POLICY_MATRIX = {
         # reclaim behaviour itself is pinned by the scenario goldens.
         'runtime_s': '0x1.497f7a8b08110p+2',
         'daemon_time': '0x0.0p+0',
-        'fingerprint': 'd484cfe240a0c0ae6387d61109bdbe48b7c3ee3e7a4e8d68e274c73b49e87031',
+        'fingerprint': '73bb3857518309796efba347c90b1772fff18c7fe8e6dbf2c89dac0c4280e867',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -355,7 +355,7 @@ POLICY_MATRIX = {
     'replication': {
         'runtime_s': '0x1.570ddb34ecf81p+2',
         'daemon_time': '0x1.807408da51ed2p-16',
-        'fingerprint': '105664ec09ce596e1d75fcd962c9fe513b9eb18aa16641f71a95a5f6e7a975a5',
+        'fingerprint': 'b486b73266eded73d696dca0c6305aa89426a7c8e4dbf81cd288e1199d572956',
         'actions': {
             'migrated_4k': 0,
             'migrated_2m': 0,
@@ -436,6 +436,9 @@ def test_policy_matrix_fingerprints_pinned(policy, quick_config):
 # adding its digest here.
 GOLDEN_DIGESTS = {
     "1.1.0": "6eb1ed135b90c96235f3f37cbbcf96725ee4f049a61364ba1e2066ad030c4e5b",
+    # The key became one encoding of a five-field config: only the
+    # matrix's fingerprints moved.
+    "1.2.0": "5e8c0a24ab39a207aee0327964befc8413dbfc23394b3470dce17af80cd2bca0",
 }
 
 
@@ -466,10 +469,12 @@ def test_goldens_move_only_with_a_version_bump():
 # (CI regenerates all of them and diffs the tree).  An artifact can move
 # while every golden above holds, and would then be served stale from
 # the result cache, so its outputs are pinned per version too.
-ARTIFACT_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "output"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+ARTIFACT_DIR = ROOT / "benchmarks" / "output"
 
 ARTIFACT_DIGESTS = {
     "1.1.0": "1bf49044eff18a9e4d713616828354c6ac44bb2a1ce6bb160c4ccc6a0cb95164",
+    "1.2.0": "1bf49044eff18a9e4d713616828354c6ac44bb2a1ce6bb160c4ccc6a0cb95164",
 }
 
 
@@ -495,3 +500,11 @@ def test_artifact_outputs_move_only_with_a_version_bump():
         "repro.__version__ and pin this digest for the new version in "
         "ARTIFACT_DIGESTS"
     )
+
+
+def test_the_package_version_is_the_cache_stamp():
+    """``pyproject.toml`` and ``repro.__version__`` name one version."""
+    from repro import __version__
+
+    text = (ROOT / "pyproject.toml").read_text()
+    assert f'\nversion = "{__version__}"\n' in text

@@ -10,6 +10,7 @@ from repro.sim.decisions import ChargeCompute
 from repro.sim.engine import Simulation
 from repro.sim.policy import LinuxPolicy, PlacementPolicy, PolicyActionSummary
 from repro.sim.results import RunMetrics, SimulationResult
+from repro.sim.tracker import HotPageStats
 from repro.workloads.base import CostProfile, WorkloadInstance
 from repro.workloads.regions import SharedRegion
 
@@ -89,10 +90,12 @@ class TestRunMetrics:
         fast = RunMetrics(
             runtime_s=5.0, lar_pct=50, imbalance_pct=0, pct_l2_walk=0,
             fault_time_total_s=0, max_fault_pct=0, tlb_misses=0, dram_requests=0,
+            pamup_pct=0, n_hot_pages=0, psp_pct=0,
         )
         slow = RunMetrics(
             runtime_s=10.0, lar_pct=50, imbalance_pct=0, pct_l2_walk=0,
             fault_time_total_s=0, max_fault_pct=0, tlb_misses=0, dram_requests=0,
+            pamup_pct=0, n_hot_pages=0, psp_pct=0,
         )
         assert fast.improvement_over(slow) == pytest.approx(100.0)
         assert slow.improvement_over(fast) == pytest.approx(-50.0)
@@ -101,6 +104,7 @@ class TestRunMetrics:
         broken = RunMetrics(
             runtime_s=0.0, lar_pct=0, imbalance_pct=0, pct_l2_walk=0,
             fault_time_total_s=0, max_fault_pct=0, tlb_misses=0, dram_requests=0,
+            pamup_pct=0, n_hot_pages=0, psp_pct=0,
         )
         with pytest.raises(SimulationError):
             broken.improvement_over(broken)
@@ -115,7 +119,7 @@ class TestSimulationResult:
             runtime_s=1.0,
             epoch_times_s=[1.0],
             bank=CounterBank(2, 4),
-            hot_stats=None,
+            hot_stats=HotPageStats(0.0, 0, 0.0, 0.0),
             action_log=[
                 (0.5, PolicyActionSummary(migrated_4k=3, splits_2m=1)),
                 (1.0, PolicyActionSummary(migrated_2m=2)),

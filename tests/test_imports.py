@@ -2,10 +2,11 @@
 no simulation module.
 
 Every package root resolves its exports on first access (PEP 562), so
-a command imports only the modules it uses.  A run or scenario served
-from the result cache loads the CLI, the experiment layer, the result
-types and the cost-model dataclasses its key hashes; the engine, VM,
-workload models, policies and analyzers load at the first simulation.
+a command imports only the modules it uses.  An artifact, run or
+scenario served from the result cache loads the CLI, the experiment
+layer, the config and the result types; the engine, its cost models,
+the VM, workload models, policies and analyzers load at the first
+simulation.
 The gate checks run in fresh interpreters and compare exact module
 sets, so they cannot flake.
 """
@@ -48,6 +49,13 @@ SIMULATION_STACK = (
     "repro.workloads.regions",
     "repro.workloads.streambank",
     "repro.hardware.ibs",
+    # The cost models: only a simulation prices with them.
+    "repro.hardware.caches",
+    "repro.hardware.interconnect",
+    "repro.hardware.mem_controller",
+    "repro.hardware.tlb",
+    "repro.vm.migration",
+    "repro.vm.page_fault",
 )
 
 #: Exports that are plain data, so carry no ``__module__``.
@@ -157,6 +165,11 @@ class TestImportGate:
         )
         _assert_no_simulation_stack(modules)
         assert "repro.experiments.runner" in modules
+
+    def test_warm_artifact_loads_no_simulation_stack(self, tmp_path):
+        modules = _warm_modules(["table1", "--quick"], _env(tmp_path))
+        _assert_no_simulation_stack(modules)
+        assert "repro.experiments.experiments" in modules
 
     def test_warm_scenario_loads_no_simulation_stack(self, tmp_path):
         modules = _warm_modules(

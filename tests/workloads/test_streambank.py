@@ -13,7 +13,6 @@ gave it (the :class:`~tests.per_thread_streams.FirstShared` oracle).
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import os
 import sys
@@ -998,6 +997,54 @@ class TestStoredAggregates:
                 np.testing.assert_array_equal(flags[level], oracle.shared[level])
 
 
+
+#: Fractions of a block file kept: a write cut short, and a file whose
+#: rename outlived a crash while its data did not.
+TRUNCATIONS = {"halved": 0.5, "emptied": 0.0}
+
+
+class TestUnreadableBlocks:
+    """A block with a file that cannot be read is a miss, as a block in
+    an older layout is: its rows are generated again, the block is
+    rewritten, and every fold is bit-identical to a generated bank's."""
+
+    @pytest.mark.parametrize("cut", sorted(TRUNCATIONS))
+    @pytest.mark.parametrize("part", ["streams", "writes", "sizes", "rng", "agg"])
+    def test_a_truncated_file_reads_as_a_miss(
+        self, part, cut, tiny_topo, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+        total = 3
+
+        def instance():
+            return make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                                 total_epochs=total)
+
+        writer = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            writer.fold_tracker(epoch)
+        path = writer._paths(0)[part]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: int(len(data) * TRUNCATIONS[cut])])
+
+        clear_stream_banks()
+        rebuilt = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            rebuilt.fold_tracker(epoch)
+        assert rebuilt._blocks[0].stored is None
+        assert os.path.getsize(path) == len(data)
+
+        clear_stream_banks()
+        loaded = get_stream_bank(instance(), SIM_SEED, LENGTH)
+        for epoch in range(total):
+            loaded.fold_tracker(epoch)
+        assert loaded._blocks[0].stored is not None
+        want = StreamBank(instance(), SIM_SEED, LENGTH).tracker(total)
+        for bank in (writer, rebuilt, loaded):
+            assert_same_fold(bank.tracker(total), want)
+
 def sharing_columns(bank, n_epochs, epoch0=0):
     """The first/shared summaries ``agg.npz`` held beside the tracker
     columns until the tracker kept thread bounds: per row of the block
@@ -1145,15 +1192,21 @@ class TestAggregationWork:
         assert all(bank._folded > 0 for bank in banks)
         assert sorted(aggregated) == sorted(folded)
 
-    def test_untracked_runs_never_aggregate(self, monkeypatch):
+    def test_drawn_rows_aggregate_only_when_folded(self, tiny_topo, monkeypatch):
+        """Drawing a row (streams, stores, IBS states) aggregates
+        nothing; the fold that first reaches it does."""
         monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
-        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         banks, aggregated = record_aggregation(monkeypatch)
-        config = dataclasses.replace(SimConfig.quick(), track_access_stats=False)
-        GridRunner(config, jobs=1).run(WORK_GRID)
-        assert len(banks) == 2
-        assert all(bank._blocks and bank._folded == 0 for bank in banks)
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=3)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+            bank.ibs_states(epoch)
+        assert banks == [bank] and bank._folded == 0
         assert aggregated == []
+        bank.fold_tracker(0)
+        assert aggregated == [(bank.fingerprint, 0)]
 
     def test_a_store_warm_pass_never_aggregates(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
