@@ -1,16 +1,10 @@
 """Extension benches: LWP sampling and design-choice ablations."""
 
-from repro.experiments.extensions import (
-    ablation_hot_threshold,
-    ablation_migration_budget,
-    autonuma,
-    lwp,
-)
+import pytest
 
 
-def test_bench_autonuma(benchmark, settings, report_sink):
-    report = benchmark.pedantic(autonuma, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("autonuma")
+def test_bench_autonuma(report):
     data = report.data
     # AutoNUMA cannot split pages: it inherits THP's CG/UA failures...
     assert data["CG.D@B"]["autonuma"] < -20.0
@@ -21,9 +15,8 @@ def test_bench_autonuma(benchmark, settings, report_sink):
     assert data["pca@B"]["autonuma"] > 20.0
 
 
-def test_bench_lwp(benchmark, settings, report_sink):
-    report = benchmark.pedantic(lwp, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("lwp")
+def test_bench_lwp(report):
     data = report.data
     ssca = data["SSCA.20@A"]
     # Denser LWP samples must not do worse than plain IBS sampling, and
@@ -32,22 +25,16 @@ def test_bench_lwp(benchmark, settings, report_sink):
     assert ssca["carrefour-lp-lwp"] >= ssca["carrefour-lp"] - 3.0
 
 
-def test_bench_ablation_hot_threshold(benchmark, settings, report_sink):
-    report = benchmark.pedantic(
-        ablation_hot_threshold, args=(settings,), rounds=1, iterations=1
-    )
-    report_sink(report)
+@pytest.mark.artifact("ablation-hot")
+def test_bench_ablation_hot_threshold(report):
     data = report.data
     # Disabling hot-page splitting leaves CG's imbalance unfixed.
     assert data["100"]["imbalance"] > data["6"]["imbalance"] + 10.0
     assert data["6"]["improvement"] > data["100"]["improvement"]
 
 
-def test_bench_ablation_migration_budget(benchmark, settings, report_sink):
-    report = benchmark.pedantic(
-        ablation_migration_budget, args=(settings,), rounds=1, iterations=1
-    )
-    report_sink(report)
+@pytest.mark.artifact("ablation-budget")
+def test_bench_ablation_migration_budget(report):
     data = report.data
     # More budget converges faster: the starved configuration keeps
     # more residual imbalance than the unbounded one.

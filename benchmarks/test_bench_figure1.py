@@ -1,13 +1,10 @@
 """Regenerates Figure 1: THP improvement over Linux, 19 benchmarks x 2 machines."""
 
-from repro.experiments.experiments import figure1
+import pytest
 
 
-def test_bench_figure1(benchmark, settings, report_sink):
-    report = benchmark.pedantic(
-        figure1, args=(settings,), rounds=1, iterations=1
-    )
-    report_sink(report)
+@pytest.mark.artifact("figure1")
+def test_bench_figure1(report):
     # Shape assertions from the paper.
     data = report.data
     assert data["B"]["CG.D"] < -15.0, "THP must hurt CG.D on machine B"

@@ -1,11 +1,10 @@
 """Regenerates Figure 2: Carrefour-2M vs THP on the affected applications."""
 
-from repro.experiments.experiments import figure2
+import pytest
 
 
-def test_bench_figure2(benchmark, settings, report_sink):
-    report = benchmark.pedantic(figure2, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("figure2")
+def test_bench_figure2(report):
     data = report.data
     # Carrefour-2M cannot fix the hot-page effect (CG) or false sharing (UA).
     assert data["B"]["CG.D"]["carrefour-2m"] < -15.0

@@ -1,11 +1,10 @@
 """Regenerates Figure 3: Carrefour-LP vs THP on the affected applications."""
 
-from repro.experiments.experiments import figure3
+import pytest
 
 
-def test_bench_figure3(benchmark, settings, report_sink):
-    report = benchmark.pedantic(figure3, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("figure3")
+def test_bench_figure3(report):
     data = report.data
     # Carrefour-LP recovers the applications that suffered under THP.
     for bench, machine in (("CG.D", "B"), ("UA.B", "A"), ("UA.C", "B")):

@@ -1,11 +1,10 @@
 """Regenerates Figure 4: component breakdown over Linux with THP."""
 
-from repro.experiments.experiments import figure4
+import pytest
 
 
-def test_bench_figure4(benchmark, settings, report_sink):
-    report = benchmark.pedantic(figure4, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("figure4")
+def test_bench_figure4(report):
     data = report.data
     # For CG the reactive path (hot-page splitting) is what recovers
     # performance over plain THP.

@@ -1,11 +1,10 @@
 """Regenerates Figure 5: THP and Carrefour-LP on the unaffected apps."""
 
-from repro.experiments.experiments import figure5
+import pytest
 
 
-def test_bench_figure5(benchmark, settings, report_sink):
-    report = benchmark.pedantic(figure5, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("figure5")
+def test_bench_figure5(report):
     data = report.data
     # Carrefour-LP does not significantly hurt the unaffected apps.
     for machine in ("A", "B"):

@@ -1,12 +1,11 @@
 """Regenerates Section 4.2: Carrefour-LP overhead assessment."""
 
-from repro.experiments.experiments import overhead
+import pytest
 from repro.workloads.registry import UNAFFECTED_SET
 
 
-def test_bench_overhead(benchmark, settings, report_sink):
-    report = benchmark.pedantic(overhead, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("overhead")
+def test_bench_overhead(report):
     data = report.data
     # LP vs the reactive approach: small overhead across the board
     # (paper: 1-2%, 3.2% worst; allow slack at reduced scale).

@@ -1,11 +1,10 @@
 """Regenerates Table 1: detailed Linux-vs-THP analysis of five apps."""
 
-from repro.experiments.experiments import table1
+import pytest
 
 
-def test_bench_table1(benchmark, settings, report_sink):
-    report = benchmark.pedantic(table1, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("table1")
+def test_bench_table1(report):
     data = report.data
     cg = data["CG.D@B"]
     assert cg["thp"].imbalance_pct > cg["linux"].imbalance_pct + 30

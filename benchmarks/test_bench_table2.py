@@ -1,11 +1,10 @@
 """Regenerates Table 2: PAMUP / NHP / PSP / imbalance / LAR, machine A."""
 
-from repro.experiments.experiments import table2
+import pytest
 
 
-def test_bench_table2(benchmark, settings, report_sink):
-    report = benchmark.pedantic(table2, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("table2")
+def test_bench_table2(report):
     data = report.data
     cg = data["CG.D"]
     assert cg["linux-4k"].n_hot_pages == 0

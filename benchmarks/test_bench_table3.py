@@ -1,11 +1,10 @@
 """Regenerates Table 3: LAR and imbalance under the four policies."""
 
-from repro.experiments.experiments import table3
+import pytest
 
 
-def test_bench_table3(benchmark, settings, report_sink):
-    report = benchmark.pedantic(table3, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("table3")
+def test_bench_table3(report):
     data = report.data
     cg = data["CG.D@B"]
     # THP destroys CG's balance; Carrefour-2M cannot restore it;

@@ -1,11 +1,10 @@
 """Regenerates Section 4.4: the 1GB-page study (SSCA, streamcluster)."""
 
-from repro.experiments.experiments import verylarge
+import pytest
 
 
-def test_bench_verylarge(benchmark, settings, report_sink):
-    report = benchmark.pedantic(verylarge, args=(settings,), rounds=1, iterations=1)
-    report_sink(report)
+@pytest.mark.artifact("verylarge")
+def test_bench_verylarge(report):
     data = report.data
     # Paper: streamcluster degrades ~4x with 1GB pages, SSCA by 34%.
     assert data["streamcluster"]["slowdown-1g"] > 1.5

@@ -1,27 +1,34 @@
 """One driver per paper artifact (Figures 1-5, Tables 1-3, §4.2, §4.4).
 
-Every driver takes the :class:`repro.sim.config.SimConfig` its runs
-share, declares its run grid once as a list of :class:`RunSpec`, hands
-it to one :meth:`GridRunner.run` call and renders a
-:class:`repro.experiments.reporting.Report` from the results, with rows
-that mirror the paper's layout.  Absolute numbers are not expected to
-match the authors' hardware; the shape — who wins, roughly by how much,
-which metric moves in which direction — is the reproduction target (see
-``EXPERIMENTS.md``).
+Every driver is a generator, as a policy's ``decide()`` is: it yields
+its grid of :class:`RunSpec` once, is sent the results of exactly that
+grid, and returns a :class:`repro.experiments.reporting.Report` whose
+rows mirror the paper's layout.  :func:`run_experiments` runs the union
+of the drivers' grids through one :meth:`GridRunner.run` call.  Absolute
+numbers are not expected to match the authors' hardware; the shape — who
+wins, roughly by how much, which metric moves in which direction — is
+the reproduction target (see ``EXPERIMENTS.md``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+import importlib
+from typing import Callable, Dict, Generator, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import GridRunner
 from repro.experiments.reporting import Report
 from repro.experiments.runner import RunSpec
 from repro.sim.config import SimConfig
+from repro.sim.results import SimulationResult
 from repro.workloads.registry import AFFECTED_SET, FIGURE1_ORDER, UNAFFECTED_SET
 
 MACHINES = ("A", "B")
+
+#: What a driver is sent: the results of the grid it yielded.
+Runs = Mapping[RunSpec, SimulationResult]
+#: A running driver: yields its grid, is sent its runs, returns its report.
+Artifact = Generator[List[RunSpec], Runs, Report]
 
 
 def _fmt(v: float) -> str:
@@ -43,11 +50,9 @@ def _grid(
     ]
 
 
-def figure1(config: Optional[SimConfig] = None) -> Report:
+def figure1() -> Artifact:
     """Figure 1: THP performance improvement over Linux, both machines."""
-    runs = GridRunner(config).run(
-        _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
-    )
+    runs = yield _grid(FIGURE1_ORDER, MACHINES, ["thp", "linux-4k"])
     rows = []
     data: Dict[str, Dict[str, float]] = {m: {} for m in MACHINES}
     for wl in FIGURE1_ORDER:
@@ -81,13 +86,13 @@ _TABLE1_CASES = [
 ]
 
 
-def table1(config: Optional[SimConfig] = None) -> Report:
+def table1() -> Artifact:
     """Table 1: detailed Linux-vs-THP profile of five applications."""
-    runs = GridRunner(config).run(
+    runs = yield [
         RunSpec(wl, machine, policy)
         for wl, machine in _TABLE1_CASES
         for policy in ("linux-4k", "thp")
-    )
+    ]
     rows = []
     data = {}
     for wl, machine in _TABLE1_CASES:
@@ -140,12 +145,9 @@ def _policy_figure(
     workloads: List[str],
     policies: List[str],
     baseline: str,
-    config: Optional[SimConfig],
     notes: List[str],
-) -> Report:
-    runs = GridRunner(config).run(
-        _grid(workloads, MACHINES, list(policies) + [baseline])
-    )
+) -> Artifact:
+    runs = yield _grid(workloads, MACHINES, list(policies) + [baseline])
     rows = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {m: {} for m in MACHINES}
     for wl in workloads:
@@ -172,7 +174,7 @@ def _policy_figure(
     )
 
 
-def figure2(config: Optional[SimConfig] = None) -> Report:
+def figure2() -> Artifact:
     """Figure 2: Carrefour-2M vs THP on the NUMA-affected applications."""
     return _policy_figure(
         "figure2",
@@ -180,7 +182,6 @@ def figure2(config: Optional[SimConfig] = None) -> Report:
         AFFECTED_SET,
         ["thp", "carrefour-2m"],
         "linux-4k",
-        config,
         [
             "Paper: Carrefour-2M fixes SPECjbb and SSCA but fails on CG.D"
             " (hot pages) and UA (false sharing)."
@@ -188,7 +189,7 @@ def figure2(config: Optional[SimConfig] = None) -> Report:
     )
 
 
-def figure3(config: Optional[SimConfig] = None) -> Report:
+def figure3() -> Artifact:
     """Figure 3: Carrefour-LP vs THP on the NUMA-affected applications."""
     return _policy_figure(
         "figure3",
@@ -196,7 +197,6 @@ def figure3(config: Optional[SimConfig] = None) -> Report:
         AFFECTED_SET,
         ["thp", "carrefour-lp"],
         "linux-4k",
-        config,
         [
             "Paper: Carrefour-LP restores CG.D/UA.B/UA.C, improves SSCA and"
             " SPECjbb, and does not significantly hurt the rest."
@@ -204,7 +204,7 @@ def figure3(config: Optional[SimConfig] = None) -> Report:
     )
 
 
-def figure4(config: Optional[SimConfig] = None) -> Report:
+def figure4() -> Artifact:
     """Figure 4: component breakdown, improvement over Linux *with THP*."""
     return _policy_figure(
         "figure4",
@@ -212,7 +212,6 @@ def figure4(config: Optional[SimConfig] = None) -> Report:
         AFFECTED_SET,
         ["carrefour-2m", "conservative-only", "reactive-only", "carrefour-lp"],
         "thp",
-        config,
         [
             "Paper: enabling both components (Carrefour-LP) is always the best"
             " or close; conservative-only starts from 4KB pages and misses"
@@ -225,11 +224,9 @@ _TABLE2_WORKLOADS = ["SPECjbb", "CG.D", "UA.B"]
 _TABLE2_POLICIES = ["linux-4k", "thp", "carrefour-2m"]
 
 
-def table2(config: Optional[SimConfig] = None) -> Report:
+def table2() -> Artifact:
     """Table 2: PAMUP / NHP / PSP / imbalance / LAR on machine A."""
-    runs = GridRunner(config).run(
-        _grid(_TABLE2_WORKLOADS, ["A"], _TABLE2_POLICIES)
-    )
+    runs = yield _grid(_TABLE2_WORKLOADS, ["A"], _TABLE2_POLICIES)
     rows = []
     data = {}
     for wl in _TABLE2_WORKLOADS:
@@ -267,13 +264,13 @@ _TABLE3_CASES = [("CG.D", "B"), ("UA.B", "A"), ("UA.C", "B")]
 _TABLE3_POLICIES = ["linux-4k", "thp", "carrefour-2m", "carrefour-lp"]
 
 
-def table3(config: Optional[SimConfig] = None) -> Report:
+def table3() -> Artifact:
     """Table 3: LAR and imbalance across the four policies."""
-    runs = GridRunner(config).run(
+    runs = yield [
         RunSpec(wl, machine, policy)
         for wl, machine in _TABLE3_CASES
         for policy in _TABLE3_POLICIES
-    )
+    ]
     rows = []
     data = {}
     for wl, machine in _TABLE3_CASES:
@@ -310,7 +307,7 @@ def table3(config: Optional[SimConfig] = None) -> Report:
     )
 
 
-def figure5(config: Optional[SimConfig] = None) -> Report:
+def figure5() -> Artifact:
     """Figure 5: THP and Carrefour-LP on the unaffected applications."""
     return _policy_figure(
         "figure5",
@@ -318,7 +315,6 @@ def figure5(config: Optional[SimConfig] = None) -> Report:
         UNAFFECTED_SET,
         ["thp", "carrefour-lp"],
         "linux-4k",
-        config,
         [
             "Paper: Carrefour-LP's overhead does not significantly hurt these"
             " apps; EP.C, SP.B and pca improve a lot because they had NUMA"
@@ -327,14 +323,12 @@ def figure5(config: Optional[SimConfig] = None) -> Report:
     )
 
 
-def overhead(config: Optional[SimConfig] = None) -> Report:
+def overhead() -> Artifact:
     """Section 4.2: Carrefour-LP overhead vs reactive / Carrefour-2M / Linux."""
-    runs = GridRunner(config).run(
-        _grid(
-            FIGURE1_ORDER,
-            MACHINES,
-            ["carrefour-lp", "reactive-only", "carrefour-2m", "linux-4k"],
-        )
+    runs = yield _grid(
+        FIGURE1_ORDER,
+        MACHINES,
+        ["carrefour-lp", "reactive-only", "carrefour-2m", "linux-4k"],
     )
     rows = []
     data: Dict[str, Dict[str, Dict[str, float]]] = {m: {} for m in MACHINES}
@@ -375,9 +369,9 @@ def overhead(config: Optional[SimConfig] = None) -> Report:
 _VERYLARGE_WORKLOADS = ["SSCA.20", "streamcluster"]
 
 
-def verylarge(config: Optional[SimConfig] = None) -> Report:
+def verylarge() -> Artifact:
     """Section 4.4: 1GB pages on SSCA and streamcluster (machine B)."""
-    runs = GridRunner(config).run(
+    runs = yield [
         spec
         for wl in _VERYLARGE_WORKLOADS
         for spec in (
@@ -386,7 +380,7 @@ def verylarge(config: Optional[SimConfig] = None) -> Report:
             RunSpec(wl, "B", "linux-4k", backing_1g=True),
             RunSpec(wl, "B", "carrefour-lp", backing_1g=True),
         )
-    )
+    ]
     rows = []
     data = {}
     for wl in _VERYLARGE_WORKLOADS:
@@ -435,17 +429,16 @@ def verylarge(config: Optional[SimConfig] = None) -> Report:
     )
 
 
-def _extension(name: str) -> Callable[[Optional[SimConfig]], Report]:
-    def driver(config: Optional[SimConfig] = None) -> Report:
-        from repro.experiments import extensions
+def _elsewhere(module: str, name: str) -> Callable[[], Artifact]:
+    """Imported at its first run: a figure loads no extension or claim."""
 
-        return getattr(extensions, name)(config)
+    def driver() -> Artifact:
+        return getattr(importlib.import_module(f"repro.experiments.{module}"), name)()
 
-    driver.__doc__ = f"Extension experiment: see repro.experiments.extensions.{name}."
     return driver
 
 
-EXPERIMENTS: Dict[str, Callable[[Optional[SimConfig]], Report]] = {
+EXPERIMENTS: Dict[str, Callable[[], Artifact]] = {
     "figure1": figure1,
     "table1": table1,
     "figure2": figure2,
@@ -457,29 +450,41 @@ EXPERIMENTS: Dict[str, Callable[[Optional[SimConfig]], Report]] = {
     "overhead": overhead,
     "verylarge": verylarge,
     # Extensions beyond the paper (see repro.experiments.extensions).
-    "lwp": _extension("lwp"),
-    "autonuma": _extension("autonuma"),
-    "ablation-hot": _extension("ablation_hot_threshold"),
-    "ablation-budget": _extension("ablation_migration_budget"),
+    "lwp": _elsewhere("extensions", "lwp"),
+    "autonuma": _elsewhere("extensions", "autonuma"),
+    "ablation-hot": _elsewhere("extensions", "ablation_hot_threshold"),
+    "ablation-budget": _elsewhere("extensions", "ablation_migration_budget"),
+    # Claim-by-claim validation (see repro.experiments.validation).
+    "validate": _elsewhere("validation", "validate"),
 }
 
 
-def _validate_driver(config: Optional[SimConfig] = None) -> Report:
-    """Claim-by-claim validation (see repro.experiments.validation)."""
-    from repro.experiments.validation import validate
+def run_experiments(
+    names: Sequence[str], config: Optional[SimConfig] = None
+) -> Dict[str, Report]:
+    """Run the named experiments over one grid; returns their reports.
 
-    return validate(config)
-
-
-EXPERIMENTS["validate"] = _validate_driver
+    Each driver is primed for its grid, the union of the grids goes to
+    one :meth:`GridRunner.run` call, and each driver is sent only its
+    own grid's results, so a read it did not declare is a ``KeyError``.
+    """
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment {unknown[0]!r}; available: {sorted(EXPERIMENTS)}"
+        )
+    drivers = {name: EXPERIMENTS[name]() for name in names}
+    grids = {name: next(driver) for name, driver in drivers.items()}
+    runs = GridRunner(config).run(spec for grid in grids.values() for spec in grid)
+    reports = {}
+    for name, driver in drivers.items():
+        try:
+            driver.send({spec: runs[spec] for spec in grids[name]})
+        except StopIteration as done:
+            reports[name] = done.value
+    return reports
 
 
 def run_experiment(name: str, config: Optional[SimConfig] = None) -> Report:
     """Run one named experiment and return its report."""
-    try:
-        driver = EXPERIMENTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return driver(config)
+    return run_experiments([name], config)[name]

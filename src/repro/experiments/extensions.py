@@ -18,12 +18,11 @@ Two studies the paper motivates but could not run:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.parallel import GridRunner
+from repro.experiments.experiments import Artifact
 from repro.experiments.reporting import Report
 from repro.experiments.runner import RunSpec
-from repro.sim.config import SimConfig
 
 
 def _improvement_table(
@@ -31,15 +30,14 @@ def _improvement_table(
     title: str,
     cases: Sequence[Tuple[str, str]],
     policies: List[str],
-    config: Optional[SimConfig],
     notes: List[str],
-) -> Report:
+) -> Artifact:
     """Improvement of each policy over linux-4k, one row per case."""
-    runs = GridRunner(config).run(
+    runs = yield [
         RunSpec(workload, machine, policy)
         for workload, machine in cases
         for policy in ["linux-4k"] + policies
-    )
+    ]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for workload, machine in cases:
@@ -66,14 +64,13 @@ _LWP_CASES = [("SSCA.20", "A"), ("pca", "B")]
 _LWP_POLICIES = ["thp", "carrefour-2m", "carrefour-lp", "carrefour-lp-lwp"]
 
 
-def lwp(config: Optional[SimConfig] = None) -> Report:
+def lwp() -> Artifact:
     """LWP-grade sampling vs plain IBS for Carrefour-LP."""
     return _improvement_table(
         "lwp",
         "Carrefour-LP with LWP-style sampling (improvement over Linux, %)",
         _LWP_CASES,
         _LWP_POLICIES,
-        config,
         [
             "Paper Section 4.1: sparse IBS samples make the reactive split"
             " estimate optimistic (SSCA: predicted 59%, actual 25%); denser,"
@@ -92,7 +89,7 @@ _AUTONUMA_POLICIES = [
 ]
 
 
-def autonuma(config: Optional[SimConfig] = None) -> Report:
+def autonuma() -> Artifact:
     """The standard remedies vs the Carrefour family.
 
     Compares mainline Linux's two answers — static numactl interleaving
@@ -108,7 +105,6 @@ def autonuma(config: Optional[SimConfig] = None) -> Report:
         "Linux NUMA balancing vs Carrefour (improvement over Linux, %)",
         _AUTONUMA_CASES,
         _AUTONUMA_POLICIES,
-        config,
         [
             "AutoNUMA cannot split large pages: CG's hot pages and UA's"
             " falsely shared pages stay broken; only migrate-to-accessor"
@@ -139,11 +135,11 @@ def _hot_threshold_spec(threshold: float) -> RunSpec:
     )
 
 
-def ablation_hot_threshold(config: Optional[SimConfig] = None) -> Report:
+def ablation_hot_threshold() -> Artifact:
     """Sweep the reactive component's hot-page threshold on CG.D."""
     baseline = RunSpec("CG.D", "B", "linux-4k")
     sweep = {t: _hot_threshold_spec(t) for t in _HOT_THRESHOLDS}
-    runs = GridRunner(config).run([baseline, *sweep.values()])
+    runs = yield [baseline, *sweep.values()]
     base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
@@ -191,11 +187,11 @@ def _budget_spec(budget_mb: int) -> RunSpec:
     return RunSpec("pca", "B", "carrefour-2m", params=(("config", config),))
 
 
-def ablation_migration_budget(config: Optional[SimConfig] = None) -> Report:
+def ablation_migration_budget() -> Artifact:
     """Sweep Carrefour-2M's per-interval migration budget on pca."""
     baseline = RunSpec("pca", "B", "linux-4k")
     sweep = {mb: _budget_spec(mb) for mb in _BUDGETS_MB}
-    runs = GridRunner(config).run([baseline, *sweep.values()])
+    runs = yield [baseline, *sweep.values()]
     base = runs[baseline]
     rows = []
     data: Dict[str, Dict[str, float]] = {}

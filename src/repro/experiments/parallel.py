@@ -1,13 +1,13 @@
 """The one executor: every artifact's run grid goes through :class:`GridRunner`.
 
-An artifact declares its grid as a list of
-:class:`~repro.experiments.runner.RunSpec` and hands it to one
-:meth:`GridRunner.run` call, which returns ``{spec: result}``;
+:func:`repro.experiments.experiments.run_experiments` hands the union
+of the artifacts' :class:`~repro.experiments.runner.RunSpec` grids to
+one :meth:`GridRunner.run` call, which returns ``{spec: result}``;
 :func:`repro.experiments.runner.run_benchmark` is the same call with a
 one-spec grid.  ``run`` deduplicates the grid by fingerprint, reads each
-run from the persistent store, simulates the misses, and files their
-results under the same fingerprint.  Simulations are deterministic and
-share no state, so the misses are embarrassingly parallel.
+run from the persistent store, simulates the misses, and files each
+result under its fingerprint as it finishes.  Simulations are
+deterministic and share no state, so the misses are embarrassingly parallel.
 
 The resolved worker count picks how the misses execute: one worker
 runs them in a plain in-process loop, more fan out over a
@@ -34,13 +34,15 @@ argument, the ``REPRO_JOBS`` environment variable, then
 ``os.cpu_count()``, clamped to ``[1, os.cpu_count()]``.
 ``jobs=1`` — and any platform where a process pool cannot be built
 (no ``fork``, sandboxed semaphores) — runs the serial loop with
-identical results, since every run is deterministic.
+identical results, since every run is deterministic; so do the runs a
+broken pool did not return.  A run's own exception propagates as is.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as _runner
 from repro.experiments.cache import ResultCache, cache_enabled
@@ -93,7 +95,7 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
 def _execute_specs(
     specs: List[RunSpec], config: SimConfig
 ) -> List[Tuple[RunSpec, SimulationResult]]:
-    """Run specs in order, uncached: the serial loop, or one pool task."""
+    """Run specs in order, uncached: one pool task."""
     return [(spec, _runner.execute_run(spec, config)) for spec in specs]
 
 
@@ -121,7 +123,7 @@ def _bank_tasks(misses: Sequence[RunSpec], workers: int) -> List[List[RunSpec]]:
         )
         groups.setdefault(key, []).append(spec)
     tasks = list(groups.values())
-    while len(tasks) < workers:
+    while 0 < len(tasks) < workers:
         largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
         task = tasks[largest]
         if len(task) < 2:
@@ -142,10 +144,6 @@ class GridRunner:
 
         grid = [RunSpec("CG.D", "B", "thp"), RunSpec("CG.D", "B", "linux-4k")]
         results = GridRunner(SimConfig.quick()).run(grid)  # {RunSpec: result}
-
-    Every artifact hands its whole grid to one :meth:`run` call and
-    renders its report from the returned dict, so a read the grid did
-    not declare is a ``KeyError``.
     """
 
     def __init__(
@@ -158,9 +156,12 @@ class GridRunner:
 
     def _run_pool(
         self, misses: List[RunSpec], jobs: int
-    ) -> List[Tuple[RunSpec, SimulationResult]]:
+    ) -> Iterator[Tuple[RunSpec, SimulationResult]]:
+        """Yield each bank task's results as its worker returns them;
+        a pool that cannot be built, or that breaks, stops early."""
         import concurrent.futures
         import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork skips re-importing numpy/repro in every worker; the
         # default method elsewhere (spawn) works too, just slower.
@@ -169,42 +170,45 @@ class GridRunner:
         except ValueError:
             ctx = multiprocessing.get_context()
         tasks = _bank_tasks(misses, jobs)
-        results: List[Tuple[RunSpec, SimulationResult]] = []
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), mp_context=ctx
-        ) as pool:
-            futures = [
-                pool.submit(_execute_specs, task, self.config)
-                for task in tasks
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                results.extend(future.result())
-        return results
+        with contextlib.ExitStack() as stack:
+            try:
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(jobs, len(tasks)), mp_context=ctx
+                )
+                stack.enter_context(pool)
+                futures = [pool.submit(_execute_specs, t, self.config) for t in tasks]
+            except (OSError, ImportError, RuntimeError):
+                return  # No usable multiprocessing on this platform.
+            try:
+                for future in concurrent.futures.as_completed(futures):
+                    yield from future.result()
+            except BrokenProcessPool:
+                return
 
     def _execute(
         self, misses: List[RunSpec]
-    ) -> List[Tuple[RunSpec, SimulationResult]]:
-        """Simulate the misses' bank-affine tasks: a plain loop at one
-        job, else the pool."""
+    ) -> Iterator[Tuple[RunSpec, SimulationResult]]:
+        """Yield each miss's result as it finishes: from the pool at more
+        than one job, then from a plain loop over what it did not return."""
         jobs = resolve_jobs(self.jobs)
+        rest = dict.fromkeys(misses)
         if jobs > 1 and len(misses) > 1:
-            try:
-                return self._run_pool(misses, jobs)
-            except (OSError, ImportError, PermissionError, RuntimeError):
-                pass  # No usable multiprocessing on this platform.
-        return _execute_specs(
-            [spec for task in _bank_tasks(misses, 1) for spec in task],
-            self.config,
-        )
+            for spec, result in self._run_pool(misses, jobs):
+                del rest[spec]
+                yield spec, result
+        for task in _bank_tasks(list(rest), 1):
+            for spec in task:
+                yield spec, _runner.execute_run(spec, self.config)
 
     def run(self, specs: Iterable[RunSpec]) -> Dict[RunSpec, SimulationResult]:
         """Execute a grid; returns ``{spec: result}`` in first-seen order.
 
         Duplicate specs, and specs that share a fingerprint, run once.
         Unless ``REPRO_CACHE`` is off, each run is read from the
-        persistent store, only the misses are simulated, and their
-        results are stored; with it off, every run is simulated and
-        nothing is stored.
+        persistent store, only the misses are simulated, and each
+        result is stored as it arrives (per run from the serial loop,
+        per bank task from the pool); with it off, every run is
+        simulated and nothing is stored.
         """
         keys = _runner.fingerprints(specs, self.config)
         store = ResultCache.default() if cache_enabled() else None
@@ -218,10 +222,9 @@ class GridRunner:
                 misses[key] = spec
             else:
                 found[key] = result
-        if misses:
-            for spec, result in self._execute(list(misses.values())):
-                key = keys[spec]
-                found[key] = result
-                if store is not None:
-                    store.put(key, result)
+        for spec, result in self._execute(list(misses.values())):
+            key = keys[spec]
+            found[key] = result
+            if store is not None:
+                store.put(key, result)
         return {spec: found[key] for spec, key in keys.items()}

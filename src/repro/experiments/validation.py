@@ -4,7 +4,7 @@ Every qualitative claim listed in
 :data:`repro.experiments.paper_data.CLAIMS` has a check here that reads
 the relevant runs and decides PASS/FAIL, reporting the measured values
 next to the paper's.  The checks share one declared grid
-(:data:`GRID`), executed by one :meth:`GridRunner.run` call; a check
+(:data:`GRID`), which the :func:`validate` driver yields; a check
 reading a run outside it raises ``KeyError``.  ``repro.cli validate``
 prints the result.
 """
@@ -12,16 +12,12 @@ prints the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import paper_data
-from repro.experiments.parallel import GridRunner
+from repro.experiments.experiments import Artifact, Runs
 from repro.experiments.reporting import Report
 from repro.experiments.runner import RunSpec
-from repro.sim.config import SimConfig
-from repro.sim.results import SimulationResult
-
-Runs = Mapping[RunSpec, SimulationResult]
 
 #: Every run the claim checks read, grouped by stream bank.
 GRID: List[RunSpec] = [
@@ -224,9 +220,9 @@ _CHECKS: Dict[str, Callable[[Runs], Tuple[bool, str]]] = {
 }
 
 
-def validate_claims(config: Optional[SimConfig] = None) -> List[ClaimResult]:
-    """Run every claim check; returns one result per claim."""
-    runs = GridRunner(config).run(GRID)
+def validate_claims(runs: Runs) -> List[ClaimResult]:
+    """Run every claim check over :data:`GRID`'s ``runs``; returns one
+    result per claim."""
     results = []
     for claim in paper_data.CLAIMS:
         check = _CHECKS[claim.claim_id]
@@ -243,9 +239,9 @@ def validate_claims(config: Optional[SimConfig] = None) -> List[ClaimResult]:
     return results
 
 
-def validate(config: Optional[SimConfig] = None) -> Report:
+def validate() -> Artifact:
     """Claim validation as a renderable report (CLI: ``repro validate``)."""
-    results = validate_claims(config)
+    results = validate_claims((yield GRID))
     rows = [
         [
             "PASS" if r.passed else "FAIL",

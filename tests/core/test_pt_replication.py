@@ -100,6 +100,15 @@ class TestPageTableBytes:
         # One PTE page for the chunk's 4KB entries + one PMD page.
         assert asp.page_table_bytes() == 2 * PAGE_4K
 
+    def test_one_pte_page_per_chunk_with_4k_entries(self):
+        asp = self.make_asp()
+        for chunk in range(4):
+            asp.premap_pattern_4k(
+                chunk * GRANULES_PER_2M, np.zeros(1, dtype=np.int8)
+            )
+        # Four PTE pages, one per chunk, under the one PMD page.
+        assert asp.page_table_bytes() == 5 * PAGE_4K
+
     def test_split_grows_tables(self):
         from repro.vm.address_space import (
             BACKING_ID_2M_OFFSET,

@@ -15,11 +15,8 @@ from repro.core.carrefour_lp import CarrefourLpPolicy
 from repro.core.reactive import ReactiveConfig
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import ResultCache
-from repro.experiments.extensions import (
-    _budget_spec,
-    _hot_threshold_spec,
-    ablation_migration_budget,
-)
+from repro.experiments.experiments import run_experiment
+from repro.experiments.extensions import _budget_spec, _hot_threshold_spec
 from repro.experiments.runner import execute_run
 from repro.hardware.machines import machine_by_name
 from repro.options import CACHE_DIR_ENV
@@ -80,12 +77,12 @@ def test_params_path_matches_the_hand_built_policy(spec, hand_built):
 def test_warm_ablation_executes_no_run(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
     config = SimConfig.quick()
-    cold = ablation_migration_budget(config).render()
+    cold = run_experiment("ablation-budget", config).render()
     assert ResultCache.default().stats().n_entries == 5
 
     def _boom(*args, **kwargs):
         raise AssertionError("a warm ablation simulated a run")
 
     monkeypatch.setattr(runner_mod, "execute_run", _boom)
-    assert ablation_migration_budget(config).render() == cold
+    assert run_experiment("ablation-budget", config).render() == cold
     assert ResultCache.default().stats().n_entries == 5

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -215,6 +216,41 @@ class TestGridExecution:
         assert submitted == GRID[1:]
         assert _signature(results[GRID[0]]) == _signature(first[GRID[0]])
 
+    def test_an_interrupted_grid_keeps_its_finished_runs(
+        self, fresh_env, monkeypatch
+    ):
+        """Each run is stored as it finishes: a serial grid interrupted
+        at its fourth run keeps three, and a re-run simulates only the
+        other three."""
+        config = SimConfig.quick()
+        result = execute_run(GRID[0], config)
+        grid = [
+            RunSpec(workload, "A", policy)
+            for workload in ("Kmeans", "WC")
+            for policy in ("linux-4k", "thp", "carrefour-2m")
+        ]
+        executed = []
+
+        def canned(spec, run_config):
+            if len(executed) == 3:
+                raise KeyboardInterrupt
+            executed.append(spec)
+            return result
+
+        monkeypatch.setattr(runner_mod, "execute_run", canned)
+        with pytest.raises(KeyboardInterrupt):
+            GridRunner(config, jobs=1).run(grid)
+        assert ResultCache.default().stats().n_entries == 3
+        finished = executed[:]
+        executed.clear()
+        monkeypatch.setattr(
+            runner_mod, "execute_run",
+            lambda spec, run_config: executed.append(spec) or result,
+        )
+        GridRunner(config, jobs=1).run(grid)
+        assert sorted(finished + executed, key=grid.index) == grid
+        assert len(executed) == 3
+
     def test_cache_off_reruns(self, fresh_env, monkeypatch):
         """``REPRO_CACHE=0`` (what ``--fresh`` sets) simulates again."""
         config = SimConfig.quick()
@@ -229,6 +265,84 @@ class TestGridExecution:
         monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         GridRunner(SimConfig.quick(), jobs=1).run(GRID[:1])
         assert ResultCache.default().stats().n_entries == 0
+
+
+#: Two stream banks: Kmeans@A under four policies, WC@A under two.
+FAILING_GRID = [
+    RunSpec("Kmeans", "A", policy)
+    for policy in ("linux-4k", "thp", "carrefour-2m", "carrefour-lp")
+] + [RunSpec("WC", "A", policy) for policy in ("linux-4k", "thp")]
+
+
+class TestPoolFailures:
+    """A run's own exception propagates from the pool; only a pool that
+    breaks leaves work to the serial loop, and only what it did not
+    return.  A call log under ``tmp_path`` sees every process."""
+
+    @staticmethod
+    def _logged(monkeypatch, log, fail):
+        execute = runner_mod.execute_run
+
+        def logged(spec, config):
+            with open(log, "a") as fh:
+                fh.write(f"{spec.describe()} {os.getpid()}\n")
+            fail(spec)
+            return execute(spec, config)
+
+        monkeypatch.setattr(runner_mod, "execute_run", logged)
+
+    @staticmethod
+    def _calls(log):
+        return [line.split() for line in log.read_text().splitlines()]
+
+    def test_a_run_that_raises_in_the_pool_runs_no_spec_twice(
+        self, fresh_env, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "calls.log"
+
+        def fail(spec):
+            if spec.policy == "carrefour-2m":
+                raise RuntimeError(f"{spec.describe()} failed")
+
+        self._logged(monkeypatch, log, fail)
+        with pytest.raises(RuntimeError, match=r"^Kmeans@A/carrefour-2m failed$"):
+            GridRunner(SimConfig.quick(), jobs=2).run(FAILING_GRID)
+        calls = self._calls(log)
+        runs = [run for run, _ in calls]
+        assert len(runs) == len(set(runs))
+        assert str(os.getpid()) not in {pid for _, pid in calls}
+
+    def test_a_broken_pool_leaves_only_what_it_did_not_return(
+        self, fresh_env, monkeypatch, tmp_path
+    ):
+        """The WC worker dies once the Kmeans task's results are stored:
+        the parent then runs WC's runs alone, and Kmeans's no more."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "calls.log"
+        parent = os.getpid()
+        grid = FAILING_GRID[:2] + FAILING_GRID[4:]
+
+        def fail(spec):
+            if spec.workload == "WC" and os.getpid() != parent:
+                deadline = time.monotonic() + 20
+                while (
+                    ResultCache.default().stats().n_entries < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                os._exit(1)
+
+        self._logged(monkeypatch, log, fail)
+        results = GridRunner(SimConfig.quick(), jobs=2).run(grid)
+        assert set(results) == set(grid)
+        calls = self._calls(log)
+        in_parent = [run for run, pid in calls if pid == str(parent)]
+        assert sorted(in_parent) == ["WC@A/linux-4k", "WC@A/thp"]
+        assert sorted(run for run, _ in calls if run.startswith("Kmeans")) == [
+            "Kmeans@A/linux-4k", "Kmeans@A/thp",
+        ]
+        assert ResultCache.default().stats().n_entries == 4
 
 
 class TestOneCacheLayer:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.experiments import paper_data
+from repro.experiments.experiments import run_experiment
 from repro.experiments.parallel import GridRunner
-from repro.experiments.validation import GRID, _CHECKS, validate, validate_claims
+from repro.experiments.validation import GRID, _CHECKS, validate_claims
 from repro.workloads.registry import FIGURE1_ORDER
 
 
@@ -64,12 +65,12 @@ class TestValidation:
         assert runs.reads == set(GRID)
 
     def test_all_claims_pass_at_quick_scale(self, quick_config):
-        results = validate_claims(quick_config)
+        results = validate_claims(GridRunner(quick_config).run(GRID))
         failing = [r.claim_id for r in results if not r.passed]
         assert not failing, f"claims failing: {failing}"
 
     def test_report_structure(self, quick_config):
-        report = validate(quick_config)
+        report = run_experiment("validate", quick_config)
         assert report.experiment_id == "validate"
         assert len(report.rows) == len(paper_data.CLAIMS)
         assert "14/14" in report.title

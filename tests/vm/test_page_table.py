@@ -1,61 +1,9 @@
-"""Tests for the page-table footprint model."""
+"""Tests for the closed-form page-table footprint model."""
 
-import numpy as np
-import pytest
-
-from repro.vm.address_space import AddressSpace
-from repro.vm.frame_allocator import PhysicalMemory
-from repro.vm.layout import GRANULES_PER_2M, PAGE_4K, PageSize
+from repro.vm.layout import PAGE_4K, PageSize
 from repro.vm.page_table import ENTRIES_PER_TABLE, PageTableModel
 
 GIB = 1 << 30
-
-
-def make_asp(n_chunks=8):
-    phys = PhysicalMemory([GIB, GIB])
-    return AddressSpace(n_chunks * GRANULES_PER_2M, phys)
-
-
-class TestFootprint:
-    def test_empty_space(self):
-        fp = PageTableModel().footprint(make_asp())
-        assert fp.pte_tables == 0
-        assert fp.total_bytes == 0
-
-    def test_one_4k_mapping_needs_full_chain(self):
-        asp = make_asp()
-        asp.premap_pattern_4k(0, np.zeros(1, dtype=np.int8))
-        fp = PageTableModel().footprint(asp)
-        assert fp.pte_tables == 1
-        assert fp.pmd_tables == 1
-        assert fp.pud_tables == 1
-        assert fp.pgd_tables == 1
-        assert fp.total_tables == 4
-
-    def test_huge_pages_skip_pte_level(self):
-        asp = make_asp()
-        asp.premap_pattern_2m(0, np.array([0, 0, 0], dtype=np.int8))
-        fp = PageTableModel().footprint(asp)
-        assert fp.pte_tables == 0
-        assert fp.pmd_tables == 1
-
-    def test_4k_needs_one_pte_table_per_chunk(self):
-        asp = make_asp(n_chunks=4)
-        for chunk in range(4):
-            asp.premap_pattern_4k(
-                chunk * GRANULES_PER_2M, np.zeros(1, dtype=np.int8)
-            )
-        fp = PageTableModel().footprint(asp)
-        assert fp.pte_tables == 4
-
-    def test_split_grows_tables(self):
-        asp = make_asp()
-        asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
-        model = PageTableModel()
-        before = model.footprint(asp).total_tables
-        asp.split_chunk(0)
-        after = model.footprint(asp).total_tables
-        assert after == before + 1
 
 
 class TestClosedForm:
